@@ -38,6 +38,7 @@ from .polygon import (
     gen_twist_writhe,
     polygon_text,
     read_polygon,
+    validate_embedded,
     write_polygon,
 )
 from .seifert import spanning_surface_r3
@@ -138,6 +139,16 @@ def cmd_span(args) -> int:
     }
     timings: dict = {}
     t0 = time.perf_counter()
+    # earclip_2d validates planar input itself; elsewhere a polygon that
+    # is not embedded would only surface after a builder's retry budget
+    bad = validate_embedded(poly) if dim >= 3 else None
+    if bad is not None:
+        timings["construct"] = time.perf_counter() - t0
+        report.update({"error": "polygon is not embedded: %r" % bad,
+                       "error_kind": "polygon-not-embedded",
+                       "certificates": {}, "timings": timings})
+        _write_report(report, args.report)
+        return 1
     try:
         if strategy == "earclip":
             mesh, rep = earclip_2d(poly)

@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 try:
     from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is optional (the "fast" extra)
     Rat = Fraction
 
 RatLike = Union[int, str, Fraction]
@@ -100,11 +100,6 @@ class Point:
         return "Point(%s)" % (", ".join(rat_str(c) for c in self.coords))
 
 
-def lex_less(a: Point, b: Point) -> bool:
-    """Lexicographic coordinate order; used for deterministic tie-breaks."""
-    return a.coords < b.coords
-
-
 class AffineMap:
     """x -> M x + t with an exactly invertible rational matrix M."""
 
@@ -174,10 +169,6 @@ class AffineMap:
         return AffineMap(inv, t)
 
 
-def apply_affine(m: AffineMap, p: Point) -> Point:
-    return m.apply(p)
-
-
 # ---------------------------------------------------------------------------
 # exact linear algebra
 
@@ -236,12 +227,10 @@ def matrix_rank(rows: Sequence[Sequence]) -> int:
 
 
 def affine_rank(points: Sequence[Point]) -> int:
-    """Dimension of the affine hull spanned by the points."""
-    if not points:
-        return -1
-    base = points[0]
-    dirs = [list((p - base).coords) for p in points[1:]]
-    return matrix_rank(dirs)
+    """Dimension of the affine hull spanned by the points: points are
+    affinely independent iff their homogeneous forms are linearly
+    independent."""
+    return int_rank([homogeneous(p) for p in points]) - 1
 
 
 def nullspace(rows: Sequence[Sequence]) -> list[list]:
@@ -296,6 +285,64 @@ def homogeneous(p: Point) -> tuple:
     for c in p.coords:
         w = lcm(w, c.denominator)
     return tuple(c.numerator * (w // c.denominator) for c in p.coords) + (w,)
+
+
+def _bareiss(rows) -> tuple[list[int], int, int]:
+    """Fraction-free row echelon form of an integer matrix.
+
+    Bareiss's elimination (Math. Comp. 1968): after k pivot steps each
+    entry still to be reduced is a (k+1)-minor of the row-permuted input
+    (the k pivot rows and columns plus its own row and column), so the
+    division by the previous pivot is exact and no entry grows beyond a
+    minor.  Returns (pivot columns, last pivot, row swaps); the last
+    pivot is the minor on the pivot rows and columns.
+    """
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    pivots: list[int] = []
+    prev, swaps, r = 1, 0, 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            swaps += 1
+        top = m[r]
+        p = top[c]
+        for row in m[r + 1:]:
+            f = row[c]
+            row[c + 1:] = [(p * x - f * y) // prev
+                           for x, y in zip(row[c + 1:], top[c + 1:])]
+        prev = p
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots, prev, swaps
+
+
+def int_rank(rows) -> int:
+    """Rank of an integer matrix, by fraction-free elimination."""
+    return len(_bareiss(rows)[0])
+
+
+def int_det(rows) -> int:
+    """Determinant of a square integer matrix."""
+    pivots, last, swaps = _bareiss(rows)
+    if len(pivots) < len(rows):
+        return 0
+    return -last if swaps % 2 else last
+
+
+def flat_axes(hs) -> list[int]:
+    """Coordinate axes onto which the affine hull of the points with
+    homogeneous forms hs projects injectively: one per dimension of the
+    hull, the lexicographically first such set.  Projecting onto them
+    keeps every affine relation among the points."""
+    pivots = _bareiss([(h[-1],) + tuple(h[:-1]) for h in hs])[0]
+    # w > 0 makes the weight column the first pivot
+    return [c - 1 for c in pivots[1:]]
 
 
 def orient2d_h(a, b, c) -> int:
@@ -532,6 +579,11 @@ def simplex_intersect(simplex_a: Sequence[Point], simplex_b: Sequence[Point],
     Returns an exact witness Point of a forbidden intersection, or None
     when the simplices are disjoint away from the allowed face.  The
     test is symmetric in the two simplices.
+
+    This is the complete test, and the one that builds witnesses: it
+    enumerates the vertices of a small exact LP.  The pairwise sweeps
+    (mesh.check_embedded, polygon.validate_embedded) first clear pairs
+    by integer signs and ranks and call it only for the rest.
     """
     pts_a = list(simplex_a)
     pts_b = list(simplex_b)

@@ -19,7 +19,9 @@ from .geom import (
     affine_rank,
     box_h,
     boxes_apart_h,
+    flat_axes,
     homogeneous,
+    int_det,
     nullspace,
     orient2d_h,
     rat,
@@ -27,6 +29,12 @@ from .geom import (
     sign,
     simplex_intersect,
 )
+
+
+class CertificateError(AssertionError):
+    """A count identity or bound that a surface's certificate rests on
+    does not hold.  Raised explicitly, so it survives python -O; an
+    AssertionError, so the builders' retry loops and the CLI catch it."""
 
 
 class TriMesh:
@@ -306,20 +314,6 @@ def _row_separates(rows) -> bool:
                for row in rows)
 
 
-def _plane_axes(hs):
-    """Two coordinate axes onto which the plane through the homogeneous
-    points hs projects injectively."""
-    p, q, r = hs
-    d0 = [qc * p[-1] - pc * q[-1] for pc, qc in zip(p[:-1], q[:-1])]
-    d1 = [rc * p[-1] - pc * r[-1] for pc, rc in zip(p[:-1], r[:-1])]
-    d = len(d0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            if d0[i] * d1[j] - d0[j] * d1[i] != 0:
-                return i, j
-    raise AssertionError("degenerate triangle")
-
-
 def _coplanar_contact_clean(hom, tri_a, tri_b, shared) -> bool:
     """Exact contact classification for a coplanar triangle pair.
 
@@ -331,7 +325,7 @@ def _coplanar_contact_clean(hom, tri_a, tri_b, shared) -> bool:
     lying in the other closed triangle, or a proper crossing of an edge
     of each, so those two tests are complete.
     """
-    i, j = _plane_axes([hom[v] for v in tri_a])
+    i, j = flat_axes([hom[v] for v in tri_a])
     ha = [(hom[v][i], hom[v][j], hom[v][-1]) for v in tri_a]
     hb = [(hom[v][i], hom[v][j], hom[v][-1]) for v in tri_b]
     if len(shared) == 2:
@@ -413,6 +407,67 @@ def _crossing_planes_contact_3d(hs_a, hs_b, vals_ab, vals_ba, shared_hs):
     return "dirty"
 
 
+def _transverse_contact_clean(hs_a, hs_b) -> bool:
+    """Disjointness of two triangles without a shared vertex whose six
+    vertices span a 4-flat, given in homogeneous form on four axes
+    injective on it.
+
+    The six rows then carry a single linear relation, whose coefficients
+    are their signed 5x5 minors; as the rows are the points (x, 1)
+    scaled by w > 0, it is an affine relation among the points with
+    coefficients of the same signs.  A common point sum lam_i a_i =
+    sum mu_j b_j is such a relation, so one exists iff the coefficients
+    on a are all of one sign and those on b all of the other (zeros
+    allowed).
+    """
+    rows = hs_a + hs_b
+
+    def weight(i):
+        s = sign(int_det(rows[:i] + rows[i + 1:]))
+        return -s if i % 2 else s
+
+    on_a = {weight(i) for i in range(3)} - {0}
+    if len(on_a) != 1:
+        return len(on_a) == 2
+    side = on_a.pop()
+    return any(weight(i) == side for i in range(3, 6))
+
+
+def _hull_contact_clean(hom, tri_a, tri_b, shared) -> bool:
+    """Contact classification of a non-coplanar triangle pair in R^d,
+    d >= 4, without a shared edge, inside the affine hull of its
+    distinct vertices.
+
+    True when the triangles meet in at most their shared vertex.  When
+    the distinct vertices are affinely independent, both triangles are
+    faces of one simplex, which meet exactly in the face of their common
+    vertices.  Otherwise the hull is a 3-flat or, for six vertices, a
+    4-flat; the pair is projected onto axes injective on it and decided
+    there.  False leaves the pair open.
+    """
+    pts = list(tri_a) + [v for v in tri_b if v not in shared]
+    axes = flat_axes([hom[v] for v in pts])
+    if len(axes) == len(pts) - 1:
+        return True
+
+    def proj(tri):
+        return [tuple(hom[v][i] for i in axes) + (hom[v][-1],) for v in tri]
+
+    if len(axes) == 3:
+        hs_a, hs_b = proj(tri_a), proj(tri_b)
+        # det[x; p; q; r] is a linear functional of x vanishing on the
+        # plane through p, q, r
+        vals_ab = [int_det([h] + hs_a) for h in hs_b]
+        vals_ba = [int_det([h] + hs_b) for h in hs_a]
+        if _row_separates([vals_ab, vals_ba]):
+            return True
+        return _crossing_planes_contact_3d(
+            hs_a, hs_b, vals_ab, vals_ba, proj(shared)) == "clean"
+    if len(axes) == 4:
+        return _transverse_contact_clean(proj(tri_a), proj(tri_b))
+    return False
+
+
 def check_embedded(mesh: TriMesh) -> Optional[EmbeddingViolation]:
     """Exact pairwise embeddedness of all triangles.
 
@@ -422,10 +477,15 @@ def check_embedded(mesh: TriMesh) -> Optional[EmbeddingViolation]:
 
     Pairs are pruned by a sweep over the first axis, then exact bounding
     boxes, then plane-separation functionals, then contact
-    classification of coplanar pairs and of crossing planes in R^3.
-    Only pairs still standing reach the full simplex intersection, which
-    also builds the witness; every test before it is an integer sign on
-    the vertices' homogeneous forms.
+    classification of coplanar pairs and of crossing planes in R^3.  In
+    R^d, d >= 4, the rest are decided inside the affine hull of their
+    distinct vertices (_hull_contact_clean): affinely independent
+    vertices clear the pair, a 3-flat reduces it to the R^3 test, and
+    two triangles spanning a 4-flat meet in at most one point, located
+    by the signs of integer minors.  Only pairs still standing reach the
+    full simplex intersection, which decides them and builds the
+    witness; every test before it is an integer sign on the vertices'
+    homogeneous forms.
     """
     nt = len(mesh.triangles)
     hom = [homogeneous(p) for p in mesh.vertices]
@@ -468,15 +528,17 @@ def check_embedded(mesh: TriMesh) -> Optional[EmbeddingViolation]:
                     vals_ab[0], vals_ba[0], [hom[v] for v in shared])
                 if verdict == "clean":
                     continue
-            elif len(shared) == 1:
+            elif len(shared) == 1 and (
+                    _row_separates([[x for x, v in zip(row, tri_b)
+                                     if v not in shared] for row in vals_ab])
+                    or _row_separates([[x for x, v in zip(row, tri_a)
+                                        if v not in shared]
+                                       for row in vals_ba])):
                 # plane of one triangle pinning the other to the shared
                 # vertex: contact is that vertex alone
-                if _row_separates([[x for x, v in zip(row, tri_b)
-                                    if v not in shared] for row in vals_ab]):
-                    continue
-                if _row_separates([[x for x, v in zip(row, tri_a)
-                                    if v not in shared] for row in vals_ba]):
-                    continue
+                continue
+            elif _hull_contact_clean(hom, tri_a, tri_b, shared):
+                continue
             allowed = [mesh.vertices[v] for v in shared]
             witness = simplex_intersect(mesh.triangle_points(a),
                                         mesh.triangle_points(b), allowed)

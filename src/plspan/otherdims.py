@@ -22,6 +22,8 @@ from .geom import (
     affine_rank,
     convex_meet,
     earclip_2d as _earclip_indices,
+    homogeneous,
+    int_rank,
     orient2d,
     point_on_segment,
     rref,
@@ -29,8 +31,14 @@ from .geom import (
     segment_simplex_meet,
     sign,
 )
-from .mesh import TriMesh, boundary_matches, check_embedded
+from .mesh import CertificateError, TriMesh, boundary_matches, check_embedded
 from .polygon import ClosedPolygon, _circle_points, validate_embedded
+
+
+def _require(holds: bool, what: str) -> None:
+    """Enforce a count identity or bound of a finished surface."""
+    if not holds:
+        raise CertificateError(what)
 
 
 # ---------------------------------------------------------------------------
@@ -49,8 +57,8 @@ def earclip_2d(poly: ClosedPolygon):
     for a, b, c in _earclip_indices(pts):
         mesh.add_triangle(pts[a], pts[b], pts[c], tag="ear")
     n = len(pts)
-    assert len(mesh.triangles) == n - 2
-    assert len(mesh.vertices) == n
+    _require(len(mesh.triangles) == n - 2, "earclip: t != n - 2")
+    _require(len(mesh.vertices) == n, "earclip: added a vertex")
     if check_embedded(mesh) is not None:
         raise AssertionError("triangulation self-intersects")
     if not boundary_matches(mesh, poly):
@@ -94,7 +102,7 @@ def cone_highdim(poly: ClosedPolygon, seed: int = 0, budget: int = 200):
             continue
         if not boundary_matches(mesh, poly):
             continue
-        assert len(mesh.triangles) == n
+        _require(len(mesh.triangles) == n, "cone: t != n")
         report = {"n": n, "dim": d, "triangles": n, "euler": 1,
                   "embedded": True, "strategy": "cone", "seed": seed,
                   "attempt": attempt, "apex": apex.coords}
@@ -341,13 +349,27 @@ def polygon_contact_clean(mesh: TriMesh, poly: ClosedPolygon):
     Allowed contacts: a polygon edge that is itself a triangle side, or
     a polygon corner that is a vertex of the triangle it meets.  Returns
     None when every contact is of that form, else a description string.
+    Pairs are cleared by an integer rank where it suffices; only the
+    others are intersected exactly.
     """
     verts = poly.vertices
     n = len(verts)
-    tri_pts = [mesh.triangle_points(t) for t in range(len(mesh.triangles))]
+    index = {p.coords: v for v, p in enumerate(mesh.vertices)}
+    hom = [homogeneous(p) for p in mesh.vertices]
     for e in range(n):
         a, b = verts[e], verts[(e + 1) % n]
-        for ti, pts in enumerate(tri_pts):
+        ia, ib = index.get(a.coords), index.get(b.coords)
+        ends = [homogeneous(a), homogeneous(b)]
+        for ti, tri in enumerate(mesh.triangles):
+            if ia in tri and ib in tri:
+                continue  # the edge is a side of the triangle
+            # affinely independent ends and corners make the edge and
+            # the triangle faces of one simplex, meeting at most in a
+            # shared corner
+            rows = ends + [hom[v] for v in tri if v != ia and v != ib]
+            if int_rank(rows) == len(rows):
+                continue
+            pts = mesh.triangle_points(ti)
             kind, data = segment_simplex_meet(a, b, pts)
             if kind == "empty":
                 continue
@@ -388,11 +410,14 @@ def _assemble_disk(poly, placement):
         return None
     if not boundary_matches(mesh, poly):
         return None
-    assert len(mesh.triangles) == 3 * n
-    assert len(mesh.vertices) == 2 * n + 1
-    assert len(mesh.edge_census()) == 5 * n
-    assert mesh.euler_characteristic() == 1
-    assert mesh.boundary_components() == 1
+    _require(len(mesh.triangles) == 3 * n, "immersed4: t != 3n")
+    _require(len(mesh.vertices) == 2 * n + 1,
+             "immersed4: vertex count != 2n + 1")
+    _require(len(mesh.edge_census()) == 5 * n,
+             "immersed4: edge count != 5n")
+    _require(mesh.euler_characteristic() == 1, "immersed4: chi != 1")
+    _require(mesh.boundary_components() == 1,
+             "immersed4: boundary is not one cycle")
     report = {"n": n, "dim": 4, "triangles": 3 * n, "euler": 1,
               "boundary_cycles": 1, "strategy": "immersed4",
               "annulus": 2 * n, "fan": n,
@@ -501,11 +526,13 @@ def _embedded_attempt(poly, slopes, seed, attempt, rule="orientation"):
             mesh.add_triangle(wa4, wb4, ub, tag=tag)
             mesh.add_triangle(wa4, ub, ua, tag=tag)
         walls += 2
-    assert walls == 2 * len(m3.boundary_edges())
+    _require(walls == 2 * len(m3.boundary_edges()),
+             "embedded4: walls != 2 x boundary edges")
     problems = mesh.validate_manifold()
     if problems:
         raise AssertionError("wall assembly not manifold: %s" % problems[0])
-    assert mesh.euler_characteristic() == rep3["euler"]
+    _require(mesh.euler_characteristic() == rep3["euler"],
+             "embedded4: chi differs from the base surface's")
     if not boundary_matches(mesh, p_prime):
         raise AssertionError("walled boundary mismatch")
     final = mesh.transform(frame.inverse())
@@ -521,7 +548,7 @@ def _embedded_attempt(poly, slopes, seed, attempt, rule="orientation"):
 
 def _embedded_report(mesh, rep3, n, walls, seed, attempt):
     t = len(mesh.triangles)
-    assert t <= 21 * n * n
+    _require(t <= 21 * n * n, "embedded4: t = %d exceeds 21 n^2" % t)
     orientable, _ = mesh.orientation_propagate()
     return {
         "n": n,

@@ -19,8 +19,11 @@ from .geom import (
     Point,
     ZERO,
     affine_rank,
+    homogeneous,
+    int_rank,
     rat,
     rat_str,
+    seg_pair_clear_h,
     simplex_intersect,
 )
 
@@ -48,10 +51,6 @@ class ClosedPolygon:
         n = len(self.vertices)
         return self.vertices[i % n], self.vertices[(i + 1) % n]
 
-    def edges(self):
-        for i in range(len(self.vertices)):
-            yield self.edge(i)
-
     def zero_turns(self) -> list[int]:
         """Vertices where the two incident edges are parallel."""
         n = len(self.vertices)
@@ -63,9 +62,6 @@ class ClosedPolygon:
             if affine_rank([prev, cur, nxt]) < 2:
                 out.append(i)
         return out
-
-    def translate(self, offset: Point) -> "ClosedPolygon":
-        return ClosedPolygon([v + offset for v in self.vertices])
 
     def __repr__(self):
         return "ClosedPolygon(n=%d, dim=%d)" % (len(self.vertices), self.dim)
@@ -87,9 +83,15 @@ class PolygonViolation:
 
 
 def validate_embedded(poly: ClosedPolygon) -> Optional[PolygonViolation]:
-    """Exact pairwise edge check; None when the polygon is embedded."""
+    """Exact pairwise edge check; None when the polygon is embedded.
+
+    Planar pairs are cleared by orientation signs, pairs in R^d, d >= 3,
+    by affinely independent endpoints; simplex_intersect decides the
+    rest and builds the witness.
+    """
     n = len(poly.vertices)
     segs = [poly.edge(i) for i in range(n)]
+    hom = [homogeneous(v) for v in poly.vertices]
     boxes = []
     for a, b in segs:
         boxes.append(tuple((min(a[i], b[i]), max(a[i], b[i]))
@@ -101,6 +103,13 @@ def validate_embedded(poly: ClosedPolygon) -> Optional[PolygonViolation]:
                    or boxes[i][k][0] > boxes[j][k][1]
                    for k in range(poly.dim)):
                 continue
+            if poly.dim == 2:
+                if seg_pair_clear_h(hom, i, (i + 1) % n, j, (j + 1) % n):
+                    continue
+            else:
+                ends = {i, (i + 1) % n, j, (j + 1) % n}
+                if int_rank([hom[v] for v in ends]) == len(ends):
+                    continue
             aj, bj = segs[j]
             shared = []
             if j == i + 1:

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from plspan.cli import main
-from plspan.polygon import read_polygon
+from plspan.geom import Point
+from plspan.polygon import ClosedPolygon, read_polygon, write_polygon
 
 
 def run(*argv):
@@ -57,6 +58,26 @@ def test_span_trefoil(tmp_path):
     assert all(rep["certificates"].values())
     assert rep["bounds"]["iso_ratio"] == "14/9"
     assert mesh.exists()
+
+
+@pytest.mark.parametrize("dim,strategy", [(3, "auto"), (4, "auto"),
+                                          (4, "embedded4"), (5, "auto")])
+def test_span_rejects_bowtie_up_front(tmp_path, dim, strategy):
+    # a bowtie is refused before any builder runs, with the exact
+    # crossing point, instead of exhausting a retry budget
+    pad = [1] * (dim - 2)
+    bow = ClosedPolygon([Point([0, 0] + pad), Point([4, 4] + pad),
+                         Point([4, 0] + pad), Point([0, 4] + pad)])
+    poly, report = tmp_path / "bow.poly", tmp_path / "bow.json"
+    write_polygon(bow, str(poly))
+    assert run("span", poly, "--strategy", strategy,
+               "--report", report) == 1
+    rep = load(report)
+    assert rep["error_kind"] == "polygon-not-embedded"
+    assert rep["error"] == "polygon is not embedded: PolygonViolation(0, " \
+        "2, %r)" % Point([2, 2] + pad)
+    assert rep["certificates"] == {}
+    assert rep["timings"]["construct"] < 1
 
 
 def test_span_auto_dispatch(tmp_path):

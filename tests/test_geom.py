@@ -10,7 +10,10 @@ from plspan.geom import (
     Rat,
     affine_rank,
     earclip_2d,
+    flat_axes,
     homogeneous,
+    int_det,
+    int_rank,
     matrix_rank,
     nullspace,
     orient2d,
@@ -90,6 +93,63 @@ def test_affine_rank_of_triangle():
     tri = [Point([0, 0, 0]), Point([1, 0, 0]), Point([0, 1, 0])]
     assert affine_rank(tri) == 2
     assert affine_rank([Point([0, 0]), Point([1, 1]), Point([2, 2])]) == 1
+
+
+def _low_rank_matrix(rng, nrows, ncols):
+    """Integer rows, about half of them combinations of a few others."""
+    base = [[rng.randint(-3, 3) for _ in range(ncols)]
+            for _ in range(rng.randint(1, nrows))]
+    rows = []
+    for _ in range(nrows):
+        if rng.random() < 0.5:
+            co = [rng.randint(-2, 2) for _ in base]
+            rows.append([sum(k * b[j] for k, b in zip(co, base))
+                         for j in range(ncols)])
+        else:
+            rows.append([rng.randint(-5, 5) for _ in range(ncols)])
+    return rows
+
+
+def test_int_rank_and_det_match_rational_elimination():
+    # Bareiss's exact divisions must hold with row swaps and skipped
+    # columns: rank against the rational rref, determinant against
+    # cofactor expansion
+    def det(m):
+        if len(m) == 1:
+            return m[0][0]
+        return sum((-1) ** j * m[0][j]
+                   * det([row[:j] + row[j + 1:] for row in m[1:]])
+                   for j in range(len(m)))
+
+    rng = random.Random(1968)
+    for _ in range(800):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+        rows = _low_rank_matrix(rng, nrows, ncols)
+        assert int_rank(rows) == matrix_rank(rows), rows
+        sq = _low_rank_matrix(rng, nrows, nrows)
+        assert int_det(sq) == det(sq), sq
+
+
+def test_affine_rank_and_flat_axes_on_flats():
+    # grid points of a random k-flat of R^d: affine_rank finds k, and
+    # the k axes of flat_axes keep every point apart and every affine
+    # relation among them
+    rng = random.Random(31)
+    for _ in range(300):
+        d = rng.randint(2, 5)
+        k = rng.randint(0, d)
+        origin = [rnd_frac(rng) for _ in range(d)]
+        basis = [[rnd_frac(rng, 3, 2) for _ in range(d)] for _ in range(k)]
+        pts = [Point([o + sum(rng.randint(-3, 3) * b[c] for b in basis)
+                      for c, o in enumerate(origin)]) for _ in range(6)]
+        rank = matrix_rank([list((p - pts[0]).coords) for p in pts[1:]])
+        assert affine_rank(pts) == rank
+        axes = flat_axes([homogeneous(p) for p in pts])
+        assert len(axes) == rank and axes == sorted(axes)
+        proj = [Point([p[i] for i in axes]) for p in pts]
+        assert affine_rank(proj) == rank
+        assert len(set(proj)) == len(set(pts))
+    assert affine_rank([]) == -1
 
 
 def test_affine_inverse_is_identity_on_random_points():

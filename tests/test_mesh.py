@@ -403,3 +403,82 @@ def test_obj_export_and_refusal(tmp_path):
         export_obj(m4, str(tmp_path / "m4.obj"))
     with pytest.raises(ValueError):
         import_obj(str(p))
+
+
+# ---------------------------------------------------------------------------
+# embeddedness in R^4 and R^5: hull-rank decisions against the oracle
+
+def _flat_soup(rng, dim, k, tilted):
+    """Up to five triangles over eight grid points of a k-flat of R^dim:
+    an axis-parallel flat (x_{k+1}, ..., x_dim constant) or one spanned
+    by random rational directions."""
+    origin = [Fraction(rng.randint(-2, 2)) for _ in range(dim)]
+    if tilted:
+        basis = [[Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                  for _ in range(dim)] for _ in range(k)]
+    else:
+        basis = [[int(i == j) for j in range(dim)] for i in range(k)]
+    pool = [Point([o + sum(t * b[c] for t, b in zip(ts, basis))
+                   for c, o in enumerate(origin)])
+            for ts in ([rng.randint(-3, 3) for _ in range(k)]
+                       for _ in range(8))]
+    m = TriMesh(dim)
+    seen = set()
+    for _ in range(60):
+        pts = [pool[i] for i in rng.sample(range(8), 3)]
+        key = frozenset(p.coords for p in pts)
+        if key not in seen and affine_rank(pts) == 2:
+            seen.add(key)
+            m.add_triangle(*pts)
+        if len(m.triangles) == 5:
+            break
+    return m
+
+
+def test_check_embedded_r4_r5_matches_oracle(monkeypatch):
+    # Soups (dim, flat dim, tilted) in R^4 and R^5 spanning the whole
+    # space, a hyperplane x_d = const, a tilted hyperplane, a 3-flat or
+    # a 2-flat.  The pair
+    # and witness must be the oracle's in sweep order, and every
+    # decision must be reached: affinely independent vertices, a common
+    # 2-flat, a 3-flat, two triangles spanning a 4-flat, and the LP.
+    import plspan.mesh as mesh_mod
+    reached = set()
+
+    def spy(name, fn):
+        def wrapped(*args):
+            reached.add(name)
+            return fn(*args)
+        monkeypatch.setattr(mesh_mod, name, wrapped)
+
+    for name in ("_coplanar_contact_clean", "_crossing_planes_contact_3d",
+                 "_transverse_contact_clean", "simplex_intersect"):
+        spy(name, getattr(mesh_mod, name))
+    flat_axes = mesh_mod.flat_axes
+
+    def axes_spy(hs):
+        axes = flat_axes(hs)
+        if len(hs) > 3 and len(axes) == len(hs) - 1:
+            reached.add("independent")
+        return axes
+
+    monkeypatch.setattr(mesh_mod, "flat_axes", axes_spy)
+    configs = [(4, 4, True), (4, 3, False), (4, 3, True), (4, 2, True),
+               (5, 5, True), (5, 4, False), (5, 4, True), (5, 3, True)]
+    rng = random.Random(404)
+    verdicts = set()
+    for trial in range(24):
+        m = _flat_soup(rng, *configs[trial % len(configs)])
+        got = check_embedded(m)
+        sweep = sorted(range(len(m.triangles)), key=lambda t: min(
+            p[0] for p in m.triangle_points(t)))
+        want = _embedded_oracle(m, sweep)
+        if want is None:
+            assert got is None, (trial, got)
+        else:
+            assert (got.tri_a, got.tri_b, got.point) == want, (trial, got)
+        verdicts.add(got is None)
+    assert verdicts == {True, False}
+    assert reached == {"independent", "_coplanar_contact_clean",
+                       "_crossing_planes_contact_3d",
+                       "_transverse_contact_clean", "simplex_intersect"}

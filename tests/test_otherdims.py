@@ -1,12 +1,21 @@
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from plspan.geom import Point
-from plspan.mesh import boundary_matches, check_embedded
+import plspan
+
+from plspan.geom import Point, affine_rank, segment_simplex_meet
+from plspan.mesh import TriMesh, boundary_matches, check_embedded
 from plspan.otherdims import (
     cone_highdim,
     earclip_2d,
     embedded_4d,
     immersed_disk_4d,
+    polygon_contact_clean,
 )
 from plspan.polygon import (
     ClosedPolygon,
@@ -136,6 +145,101 @@ def test_immersed_determinism():
         [m2.triangle_points(t) for t in range(len(m2.triangles))]
 
 
+def _contact_oracle(mesh, poly):
+    """polygon_contact_clean with no filter: every edge against every
+    triangle through segment_simplex_meet, in the same order."""
+    verts = poly.vertices
+    n = len(verts)
+    for e in range(n):
+        a, b = verts[e], verts[(e + 1) % n]
+        for ti in range(len(mesh.triangles)):
+            pts = mesh.triangle_points(ti)
+            kind, data = segment_simplex_meet(a, b, pts)
+            if kind == "empty":
+                continue
+            if kind == "point":
+                hit = a + (b - a).scale(data)
+                if (hit == a or hit == b) and hit in pts:
+                    continue
+                return ("edge %d pierces triangle %d at %s"
+                        % (e, ti, tuple(hit.coords)))
+            t0, t1 = data
+            if t0 == 0 and t1 == 1 and a in pts and b in pts:
+                continue
+            return "edge %d overlaps triangle %d" % (e, ti)
+    return None
+
+
+def _contact_soup(rng):
+    """A grid polygon in R^4, half the time in the hyperplane x_4 = 0,
+    and triangles over its corners and grid points of the same
+    hyperplane: corners shared, polygon edges as triangle sides, and
+    piercings inside a common hyperplane."""
+    flat = rng.random() < 0.5
+
+    def grid():
+        return Point([rng.randint(0, 3) for _ in range(3)]
+                     + [0 if flat else rng.randint(0, 3)])
+
+    while True:
+        try:
+            poly = ClosedPolygon([grid() for _ in range(rng.randint(3, 5))])
+            break
+        except ValueError:
+            continue
+    n = len(poly.vertices)
+    pool = poly.vertices + [grid() for _ in range(4)]
+    mesh = TriMesh(4)
+    while len(mesh.triangles) < 5:
+        if rng.random() < 0.4:
+            e = rng.randrange(n)
+            pts = [*poly.edge(e), rng.choice(pool)]
+        else:
+            pts = rng.sample(pool, 3)
+        if affine_rank(pts) == 2:
+            mesh.add_triangle(*pts)
+    return mesh, poly
+
+
+def test_polygon_contact_clean_matches_unfiltered_oracle(monkeypatch):
+    # sides and affinely independent pairs are cleared without
+    # segment_simplex_meet; the description string must not change
+    import plspan.otherdims as od
+    reached = set()
+    int_rank, meet = od.int_rank, od.segment_simplex_meet
+
+    def rank_spy(rows):
+        rank = int_rank(rows)
+        reached.add("independent" if rank == len(rows) else "dependent")
+        return rank
+
+    def meet_spy(a, b, pts):
+        reached.add("exact")
+        return meet(a, b, pts)
+
+    monkeypatch.setattr(od, "int_rank", rank_spy)
+    monkeypatch.setattr(od, "segment_simplex_meet", meet_spy)
+    cases = []
+    for n in (3, 5):
+        poly = gen_random(n, 4, seed=n)
+        cases.append((immersed_disk_4d(poly, seed=0)[0], poly))
+    rng = random.Random(6)
+    cases += [_contact_soup(rng) for _ in range(150)]
+    verdicts = set()
+    sides = 0
+    for mesh, poly in cases:
+        got = polygon_contact_clean(mesh, poly)
+        assert got == _contact_oracle(mesh, poly), (poly.vertices, got)
+        verdicts.add(got is None)
+        sides += sum(a in pts and b in pts
+                     for a, b in (poly.edge(e) for e in range(len(poly)))
+                     for pts in (mesh.triangle_points(t)
+                                 for t in range(len(mesh.triangles))))
+    assert verdicts == {True, False}
+    assert sides > 0
+    assert reached == {"independent", "dependent", "exact"}
+
+
 # -- embedded surface in R^4 -------------------------------------------
 
 
@@ -191,6 +295,51 @@ def test_embedded_determinism():
     assert r1 == r2
     assert [m1.triangle_points(t) for t in range(len(m1.triangles))] == \
         [m2.triangle_points(t) for t in range(len(m2.triangles))]
+
+
+def test_lifted_torus_surface_needs_no_lp(monkeypatch):
+    # criterion 07's lifted torus m=3: integer ranks decide every pair of
+    # the R^4 surface, so the vertex-enumeration LP never runs
+    import plspan.geom as geom
+    calls = []
+    lp = geom._vertex_enumerate_lp
+
+    def spy(*args):
+        calls.append(args)
+        return lp(*args)
+
+    monkeypatch.setattr(geom, "_vertex_enumerate_lp", spy)
+    base = gen_torus_stick(3)
+    poly = ClosedPolygon([Point((v[0], v[1], v[2], v[0]))
+                          for v in base.vertices])
+    mesh, rep = embedded_4d(poly, seed=0)
+    assert rep["embedded"] is True
+    assert check_embedded(mesh) is None
+    assert calls == []
+
+
+def test_count_bound_raises_under_python_O():
+    # the t <= 21 n^2 bound is an explicit raise, not an assert that
+    # python -O would strip
+    code = """
+from plspan.geom import Point
+from plspan.mesh import CertificateError, TriMesh
+from plspan.otherdims import _embedded_report
+assert False, "asserts run"
+mesh = TriMesh(4)
+for k in range(22):
+    mesh.add_triangle(Point((k, 0, 0, 0)), Point((k, 1, 0, 0)),
+                      Point((k, 0, 1, 0)))
+try:
+    _embedded_report(mesh, {}, 1, 0, 0, 0)
+except CertificateError as exc:
+    print("raised:", exc)
+"""
+    src = str(Path(plspan.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "raised: embedded4: t = 22 exceeds 21 n^2"
 
 
 def test_embedded_rejects_wrong_dimension():

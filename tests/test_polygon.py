@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from plspan.geom import Point, rat
+from plspan.geom import Point, rat, simplex_intersect
 from plspan.polygon import (
     ClosedPolygon,
     gen_planar_ngon,
@@ -46,6 +48,59 @@ def test_validate_embedded_catches_touching_vertex():
                           Point([8, 4, 0]), Point([4, 0, 0]),
                           Point([0, 4, 0])])
     assert validate_embedded(poly) is not None
+
+
+def _validate_oracle(poly):
+    """Every edge pair, no filters, straight to simplex_intersect."""
+    n = len(poly.vertices)
+    for i in range(n):
+        for j in range(i + 1, n):
+            shared = ([poly.vertices[j]] if j == i + 1
+                      else [poly.vertices[0]] if i == 0 and j == n - 1
+                      else [])
+            w = simplex_intersect(poly.edge(i), poly.edge(j), shared)
+            if w is not None:
+                return (i, j, w)
+    return None
+
+
+def _grid_polygon(rng, dim):
+    """A 3- to 6-gon on a small grid, in R^dim or in a plane of it, so
+    that collinear, overlapping and touching edges are common."""
+    n = rng.randint(3, 6)
+    planar = dim > 2 and rng.random() < 0.5
+    tilt = [rng.randint(-1, 1) for _ in range(dim)]
+    verts = []
+    for _ in range(n):
+        c = [rng.randint(0, 3) for _ in range(dim)]
+        if planar:
+            c = c[:2] + [tilt[k] * c[0] + c[1] for k in range(2, dim)]
+        verts.append(Point(c))
+    try:
+        return ClosedPolygon(verts)
+    except ValueError:
+        return None
+
+
+def test_validate_embedded_matches_unfiltered_oracle():
+    # orientation signs (planar) and affine ranks (R^3, R^4) clear pairs
+    # before simplex_intersect: same first pair and witness as the oracle
+    rng = random.Random(89)
+    for dim in (2, 3, 4):
+        verdicts = set()
+        for _ in range(40):
+            poly = _grid_polygon(rng, dim)
+            if poly is None:
+                continue
+            got = validate_embedded(poly)
+            want = _validate_oracle(poly)
+            if want is None:
+                assert got is None, (dim, poly.vertices, got)
+            else:
+                assert (got.edge_a, got.edge_b, got.point) == want, \
+                    (dim, poly.vertices, got)
+            verdicts.add(got is None)
+        assert verdicts == {True, False}, dim
 
 
 def test_zero_turns():
