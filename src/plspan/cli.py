@@ -1,9 +1,10 @@
 """Command line front end.
 
 Four subcommands: generate writes polygon files from the built-in
-families, span builds and verifies a spanning surface, verify re-runs
-the mesh checks on existing files, bounds evaluates the count bounds
-for a polygon.  Reports are JSON with rationals rendered as strings;
+families, span builds a spanning surface and reports the certificate
+its builder derived, verify re-derives the certificates from existing
+files with the same mesh.certify, bounds evaluates the count bounds for
+a polygon.  Reports are JSON with rationals rendered as strings;
 wall-clock timings live under a single "timings" key so reports can be
 compared byte-for-byte without them.
 """
@@ -18,19 +19,8 @@ import time
 
 from .bounds import bounds_report
 from .diagram import project_polygon
-from .mesh import (
-    boundary_matches,
-    check_embedded,
-    read_off,
-    write_off,
-)
-from .otherdims import (
-    cone_highdim,
-    earclip_2d,
-    embedded_4d,
-    immersed_disk_4d,
-    polygon_contact_clean,
-)
+from .mesh import certify, read_off, write_off
+from .otherdims import cone_highdim, earclip_2d, embedded_4d, immersed_disk_4d
 from .polygon import (
     gen_planar_ngon,
     gen_random,
@@ -169,56 +159,36 @@ def cmd_span(args) -> int:
         return 1
     timings["construct"] = time.perf_counter() - t0
 
-    t1 = time.perf_counter()
-    manifold_problems = mesh.validate_manifold()
-    orientable, orient_witness = mesh.orientation_propagate()
-    bmatch = boundary_matches(mesh, poly)
-    # every builder derives its interior certificate on the mesh it
-    # returns and raises when it fails; `plspan verify` re-derives it
-    if strategy == "immersed4":
-        interior_ok = rep["interior_clear"]
-        certificate_kind = "complementary-immersed"
-    else:
-        interior_ok = rep["embedded"]
-        certificate_kind = "embedded"
-    chi = mesh.euler_characteristic()
-    chi_ok = chi == rep["euler"]
-    timings["verify"] = time.perf_counter() - t1
-
-    certs = {
-        "manifold": not manifold_problems,
-        certificate_kind: interior_ok,
-        "boundary_match": bmatch,
-        "chi_consistent": chi_ok,
-    }
+    # every builder certifies the mesh it returns (mesh.certify) and
+    # raises when a certificate fails; `plspan verify` re-derives them
+    cert = rep["cert"]
+    census = cert["census"]
+    kind = cert["interior"]
+    certs = dict(cert["verdicts"])
+    certs["chi_consistent"] = census["chi"] == rep["euler"]
     if strategy == "seifert" and args.rule == "orientation":
-        certs["orientable"] = orientable
-
-    genus = None
-    if orientable and mesh.connected_components() == 1:
-        genus = mesh.genus()
+        certs["orientable"] = census["orientable"]
     report.update({
         "c": rep.get("crossings"),
         "writhe": rep.get("writhe"),
         "circuits": rep.get("circuits"),
         "levels": rep.get("levels"),
         "t": len(mesh.triangles),
-        "chi": chi,
-        "genus": genus,
-        "orientable": orientable,
-        "embedded": interior_ok,
-        "certificate": certificate_kind,
-        "boundary_match": bmatch,
+        "chi": census["chi"],
+        "genus": census["genus"],
+        "orientable": census["orientable"],
+        "embedded": certs[kind],
+        "certificate": kind,
+        "boundary_match": certs["boundary_match"],
         "certificates": certs,
         "bounds": bounds_report(n, dim=dim, c=rep.get("crossings"),
                                 w=rep.get("writhe"), g=args.knot_genus,
                                 t=len(mesh.triangles)),
         "timings": timings,
     })
-    if not certs["manifold"]:
-        report["manifold_witness"] = manifold_problems[0]
-    if not orientable and orient_witness is not None:
-        report["orientation_witness"] = repr(orient_witness)
+    witness = cert["witnesses"].get("orientation_witness")
+    if witness is not None:
+        report["orientation_witness"] = witness
     if args.mesh_out:
         write_off(mesh, args.mesh_out)
     _write_report(report, args.report)
@@ -227,40 +197,26 @@ def cmd_span(args) -> int:
 
 def cmd_verify(args) -> int:
     mesh = read_off(args.mesh)
+    poly = read_polygon(args.polygon) if args.polygon else None
+    if args.mode == "immersed" and poly is None:
+        raise SystemExit("--polygon is required for immersed mode")
+    cert = certify(mesh, poly, interior=args.mode)
+    census = cert["census"]
     report: dict = {
         "input": args.mesh,
         "dim": mesh.dim,
         "t": len(mesh.triangles),
-        "chi": mesh.euler_characteristic(),
+        "chi": census["chi"],
         "mode": args.mode,
+        "orientable": census["orientable"],
+        "boundary_cycles": census["boundary_cycles"],
+        "certificates": cert["verdicts"],
     }
-    certs: dict = {}
-    problems = mesh.validate_manifold()
-    certs["manifold"] = not problems
-    if problems:
-        report["manifold_witness"] = problems[0]
-    orientable, _ = mesh.orientation_propagate()
-    report["orientable"] = orientable
-    report["boundary_cycles"] = mesh.boundary_components()
-    poly = None
-    if args.polygon:
-        poly = read_polygon(args.polygon)
-        certs["boundary_match"] = boundary_matches(mesh, poly)
-    if args.mode == "embedded":
-        violation = check_embedded(mesh)
-        certs["embedded"] = violation is None
-        if violation is not None:
-            report["violation_witness"] = repr(violation)
-    else:
-        if poly is None:
-            raise SystemExit("--polygon is required for immersed mode")
-        contact = polygon_contact_clean(mesh, poly)
-        certs["complementary-immersed"] = contact is None
-        if contact is not None:
-            report["violation_witness"] = contact
-    report["certificates"] = certs
+    for key in ("manifold_witness", "violation_witness"):
+        if key in cert["witnesses"]:
+            report[key] = cert["witnesses"][key]
     _write_report(report, args.report)
-    return 0 if all(certs.values()) else 1
+    return 0 if all(cert["verdicts"].values()) else 1
 
 
 def cmd_bounds(args) -> int:

@@ -15,7 +15,6 @@ each crossing visited exactly twice.
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from .geom import AffineMap, ONE, Point, ZERO, rat, seg_intersect_2d, sign
 from .polygon import ClosedPolygon
@@ -89,14 +88,16 @@ def _shadow(poly: ClosedPolygon) -> list[Point]:
     return [Point([v[0], v[1]]) for v in poly.vertices]
 
 
-def _projection_problems(pts: list[Point]) -> Optional[str]:
-    """First violated general-position condition, or None if clean."""
+def _projection_problems(pts: list[Point]):
+    """(first violated general-position condition, None) or, when the
+    shadow is clean, (None, crossings): the (i, j, hit) of every pair of
+    non-adjacent edges that cross, in pair order."""
     n = len(pts)
     crossings = []
     for i in range(n):
         a, b = pts[i], pts[(i + 1) % n]
         if a == b:
-            return "edge %d projects to a point" % i
+            return "edge %d projects to a point" % i, None
     for i in range(n):
         a, b = pts[i], pts[(i + 1) % n]
         for j in range(i + 1, n):
@@ -104,37 +105,32 @@ def _projection_problems(pts: list[Point]) -> Optional[str]:
             adjacent = (j == i + 1) or (i == 0 and j == n - 1)
             hit = seg_intersect_2d(a, b, c, d)
             if hit.kind == "overlap":
-                return "edges %d,%d overlap in projection" % (i, j)
+                return "edges %d,%d overlap in projection" % (i, j), None
             if hit.kind == "empty":
                 continue
             if adjacent:
                 shared = pts[j] if j == i + 1 else pts[i]
                 if hit.point != shared:
-                    return "adjacent edges %d,%d meet away from corner" % (i, j)
+                    return ("adjacent edges %d,%d meet away from corner"
+                            % (i, j), None)
                 continue
             if hit.contact != "interior-interior":
-                return "edges %d,%d touch at an endpoint" % (i, j)
-            crossings.append(hit.point)
+                return "edges %d,%d touch at an endpoint" % (i, j), None
+            crossings.append((i, j, hit))
     seen = set()
-    for p in crossings:
-        if p.coords in seen:
-            return "two crossings coincide"
-        seen.add(p.coords)
+    for _, _, hit in crossings:
+        if hit.point.coords in seen:
+            return "two crossings coincide", None
+        seen.add(hit.point.coords)
     for v in pts:
         if v.coords in seen:
-            return "a crossing hits a projected vertex"
-    return None
+            return "a crossing hits a projected vertex", None
+    return None, crossings
 
 
-def find_general_position(poly: ClosedPolygon, seed: int = 0,
-                          budget: int = 1000) -> AffineMap:
-    """Shear (x,y) += s*z making the vertical shadow a proper diagram.
-
-    The identity is tried first; afterwards slopes are drawn uniformly
-    from the grid {k/1024 : |k| <= 1024}.  Raises if the budget runs out,
-    which for an embedded polygon means the budget was simply too small:
-    bad slope pairs lie on finitely many curves.
-    """
+def _general_position(poly: ClosedPolygon, seed: int, budget: int):
+    """The search behind find_general_position: the accepted shear and
+    the crossings of its shadow, as _projection_problems lists them."""
     if poly.dim != 3:
         raise ValueError("projection needs a polygon in R^3")
     rng = random.Random(seed)
@@ -151,9 +147,22 @@ def find_general_position(poly: ClosedPolygon, seed: int = 0,
         tried.add((s1, s2))
         shear = AffineMap.shear_last_into(3, [s1, s2])
         image = ClosedPolygon([shear.apply(v) for v in poly.vertices])
-        if _projection_problems(_shadow(image)) is None:
-            return shear
+        problem, crossings = _projection_problems(_shadow(image))
+        if problem is None:
+            return shear, crossings
     raise AssertionError("no generic projection found within budget")
+
+
+def find_general_position(poly: ClosedPolygon, seed: int = 0,
+                          budget: int = 1000) -> AffineMap:
+    """Shear (x,y) += s*z making the vertical shadow a proper diagram.
+
+    The identity is tried first; afterwards slopes are drawn uniformly
+    from the grid {k/1024 : |k| <= 1024}.  Raises if the budget runs out,
+    which for an embedded polygon means the budget was simply too small:
+    bad slope pairs lie on finitely many curves.
+    """
+    return _general_position(poly, seed, budget)[0]
 
 
 def project_polygon(poly: ClosedPolygon, seed: int = 0,
@@ -162,8 +171,10 @@ def project_polygon(poly: ClosedPolygon, seed: int = 0,
 
     The sheared copy is translated so its lowest vertex sits at height 1;
     the projection plane z=0 therefore lies strictly below the polygon.
+    The translation leaves the shadow as it is, so the crossings the
+    shear search found are the diagram's crossings.
     """
-    shear = find_general_position(poly, seed=seed, budget=budget)
+    shear, hits = _general_position(poly, seed, budget)
     lift = min(shear.apply(v)[2] for v in poly.vertices)
     move = AffineMap.translation([ZERO, ZERO, ONE - lift])
     to_sheared = move.compose(shear)
@@ -179,39 +190,28 @@ def project_polygon(poly: ClosedPolygon, seed: int = 0,
 
     crossings = []
     per_edge: dict[int, list] = {i: [] for i in range(n)}
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        for j in range(i + 1, n):
-            adjacent = (j == i + 1) or (i == 0 and j == n - 1)
-            if adjacent:
-                continue
-            c, d = pts[j], pts[(j + 1) % n]
-            hit = seg_intersect_2d(a, b, c, d)
-            if hit.kind == "empty":
-                continue
-            if hit.kind != "point" or hit.contact != "interior-interior":
-                raise AssertionError("projection lost general position")
-            t, u = hit.params
-            zi, zj = z_at(i, t), z_at(j, u)
-            if zi == zj:
-                raise AssertionError("strands meet in space; polygon "
-                                     "was not embedded")
-            if zi > zj:
-                over_edge, under_edge, tp, up = i, j, t, u
-                z_over, z_under = zi, zj
-            else:
-                over_edge, under_edge, tp, up = j, i, u, t
-                z_over, z_under = zj, zi
-            odir = pts[(over_edge + 1) % n] - pts[over_edge]
-            udir = pts[(under_edge + 1) % n] - pts[under_edge]
-            sgn = sign(odir[0] * udir[1] - odir[1] * udir[0])
-            if sgn == 0:
-                raise AssertionError("parallel strands cannot cross")
-            idx = len(crossings)
-            crossings.append(Crossing(idx, over_edge, under_edge, tp, up,
-                                      hit.point, sgn, z_over, z_under))
-            per_edge[over_edge].append((tp, idx, "over"))
-            per_edge[under_edge].append((up, idx, "under"))
+    for i, j, hit in hits:
+        t, u = hit.params
+        zi, zj = z_at(i, t), z_at(j, u)
+        if zi == zj:
+            raise AssertionError("strands meet in space; polygon "
+                                 "was not embedded")
+        if zi > zj:
+            over_edge, under_edge, tp, up = i, j, t, u
+            z_over, z_under = zi, zj
+        else:
+            over_edge, under_edge, tp, up = j, i, u, t
+            z_over, z_under = zj, zi
+        odir = pts[(over_edge + 1) % n] - pts[over_edge]
+        udir = pts[(under_edge + 1) % n] - pts[under_edge]
+        sgn = sign(odir[0] * udir[1] - odir[1] * udir[0])
+        if sgn == 0:
+            raise AssertionError("parallel strands cannot cross")
+        idx = len(crossings)
+        crossings.append(Crossing(idx, over_edge, under_edge, tp, up,
+                                  hit.point, sgn, z_over, z_under))
+        per_edge[over_edge].append((tp, idx, "over"))
+        per_edge[under_edge].append((up, idx, "under"))
 
     if len(crossings) > n * (n - 3) // 2:
         raise AssertionError("more crossings than non-adjacent edge pairs")

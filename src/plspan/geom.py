@@ -498,19 +498,7 @@ def seg_pair_clear(a: Point, b: Point, c: Point, d: Point,
 
 def point_on_segment(p: Point, a: Point, b: Point) -> bool:
     """Exact test: does p lie on the closed segment [a, b] (any dim)?"""
-    d = b - a
-    w = p - a
-    # collinearity: w x d = 0 in every coordinate pair
-    t = None
-    for i in range(p.dim):
-        if d[i] != 0:
-            t = w[i] / d[i]
-            break
-    if t is None:
-        return p == a
-    if t < 0 or t > 1:
-        return False
-    return all(w[i] == t * d[i] for i in range(p.dim))
+    return segment_param(p, a, b) is not None
 
 
 def segment_param(p: Point, a: Point, b: Point):
@@ -534,21 +522,20 @@ def segment_param(p: Point, a: Point, b: Point):
 # ---------------------------------------------------------------------------
 # convex simplex intersection via exact feasibility
 
-def _vertex_enumerate_lp(cols: list[list], b: list, obj: list):
-    """Maximize obj . x over {x >= 0 : A x = b} with A given by columns.
+def _meet_solutions(pts_a: list[Point], pts_b: list[Point]):
+    """Every basic feasible solution x = (lam, mu) >= 0 of
+    sum lam_i a_i = sum mu_j b_j, sum lam = 1, sum mu = 1, in increasing
+    support-mask order.
 
-    The feasible set here is always a polytope (our instances embed
-    convex-combination rows, which bound every variable by 1), so the
-    maximum is attained at a vertex and vertices have linearly
-    independent support columns.  Enumerating column subsets is exact
-    and, at <= 6 columns, cheap.
-
-    Returns (best_value, best_x) or (None, None) if infeasible.
+    Vertices of the feasible set have linearly independent support
+    columns, so enumerating column subsets finds all of them exactly;
+    at <= 6 columns that is cheap.
     """
+    cols = [list(p.coords) + [ONE, ZERO] for p in pts_a]
+    cols += [[-c for c in p.coords] + [ZERO, ONE] for p in pts_b]
+    b = [ZERO] * pts_a[0].dim + [ONE, ONE]
     n = len(cols)
     m = len(b)
-    best = None
-    best_x = None
     for mask in range(1, 1 << n):
         support = [i for i in range(n) if mask & (1 << i)]
         if len(support) > m:
@@ -560,11 +547,31 @@ def _vertex_enumerate_lp(cols: list[list], b: list, obj: list):
         full = [ZERO] * n
         for i, v in zip(support, x):
             full[i] = v
-        val = sum(o * v for o, v in zip(obj, full))
+        yield full
+
+
+def _vertex_enumerate_lp(pts_a: list[Point], pts_b: list[Point], obj: list):
+    """Maximize obj . x over the solutions of _meet_solutions.
+
+    The feasible set is a polytope (the convex-combination rows bound
+    every variable by 1), so the maximum is attained at a vertex: the
+    first basic feasible solution of largest value.
+
+    Returns (best_value, best_x) or (None, None) if infeasible.
+    """
+    best = None
+    best_x = None
+    for x in _meet_solutions(pts_a, pts_b):
+        val = sum(o * v for o, v in zip(obj, x))
         if best is None or val > best:
             best = val
-            best_x = full
+            best_x = x
     return best, best_x
+
+
+def _weighted_point(lam, pts: list[Point]) -> Point:
+    return Point(sum(l * p.coords[k] for l, p in zip(lam, pts))
+                 for k in range(pts[0].dim))
 
 
 def simplex_intersect(simplex_a: Sequence[Point], simplex_b: Sequence[Point],
@@ -609,22 +616,14 @@ def simplex_intersect(simplex_a: Sequence[Point], simplex_b: Sequence[Point],
     # made positive -- or, with no allowed face, iff the system is
     # feasible at all.
     na, nb = len(pts_a), len(pts_b)
-    cols = []
-    for p in pts_a:
-        cols.append(list(p.coords) + [ONE, ZERO])
-    for p in pts_b:
-        cols.append([-c for c in p.coords] + [ZERO, ONE])
-    b = [ZERO] * dim + [ONE, ONE]
     obj = [ZERO if pts_a[i] in allowed else ONE for i in range(na)]
     obj += [ZERO] * nb
     if not allowed:
         obj = [ONE] * na + [ZERO] * nb  # any common point is a violation
-    best, x = _vertex_enumerate_lp(cols, b, obj)
+    best, x = _vertex_enumerate_lp(pts_a, pts_b, obj)
     if best is None or best == 0:
         return None
-    lam = x[:na]
-    return Point(sum(l * p.coords[k] for l, p in zip(lam, pts_a))
-                 for k in range(dim))
+    return _weighted_point(x, pts_a)
 
 
 def convex_meet(pts_a: Sequence[Point], pts_b: Sequence[Point]):
@@ -656,29 +655,8 @@ def convex_meet(pts_a: Sequence[Point], pts_b: Sequence[Point]):
         vb = [sum(wc * pc for wc, pc in zip(w, p.coords)) for p in pts_b]
         if min(va) > max(vb) or min(vb) > max(va):
             return None
-    cols = []
-    for p in pts_a:
-        cols.append(list(p.coords) + [ONE, ZERO])
-    for p in pts_b:
-        cols.append([-c for c in p.coords] + [ZERO, ONE])
-    b = [ZERO] * dim + [ONE, ONE]
-    n = len(cols)
-    m = len(b)
-    for mask in range(1, 1 << n):
-        support = [i for i in range(n) if mask & (1 << i)]
-        if len(support) > m:
-            continue
-        a_rows = [[cols[i][r] for i in support] for r in range(m)]
-        x = solve_unique(a_rows, b)
-        if x is None or any(v < 0 for v in x):
-            continue
-        lam = [ZERO] * len(pts_a)
-        for i, v in zip(support, x):
-            if i < len(pts_a):
-                lam[i] = v
-        return Point(sum(l * p.coords[k] for l, p in zip(lam, pts_a))
-                     for k in range(dim))
-    return None
+    x = next(_meet_solutions(pts_a, pts_b), None)
+    return None if x is None else _weighted_point(x, pts_a)
 
 
 def segment_simplex_meet(a: Point, b: Point, simplex: Sequence[Point]):

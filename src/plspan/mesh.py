@@ -3,8 +3,9 @@
 A TriMesh is a vertex pool plus index triples.  Vertices are pooled by
 exact coordinates, so two triangles touch in the mesh sense iff they
 share pool indices.  Validation, Euler characteristic, orientability,
-boundary extraction and the embeddedness check all live here; the
-surface builders only ever append triangles.
+boundary extraction and the embeddedness check all live here, and
+certify runs each of them once on a finished surface; the surface
+builders only ever append triangles.
 """
 
 from __future__ import annotations
@@ -26,15 +27,24 @@ from .geom import (
     orient2d_h,
     rat,
     rat_str,
+    segment_param,
     sign,
     simplex_intersect,
 )
 
 
 class CertificateError(AssertionError):
-    """A count identity or bound that a surface's certificate rests on
-    does not hold.  Raised explicitly, so it survives python -O; an
-    AssertionError, so the builders' retry loops and the CLI catch it."""
+    """A certificate of a finished surface, or a count identity or bound
+    it rests on, does not hold.  Raised explicitly, so it survives
+    python -O; an AssertionError, so the builders' retry loops and the
+    CLI catch it."""
+
+
+def _require(holds: bool, what: str) -> None:
+    """Raise CertificateError(what) unless holds: for count identities,
+    bounds and certificates that must not be stripped by python -O."""
+    if not holds:
+        raise CertificateError(what)
 
 
 class TriMesh:
@@ -558,8 +568,6 @@ def boundary_matches(mesh: TriMesh, polygon) -> bool:
     covered, in order, by consecutive boundary vertices from corner to
     corner.  Either traversal direction is accepted.
     """
-    from .geom import segment_param
-
     edges = mesh.boundary_edges()
     if not edges:
         return False
@@ -614,6 +622,80 @@ def boundary_matches(mesh: TriMesh, polygon) -> bool:
     if count != len(edges):
         return False
     return expected == set(edges)
+
+
+# ---------------------------------------------------------------------------
+# certification
+
+INTERIOR_CERTIFICATES = {"embedded": "embedded",
+                         "immersed": "complementary-immersed"}
+
+
+def certify(mesh: TriMesh, polygon=None, interior: str = "embedded") -> dict:
+    """Derive every certificate of a finished surface, each exactly once.
+
+    Runs validate_manifold, orientation_propagate, boundary_matches
+    against polygon when one is given, the interior test and the census.
+    interior 'embedded' runs check_embedded; 'immersed' certifies that
+    the interior misses the polygon (otherdims.polygon_contact_clean).
+    Returns a dict: 'interior', the interior certificate's name;
+    'verdicts', {name: bool} for manifold, boundary_match and the
+    interior; 'witnesses', the manifold_witness, orientation_witness and
+    violation_witness of the checks that failed; 'census', chi,
+    boundary_cycles, connected, orientable and genus (None unless a
+    connected orientable manifold); 'failure', the first failed verdict
+    as a message, or None.  Every builder calls it once on the mesh it
+    returns; `plspan verify` calls it on the files.
+    """
+    if interior not in INTERIOR_CERTIFICATES:
+        raise ValueError("unknown interior certificate %r" % interior)
+    if interior == "immersed" and polygon is None:
+        raise ValueError("the immersed certificate needs the polygon")
+    kind = INTERIOR_CERTIFICATES[interior]
+    verdicts: dict = {}
+    witnesses: dict = {}
+    failures = []
+    problems = mesh.validate_manifold()
+    verdicts["manifold"] = not problems
+    if problems:
+        witnesses["manifold_witness"] = problems[0]
+        failures.append("surface not manifold: %s" % problems[0])
+    orientable, cycle = mesh.orientation_propagate()
+    if not orientable:
+        witnesses["orientation_witness"] = repr(cycle)
+    if polygon is not None:
+        verdicts["boundary_match"] = boundary_matches(mesh, polygon)
+        if not verdicts["boundary_match"]:
+            failures.append("boundary does not match the polygon")
+    if interior == "embedded":
+        violation = check_embedded(mesh)
+        clash = None if violation is None else repr(violation)
+        what = "self-intersection"
+    else:
+        from .otherdims import polygon_contact_clean
+        clash = polygon_contact_clean(mesh, polygon)
+        what = "interior touches the polygon"
+    verdicts[kind] = clash is None
+    if clash is not None:
+        witnesses["violation_witness"] = clash
+        failures.append("%s: %s" % (what, clash))
+    chi = mesh.euler_characteristic()
+    cycles = mesh.boundary_components()
+    connected = mesh.connected_components() == 1
+    genus = None
+    twice = 2 - chi - cycles
+    if orientable and connected and not problems \
+            and twice >= 0 and twice % 2 == 0:
+        genus = twice // 2
+    return {
+        "interior": kind,
+        "verdicts": verdicts,
+        "witnesses": witnesses,
+        "census": {"chi": chi, "boundary_cycles": cycles,
+                   "connected": connected, "orientable": orientable,
+                   "genus": genus},
+        "failure": failures[0] if failures else None,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -25,20 +25,13 @@ from .geom import (
     homogeneous,
     int_rank,
     orient2d,
-    point_on_segment,
     rref,
     segment_param,
     segment_simplex_meet,
     sign,
 )
-from .mesh import CertificateError, TriMesh, boundary_matches, check_embedded
+from .mesh import TriMesh, _require, certify
 from .polygon import ClosedPolygon, _circle_points, validate_embedded
-
-
-def _require(holds: bool, what: str) -> None:
-    """Enforce a count identity or bound of a finished surface."""
-    if not holds:
-        raise CertificateError(what)
 
 
 # ---------------------------------------------------------------------------
@@ -59,12 +52,10 @@ def earclip_2d(poly: ClosedPolygon):
     n = len(pts)
     _require(len(mesh.triangles) == n - 2, "earclip: t != n - 2")
     _require(len(mesh.vertices) == n, "earclip: added a vertex")
-    if check_embedded(mesh) is not None:
-        raise AssertionError("triangulation self-intersects")
-    if not boundary_matches(mesh, poly):
-        raise AssertionError("triangulation boundary mismatch")
+    cert = certify(mesh, poly)
+    _require(cert["failure"] is None, cert["failure"])
     report = {"n": n, "dim": 2, "triangles": n - 2, "euler": 1,
-              "embedded": True, "strategy": "earclip"}
+              "embedded": True, "strategy": "earclip", "cert": cert}
     return mesh, report
 
 
@@ -75,7 +66,7 @@ def cone_highdim(poly: ClosedPolygon, seed: int = 0, budget: int = 200):
     """Span with the n-triangle fan from a generic apex.
 
     Apexes are sampled from a seeded rational grid around the polygon
-    and accepted only when the fan passes the exact embeddedness check.
+    and accepted only when the fan passes every certificate.
     """
     if poly.dim < 5:
         raise ValueError("cone construction needs dimension >= 5")
@@ -98,14 +89,13 @@ def cone_highdim(poly: ClosedPolygon, seed: int = 0, budget: int = 200):
         for i in range(n):
             mesh.add_triangle(verts[i], verts[(i + 1) % n], apex,
                               tag="cone %d" % i)
-        if check_embedded(mesh) is not None:
-            continue
-        if not boundary_matches(mesh, poly):
+        cert = certify(mesh, poly)
+        if cert["failure"] is not None:
             continue
         _require(len(mesh.triangles) == n, "cone: t != n")
         report = {"n": n, "dim": d, "triangles": n, "euler": 1,
                   "embedded": True, "strategy": "cone", "seed": seed,
-                  "attempt": attempt, "apex": apex.coords}
+                  "attempt": attempt, "apex": apex.coords, "cert": cert}
         return mesh, report
     raise AssertionError("no clean cone apex in %d attempts (seed %d)"
                          % (budget, seed))
@@ -404,24 +394,22 @@ def _assemble_disk(poly, placement):
         mesh.add_triangle(verts[j], q4[j], q4[(j + 1) % n],
                           tag="annulus %d" % j)
         mesh.add_triangle(q4[j], q4[(j + 1) % n], center, tag="fan %d" % j)
-    if polygon_contact_clean(mesh, poly) is not None:
+    cert = certify(mesh, poly, interior="immersed")
+    if cert["failure"] is not None:
         return None
-    if mesh.validate_manifold():
-        return None
-    if not boundary_matches(mesh, poly):
-        return None
+    census = cert["census"]
     _require(len(mesh.triangles) == 3 * n, "immersed4: t != 3n")
     _require(len(mesh.vertices) == 2 * n + 1,
              "immersed4: vertex count != 2n + 1")
     _require(len(mesh.edge_census()) == 5 * n,
              "immersed4: edge count != 5n")
-    _require(mesh.euler_characteristic() == 1, "immersed4: chi != 1")
-    _require(mesh.boundary_components() == 1,
+    _require(census["chi"] == 1, "immersed4: chi != 1")
+    _require(census["boundary_cycles"] == 1,
              "immersed4: boundary is not one cycle")
     report = {"n": n, "dim": 4, "triangles": 3 * n, "euler": 1,
               "boundary_cycles": 1, "strategy": "immersed4",
               "annulus": 2 * n, "fan": n,
-              "interior_clear": True}
+              "interior_clear": True, "cert": cert}
     return mesh, report
 
 
@@ -433,10 +421,15 @@ def embedded_4d(poly: ClosedPolygon, seed: int = 0, budget: int = 30,
     """Embedded spanning surface in R^4 with at most 21 n^2 triangles.
 
     After a seeded shear, dropping the last coordinate lands the polygon
-    on an embedded copy P* in a hyperplane; the R^3 pipeline spans P*
-    there, and a vertical wall of two triangles per boundary edge joins
-    the spanning surface back up to the polygon.  A polygon already
-    parallel to the hyperplane skips the wall.
+    on an embedded copy P* in a hyperplane; the R^3 construction spans
+    P* there, and a vertical wall of two triangles per boundary edge
+    joins the spanning surface back up to the polygon.  Only the walled
+    R^4 mesh is certified (mesh.certify: manifold, boundary equal to the
+    polygon, embedded, census), once per attempt; rule 'orientation'
+    also requires it to be orientable.  A polygon already parallel to
+    the hyperplane skips the wall: spanning_surface_r3 certifies the
+    R^3 surface, and x -> (x, h), an affine embedding of R^3 taking its
+    polygon to poly, carries that certificate over unchanged.
     """
     if poly.dim != 4:
         raise ValueError("embedded construction needs dimension 4")
@@ -448,19 +441,9 @@ def embedded_4d(poly: ClosedPolygon, seed: int = 0, budget: int = 30,
     if len(set(heights)) == 1:
         p3 = ClosedPolygon([Point((v[0], v[1], v[2])) for v in verts])
         m3, rep3 = spanning_surface_r3(p3, seed=seed, rule=rule)
-        mesh = TriMesh(4)
-        h = heights[0]
-        for t in range(len(m3.triangles)):
-            pa, pb, pc = m3.triangle_points(t)
-            mesh.add_triangle(Point((pa[0], pa[1], pa[2], h)),
-                              Point((pb[0], pb[1], pb[2], h)),
-                              Point((pc[0], pc[1], pc[2], h)),
-                              tag=m3.provenance[t])
-        if not boundary_matches(mesh, poly):
-            raise AssertionError("lifted boundary mismatch")
-        # x -> (x, h) is an affine embedding of R^3, so the certificate
-        # spanning_surface_r3 derived on m3 holds for its image
+        mesh = _lift(m3, heights[0])
         report = _embedded_report(mesh, rep3, n, 0, seed, 0)
+        report.update(rep3["cert"]["census"], cert=rep3["cert"])
         return mesh, report
     rng = random.Random(seed)
     last: Exception | None = None
@@ -479,8 +462,17 @@ def embedded_4d(poly: ClosedPolygon, seed: int = 0, budget: int = 30,
                          % (budget, seed, last))
 
 
+def _lift(m3, h) -> TriMesh:
+    """The R^3 mesh m3 placed in the hyperplane x_4 = h of R^4."""
+    mesh = TriMesh(4)
+    for t, tag in enumerate(m3.provenance):
+        mesh.add_triangle(*(Point((p[0], p[1], p[2], h))
+                            for p in m3.triangle_points(t)), tag=tag)
+    return mesh
+
+
 def _embedded_attempt(poly, slopes, seed, attempt, rule="orientation"):
-    from .seifert import spanning_surface_r3
+    from .seifert import _construct_r3
 
     verts = poly.vertices
     n = len(verts)
@@ -490,30 +482,25 @@ def _embedded_attempt(poly, slopes, seed, attempt, rule="orientation"):
     lift = AffineMap.translation((ZERO, ZERO, ZERO, ONE - minh))
     frame = lift.compose(shear)
     pv = [frame.apply(v) for v in verts]
-    p_prime = ClosedPolygon(pv)
     p3 = ClosedPolygon([Point((v[0], v[1], v[2])) for v in pv])
     if validate_embedded(p3) is not None:
         raise ValueError("projection not embedded")
-    m3, rep3 = spanning_surface_r3(p3, seed=seed, rule=rule)
-    mesh = TriMesh(4)
-    for t in range(len(m3.triangles)):
-        pa, pb, pc = m3.triangle_points(t)
-        mesh.add_triangle(Point((pa[0], pa[1], pa[2], ZERO)),
-                          Point((pb[0], pb[1], pb[2], ZERO)),
-                          Point((pc[0], pc[1], pc[2], ZERO)),
-                          tag=m3.provenance[t])
+    m3, rep3 = _construct_r3(p3, seed, rule)
+    mesh = _lift(m3, ZERO)
     p3v = p3.vertices
+    base_edges = m3.boundary_edges()
     walls = 0
-    for ia, ib in m3.boundary_edges():
+    for ia, ib in base_edges:
         wa, wb = m3.vertices[ia], m3.vertices[ib]
-        hosts = [i for i in range(n)
-                 if point_on_segment(wa, p3v[i], p3v[(i + 1) % n])
-                 and point_on_segment(wb, p3v[i], p3v[(i + 1) % n])]
+        hosts = []
+        for i in range(n):
+            ta = segment_param(wa, p3v[i], p3v[(i + 1) % n])
+            tb = segment_param(wb, p3v[i], p3v[(i + 1) % n])
+            if ta is not None and tb is not None:
+                hosts.append((i, ta, tb))
         assert len(hosts) == 1
-        host = hosts[0]
+        host, ta, tb = hosts[0]
         ea, eb = pv[host], pv[(host + 1) % n]
-        ta = segment_param(wa, p3v[host], p3v[(host + 1) % n])
-        tb = segment_param(wb, p3v[host], p3v[(host + 1) % n])
         ua = ea + (eb - ea).scale(ta)
         ub = ea + (eb - ea).scale(tb)
         wa4 = Point((wa[0], wa[1], wa[2], ZERO))
@@ -526,30 +513,26 @@ def _embedded_attempt(poly, slopes, seed, attempt, rule="orientation"):
             mesh.add_triangle(wa4, wb4, ub, tag=tag)
             mesh.add_triangle(wa4, ub, ua, tag=tag)
         walls += 2
-    _require(walls == 2 * len(m3.boundary_edges()),
+    _require(walls == 2 * len(base_edges),
              "embedded4: walls != 2 x boundary edges")
-    problems = mesh.validate_manifold()
-    if problems:
-        raise AssertionError("wall assembly not manifold: %s" % problems[0])
-    _require(mesh.euler_characteristic() == rep3["euler"],
-             "embedded4: chi differs from the base surface's")
-    if not boundary_matches(mesh, p_prime):
-        raise AssertionError("walled boundary mismatch")
     final = mesh.transform(frame.inverse())
-    if not boundary_matches(final, poly):
-        raise AssertionError("pulled-back boundary mismatch")
-    violation = check_embedded(final)
-    if violation is not None:
-        raise AssertionError("walled surface self-intersects: %r"
-                             % violation)
+    cert = certify(final, poly)
+    _require(cert["failure"] is None, cert["failure"])
+    census = cert["census"]
+    _require(rule != "orientation" or census["orientable"],
+             "orientation-smoothed surface not orientable")
+    _require(census["chi"] == rep3["euler"],
+             "embedded4: chi differs from the base surface's")
     report = _embedded_report(final, rep3, n, walls, seed, attempt)
+    report.update(census, cert=cert)
     return final, report
 
 
 def _embedded_report(mesh, rep3, n, walls, seed, attempt):
+    """Counts of an embedded4 surface; the caller adds its census and
+    certificate.  Raises if t exceeds 21 n^2."""
     t = len(mesh.triangles)
     _require(t <= 21 * n * n, "embedded4: t = %d exceeds 21 n^2" % t)
-    orientable, _ = mesh.orientation_propagate()
     return {
         "n": n,
         "dim": 4,
@@ -558,10 +541,7 @@ def _embedded_report(mesh, rep3, n, walls, seed, attempt):
         "base_triangles": rep3["triangles"],
         "crossings": rep3["crossings"],
         "circuits": rep3["circuits"],
-        "euler": mesh.euler_characteristic(),
-        "boundary_cycles": mesh.boundary_components(),
-        "orientable": orientable,
-        "genus": mesh.genus() if orientable else None,
+        "euler": rep3["euler"],
         "embedded": True,
         "strategy": "embedded4",
         "seed": seed,

@@ -26,6 +26,7 @@ from .geom import (
     seg_pair_clear_h,
     simplex_intersect,
 )
+from .mesh import _require
 
 
 class ClosedPolygon:
@@ -302,7 +303,7 @@ def gen_twist_writhe(m: int, verify: bool = True) -> ClosedPolygon:
     add(-2, -m - 2, 0)
 
     poly = ClosedPolygon(verts)
-    assert len(verts) == 6 * m + 3
+    _require(len(verts) == 6 * m + 3, "twist: n != 6m + 3")
     bad = validate_embedded(poly)
     if bad is not None:
         raise AssertionError("twist layout self-intersects: %r" % bad)

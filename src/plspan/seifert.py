@@ -7,8 +7,8 @@ containment depth, then span: one triangulated disk per circuit pushed
 below the projection plane, two vertical wall triangles from each
 circuit edge up to the lifted polygon, and two bridge triangles per
 crossing joining the strands where they swap.  All geometry is exact;
-every structural claim the construction relies on is re-verified on the
-finished mesh.
+every structural claim the construction relies on is certified once, by
+mesh.certify, on the finished mesh.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .geom import (
     seg_pair_clear,
     seg_pair_clear_h,
 )
-from .mesh import TriMesh, boundary_matches, check_embedded
+from .mesh import TriMesh, _require, certify
 from .polygon import ClosedPolygon
 
 SIDES = ("in_over", "out_over", "in_under", "out_under")
@@ -410,7 +410,7 @@ def assign_levels(g: SmoothedGraph) -> list[int]:
                 deepest = max(deepest, levels[d])
         levels[c] = deepest + 1
     n = len(g.marked.diagram.sheared.vertices)
-    assert max(levels) <= n
+    _require(max(levels) <= n, "levels: depth exceeds n")
     return levels
 
 
@@ -474,15 +474,17 @@ def build_surface(g: SmoothedGraph, levels: list[int]):
     c = len(marked.quads)
     total_len = sum(len(circ) for circ in g.circuits)
     t = len(mesh.triangles)
-    assert bowls == total_len - 2 * s
-    assert walls == 2 * total_len
-    assert bowties == 2 * c
-    assert t == bowls + walls + bowties
+    _require(bowls == total_len - 2 * s, "seifert: bowls != sum|C| - 2s")
+    _require(walls == 2 * total_len, "seifert: walls != 2 sum|C|")
+    _require(bowties == 2 * c, "seifert: bowties != 2c")
+    _require(t == bowls + walls + bowties,
+             "seifert: t != bowls + walls + bowties")
     n = len(marked.diagram.sheared.vertices)
-    assert total_len == n + 4 * c
-    assert t <= 3 * n + 14 * c <= 7 * n * n
+    _require(total_len == n + 4 * c, "seifert: sum|C| != n + 4c")
+    _require(t <= 3 * n + 14 * c <= 7 * n * n,
+             "seifert: t = %d exceeds 3n + 14c or 7n^2" % t)
     chi = mesh.euler_characteristic()
-    assert chi == s - c
+    _require(chi == s - c, "seifert: chi != s - c")
     trace = {
         "circuits": s,
         "circuit_sizes": [len(circ) for circ in g.circuits],
@@ -499,18 +501,33 @@ def build_surface(g: SmoothedGraph, levels: list[int]):
 
 def spanning_surface_r3(poly: ClosedPolygon, seed: int = 0,
                         rule: str = "orientation"):
-    """Build and fully verify a triangulated surface spanning poly.
+    """Build and certify a triangulated surface spanning poly.
 
     poly must live in R^3 (planar input is lifted to z = 0 first).  The
     mesh is assembled over a sheared frame and pulled back through the
     inverse shear, so its boundary is a subdivision of poly itself.
-    Returns (mesh, report).  Raises if any verification fails.
+    mesh.certify derives every certificate once, on the returned mesh;
+    rule 'orientation' also requires it to be orientable.  Returns (mesh,
+    report), the certificate under report['cert'].  Raises
+    CertificateError when a certificate fails.
     """
-    from .diagram import project_polygon
-
     if poly.dim == 2:
         poly = ClosedPolygon([Point((v[0], v[1], ZERO))
                               for v in poly.vertices])
+    mesh, report = _construct_r3(poly, seed, rule)
+    cert = certify(mesh, poly)
+    _require(cert["failure"] is None, cert["failure"])
+    _require(rule != "orientation" or cert["census"]["orientable"],
+             "orientation-smoothed surface not orientable")
+    report.update(cert["census"], embedded=True, cert=cert)
+    return mesh, report
+
+
+def _construct_r3(poly: ClosedPolygon, seed: int, rule: str):
+    """The construction half of spanning_surface_r3: the uncertified mesh
+    in poly's frame, and the report of its piece counts."""
+    from .diagram import project_polygon
+
     dia = project_polygon(poly, seed=seed)
     g = None
     factor = Rat(1, 4)
@@ -525,33 +542,15 @@ def spanning_surface_r3(poly: ClosedPolygon, seed: int = 0,
         raise AssertionError("smoothing kept degenerating")
     levels = assign_levels(g)
     raw, trace = build_surface(g, levels)
-    problems = raw.validate_manifold()
-    if problems:
-        raise AssertionError("surface not manifold: %s" % problems[0])
-    orientable, _ = raw.orientation_propagate()
-    if rule == "orientation" and not orientable:
-        raise AssertionError("orientation-smoothed surface not orientable")
-    if not boundary_matches(raw, dia.sheared):
-        raise AssertionError("boundary does not subdivide the lifted polygon")
-    # the pullback is an affine bijection, so manifoldness and the
-    # boundary property survive it exactly; embeddedness is certified
-    # once, on the mesh that is returned
+    # the pullback is an affine bijection (transform raises if it merges
+    # vertices), so every certificate of the returned mesh holds for the
+    # sheared one and none is needed before it
     mesh = raw.transform(dia.to_sheared.inverse())
-    if not boundary_matches(mesh, poly):
-        raise AssertionError("pulled-back boundary mismatch")
-    violation = check_embedded(mesh)
-    if violation is not None:
-        raise AssertionError("self-intersection: %r" % violation)
     report = dict(trace)
     report.update({
         "n": len(poly.vertices),
         "writhe": dia.writhe,
         "rule": rule,
         "seed": seed,
-        "orientable": orientable,
-        "connected": mesh.connected_components() == 1,
-        "boundary_cycles": mesh.boundary_components(),
-        "embedded": True,
-        "genus": mesh.genus() if orientable else None,
     })
     return mesh, report

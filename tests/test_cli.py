@@ -1,10 +1,21 @@
 import json
+import sys
 
 import pytest
 
+import plspan.mesh
+import plspan.otherdims
 from plspan.cli import main
 from plspan.geom import Point
-from plspan.polygon import ClosedPolygon, read_polygon, write_polygon
+from plspan.mesh import TriMesh
+from plspan.polygon import (
+    ClosedPolygon,
+    gen_planar_ngon,
+    gen_random,
+    gen_torus_stick,
+    read_polygon,
+    write_polygon,
+)
 
 
 def run(*argv):
@@ -226,3 +237,73 @@ def test_env_seed(tmp_path, monkeypatch):
     run("generate", "--family", "random", "--n", 6, "--dim", 3,
         "--seed", 5, "--out", b)
     assert a.read_bytes() == b.read_bytes()
+
+
+# one input per strategy, each built at its first attempt
+STRATEGY_INPUTS = {
+    "earclip": (lambda: gen_planar_ngon(6), "embedded"),
+    "seifert": (lambda: gen_torus_stick(3), "embedded"),
+    "immersed4": (lambda: gen_random(5, 4, seed=2), "immersed"),
+    "embedded4": (lambda: gen_random(4, 4, seed=0), "embedded"),
+    "cone": (lambda: gen_random(6, 5, seed=0), "embedded"),
+}
+
+
+def _spy_certificate_checks(monkeypatch):
+    """Count every call of the certificate checks, through whichever
+    module binding the caller uses."""
+    calls = {}
+
+    def counting(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return spy
+
+    for fn in (plspan.mesh.check_embedded, plspan.mesh.boundary_matches,
+               plspan.otherdims.polygon_contact_clean):
+        spy = counting(fn.__name__, fn)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("plspan."):
+                for attr, val in list(vars(mod).items()):
+                    if val is fn:
+                        monkeypatch.setattr(mod, attr, spy)
+    for meth in ("validate_manifold", "orientation_propagate"):
+        monkeypatch.setattr(TriMesh, meth,
+                            counting(meth, getattr(TriMesh, meth)))
+    return calls
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGY_INPUTS))
+def test_span_derives_each_certificate_once(tmp_path, monkeypatch,
+                                            strategy):
+    make, mode = STRATEGY_INPUTS[strategy]
+    poly, report = tmp_path / "p.poly", tmp_path / "r.json"
+    write_polygon(make(), str(poly))
+    calls = _spy_certificate_checks(monkeypatch)
+    assert run("span", poly, "--strategy", strategy,
+               "--report", report) == 0
+    interior = ("polygon_contact_clean" if mode == "immersed"
+                else "check_embedded")
+    assert calls == {"validate_manifold": 1, "orientation_propagate": 1,
+                     "boundary_matches": 1, interior: 1}
+    assert load(report)["timings"].keys() == {"construct"}
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGY_INPUTS))
+def test_verify_agrees_with_span(tmp_path, strategy):
+    make, mode = STRATEGY_INPUTS[strategy]
+    poly, mesh = tmp_path / "p.poly", tmp_path / "m.off"
+    span_rep, verify_rep = tmp_path / "s.json", tmp_path / "v.json"
+    write_polygon(make(), str(poly))
+    assert run("span", poly, "--strategy", strategy, "--mesh-out", mesh,
+               "--report", span_rep) == 0
+    assert run("verify", mesh, "--polygon", poly, "--mode", mode,
+               "--report", verify_rep) == 0
+    spanned, verified = load(span_rep), load(verify_rep)
+    certs = verified["certificates"]
+    assert set(certs) == {"manifold", "boundary_match",
+                          spanned["certificate"]}
+    assert certs == {k: spanned["certificates"][k] for k in certs}
+    for key in ("t", "chi", "orientable"):
+        assert verified[key] == spanned[key]

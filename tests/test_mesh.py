@@ -5,9 +5,11 @@ from types import SimpleNamespace
 import pytest
 
 from plspan.geom import AffineMap, Point, affine_rank, simplex_intersect
+from plspan.polygon import ClosedPolygon
 from plspan.mesh import (
     TriMesh,
     boundary_matches,
+    certify,
     check_embedded,
     export_obj,
     import_obj,
@@ -482,3 +484,45 @@ def test_check_embedded_r4_r5_matches_oracle(monkeypatch):
     assert reached == {"independent", "_coplanar_contact_clean",
                        "_crossing_planes_contact_3d",
                        "_transverse_contact_clean", "simplex_intersect"}
+
+
+def test_certify_verdicts_witnesses_and_first_failure():
+    square = [Point([0, 0]), Point([4, 0]), Point([4, 4]), Point([0, 4])]
+    poly = ClosedPolygon(square)
+    disk = fan_over_polygon(square)
+    cert = certify(disk, poly)
+    assert cert["interior"] == "embedded"
+    assert cert["verdicts"] == {"manifold": True, "boundary_match": True,
+                                "embedded": True}
+    assert cert["witnesses"] == {} and cert["failure"] is None
+    assert cert["census"] == {"chi": 1, "boundary_cycles": 1,
+                              "connected": True, "orientable": True,
+                              "genus": 0}
+    # without a polygon there is no boundary verdict
+    assert "boundary_match" not in certify(disk)["verdicts"]
+
+    # another polygon: only the boundary fails
+    moved = ClosedPolygon([p + Point([1, 0]) for p in square])
+    cert = certify(disk, moved)
+    assert cert["verdicts"]["boundary_match"] is False
+    assert cert["failure"] == "boundary does not match the polygon"
+
+    # a repeated triangle breaks the manifold and the embedding; every
+    # verdict is still derived, and the first failure names the manifold
+    dup = fan_over_polygon(square)
+    dup.add_triangle(*dup.triangle_points(0))
+    cert = certify(dup, poly)
+    assert cert["verdicts"] == {"manifold": False, "boundary_match": False,
+                                "embedded": False}
+    assert cert["witnesses"]["manifold_witness"] == \
+        "triangle 2 duplicates another"
+    assert cert["witnesses"]["violation_witness"].startswith(
+        "EmbeddingViolation(0, 2, ")
+    assert cert["failure"] == \
+        "surface not manifold: triangle 2 duplicates another"
+    assert cert["census"]["genus"] is None
+
+    with pytest.raises(ValueError):
+        certify(disk, interior="immersed")
+    with pytest.raises(ValueError):
+        certify(disk, poly, interior="sideways")

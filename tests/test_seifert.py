@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import plspan
 from plspan.diagram import project_polygon
 from plspan.geom import Point, Rat, rat, seg_intersect_2d
 from plspan.mesh import boundary_matches, check_embedded
@@ -310,3 +315,25 @@ def test_circuit_disjointness_integer_contacts_match_rational_oracle():
         g = smooth(insert_interior_vertices(project_polygon(poly)))
         assert _circuits_disjoint_oracle(g.marked.nodes, g.circuits)
     assert verdicts == {True, False}
+
+
+def test_count_identity_raises_under_python_O():
+    # build_surface's count identities are explicit raises: with one bowl
+    # triangle dropped, python -O still stops at bowls = sum|C| - 2s
+    code = """
+import plspan.geom as geom
+import plspan.seifert as seifert
+from plspan.mesh import CertificateError
+from plspan.polygon import gen_torus_stick
+assert False, "asserts run"
+seifert.earclip_2d = lambda pts: geom.earclip_2d(pts)[1:]
+try:
+    seifert.spanning_surface_r3(gen_torus_stick(3))
+except CertificateError as exc:
+    print("raised:", exc)
+"""
+    src = str(Path(plspan.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "raised: seifert: bowls != sum|C| - 2s"
