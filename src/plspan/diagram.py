@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import random
 
-from .geom import AffineMap, ONE, Point, ZERO, rat, seg_intersect_2d, sign
+from .geom import (AffineMap, ONE, Point, ZERO, box_h, homogeneous,
+                   overlapping_pairs, rat, seg_intersect_2d, seg_pair_clear_h,
+                   sign)
 from .polygon import ClosedPolygon
 
 
@@ -91,32 +93,36 @@ def _shadow(poly: ClosedPolygon) -> list[Point]:
 def _projection_problems(pts: list[Point]):
     """(first violated general-position condition, None) or, when the
     shadow is clean, (None, crossings): the (i, j, hit) of every pair of
-    non-adjacent edges that cross, in pair order."""
+    non-adjacent edges that cross, in pair order.
+
+    Candidate pairs come from geom.overlapping_pairs and orientation
+    signs clear most of them; seg_intersect_2d runs only on proper
+    crossings and on pairs with a vanishing orientation."""
     n = len(pts)
     crossings = []
     for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        if a == b:
+        if pts[i] == pts[(i + 1) % n]:
             return "edge %d projects to a point" % i, None
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        for j in range(i + 1, n):
-            c, d = pts[j], pts[(j + 1) % n]
-            adjacent = (j == i + 1) or (i == 0 and j == n - 1)
-            hit = seg_intersect_2d(a, b, c, d)
-            if hit.kind == "overlap":
-                return "edges %d,%d overlap in projection" % (i, j), None
-            if hit.kind == "empty":
-                continue
-            if adjacent:
-                shared = pts[j] if j == i + 1 else pts[i]
-                if hit.point != shared:
-                    return ("adjacent edges %d,%d meet away from corner"
-                            % (i, j), None)
-                continue
-            if hit.contact != "interior-interior":
-                return "edges %d,%d touch at an endpoint" % (i, j), None
-            crossings.append((i, j, hit))
+    hom = [homogeneous(p) for p in pts]
+    boxes = [box_h((hom[i], hom[(i + 1) % n])) for i in range(n)]
+    for i, j in overlapping_pairs(boxes):
+        if seg_pair_clear_h(hom, i, (i + 1) % n, j, (j + 1) % n):
+            continue
+        hit = seg_intersect_2d(pts[i], pts[(i + 1) % n], pts[j],
+                               pts[(j + 1) % n])
+        if hit.kind == "overlap":
+            return "edges %d,%d overlap in projection" % (i, j), None
+        if hit.kind == "empty":
+            continue
+        if j == i + 1 or (i == 0 and j == n - 1):
+            shared = pts[j] if j == i + 1 else pts[i]
+            if hit.point != shared:
+                return ("adjacent edges %d,%d meet away from corner"
+                        % (i, j), None)
+            continue
+        if hit.contact != "interior-interior":
+            return "edges %d,%d touch at an endpoint" % (i, j), None
+        crossings.append((i, j, hit))
     seen = set()
     for _, _, hit in crossings:
         if hit.point.coords in seen:

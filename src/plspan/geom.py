@@ -17,6 +17,7 @@ determinants (the homogeneous predicates below).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
@@ -375,6 +376,29 @@ def boxes_apart_h(box_a, box_b) -> bool:
         if ha[0] * lb[1] < lb[0] * ha[1] or hb[0] * la[1] < la[0] * hb[1]:
             return True
     return False
+
+
+def overlapping_pairs(boxes) -> list[tuple[int, int]]:
+    """Every (i, j), i < j, whose box_h boxes meet, in lexicographic order.
+
+    A sorted sweep along the first axis (Bentley & Ottmann 1979): each
+    box, taken by increasing low end, is paired with the later ones whose
+    low end does not pass its high end; boxes_apart_h decides the rest.
+    """
+    lo = [box[0][0] for box in boxes]
+    order = sorted(range(len(boxes)), key=cmp_to_key(
+        lambda i, j: lo[i][0] * lo[j][1] - lo[j][0] * lo[i][1]))
+    rest = [box[1:] for box in boxes]
+    pairs = []
+    for pos, i in enumerate(order):
+        hi_num, hi_den = boxes[i][0][1]
+        for j in order[pos + 1:]:
+            if lo[j][0] * hi_den > hi_num * lo[j][1]:
+                break  # sorted low ends: no later box reaches back
+            if not boxes_apart_h(rest[i], rest[j]):
+                pairs.append((i, j) if i < j else (j, i))
+    pairs.sort()
+    return pairs
 
 
 def seg_pair_clear_h(hom, a: int, b: int, c: int, d: int,

@@ -19,12 +19,12 @@ from .geom import (
     Point,
     affine_rank,
     box_h,
-    boxes_apart_h,
     flat_axes,
     homogeneous,
     int_det,
     nullspace,
     orient2d_h,
+    overlapping_pairs,
     rat,
     rat_str,
     segment_param,
@@ -304,13 +304,10 @@ def _integer_functional(w, base_h) -> tuple:
 def _tri_data(mesh: TriMesh, hom, t: int):
     tri = mesh.triangles[t]
     pts = mesh.triangle_points(t)
-    hs = [hom[v] for v in tri]
-    box = box_h(hs)
     dirs = [list((pts[1] - pts[0]).coords), list((pts[2] - pts[0]).coords)]
     # dim-2 functionals vanishing on the plane, in integer form
-    planes = [_integer_functional(w, hs[0]) for w in nullspace(dirs)]
-    # the sweep axis's extent apart from the other axes' box
-    return tri, set(tri), box[0], box[1:], planes
+    planes = [_integer_functional(w, hom[tri[0]]) for w in nullspace(dirs)]
+    return tri, set(tri), planes
 
 
 def _values(planes, hom, tri):
@@ -485,75 +482,72 @@ def check_embedded(mesh: TriMesh) -> Optional[EmbeddingViolation]:
     vertices: nothing, one vertex, or one edge.  Returns None when the
     mesh is embedded, otherwise a violation with an exact witness point.
 
-    Pairs are pruned by a sweep over the first axis, then exact bounding
-    boxes, then plane-separation functionals, then contact
-    classification of coplanar pairs and of crossing planes in R^3.  In
-    R^d, d >= 4, the rest are decided inside the affine hull of their
-    distinct vertices (_hull_contact_clean): affinely independent
-    vertices clear the pair, a 3-flat reduces it to the R^3 test, and
-    two triangles spanning a 4-flat meet in at most one point, located
-    by the signs of integer minors.  Only pairs still standing reach the
-    full simplex intersection, which decides them and builds the
-    witness; every test before it is an integer sign on the vertices'
-    homogeneous forms.
+    Candidate pairs come from the one sweep, geom.overlapping_pairs, over
+    exact bounding boxes listed in the stable order of least x, and are
+    visited in that order.  They are pruned by plane-separation
+    functionals, then contact classification of coplanar pairs and of
+    crossing planes in R^3.  In R^d, d >= 4, the rest are decided inside
+    the affine hull of their distinct vertices (_hull_contact_clean):
+    affinely independent vertices clear the pair, a 3-flat reduces it to
+    the R^3 test, and two triangles spanning a 4-flat meet in at most one
+    point, located by the signs of integer minors.  Only pairs still
+    standing reach the full simplex intersection, which decides them and
+    builds the witness; every test before it is an integer sign on the
+    vertices' homogeneous forms.
     """
     nt = len(mesh.triangles)
     hom = [homogeneous(p) for p in mesh.vertices]
     data = [_tri_data(mesh, hom, t) for t in range(nt)]
     xmin = [min(p[0] for p in mesh.triangle_points(t)) for t in range(nt)]
     order = sorted(range(nt), key=xmin.__getitem__)
+    boxes = [box_h([hom[v] for v in mesh.triangles[t]]) for t in order]
     dim = mesh.dim
-    for pos, a in enumerate(order):
-        tri_a, vs_a, (_, hi_a), box_a, planes_a = data[a]
-        for b in order[pos + 1:]:
-            lo_b = data[b][2][0]
-            if lo_b[0] * hi_a[1] > hi_a[0] * lo_b[1]:
-                break  # sweep axis: no later triangle can overlap
-            if boxes_apart_h(box_a, data[b][3]):
+    for pa, pb in overlapping_pairs(boxes):
+        a, b = order[pa], order[pb]
+        tri_a, vs_a, planes_a = data[a]
+        tri_b, vs_b, planes_b = data[b]
+        shared = vs_a & vs_b
+        if len(shared) >= 3:
+            pts_a = mesh.triangle_points(a)
+            cen = Point(sum(p[i] for p in pts_a) / 3 for i in range(dim))
+            return EmbeddingViolation(a, b, cen)
+        vals_ab = _values(planes_a, hom, tri_b)
+        if _row_separates(vals_ab):
+            continue
+        vals_ba = _values(planes_b, hom, tri_a)
+        if _row_separates(vals_ba):
+            continue
+        coplanar = all(v == 0 for row in vals_ab for v in row)
+        if coplanar:
+            if _coplanar_contact_clean(hom, tri_a, tri_b, shared):
                 continue
-            tri_b, vs_b, _, _, planes_b = data[b]
-            shared = vs_a & vs_b
-            if len(shared) >= 3:
-                pts_a = mesh.triangle_points(a)
-                cen = Point(sum(p[i] for p in pts_a) / 3 for i in range(dim))
-                return EmbeddingViolation(a, b, cen)
-            vals_ab = _values(planes_a, hom, tri_b)
-            if _row_separates(vals_ab):
+        elif len(shared) == 2:
+            # distinct planes through a common edge meet exactly in
+            # the line of that edge, and each triangle meets that
+            # line exactly in the edge itself
+            continue
+        elif dim == 3:
+            verdict = _crossing_planes_contact_3d(
+                [hom[v] for v in tri_a], [hom[v] for v in tri_b],
+                vals_ab[0], vals_ba[0], [hom[v] for v in shared])
+            if verdict == "clean":
                 continue
-            vals_ba = _values(planes_b, hom, tri_a)
-            if _row_separates(vals_ba):
-                continue
-            coplanar = all(v == 0 for row in vals_ab for v in row)
-            if coplanar:
-                if _coplanar_contact_clean(hom, tri_a, tri_b, shared):
-                    continue
-            elif len(shared) == 2:
-                # distinct planes through a common edge meet exactly in
-                # the line of that edge, and each triangle meets that
-                # line exactly in the edge itself
-                continue
-            elif dim == 3:
-                verdict = _crossing_planes_contact_3d(
-                    [hom[v] for v in tri_a], [hom[v] for v in tri_b],
-                    vals_ab[0], vals_ba[0], [hom[v] for v in shared])
-                if verdict == "clean":
-                    continue
-            elif len(shared) == 1 and (
-                    _row_separates([[x for x, v in zip(row, tri_b)
-                                     if v not in shared] for row in vals_ab])
-                    or _row_separates([[x for x, v in zip(row, tri_a)
-                                        if v not in shared]
-                                       for row in vals_ba])):
-                # plane of one triangle pinning the other to the shared
-                # vertex: contact is that vertex alone
-                continue
-            elif _hull_contact_clean(hom, tri_a, tri_b, shared):
-                continue
-            allowed = [mesh.vertices[v] for v in shared]
-            witness = simplex_intersect(mesh.triangle_points(a),
-                                        mesh.triangle_points(b), allowed)
-            if witness is not None:
-                return EmbeddingViolation(a, b, witness)
+        elif len(shared) == 1 and (
+                _row_separates([[x for x, v in zip(row, tri_b)
+                                 if v not in shared] for row in vals_ab])
+                or _row_separates([[x for x, v in zip(row, tri_a)
+                                    if v not in shared]
+                                   for row in vals_ba])):
+            # plane of one triangle pinning the other to the shared
+            # vertex: contact is that vertex alone
+            continue
+        elif _hull_contact_clean(hom, tri_a, tri_b, shared):
+            continue
+        allowed = [mesh.vertices[v] for v in shared]
+        witness = simplex_intersect(mesh.triangle_points(a),
+                                    mesh.triangle_points(b), allowed)
+        if witness is not None:
+            return EmbeddingViolation(a, b, witness)
     return None
 
 

@@ -19,8 +19,10 @@ from .geom import (
     Point,
     ZERO,
     affine_rank,
+    box_h,
     homogeneous,
     int_rank,
+    overlapping_pairs,
     rat,
     rat_str,
     seg_pair_clear_h,
@@ -86,40 +88,32 @@ class PolygonViolation:
 def validate_embedded(poly: ClosedPolygon) -> Optional[PolygonViolation]:
     """Exact pairwise edge check; None when the polygon is embedded.
 
+    Candidate pairs come from the one sweep, geom.overlapping_pairs, over
+    the edges' exact bounding boxes, and are visited in index order.
     Planar pairs are cleared by orientation signs, pairs in R^d, d >= 3,
     by affinely independent endpoints; simplex_intersect decides the
     rest and builds the witness.
     """
     n = len(poly.vertices)
-    segs = [poly.edge(i) for i in range(n)]
     hom = [homogeneous(v) for v in poly.vertices]
-    boxes = []
-    for a, b in segs:
-        boxes.append(tuple((min(a[i], b[i]), max(a[i], b[i]))
-                           for i in range(poly.dim)))
-    for i in range(n):
-        ai, bi = segs[i]
-        for j in range(i + 1, n):
-            if any(boxes[j][k][0] > boxes[i][k][1]
-                   or boxes[i][k][0] > boxes[j][k][1]
-                   for k in range(poly.dim)):
+    boxes = [box_h((hom[i], hom[(i + 1) % n])) for i in range(n)]
+    for i, j in overlapping_pairs(boxes):
+        if poly.dim == 2:
+            if seg_pair_clear_h(hom, i, (i + 1) % n, j, (j + 1) % n):
                 continue
-            if poly.dim == 2:
-                if seg_pair_clear_h(hom, i, (i + 1) % n, j, (j + 1) % n):
-                    continue
-            else:
-                ends = {i, (i + 1) % n, j, (j + 1) % n}
-                if int_rank([hom[v] for v in ends]) == len(ends):
-                    continue
-            aj, bj = segs[j]
-            shared = []
-            if j == i + 1:
-                shared = [bi]
-            elif i == 0 and j == n - 1:
-                shared = [ai]
-            w = simplex_intersect([ai, bi], [aj, bj], shared)
-            if w is not None:
-                return PolygonViolation(i, j, w)
+        else:
+            ends = {i, (i + 1) % n, j, (j + 1) % n}
+            if int_rank([hom[v] for v in ends]) == len(ends):
+                continue
+        ai, bi = poly.edge(i)
+        shared = []
+        if j == i + 1:
+            shared = [bi]
+        elif i == 0 and j == n - 1:
+            shared = [ai]
+        w = simplex_intersect([ai, bi], poly.edge(j), shared)
+        if w is not None:
+            return PolygonViolation(i, j, w)
     return None
 
 

@@ -19,9 +19,9 @@ from .geom import (
     Rat,
     ZERO,
     box_h,
-    boxes_apart_h,
     earclip_2d,
     homogeneous,
+    overlapping_pairs,
     rat,
     seg_pair_clear,
     seg_pair_clear_h,
@@ -162,49 +162,34 @@ def _place_marks(diagram, factor):
 
 
 def _marks_valid(nodes, quads) -> bool:
-    n_nodes = len(nodes)
     hom = [homogeneous(nd.pos) for nd in nodes]
-    segs = []
-    for i in range(n_nodes):
-        j = (i + 1) % n_nodes
-        pa, pb = nodes[i].pos, nodes[j].pos
-        segs.append((i, j, pa, pb, box_h((hom[i], hom[j]))))
-    qedges = []
+    sides = []
     for x, q in enumerate(quads):
         ring = (q["in_over"], q["in_under"], q["out_over"], q["out_under"],
                 q["in_over"])
-        pts = {nodes[idx].pos.coords for idx in ring}
-        if len(pts) != 4:
+        if len({nodes[idx].pos.coords for idx in ring}) != 4:
             return False
-        for a, b in zip(ring, ring[1:]):
-            qedges.append((x, a, b, nodes[a].pos, nodes[b].pos,
-                           box_h((hom[a], hom[b]))))
-    # a quad side may touch the walk only at its own endpoints
-    for x, a, b, pa, pb, box in qedges:
-        for u, v, pu, pv, sbox in segs:
-            if boxes_apart_h(box, sbox):
-                continue
-            clear = seg_pair_clear_h(hom, a, b, u, v)
-            if clear is None:
-                allowed = [p for i, p in ((a, pa), (b, pb)) if i in (u, v)]
-                clear = seg_pair_clear(pa, pb, pu, pv, allowed)
-            if not clear:
-                return False
-    # sides of one quad meet only at their common corner; sides of
-    # different quads not at all
-    for i in range(len(qedges)):
-        xi, a, b, pa, pb, bi = qedges[i]
-        for j in range(i + 1, len(qedges)):
-            xj, c, d, pc, pd, bj = qedges[j]
-            if boxes_apart_h(bi, bj):
-                continue
-            clear = seg_pair_clear_h(hom, a, b, c, d, allow_shared=xi == xj)
-            if clear is None:
-                allowed = ([nodes[k].pos for k in {a, b} & {c, d}]
-                           if xi == xj else [])
-                clear = seg_pair_clear(pa, pb, pc, pd, allowed)
-            if not clear:
-                return False
+        sides += [(x, a, b) for a, b in zip(ring, ring[1:])]
+    n_nodes = len(nodes)
+    walk = [(None, i, (i + 1) % n_nodes) for i in range(n_nodes)]
+    segs = sides + walk
+    boxes = [box_h((hom[a], hom[b])) for _, a, b in segs]
+    for i, j in overlapping_pairs(boxes):
+        if i >= len(sides):
+            break  # the rest pair two walk segments
+        xi, a, b = segs[i]
+        xj, c, d = segs[j]
+        # a quad side may touch the walk only at its own endpoints, and
+        # sides of one quad meet only at their common corner; sides of
+        # different quads not at all
+        touch = xj is None or xi == xj
+        clear = seg_pair_clear_h(hom, a, b, c, d, allow_shared=touch)
+        if clear is None:
+            allowed = [nodes[k].pos for k in {a, b} & {c, d} if touch]
+            clear = seg_pair_clear(nodes[a].pos, nodes[b].pos, nodes[c].pos,
+                                   nodes[d].pos, allowed)
+        if not clear:
+            return False
     return True
 
 
@@ -362,24 +347,18 @@ def _check_circuits_disjoint(g: SmoothedGraph) -> None:
         for i in circ:
             hom[i] = homogeneous(nodes[i].pos)
         m = len(circ)
-        for e in range(m):
-            a, b = circ[e], circ[(e + 1) % m]
-            edges.append((a, b, box_h((hom[a], hom[b]))))
-    for i in range(len(edges)):
-        a, b, bi = edges[i]
-        for j in range(i + 1, len(edges)):
-            c, d, bj = edges[j]
-            if boxes_apart_h(bi, bj):
-                continue
-            clear = seg_pair_clear_h(hom, a, b, c, d)
-            if clear is None:
-                clear = seg_pair_clear(
-                    nodes[a].pos, nodes[b].pos, nodes[c].pos, nodes[d].pos,
-                    [nodes[k].pos for k in {a, b} & {c, d}])
-            if not clear:
-                raise AssertionError(
-                    "circuit edges (%d,%d) and (%d,%d) collide"
-                    % (a, b, c, d))
+        edges += [(circ[e], circ[(e + 1) % m]) for e in range(m)]
+    boxes = [box_h((hom[a], hom[b])) for a, b in edges]
+    for i, j in overlapping_pairs(boxes):
+        (a, b), (c, d) = edges[i], edges[j]
+        clear = seg_pair_clear_h(hom, a, b, c, d)
+        if clear is None:
+            clear = seg_pair_clear(
+                nodes[a].pos, nodes[b].pos, nodes[c].pos, nodes[d].pos,
+                [nodes[k].pos for k in {a, b} & {c, d}])
+        if not clear:
+            raise AssertionError(
+                "circuit edges (%d,%d) and (%d,%d) collide" % (a, b, c, d))
 
 
 def assign_levels(g: SmoothedGraph) -> list[int]:

@@ -1,7 +1,15 @@
+import random
+import re
+from fractions import Fraction
+
 import pytest
 
-from plspan.geom import Point, point_on_segment
-from plspan.diagram import find_general_position, project_polygon
+from plspan.geom import Point, point_on_segment, seg_intersect_2d
+from plspan.diagram import (
+    _projection_problems,
+    find_general_position,
+    project_polygon,
+)
 from plspan.polygon import (
     ClosedPolygon,
     gen_planar_ngon,
@@ -126,3 +134,101 @@ def test_random_polygons_project_cleanly():
             assert c.sign in (-1, 1)
             assert c.z_over > c.z_under
         assert len(d.walk) == n + 2 * len(d.crossings)
+
+
+# ---------------------------------------------------------------------------
+# the swept, sign-cleared shadow check against the all-pairs rational loop
+
+def _projection_oracle(pts):
+    """_projection_problems as an all-pairs loop running seg_intersect_2d
+    on every edge pair."""
+    n = len(pts)
+    crossings = []
+    for i in range(n):
+        a, b = pts[i], pts[(i + 1) % n]
+        if a == b:
+            return "edge %d projects to a point" % i, None
+    for i in range(n):
+        a, b = pts[i], pts[(i + 1) % n]
+        for j in range(i + 1, n):
+            c, d = pts[j], pts[(j + 1) % n]
+            adjacent = (j == i + 1) or (i == 0 and j == n - 1)
+            hit = seg_intersect_2d(a, b, c, d)
+            if hit.kind == "overlap":
+                return "edges %d,%d overlap in projection" % (i, j), None
+            if hit.kind == "empty":
+                continue
+            if adjacent:
+                shared = pts[j] if j == i + 1 else pts[i]
+                if hit.point != shared:
+                    return ("adjacent edges %d,%d meet away from corner"
+                            % (i, j), None)
+                continue
+            if hit.contact != "interior-interior":
+                return "edges %d,%d touch at an endpoint" % (i, j), None
+            crossings.append((i, j, hit))
+    seen = set()
+    for _, _, hit in crossings:
+        if hit.point.coords in seen:
+            return "two crossings coincide", None
+        seen.add(hit.point.coords)
+    for v in pts:
+        if v.coords in seen:
+            return "a crossing hits a projected vertex", None
+    return None, crossings
+
+
+def _crossing_data(result):
+    problem, crossings = result
+    if crossings is None:
+        return problem, None
+    return problem, [(i, j, h.point, h.params) for i, j, h in crossings]
+
+
+def test_projection_problems_match_all_pairs_oracle(monkeypatch):
+    # grid shadows make collinear overlaps, endpoint touches, adjacent
+    # backtracks and coincident crossings common; the hand-picked ones
+    # make sure each appears.  Same problem, or the same crossings with
+    # the same points and parameters, as the oracle; the corpus must reach
+    # pairs cleared by signs, proper crossings and vanishing orientations.
+    import plspan.diagram as diagram_mod
+    branches = set()
+    signs = diagram_mod.seg_pair_clear_h
+
+    def spy(*args):
+        clear = signs(*args)
+        branches.add(clear)
+        return clear
+
+    monkeypatch.setattr(diagram_mod, "seg_pair_clear_h", spy)
+
+    def shadow(*xy):
+        return [Point(p) for p in xy]
+
+    cases = [
+        shadow((0, 0), (4, 0), (4, 4), (0, 4)),                # clean
+        shadow((0, 0), (4, 4), (4, 0), (0, 4)),                # bowtie
+        shadow((0, 0), (4, 0), (2, 0), (2, 3)),                # overlap
+        shadow((0, 0), (4, 0), (4, 3), (2, 0), (0, 3)),        # touch
+        shadow((0, 0), (2, 0), (1, 0), (1, 2)),                # backtrack
+        shadow((0, 0), (4, 4), (4, 0), (0, 4), (2, 0), (2, 4)),  # coincide
+        shadow((0, 0), (3, 0), (3, 0), (0, 3)),                # point edge
+    ]
+    rng = random.Random(1979)
+    for _ in range(300):
+        n = rng.randint(3, 9)
+        cases.append([Point([rng.randint(0, 4), Fraction(rng.randint(0, 8), 2)])
+                      for _ in range(n)])
+    for poly in (gen_torus_stick(5), gen_twist_writhe(2),
+                 gen_random(9, 3, seed=4)):
+        cases.append([Point([v[0], v[1]]) for v in poly.vertices])
+    problems = set()
+    for k, pts in enumerate(cases):
+        want = _crossing_data(_projection_oracle(pts))
+        assert _crossing_data(_projection_problems(pts)) == want, (k, pts)
+        problems.add(want[0] and re.sub(r"\d+", "#", want[0]))
+    assert branches == {True, False, None}
+    assert problems == {None, "edge # projects to a point",
+                        "edges #,# overlap in projection",
+                        "edges #,# touch at an endpoint",
+                        "two crossings coincide"}

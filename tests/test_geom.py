@@ -3,12 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plspan.geom import (
     AffineMap,
     Point,
     Rat,
     affine_rank,
+    box_h,
+    boxes_apart_h,
     earclip_2d,
     flat_axes,
     homogeneous,
@@ -19,6 +23,7 @@ from plspan.geom import (
     orient2d,
     orient2d_h,
     orient3d,
+    overlapping_pairs,
     point_in_simplex,
     point_on_segment,
     rat,
@@ -662,3 +667,43 @@ def test_earclip_integer_ear_test_matches_rational_oracle(monkeypatch):
         outcomes.add(type(want))
     assert outcomes == {list, str}
     assert fallbacks
+
+
+# ---------------------------------------------------------------------------
+# candidate pairs: the one sweep against all pairs
+
+def _box(*points):
+    return box_h([homogeneous(Point(p)) for p in points])
+
+
+def _brute_pairs(boxes):
+    return [(i, j) for i in range(len(boxes))
+            for j in range(i + 1, len(boxes))
+            if not boxes_apart_h(boxes[i], boxes[j])]
+
+
+@st.composite
+def _box_lists(draw):
+    # corners on a small grid with mixed denominators, so that zero-width
+    # boxes, shared faces and equal low ends (also as unequal numerator,
+    # denominator pairs such as 1/1 and 2/2) are common
+    dim = draw(st.integers(1, 5))
+    coord = st.builds(Fraction, st.integers(0, 6), st.sampled_from((1, 2)))
+    corner = st.lists(coord, min_size=dim, max_size=dim)
+    return [_box(*pts) for pts in draw(st.lists(
+        st.lists(corner, min_size=1, max_size=3), max_size=9))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_box_lists())
+@example([])
+@example([_box((1, 2))])
+@example([_box((1, 1)), _box((1, 1)), _box((0, 1), (2, 1))])
+@example([_box((0, 0), (1, 1)), _box((1, 0), (2, 1)), _box((1, 1), (2, 2)),
+          _box((2, 2), (3, 3))])
+@example([_box((0, 0), (1, 1)), _box((0, 2), (1, 3)), _box((0, 1), (4, 1)),
+          _box((0, 5), (0, 5))])
+@example([_box((0,), (1,)), _box((1,), (2,)), _box((Fraction(3, 2),)),
+          _box((3,))])
+def test_overlapping_pairs_matches_all_pairs(boxes):
+    assert overlapping_pairs(boxes) == _brute_pairs(boxes)

@@ -1,11 +1,29 @@
+import functools
 import random
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plspan.geom import AffineMap, Point, affine_rank, simplex_intersect
-from plspan.polygon import ClosedPolygon
+from plspan.geom import (
+    AffineMap,
+    Point,
+    affine_rank,
+    matrix_rank,
+    point_in_simplex,
+    simplex_intersect,
+)
+from plspan.polygon import (
+    ClosedPolygon,
+    gen_planar_ngon,
+    gen_random,
+    gen_torus_stick,
+    gen_twist_writhe,
+    validate_embedded,
+)
+from plspan.seifert import spanning_surface_r3
 from plspan.mesh import (
     TriMesh,
     boundary_matches,
@@ -304,6 +322,92 @@ def test_transform_preserves_structure():
     assert check_embedded(m2) is None
     back = m2.transform(sh.inverse())
     assert back.vertices == m.vertices
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: embeddedness verdicts do not depend on the frame
+
+def _moved_vertex_copy(mesh, rng):
+    """A copy of the mesh with one vertex moved to the centroid of a
+    triangle it is not on, keeping every triangle nondegenerate; the
+    moved vertex pierces that triangle."""
+    while True:
+        t = rng.randrange(len(mesh.triangles))
+        v = rng.choice([u for u in range(len(mesh.vertices))
+                        if u not in mesh.triangles[t]])
+        pts = mesh.triangle_points(t)
+        verts = list(mesh.vertices)
+        verts[v] = Point([sum(p[i] for p in pts) / 3
+                          for i in range(mesh.dim)])
+        out = TriMesh(mesh.dim)
+        for tri, tag in zip(mesh.triangles, mesh.provenance):
+            out.add_triangle(*(verts[i] for i in tri), tag=tag)
+        if len(out.vertices) == len(verts) and not any(
+                affine_rank(out.triangle_points(k)) != 2
+                for k in range(len(out.triangles))):
+            return out
+
+
+def _moved_vertex_polygon(poly, rng):
+    """A copy of the polygon with one vertex moved to the midpoint of an
+    edge it is not on."""
+    n = len(poly.vertices)
+    while True:
+        e = rng.randrange(n)
+        v = rng.choice([u for u in range(n) if u not in (e, (e + 1) % n)])
+        a, b = poly.edge(e)
+        verts = list(poly.vertices)
+        verts[v] = Point([(a[i] + b[i]) / 2 for i in range(poly.dim)])
+        try:
+            return ClosedPolygon(verts)
+        except ValueError:
+            continue
+
+
+@functools.lru_cache(maxsize=None)
+def _metamorphic_corpus():
+    rng = random.Random(1979)
+    r3 = [gen_torus_stick(3), gen_torus_stick(4), gen_twist_writhe(1),
+          gen_random(6, 3, seed=2)]
+    meshes = []
+    for poly in r3:
+        mesh = spanning_surface_r3(poly)[0]
+        meshes += [mesh, _moved_vertex_copy(mesh, rng)]
+    polys = []
+    for poly in r3 + [gen_planar_ngon(5), gen_random(7, 2, seed=1)]:
+        polys += [poly, _moved_vertex_polygon(poly, rng)]
+    return (meshes, polys, [check_embedded(m) is None for m in meshes],
+            [validate_embedded(p) is None for p in polys])
+
+
+def _affine_bijection(dim):
+    entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    square = st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                      min_size=dim, max_size=dim)
+    return st.builds(AffineMap, square.filter(
+        lambda m: matrix_rank(m) == dim), st.lists(entry, min_size=dim,
+                                                    max_size=dim))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(_affine_bijection(3), _affine_bijection(2))
+def test_embedded_verdicts_invariant_under_affine_bijections(map3, map2):
+    # an affine bijection permutes the sweep order but must keep every
+    # verdict; moved-vertex copies stay caught, with a witness in both
+    # triangles of the violation
+    meshes, polys, mesh_verdicts, poly_verdicts = _metamorphic_corpus()
+    assert set(mesh_verdicts) == set(poly_verdicts) == {True, False}
+    for mesh, want in zip(meshes, mesh_verdicts):
+        image = mesh.transform(map3)
+        got = check_embedded(image)
+        assert (got is None) == want
+        if got is not None:
+            assert point_in_simplex(got.point, image.triangle_points(got.tri_a))
+            assert point_in_simplex(got.point, image.triangle_points(got.tri_b))
+    for poly, want in zip(polys, poly_verdicts):
+        amap = map3 if poly.dim == 3 else map2
+        image = ClosedPolygon([amap.apply(v) for v in poly.vertices])
+        assert (validate_embedded(image) is None) == want
 
 
 # ---------------------------------------------------------------------------
