@@ -284,7 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bounds", help="evaluate count bounds for a polygon")
     b.add_argument("polygon", help="input polygon path")
     b.add_argument("--projections", type=int, default=8,
-                   help="seeded projections used to estimate writhe (dim 3)")
+                   help="projections, seeded 0, 1, ..., whose largest "
+                   "|writhe| is reported (dim 3); every seed tries the "
+                   "identity shear first, so a generic vertical shadow "
+                   "gives the same diagram for every seed")
     b.add_argument("--knot-genus", type=int, default=None)
     b.add_argument("--unoriented-genus", default=None,
                    help="half-integers accepted, e.g. 1/2")

@@ -96,8 +96,8 @@ def _projection_problems(pts: list[Point]):
     non-adjacent edges that cross, in pair order.
 
     Candidate pairs come from geom.overlapping_pairs and orientation
-    signs clear most of them; seg_intersect_2d runs only on proper
-    crossings and on pairs with a vanishing orientation."""
+    signs decide them; seg_intersect_2d runs only on pairs that meet
+    beyond a shared corner."""
     n = len(pts)
     crossings = []
     for i in range(n):
@@ -108,29 +108,24 @@ def _projection_problems(pts: list[Point]):
     for i, j in overlapping_pairs(boxes):
         if seg_pair_clear_h(hom, i, (i + 1) % n, j, (j + 1) % n):
             continue
+        # Adjacent edges meet in a convex set that holds their corner, so
+        # meeting beyond it means they overlap.
         hit = seg_intersect_2d(pts[i], pts[(i + 1) % n], pts[j],
                                pts[(j + 1) % n])
         if hit.kind == "overlap":
             return "edges %d,%d overlap in projection" % (i, j), None
-        if hit.kind == "empty":
-            continue
-        if j == i + 1 or (i == 0 and j == n - 1):
-            shared = pts[j] if j == i + 1 else pts[i]
-            if hit.point != shared:
-                return ("adjacent edges %d,%d meet away from corner"
-                        % (i, j), None)
-            continue
         if hit.contact != "interior-interior":
             return "edges %d,%d touch at an endpoint" % (i, j), None
         crossings.append((i, j, hit))
+    # No crossing hits a projected vertex v: v would lie inside crossing
+    # edge i, apart from its ends, and at most one of the two edges at v
+    # is adjacent to i (both only for n = 3, which has no crossings), so
+    # the other touches i at an endpoint, a problem returned above.
     seen = set()
     for _, _, hit in crossings:
         if hit.point.coords in seen:
             return "two crossings coincide", None
         seen.add(hit.point.coords)
-    for v in pts:
-        if v.coords in seen:
-            return "a crossing hits a projected vertex", None
     return None, crossings
 
 

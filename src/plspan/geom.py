@@ -222,11 +222,6 @@ def solve_unique(a: Sequence[Sequence], b: Sequence) -> Optional[list]:
     return x
 
 
-def matrix_rank(rows: Sequence[Sequence]) -> int:
-    _, pivots = rref(rows)
-    return len(pivots)
-
-
 def affine_rank(points: Sequence[Point]) -> int:
     """Dimension of the affine hull spanned by the points: points are
     affinely independent iff their homogeneous forms are linearly
@@ -401,27 +396,20 @@ def overlapping_pairs(boxes) -> list[tuple[int, int]]:
     return pairs
 
 
+def _coord_cmp(p, q, axis) -> int:
+    """Sign of p - q along axis, for homogeneous points."""
+    return sign(p[axis] * q[-1] - q[axis] * p[-1])
+
+
 def seg_pair_clear_h(hom, a: int, b: int, c: int, d: int,
-                     allow_shared: bool = True) -> Optional[bool]:
-    """Sign-only meet test of planar segments [a, b] and [c, d].
+                     allow_shared: bool = True) -> bool:
+    """Sign-only meet test of closed planar segments [a, b] and [c, d].
 
     a..d index hom, a list of homogeneous points; indices, not
-    coordinates, say which endpoint the segments share.  When they share
-    one and allow_shared is set, contact there is permitted.  Returns
-    True when orientation signs prove the segments disjoint or meeting
-    only at that endpoint, False when they prove a proper crossing, and
-    None when a vanishing orientation leaves it open; the caller then
-    decides with seg_pair_clear.
+    coordinates, say which endpoint the segments share.  True when the
+    segments are disjoint, or when allow_shared is set and they meet
+    only at an endpoint they share; segments of length zero included.
     """
-    shared = {a, b} & {c, d}
-    if shared:
-        if len(shared) > 1 or not allow_shared:
-            return None
-        w = shared.pop()
-        q = b if w == a else a
-        s = d if w == c else c
-        # [w, q] and [w, s] meet beyond w only if they are collinear
-        return True if orient2d_h(hom[w], hom[q], hom[s]) else None
     o1 = orient2d_h(hom[a], hom[b], hom[c])
     o2 = orient2d_h(hom[a], hom[b], hom[d])
     if o1 * o2 > 0:
@@ -430,9 +418,23 @@ def seg_pair_clear_h(hom, a: int, b: int, c: int, d: int,
     o4 = orient2d_h(hom[c], hom[d], hom[b])
     if o3 * o4 > 0:
         return True
-    if o1 and o2 and o3 and o4:
-        return False
-    return None
+    # the segments meet, and a shared endpoint lies in the meet: the
+    # contact is permitted exactly when the meet is that single point
+    touch = allow_shared and bool({a, b} & {c, d})
+    if o1 or o2 or o3 or o4:
+        return touch  # distinct lines, so a single point
+    # all four on one line: it projects injectively onto any axis on
+    # which the points are not all equal
+    pts = (hom[a], hom[b], hom[c], hom[d])
+    axis = next((i for i in range(2)
+                 if any(_coord_cmp(p, pts[0], i) for p in pts[1:])), None)
+    if axis is None:
+        return touch  # all four points coincide
+    along = cmp_to_key(lambda p, q: _coord_cmp(p, q, axis))
+    lo = max(min(pts[:2], key=along), min(pts[2:], key=along), key=along)
+    hi = min(max(pts[:2], key=along), max(pts[2:], key=along), key=along)
+    gap = _coord_cmp(lo, hi, axis)
+    return gap > 0 or (gap == 0 and touch)
 
 
 class SegIntersection:
@@ -509,15 +511,6 @@ def seg_intersect_2d(a: Point, b: Point, c: Point, d: Point) -> SegIntersection:
             pt = c if c[axis] == lo else d
         return SegIntersection("point", pt, "endpoint-touch")
     return SegIntersection("overlap")
-
-
-def seg_pair_clear(a: Point, b: Point, c: Point, d: Point,
-                   allowed: Sequence[Point] = ()) -> bool:
-    """Are closed planar segments [a, b] and [c, d] disjoint, or do they
-    meet in a single point listed in allowed?"""
-    hit = seg_intersect_2d(a, b, c, d)
-    return hit.kind == "empty" or (hit.kind == "point"
-                                   and hit.point in allowed)
 
 
 def point_on_segment(p: Point, a: Point, b: Point) -> bool:
@@ -815,7 +808,7 @@ def earclip_2d(points: Sequence[Point]) -> list[tuple[int, int, int]]:
             if any(_in_closed_tri(hom[j], ha, hb, hc, turn)
                    for j in ring if j not in (ia, ib, ic)):
                 continue
-            if not _diagonal_clear(points, hom, ring, ia, ic):
+            if not _diagonal_clear(hom, ring, ia, ic):
                 continue
             tris.append((ia, ib, ic))
             ring.pop(i)
@@ -837,19 +830,11 @@ def _in_closed_tri(p, a, b, c, turn) -> bool:
             and orient2d_h(c, a, p) * turn >= 0)
 
 
-def _diagonal_clear(points, hom, ring, ia, ic) -> bool:
+def _diagonal_clear(hom, ring, ia, ic) -> bool:
     # the cut (ia, ic) may touch ring edges only at shared endpoints
     m = len(ring)
-    for k in range(m):
-        u, v = ring[k], ring[(k + 1) % m]
-        clear = seg_pair_clear_h(hom, ia, ic, u, v)
-        if clear is None:
-            allowed = [points[w] for w in (u, v) if w in (ia, ic)]
-            clear = seg_pair_clear(points[ia], points[ic], points[u],
-                                   points[v], allowed)
-        if not clear:
-            return False
-    return True
+    return all(seg_pair_clear_h(hom, ia, ic, ring[k], ring[(k + 1) % m])
+               for k in range(m))
 
 
 def point_in_simplex(p: Point, simplex: Sequence[Point]) -> bool:

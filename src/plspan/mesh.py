@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 from .geom import (
     Point,
+    _coord_cmp,
     affine_rank,
     box_h,
     flat_axes,
@@ -379,11 +380,6 @@ def _plane_meet_points(hs, vals):
                 pt = [-c for c in pt]
             meets.append(pt)
     return meets
-
-
-def _coord_cmp(p, q, axis) -> int:
-    """Sign of p - q along axis, for homogeneous points."""
-    return sign(p[axis] * q[-1] - q[axis] * p[-1])
 
 
 def _crossing_planes_contact_3d(hs_a, hs_b, vals_ab, vals_ba, shared_hs):

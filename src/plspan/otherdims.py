@@ -498,7 +498,8 @@ def _embedded_attempt(poly, slopes, seed, attempt, rule="orientation"):
             tb = segment_param(wb, p3v[i], p3v[(i + 1) % n])
             if ta is not None and tb is not None:
                 hosts.append((i, ta, tb))
-        assert len(hosts) == 1
+        _require(len(hosts) == 1,
+                 "embedded4: boundary edge not on exactly one polygon edge")
         host, ta, tb = hosts[0]
         ea, eb = pv[host], pv[(host + 1) % n]
         ua = ea + (eb - ea).scale(ta)

@@ -21,9 +21,9 @@ from .geom import (
     box_h,
     earclip_2d,
     homogeneous,
+    orient2d_h,
     overlapping_pairs,
     rat,
-    seg_pair_clear,
     seg_pair_clear_h,
 )
 from .mesh import TriMesh, _require, certify
@@ -141,7 +141,8 @@ def _place_marks(diagram, factor):
         prev, nxt = walk[w - 1], walk[(w + 1) % n_walk]
         # the walk opens each edge with its corner at param 0, so the
         # previous stop always sits on the same edge
-        assert prev.edge == stop.edge
+        _require(prev.edge == stop.edge,
+                 "marks: passage opens its polygon edge")
         t_prev = prev.param
         t_next = nxt.param if nxt.edge == stop.edge else ONE
         t_in = stop.param - factor * (stop.param - t_prev)
@@ -183,12 +184,7 @@ def _marks_valid(nodes, quads) -> bool:
         # sides of one quad meet only at their common corner; sides of
         # different quads not at all
         touch = xj is None or xi == xj
-        clear = seg_pair_clear_h(hom, a, b, c, d, allow_shared=touch)
-        if clear is None:
-            allowed = [nodes[k].pos for k in {a, b} & {c, d} if touch]
-            clear = seg_pair_clear(nodes[a].pos, nodes[b].pos, nodes[c].pos,
-                                   nodes[d].pos, allowed)
-        if not clear:
+        if not seg_pair_clear_h(hom, a, b, c, d, allow_shared=touch):
             return False
     return True
 
@@ -217,57 +213,42 @@ class SmoothedGraph:
             self.rule, [len(c) for c in self.circuits])
 
 
-def _ray_parity(p: Point, segs) -> int:
-    """Parity of crossings of a generic ray from p with the segments.
+def _ray_parity(p, segs) -> int:
+    """Parity of the crossings of a ray from p with closed polygons.
 
-    The direction is retried deterministically until the ray meets no
-    segment endpoint and overlaps no segment.  Raises if p itself lies
-    on a segment.
+    p and the segment ends are homogeneous planar points, and segs must
+    close up into cycles.  The rightward horizontal ray is counted by
+    the half-open rule (Hormann & Agathos, CGTA 2001): a segment counts
+    when exactly one end lies strictly above p and one orientation sign
+    puts its crossing of p's height right of p.  For closed polygons
+    this is the parity every generic ray from p sees.  p must lie off
+    the segments; a segment through p that crosses its height raises.
     """
-    budget = 2 * len(segs) + 5
-    for attempt in range(budget):
-        k = (attempt + 1) // 2 if attempt % 2 else -(attempt // 2)
-        dx, dy = ONE, rat(k)
-        count = 0
-        bad = False
-        for pu, pv in segs:
-            rx, ry = pv[0] - pu[0], pv[1] - pu[1]
-            wx, wy = pu[0] - p[0], pu[1] - p[1]
-            den = rx * dy - ry * dx
-            if den == 0:
-                if wx * dy - wy * dx == 0:
-                    # segment collinear with the ray line
-                    vx, vy = pv[0] - p[0], pv[1] - p[1]
-                    if wx * dx + wy * dy >= 0 or vx * dx + vy * dy >= 0:
-                        bad = True
-                        break
-                continue
-            t = (rx * wy - ry * wx) / den
-            s = (dx * wy - dy * wx) / den
-            if t == 0 and 0 <= s <= 1:
-                raise ValueError("ray origin lies on a segment")
-            if t > 0:
-                if s == 0 or s == 1:
-                    bad = True
-                    break
-                if 0 < s < 1:
-                    count += 1
-        if not bad:
-            return count % 2
-    raise AssertionError("no clean ray direction found")
+    count = 0
+    for u, v in segs:
+        v_above = v[1] * p[2] > p[1] * v[2]
+        if (u[1] * p[2] > p[1] * u[2]) == v_above:
+            continue
+        turn = orient2d_h(u, v, p)
+        if turn == 0:
+            raise ValueError("ray origin lies on a segment")
+        count += (turn > 0) == v_above
+    return count % 2
 
 
 def quad_edge_colors(marked: MarkedDiagram, x: int) -> list[int]:
     """Checkerboard color of the face each quad side of crossing x lies
     in: 0 for white (the unbounded face's color), 1 for black.  Colors
     alternate around the quadrilateral."""
-    shadow = [Point((v[0], v[1])) for v in marked.diagram.sheared.vertices]
-    n = len(shadow)
-    segs = [(shadow[i], shadow[(i + 1) % n]) for i in range(n)]
+    shadow = [(h[0], h[1], h[-1])
+              for h in map(homogeneous, marked.diagram.sheared.vertices)]
+    segs = list(zip(shadow, shadow[1:] + shadow[:1]))
+    nodes = marked.nodes
     colors = []
     for a, b in marked.quad_edges(x):
-        pa, pb = marked.nodes[a].pos, marked.nodes[b].pos
-        mid = Point(((pa[0] + pb[0]) / 2, (pa[1] + pb[1]) / 2))
+        ha, hb = homogeneous(nodes[a].pos), homogeneous(nodes[b].pos)
+        # the side's midpoint, over the weight 2 w_a w_b
+        mid = tuple(ca * hb[2] + cb * ha[2] for ca, cb in zip(ha, hb))
         colors.append(_ray_parity(mid, segs))
     if colors[0] != colors[2] or colors[1] != colors[3] \
             or colors[0] == colors[1]:
@@ -351,12 +332,7 @@ def _check_circuits_disjoint(g: SmoothedGraph) -> None:
     boxes = [box_h((hom[a], hom[b])) for a, b in edges]
     for i, j in overlapping_pairs(boxes):
         (a, b), (c, d) = edges[i], edges[j]
-        clear = seg_pair_clear_h(hom, a, b, c, d)
-        if clear is None:
-            clear = seg_pair_clear(
-                nodes[a].pos, nodes[b].pos, nodes[c].pos, nodes[d].pos,
-                [nodes[k].pos for k in {a, b} & {c, d}])
-        if not clear:
+        if not seg_pair_clear_h(hom, a, b, c, d):
             raise AssertionError(
                 "circuit edges (%d,%d) and (%d,%d) collide" % (a, b, c, d))
 
@@ -368,10 +344,9 @@ def assign_levels(g: SmoothedGraph) -> list[int]:
     s = len(g.circuits)
     polys = []
     for circ in g.circuits:
-        pts = [nodes[i].pos for i in circ]
-        polys.append([(pts[i], pts[(i + 1) % len(pts)])
-                      for i in range(len(pts))])
-    reps = [nodes[circ[0]].pos for circ in g.circuits]
+        hs = [homogeneous(nodes[i].pos) for i in circ]
+        polys.append(list(zip(hs, hs[1:] + hs[:1])))
+    reps = [poly[0][0] for poly in polys]
     inside = [[False] * s for _ in range(s)]
     for outer in range(s):
         for inner in range(s):
@@ -385,7 +360,7 @@ def assign_levels(g: SmoothedGraph) -> list[int]:
         deepest = 0
         for d in range(s):
             if inside[c][d]:
-                assert levels[d] > 0
+                _require(levels[d] > 0, "levels: inner circuit ranked late")
                 deepest = max(deepest, levels[d])
         levels[c] = deepest + 1
     n = len(g.marked.diagram.sheared.vertices)

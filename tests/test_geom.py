@@ -18,7 +18,6 @@ from plspan.geom import (
     homogeneous,
     int_det,
     int_rank,
-    matrix_rank,
     nullspace,
     orient2d,
     orient2d_h,
@@ -30,7 +29,6 @@ from plspan.geom import (
     rat_str,
     rref,
     seg_intersect_2d,
-    seg_pair_clear,
     seg_pair_clear_h,
     segment_param,
     segment_simplex_meet,
@@ -74,8 +72,8 @@ def test_point_arithmetic_and_hash():
 def test_rref_identity_and_rank():
     red, piv = rref([[1, 0], [0, 1]])
     assert piv == [0, 1]
-    assert matrix_rank([[1, 2], [2, 4]]) == 1
-    assert matrix_rank([[1, 2], [3, 4]]) == 2
+    assert len(rref([[1, 2], [2, 4]])[1]) == 1
+    assert len(rref([[1, 2], [3, 4]])[1]) == 2
 
 
 def test_solve_unique_basic():
@@ -130,7 +128,7 @@ def test_int_rank_and_det_match_rational_elimination():
     for _ in range(800):
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
         rows = _low_rank_matrix(rng, nrows, ncols)
-        assert int_rank(rows) == matrix_rank(rows), rows
+        assert int_rank(rows) == len(rref(rows)[1]), rows
         sq = _low_rank_matrix(rng, nrows, nrows)
         assert int_det(sq) == det(sq), sq
 
@@ -147,7 +145,7 @@ def test_affine_rank_and_flat_axes_on_flats():
         basis = [[rnd_frac(rng, 3, 2) for _ in range(d)] for _ in range(k)]
         pts = [Point([o + sum(rng.randint(-3, 3) * b[c] for b in basis)
                       for c, o in enumerate(origin)]) for _ in range(6)]
-        rank = matrix_rank([list((p - pts[0]).coords) for p in pts[1:]])
+        rank = len(rref([list((p - pts[0]).coords) for p in pts[1:]])[1])
         assert affine_rank(pts) == rank
         axes = flat_axes([homogeneous(p) for p in pts])
         assert len(axes) == rank and axes == sorted(axes)
@@ -546,30 +544,45 @@ def test_homogeneous_form_and_orient2d_h():
         assert orient2d_h(*hom) == orient2d(*pts)
 
 
+def _seg_contact_oracle(a, b, c, d, allowed):
+    """Are closed planar segments [a, b] and [c, d] disjoint, or do they
+    meet in a single point listed in allowed?  Decided on the rationals."""
+    hit = seg_intersect_2d(a, b, c, d)
+    return hit.kind == "empty" or (hit.kind == "point"
+                                   and hit.point in allowed)
+
+
 def test_seg_pair_clear_h_never_contradicts_seg_intersect():
-    # grid points make collinear and touching pairs common; indices say
-    # which endpoint two segments share
+    # grid points make collinear, touching, coincident and zero-length
+    # segments common; indices say which endpoint two segments share
     rng = random.Random(78)
-    decided = undecided = 0
+    reached = set()
     for _ in range(1500):
         pts = [Point([rng.randint(0, 3), rng.randint(0, 3)])
                for _ in range(4)]
         a, b = rng.sample(range(4), 2)
         c, d = rng.sample(range(4), 2)
         hom = [homogeneous(p) for p in pts]
+        shared = {a, b} & {c, d}
         got = seg_pair_clear_h(hom, a, b, c, d)
-        want = seg_pair_clear(pts[a], pts[b], pts[c], pts[d],
-                              [pts[k] for k in {a, b} & {c, d}])
-        if got is None:
-            undecided += 1
-        else:
-            decided += 1
-            assert got == want, (pts, a, b, c, d)
-        # without permission to touch, a shared endpoint is left open
-        if {a, b} & {c, d}:
-            assert seg_pair_clear_h(hom, a, b, c, d,
-                                    allow_shared=False) is None
-    assert decided > 500 and undecided > 0
+        assert got is not None
+        want = _seg_contact_oracle(pts[a], pts[b], pts[c], pts[d],
+                                   [pts[k] for k in shared])
+        assert got == want, (pts, a, b, c, d)
+        # without permission to touch, a shared endpoint is a contact
+        strict = seg_pair_clear_h(hom, a, b, c, d, allow_shared=False)
+        assert strict == _seg_contact_oracle(pts[a], pts[b], pts[c],
+                                             pts[d], []), (pts, a, b, c, d)
+        if shared:
+            assert strict is False
+        zero = pts[a] == pts[b] or pts[c] == pts[d]
+        reached.add((zero, len(shared), got))
+    # (zero-length segment, shared indices, verdict): a zero-length
+    # segment at a shared endpoint is that point, so it never collides,
+    # and (0, 2) against (2, 0) is clear only on equal points
+    assert reached == {(z, k, v) for z in (False, True) for k in (0, 1, 2)
+                       for v in (False, True)} - {
+        (True, 1, False), (True, 2, False), (False, 2, True)}
 
 
 def _earclip_oracle(points):
@@ -643,12 +656,12 @@ def test_earclip_integer_ear_test_matches_rational_oracle(monkeypatch):
     # grid polygons ordered by angle around a point, so most are simple
     # and many have collinear runs, repeated directions and vertices
     # touching edges; a shuffled order gives non-simple ones too.  The
-    # corpus must reach the exact fallback of the diagonal test.
+    # corpus must reach diagonals collinear with an edge.
     import plspan.geom as geom_mod
-    fallbacks = []
-    exact = geom_mod.seg_pair_clear
-    monkeypatch.setattr(geom_mod, "seg_pair_clear",
-                        lambda *args: fallbacks.append(1) or exact(*args))
+    collinear = []
+    cmp = geom_mod._coord_cmp
+    monkeypatch.setattr(geom_mod, "_coord_cmp",
+                        lambda *args: collinear.append(1) or cmp(*args))
     rng = random.Random(2002)
     outcomes = set()
     for trial in range(250):
@@ -666,7 +679,7 @@ def test_earclip_integer_ear_test_matches_rational_oracle(monkeypatch):
         assert _outcome(earclip_2d, pts) == want, (trial, pts)
         outcomes.add(type(want))
     assert outcomes == {list, str}
-    assert fallbacks
+    assert collinear
 
 
 # ---------------------------------------------------------------------------

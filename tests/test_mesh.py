@@ -1,6 +1,8 @@
+import ast
 import functools
 import random
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -11,8 +13,8 @@ from plspan.geom import (
     AffineMap,
     Point,
     affine_rank,
-    matrix_rank,
     point_in_simplex,
+    rref,
     simplex_intersect,
 )
 from plspan.polygon import (
@@ -385,7 +387,7 @@ def _affine_bijection(dim):
     square = st.lists(st.lists(entry, min_size=dim, max_size=dim),
                       min_size=dim, max_size=dim)
     return st.builds(AffineMap, square.filter(
-        lambda m: matrix_rank(m) == dim), st.lists(entry, min_size=dim,
+        lambda m: len(rref(m)[1]) == dim), st.lists(entry, min_size=dim,
                                                     max_size=dim))
 
 
@@ -630,3 +632,15 @@ def test_certify_verdicts_witnesses_and_first_failure():
         certify(disk, interior="immersed")
     with pytest.raises(ValueError):
         certify(disk, poly, interior="sideways")
+
+
+def test_src_has_no_assert_statements():
+    # python -O strips assert; every check in the package is an explicit
+    # raise (mesh._require raises CertificateError)
+    import plspan
+    found = []
+    for path in sorted(Path(plspan.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += ["%s:%d" % (path.name, node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []

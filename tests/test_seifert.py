@@ -9,7 +9,15 @@ import pytest
 
 import plspan
 from plspan.diagram import project_polygon
-from plspan.geom import Point, Rat, rat, seg_intersect_2d
+from plspan.geom import (
+    ONE,
+    Point,
+    Rat,
+    homogeneous,
+    point_on_segment,
+    rat,
+    seg_intersect_2d,
+)
 from plspan.mesh import boundary_matches, check_embedded
 from plspan.polygon import (
     ClosedPolygon,
@@ -22,6 +30,7 @@ from plspan.seifert import (
     _check_circuits_disjoint,
     _marks_valid,
     _place_marks,
+    _ray_parity,
     assign_levels,
     build_surface,
     insert_interior_vertices,
@@ -264,12 +273,8 @@ def _grid_nodes(rng, count):
 def test_marks_valid_integer_contacts_match_rational_oracle(monkeypatch):
     # real placements at offset factors from safe to far too large, and
     # grid placements full of collinear and touching sides; the corpus
-    # must reach both verdicts and the exact fallback
-    import plspan.seifert as seifert_mod
-    fallbacks = []
-    exact = seifert_mod.seg_pair_clear
-    monkeypatch.setattr(seifert_mod, "seg_pair_clear",
-                        lambda *args: fallbacks.append(1) or exact(*args))
+    # must reach both verdicts and collinear sides
+    import plspan.geom as geom_mod
     cases = []
     polys = [gen_torus_stick(3), gen_twist_writhe(1)]
     polys += [gen_random(n, 3, seed=s) for n, s in ((6, 1), (7, 3), (8, 5))]
@@ -284,13 +289,17 @@ def test_marks_valid_integer_contacts_match_rational_oracle(monkeypatch):
         quads = [dict(zip(sides, rng.sample(range(len(nodes)), 4)))
                  for _ in range(rng.randint(1, 2))]
         cases.append((nodes, quads))
+    collinear = []
+    cmp = geom_mod._coord_cmp
+    monkeypatch.setattr(geom_mod, "_coord_cmp",
+                        lambda *args: collinear.append(1) or cmp(*args))
     verdicts = set()
     for k, (nodes, quads) in enumerate(cases):
         want = _marks_valid_oracle(nodes, quads)
         assert _marks_valid(nodes, quads) == want, k
         verdicts.add(want)
     assert verdicts == {True, False}
-    assert fallbacks
+    assert collinear
 
 
 def test_circuit_disjointness_integer_contacts_match_rational_oracle():
@@ -315,6 +324,81 @@ def test_circuit_disjointness_integer_contacts_match_rational_oracle():
         g = smooth(insert_interior_vertices(project_polygon(poly)))
         assert _circuits_disjoint_oracle(g.marked.nodes, g.circuits)
     assert verdicts == {True, False}
+
+
+def _ray_parity_oracle(p, segs):
+    """The retrying rational ray count that the half-open rule replaced:
+    parity of crossings of a ray from p, whose direction is retried until
+    it meets no segment end and runs along no segment."""
+    budget = 2 * len(segs) + 5
+    for attempt in range(budget):
+        k = (attempt + 1) // 2 if attempt % 2 else -(attempt // 2)
+        dx, dy = ONE, rat(k)
+        count = 0
+        bad = False
+        for pu, pv in segs:
+            rx, ry = pv[0] - pu[0], pv[1] - pu[1]
+            wx, wy = pu[0] - p[0], pu[1] - p[1]
+            den = rx * dy - ry * dx
+            if den == 0:
+                if wx * dy - wy * dx == 0:
+                    # segment collinear with the ray line
+                    vx, vy = pv[0] - p[0], pv[1] - p[1]
+                    if wx * dx + wy * dy >= 0 or vx * dx + vy * dy >= 0:
+                        bad = True
+                        break
+                continue
+            t = (rx * wy - ry * wx) / den
+            s = (dx * wy - dy * wx) / den
+            if t == 0 and 0 <= s <= 1:
+                raise ValueError("ray origin lies on a segment")
+            if t > 0:
+                if s == 0 or s == 1:
+                    bad = True
+                    break
+                if 0 < s < 1:
+                    count += 1
+        if not bad:
+            return count % 2
+    raise AssertionError("no clean ray direction found")
+
+
+def test_ray_parity_half_open_rule_matches_retrying_oracle():
+    # grid polygons in random order: self-intersecting, with collinear
+    # runs, repeated vertices and vertices at the query's height; some
+    # queries see two polygons at once.  Queries on a segment are left
+    # out, as the callers' certificates guarantee.
+    rng = random.Random(2001)
+
+    def grid_polygon():
+        return [Point([rng.randint(0, 4), Rat(rng.randint(0, 8), 2)])
+                for _ in range(rng.randint(3, 9))]
+
+    def edges(poly):
+        return list(zip(poly, poly[1:] + poly[:1]))
+
+    parities, at_vertex_height = set(), 0
+    for _ in range(400):
+        segs = edges(grid_polygon())
+        if rng.random() < 0.3:
+            segs += edges(grid_polygon())
+        ys = [u[1] for u, _ in segs]
+        y = rng.choice(ys) if rng.random() < 0.5 else Rat(rng.randint(0, 16), 4)
+        p = Point([Rat(rng.randint(-2, 18), 4), y])
+        if any(point_on_segment(p, u, v) for u, v in segs):
+            continue
+        want = _ray_parity_oracle(p, segs)
+        hsegs = [(homogeneous(u), homogeneous(v)) for u, v in segs]
+        assert _ray_parity(homogeneous(p), hsegs) == want, (p, segs)
+        parities.add(want)
+        at_vertex_height += y in ys
+    assert parities == {0, 1} and at_vertex_height > 50
+    # an edge through p that crosses its height is caught
+    square = edges([Point([0, 0]), Point([2, 0]), Point([2, 2]),
+                    Point([0, 2])])
+    with pytest.raises(ValueError):
+        _ray_parity(homogeneous(Point([2, 1])),
+                    [(homogeneous(u), homogeneous(v)) for u, v in square])
 
 
 def test_count_identity_raises_under_python_O():
