@@ -19,6 +19,7 @@ import time
 
 from .bounds import bounds_report
 from .diagram import project_polygon
+from .geom import AffineMap
 from .mesh import certify, read_off, write_off
 from .otherdims import cone_highdim, earclip_2d, embedded_4d, immersed_disk_4d
 from .polygon import (
@@ -33,6 +34,7 @@ from .polygon import (
 )
 from .seifert import spanning_surface_r3
 
+IDENTITY3 = AffineMap.identity(3).matrix
 STRATEGY_DIMS = {
     "earclip": lambda d: d == 2,
     "seifert": lambda d: d == 3,
@@ -110,6 +112,21 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _embedding_error(poly) -> dict | None:
+    """The error entries of a report on a polygon in R^d, d >= 3, that
+    is not embedded, with the exact witness; None for an embedded one.
+
+    Planar input is left to earclip_2d, which validates it itself.
+    Elsewhere a polygon that is not embedded would only surface after a
+    retry budget ran out, or as a crash.
+    """
+    bad = validate_embedded(poly) if poly.dim >= 3 else None
+    if bad is None:
+        return None
+    return {"error": "polygon is not embedded: %r" % bad,
+            "error_kind": "polygon-not-embedded"}
+
+
 def cmd_span(args) -> int:
     poly = read_polygon(args.polygon)
     n, dim = len(poly.vertices), poly.dim
@@ -129,14 +146,10 @@ def cmd_span(args) -> int:
     }
     timings: dict = {}
     t0 = time.perf_counter()
-    # earclip_2d validates planar input itself; elsewhere a polygon that
-    # is not embedded would only surface after a builder's retry budget
-    bad = validate_embedded(poly) if dim >= 3 else None
-    if bad is not None:
+    error = _embedding_error(poly)
+    if error is not None:
         timings["construct"] = time.perf_counter() - t0
-        report.update({"error": "polygon is not embedded: %r" % bad,
-                       "error_kind": "polygon-not-embedded",
-                       "certificates": {}, "timings": timings})
+        report.update(error, certificates={}, timings=timings)
         _write_report(report, args.report)
         return 1
     try:
@@ -223,13 +236,22 @@ def cmd_bounds(args) -> int:
     poly = read_polygon(args.polygon)
     n, dim = len(poly.vertices), poly.dim
     report: dict = {"input": args.polygon, "n": n, "dim": dim}
+    error = _embedding_error(poly)
+    if error is not None:
+        report.update(error)
+        _write_report(report, args.report)
+        return 1
     c = w = None
     if dim == 2:
         c, w = 0, 0
     elif dim == 3:
         projections = []
+        dia = None
         for seed in range(args.projections):
-            dia = project_polygon(poly, seed=seed)
+            # every seed's shear search tries the identity first, so when
+            # seed 0 keeps the vertical shadow, every seed keeps it
+            if dia is None or dia.to_sheared.matrix != IDENTITY3:
+                dia = project_polygon(poly, seed=seed)
             projections.append({"seed": seed, "c": len(dia.crossings),
                                 "w": dia.writhe})
         report["projections"] = projections

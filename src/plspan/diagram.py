@@ -70,10 +70,12 @@ class WalkNode:
 
 
 class Diagram:
-    def __init__(self, polygon, sheared, to_sheared, crossings, walk):
+    def __init__(self, polygon, sheared, to_sheared, from_sheared,
+                 crossings, walk):
         self.polygon = polygon        # the polygon as given
         self.sheared = sheared        # after shear + z normalization
         self.to_sheared = to_sheared  # AffineMap original -> sheared
+        self.from_sheared = from_sheared  # its inverse
         self.crossings = crossings
         self.walk = walk              # list of WalkNode, cyclic order
 
@@ -84,10 +86,6 @@ class Diagram:
     def __repr__(self):
         return "Diagram(n=%d, crossings=%d, writhe=%d)" % (
             len(self.sheared.vertices), len(self.crossings), self.writhe)
-
-
-def _shadow(poly: ClosedPolygon) -> list[Point]:
-    return [Point([v[0], v[1]]) for v in poly.vertices]
 
 
 def _projection_problems(pts: list[Point]):
@@ -130,8 +128,10 @@ def _projection_problems(pts: list[Point]):
 
 
 def _general_position(poly: ClosedPolygon, seed: int, budget: int):
-    """The search behind find_general_position: the accepted shear and
-    the crossings of its shadow, as _projection_problems lists them."""
+    """The search behind find_general_position: the accepted slopes
+    (s1, s2), the shadow (x + s1*z, y + s2*z) of poly's vertices under
+    them, and the crossings of that shadow, as _projection_problems lists
+    them."""
     if poly.dim != 3:
         raise ValueError("projection needs a polygon in R^3")
     rng = random.Random(seed)
@@ -146,11 +146,10 @@ def _general_position(poly: ClosedPolygon, seed: int, budget: int):
         if (s1, s2) in tried:
             continue
         tried.add((s1, s2))
-        shear = AffineMap.shear_last_into(3, [s1, s2])
-        image = ClosedPolygon([shear.apply(v) for v in poly.vertices])
-        problem, crossings = _projection_problems(_shadow(image))
+        pts = [Point((x + s1 * z, y + s2 * z)) for x, y, z in poly.vertices]
+        problem, crossings = _projection_problems(pts)
         if problem is None:
-            return shear, crossings
+            return (s1, s2), pts, crossings
     raise AssertionError("no generic projection found within budget")
 
 
@@ -163,7 +162,8 @@ def find_general_position(poly: ClosedPolygon, seed: int = 0,
     which for an embedded polygon means the budget was simply too small:
     bad slope pairs lie on finitely many curves.
     """
-    return _general_position(poly, seed, budget)[0]
+    return AffineMap.shear_last_into(3, _general_position(poly, seed,
+                                                          budget)[0])
 
 
 def project_polygon(poly: ClosedPolygon, seed: int = 0,
@@ -172,15 +172,19 @@ def project_polygon(poly: ClosedPolygon, seed: int = 0,
 
     The sheared copy is translated so its lowest vertex sits at height 1;
     the projection plane z=0 therefore lies strictly below the polygon.
-    The translation leaves the shadow as it is, so the crossings the
-    shear search found are the diagram's crossings.
+    The shear leaves z as it is and the translation leaves the shadow as
+    it is, so the lift comes from poly's heights and the shadow and
+    crossings the shear search found are the diagram's.
     """
-    shear, hits = _general_position(poly, seed, budget)
-    lift = min(shear.apply(v)[2] for v in poly.vertices)
-    move = AffineMap.translation([ZERO, ZERO, ONE - lift])
-    to_sheared = move.compose(shear)
-    sheared = ClosedPolygon([to_sheared.apply(v) for v in poly.vertices])
-    pts = _shadow(sheared)
+    (s1, s2), pts, hits = _general_position(poly, seed, budget)
+    up = ONE - min(v[2] for v in poly.vertices)
+    sheared = ClosedPolygon([Point((p[0], p[1], v[2] + up))
+                             for p, v in zip(pts, poly.vertices)])
+    to_sheared = AffineMap.translation([ZERO, ZERO, up]).compose(
+        AffineMap.shear_last_into(3, [s1, s2]))
+    # its inverse in closed form: undo the lift, then shear by (-s1, -s2)
+    from_sheared = AffineMap.shear_last_into(3, [-s1, -s2]).compose(
+        AffineMap.translation([ZERO, ZERO, -up]))
     n = len(pts)
     verts3 = sheared.vertices
 
@@ -224,4 +228,4 @@ def project_polygon(poly: ClosedPolygon, seed: int = 0,
         for t, idx, role in sorted(per_edge[i], key=lambda e: e[0]):
             walk.append(WalkNode("cross", idx, role, i, t,
                                  crossings[idx].pos, z_at(i, t)))
-    return Diagram(poly, sheared, to_sheared, crossings, walk)
+    return Diagram(poly, sheared, to_sheared, from_sheared, crossings, walk)

@@ -373,21 +373,35 @@ def boxes_apart_h(box_a, box_b) -> bool:
     return False
 
 
-def overlapping_pairs(boxes) -> list[tuple[int, int]]:
+def overlapping_pairs(boxes, split=None) -> list[tuple[int, int]]:
     """Every (i, j), i < j, whose box_h boxes meet, in lexicographic order.
+
+    With split given, boxes[:split] and boxes[split:] are two lists, and
+    only pairs with i < split are reported: pairs inside the first list
+    and pairs across the two, none inside the second.
 
     A sorted sweep along the first axis (Bentley & Ottmann 1979): each
     box, taken by increasing low end, is paired with the later ones whose
-    low end does not pass its high end; boxes_apart_h decides the rest.
+    low end does not pass its high end, a box of the second list with
+    the later ones of the first only; boxes_apart_h decides the rest.
     """
+    if split is None:
+        split = len(boxes)
     lo = [box[0][0] for box in boxes]
     order = sorted(range(len(boxes)), key=cmp_to_key(
         lambda i, j: lo[i][0] * lo[j][1] - lo[j][0] * lo[i][1]))
+    firsts = [i for i in order if i < split]
     rest = [box[1:] for box in boxes]
     pairs = []
+    done = 0  # boxes of the first list taken so far
     for pos, i in enumerate(order):
+        if i < split:
+            done += 1
+            later = order[pos + 1:]
+        else:
+            later = firsts[done:]
         hi_num, hi_den = boxes[i][0][1]
-        for j in order[pos + 1:]:
+        for j in later:
             if lo[j][0] * hi_den > hi_num * lo[j][1]:
                 break  # sorted low ends: no later box reaches back
             if not boxes_apart_h(rest[i], rest[j]):

@@ -175,9 +175,7 @@ def _marks_valid(nodes, quads) -> bool:
     walk = [(None, i, (i + 1) % n_nodes) for i in range(n_nodes)]
     segs = sides + walk
     boxes = [box_h((hom[a], hom[b])) for _, a, b in segs]
-    for i, j in overlapping_pairs(boxes):
-        if i >= len(sides):
-            break  # the rest pair two walk segments
+    for i, j in overlapping_pairs(boxes, split=len(sides)):
         xi, a, b = segs[i]
         xj, c, d = segs[j]
         # a quad side may touch the walk only at its own endpoints, and
@@ -499,7 +497,7 @@ def _construct_r3(poly: ClosedPolygon, seed: int, rule: str):
     # the pullback is an affine bijection (transform raises if it merges
     # vertices), so every certificate of the returned mesh holds for the
     # sheared one and none is needed before it
-    mesh = raw.transform(dia.to_sheared.inverse())
+    mesh = raw.transform(dia.from_sheared)
     report = dict(trace)
     report.update({
         "n": len(poly.vertices),

@@ -307,3 +307,77 @@ def test_verify_agrees_with_span(tmp_path, strategy):
     assert certs == {k: spanned["certificates"][k] for k in certs}
     for key in ("t", "chi", "orientable"):
         assert verified[key] == spanned[key]
+
+
+def _bounds_oracle(path, poly, projections=8):
+    """cmd_bounds' report on an embedded R^3 polygon, projecting every
+    seed."""
+    from plspan.bounds import bounds_report
+    from plspan.cli import _plain
+    from plspan.diagram import project_polygon
+    projs = []
+    for seed in range(projections):
+        dia = project_polygon(poly, seed=seed)
+        projs.append({"seed": seed, "c": len(dia.crossings),
+                      "w": dia.writhe})
+    w = max((p["w"] for p in projs), key=abs)
+    report = {"input": str(path), "n": len(poly.vertices), "dim": 3,
+              "projections": projs, "max_abs_writhe": abs(w),
+              "bounds": bounds_report(len(poly.vertices), dim=3,
+                                      c=projs[0]["c"], w=w, g=None,
+                                      gstar=None)}
+    return json.loads(json.dumps(_plain(report)))
+
+
+def _spy_projections(monkeypatch):
+    import plspan.cli
+    seeds = []
+    project = plspan.cli.project_polygon
+
+    def spy(poly, seed=0, **kwargs):
+        seeds.append(seed)
+        return project(poly, seed=seed, **kwargs)
+
+    monkeypatch.setattr(plspan.cli, "project_polygon", spy)
+    return seeds
+
+
+@pytest.mark.parametrize("kept", [True, False])
+def test_bounds_projects_once_when_the_vertical_shadow_is_kept(
+        tmp_path, monkeypatch, kept):
+    if kept:
+        polys = [gen_torus_stick(3), gen_random(10, 3, seed=5)]
+    else:
+        # a vertical edge, and a vertex over another edge: seed 0 shears
+        polys = [ClosedPolygon([Point(c) for c in pts]) for pts in (
+            [(0, 0, 0), (0, 0, 2), (3, 1, 3), (4, -1, 1)],
+            [(0, 0, 0), (4, 0, 0), (4, 3, 0), (2, 3, 1), (2, 0, 2),
+             (1, -3, 2)])]
+    for k, poly in enumerate(polys):
+        path, report = tmp_path / ("p%d.poly" % k), tmp_path / "b.json"
+        write_polygon(poly, str(path))
+        seeds = _spy_projections(monkeypatch)
+        assert run("bounds", path, "--report", report) == 0
+        assert seeds == ([0] if kept else list(range(8)))
+        monkeypatch.undo()
+        assert load(report) == _bounds_oracle(path, poly)
+        assert len(load(report)["projections"]) == 8
+
+
+@pytest.mark.parametrize("pts,witness", [
+    ([(0, 0, 0), (2, 2, 0), (2, 0, 0), (0, 2, 0)], (0, 2, (1, 1, 0))),
+    ([(0, 0, 0), (4, 0, 0), (4, 3, 0), (2, 0, 0), (2, -3, 1)],
+     (0, 2, (2, 0, 0))),
+])
+def test_bounds_rejects_non_embedded_up_front(tmp_path, pts, witness):
+    # strands that meet in space have no over/under, and a vertex on
+    # another edge defeats every shear: both are rejected with the
+    # witness, as span does, instead of a traceback or a spent budget
+    poly, report = tmp_path / "bad.poly", tmp_path / "bad.json"
+    write_polygon(ClosedPolygon([Point(p) for p in pts]), str(poly))
+    assert run("bounds", poly, "--report", report) == 1
+    rep = load(report)
+    assert rep["error_kind"] == "polygon-not-embedded"
+    assert rep["error"] == "polygon is not embedded: PolygonViolation(" \
+        "%d, %d, %r)" % (witness[0], witness[1], Point(witness[2]))
+    assert "bounds" not in rep

@@ -4,7 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from plspan.geom import Point, point_on_segment, seg_intersect_2d
+from plspan.geom import (
+    AffineMap,
+    ONE,
+    Point,
+    ZERO,
+    point_on_segment,
+    rat,
+    seg_intersect_2d,
+    sign,
+)
 from plspan.diagram import (
     _projection_problems,
     find_general_position,
@@ -232,3 +241,124 @@ def test_projection_problems_match_all_pairs_oracle(monkeypatch):
                         "edges #,# overlap in projection",
                         "edges #,# touch at an endpoint",
                         "two crossings coincide"}
+
+
+# ---------------------------------------------------------------------------
+# the slope-only shear stage against the full affine applies it replaced
+
+def _shadow_oracle(poly):
+    return [Point([v[0], v[1]]) for v in poly.vertices]
+
+
+def _general_position_oracle(poly, seed, budget):
+    """The shear search with one AffineMap.apply per vertex and attempt."""
+    rng = random.Random(seed)
+    den = 1024
+    tried = set()
+    for k in range(budget):
+        if k == 0:
+            s1 = s2 = ZERO
+        else:
+            s1 = rat(str(rng.randint(-den, den)) + "/" + str(den))
+            s2 = rat(str(rng.randint(-den, den)) + "/" + str(den))
+        if (s1, s2) in tried:
+            continue
+        tried.add((s1, s2))
+        shear = AffineMap.shear_last_into(3, [s1, s2])
+        image = ClosedPolygon([shear.apply(v) for v in poly.vertices])
+        problem, crossings = _projection_problems(_shadow_oracle(image))
+        if problem is None:
+            return shear, crossings
+    raise AssertionError("no generic projection found within budget")
+
+
+def _project_oracle(poly, seed):
+    """project_polygon through the composed map and its applies: the
+    sheared polygon, the map, the crossings and the walk."""
+    shear, hits = _general_position_oracle(poly, seed, 1000)
+    lift = min(shear.apply(v)[2] for v in poly.vertices)
+    move = AffineMap.translation([ZERO, ZERO, ONE - lift])
+    to_sheared = move.compose(shear)
+    sheared = ClosedPolygon([to_sheared.apply(v) for v in poly.vertices])
+    pts = _shadow_oracle(sheared)
+    n = len(pts)
+    verts3 = sheared.vertices
+
+    def z_at(edge, t):
+        za = verts3[edge][2]
+        zb = verts3[(edge + 1) % n][2]
+        return za + t * (zb - za)
+
+    crossings = []
+    per_edge = {i: [] for i in range(n)}
+    for i, j, hit in hits:
+        t, u = hit.params
+        zi, zj = z_at(i, t), z_at(j, u)
+        assert zi != zj
+        if zi > zj:
+            over_edge, under_edge, tp, up = i, j, t, u
+            z_over, z_under = zi, zj
+        else:
+            over_edge, under_edge, tp, up = j, i, u, t
+            z_over, z_under = zj, zi
+        odir = pts[(over_edge + 1) % n] - pts[over_edge]
+        udir = pts[(under_edge + 1) % n] - pts[under_edge]
+        sgn = sign(odir[0] * udir[1] - odir[1] * udir[0])
+        idx = len(crossings)
+        crossings.append((idx, over_edge, under_edge, tp, up, hit.point,
+                          sgn, z_over, z_under))
+        per_edge[over_edge].append((tp, idx, "over"))
+        per_edge[under_edge].append((up, idx, "under"))
+    walk = []
+    for i in range(n):
+        walk.append(("vertex", i, None, i, ZERO, pts[i], verts3[i][2]))
+        for t, idx, role in sorted(per_edge[i], key=lambda e: e[0]):
+            walk.append(("cross", idx, role, i, t, crossings[idx][5],
+                         z_at(i, t)))
+    return sheared, to_sheared, crossings, walk
+
+
+def _touching_shadow():
+    """Embedded, but vertex 4 projects into the shadow of edge 0."""
+    return ClosedPolygon([Point(c) for c in (
+        (0, 0, 0), (4, 0, 0), (4, 3, 0), (2, 3, 1), (2, 0, 2), (1, -3, 2))])
+
+
+def _vertical_edge():
+    return ClosedPolygon([Point([0, 0, 0]), Point([0, 0, 2]),
+                          Point([3, 1, 3]), Point([4, -1, 1])])
+
+
+def test_projection_matches_affine_apply_oracle():
+    from plspan.polygon import validate_embedded
+    rejected = [_vertical_edge(), _touching_shadow()]
+    for poly in rejected:
+        assert validate_embedded(poly) is None
+        with pytest.raises(AssertionError):
+            find_general_position(poly, budget=1)  # identity only
+    polys = ([gen_twist_writhe(m) for m in (1, 2, 3)] + [gen_torus_stick(3)]
+             + [gen_random(10, 3, seed=k) for k in range(4)] + rejected)
+    identity = AffineMap.identity(3).matrix
+    kept = 0
+    for p, poly in enumerate(polys):
+        for seed in range(8):
+            sheared, to_sheared, crossings, walk = _project_oracle(poly,
+                                                                   seed)
+            d = project_polygon(poly, seed=seed)
+            key = (p, seed)
+            assert d.sheared.vertices == sheared.vertices, key
+            assert d.to_sheared.matrix == to_sheared.matrix, key
+            assert d.to_sheared.shift == to_sheared.shift, key
+            assert [(c.index, c.over_edge, c.under_edge, c.over_param,
+                     c.under_param, c.pos, c.sign, c.z_over, c.z_under)
+                    for c in d.crossings] == crossings, key
+            assert [(w.kind, w.ref, w.role, w.edge, w.param, w.pos, w.z)
+                    for w in d.walk] == walk, key
+            inv = to_sheared.inverse()
+            assert d.from_sheared.matrix == inv.matrix, key
+            assert d.from_sheared.shift == inv.shift, key
+            assert (find_general_position(poly, seed=seed).matrix
+                    == _general_position_oracle(poly, seed, 1000)[0].matrix)
+            kept += d.to_sheared.matrix == identity
+    # every polygon but the two rejected ones keeps the vertical shadow
+    assert kept == 8 * (len(polys) - len(rejected))

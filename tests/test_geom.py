@@ -720,3 +720,16 @@ def _box_lists(draw):
           _box((3,))])
 def test_overlapping_pairs_matches_all_pairs(boxes):
     assert overlapping_pairs(boxes) == _brute_pairs(boxes)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_box_lists(), st.integers(0, 9))
+@example([_box((0, 0), (1, 1)), _box((0, 0), (1, 1))], 2)  # empty second
+@example([_box((0, 0), (1, 1)), _box((0, 0), (1, 1))], 0)  # empty first
+@example([_box((0,), (2,)), _box((1,), (3,)), _box((1,), (2,))], 1)
+def test_overlapping_pairs_split_matches_cross_pairs(boxes, split):
+    # two lists: the pairs inside the first and across, none inside the
+    # second, still in lexicographic order
+    split = min(split, len(boxes))
+    want = [(i, j) for i, j in _brute_pairs(boxes) if i < split]
+    assert overlapping_pairs(boxes, split=split) == want

@@ -302,6 +302,35 @@ def test_marks_valid_integer_contacts_match_rational_oracle(monkeypatch):
     assert collinear
 
 
+def test_marks_valid_sweeps_no_walk_pair(monkeypatch):
+    # quad sides come first and walk segments second; the sweep is asked
+    # for no pair of two walk segments, and a diagram without crossings,
+    # which has no quad sides, asks for no pair at all
+    import plspan.seifert as seifert_mod
+    swept = []
+    sweep = seifert_mod.overlapping_pairs
+
+    def spy(boxes, split=None):
+        pairs = sweep(boxes, split=split)
+        swept.append((split, len(boxes), pairs))
+        return pairs
+
+    monkeypatch.setattr(seifert_mod, "overlapping_pairs", spy)
+    for poly in (gen_planar_ngon(5, dim=3), gen_torus_stick(4),
+                 gen_twist_writhe(2)):
+        dia = project_polygon(poly)
+        for factor in (Rat(1, 4), Rat(15, 16)):
+            nodes, quads = _place_marks(dia, factor)
+            swept.clear()
+            assert _marks_valid(nodes, quads) == _marks_valid_oracle(nodes,
+                                                                     quads)
+            for split, count, pairs in swept:
+                assert split == 4 * len(quads) and count == split + len(nodes)
+                assert all(i < split for i, _ in pairs)
+            if not quads:
+                assert swept == [(0, len(nodes), [])]
+
+
 def test_circuit_disjointness_integer_contacts_match_rational_oracle():
     rng = random.Random(1980)
     verdicts = set()
