@@ -51,6 +51,13 @@ def _default_seed() -> int:
         return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("%s is not a positive integer" % text)
+    return value
+
+
 def _plain(x):
     """JSON-safe copy: exact rationals become strings like '14/9'."""
     if isinstance(x, bool) or x is None or isinstance(x, (int, str, float)):
@@ -305,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bounds", help="evaluate count bounds for a polygon")
     b.add_argument("polygon", help="input polygon path")
-    b.add_argument("--projections", type=int, default=8,
+    b.add_argument("--projections", type=_positive_int, default=8,
                    help="projections, seeded 0, 1, ..., whose largest "
                    "|writhe| is reported (dim 3); every seed tries the "
                    "identity shear first, so a generic vertical shadow "

@@ -12,6 +12,12 @@ interoperate with Python ints, and the Fraction fallback alone meets the
 acceptance suite's time budget.  The hot predicates lean on neither:
 they clear denominators one point at a time and take signs of integer
 determinants (the homogeneous predicates below).
+
+There is one elimination loop, the fraction-free _bareiss.  Ranks,
+determinants and hull axes take its forward pass; rref is its rational
+view, a Gauss-Jordan pass on rows scaled to integers that builds each
+rational entry only at the end; solution_set reads the solutions of a
+linear system off rref's result.
 """
 
 from __future__ import annotations
@@ -176,50 +182,44 @@ class AffineMap:
 def rref(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
     """Reduced row echelon form over the rationals.
 
-    Returns (reduced rows, pivot column indices).  Input is not mutated.
+    Entries are ints or rationals.  Returns (reduced rows, pivot column
+    indices); the input is not mutated.  Scaling each row to integers by
+    the lcm of its denominators leaves the reduced form unchanged, and
+    _bareiss's Gauss-Jordan pass leaves that form times its last pivot.
     """
-    mat = [list(map(rat, row)) for row in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = ONE / mat[r][c]
-        mat[r] = [e * inv for e in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
+    ints = []
+    for row in rows:
+        w = lcm(*(x.denominator for x in row))
+        ints.append([x.numerator * (w // x.denominator) for x in row])
+    mat, pivots, last, _ = _bareiss(ints, reduce=True)
+    return [[Rat(x, last) for x in row] for row in mat], pivots
 
 
-def solve_unique(a: Sequence[Sequence], b: Sequence) -> Optional[list]:
-    """Solve A x = b when the solution is unique; None if inconsistent
-    or underdetermined."""
-    rows = [list(row) + [bv] for row, bv in zip(a, b)]
-    ncols = len(a[0]) if a else 0
-    red, pivots = rref(rows)
+def solution_set(aug: Sequence[Sequence]) -> Optional[tuple[list, list]]:
+    """Solutions of the linear system with augmented rows [A | b].
+
+    None when the system is inconsistent.  Otherwise (x0, basis): x0
+    solves it and is zero on the free columns, and basis holds one
+    solution of A x = 0 per free column, 1 there and 0 on the others,
+    so every solution is x0 plus one combination of the basis.
+    """
+    ncols = len(aug[0]) - 1
+    red, pivots = rref(aug)
     if ncols in pivots:
-        return None  # inconsistent: pivot in augmented column
-    if len(pivots) != ncols:
-        return None
-    x = [ZERO] * ncols
+        return None  # a pivot in the augmented column: 0 = 1
+    x0 = [ZERO] * ncols
     for i, c in enumerate(pivots):
-        x[c] = red[i][ncols]
-    return x
+        x0[c] = red[i][ncols]
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [ZERO] * ncols
+        v[f] = ONE
+        for i, c in enumerate(pivots):
+            v[c] = -red[i][f]
+        basis.append(v)
+    return x0, basis
 
 
 def affine_rank(points: Sequence[Point]) -> int:
@@ -233,17 +233,7 @@ def nullspace(rows: Sequence[Sequence]) -> list[list]:
     """Basis of {x : A x = 0} over the rationals."""
     if not rows:
         return []
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for i, c in enumerate(pivots):
-            v[c] = -red[i][f]
-        basis.append(v)
-    return basis
+    return solution_set([list(row) + [0] for row in rows])[1]
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +273,21 @@ def homogeneous(p: Point) -> tuple:
     return tuple(c.numerator * (w // c.denominator) for c in p.coords) + (w,)
 
 
-def _bareiss(rows) -> tuple[list[int], int, int]:
+def _bareiss(rows, reduce=False) -> tuple[list, list[int], int, int]:
     """Fraction-free row echelon form of an integer matrix.
 
     Bareiss's elimination (Math. Comp. 1968): after k pivot steps each
     entry still to be reduced is a (k+1)-minor of the row-permuted input
     (the k pivot rows and columns plus its own row and column), so the
     division by the previous pivot is exact and no entry grows beyond a
-    minor.  Returns (pivot columns, last pivot, row swaps); the last
-    pivot is the minor on the pivot rows and columns.
+    minor.  Returns (rows, pivot columns, last pivot, row swaps); the
+    last pivot is the minor on the pivot rows and columns.
+
+    With reduce set, each step also clears the rows above its pivot
+    (fraction-free Gauss-Jordan): every entry stays a minor, every pivot
+    ends equal to the last one, and the rows returned are the reduced
+    row echelon form times it.  Without it, only the entries right of
+    each pivot are kept: the pivot column below a pivot is left stale.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
@@ -306,26 +302,33 @@ def _bareiss(rows) -> tuple[list[int], int, int]:
             swaps += 1
         top = m[r]
         p = top[c]
-        for row in m[r + 1:]:
-            f = row[c]
-            row[c + 1:] = [(p * x - f * y) // prev
-                           for x, y in zip(row[c + 1:], top[c + 1:])]
+        if reduce:
+            # whole rows: left of c the pivot row is zero, so there the
+            # step scales by p / prev, turning earlier pivots into p
+            for row in m[:r] + m[r + 1:]:
+                f = row[c]
+                row[:] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        else:
+            for row in m[r + 1:]:
+                f = row[c]
+                row[c + 1:] = [(p * x - f * y) // prev
+                               for x, y in zip(row[c + 1:], top[c + 1:])]
         prev = p
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return pivots, prev, swaps
+    return m, pivots, prev, swaps
 
 
 def int_rank(rows) -> int:
     """Rank of an integer matrix, by fraction-free elimination."""
-    return len(_bareiss(rows)[0])
+    return len(_bareiss(rows)[1])
 
 
 def int_det(rows) -> int:
     """Determinant of a square integer matrix."""
-    pivots, last, swaps = _bareiss(rows)
+    _, pivots, last, swaps = _bareiss(rows)
     if len(pivots) < len(rows):
         return 0
     return -last if swaps % 2 else last
@@ -336,7 +339,7 @@ def flat_axes(hs) -> list[int]:
     homogeneous forms hs projects injectively: one per dimension of the
     hull, the lexicographically first such set.  Projecting onto them
     keeps every affine relation among the points."""
-    pivots = _bareiss([(h[-1],) + tuple(h[:-1]) for h in hs])[0]
+    pivots = _bareiss([(h[-1],) + tuple(h[:-1]) for h in hs])[1]
     # w > 0 makes the weight column the first pivot
     return [c - 1 for c in pivots[1:]]
 
@@ -571,12 +574,12 @@ def _meet_solutions(pts_a: list[Point], pts_b: list[Point]):
         support = [i for i in range(n) if mask & (1 << i)]
         if len(support) > m:
             continue
-        a_rows = [[cols[i][r] for i in support] for r in range(m)]
-        x = solve_unique(a_rows, b)
-        if x is None or any(v < 0 for v in x):
-            continue
+        sol = solution_set([[cols[i][r] for i in support] + [b[r]]
+                            for r in range(m)])
+        if sol is None or sol[1] or any(v < 0 for v in sol[0]):
+            continue  # no solution, not a unique one, or not feasible
         full = [ZERO] * n
-        for i, v in zip(support, x):
+        for i, v in zip(support, sol[0]):
             full[i] = v
         yield full
 
@@ -709,21 +712,16 @@ def segment_simplex_meet(a: Point, b: Point, simplex: Sequence[Point]):
         rhs.append(a[c])
     rows.append([ONE] * k + [ZERO])
     rhs.append(ONE)
-    aug = [row + [rv] for row, rv in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    ncols = k + 1
-    if ncols in pivots:
+    sol = solution_set([row + [rv] for row, rv in zip(rows, rhs)])
+    if sol is None:
         return ("empty", None)
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        x = [ZERO] * ncols
-        for i, c in enumerate(pivots):
-            x[c] = red[i][ncols]
-        lam, t = x[:k], x[k]
+    base, dirs = sol
+    if not dirs:
+        lam, t = base[:k], base[k]
         if all(v >= 0 for v in lam) and 0 <= t <= 1:
             return ("point", t)
         return ("empty", None)
-    if len(free) > 1:
+    if len(dirs) > 1:
         # solution space of dim >= 2 cannot occur for a nondegenerate
         # simplex and a nondegenerate segment unless the segment is a
         # point inside the simplex's hull; handle by sampling endpoints
@@ -738,14 +736,7 @@ def segment_simplex_meet(a: Point, b: Point, simplex: Sequence[Point]):
         return ("empty", None)
     # one free variable: the meet of the segment's line with the
     # simplex's hull plane is a line; restrict by lam >= 0, 0 <= t <= 1
-    f = free[0]
-    base = [ZERO] * ncols
-    for i, c in enumerate(pivots):
-        base[c] = red[i][ncols]
-    dirv = [ZERO] * ncols
-    dirv[f] = ONE
-    for i, c in enumerate(pivots):
-        dirv[c] = -red[i][f]
+    dirv = dirs[0]
     # feasible s-interval: base + s*dirv must satisfy lam >= 0, t in [0,1]
     lo, hi = None, None  # None = unbounded
     feasible = True
@@ -858,14 +849,10 @@ def point_in_simplex(p: Point, simplex: Sequence[Point]) -> bool:
     rows = [[q[c] for q in pts] for c in range(p.dim)]
     rows.append([ONE] * k)
     rhs = list(p.coords) + [ONE]
-    aug = [row + [rv] for row, rv in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    if k in pivots:
+    sol = solution_set([row + [rv] for row, rv in zip(rows, rhs)])
+    if sol is None:
         return False
-    if len(pivots) != k:
-        # degenerate simplex; fall back to exhaustive face check
+    lam, dirs = sol
+    if dirs:
         raise ValueError("degenerate simplex")
-    lam = [ZERO] * k
-    for i, c in enumerate(pivots):
-        lam[c] = red[i][k]
     return all(v >= 0 for v in lam)

@@ -710,6 +710,8 @@ def read_off(path: str) -> TriMesh:
     with open(path) as fh:
         raw = [ln.strip() for ln in fh]
     lines = [ln for ln in raw if ln and not ln.startswith("#")]
+    if not lines:
+        raise ValueError("empty pl-off file")
     head = lines[0].split()
     if len(head) != 2 or head[0] != "pl-off":
         raise ValueError("not a pl-off file")

@@ -29,6 +29,7 @@ from .geom import (
     segment_param,
     segment_simplex_meet,
     sign,
+    solution_set,
 )
 from .mesh import TriMesh, _require, certify
 from .polygon import ClosedPolygon, _circle_points, validate_embedded
@@ -104,53 +105,6 @@ def cone_highdim(poly: ClosedPolygon, seed: int = 0, budget: int = 200):
 # ---------------------------------------------------------------------------
 # d = 4, immersed
 
-class BadSet:
-    """Join sets spanned by pairs of extended edge lines of the polygon.
-
-    lines holds (origin, direction) per edge; cells holds one entry per
-    unordered pair i <= j with the affine span rank of the two lines
-    (1, 2 or 3) and points spanning that flat.  Any line meeting two
-    edge lines lies inside one of these flats, so a region avoiding all
-    cells sees the polygon in general position.
-    """
-
-    __slots__ = ("lines", "cells")
-
-    def __init__(self, poly: ClosedPolygon):
-        verts = poly.vertices
-        n = len(verts)
-        self.lines = [(verts[i], verts[(i + 1) % n] - verts[i])
-                      for i in range(n)]
-        self.cells = []
-        for i in range(n):
-            oi, di = self.lines[i]
-            for j in range(i, n):
-                oj, dj = self.lines[j]
-                pts = [oi, oi + di, oj, oj + dj]
-                rank = affine_rank(pts)
-                self.cells.append((i, j, rank, pts))
-
-
-class FlatPlacement:
-    """A verified 2-flat and small convex polygon for the immersed disk.
-
-    F is (origin, dir1, dir2); Q lists the polygon's 4D vertices; center
-    is the fan apex; clearances records, per bad-set cell, how the flat
-    met it ('empty', 'point' or 'line') and that Q's hull missed it.
-    """
-
-    __slots__ = ("origin", "dir1", "dir2", "q_points", "center",
-                 "clearances")
-
-    def __init__(self, origin, dir1, dir2, q_points, center, clearances):
-        self.origin = origin
-        self.dir1 = dir1
-        self.dir2 = dir2
-        self.q_points = q_points
-        self.center = center
-        self.clearances = clearances
-
-
 def _flat_meet(origin, dir1, dir2, cell_pts):
     """Trace of an affine flat inside the plane (origin, dir1, dir2).
 
@@ -158,34 +112,15 @@ def _flat_meet(origin, dir1, dir2, cell_pts):
     (da, db))) or ('all', None) in the plane's own coordinates.
     """
     base = cell_pts[0]
-    gens = []
-    rows_for_rank = [list((p - base).coords) for p in cell_pts[1:]]
-    red, pivots = rref(rows_for_rank)
-    for r in range(len(pivots)):
-        gens.append(red[r])
+    red, pivots = rref([list((p - base).coords) for p in cell_pts[1:]])
+    gens = red[:len(pivots)]
     # unknowns: a, b (plane coords), then one coefficient per generator
-    dim = origin.dim
-    cols = 2 + len(gens)
-    aug = []
-    for c in range(dim):
-        row = [dir1[c], dir2[c]] + [-g[c] for g in gens]
-        row.append(base[c] - origin[c])
-        aug.append(row)
-    red, pivots = rref(aug)
-    if cols in pivots:
+    sol = solution_set([[dir1[c], dir2[c]] + [-g[c] for g in gens]
+                        + [base[c] - origin[c]] for c in range(origin.dim)])
+    if sol is None:
         return ("empty", None)
-    part = [ZERO] * cols
-    for r, c in enumerate(pivots):
-        part[c] = red[r][cols]
-    free = [c for c in range(cols) if c not in pivots]
-    dirs_ab = []
-    for f in free:
-        vec = [ZERO] * cols
-        vec[f] = ONE
-        for r, c in enumerate(pivots):
-            vec[c] = -red[r][f]
-        if vec[0] != 0 or vec[1] != 0:
-            dirs_ab.append((vec[0], vec[1]))
+    part, basis = sol
+    dirs_ab = [(v[0], v[1]) for v in basis if v[0] != 0 or v[1] != 0]
     if not dirs_ab:
         return ("point", (part[0], part[1]))
     d0 = dirs_ab[0]
@@ -224,7 +159,12 @@ def immersed_disk_4d(poly: ClosedPolygon, seed: int = 0, budget: int = 60):
         raise ValueError("immersed disk construction needs dimension 4")
     verts = poly.vertices
     n = len(verts)
-    bad = BadSet(poly)
+    # Join cells: [v_i, v_i+1, v_j, v_j+1] spans the flat of the extended
+    # lines of edges i <= j.  Any line meeting two edge lines lies inside
+    # one of these flats, so a region avoiding every cell sees the
+    # polygon in general position.
+    cells = [[verts[i], verts[(i + 1) % n], verts[j], verts[(j + 1) % n]]
+             for i in range(n) for j in range(i, n)]
     rng = random.Random(seed)
     last = "no attempt ran"
     for attempt in range(budget):
@@ -235,18 +175,18 @@ def immersed_disk_4d(poly: ClosedPolygon, seed: int = 0, budget: int = 60):
             continue
         traces = []
         degenerate = False
-        for i, j, rank, pts in bad.cells:
+        for pts in cells:
             kind, data = _flat_meet(origin, dir1, dir2, pts)
             if kind == "all":
                 degenerate = True
                 break
-            traces.append((i, j, rank, kind, data))
+            traces.append((kind, data))
         if degenerate:
             continue
         placement = _place_disk(poly, origin, dir1, dir2, traces, rng)
         if placement is None:
             continue
-        result = _assemble_disk(poly, placement)
+        result = _assemble_disk(poly, *placement)
         if result is None:
             last = "assembly verification failed (attempt %d)" % attempt
             continue
@@ -258,6 +198,9 @@ def immersed_disk_4d(poly: ClosedPolygon, seed: int = 0, budget: int = 60):
 
 
 def _place_disk(poly, origin, dir1, dir2, traces, rng):
+    """(Q's 4D vertices, fan apex) for a small convex n-gon Q in the
+    flat, clear of the traces and of the polygon's hull; None when 40
+    centers fail."""
     verts = poly.vertices
     n = len(verts)
 
@@ -269,7 +212,7 @@ def _place_disk(poly, origin, dir1, dir2, traces, rng):
         zb = Rat(rng.randint(-64, 64), 8)
         clear2 = None
         ok = True
-        for i, j, rank, kind, data in traces:
+        for kind, data in traces:
             if kind == "empty":
                 continue
             if kind == "point":
@@ -305,10 +248,7 @@ def _place_disk(poly, origin, dir1, dir2, traces, rng):
             if convex_meet(q4, verts) is not None:
                 radius = radius / 2
                 continue
-            clearances = [(i, j, rank, kind) for i, j, rank, kind, _
-                          in traces]
-            return FlatPlacement(origin, dir1, dir2, q4, center4,
-                                 clearances)
+            return q4, center4
     return None
 
 
@@ -321,7 +261,7 @@ def _hull_clear(hull2, traces) -> bool:
         if sign(orient2d(hull2[i], hull2[(i + 1) % m],
                          hull2[(i + 2) % m])) != s:
             return False
-    for i, j, rank, kind, data in traces:
+    for kind, data in traces:
         if kind == "empty":
             continue
         if kind == "point":
@@ -376,11 +316,9 @@ def polygon_contact_clean(mesh: TriMesh, poly: ClosedPolygon):
     return None
 
 
-def _assemble_disk(poly, placement):
+def _assemble_disk(poly, q4, center):
     verts = poly.vertices
     n = len(verts)
-    q4 = placement.q_points
-    center = placement.center
     for j in range(n):
         tris = ([verts[j], verts[(j + 1) % n], q4[(j + 1) % n]],
                 [verts[j], q4[j], q4[(j + 1) % n]],

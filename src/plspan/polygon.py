@@ -136,6 +136,8 @@ def read_polygon(path: str) -> ClosedPolygon:
     with open(path) as fh:
         raw = [ln.strip() for ln in fh]
     lines = [ln for ln in raw if ln and not ln.startswith("#")]
+    if not lines:
+        raise ValueError("empty pl-polygon file")
     head = lines[0].split()
     if len(head) != 3 or head[0] != "pl-polygon":
         raise ValueError("not a pl-polygon file")

@@ -228,6 +228,18 @@ def test_bounds_twist_writhe(tmp_path):
     assert load(rep_path)["bounds"]["lower"]["writhe"] == 13
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_bounds_rejects_nonpositive_projections(tmp_path, capsys, count):
+    poly = tmp_path / "p.poly"
+    run("generate", "--family", "torus", "--m", 3, "--out", poly)
+    with pytest.raises(SystemExit) as exc:
+        run("bounds", poly, "--projections", count)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: plspan bounds")
+    assert "%d is not a positive integer" % count in err
+
+
 def test_env_seed(tmp_path, monkeypatch):
     a = tmp_path / "a.poly"
     b = tmp_path / "b.poly"

@@ -33,7 +33,7 @@ from plspan.geom import (
     segment_param,
     segment_simplex_meet,
     simplex_intersect,
-    solve_unique,
+    solution_set,
 )
 
 
@@ -76,11 +76,104 @@ def test_rref_identity_and_rank():
     assert len(rref([[1, 2], [3, 4]])[1]) == 2
 
 
-def test_solve_unique_basic():
-    x = solve_unique([[2, 0], [0, 4]], [6, 8])
-    assert x == [3, 2]
-    assert solve_unique([[1, 1], [2, 2]], [1, 3]) is None  # inconsistent
-    assert solve_unique([[1, 1], [2, 2]], [1, 2]) is None  # underdetermined
+def _rref_oracle(rows):
+    """Rational Gauss-Jordan, kept apart from the fraction-free kernel
+    that rref, int_rank, int_det and flat_axes share."""
+    mat = [list(map(rat, row)) for row in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, len(mat)):
+            if mat[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [e * inv for e in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat, pivots
+
+
+def _mixed_fractions(min_cols=0, max_cols=6):
+    """Matrices of mixed denominators, about half their rows combinations
+    of a few others: tall, wide, rank-deficient, zero rows and columns."""
+    entry = st.one_of(st.just(0), st.fractions(
+        min_value=-6, max_value=6, max_denominator=7))
+
+    @st.composite
+    def build(draw):
+        nrows = draw(st.integers(1, 6))
+        ncols = draw(st.integers(min_cols, max_cols))
+        base = draw(st.lists(st.lists(entry, min_size=ncols,
+                                      max_size=ncols), min_size=1,
+                             max_size=3))
+        rows = []
+        for _ in range(nrows):
+            if draw(st.booleans()):
+                co = draw(st.lists(entry, min_size=len(base),
+                                   max_size=len(base)))
+                rows.append([sum((k * b[j] for k, b in zip(co, base)),
+                                 Fraction(0)) for j in range(ncols)])
+            else:
+                rows.append(draw(st.lists(entry, min_size=ncols,
+                                          max_size=ncols)))
+        return rows
+
+    return build()
+
+
+@settings(max_examples=250, deadline=None)
+@given(_mixed_fractions())
+@example([[0, 0], [0, 0], [0, 0]])
+@example([[], []])
+@example([[Fraction(1, 2), 3, 0, Fraction(-5, 3)],
+          [1, 6, 0, Fraction(-10, 3)], [0, 0, 0, 7]])
+def test_rref_matches_rational_gauss_jordan(rows):
+    red, pivots = rref(rows)
+    assert (red, pivots) == _rref_oracle(rows)
+    assert all(isinstance(x, Rat) for row in red for x in row)
+
+
+def test_solution_set_basic():
+    x0, basis = solution_set([[2, 0, 6], [0, 4, 8]])
+    assert x0 == [3, 2] and basis == []  # unique
+    assert solution_set([[1, 1, 1], [2, 2, 3]]) is None  # inconsistent
+    x0, basis = solution_set([[1, 1, 1], [2, 2, 2]])  # underdetermined
+    assert x0 == [1, 0] and basis == [[-1, 1]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mixed_fractions(min_cols=1, max_cols=7))
+def test_solution_set_solves_and_spans(aug):
+    ncols = len(aug[0]) - 1
+    pivots = _rref_oracle([row[:-1] for row in aug])[1]
+    sol = solution_set(aug)
+    if sol is None:
+        assert _rref_oracle(aug)[1] == pivots + [ncols]  # 0 = 1
+        return
+    x0, basis = sol
+    for row in aug:
+        assert sum(a * x for a, x in zip(row, x0)) == row[-1]
+        for v in basis:
+            assert sum(a * x for a, x in zip(row, v)) == 0
+    free = [c for c in range(ncols) if c not in pivots]
+    assert len(basis) == len(free) == ncols - len(pivots)
+    assert all(x0[f] == 0 for f in free)
+    for v, f in zip(basis, free):
+        assert [v[g] for g in free] == [int(g == f) for g in free]
 
 
 def test_nullspace_annihilates():
@@ -115,7 +208,7 @@ def _low_rank_matrix(rng, nrows, ncols):
 
 def test_int_rank_and_det_match_rational_elimination():
     # Bareiss's exact divisions must hold with row swaps and skipped
-    # columns: rank against the rational rref, determinant against
+    # columns: rank against rational elimination, determinant against
     # cofactor expansion
     def det(m):
         if len(m) == 1:
@@ -128,7 +221,7 @@ def test_int_rank_and_det_match_rational_elimination():
     for _ in range(800):
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
         rows = _low_rank_matrix(rng, nrows, ncols)
-        assert int_rank(rows) == len(rref(rows)[1]), rows
+        assert int_rank(rows) == len(_rref_oracle(rows)[1]), rows
         sq = _low_rank_matrix(rng, nrows, nrows)
         assert int_det(sq) == det(sq), sq
 
@@ -145,7 +238,8 @@ def test_affine_rank_and_flat_axes_on_flats():
         basis = [[rnd_frac(rng, 3, 2) for _ in range(d)] for _ in range(k)]
         pts = [Point([o + sum(rng.randint(-3, 3) * b[c] for b in basis)
                       for c, o in enumerate(origin)]) for _ in range(6)]
-        rank = len(rref([list((p - pts[0]).coords) for p in pts[1:]])[1])
+        rank = len(_rref_oracle([list((p - pts[0]).coords)
+                                 for p in pts[1:]])[1])
         assert affine_rank(pts) == rank
         axes = flat_axes([homogeneous(p) for p in pts])
         assert len(axes) == rank and axes == sorted(axes)

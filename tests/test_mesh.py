@@ -497,6 +497,14 @@ def test_off_rejects_garbage(tmp_path):
         read_off(str(p))
 
 
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+def test_off_names_an_empty_file(tmp_path, text):
+    p = tmp_path / "empty.off"
+    p.write_text(text)
+    with pytest.raises(ValueError, match="^empty pl-off file$"):
+        read_off(str(p))
+
+
 def test_obj_export_and_refusal(tmp_path):
     m = tetrahedron()
     p = tmp_path / "m.obj"

@@ -215,3 +215,11 @@ def test_polygon_file_rejects_garbage(tmp_path):
     p.write_text("pl-polygon 3 3\n0 0 0\n1 1\n2 2 2\n")
     with pytest.raises(ValueError):
         read_polygon(str(p))
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+def test_polygon_file_names_an_empty_file(tmp_path, text):
+    p = tmp_path / "empty.poly"
+    p.write_text(text)
+    with pytest.raises(ValueError, match="^empty pl-polygon file$"):
+        read_polygon(str(p))
