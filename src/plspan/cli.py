@@ -220,6 +220,9 @@ def cmd_verify(args) -> int:
     poly = read_polygon(args.polygon) if args.polygon else None
     if args.mode == "immersed" and poly is None:
         raise SystemExit("--polygon is required for immersed mode")
+    if poly is not None and poly.dim != mesh.dim:
+        raise SystemExit("--polygon is in R^%d but the mesh is in R^%d"
+                         % (poly.dim, mesh.dim))
     cert = certify(mesh, poly, interior=args.mode)
     census = cert["census"]
     report: dict = {

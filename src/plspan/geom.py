@@ -14,17 +14,20 @@ they clear denominators one point at a time and take signs of integer
 determinants (the homogeneous predicates below).
 
 There is one elimination loop, the fraction-free _bareiss.  Ranks,
-determinants and hull axes take its forward pass; rref is its rational
-view, a Gauss-Jordan pass on rows scaled to integers that builds each
-rational entry only at the end; solution_set reads the solutions of a
-linear system off rref's result.
+determinants and hull axes take its forward pass.  Its Gauss-Jordan pass
+has two readers: rref, its rational view on rows scaled to integers,
+which builds each rational entry only at the end, and int_nullspace,
+which reads a primitive integer kernel basis straight off it and gives
+the hyperplane functionals of mesh triangles and of the immersed disk's
+join cells.  solution_set reads the solutions of a linear system off
+rref's result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 try:
@@ -332,6 +335,32 @@ def int_det(rows) -> int:
     if len(pivots) < len(rows):
         return 0
     return -last if swaps % 2 else last
+
+
+def int_nullspace(rows) -> list[tuple]:
+    """Primitive integer basis of {x : A x = 0} for an integer matrix A.
+
+    One vector per free column of A's reduced form, positive there and
+    zero on the other free columns: nullspace's basis, each vector
+    scaled to coprime integers.  Read off _bareiss's Gauss-Jordan pass,
+    whose rows are the reduced form times the last pivot, so no rational
+    is built.
+    """
+    if not rows:
+        return []
+    mat, pivots, last, _ = _bareiss(rows, reduce=True)
+    ncols = len(rows[0])
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = last
+        for i, c in enumerate(pivots):
+            v[c] = -mat[i][f]
+        g = gcd(*v) if last > 0 else -gcd(*v)
+        basis.append(tuple(x // g for x in v))
+    return basis
 
 
 def flat_axes(hs) -> list[int]:

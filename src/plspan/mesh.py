@@ -11,9 +11,8 @@ builders only ever append triangles.
 from __future__ import annotations
 
 from functools import cmp_to_key
-from math import gcd, lcm
 from operator import mul
-from typing import Optional, Sequence
+from typing import Optional
 
 from .geom import (
     Point,
@@ -23,7 +22,7 @@ from .geom import (
     flat_axes,
     homogeneous,
     int_det,
-    nullspace,
+    int_nullspace,
     orient2d_h,
     overlapping_pairs,
     rat,
@@ -289,26 +288,10 @@ class EmbeddingViolation:
                                                    self.point)
 
 
-def _integer_functional(w, base_h) -> tuple:
-    """A rational functional w on R^d, vanishing at the homogeneous point
-    base_h, as integers h with sign(h . q_h) = sign(w . (q - base))."""
-    den = 1
-    for c in w:
-        den = lcm(den, c.denominator)
-    wi = [c.numerator * (den // c.denominator) for c in w]
-    h = [c * base_h[-1] for c in wi]
-    h.append(-sum(c * x for c, x in zip(wi, base_h)))
-    g = gcd(*h)
-    return tuple(c // g for c in h)
-
-
-def _tri_data(mesh: TriMesh, hom, t: int):
-    tri = mesh.triangles[t]
-    pts = mesh.triangle_points(t)
-    dirs = [list((pts[1] - pts[0]).coords), list((pts[2] - pts[0]).coords)]
-    # dim-2 functionals vanishing on the plane, in integer form
-    planes = [_integer_functional(w, hom[tri[0]]) for w in nullspace(dirs)]
-    return tri, set(tri), planes
+def _tri_data(hom, tri):
+    # dim-2 functionals h vanishing on the triangle's plane: h . q_h = 0
+    # at its three homogeneous vertices, so sign(h . q_h) is the side of q
+    return tri, set(tri), int_nullspace([hom[v] for v in tri])
 
 
 def _values(planes, hom, tri):
@@ -493,7 +476,7 @@ def check_embedded(mesh: TriMesh) -> Optional[EmbeddingViolation]:
     """
     nt = len(mesh.triangles)
     hom = [homogeneous(p) for p in mesh.vertices]
-    data = [_tri_data(mesh, hom, t) for t in range(nt)]
+    data = [_tri_data(hom, tri) for tri in mesh.triangles]
     xmin = [min(p[0] for p in mesh.triangle_points(t)) for t in range(nt)]
     order = sorted(range(nt), key=xmin.__getitem__)
     boxes = [box_h([hom[v] for v in mesh.triangles[t]]) for t in order]

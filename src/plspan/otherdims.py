@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from operator import mul
 
 from .geom import (
     AffineMap,
@@ -20,16 +21,17 @@ from .geom import (
     Rat,
     ZERO,
     affine_rank,
+    box_h,
     convex_meet,
     earclip_2d as _earclip_indices,
     homogeneous,
+    int_nullspace,
     int_rank,
     orient2d,
-    rref,
+    overlapping_pairs,
     segment_param,
     segment_simplex_meet,
     sign,
-    solution_set,
 )
 from .mesh import TriMesh, _require, certify
 from .polygon import ClosedPolygon, _circle_points, validate_embedded
@@ -105,29 +107,44 @@ def cone_highdim(poly: ClosedPolygon, seed: int = 0, budget: int = 200):
 # ---------------------------------------------------------------------------
 # d = 4, immersed
 
-def _flat_meet(origin, dir1, dir2, cell_pts):
-    """Trace of an affine flat inside the plane (origin, dir1, dir2).
+def _plane_forms(origin, dir1, dir2):
+    """Integer forms (o, u, v) of the plane origin + a dir1 + b dir2.
 
-    Returns ('empty', None), ('point', (a, b)), ('line', ((a, b),
-    (da, db))) or ('all', None) in the plane's own coordinates.
+    For any functional h on homogeneous points, h . o + a h . u + b h . v
+    is h's value at the plane point (a, b) times one positive factor.
     """
-    base = cell_pts[0]
-    red, pivots = rref([list((p - base).coords) for p in cell_pts[1:]])
-    gens = red[:len(pivots)]
-    # unknowns: a, b (plane coords), then one coefficient per generator
-    sol = solution_set([[dir1[c], dir2[c]] + [-g[c] for g in gens]
-                        + [base[c] - origin[c]] for c in range(origin.dim)])
-    if sol is None:
+    ho, h1, h2 = homogeneous(origin), homogeneous(dir1), homogeneous(dir2)
+    w, s1, s2 = ho[-1], h1[-1], h2[-1]
+    return ([c * s1 * s2 for c in ho],
+            [c * w * s2 for c in h1[:-1]] + [0],
+            [c * w * s1 for c in h2[:-1]] + [0])
+
+
+def _flat_meet(forms, cell):
+    """Trace of a join cell's affine flat inside a plane.
+
+    forms are the plane's _plane_forms; cell holds the flat's integer
+    functionals, int_nullspace of its homogeneous points, so they vanish
+    together exactly on the flat.  Each gives one equation in the plane
+    coordinates (a, b), at most 3 rows in 2 unknowns.  Returns ('empty',
+    None), ('point', (a, b)), ('line', ((a, b), (da, db))) or ('all',
+    None) in the plane's own coordinates, 'all' when the plane lies in
+    the flat.
+    """
+    o, u, v = forms
+    rows = [[sum(map(mul, h, u)), sum(map(mul, h, v)), sum(map(mul, h, o))]
+            for h in cell]
+    # (a, b, t) in the kernel with t != 0 is the plane point (a/t, b/t);
+    # only the vector of a free t column has t != 0, and it comes last
+    basis = int_nullspace(rows)
+    if not basis or basis[-1][2] == 0:
         return ("empty", None)
-    part, basis = sol
-    dirs_ab = [(v[0], v[1]) for v in basis if v[0] != 0 or v[1] != 0]
-    if not dirs_ab:
-        return ("point", (part[0], part[1]))
-    d0 = dirs_ab[0]
-    for da, db in dirs_ab[1:]:
-        if d0[0] * db - d0[1] * da != 0:
-            return ("all", None)
-    return ("line", ((part[0], part[1]), d0))
+    *dirs, (a, b, t) = basis
+    if not dirs:
+        return ("point", (Rat(a, t), Rat(b, t)))
+    if len(dirs) == 2:
+        return ("all", None)
+    return ("line", ((Rat(a, t), Rat(b, t)), dirs[0][:2]))
 
 
 def _point_in_convex_2d(p, hull) -> bool:
@@ -162,8 +179,11 @@ def immersed_disk_4d(poly: ClosedPolygon, seed: int = 0, budget: int = 60):
     # Join cells: [v_i, v_i+1, v_j, v_j+1] spans the flat of the extended
     # lines of edges i <= j.  Any line meeting two edge lines lies inside
     # one of these flats, so a region avoiding every cell sees the
-    # polygon in general position.
-    cells = [[verts[i], verts[(i + 1) % n], verts[j], verts[(j + 1) % n]]
+    # polygon in general position.  Each cell is kept as the integer
+    # functionals of its flat, solved once for every attempt.
+    hom = [homogeneous(v) for v in verts]
+    cells = [int_nullspace([hom[i], hom[(i + 1) % n],
+                            hom[j], hom[(j + 1) % n]])
              for i in range(n) for j in range(i, n)]
     rng = random.Random(seed)
     last = "no attempt ran"
@@ -173,15 +193,9 @@ def immersed_disk_4d(poly: ClosedPolygon, seed: int = 0, budget: int = 60):
         dir2 = Point([Rat(rng.randint(-8, 8)) for _ in range(4)])
         if affine_rank([origin, origin + dir1, origin + dir2]) != 2:
             continue
-        traces = []
-        degenerate = False
-        for pts in cells:
-            kind, data = _flat_meet(origin, dir1, dir2, pts)
-            if kind == "all":
-                degenerate = True
-                break
-            traces.append((kind, data))
-        if degenerate:
+        forms = _plane_forms(origin, dir1, dir2)
+        traces = [_flat_meet(forms, cell) for cell in cells]
+        if any(kind == "all" for kind, _ in traces):
             continue
         placement = _place_disk(poly, origin, dir1, dir2, traces, rng)
         if placement is None:
@@ -279,40 +293,47 @@ def polygon_contact_clean(mesh: TriMesh, poly: ClosedPolygon):
     Allowed contacts: a polygon edge that is itself a triangle side, or
     a polygon corner that is a vertex of the triangle it meets.  Returns
     None when every contact is of that form, else a description string.
-    Pairs are cleared by an integer rank where it suffices; only the
-    others are intersected exactly.
+    Candidate (edge, triangle) pairs come from the one sweep,
+    geom.overlapping_pairs, over the edges' and the triangles' exact
+    bounding boxes, in (edge, triangle) order; box-apart pairs never
+    touch.  The rest are cleared by an integer rank where it suffices;
+    only the others are intersected exactly.
     """
-    verts = poly.vertices
-    n = len(verts)
+    n = len(poly)
     index = {p.coords: v for v, p in enumerate(mesh.vertices)}
+    corners = [index.get(p.coords) for p in poly.vertices]
     hom = [homogeneous(p) for p in mesh.vertices]
-    for e in range(n):
-        a, b = verts[e], verts[(e + 1) % n]
-        ia, ib = index.get(a.coords), index.get(b.coords)
-        ends = [homogeneous(a), homogeneous(b)]
-        for ti, tri in enumerate(mesh.triangles):
-            if ia in tri and ib in tri:
-                continue  # the edge is a side of the triangle
-            # affinely independent ends and corners make the edge and
-            # the triangle faces of one simplex, meeting at most in a
-            # shared corner
-            rows = ends + [hom[v] for v in tri if v != ia and v != ib]
-            if int_rank(rows) == len(rows):
+    ends = [[homogeneous(p) for p in poly.edge(e)] for e in range(n)]
+    boxes = [box_h(hs) for hs in ends] \
+        + [box_h([hom[v] for v in tri]) for tri in mesh.triangles]
+    for e, j in overlapping_pairs(boxes, split=n):
+        if j < n:
+            continue  # two polygon edges
+        ti = j - n
+        tri = mesh.triangles[ti]
+        a, b = poly.edge(e)
+        ia, ib = corners[e], corners[(e + 1) % n]
+        if ia in tri and ib in tri:
+            continue  # the edge is a side of the triangle
+        # affinely independent ends and corners make the edge and the
+        # triangle faces of one simplex, meeting at most in a shared corner
+        rows = ends[e] + [hom[v] for v in tri if v != ia and v != ib]
+        if int_rank(rows) == len(rows):
+            continue
+        pts = mesh.triangle_points(ti)
+        kind, data = segment_simplex_meet(a, b, pts)
+        if kind == "empty":
+            continue
+        if kind == "point":
+            hit = a + (b - a).scale(data)
+            if (hit == a or hit == b) and hit in pts:
                 continue
-            pts = mesh.triangle_points(ti)
-            kind, data = segment_simplex_meet(a, b, pts)
-            if kind == "empty":
-                continue
-            if kind == "point":
-                hit = a + (b - a).scale(data)
-                if (hit == a or hit == b) and hit in pts:
-                    continue
-                return ("edge %d pierces triangle %d at %s"
-                        % (e, ti, tuple(hit.coords)))
-            t0, t1 = data
-            if t0 == 0 and t1 == 1 and a in pts and b in pts:
-                continue
-            return "edge %d overlaps triangle %d" % (e, ti)
+            return ("edge %d pierces triangle %d at %s"
+                    % (e, ti, tuple(hit.coords)))
+        t0, t1 = data
+        if t0 == 0 and t1 == 1 and a in pts and b in pts:
+            continue
+        return "edge %d overlaps triangle %d" % (e, ti)
     return None
 
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import plspan
 import plspan.mesh
 import plspan.otherdims
 from plspan.cli import main
@@ -197,6 +201,26 @@ def test_verify_immersed_mode(tmp_path):
     assert run("verify", mesh, "--polygon", poly, "--mode", "immersed",
                "--report", rep_path) == 0
     assert load(rep_path)["certificates"]["complementary-immersed"]
+
+
+@pytest.mark.parametrize("mode", ["embedded", "immersed"])
+def test_verify_rejects_a_polygon_of_another_dimension(tmp_path, mode):
+    # an R^4 mesh against an R^3 polygon is refused before any
+    # certificate runs: exit status 1, both dimensions named, no traceback
+    poly4, poly3 = tmp_path / "p4.poly", tmp_path / "p3.poly"
+    mesh, rep_path = tmp_path / "m.off", tmp_path / "v.json"
+    write_polygon(gen_random(5, 4, seed=2), str(poly4))
+    write_polygon(gen_random(5, 3, seed=2), str(poly3))
+    assert run("span", poly4, "--mesh-out", mesh,
+               "--report", tmp_path / "s.json") == 0
+    src = str(Path(plspan.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-m", "plspan", "verify", str(mesh), "--polygon",
+         str(poly3), "--mode", mode, "--report", str(rep_path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 1
+    assert out.stderr == "--polygon is in R^3 but the mesh is in R^4\n"
+    assert not rep_path.exists()
 
 
 def test_bounds_planar_all_ones(tmp_path):

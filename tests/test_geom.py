@@ -17,6 +17,7 @@ from plspan.geom import (
     flat_axes,
     homogeneous,
     int_det,
+    int_nullspace,
     int_rank,
     nullspace,
     orient2d,
@@ -174,6 +175,34 @@ def test_solution_set_solves_and_spans(aug):
     assert all(x0[f] == 0 for f in free)
     for v, f in zip(basis, free):
         assert [v[g] for g in free] == [int(g == f) for g in free]
+
+
+@settings(max_examples=250, deadline=None)
+@given(_mixed_fractions())
+@example([[0, 0], [0, 0], [0, 0]])
+@example([[], []])
+@example([[0, 3, 0, -6], [0, -2, 0, 4]])
+def test_int_nullspace_is_a_primitive_kernel_basis(rows):
+    # the rows scaled to integers: tall, wide, rank-deficient, with zero
+    # rows and zero columns
+    rows = [[int(x * math.lcm(*(Fraction(y).denominator for y in row)))
+             for x in row] for row in rows]
+    ncols = len(rows[0])
+    red, pivots = _rref_oracle(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = int_nullspace(rows)
+    assert len(basis) == len(free) == ncols - len(pivots)
+    for v, f in zip(basis, free):
+        assert all(type(x) is int for x in v)
+        assert math.gcd(*v) == 1 and v[f] > 0
+        for row in rows:
+            assert sum(a * x for a, x in zip(row, v)) == 0
+        # the rational basis vector of f: 1 there, 0 on the other free
+        # columns, minus the reduced rows' entries on the pivots
+        want = [Fraction(int(c == f)) for c in range(ncols)]
+        for i, c in enumerate(pivots):
+            want[c] = -red[i][f]
+        assert [Fraction(x, v[f]) for x in v] == want
 
 
 def test_nullspace_annihilates():

@@ -13,8 +13,11 @@ from plspan.geom import (
     AffineMap,
     Point,
     affine_rank,
+    homogeneous,
+    int_rank,
     point_in_simplex,
     rref,
+    sign,
     simplex_intersect,
 )
 from plspan.polygon import (
@@ -288,6 +291,30 @@ def test_check_embedded_matches_unfiltered_oracle(monkeypatch):
         verdicts.add(got is None)
     assert verdicts == {True, False}
     assert shared_sizes == {0, 1, 2}
+
+
+def test_tri_data_functionals_give_plane_sides():
+    # d - 2 independent integer functionals per triangle of R^d, zero at
+    # its vertices, with the sign of the rational affine functional
+    # h . x + h_0 at any point
+    from plspan.mesh import _tri_data
+    rng = random.Random(22)
+    for _ in range(300):
+        d = rng.randint(2, 5)
+        pts = [Point([rnd_frac(rng) for _ in range(d)]) for _ in range(3)]
+        if affine_rank(pts) != 2:
+            continue
+        hom = [homogeneous(p) for p in pts]
+        tri, vs, planes = _tri_data(hom, (0, 1, 2))
+        assert tri == (0, 1, 2) and vs == {0, 1, 2}
+        assert len(planes) == d - 2
+        assert planes == [] or int_rank(planes) == d - 2
+        q = Point([rnd_frac(rng) for _ in range(d)])
+        for h in planes:
+            assert all(sum(a * x for a, x in zip(h, hv)) == 0 for hv in hom)
+            value = sum(a * x for a, x in zip(h, q.coords)) + h[-1]
+            assert sign(sum(a * x for a, x in zip(h, homogeneous(q)))) \
+                == sign(value)
 
 
 def test_check_embedded_finds_piercing():
@@ -651,4 +678,21 @@ def test_src_has_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += ["%s:%d" % (path.name, node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_mesh_and_otherdims_leave_rational_elimination_to_geom():
+    # hyperplanes come from geom.int_nullspace; the rational rref and
+    # nullspace stay behind geom's inverse, simplex meets and LP
+    import plspan
+    rational = {"rref", "nullspace"}
+    found = []
+    for name in ("mesh.py", "otherdims.py"):
+        path = Path(plspan.__file__).parent / name
+        for node in ast.walk(ast.parse(path.read_text(), filename=name)):
+            used = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.ImportFrom):
+                used |= {alias.name for alias in node.names}
+            found += ["%s:%d %s" % (name, node.lineno, ref)
+                      for ref in sorted(used & rational)]
     assert found == []

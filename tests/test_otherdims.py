@@ -2,15 +2,26 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import plspan
 
-from plspan.geom import Point, affine_rank, segment_simplex_meet
+from plspan.geom import (
+    Point,
+    affine_rank,
+    homogeneous,
+    int_nullspace,
+    rref,
+    segment_simplex_meet,
+    solution_set,
+)
 from plspan.mesh import TriMesh, boundary_matches, check_embedded
 from plspan.otherdims import (
+    _flat_meet,
+    _plane_forms,
     cone_highdim,
     earclip_2d,
     embedded_4d,
@@ -145,6 +156,84 @@ def test_immersed_determinism():
         [m2.triangle_points(t) for t in range(len(m2.triangles))]
 
 
+def _flat_meet_oracle(origin, dir1, dir2, cell_pts):
+    """The rational _flat_meet: the cell's flat by rref of its direction
+    vectors, then the plane's meet with it by solution_set."""
+    base = cell_pts[0]
+    red, pivots = rref([list((p - base).coords) for p in cell_pts[1:]])
+    gens = red[:len(pivots)]
+    # unknowns: a, b (plane coords), then one coefficient per generator
+    sol = solution_set([[dir1[c], dir2[c]] + [-g[c] for g in gens]
+                        + [base[c] - origin[c]] for c in range(origin.dim)])
+    if sol is None:
+        return ("empty", None)
+    part, basis = sol
+    dirs_ab = [(v[0], v[1]) for v in basis if v[0] != 0 or v[1] != 0]
+    if not dirs_ab:
+        return ("point", (part[0], part[1]))
+    d0 = dirs_ab[0]
+    for da, db in dirs_ab[1:]:
+        if d0[0] * db - d0[1] * da != 0:
+            return ("all", None)
+    return ("line", ((part[0], part[1]), d0))
+
+
+def _random_planes(rng, cell_pts):
+    """Planes (origin, dir1, dir2) with rational directions: one at
+    random, and three planted on the cell, through one of its points at
+    plane coordinates away from the origin, with none, one or both
+    directions inside its flat."""
+    def rnd(lim, den):
+        return Point([Fraction(rng.randint(-lim, lim), rng.randint(1, den))
+                      for _ in range(4)])
+
+    def inside():
+        p, q = rng.sample(cell_pts, 2)
+        return (q - p).scale(Fraction(rng.randint(1, 3), rng.randint(1, 3)))
+
+    def through(p, dir1, dir2):
+        a, b = Fraction(rng.randint(1, 5), 2), Fraction(rng.randint(1, 5), 3)
+        return (p - dir1.scale(a) - dir2.scale(b), dir1, dir2)
+
+    base = rng.choice(cell_pts)
+    return [(rnd(8, 8), rnd(8, 3), rnd(8, 3)),
+            through(base, rnd(4, 2), rnd(4, 2)),
+            through(base, inside(), rnd(4, 2)),
+            through(base + inside(), inside(), inside())]
+
+
+def test_flat_meet_matches_rational_oracle():
+    # every join cell of random R^4 polygons, the edge lines (i = j)
+    # included, against random and planted planes: the same kind, the
+    # same point, and the same line as a point set
+    rng = random.Random(1968)
+    kinds = set()
+    for n in range(3, 8):
+        verts = gen_random(n, 4, seed=n).vertices
+        for i in range(n):
+            for j in range(i, n):
+                cell_pts = [verts[i], verts[(i + 1) % n],
+                            verts[j], verts[(j + 1) % n]]
+                cell = int_nullspace([homogeneous(p) for p in cell_pts])
+                for origin, dir1, dir2 in _random_planes(rng, cell_pts):
+                    if affine_rank([origin, origin + dir1,
+                                    origin + dir2]) != 2:
+                        continue
+                    want = _flat_meet_oracle(origin, dir1, dir2, cell_pts)
+                    got = _flat_meet(_plane_forms(origin, dir1, dir2), cell)
+                    assert got[0] == want[0], (cell_pts, origin, dir1, dir2)
+                    kinds.add(got[0])
+                    if got[0] == "point":
+                        assert got == want
+                    elif got[0] == "line":
+                        (px, py), (dx, dy) = want[1]
+                        (qx, qy), (ex, ey) = got[1]
+                        assert (ex, ey) != (0, 0)
+                        assert ex * (py - qy) == ey * (px - qx)
+                        assert dx * ey == dy * ex
+    assert kinds == {"empty", "point", "line", "all"}
+
+
 def _contact_oracle(mesh, poly):
     """polygon_contact_clean with no filter: every edge against every
     triangle through segment_simplex_meet, in the same order."""
@@ -202,11 +291,20 @@ def _contact_soup(rng):
 
 
 def test_polygon_contact_clean_matches_unfiltered_oracle(monkeypatch):
-    # sides and affinely independent pairs are cleared without
-    # segment_simplex_meet; the description string must not change
+    # box-apart pairs are dropped by the sweep, and sides and affinely
+    # independent pairs are cleared without segment_simplex_meet; the
+    # description string must not change
     import plspan.otherdims as od
     reached = set()
     int_rank, meet = od.int_rank, od.segment_simplex_meet
+    sweep = od.overlapping_pairs
+    swept = []  # (edge/triangle pairs kept, all edge/triangle pairs)
+
+    def sweep_spy(boxes, split):
+        pairs = sweep(boxes, split=split)
+        swept.append((sum(j >= split for _, j in pairs),
+                      split * (len(boxes) - split)))
+        return pairs
 
     def rank_spy(rows):
         rank = int_rank(rows)
@@ -219,6 +317,7 @@ def test_polygon_contact_clean_matches_unfiltered_oracle(monkeypatch):
 
     monkeypatch.setattr(od, "int_rank", rank_spy)
     monkeypatch.setattr(od, "segment_simplex_meet", meet_spy)
+    monkeypatch.setattr(od, "overlapping_pairs", sweep_spy)
     cases = []
     for n in (3, 5):
         poly = gen_random(n, 4, seed=n)
@@ -238,6 +337,8 @@ def test_polygon_contact_clean_matches_unfiltered_oracle(monkeypatch):
     assert verdicts == {True, False}
     assert sides > 0
     assert reached == {"independent", "dependent", "exact"}
+    kept, total = map(sum, zip(*swept))
+    assert 0 < kept < total
 
 
 # -- embedded surface in R^4 -------------------------------------------
