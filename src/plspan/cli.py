@@ -44,13 +44,6 @@ STRATEGY_DIMS = {
 }
 
 
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("PLSPAN_SEED", "0"))
-    except ValueError:
-        return 0
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -89,26 +82,39 @@ def _auto_strategy(dim: int) -> str:
     return "cone"
 
 
+def _read(reader, path):
+    """reader(path); a missing or malformed file ends the command with a
+    one-line message that names it, and exit status 1."""
+    try:
+        return reader(path)
+    except OSError as exc:
+        raise SystemExit("%s: %s" % (path, exc.strerror or exc)) from None
+    except ValueError as exc:
+        raise SystemExit("%s: %s" % (path, exc)) from None
+
+
 def cmd_generate(args) -> int:
     fam = args.family
-    if fam == "torus":
-        if args.m is None:
-            raise SystemExit("--m required for the torus family")
-        poly = gen_torus_stick(args.m)
-    elif fam == "twist":
-        if args.m is None:
-            raise SystemExit("--m required for the twist family")
-        poly = gen_twist_writhe(args.m)
-    elif fam == "ngon":
-        if args.n is None:
-            raise SystemExit("--n required for the ngon family")
-        poly = gen_planar_ngon(args.n, dim=args.dim or 2)
-    elif fam == "random":
-        if args.n is None or args.dim is None:
-            raise SystemExit("--n and --dim required for the random family")
-        poly = gen_random(args.n, args.dim, seed=args.seed)
-    else:
-        raise SystemExit("unknown family %r" % fam)
+    try:
+        if fam == "torus":
+            if args.m is None:
+                raise SystemExit("--m required for the torus family")
+            poly = gen_torus_stick(args.m)
+        elif fam == "twist":
+            if args.m is None:
+                raise SystemExit("--m required for the twist family")
+            poly = gen_twist_writhe(args.m)
+        elif fam == "ngon":
+            if args.n is None:
+                raise SystemExit("--n required for the ngon family")
+            poly = gen_planar_ngon(args.n, dim=args.dim or 2)
+        else:
+            if args.n is None or args.dim is None:
+                raise SystemExit("--n and --dim required for the random "
+                                 "family")
+            poly = gen_random(args.n, args.dim, seed=args.seed)
+    except ValueError as exc:
+        raise SystemExit("--family %s: %s" % (fam, exc)) from None
     echo = "n=%d dim=%d" % (len(poly.vertices), poly.dim)
     if args.out:
         write_polygon(poly, args.out)
@@ -135,7 +141,7 @@ def _embedding_error(poly) -> dict | None:
 
 
 def cmd_span(args) -> int:
-    poly = read_polygon(args.polygon)
+    poly = _read(read_polygon, args.polygon)
     n, dim = len(poly.vertices), poly.dim
     strategy = args.strategy
     if strategy == "auto":
@@ -216,8 +222,8 @@ def cmd_span(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    mesh = read_off(args.mesh)
-    poly = read_polygon(args.polygon) if args.polygon else None
+    mesh = _read(read_off, args.mesh)
+    poly = _read(read_polygon, args.polygon) if args.polygon else None
     if args.mode == "immersed" and poly is None:
         raise SystemExit("--polygon is required for immersed mode")
     if poly is not None and poly.dim != mesh.dim:
@@ -243,7 +249,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    poly = read_polygon(args.polygon)
+    poly = _read(read_polygon, args.polygon)
     n, dim = len(poly.vertices), poly.dim
     report: dict = {"input": args.polygon, "n": n, "dim": dim}
     error = _embedding_error(poly)
@@ -287,7 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--m", type=int, help="family parameter (torus, twist)")
     g.add_argument("--n", type=int, help="vertex count (ngon, random)")
     g.add_argument("--dim", type=int, help="ambient dimension")
-    g.add_argument("--seed", type=int, default=_default_seed())
+    # a string default goes through type=int too, so a PLSPAN_SEED that
+    # is not an integer is a usage error rather than a silent seed
+    seed = os.environ.get("PLSPAN_SEED", "0")
+    g.add_argument("--seed", type=int, default=seed)
     g.add_argument("--out", help="output polygon path (default stdout)")
     g.set_defaults(func=cmd_generate)
 
@@ -298,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "embedded4", "cone"])
     s.add_argument("--rule", default="orientation",
                    choices=["orientation", "white-edge"])
-    s.add_argument("--seed", type=int, default=_default_seed())
+    s.add_argument("--seed", type=int, default=seed)
     s.add_argument("--knot-genus", type=int, default=None,
                    help="user-supplied knot genus for the bounds block")
     s.add_argument("--mesh-out", help="write the surface as an OFF file")

@@ -180,11 +180,7 @@ def project_polygon(poly: ClosedPolygon, seed: int = 0,
     up = ONE - min(v[2] for v in poly.vertices)
     sheared = ClosedPolygon([Point((p[0], p[1], v[2] + up))
                              for p, v in zip(pts, poly.vertices)])
-    to_sheared = AffineMap.translation([ZERO, ZERO, up]).compose(
-        AffineMap.shear_last_into(3, [s1, s2]))
-    # its inverse in closed form: undo the lift, then shear by (-s1, -s2)
-    from_sheared = AffineMap.shear_last_into(3, [-s1, -s2]).compose(
-        AffineMap.translation([ZERO, ZERO, -up]))
+    to_sheared, from_sheared = AffineMap.shear_lift([s1, s2], up)
     n = len(pts)
     verts3 = sheared.vertices
 

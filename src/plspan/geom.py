@@ -146,6 +146,19 @@ class AffineMap:
         return AffineMap(m, [ZERO] * dim)
 
     @staticmethod
+    def shear_lift(slopes: Sequence, up) -> tuple["AffineMap", "AffineMap"]:
+        """(frame, its inverse) for the shear by slopes followed by a lift
+        of the last coordinate by up.  The inverse is in closed form:
+        translate by -up, then shear by the negated slopes."""
+        dim = len(slopes) + 1
+        up = rat(up)
+        frame = AffineMap.translation([ZERO] * (dim - 1) + [up]).compose(
+            AffineMap.shear_last_into(dim, slopes))
+        back = AffineMap.shear_last_into(dim, [-rat(s) for s in slopes]) \
+            .compose(AffineMap.translation([ZERO] * (dim - 1) + [-up]))
+        return frame, back
+
+    @staticmethod
     def translation(shift: Iterable) -> "AffineMap":
         shift = tuple(shift)
         return AffineMap(AffineMap.identity(len(shift)).matrix, shift)

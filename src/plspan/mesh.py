@@ -699,6 +699,8 @@ def read_off(path: str) -> TriMesh:
     if len(head) != 2 or head[0] != "pl-off":
         raise ValueError("not a pl-off file")
     dim = int(head[1])
+    if len(lines) < 2 or len(lines[1].split()) != 3:
+        raise ValueError("pl-off count line must be 'vertices faces 0'")
     nv, nf, _ = (int(x) for x in lines[1].split())
     if len(lines) != 2 + nv + nf:
         raise ValueError("truncated pl-off file")

@@ -27,11 +27,9 @@ from .geom import (
     homogeneous,
     int_nullspace,
     int_rank,
-    orient2d,
     overlapping_pairs,
     segment_param,
     segment_simplex_meet,
-    sign,
 )
 from .mesh import TriMesh, _require, certify
 from .polygon import ClosedPolygon, _circle_points, validate_embedded
@@ -147,20 +145,6 @@ def _flat_meet(forms, cell):
     return ("line", ((Rat(a, t), Rat(b, t)), dirs[0][:2]))
 
 
-def _point_in_convex_2d(p, hull) -> bool:
-    m = len(hull)
-    s = sign(orient2d(hull[0], hull[1], hull[2]))
-    return all(sign(orient2d(hull[i], hull[(i + 1) % m], p)) * s >= 0
-               for i in range(m))
-
-
-def _line_misses_convex_2d(pt, direction, hull) -> bool:
-    px, py = pt
-    dx, dy = direction
-    sides = [sign(dx * (q[1] - py) - dy * (q[0] - px)) for q in hull]
-    return all(s > 0 for s in sides) or all(s < 0 for s in sides)
-
-
 def immersed_disk_4d(poly: ClosedPolygon, seed: int = 0, budget: int = 60):
     """Span in R^4 with 3n triangles whose interiors miss the polygon.
 
@@ -217,6 +201,7 @@ def _place_disk(poly, origin, dir1, dir2, traces, rng):
     centers fail."""
     verts = poly.vertices
     n = len(verts)
+    angles = [2 * math.pi * k / n for k in range(n)]
 
     def to4(a, b):
         return origin + dir1.scale(a) + dir2.scale(b)
@@ -243,6 +228,9 @@ def _place_disk(poly, origin, dir1, dir2, traces, rng):
                 clear2 = d2
         if not ok:
             continue
+        # conv(Q) holds the centre, so Q's LP below would reject a centre
+        # inside conv(P) too, but only after finding a meeting point over
+        # 2n columns, four times; this one has n + 1
         center4 = to4(za, zb)
         if convex_meet([center4], verts) is not None:
             continue
@@ -251,40 +239,19 @@ def _place_disk(poly, origin, dir1, dir2, traces, rng):
         radius = ONE
         while 4 * radius * radius > clear2:
             radius = radius / 2
+        # _circle_points gives n distinct points exactly on the circle of
+        # radius r about (za, zb), in angular order (rounding tan(theta/2)
+        # to the 2^-14 grid keeps them apart until n is in the tens of
+        # thousands).  So Q is strictly convex, and conv(Q) stays at least
+        # r from every trace, as 4 r^2 <= clear2 and halving keeps that.
         for _ in range(4):
-            angles = [2 * math.pi * k / n for k in range(n)]
             ring = _circle_points(angles, radius)
-            hull2 = [Point((q[0] + za, q[1] + zb)) for q in ring]
-            if not _hull_clear(hull2, traces):
-                radius = radius / 2
-                continue
-            q4 = [to4(q[0], q[1]) for q in hull2]
+            q4 = [to4(q[0] + za, q[1] + zb) for q in ring]
             if convex_meet(q4, verts) is not None:
                 radius = radius / 2
                 continue
             return q4, center4
     return None
-
-
-def _hull_clear(hull2, traces) -> bool:
-    m = len(hull2)
-    s = sign(orient2d(hull2[0], hull2[1], hull2[2]))
-    if s == 0:
-        return False
-    for i in range(m):
-        if sign(orient2d(hull2[i], hull2[(i + 1) % m],
-                         hull2[(i + 2) % m])) != s:
-            return False
-    for kind, data in traces:
-        if kind == "empty":
-            continue
-        if kind == "point":
-            if _point_in_convex_2d(Point(data), hull2):
-                return False
-        else:
-            if not _line_misses_convex_2d(*data, hull2):
-                return False
-    return True
 
 
 def polygon_contact_clean(mesh: TriMesh, poly: ClosedPolygon):
@@ -435,11 +402,9 @@ def _embedded_attempt(poly, slopes, seed, attempt, rule="orientation"):
 
     verts = poly.vertices
     n = len(verts)
-    shear = AffineMap.shear_last_into(4, slopes)
-    sheared = [shear.apply(v) for v in verts]
-    minh = min(v[3] for v in sheared)
-    lift = AffineMap.translation((ZERO, ZERO, ZERO, ONE - minh))
-    frame = lift.compose(shear)
+    # the shear leaves the last coordinate as it is, so the lift that
+    # puts the lowest vertex at height 1 comes from poly's heights
+    frame, back = AffineMap.shear_lift(slopes, ONE - min(v[3] for v in verts))
     pv = [frame.apply(v) for v in verts]
     p3 = ClosedPolygon([Point((v[0], v[1], v[2])) for v in pv])
     if validate_embedded(p3) is not None:
@@ -475,7 +440,7 @@ def _embedded_attempt(poly, slopes, seed, attempt, rule="orientation"):
         walls += 2
     _require(walls == 2 * len(base_edges),
              "embedded4: walls != 2 x boundary edges")
-    final = mesh.transform(frame.inverse())
+    final = mesh.transform(back)
     cert = certify(final, poly)
     _require(cert["failure"] is None, cert["failure"])
     census = cert["census"]

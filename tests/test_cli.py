@@ -17,6 +17,7 @@ from plspan.polygon import (
     gen_planar_ngon,
     gen_random,
     gen_torus_stick,
+    polygon_text,
     read_polygon,
     write_polygon,
 )
@@ -273,6 +274,76 @@ def test_env_seed(tmp_path, monkeypatch):
     run("generate", "--family", "random", "--n", 6, "--dim", 3,
         "--seed", 5, "--out", b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_env_seed_must_be_an_integer(tmp_path, monkeypatch, capsys):
+    # a PLSPAN_SEED that is not an integer is a usage error, not seed 0;
+    # an explicit --seed still wins over it
+    out = tmp_path / "a.poly"
+    monkeypatch.setenv("PLSPAN_SEED", "abc")
+    for cmd in (["generate", "--family", "random", "--n", 6, "--dim", 3],
+                ["span", out]):
+        with pytest.raises(SystemExit) as exc:
+            run(*cmd)
+        assert exc.value.code == 2
+        assert "argument --seed: invalid int value: 'abc'" \
+            in capsys.readouterr().err
+    assert run("generate", "--family", "random", "--n", 6, "--dim", 3,
+               "--seed", 5, "--out", out) == 0
+    assert out.read_text() == polygon_text(gen_random(6, 3, seed=5))
+
+
+TRIANGLE = "pl-polygon 2 3\n0 0\n1 0\n0 1\n"
+TRIANGLE_OFF = "pl-off 2\n3 1 0\n0 0\n1 0\n0 1\n3 0 1 2\n"
+BAD_INPUTS = {
+    "polygon count": ("span", "pl-polygon 2 x\n0 0\n",
+                      "invalid literal for int() with base 10: 'x'"),
+    "polygon coordinate": ("span", TRIANGLE.replace("1 0", "x 0"),
+                           "Invalid literal for Fraction: 'x'"),
+    "polygon header": ("bounds", "pl-off 2\n", "not a pl-polygon file"),
+    "polygon vertices": ("bounds", TRIANGLE + "2 2\n",
+                         "vertex count does not match header"),
+    "missing polygon": ("bounds", None, "No such file or directory"),
+    "mesh count line": ("verify", TRIANGLE_OFF.replace("3 1 0", "3 1"),
+                        "pl-off count line must be 'vertices faces 0'"),
+    "mesh coordinate": ("verify", TRIANGLE_OFF.replace("\n1 0", "\nx 0"),
+                        "Invalid literal for Fraction: 'x'"),
+    "mesh face": ("verify", TRIANGLE_OFF.replace("0 1 2", "0 1 7"),
+                  "triangle references missing vertex"),
+    "missing mesh": ("verify", None, "No such file or directory"),
+}
+
+
+def _plspan(*argv):
+    src = str(Path(plspan.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "plspan",
+                           *(str(a) for a in argv)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_file_exits_with_one_line(tmp_path, case):
+    command, text, reason = BAD_INPUTS[case]
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    out = _plspan(command, path)
+    assert out.returncode == 1
+    assert out.stderr == "%s: %s\n" % (path, reason)
+    assert out.stdout == ""
+
+
+@pytest.mark.parametrize("args, reason", [
+    (["torus", "--m", 2], "need m >= 3"),
+    (["ngon", "--n", 5, "--dim", 5], "planar generator supports dim 2 or 3"),
+    (["random", "--n", 2, "--dim", 3], "need n >= 3"),
+])
+def test_generate_out_of_range_exits_with_one_line(args, reason):
+    out = _plspan("generate", "--family", *args)
+    assert out.returncode == 1
+    assert out.stderr == "--family %s: %s\n" % (args[0], reason)
+    assert "Traceback" not in out.stderr
 
 
 # one input per strategy, each built at its first attempt

@@ -311,6 +311,21 @@ def test_affine_compose_and_shear():
         assert comp.apply(p) == p
 
 
+def test_shear_lift_is_the_lifted_shear_and_its_inverse():
+    # the closed-form inverse equals the rref-backed one exactly
+    rng = random.Random(1907)
+    for dim in (2, 3, 4, 5):
+        for _ in range(5):
+            slopes = [rnd_frac(rng, 5, 7) for _ in range(dim - 1)]
+            up = rnd_frac(rng, 9, 4)
+            frame, back = AffineMap.shear_lift(slopes, up)
+            want = AffineMap.translation([0] * (dim - 1) + [up]).compose(
+                AffineMap.shear_last_into(dim, slopes))
+            inv = want.inverse()
+            assert (frame.matrix, frame.shift) == (want.matrix, want.shift)
+            assert (back.matrix, back.shift) == (inv.matrix, inv.shift)
+
+
 # ---------------------------------------------------------------------------
 # orientation predicates
 

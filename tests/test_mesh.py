@@ -682,10 +682,11 @@ def test_src_has_no_assert_statements():
 
 
 def test_mesh_and_otherdims_leave_rational_elimination_to_geom():
-    # hyperplanes come from geom.int_nullspace; the rational rref and
-    # nullspace stay behind geom's inverse, simplex meets and LP
+    # hyperplanes come from geom.int_nullspace and frames are inverted in
+    # closed form by AffineMap.shear_lift; the rational rref and nullspace
+    # stay behind geom's inverse, simplex meets and LP
     import plspan
-    rational = {"rref", "nullspace"}
+    rational = {"rref", "nullspace", "inverse"}
     found = []
     for name in ("mesh.py", "otherdims.py"):
         path = Path(plspan.__file__).parent / name

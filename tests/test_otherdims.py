@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -12,15 +13,19 @@ import plspan
 from plspan.geom import (
     Point,
     affine_rank,
+    convex_meet,
     homogeneous,
     int_nullspace,
+    orient2d,
     rref,
     segment_simplex_meet,
+    sign,
     solution_set,
 )
 from plspan.mesh import TriMesh, boundary_matches, check_embedded
 from plspan.otherdims import (
     _flat_meet,
+    _place_disk,
     _plane_forms,
     cone_highdim,
     earclip_2d,
@@ -30,6 +35,7 @@ from plspan.otherdims import (
 )
 from plspan.polygon import (
     ClosedPolygon,
+    _circle_points,
     gen_planar_ngon,
     gen_random,
     gen_torus_stick,
@@ -232,6 +238,190 @@ def test_flat_meet_matches_rational_oracle():
                         assert ex * (py - qy) == ey * (px - qx)
                         assert dx * ey == dy * ex
     assert kinds == {"empty", "point", "line", "all"}
+
+
+def _point_in_convex_oracle(p, hull) -> bool:
+    m = len(hull)
+    s = sign(orient2d(hull[0], hull[1], hull[2]))
+    return all(sign(orient2d(hull[i], hull[(i + 1) % m], p)) * s >= 0
+               for i in range(m))
+
+
+def _line_misses_convex_oracle(pt, direction, hull) -> bool:
+    px, py = pt
+    dx, dy = direction
+    sides = [sign(dx * (q[1] - py) - dy * (q[0] - px)) for q in hull]
+    return all(s > 0 for s in sides) or all(s < 0 for s in sides)
+
+
+def _hull_clear_oracle(hull2, traces) -> bool:
+    m = len(hull2)
+    s = sign(orient2d(hull2[0], hull2[1], hull2[2]))
+    if s == 0:
+        return False
+    for i in range(m):
+        if sign(orient2d(hull2[i], hull2[(i + 1) % m],
+                         hull2[(i + 2) % m])) != s:
+            return False
+    for kind, data in traces:
+        if kind == "empty":
+            continue
+        if kind == "point":
+            if _point_in_convex_oracle(Point(data), hull2):
+                return False
+        else:
+            if not _line_misses_convex_oracle(*data, hull2):
+                return False
+    return True
+
+
+def _place_disk_oracle(poly, origin, dir1, dir2, traces, rng, reached):
+    """_place_disk as it was while it re-checked Q against the traces
+    after the clearance radius; reached collects the branches taken."""
+    verts = poly.vertices
+    n = len(verts)
+
+    def to4(a, b):
+        return origin + dir1.scale(a) + dir2.scale(b)
+
+    for _ in range(40):
+        za = Fraction(rng.randint(-64, 64), 8)
+        zb = Fraction(rng.randint(-64, 64), 8)
+        clear2 = None
+        ok = True
+        for kind, data in traces:
+            if kind == "empty":
+                continue
+            if kind == "point":
+                dx, dy = za - data[0], zb - data[1]
+                d2 = dx * dx + dy * dy
+            else:
+                (px, py), (dx, dy) = data
+                cr = dx * (zb - py) - dy * (za - px)
+                d2 = cr * cr / (dx * dx + dy * dy)
+            if d2 == 0:
+                ok = False
+                break
+            if clear2 is None or d2 < clear2:
+                clear2 = d2
+        if not ok:
+            reached.add("centre on a trace")
+            continue
+        center4 = to4(za, zb)
+        if convex_meet([center4], verts) is not None:
+            reached.add("centre in hull")
+            continue
+        if clear2 is None:
+            reached.add("only empty traces")
+            clear2 = Fraction(1)
+        radius = Fraction(1)
+        while 4 * radius * radius > clear2:
+            reached.add("radius halved")
+            radius = radius / 2
+        for _ in range(4):
+            angles = [2 * math.pi * k / n for k in range(n)]
+            ring = _circle_points(angles, radius)
+            hull2 = [Point((q[0] + za, q[1] + zb)) for q in ring]
+            if not _hull_clear_oracle(hull2, traces):
+                reached.add("hull not clear")
+                radius = radius / 2
+                continue
+            q4 = [to4(q[0], q[1]) for q in hull2]
+            if convex_meet(q4, verts) is not None:
+                reached.add("Q meets hull")
+                radius = radius / 2
+                continue
+            return q4, center4
+    return None
+
+
+def _placement_inputs(rng):
+    """(poly, origin, dir1, dir2, traces): random R^4 polygons in random
+    planes with their join-cell traces, the same polygons scaled up
+    around a plane through their centroid so that centres fall inside
+    their hull, and planar polygons lying in the plane itself, scaled to
+    cover part of the centre grid, four times each with only empty
+    traces."""
+    cases = []
+    for n in range(3, 7):
+        poly = gen_random(n, 4, seed=n)
+        verts = poly.vertices
+        hom = [homogeneous(v) for v in verts]
+        cells = [int_nullspace([hom[i], hom[(i + 1) % n],
+                                hom[j], hom[(j + 1) % n]])
+                 for i in range(n) for j in range(i, n)]
+        mid = Point([sum(v[c] for v in verts) / n for c in range(4)])
+        big = ClosedPolygon([mid + (v - mid).scale(8) for v in verts])
+        # the scaled 6-gon is left out: its LPs take a second a plane
+        for scaled, planes in ((False, 4), (True, 2 if n < 6 else 0)):
+            for _ in range(planes):
+                if scaled:
+                    origin = mid
+                    dirs = [Point([rng.randint(-1, 1) for _ in range(4)])
+                            for _ in range(2)]
+                else:
+                    origin = Point([Fraction(rng.randint(-64, 64), 8)
+                                    for _ in range(4)])
+                    dirs = [Point([rng.randint(-8, 8) for _ in range(4)])
+                            for _ in range(2)]
+                if affine_rank([origin, origin + dirs[0],
+                                origin + dirs[1]]) != 2:
+                    continue
+                traces = [_flat_meet(_plane_forms(origin, *dirs), cell)
+                          for cell in cells]
+                if any(kind == "all" for kind, _ in traces):
+                    continue
+                cases.append((big if scaled else poly, origin, *dirs,
+                              traces))
+    e1, e2 = Point((1, 0, 0, 0)), Point((0, 1, 0, 0))
+    for n in (3, 5):
+        flat = ClosedPolygon([Point((x * 6, y * 6, 0, 0))
+                              for x, y in gen_planar_ngon(n).vertices])
+        cases += [(flat, Point((0, 0, 0, 0)), e1, e2,
+                   [("empty", None)] * 3)] * 4
+    return cases
+
+
+def test_place_disk_matches_trace_checking_oracle():
+    # the clearance radius keeps Q off every trace, so dropping the
+    # trace check changes neither the placement nor the random draws
+    rng = random.Random(1994)
+    reached = set()
+    for poly, origin, dir1, dir2, traces in _placement_inputs(rng):
+        seed = rng.randrange(1 << 30)
+        want_rng, got_rng = random.Random(seed), random.Random(seed)
+        want = _place_disk_oracle(poly, origin, dir1, dir2, traces,
+                                  want_rng, reached)
+        got = _place_disk(poly, origin, dir1, dir2, traces, got_rng)
+        assert got == want
+        assert got_rng.getstate() == want_rng.getstate()
+    assert "hull not clear" not in reached
+    assert {"centre in hull", "radius halved", "only empty traces",
+            "Q meets hull"} <= reached
+
+
+def test_place_disk_rejects_a_centre_in_the_hull_by_the_point_lp(
+        monkeypatch):
+    # Q's LP would reject such a centre as well, since conv(Q) holds it,
+    # but only by finding a meeting point over 2n columns, once per
+    # radius; the one-point LP rejects it over n + 1
+    import plspan.otherdims as od
+    sizes = []
+    meet = od.convex_meet
+
+    def spy(pts_a, pts_b):
+        sizes.append(len(pts_a))
+        return meet(pts_a, pts_b)
+
+    monkeypatch.setattr(od, "convex_meet", spy)
+    # a pentagon of radius 60 in the plane itself covers the centre grid
+    flat = ClosedPolygon([Point((x * 60, y * 60, 0, 0))
+                          for x, y in gen_planar_ngon(5).vertices])
+    placed = _place_disk(flat, Point((0, 0, 0, 0)), Point((1, 0, 0, 0)),
+                         Point((0, 1, 0, 0)), [("empty", None)],
+                         random.Random(0))
+    assert placed is None
+    assert sizes == [1] * 40
 
 
 def _contact_oracle(mesh, poly):
