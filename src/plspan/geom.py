@@ -178,19 +178,6 @@ class AffineMap:
              + self.shift[i] for i in range(n)]
         return AffineMap(m, t)
 
-    def inverse(self) -> "AffineMap":
-        n = self.dim
-        aug = [list(self.matrix[i]) + [ONE if j == i else ZERO
-                                       for j in range(n)]
-               for i in range(n)]
-        red, pivots = rref(aug)
-        if len(pivots) != n or pivots != list(range(n)):
-            raise ValueError("matrix is singular")
-        inv = [row[n:] for row in red]
-        t = [-sum(inv[i][k] * self.shift[k] for k in range(n))
-             for i in range(n)]
-        return AffineMap(inv, t)
-
 
 # ---------------------------------------------------------------------------
 # exact linear algebra
@@ -626,25 +613,6 @@ def _meet_solutions(pts_a: list[Point], pts_b: list[Point]):
         yield full
 
 
-def _vertex_enumerate_lp(pts_a: list[Point], pts_b: list[Point], obj: list):
-    """Maximize obj . x over the solutions of _meet_solutions.
-
-    The feasible set is a polytope (the convex-combination rows bound
-    every variable by 1), so the maximum is attained at a vertex: the
-    first basic feasible solution of largest value.
-
-    Returns (best_value, best_x) or (None, None) if infeasible.
-    """
-    best = None
-    best_x = None
-    for x in _meet_solutions(pts_a, pts_b):
-        val = sum(o * v for o, v in zip(obj, x))
-        if best is None or val > best:
-            best = val
-            best_x = x
-    return best, best_x
-
-
 def _weighted_point(lam, pts: list[Point]) -> Point:
     return Point(sum(l * p.coords[k] for l, p in zip(lam, pts))
                  for k in range(pts[0].dim))
@@ -696,8 +664,15 @@ def simplex_intersect(simplex_a: Sequence[Point], simplex_b: Sequence[Point],
     obj += [ZERO] * nb
     if not allowed:
         obj = [ONE] * na + [ZERO] * nb  # any common point is a violation
-    best, x = _vertex_enumerate_lp(pts_a, pts_b, obj)
-    if best is None or best == 0:
+
+    def value(x):
+        return sum(o * v for o, v in zip(obj, x))
+
+    # the feasible set is a polytope (the convex-combination rows bound
+    # every variable by 1), so the maximum is attained at a vertex; max
+    # keeps the first basic feasible solution of largest value
+    x = max(_meet_solutions(pts_a, pts_b), key=value, default=None)
+    if x is None or value(x) == 0:
         return None
     return _weighted_point(x, pts_a)
 
@@ -736,82 +711,47 @@ def convex_meet(pts_a: Sequence[Point], pts_b: Sequence[Point]):
 
 
 def segment_simplex_meet(a: Point, b: Point, simplex: Sequence[Point]):
-    """Exact intersection of closed segment [a,b] with a closed simplex.
+    """Exact intersection of closed segment [a,b] with a closed
+    nondegenerate simplex.
 
     Returns ('empty', None), ('point', t) or ('segment', (t0, t1)) where
-    the t values parametrize [a, b].
+    the t values parametrize [a, b].  A point fixes the barycentric
+    weights of a nondegenerate simplex, so only t can be free; two or
+    more free directions raise ValueError.
     """
     pts = list(simplex)
-    dim = a.dim
     k = len(pts)
-    # unknowns: barycentric weights lam_1..lam_k, parameter t
-    # equations: sum lam_i p_i - (a + t (b-a)) = 0, sum lam = 1
     d = b - a
-    rows = []
-    rhs = []
-    for c in range(dim):
-        rows.append([p[c] for p in pts] + [-d[c]])
-        rhs.append(a[c])
-    rows.append([ONE] * k + [ZERO])
-    rhs.append(ONE)
-    sol = solution_set([row + [rv] for row, rv in zip(rows, rhs)])
+    # unknowns: barycentric weights lam_1..lam_k, parameter t;
+    # equations: sum lam_i p_i - t (b - a) = a, sum lam = 1
+    aug = [[p[c] for p in pts] + [-d[c], a[c]] for c in range(a.dim)]
+    aug.append([ONE] * k + [ZERO, ONE])
+    sol = solution_set(aug)
     if sol is None:
         return ("empty", None)
     base, dirs = sol
-    if not dirs:
-        lam, t = base[:k], base[k]
-        if all(v >= 0 for v in lam) and 0 <= t <= 1:
-            return ("point", t)
-        return ("empty", None)
     if len(dirs) > 1:
-        # solution space of dim >= 2 cannot occur for a nondegenerate
-        # simplex and a nondegenerate segment unless the segment is a
-        # point inside the simplex's hull; handle by sampling endpoints
-        t_candidates = []
-        for t, pt in ((ZERO, a), (ONE, b)):
-            if point_in_simplex(pt, pts):
-                t_candidates.append(t)
-        if len(t_candidates) == 2:
-            return ("segment", (ZERO, ONE))
-        if t_candidates:
-            return ("point", t_candidates[0])
-        return ("empty", None)
-    # one free variable: the meet of the segment's line with the
-    # simplex's hull plane is a line; restrict by lam >= 0, 0 <= t <= 1
-    dirv = dirs[0]
-    # feasible s-interval: base + s*dirv must satisfy lam >= 0, t in [0,1]
-    lo, hi = None, None  # None = unbounded
-    feasible = True
-    constraints = []
-    for i in range(k):
-        constraints.append((dirv[i], -base[i]))          # lam_i >= 0
-    constraints.append((dirv[k], -base[k]))              # t >= 0
-    constraints.append((-dirv[k], base[k] - ONE))        # -t >= -1
+        raise ValueError("degenerate simplex")
+    dirv = dirs[0] if dirs else [ZERO] * (k + 1)
+    # base + s dirv must keep lam >= 0 and 0 <= t <= 1: coef s >= bound
+    constraints = [(dirv[i], -base[i]) for i in range(k + 1)]
+    constraints.append((-dirv[k], base[k] - ONE))
+    lo = hi = None  # None = unbounded
     for coef, bound in constraints:
-        # coef*s >= bound
         if coef == 0:
             if bound > 0:
-                feasible = False
-                break
+                return ("empty", None)
         elif coef > 0:
-            v = bound / coef
-            if lo is None or v > lo:
-                lo = v
+            lo = bound / coef if lo is None else max(lo, bound / coef)
         else:
-            v = bound / coef
-            if hi is None or v < hi:
-                hi = v
-    if not feasible or (lo is not None and hi is not None and lo > hi):
+            hi = bound / coef if hi is None else min(hi, bound / coef)
+    if lo is not None and hi is not None and lo > hi:
         return ("empty", None)
     if dirv[k] == 0:
-        # t is constant along the solution family: the segment touches
-        # the simplex in exactly one of its points
+        # t is constant along the solutions: one point of the segment
         return ("point", base[k])
-    # t in [0,1] bounds s from both sides whenever dirv[k] != 0
-    t_lo = base[k] + lo * dirv[k]
-    t_hi = base[k] + hi * dirv[k]
-    if t_lo > t_hi:
-        t_lo, t_hi = t_hi, t_lo
+    # t in [0, 1] bounds s from both sides when dirv[k] != 0
+    t_lo, t_hi = sorted((base[k] + lo * dirv[k], base[k] + hi * dirv[k]))
     if t_lo == t_hi:
         return ("point", t_lo)
     return ("segment", (t_lo, t_hi))
@@ -882,19 +822,3 @@ def _diagonal_clear(hom, ring, ia, ic) -> bool:
     m = len(ring)
     return all(seg_pair_clear_h(hom, ia, ic, ring[k], ring[(k + 1) % m])
                for k in range(m))
-
-
-def point_in_simplex(p: Point, simplex: Sequence[Point]) -> bool:
-    """Exact closed-containment test for any nondegenerate simplex."""
-    pts = list(simplex)
-    k = len(pts)
-    rows = [[q[c] for q in pts] for c in range(p.dim)]
-    rows.append([ONE] * k)
-    rhs = list(p.coords) + [ONE]
-    sol = solution_set([row + [rv] for row, rv in zip(rows, rhs)])
-    if sol is None:
-        return False
-    lam, dirs = sol
-    if dirs:
-        raise ValueError("degenerate simplex")
-    return all(v >= 0 for v in lam)

@@ -47,6 +47,37 @@ def _require(holds: bool, what: str) -> None:
         raise CertificateError(what)
 
 
+# endings of validate_manifold's problems for a triangle of affine rank < 2
+FLAT_PROBLEMS = ("references a missing vertex", "repeats a vertex",
+                 "is degenerate")
+
+
+def _add_sides(sides, t, tri) -> None:
+    """Record triangle t = (i, j, k) in the edge incidence sides: each
+    edge (min, max) -> [(triangle, +1 when it runs min -> max, else -1)]."""
+    i, j, k = tri
+    for a, b in ((i, j), (j, k), (k, i)):
+        sides.setdefault((min(a, b), max(a, b)), []).append(
+            (t, 1 if a < b else -1))
+
+
+def _count_components(nodes, links) -> int:
+    """Classes of nodes under the pairs in links, by union-find."""
+    parent = {x: x for x in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return len({find(x) for x in parent})
+
+
 class TriMesh:
     def __init__(self, dim: int):
         if dim < 2:
@@ -56,9 +87,9 @@ class TriMesh:
         self.triangles: list[tuple[int, int, int]] = []
         self.provenance: list[str] = []
         self._pool: dict[tuple, int] = {}
-        # maintained incrementally; validate_manifold recomputes from
-        # scratch and cross-checks
-        self._edge_count: dict[tuple[int, int], int] = {}
+        # the edge incidence every census reads, kept up to date as
+        # triangles are added; validate_manifold recounts it from scratch
+        self._sides: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -80,12 +111,11 @@ class TriMesh:
         n = len(self.vertices)
         if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
             raise ValueError("triangle references missing vertex")
+        t = len(self.triangles)
         self.triangles.append((i, j, k))
         self.provenance.append(tag)
-        for e in ((i, j), (j, k), (k, i)):
-            key = (min(e), max(e))
-            self._edge_count[key] = self._edge_count.get(key, 0) + 1
-        return len(self.triangles) - 1
+        _add_sides(self._sides, t, (i, j, k))
+        return t
 
     def triangle_points(self, t: int) -> tuple[Point, Point, Point]:
         i, j, k = self.triangles[t]
@@ -105,21 +135,15 @@ class TriMesh:
     # -- census -----------------------------------------------------------
 
     def edge_census(self) -> dict[tuple[int, int], int]:
-        census: dict[tuple[int, int], int] = {}
-        for i, j, k in self.triangles:
-            for e in ((i, j), (j, k), (k, i)):
-                key = (min(e), max(e))
-                census[key] = census.get(key, 0) + 1
-        return census
+        return {e: len(sides) for e, sides in self._sides.items()}
 
     def boundary_edges(self) -> list[tuple[int, int]]:
-        return sorted(e for e, c in self.edge_census().items() if c == 1)
+        return sorted(e for e, sides in self._sides.items() if len(sides) == 1)
 
     def euler_characteristic(self) -> int:
-        used = set()
-        for tri in self.triangles:
-            used.update(tri)
-        return len(used) - len(self.edge_census()) + len(self.triangles)
+        # every vertex of a triangle ends one of its edges
+        used = {v for e in self._sides for v in e}
+        return len(used) - len(self._sides) + len(self.triangles)
 
     def validate_manifold(self) -> list[str]:
         """Structural checks; returns a list of problems (empty = good).
@@ -127,12 +151,15 @@ class TriMesh:
         Conditions: all indices valid, every triangle affinely
         nondegenerate, no repeated vertex inside a triangle, no duplicate
         triangles, every edge in one or two triangles, and the
-        incremental edge census matches a recount.
+        incremental edge incidence matches a recount.  A triangle of
+        affine rank < 2 gets a problem ending in one of FLAT_PROBLEMS.
         """
         problems = []
         nv = len(self.vertices)
         seen = set()
+        recount: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for t, (i, j, k) in enumerate(self.triangles):
+            _add_sides(recount, t, (i, j, k))
             if not all(0 <= x < nv for x in (i, j, k)):
                 problems.append("triangle %d references a missing vertex" % t)
                 continue
@@ -145,11 +172,11 @@ class TriMesh:
             seen.add(key)
             if affine_rank(self.triangle_points(t)) != 2:
                 problems.append("triangle %d is degenerate" % t)
-        census = self.edge_census()
-        for e, c in census.items():
-            if c > 2:
-                problems.append("edge %s lies in %d triangles" % (e, c))
-        if census != self._edge_count:
+        for e, sides in recount.items():
+            if len(sides) > 2:
+                problems.append("edge %s lies in %d triangles"
+                                % (e, len(sides)))
+        if recount != self._sides:
             problems.append("incremental edge census out of sync")
         return problems
 
@@ -157,45 +184,15 @@ class TriMesh:
 
     def connected_components(self) -> int:
         """Components of the triangle adjacency graph (shared edges)."""
-        nt = len(self.triangles)
-        parent = list(range(nt))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        by_edge: dict[tuple[int, int], list[int]] = {}
-        for t, (i, j, k) in enumerate(self.triangles):
-            for e in ((i, j), (j, k), (k, i)):
-                by_edge.setdefault((min(e), max(e)), []).append(t)
-        for tris in by_edge.values():
-            for other in tris[1:]:
-                ra, rb = find(tris[0]), find(other)
-                if ra != rb:
-                    parent[ra] = rb
-        return len({find(t) for t in range(nt)})
+        return _count_components(
+            range(len(self.triangles)),
+            ((sides[0][0], t) for sides in self._sides.values()
+             for t, _ in sides[1:]))
 
     def boundary_components(self) -> int:
         """Count cycles formed by the multiplicity-1 edges."""
         edges = self.boundary_edges()
-        if not edges:
-            return 0
-        parent: dict[int, int] = {}
-
-        def find(x):
-            parent.setdefault(x, x)
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in edges:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-        return len({find(u) for e in edges for u in e})
+        return _count_components({v for e in edges for v in e}, edges)
 
     def orientation_propagate(self):
         """Try to orient all triangles consistently.
@@ -207,16 +204,9 @@ class TriMesh:
         """
         nt = len(self.triangles)
         adj: dict[int, list[tuple[int, int]]] = {t: [] for t in range(nt)}
-        by_edge: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for t, (i, j, k) in enumerate(self.triangles):
-            for a, b in ((i, j), (j, k), (k, i)):
-                key = (min(a, b), max(a, b))
-                # +1 when the triangle traverses the edge as (min, max)
-                direction = 1 if a < b else -1
-                by_edge.setdefault(key, []).append((t, direction))
-        for key, lst in by_edge.items():
-            if len(lst) == 2:
-                (t1, d1), (t2, d2) = lst
+        for sides in self._sides.values():
+            if len(sides) == 2:
+                (t1, d1), (t2, d2) = sides
                 # consistent orientation wants opposite traversal
                 rel = -d1 * d2  # +1 when already opposite
                 adj[t1].append((t2, rel))
@@ -536,21 +526,15 @@ def check_embedded(mesh: TriMesh) -> Optional[EmbeddingViolation]:
 def boundary_matches(mesh: TriMesh, polygon) -> bool:
     """Does the mesh boundary trace the polygon exactly once?
 
-    The multiplicity-1 edges must form a single closed cycle; every
-    boundary vertex must lie on the polygon; each polygon edge must be
-    covered, in order, by consecutive boundary vertices from corner to
-    corner.  Either traversal direction is accepted.
+    Every boundary vertex must lie on the polygon, and the
+    multiplicity-1 edges must be exactly the pairs of consecutive
+    boundary vertices along each polygon edge, from corner to corner.
+    Those pairs form one cycle through every boundary vertex, so the
+    boundary is then a single closed cycle.  Either traversal direction
+    is accepted.
     """
     edges = mesh.boundary_edges()
     if not edges:
-        return False
-    deg: dict[int, int] = {}
-    for u, v in edges:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    if any(d != 2 for d in deg.values()):
-        return False
-    if mesh.boundary_components() != 1:
         return False
 
     pverts = polygon.vertices
@@ -560,7 +544,7 @@ def boundary_matches(mesh: TriMesh, polygon) -> bool:
     corner_of: dict[int, int] = {}
     interior_of: dict[int, tuple[int, object]] = {}
     corner_pool = {p.coords: i for i, p in enumerate(pverts)}
-    for bv in deg:
+    for bv in {v for e in edges for v in e}:
         p = mesh.vertices[bv]
         ci = corner_pool.get(p.coords)
         if ci is not None:
@@ -611,13 +595,16 @@ def certify(mesh: TriMesh, polygon=None, interior: str = "embedded") -> dict:
     against polygon when one is given, the interior test and the census.
     interior 'embedded' runs check_embedded; 'immersed' certifies that
     the interior misses the polygon (otherdims.polygon_contact_clean).
-    Returns a dict: 'interior', the interior certificate's name;
-    'verdicts', {name: bool} for manifold, boundary_match and the
-    interior; 'witnesses', the manifold_witness, orientation_witness and
-    violation_witness of the checks that failed; 'census', chi,
-    boundary_cycles, connected, orientable and genus (None unless a
-    connected orientable manifold); 'failure', the first failed verdict
-    as a message, or None.  Every builder calls it once on the mesh it
+    Both take nondegenerate triangles only, so when validate_manifold
+    finds a triangle of affine rank < 2, the interior verdict is false
+    with that problem as its witness, and neither test runs; this is the
+    one place nondegeneracy is decided.  Returns a dict: 'interior', the
+    interior certificate's name; 'verdicts', {name: bool} for manifold,
+    boundary_match and the interior; 'witnesses', the manifold_witness,
+    orientation_witness and violation_witness of the checks that failed;
+    'census', chi, boundary_cycles, connected, orientable and genus (None
+    unless a connected orientable manifold); 'failure', the first failed
+    verdict as a message, or None.  Every builder calls it once on the mesh it
     returns; `plspan verify` calls it on the files.
     """
     if interior not in INTERIOR_CERTIFICATES:
@@ -640,14 +627,17 @@ def certify(mesh: TriMesh, polygon=None, interior: str = "embedded") -> dict:
         verdicts["boundary_match"] = boundary_matches(mesh, polygon)
         if not verdicts["boundary_match"]:
             failures.append("boundary does not match the polygon")
-    if interior == "embedded":
+    what = "self-intersection" if interior == "embedded" \
+        else "interior touches the polygon"
+    flat = next((p for p in problems if p.endswith(FLAT_PROBLEMS)), None)
+    if flat is not None:
+        clash = flat
+    elif interior == "embedded":
         violation = check_embedded(mesh)
         clash = None if violation is None else repr(violation)
-        what = "self-intersection"
     else:
         from .otherdims import polygon_contact_clean
         clash = polygon_contact_clean(mesh, polygon)
-        what = "interior touches the polygon"
     verdicts[kind] = clash is None
     if clash is not None:
         witnesses["violation_witness"] = clash

@@ -83,9 +83,6 @@ def cone_highdim(poly: ClosedPolygon, seed: int = 0, budget: int = 200):
                   + Rat(rng.randint(0, 12 * int(span[i] * 4)), 4)
                   for i in range(d)]
         apex = Point(coords)
-        if any(affine_rank([verts[i], verts[(i + 1) % n], apex]) != 2
-               for i in range(n)):
-            continue
         mesh = TriMesh(d)
         for i in range(n):
             mesh.add_triangle(verts[i], verts[(i + 1) % n], apex,
@@ -307,12 +304,6 @@ def polygon_contact_clean(mesh: TriMesh, poly: ClosedPolygon):
 def _assemble_disk(poly, q4, center):
     verts = poly.vertices
     n = len(verts)
-    for j in range(n):
-        tris = ([verts[j], verts[(j + 1) % n], q4[(j + 1) % n]],
-                [verts[j], q4[j], q4[(j + 1) % n]],
-                [q4[j], q4[(j + 1) % n], center])
-        if any(affine_rank(t) != 2 for t in tris):
-            return None
     mesh = TriMesh(4)
     for j in range(n):
         mesh.add_triangle(verts[j], verts[(j + 1) % n], q4[(j + 1) % n],

@@ -30,10 +30,9 @@ from .mesh import TriMesh, _require, certify
 from .polygon import ClosedPolygon
 
 SIDES = ("in_over", "out_over", "in_under", "out_under")
-
-
-class SmoothingError(RuntimeError):
-    """Smoothing produced a degenerate circuit; retry with smaller offsets."""
+# halvings of the mark offset fraction before insert_interior_vertices
+# gives up
+SHRINK_BUDGET = 40
 
 
 class MarkNode:
@@ -105,26 +104,23 @@ def _edge_point(sheared: ClosedPolygon, e: int, t):
     return Point((x, y)), z
 
 
-def insert_interior_vertices(diagram, shrink_budget: int = 40,
-                             start_factor=None) -> MarkedDiagram:
+def insert_interior_vertices(diagram) -> MarkedDiagram:
     """Place four vertices around every crossing of the diagram.
 
     The marks cut each strand just before and just after its passage.
     A placement is accepted only if each side of every crossing
     quadrilateral touches the refined walk exactly at its own two
-    endpoints and meets no other quadrilateral; the offset fraction is
-    halved until that holds.
+    endpoints and meets no other quadrilateral; the offset fraction,
+    1/4 at first, is halved until that holds.
     """
-    factor = rat(start_factor) if start_factor is not None else Rat(1, 4)
-    if not (ZERO < factor < ONE):
-        raise ValueError("start_factor must be in (0, 1)")
-    for _ in range(shrink_budget):
+    factor = Rat(1, 4)
+    for _ in range(SHRINK_BUDGET):
         nodes, quads = _place_marks(diagram, factor)
         if _marks_valid(nodes, quads):
             return MarkedDiagram(diagram, nodes, quads, factor)
         factor = factor / 2
     raise AssertionError(
-        "could not isolate crossings within %d shrink steps" % shrink_budget)
+        "could not isolate crossings within %d shrink steps" % SHRINK_BUDGET)
 
 
 def _place_marks(diagram, factor):
@@ -310,8 +306,7 @@ def smooth(marked: MarkedDiagram, rule: str = "orientation") -> SmoothedGraph:
             seen.add(cur)
             a, b = adj[cur]
             prev, cur = cur, (b if a == prev else a)
-        if len(circ) < 3:
-            raise SmoothingError("circuit of length %d" % len(circ))
+        _require(len(circ) >= 3, "circuit of length %d" % len(circ))
         circuits.append(circ)
     g = SmoothedGraph(marked, rule, circuits, whites, edge_src)
     _check_circuits_disjoint(g)
@@ -481,17 +476,9 @@ def _construct_r3(poly: ClosedPolygon, seed: int, rule: str):
     from .diagram import project_polygon
 
     dia = project_polygon(poly, seed=seed)
-    g = None
-    factor = Rat(1, 4)
-    for _ in range(6):
-        try:
-            marked = insert_interior_vertices(dia, start_factor=factor)
-            g = smooth(marked, rule)
-            break
-        except SmoothingError:
-            factor = factor / 2
-    if g is None:
-        raise AssertionError("smoothing kept degenerating")
+    # the circuits do not depend on the mark offset, so smoothing at a
+    # smaller one cannot mend a failed smoothing
+    g = smooth(insert_interior_vertices(dia), rule)
     levels = assign_levels(g)
     raw, trace = build_surface(g, levels)
     # the pullback is an affine bijection (transform raises if it merges

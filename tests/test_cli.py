@@ -334,6 +334,33 @@ def test_bad_input_file_exits_with_one_line(tmp_path, case):
     assert out.stdout == ""
 
 
+# triangle 0 is flat (three collinear vertices), triangle 1 is not
+FLAT_OFF = ("pl-off 3\n5 2 0\n0 0 0\n2 0 0\n4 0 0\n1 -1 -1\n1 1 1\n"
+            "3 0 1 2\n3 0 3 4\n")
+
+
+@pytest.mark.parametrize("mode", ["embedded", "immersed"])
+def test_verify_reports_a_degenerate_triangle(tmp_path, mode):
+    # the interior tests take nondegenerate triangles only: certify fails
+    # the interior certificate by naming the flat triangle, and verify
+    # writes its report and exits 1 instead of raising
+    mesh, rep_path = tmp_path / "a.off", tmp_path / "v.json"
+    mesh.write_text(FLAT_OFF)
+    poly = []
+    if mode == "immersed":
+        poly = ["--polygon", tmp_path / "p.poly"]
+        poly[1].write_text("pl-polygon 3 3\n0 0 0\n4 0 0\n1 1 1\n")
+    out = _plspan("verify", mesh, *poly, "--mode", mode,
+                  "--report", rep_path)
+    assert (out.returncode, out.stdout, out.stderr) == (1, "", "")
+    rep = load(rep_path)
+    kind = "embedded" if mode == "embedded" else "complementary-immersed"
+    assert rep["certificates"][kind] is False
+    assert rep["certificates"]["manifold"] is False
+    assert rep["manifold_witness"] == "triangle 0 is degenerate"
+    assert rep["violation_witness"] == "triangle 0 is degenerate"
+
+
 @pytest.mark.parametrize("args, reason", [
     (["torus", "--m", 2], "need m >= 3"),
     (["ngon", "--n", 5, "--dim", 5], "planar generator supports dim 2 or 3"),

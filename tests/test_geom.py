@@ -24,7 +24,6 @@ from plspan.geom import (
     orient2d_h,
     orient3d,
     overlapping_pairs,
-    point_in_simplex,
     point_on_segment,
     rat,
     rat_str,
@@ -36,6 +35,8 @@ from plspan.geom import (
     simplex_intersect,
     solution_set,
 )
+
+from oracles import affine_inverse, point_in_simplex
 
 
 def rnd_frac(rng, lim=8, den=4):
@@ -288,7 +289,7 @@ def test_affine_inverse_is_identity_on_random_points():
             t = [rnd_frac(rng, 5, 3) for _ in range(dim)]
             try:
                 am = AffineMap(m, t)
-                inv = am.inverse()
+                inv = affine_inverse(am)
             except ValueError:
                 continue
             maps.append((am, inv, dim))
@@ -306,13 +307,13 @@ def test_affine_compose_and_shear():
     sh = AffineMap.shear_last_into(3, ["1/2", -2])
     p = Point([1, 1, 4])
     assert sh.apply(p) == Point([3, -7, 4])
-    comp = sh.compose(sh.inverse())
+    comp = sh.compose(affine_inverse(sh))
     for _ in range(5):
         assert comp.apply(p) == p
 
 
 def test_shear_lift_is_the_lifted_shear_and_its_inverse():
-    # the closed-form inverse equals the rref-backed one exactly
+    # the closed-form inverse equals the rref-backed oracle exactly
     rng = random.Random(1907)
     for dim in (2, 3, 4, 5):
         for _ in range(5):
@@ -321,7 +322,7 @@ def test_shear_lift_is_the_lifted_shear_and_its_inverse():
             frame, back = AffineMap.shear_lift(slopes, up)
             want = AffineMap.translation([0] * (dim - 1) + [up]).compose(
                 AffineMap.shear_last_into(dim, slopes))
-            inv = want.inverse()
+            inv = affine_inverse(want)
             assert (frame.matrix, frame.shift) == (want.matrix, want.shift)
             assert (back.matrix, back.shift) == (inv.matrix, inv.shift)
 
@@ -666,6 +667,116 @@ def test_segment_simplex_meet_cases():
     assert kind == "segment" and t0 == rat("1/4") and t1 < 1
     assert point_in_simplex(Point([1, 1, 0]), tri)
     assert not point_in_simplex(Point([3, 3, 0]), tri)
+
+
+def _segment_simplex_meet_oracle(a, b, simplex):
+    """segment_simplex_meet as it was with an endpoint-sampling branch
+    for two or more free directions (which the new one refuses)."""
+    pts = list(simplex)
+    k = len(pts)
+    d = b - a
+    rows, rhs = [], []
+    for c in range(a.dim):
+        rows.append([p[c] for p in pts] + [-d[c]])
+        rhs.append(a[c])
+    rows.append([1] * k + [0])
+    rhs.append(1)
+    sol = solution_set([row + [rv] for row, rv in zip(rows, rhs)])
+    if sol is None:
+        return ("empty", None)
+    base, dirs = sol
+    if not dirs:
+        lam, t = base[:k], base[k]
+        if all(v >= 0 for v in lam) and 0 <= t <= 1:
+            return ("point", t)
+        return ("empty", None)
+    if len(dirs) > 1:
+        hits = [t for t, pt in ((0, a), (1, b)) if point_in_simplex(pt, pts)]
+        if len(hits) == 2:
+            return ("segment", (0, 1))
+        if hits:
+            return ("point", hits[0])
+        return ("empty", None)
+    dirv = dirs[0]
+    lo, hi = None, None
+    constraints = [(dirv[i], -base[i]) for i in range(k)]
+    constraints.append((dirv[k], -base[k]))
+    constraints.append((-dirv[k], base[k] - 1))
+    for coef, bound in constraints:
+        if coef == 0:
+            if bound > 0:
+                return ("empty", None)
+        elif coef > 0:
+            v = bound / coef
+            if lo is None or v > lo:
+                lo = v
+        else:
+            v = bound / coef
+            if hi is None or v < hi:
+                hi = v
+    if lo is not None and hi is not None and lo > hi:
+        return ("empty", None)
+    if dirv[k] == 0:
+        return ("point", base[k])
+    t_lo = base[k] + lo * dirv[k]
+    t_hi = base[k] + hi * dirv[k]
+    if t_lo > t_hi:
+        t_lo, t_hi = t_hi, t_lo
+    if t_lo == t_hi:
+        return ("point", t_lo)
+    return ("segment", (t_lo, t_hi))
+
+
+def _segment_simplex_pairs(rng):
+    """Random segment/simplex pairs in R^2..R^5, and planted ones: a
+    segment through a point of the simplex, one lying in its flat
+    through two of its points, a zero-length one, and one ending at a
+    vertex."""
+    dim = rng.randint(2, 5)
+    k = rng.randint(2, min(3, dim + 1))
+    while True:
+        simplex = [rnd_point(rng, dim, 4, 2) for _ in range(k)]
+        if affine_rank(simplex) == k - 1:
+            break
+    lam = [Fraction(rng.randint(0, 4)) for _ in range(k)]
+    if not any(lam):
+        lam[0] = Fraction(1)
+    inside = Point([sum(w * p[c] for w, p in zip(lam, simplex)) / sum(lam)
+                    for c in range(dim)])
+    kind = rng.randrange(5)
+    a = rnd_point(rng, dim, 4, 2)
+    if kind == 0:
+        b = rnd_point(rng, dim, 4, 2)
+    elif kind == 1:
+        # through the planted point, which may lie on either end
+        b = inside + (inside - a).scale(Fraction(rng.randint(0, 4), 2))
+    elif kind == 2:
+        p, q = rng.sample(simplex, 2)
+        s, t = Fraction(rng.randint(-2, 3), 2), Fraction(rng.randint(-2, 3), 2)
+        a, b = p + (q - p).scale(s), p + (q - p).scale(t)
+    elif kind == 3:
+        a = b = rng.choice((inside, a))
+    else:
+        b = rng.choice(simplex)
+    return a, b, simplex
+
+
+def test_segment_simplex_meet_matches_sampling_oracle():
+    rng = random.Random(1723)
+    kinds = set()
+    for trial in range(1500):
+        a, b, simplex = _segment_simplex_pairs(rng)
+        got = segment_simplex_meet(a, b, simplex)
+        assert got == _segment_simplex_meet_oracle(a, b, simplex), trial
+        kinds.add(got[0])
+    assert kinds == {"empty", "point", "segment"}
+    # three coincident vertices leave two free weights: refused, where
+    # the sampling branch missed the contact at the segment's midpoint
+    tri = [Point([1, 1, 0])] * 3
+    a, b = Point([0, 0, 0]), Point([2, 2, 0])
+    assert _segment_simplex_meet_oracle(a, b, tri) == ("empty", None)
+    with pytest.raises(ValueError, match="degenerate simplex"):
+        segment_simplex_meet(a, b, tri)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from plspan.geom import (
     affine_rank,
     homogeneous,
     int_rank,
-    point_in_simplex,
     rref,
+    segment_param,
     sign,
     simplex_intersect,
 )
@@ -39,6 +39,8 @@ from plspan.mesh import (
     read_off,
     write_off,
 )
+
+from oracles import affine_inverse, point_in_simplex
 
 
 def tetrahedron():
@@ -121,6 +123,12 @@ def test_validate_catches_bad_meshes():
     for apexpt in (Point([0, 1, 0]), Point([0, 0, 1]), Point([0, -1, 0])):
         m4.add_triangle(a, Point([1, 0, 0]), apexpt)
     assert any("3 triangles" in p for p in m4.validate_manifold())
+
+    # the edge incidence every census reads is recounted from the
+    # triangles
+    m5 = tetrahedron()
+    m5._sides[(0, 1)].reverse()
+    assert m5.validate_manifold() == ["incremental edge census out of sync"]
 
 
 def test_moebius_strip_is_not_orientable():
@@ -323,7 +331,6 @@ def test_check_embedded_finds_piercing():
     m.add_triangle(Point([1, 1, -1]), Point([1, 1, 1]), Point([5, 5, 1]))
     v = check_embedded(m)
     assert v is not None
-    from plspan.geom import point_in_simplex
     assert point_in_simplex(v.point, m.triangle_points(v.tri_a))
     assert point_in_simplex(v.point, m.triangle_points(v.tri_b))
 
@@ -349,7 +356,7 @@ def test_transform_preserves_structure():
     assert m2.triangles == m.triangles
     assert m2.euler_characteristic() == 2
     assert check_embedded(m2) is None
-    back = m2.transform(sh.inverse())
+    back = m2.transform(affine_inverse(sh))
     assert back.vertices == m.vertices
 
 
@@ -491,6 +498,303 @@ def test_boundary_matches_rejects_wrong_boundary():
     far = [Point([20, 20, 0]), Point([24, 20, 0]), Point([22, 23, 1])]
     m3.add_triangle(*far)
     assert not boundary_matches(m3, poly)
+
+
+# ---------------------------------------------------------------------------
+# census: the one edge incidence against per-call triangle scans
+#
+# The oracles are the census methods and boundary_matches as they were
+# before TriMesh kept its edge incidence: each scans the triangle list.
+
+def _edge_census_oracle(mesh):
+    census = {}
+    for i, j, k in mesh.triangles:
+        for e in ((i, j), (j, k), (k, i)):
+            key = (min(e), max(e))
+            census[key] = census.get(key, 0) + 1
+    return census
+
+
+def _boundary_edges_oracle(mesh):
+    return sorted(e for e, c in _edge_census_oracle(mesh).items() if c == 1)
+
+
+def _euler_oracle(mesh):
+    used = set()
+    for tri in mesh.triangles:
+        used.update(tri)
+    return len(used) - len(_edge_census_oracle(mesh)) + len(mesh.triangles)
+
+
+def _connected_oracle(mesh):
+    nt = len(mesh.triangles)
+    parent = list(range(nt))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    by_edge = {}
+    for t, (i, j, k) in enumerate(mesh.triangles):
+        for e in ((i, j), (j, k), (k, i)):
+            by_edge.setdefault((min(e), max(e)), []).append(t)
+    for tris in by_edge.values():
+        for other in tris[1:]:
+            ra, rb = find(tris[0]), find(other)
+            if ra != rb:
+                parent[ra] = rb
+    return len({find(t) for t in range(nt)})
+
+
+def _boundary_components_oracle(mesh):
+    edges = _boundary_edges_oracle(mesh)
+    if not edges:
+        return 0
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+    return len({find(u) for e in edges for u in e})
+
+
+def _orientation_oracle(mesh):
+    nt = len(mesh.triangles)
+    adj = {t: [] for t in range(nt)}
+    by_edge = {}
+    for t, (i, j, k) in enumerate(mesh.triangles):
+        for a, b in ((i, j), (j, k), (k, i)):
+            by_edge.setdefault((min(a, b), max(a, b)), []).append(
+                (t, 1 if a < b else -1))
+    for lst in by_edge.values():
+        if len(lst) == 2:
+            (t1, d1), (t2, d2) = lst
+            rel = -d1 * d2
+            adj[t1].append((t2, rel))
+            adj[t2].append((t1, rel))
+    orient = [0] * nt
+    parent_edge = {}
+
+    def path_to_root(x):
+        out = [x]
+        while x in parent_edge:
+            x = parent_edge[x]
+            out.append(x)
+        return out
+
+    for start in range(nt):
+        if orient[start] != 0:
+            continue
+        orient[start] = 1
+        stack = [start]
+        while stack:
+            t = stack.pop()
+            for u, rel in adj[t]:
+                want = orient[t] * rel
+                if orient[u] == 0:
+                    orient[u] = want
+                    parent_edge[u] = t
+                    stack.append(u)
+                elif orient[u] != want:
+                    pa, pb = path_to_root(t), path_to_root(u)
+                    meet = next(x for x in pa if x in set(pb))
+                    cyc = pa[:pa.index(meet) + 1]
+                    cyc += list(reversed(pb[:pb.index(meet)]))
+                    return (False, cyc)
+    return (True, orient)
+
+
+def _boundary_matches_oracle(mesh, polygon, reached):
+    """boundary_matches with its degree and component pre-checks; adds
+    the name of the check that decided a False to reached."""
+    edges = _boundary_edges_oracle(mesh)
+    if not edges:
+        reached.add("no boundary")
+        return False
+    deg = {}
+    for u, v in edges:
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+    if any(d != 2 for d in deg.values()):
+        reached.add("degree")
+        return False
+    if _boundary_components_oracle(mesh) != 1:
+        reached.add("components")
+        return False
+    pverts = polygon.vertices
+    n = len(pverts)
+    corner_of, interior_of = {}, {}
+    corner_pool = {p.coords: i for i, p in enumerate(pverts)}
+    for bv in deg:
+        p = mesh.vertices[bv]
+        ci = corner_pool.get(p.coords)
+        if ci is not None:
+            corner_of[bv] = ci
+            continue
+        hit = None
+        for e in range(n):
+            t = segment_param(p, pverts[e], pverts[(e + 1) % n])
+            if t is not None and 0 < t < 1:
+                hit = (e, t)
+                break
+        if hit is None:
+            reached.add("off the polygon")
+            return False
+        interior_of[bv] = hit
+    if len(corner_of) != n or set(corner_of.values()) != set(range(n)):
+        reached.add("corners")
+        return False
+    vert_at_corner = {ci: bv for bv, ci in corner_of.items()}
+    expected = set()
+    count = 0
+    for e in range(n):
+        inner = sorted(((t, bv) for bv, (ei, t) in interior_of.items()
+                        if ei == e), key=lambda x: x[0])
+        chain = [vert_at_corner[e]] + [bv for _, bv in inner] \
+            + [vert_at_corner[(e + 1) % n]]
+        for u, v in zip(chain, chain[1:]):
+            if u == v:
+                return False
+            expected.add((min(u, v), max(u, v)))
+            count += 1
+    if count != len(edges) or expected != set(edges):
+        reached.add("edge set")
+        return False
+    reached.add("match")
+    return True
+
+
+def _moebius(m, pts):
+    """Five triangles over five points closing up with a half twist."""
+    idx = [m.add_vertex(p) for p in pts]
+    for i, j, k in ((0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 0), (4, 0, 1)):
+        m.add_triangle_indices(idx[i], idx[j], idx[k])
+
+
+def _census_soup(rng):
+    """Random combinatorial meshes over a small pool, so that edges lie
+    in three or more triangles and vertices repeat inside a triangle, in
+    pieces that need not be connected, some with a Moebius band."""
+    m = TriMesh(3)
+    pool = [m.add_vertex(Point([rng.randint(-3, 3) for _ in range(3)]))
+            for _ in range(rng.randint(3, 9))]
+    for _ in range(rng.randint(1, 12)):
+        m.add_triangle_indices(*(rng.choice(pool) for _ in range(3)))
+    if rng.random() < 0.3:
+        _moebius(m, [Point([20 + rng.randint(0, 9), rng.randint(0, 9), k])
+                     for k in range(5)])
+    return m
+
+
+def _disk_over(rng, poly):
+    """A fan from an apex over poly's edges, each edge subdivided at up
+    to two rational points, mutated one random way: a triangle dropped,
+    reversed, repeated or added at a boundary vertex, a floating piece or
+    Moebius band, a subdivision point moved off the polygon, or two of
+    them swapped along the ring."""
+    n = len(poly.vertices)
+    ring = []
+    for e in range(n):
+        a, b = poly.edge(e)
+        ts = sorted({Fraction(rng.randint(1, 7), 8)
+                     for _ in range(rng.randint(0, 2))})
+        ring += [a] + [a + (b - a).scale(t) for t in ts]
+    kind = rng.randrange(9)
+    if kind == 1:
+        i = rng.randrange(len(ring))
+        ring[i] = ring[i] + Point([0, 0, 1])
+    elif kind == 2:
+        i = rng.randrange(len(ring) - 1)
+        ring[i], ring[i + 1] = ring[i + 1], ring[i]
+    apex = Point([0, 0, 5])
+    m = TriMesh(3)
+    for i in range(len(ring)):
+        m.add_triangle(apex, ring[i], ring[(i + 1) % len(ring)])
+    if kind == 3:
+        m = TriMesh(3)
+        drop = rng.randrange(len(ring))
+        for i in range(len(ring)):
+            if i != drop:
+                m.add_triangle(apex, ring[i], ring[(i + 1) % len(ring)])
+    elif kind == 4:
+        m.add_triangle(*m.triangle_points(rng.randrange(len(ring))))
+    elif kind == 5:
+        m.add_triangle(ring[rng.randrange(len(ring))], Point([30, 0, 0]),
+                       Point([30, 1, 0]))
+    elif kind == 6:
+        m.add_triangle(Point([30, 0, 0]), Point([31, 0, 0]),
+                       Point([30, 1, 0]))
+    elif kind == 7:
+        _moebius(m, [Point([40 + rng.randint(0, 9), rng.randint(0, 9), k])
+                     for k in range(5)])
+    elif kind == 8:
+        flipped = TriMesh(3)
+        for t in range(len(m.triangles)):
+            a, b, c = m.triangle_points(t)
+            flipped.add_triangle(a, c, b)
+        m = flipped
+    return m
+
+
+def test_census_matches_triangle_scanning_oracles():
+    # every census read off the edge incidence equals the scan of the
+    # triangle list it replaced, orientation cycles included, on soups
+    # and on mutated disks
+    rng = random.Random(1111)
+    seen = set()
+    polys = [gen_planar_ngon(n, dim=3, radius=4) for n in (3, 4, 5, 7)]
+    for trial in range(400):
+        if trial % 2:
+            m = _census_soup(rng)
+        else:
+            m = _disk_over(rng, rng.choice(polys))
+        census = m.edge_census()
+        assert list(census.items()) == \
+            list(_edge_census_oracle(m).items()), trial
+        assert m.boundary_edges() == _boundary_edges_oracle(m), trial
+        assert m.euler_characteristic() == _euler_oracle(m), trial
+        assert m.connected_components() == _connected_oracle(m), trial
+        assert m.boundary_components() == \
+            _boundary_components_oracle(m), trial
+        assert m.orientation_propagate() == _orientation_oracle(m), trial
+        seen.add(("orientable", m.orientation_propagate()[0]))
+        seen.add(("triple edge", max(census.values()) > 2))
+        seen.add(("repeat", any(len(set(tri)) < 3 for tri in m.triangles)))
+        seen.add(("connected", m.connected_components() == 1))
+    assert seen == {(name, flag) for name in ("orientable", "triple edge",
+                                              "repeat", "connected")
+                    for flag in (True, False)}
+
+
+def test_boundary_matches_without_its_prechecks_matches_oracle():
+    # the degree and component pre-checks are implied by the final edge
+    # set test: the verdict is the oracle's whichever check decided it
+    rng = random.Random(2222)
+    reached = set()
+    polys = [gen_planar_ngon(n, dim=3, radius=4) for n in (3, 4, 5, 7)]
+    for trial in range(400):
+        poly = rng.choice(polys)
+        if trial % 4 == 3:
+            m = _census_soup(rng)
+        elif trial % 4 == 2 and len(poly) > 3:
+            # a disk over all but the last corner
+            m = _disk_over(rng, ClosedPolygon(poly.vertices[:-1]))
+        else:
+            m = _disk_over(rng, poly)
+        assert boundary_matches(m, poly) == \
+            _boundary_matches_oracle(m, poly, reached), trial
+    assert reached == {"no boundary", "degree", "components",
+                       "off the polygon", "corners", "edge set", "match"}
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +988,7 @@ def test_src_has_no_assert_statements():
 def test_mesh_and_otherdims_leave_rational_elimination_to_geom():
     # hyperplanes come from geom.int_nullspace and frames are inverted in
     # closed form by AffineMap.shear_lift; the rational rref and nullspace
-    # stay behind geom's inverse, simplex meets and LP
+    # stay behind geom's simplex meets and LP
     import plspan
     rational = {"rref", "nullspace", "inverse"}
     found = []

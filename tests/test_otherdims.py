@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -105,6 +106,29 @@ def test_cone_random_octagon_r5():
     assert mesh.boundary_components() == 1
     assert boundary_matches(mesh, p)
     assert all(tag.startswith("cone") for tag in mesh.provenance)
+
+
+def test_cone_retries_past_a_flat_fan(monkeypatch):
+    # an apex on an edge's line makes a flat fan triangle: certify fails
+    # it as degenerate instead of raising in the interior test, and the
+    # next apex is drawn as before
+    import plspan.otherdims as od
+    draws = iter([12, 4, 4, 4, 4,     # apex (2, 0, 0, 0, 0)
+                  5, 7, 9, 11, 13])   # apex (1/4, 3/4, 5/4, 7/4, 9/4)
+
+    class Scripted:
+        def __init__(self, seed):
+            pass
+
+        def randint(self, lo, hi):
+            return next(draws)
+
+    monkeypatch.setattr(od, "random", SimpleNamespace(Random=Scripted))
+    tri = ClosedPolygon([Point((0, 0, 0, 0, 0)), Point((1, 0, 0, 0, 0)),
+                         Point((0, 1, 0, 0, 0))])
+    mesh, rep = cone_highdim(tri)
+    assert rep["attempt"] == 1
+    assert rep["apex"] == tuple(Fraction(k, 4) for k in (1, 3, 5, 7, 9))
 
 
 def test_cone_rejects_low_dimension():
@@ -593,13 +617,13 @@ def test_lifted_torus_surface_needs_no_lp(monkeypatch):
     # the R^4 surface, so the vertex-enumeration LP never runs
     import plspan.geom as geom
     calls = []
-    lp = geom._vertex_enumerate_lp
+    lp = geom._meet_solutions
 
     def spy(*args):
         calls.append(args)
         return lp(*args)
 
-    monkeypatch.setattr(geom, "_vertex_enumerate_lp", spy)
+    monkeypatch.setattr(geom, "_meet_solutions", spy)
     base = gen_torus_stick(3)
     poly = ClosedPolygon([Point((v[0], v[1], v[2], v[0]))
                           for v in base.vertices])

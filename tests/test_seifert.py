@@ -27,6 +27,7 @@ from plspan.polygon import (
     gen_twist_writhe,
 )
 from plspan.seifert import (
+    MarkedDiagram,
     _check_circuits_disjoint,
     _marks_valid,
     _place_marks,
@@ -148,6 +149,31 @@ def test_wall_bases_sit_on_level_planes():
         else:
             assert kind == "bowtie"
             assert all(p[2] >= 1 for p in pts)
+
+
+def test_circuits_do_not_depend_on_the_mark_offset():
+    # each reconnection joins the marks of one crossing by strand end or
+    # face colour, not by position, so a smaller mark offset cannot mend
+    # a failed smoothing: circuits and white pairs agree at every offset
+    # that places valid marks
+    corpus = [gen_torus_stick(3), gen_torus_stick(4), gen_twist_writhe(3)]
+    corpus += [gen_random(4 + k % 9, 3, seed=k) for k in range(15)]
+    crossings = compared = 0
+    for poly in corpus:
+        dia = project_polygon(poly)
+        crossings += len(dia.crossings)
+        placed = []
+        for factor in (Rat(1, 4), Rat(1, 8), Rat(1, 32), Rat(1, 64)):
+            nodes, quads = _place_marks(dia, factor)
+            if _marks_valid(nodes, quads):
+                placed.append(MarkedDiagram(dia, nodes, quads, factor))
+        assert len(placed) >= 2
+        compared += len(placed) == 4
+        for rule in ("orientation", "white-edge"):
+            smoothings = {repr((g.circuits, g.whites)) for g in
+                          (smooth(marked, rule) for marked in placed)}
+            assert len(smoothings) == 1, (poly, rule)
+    assert crossings > 50 and compared > len(corpus) // 2
 
 
 def test_count_identity_across_corpus():
