@@ -35,12 +35,18 @@ from .polygon import (
 from .seifert import spanning_surface_r3
 
 IDENTITY3 = AffineMap.identity(3).matrix
-STRATEGY_DIMS = {
-    "earclip": lambda d: d == 2,
-    "seifert": lambda d: d == 3,
-    "immersed4": lambda d: d == 4,
-    "embedded4": lambda d: d == 4,
-    "cone": lambda d: d >= 5,
+# name: (applies to dimension d, build(poly, args)); auto takes the first
+# that applies.  Builders are looked up by name at call time, so a wrapper
+# set on this module sees the call.
+STRATEGIES = {
+    "earclip": (lambda d: d == 2, lambda p, a: earclip_2d(p)),
+    "seifert": (lambda d: d == 3,
+                lambda p, a: spanning_surface_r3(p, seed=a.seed, rule=a.rule)),
+    "immersed4": (lambda d: d == 4,
+                  lambda p, a: immersed_disk_4d(p, seed=a.seed)),
+    "embedded4": (lambda d: d == 4,
+                  lambda p, a: embedded_4d(p, seed=a.seed, rule=a.rule)),
+    "cone": (lambda d: d >= 5, lambda p, a: cone_highdim(p, seed=a.seed)),
 }
 
 
@@ -70,16 +76,6 @@ def _write_report(report: dict, path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _auto_strategy(dim: int) -> str:
-    if dim == 2:
-        return "earclip"
-    if dim == 3:
-        return "seifert"
-    if dim == 4:
-        return "immersed4"
-    return "cone"
 
 
 def _read(reader, path):
@@ -145,8 +141,10 @@ def cmd_span(args) -> int:
     n, dim = len(poly.vertices), poly.dim
     strategy = args.strategy
     if strategy == "auto":
-        strategy = _auto_strategy(dim)
-    if not STRATEGY_DIMS[strategy](dim):
+        strategy = next(name for name, (applies, _) in STRATEGIES.items()
+                        if applies(dim))
+    applies, build = STRATEGIES[strategy]
+    if not applies(dim):
         raise SystemExit("strategy %s does not apply in dimension %d"
                          % (strategy, dim))
     report: dict = {
@@ -166,17 +164,7 @@ def cmd_span(args) -> int:
         _write_report(report, args.report)
         return 1
     try:
-        if strategy == "earclip":
-            mesh, rep = earclip_2d(poly)
-        elif strategy == "seifert":
-            mesh, rep = spanning_surface_r3(poly, seed=args.seed,
-                                            rule=args.rule)
-        elif strategy == "immersed4":
-            mesh, rep = immersed_disk_4d(poly, seed=args.seed)
-        elif strategy == "embedded4":
-            mesh, rep = embedded_4d(poly, seed=args.seed, rule=args.rule)
-        else:
-            mesh, rep = cone_highdim(poly, seed=args.seed)
+        mesh, rep = build(poly, args)
     except (ValueError, AssertionError, RuntimeError) as exc:
         timings["construct"] = time.perf_counter() - t0
         report.update({"error": str(exc), "certificates": {},
@@ -303,8 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("span", help="build and verify a spanning surface")
     s.add_argument("polygon", help="input polygon path")
     s.add_argument("--strategy", default="auto",
-                   choices=["auto", "earclip", "seifert", "immersed4",
-                            "embedded4", "cone"])
+                   choices=["auto", *STRATEGIES])
     s.add_argument("--rule", default="orientation",
                    choices=["orientation", "white-edge"])
     s.add_argument("--seed", type=int, default=seed)

@@ -598,7 +598,9 @@ def certify(mesh: TriMesh, polygon=None, interior: str = "embedded") -> dict:
     Both take nondegenerate triangles only, so when validate_manifold
     finds a triangle of affine rank < 2, the interior verdict is false
     with that problem as its witness, and neither test runs; this is the
-    one place nondegeneracy is decided.  Returns a dict: 'interior', the
+    one place nondegeneracy is decided.  The immersed test reads the
+    boundary edges as the polygon, so a boundary that does not match it
+    fails the interior by name, untested.  Returns a dict: 'interior', the
     interior certificate's name; 'verdicts', {name: bool} for manifold,
     boundary_match and the interior; 'witnesses', the manifold_witness,
     orientation_witness and violation_witness of the checks that failed;
@@ -635,9 +637,11 @@ def certify(mesh: TriMesh, polygon=None, interior: str = "embedded") -> dict:
     elif interior == "embedded":
         violation = check_embedded(mesh)
         clash = None if violation is None else repr(violation)
+    elif not verdicts["boundary_match"]:
+        clash = "the boundary does not match the polygon"
     else:
         from .otherdims import polygon_contact_clean
-        clash = polygon_contact_clean(mesh, polygon)
+        clash = polygon_contact_clean(mesh)
     verdicts[kind] = clash is None
     if clash is not None:
         witnesses["violation_witness"] = clash

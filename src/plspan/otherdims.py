@@ -15,7 +15,6 @@ import random
 from operator import mul
 
 from .geom import (
-    AffineMap,
     ONE,
     Point,
     Rat,
@@ -251,53 +250,49 @@ def _place_disk(poly, origin, dir1, dir2, traces, rng):
     return None
 
 
-def polygon_contact_clean(mesh: TriMesh, poly: ClosedPolygon):
-    """Witness that a mesh touches the polygon beyond shared boundary.
+def polygon_contact_clean(mesh: TriMesh):
+    """Witness that a mesh's interior touches its own boundary.
 
-    Allowed contacts: a polygon edge that is itself a triangle side, or
-    a polygon corner that is a vertex of the triangle it meets.  Returns
-    None when every contact is of that form, else a description string.
-    Candidate (edge, triangle) pairs come from the one sweep,
-    geom.overlapping_pairs, over the edges' and the triangles' exact
-    bounding boxes, in (edge, triangle) order; box-apart pairs never
-    touch.  The rest are cleared by an integer rank where it suffices;
-    only the others are intersected exactly.
+    The pieces of the polygon are the mesh's boundary edges, which
+    certify has matched to the polygon first.  A piece may meet a
+    triangle only in the face spanned by their shared vertices: the
+    whole piece when it is a side of the triangle, a shared end, or
+    nothing.  Returns None when every contact is of that form, else a
+    description string.  Candidate (piece, triangle) pairs come from the
+    one sweep, geom.overlapping_pairs, over the pieces' and the
+    triangles' exact bounding boxes, in (piece, triangle) order;
+    box-apart pairs never touch.  The rest are cleared by an integer
+    rank where it suffices; only the others are intersected exactly.
     """
-    n = len(poly)
-    index = {p.coords: v for v, p in enumerate(mesh.vertices)}
-    corners = [index.get(p.coords) for p in poly.vertices]
+    pieces = mesh.boundary_edges()
+    n = len(pieces)
     hom = [homogeneous(p) for p in mesh.vertices]
-    ends = [[homogeneous(p) for p in poly.edge(e)] for e in range(n)]
-    boxes = [box_h(hs) for hs in ends] \
+    boxes = [box_h([hom[u], hom[v]]) for u, v in pieces] \
         + [box_h([hom[v] for v in tri]) for tri in mesh.triangles]
     for e, j in overlapping_pairs(boxes, split=n):
         if j < n:
-            continue  # two polygon edges
+            continue  # two pieces
         ti = j - n
         tri = mesh.triangles[ti]
-        a, b = poly.edge(e)
-        ia, ib = corners[e], corners[(e + 1) % n]
-        if ia in tri and ib in tri:
-            continue  # the edge is a side of the triangle
-        # affinely independent ends and corners make the edge and the
+        u, v = pieces[e]
+        if u in tri and v in tri:
+            continue  # the piece is a side of the triangle
+        # affinely independent ends and corners make the piece and the
         # triangle faces of one simplex, meeting at most in a shared corner
-        rows = ends[e] + [hom[v] for v in tri if v != ia and v != ib]
+        rows = [hom[u], hom[v]] + [hom[w] for w in tri if w != u and w != v]
         if int_rank(rows) == len(rows):
             continue
-        pts = mesh.triangle_points(ti)
-        kind, data = segment_simplex_meet(a, b, pts)
+        a, b = mesh.vertices[u], mesh.vertices[v]
+        kind, data = segment_simplex_meet(a, b, mesh.triangle_points(ti))
         if kind == "empty":
             continue
         if kind == "point":
             hit = a + (b - a).scale(data)
-            if (hit == a or hit == b) and hit in pts:
+            if (hit == a and u in tri) or (hit == b and v in tri):
                 continue
-            return ("edge %d pierces triangle %d at %s"
-                    % (e, ti, tuple(hit.coords)))
-        t0, t1 = data
-        if t0 == 0 and t1 == 1 and a in pts and b in pts:
-            continue
-        return "edge %d overlaps triangle %d" % (e, ti)
+            return ("boundary edge %d-%d pierces triangle %d at %s"
+                    % (u, v, ti, tuple(hit.coords)))
+        return "boundary edge %d-%d overlaps triangle %d" % (u, v, ti)
     return None
 
 
@@ -358,7 +353,7 @@ def embedded_4d(poly: ClosedPolygon, seed: int = 0, budget: int = 30,
     if len(set(heights)) == 1:
         p3 = ClosedPolygon([Point((v[0], v[1], v[2])) for v in verts])
         m3, rep3 = spanning_surface_r3(p3, seed=seed, rule=rule)
-        mesh = _lift(m3, heights[0])
+        mesh = _lift(m3, (ZERO, ZERO, ZERO, heights[0]))
         report = _embedded_report(mesh, rep3, n, 0, seed, 0)
         report.update(rep3["cert"]["census"], cert=rep3["cert"])
         return mesh, report
@@ -379,32 +374,37 @@ def embedded_4d(poly: ClosedPolygon, seed: int = 0, budget: int = 30,
                          % (budget, seed, last))
 
 
-def _lift(m3, h) -> TriMesh:
-    """The R^3 mesh m3 placed in the hyperplane x_4 = h of R^4."""
+def _lift(m3, shift) -> TriMesh:
+    """The R^3 mesh m3 placed in R^4 by x -> (x, 0) + shift; vertex
+    indices and tags carry over."""
     mesh = TriMesh(4)
-    for t, tag in enumerate(m3.provenance):
-        mesh.add_triangle(*(Point((p[0], p[1], p[2], h))
-                            for p in m3.triangle_points(t)), tag=tag)
+    for p in m3.vertices:
+        mesh.add_vertex(Point((p[0] + shift[0], p[1] + shift[1],
+                               p[2] + shift[2], shift[3])))
+    for (i, j, k), tag in zip(m3.triangles, m3.provenance):
+        mesh.add_triangle_indices(i, j, k, tag)
     return mesh
 
 
 def _embedded_attempt(poly, slopes, seed, attempt, rule="orientation"):
-    from .seifert import _construct_r3
+    from .seifert import _add_wall, _construct_r3
 
     verts = poly.vertices
     n = len(verts)
-    # the shear leaves the last coordinate as it is, so the lift that
-    # puts the lowest vertex at height 1 comes from poly's heights
-    frame, back = AffineMap.shear_lift(slopes, ONE - min(v[3] for v in verts))
-    pv = [frame.apply(v) for v in verts]
-    p3 = ClosedPolygon([Point((v[0], v[1], v[2])) for v in pv])
+    # P* is the shadow of the shear x_i += s_i x_4.  The spanning surface
+    # of P* goes into the hyperplane x_4 = low, below every vertex,
+    # sheared back: x -> (x - s low, low).  A shear keeps edge parameters,
+    # so the wall over a boundary piece of P* rises to poly's own points
+    # at the same parameters on the host edge.
+    p3 = ClosedPolygon([Point(v[i] + slopes[i] * v[3] for i in range(3))
+                        for v in verts])
     if validate_embedded(p3) is not None:
         raise ValueError("projection not embedded")
     m3, rep3 = _construct_r3(p3, seed, rule)
-    mesh = _lift(m3, ZERO)
+    low = min(v[3] for v in verts) - ONE
+    mesh = _lift(m3, [-s * low for s in slopes] + [low])
     p3v = p3.vertices
     base_edges = m3.boundary_edges()
-    walls = 0
     for ia, ib in base_edges:
         wa, wb = m3.vertices[ia], m3.vertices[ib]
         hosts = []
@@ -416,32 +416,21 @@ def _embedded_attempt(poly, slopes, seed, attempt, rule="orientation"):
         _require(len(hosts) == 1,
                  "embedded4: boundary edge not on exactly one polygon edge")
         host, ta, tb = hosts[0]
-        ea, eb = pv[host], pv[(host + 1) % n]
-        ua = ea + (eb - ea).scale(ta)
-        ub = ea + (eb - ea).scale(tb)
-        wa4 = Point((wa[0], wa[1], wa[2], ZERO))
-        wb4 = Point((wb[0], wb[1], wb[2], ZERO))
-        tag = "wall4 %d" % host
-        if ua.coords <= ub.coords:
-            mesh.add_triangle(wa4, wb4, ua, tag=tag)
-            mesh.add_triangle(wb4, ub, ua, tag=tag)
-        else:
-            mesh.add_triangle(wa4, wb4, ub, tag=tag)
-            mesh.add_triangle(wa4, ub, ua, tag=tag)
-        walls += 2
-    _require(walls == 2 * len(base_edges),
-             "embedded4: walls != 2 x boundary edges")
-    final = mesh.transform(back)
-    cert = certify(final, poly)
+        ea, eb = verts[host], verts[(host + 1) % n]
+        _add_wall(mesh, mesh.vertices[ia], mesh.vertices[ib],
+                  ea + (eb - ea).scale(ta), ea + (eb - ea).scale(tb),
+                  "wall4 %d" % host)
+    cert = certify(mesh, poly)
     _require(cert["failure"] is None, cert["failure"])
     census = cert["census"]
     _require(rule != "orientation" or census["orientable"],
              "orientation-smoothed surface not orientable")
     _require(census["chi"] == rep3["euler"],
              "embedded4: chi differs from the base surface's")
-    report = _embedded_report(final, rep3, n, walls, seed, attempt)
+    report = _embedded_report(mesh, rep3, n, 2 * len(base_edges), seed,
+                              attempt)
     report.update(census, cert=cert)
-    return final, report
+    return mesh, report
 
 
 def _embedded_report(mesh, rep3, n, walls, seed, attempt):

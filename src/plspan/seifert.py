@@ -13,6 +13,7 @@ mesh.certify, on the finished mesh.
 
 from __future__ import annotations
 
+from .diagram import WalkNode
 from .geom import (
     ONE,
     Point,
@@ -29,48 +30,21 @@ from .geom import (
 from .mesh import TriMesh, _require, certify
 from .polygon import ClosedPolygon
 
-SIDES = ("in_over", "out_over", "in_under", "out_under")
 # halvings of the mark offset fraction before insert_interior_vertices
 # gives up
 SHRINK_BUDGET = 40
 
 
-class MarkNode:
-    """Vertex of the planar graph refined from the diagram walk.
-
-    kind 'corner' is an original polygon vertex (ref = vertex index),
-    'passage' is a strand passing through a crossing (ref = crossing
-    index, side 'over'/'under'), 'mark' is one of the four vertices
-    inserted around a crossing (ref = crossing index, side names the
-    strand end).  pos is the exact planar position, z the exact height
-    of the lifted polygon there.
-    """
-
-    __slots__ = ("kind", "ref", "side", "edge", "param", "pos", "z")
-
-    def __init__(self, kind, ref, side, edge, param, pos, z):
-        self.kind = kind
-        self.ref = ref
-        self.side = side
-        self.edge = edge
-        self.param = param
-        self.pos = pos
-        self.z = z
-
-    def __repr__(self):
-        if self.kind == "corner":
-            return "MarkNode(v%d)" % self.ref
-        return "MarkNode(x%d %s)" % (self.ref, self.side or self.kind)
-
-
 class MarkedDiagram:
     """Diagram refined with four extra vertices around every crossing.
 
-    nodes lists the cyclic walk order including passages; quads maps
-    each crossing to its four mark node indices by side.  factor is the
-    offset fraction that validated: each mark sits at factor times the
-    parameter distance from its crossing to the nearest other stop on
-    the same edge.
+    nodes lists the diagram walk's own stops in cyclic order, corners
+    (kind 'vertex') and passages (kind 'cross'), with a WalkNode of kind
+    'mark' just before and just after each passage, its role naming the
+    strand end ('in_over', ...); quads maps each crossing to its four
+    mark node indices by side.  factor is the offset fraction that
+    validated: each mark sits at factor times the parameter distance
+    from its crossing to the nearest other stop on the same edge.
     """
 
     __slots__ = ("diagram", "nodes", "quads", "factor")
@@ -127,34 +101,27 @@ def _place_marks(diagram, factor):
     walk = diagram.walk
     sheared = diagram.sheared
     n_walk = len(walk)
-    nodes: list[MarkNode] = []
+    nodes: list[WalkNode] = []
     quads: list[dict] = [dict() for _ in diagram.crossings]
+
+    def mark(stop, t, side):
+        pos, z = _edge_point(sheared, stop.edge, t)
+        quads[stop.ref][side] = len(nodes)
+        nodes.append(WalkNode("mark", stop.ref, side, stop.edge, t, pos, z))
+
     for w, stop in enumerate(walk):
         if stop.kind == "vertex":
-            nodes.append(MarkNode("corner", stop.ref, None, stop.edge,
-                                  stop.param, stop.pos, stop.z))
+            nodes.append(stop)
             continue
-        prev, nxt = walk[w - 1], walk[(w + 1) % n_walk]
         # the walk opens each edge with its corner at param 0, so the
-        # previous stop always sits on the same edge
-        _require(prev.edge == stop.edge,
-                 "marks: passage opens its polygon edge")
-        t_prev = prev.param
+        # previous stop sits on the same edge
+        prev, nxt = walk[w - 1], walk[(w + 1) % n_walk]
         t_next = nxt.param if nxt.edge == stop.edge else ONE
-        t_in = stop.param - factor * (stop.param - t_prev)
-        t_out = stop.param + factor * (t_next - stop.param)
-        for t, side in ((t_in, "in_" + stop.role),
-                        (None, None),
-                        (t_out, "out_" + stop.role)):
-            if side is None:
-                nodes.append(MarkNode("passage", stop.ref, stop.role,
-                                      stop.edge, stop.param, stop.pos,
-                                      stop.z))
-                continue
-            pos, z = _edge_point(sheared, stop.edge, t)
-            quads[stop.ref][side] = len(nodes)
-            nodes.append(MarkNode("mark", stop.ref, side, stop.edge, t,
-                                  pos, z))
+        mark(stop, stop.param - factor * (stop.param - prev.param),
+             "in_" + stop.role)
+        nodes.append(stop)
+        mark(stop, stop.param + factor * (t_next - stop.param),
+             "out_" + stop.role)
     return nodes, quads
 
 
@@ -188,19 +155,16 @@ class SmoothedGraph:
 
     circuits are vertex-disjoint simple cycles (node index lists in
     cyclic order) that together visit every corner and every mark.
-    whites maps each crossing to the two vertex pairs joined there;
-    edge_src maps each circuit edge to the polygon edge it lies in, or
-    to the crossing it was created at.
+    whites maps each crossing to the two vertex pairs joined there.
     """
 
-    __slots__ = ("marked", "rule", "circuits", "whites", "edge_src")
+    __slots__ = ("marked", "rule", "circuits", "whites")
 
-    def __init__(self, marked, rule, circuits, whites, edge_src):
+    def __init__(self, marked, rule, circuits, whites):
         self.marked = marked
         self.rule = rule
         self.circuits = circuits
         self.whites = whites
-        self.edge_src = edge_src
 
     def __repr__(self):
         return "SmoothedGraph(rule=%s, circuits=%s)" % (
@@ -259,23 +223,30 @@ def smooth(marked: MarkedDiagram, rule: str = "orientation") -> SmoothedGraph:
     directed.  rule 'white-edge' instead joins the two quadrilateral
     sides lying in white faces of the checkerboard coloring; the two
     rules agree at a crossing exactly when those sides are the
-    direction-respecting ones.  Circuits are verified to be disjoint
-    simple cycles of length at least 3 that never touch one another.
+    direction-respecting ones.
+
+    The circuits are disjoint simple cycles by construction.  Every node
+    but a passage has two neighbours: a corner its walk neighbours, a
+    mark its walk neighbour off the passage and its partner in the white
+    pair holding it, as the two pairs split the quad.  A circuit edge is
+    a walk segment that touches no passage, or a quad side.  Marks lie
+    strictly between consecutive stops (factor <= 1/4), so the proper
+    diagram keeps those walk segments apart except at shared nodes, and
+    _marks_valid cleared every quad side against every walk segment and
+    every other quad side.
     """
     if rule not in ("orientation", "white-edge"):
         raise ValueError("unknown smoothing rule %r" % rule)
     nodes = marked.nodes
     n_nodes = len(nodes)
     adj: dict[int, list[int]] = {i: [] for i in range(n_nodes)
-                                 if nodes[i].kind != "passage"}
-    edge_src: dict[tuple[int, int], tuple] = {}
+                                 if nodes[i].kind != "cross"}
     for i in range(n_nodes):
         j = (i + 1) % n_nodes
-        if nodes[i].kind == "passage" or nodes[j].kind == "passage":
+        if nodes[i].kind == "cross" or nodes[j].kind == "cross":
             continue
         adj[i].append(j)
         adj[j].append(i)
-        edge_src[(min(i, j), max(i, j))] = ("edge", nodes[i].edge)
     whites: list[tuple[tuple[int, int], tuple[int, int]]] = []
     for x, q in enumerate(marked.quads):
         if rule == "orientation":
@@ -288,11 +259,7 @@ def smooth(marked: MarkedDiagram, rule: str = "orientation") -> SmoothedGraph:
         for a, b in pair:
             adj[a].append(b)
             adj[b].append(a)
-            edge_src[(min(a, b), max(a, b))] = ("white", x)
         whites.append(pair)
-    for i, nbrs in adj.items():
-        if len(nbrs) != 2:
-            raise AssertionError("node %d has degree %d" % (i, len(nbrs)))
     circuits = []
     seen = set()
     for start in adj:
@@ -308,26 +275,7 @@ def smooth(marked: MarkedDiagram, rule: str = "orientation") -> SmoothedGraph:
             prev, cur = cur, (b if a == prev else a)
         _require(len(circ) >= 3, "circuit of length %d" % len(circ))
         circuits.append(circ)
-    g = SmoothedGraph(marked, rule, circuits, whites, edge_src)
-    _check_circuits_disjoint(g)
-    return g
-
-
-def _check_circuits_disjoint(g: SmoothedGraph) -> None:
-    nodes = g.marked.nodes
-    hom = {}
-    edges = []
-    for circ in g.circuits:
-        for i in circ:
-            hom[i] = homogeneous(nodes[i].pos)
-        m = len(circ)
-        edges += [(circ[e], circ[(e + 1) % m]) for e in range(m)]
-    boxes = [box_h((hom[a], hom[b])) for a, b in edges]
-    for i, j in overlapping_pairs(boxes):
-        (a, b), (c, d) = edges[i], edges[j]
-        if not seg_pair_clear_h(hom, a, b, c, d):
-            raise AssertionError(
-                "circuit edges (%d,%d) and (%d,%d) collide" % (a, b, c, d))
+    return SmoothedGraph(marked, rule, circuits, whites)
 
 
 def assign_levels(g: SmoothedGraph) -> list[int]:
@@ -361,15 +309,30 @@ def assign_levels(g: SmoothedGraph) -> list[int]:
     return levels
 
 
+def _add_wall(mesh, lo_a, lo_b, top_a, top_b, tag) -> None:
+    """Two triangles on the quadrilateral lo_a lo_b top_b top_a, the wall
+    over the base edge lo_a lo_b.  The diagonal runs from the top over
+    the lexicographically smaller base vertex to the other base vertex;
+    each top shares its leading coordinates with its base, so the tops
+    compare in the same order."""
+    if lo_a.coords <= lo_b.coords:
+        mesh.add_triangle(lo_a, lo_b, top_a, tag=tag)
+        mesh.add_triangle(lo_b, top_b, top_a, tag=tag)
+    else:
+        mesh.add_triangle(lo_a, lo_b, top_b, tag=tag)
+        mesh.add_triangle(lo_a, top_b, top_a, tag=tag)
+
+
 def build_surface(g: SmoothedGraph, levels: list[int]):
     """Assemble the spanning mesh over the sheared frame.
 
     Per circuit at depth k: its disk triangulated in the plane z = -k,
     and two wall triangles per circuit edge up to the lifted polygon
-    (the diagonal runs from the lexicographically smaller top vertex to
-    the opposite bottom vertex).  Per crossing: two bridge triangles
-    joining the lifted reconnection segments across the strand swap.
-    Returns (mesh, trace) where trace records the piece counts.
+    (_add_wall).  Per crossing: two bridge triangles joining the lifted
+    reconnection segments across the strand swap.  Returns (mesh,
+    trace) where trace records the piece counts and euler = s - c, the
+    Euler characteristic that spanning_surface_r3 requires of the
+    certified mesh.
     """
     marked = g.marked
     nodes = marked.nodes
@@ -394,15 +357,8 @@ def build_surface(g: SmoothedGraph, levels: list[int]):
         m = len(circ)
         for e in range(m):
             a, b = circ[e], circ[(e + 1) % m]
-            lo_a, lo_b = bottom(a, k), bottom(b, k)
-            top_a, top_b = lifted(a), lifted(b)
-            tag = "wall %d %d" % (ci, e)
-            if top_a.coords <= top_b.coords:
-                mesh.add_triangle(lo_a, lo_b, top_a, tag=tag)
-                mesh.add_triangle(lo_b, top_b, top_a, tag=tag)
-            else:
-                mesh.add_triangle(lo_a, lo_b, top_b, tag=tag)
-                mesh.add_triangle(lo_a, top_b, top_a, tag=tag)
+            _add_wall(mesh, bottom(a, k), bottom(b, k), lifted(a),
+                      lifted(b), "wall %d %d" % (ci, e))
             walls += 2
     bowties = 0
     for x, q in enumerate(marked.quads):
@@ -430,8 +386,6 @@ def build_surface(g: SmoothedGraph, levels: list[int]):
     _require(total_len == n + 4 * c, "seifert: sum|C| != n + 4c")
     _require(t <= 3 * n + 14 * c <= 7 * n * n,
              "seifert: t = %d exceeds 3n + 14c or 7n^2" % t)
-    chi = mesh.euler_characteristic()
-    _require(chi == s - c, "seifert: chi != s - c")
     trace = {
         "circuits": s,
         "circuit_sizes": [len(circ) for circ in g.circuits],
@@ -441,7 +395,7 @@ def build_surface(g: SmoothedGraph, levels: list[int]):
         "walls": walls,
         "bowties": bowties,
         "triangles": t,
-        "euler": chi,
+        "euler": s - c,
     }
     return mesh, trace
 
@@ -466,6 +420,8 @@ def spanning_surface_r3(poly: ClosedPolygon, seed: int = 0,
     _require(cert["failure"] is None, cert["failure"])
     _require(rule != "orientation" or cert["census"]["orientable"],
              "orientation-smoothed surface not orientable")
+    _require(cert["census"]["chi"] == report["euler"],
+             "seifert: chi != s - c")
     report.update(cert["census"], embedded=True, cert=cert)
     return mesh, report
 

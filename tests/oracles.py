@@ -4,7 +4,23 @@ plspan decides these questions another way, or no longer needs them;
 the tests keep them to check the package's answers against.
 """
 
-from plspan.geom import ONE, ZERO, AffineMap, rref, solution_set
+from plspan.geom import (
+    ONE,
+    ZERO,
+    AffineMap,
+    Point,
+    box_h,
+    homogeneous,
+    int_rank,
+    overlapping_pairs,
+    rref,
+    segment_param,
+    segment_simplex_meet,
+    solution_set,
+)
+from plspan.mesh import TriMesh, _require, certify
+from plspan.otherdims import _embedded_report
+from plspan.polygon import ClosedPolygon, validate_embedded
 
 
 def affine_inverse(am: AffineMap) -> AffineMap:
@@ -35,3 +51,111 @@ def point_in_simplex(p, simplex) -> bool:
     if dirs:
         raise ValueError("degenerate simplex")
     return all(v >= 0 for v in lam)
+
+
+def polygon_edge_contact(mesh, poly):
+    """The immersed contact test that read poly's own edges as the
+    polygon: a polygon edge may meet a triangle only as one of its sides
+    or at a corner that is a vertex of the triangle.  It agrees with
+    otherdims.polygon_contact_clean wherever the mesh's boundary edges
+    are the polygon's edges."""
+    n = len(poly)
+    index = {p.coords: v for v, p in enumerate(mesh.vertices)}
+    corners = [index.get(p.coords) for p in poly.vertices]
+    hom = [homogeneous(p) for p in mesh.vertices]
+    ends = [[homogeneous(p) for p in poly.edge(e)] for e in range(n)]
+    boxes = [box_h(hs) for hs in ends] \
+        + [box_h([hom[v] for v in tri]) for tri in mesh.triangles]
+    for e, j in overlapping_pairs(boxes, split=n):
+        if j < n:
+            continue
+        ti = j - n
+        tri = mesh.triangles[ti]
+        a, b = poly.edge(e)
+        ia, ib = corners[e], corners[(e + 1) % n]
+        if ia in tri and ib in tri:
+            continue
+        rows = ends[e] + [hom[v] for v in tri if v != ia and v != ib]
+        if int_rank(rows) == len(rows):
+            continue
+        pts = mesh.triangle_points(ti)
+        kind, data = segment_simplex_meet(a, b, pts)
+        if kind == "empty":
+            continue
+        if kind == "point":
+            hit = a + (b - a).scale(data)
+            if (hit == a or hit == b) and hit in pts:
+                continue
+            return ("edge %d pierces triangle %d at %s"
+                    % (e, ti, tuple(hit.coords)))
+        t0, t1 = data
+        if t0 == 0 and t1 == 1 and a in pts and b in pts:
+            continue
+        return "edge %d overlaps triangle %d" % (e, ti)
+    return None
+
+
+def lift_at_height(m3, h) -> TriMesh:
+    """The R^3 mesh m3 placed in the hyperplane x_4 = h of R^4, triangle
+    by triangle."""
+    mesh = TriMesh(4)
+    for t, tag in enumerate(m3.provenance):
+        mesh.add_triangle(*(Point((p[0], p[1], p[2], h))
+                            for p in m3.triangle_points(t)), tag=tag)
+    return mesh
+
+
+def embedded_attempt_framed(poly, slopes, seed, attempt,
+                            rule="orientation"):
+    """otherdims._embedded_attempt built in the sheared and lifted frame:
+    P* and the walls are placed there, and the finished mesh is mapped
+    back through the frame's inverse."""
+    from plspan.seifert import _construct_r3
+
+    verts = poly.vertices
+    n = len(verts)
+    frame, back = AffineMap.shear_lift(slopes, ONE - min(v[3] for v in verts))
+    pv = [frame.apply(v) for v in verts]
+    p3 = ClosedPolygon([Point((v[0], v[1], v[2])) for v in pv])
+    if validate_embedded(p3) is not None:
+        raise ValueError("projection not embedded")
+    m3, rep3 = _construct_r3(p3, seed, rule)
+    mesh = lift_at_height(m3, ZERO)
+    p3v = p3.vertices
+    base_edges = m3.boundary_edges()
+    walls = 0
+    for ia, ib in base_edges:
+        wa, wb = m3.vertices[ia], m3.vertices[ib]
+        hosts = []
+        for i in range(n):
+            ta = segment_param(wa, p3v[i], p3v[(i + 1) % n])
+            tb = segment_param(wb, p3v[i], p3v[(i + 1) % n])
+            if ta is not None and tb is not None:
+                hosts.append((i, ta, tb))
+        _require(len(hosts) == 1,
+                 "embedded4: boundary edge not on exactly one polygon edge")
+        host, ta, tb = hosts[0]
+        ea, eb = pv[host], pv[(host + 1) % n]
+        ua = ea + (eb - ea).scale(ta)
+        ub = ea + (eb - ea).scale(tb)
+        wa4 = Point((wa[0], wa[1], wa[2], ZERO))
+        wb4 = Point((wb[0], wb[1], wb[2], ZERO))
+        tag = "wall4 %d" % host
+        if ua.coords <= ub.coords:
+            mesh.add_triangle(wa4, wb4, ua, tag=tag)
+            mesh.add_triangle(wb4, ub, ua, tag=tag)
+        else:
+            mesh.add_triangle(wa4, wb4, ub, tag=tag)
+            mesh.add_triangle(wa4, ub, ua, tag=tag)
+        walls += 2
+    final = mesh.transform(back)
+    cert = certify(final, poly)
+    _require(cert["failure"] is None, cert["failure"])
+    census = cert["census"]
+    _require(rule != "orientation" or census["orientable"],
+             "orientation-smoothed surface not orientable")
+    _require(census["chi"] == rep3["euler"],
+             "embedded4: chi differs from the base surface's")
+    report = _embedded_report(final, rep3, n, walls, seed, attempt)
+    report.update(census, cert=cert)
+    return final, report

@@ -204,6 +204,24 @@ def test_verify_immersed_mode(tmp_path):
     assert load(rep_path)["certificates"]["complementary-immersed"]
 
 
+def test_verify_immersed_mode_accepts_an_r3_span(tmp_path):
+    # the R^3 surface's boundary subdivides the polygon's edges at the
+    # crossing marks; the immersed certificate reads those pieces, which
+    # meet the walls beside them only at shared ends (criterion 01's
+    # polygon 10)
+    poly, mesh = tmp_path / "p.poly", tmp_path / "m.off"
+    write_polygon(gen_random(8, 3, seed=4), str(poly))
+    assert run("span", poly, "--mesh-out", mesh,
+               "--report", tmp_path / "s.json") == 0
+    assert load(tmp_path / "s.json")["c"] > 0
+    rep_path = tmp_path / "v.json"
+    assert run("verify", mesh, "--polygon", poly, "--mode", "immersed",
+               "--report", rep_path) == 0
+    assert load(rep_path)["certificates"] == {
+        "manifold": True, "boundary_match": True,
+        "complementary-immersed": True}
+
+
 @pytest.mark.parametrize("mode", ["embedded", "immersed"])
 def test_verify_rejects_a_polygon_of_another_dimension(tmp_path, mode):
     # an R^4 mesh against an R^3 polygon is refused before any
@@ -402,7 +420,8 @@ def _spy_certificate_checks(monkeypatch):
                 for attr, val in list(vars(mod).items()):
                     if val is fn:
                         monkeypatch.setattr(mod, attr, spy)
-    for meth in ("validate_manifold", "orientation_propagate"):
+    for meth in ("validate_manifold", "orientation_propagate",
+                 "euler_characteristic"):
         monkeypatch.setattr(TriMesh, meth,
                             counting(meth, getattr(TriMesh, meth)))
     return calls
@@ -420,7 +439,8 @@ def test_span_derives_each_certificate_once(tmp_path, monkeypatch,
     interior = ("polygon_contact_clean" if mode == "immersed"
                 else "check_embedded")
     assert calls == {"validate_manifold": 1, "orientation_propagate": 1,
-                     "boundary_matches": 1, interior: 1}
+                     "euler_characteristic": 1, "boundary_matches": 1,
+                     interior: 1}
     assert load(report)["timings"].keys() == {"construct"}
 
 

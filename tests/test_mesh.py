@@ -973,6 +973,31 @@ def test_certify_verdicts_witnesses_and_first_failure():
         certify(disk, poly, interior="sideways")
 
 
+def test_immersed_certificate_needs_a_matching_boundary(monkeypatch):
+    # the contact test reads the boundary edges as the polygon, so a
+    # boundary that is not the polygon fails the interior by name, and
+    # the contact test never runs
+    import plspan.otherdims as od
+    square = [Point([0, 0, 0, 0]), Point([4, 0, 0, 0]), Point([4, 4, 0, 0]),
+              Point([0, 4, 0, 0])]
+    disk = fan_over_polygon(square, apex=Point([2, 2, 1, 1]))
+    ran = []
+    contact = od.polygon_contact_clean
+    monkeypatch.setattr(od, "polygon_contact_clean",
+                        lambda mesh: ran.append(1) or contact(mesh))
+    cert = certify(disk, ClosedPolygon(square), interior="immersed")
+    assert cert["verdicts"]["complementary-immersed"] is True and ran
+    ran.clear()
+    moved = ClosedPolygon([p + Point([1, 0, 0, 0]) for p in square])
+    cert = certify(disk, moved, interior="immersed")
+    assert cert["verdicts"] == {"manifold": True, "boundary_match": False,
+                                "complementary-immersed": False}
+    assert cert["witnesses"] == {
+        "violation_witness": "the boundary does not match the polygon"}
+    assert cert["failure"] == "boundary does not match the polygon"
+    assert ran == []
+
+
 def test_src_has_no_assert_statements():
     # python -O strips assert; every check in the package is an explicit
     # raise (mesh._require raises CertificateError)
@@ -986,9 +1011,9 @@ def test_src_has_no_assert_statements():
 
 
 def test_mesh_and_otherdims_leave_rational_elimination_to_geom():
-    # hyperplanes come from geom.int_nullspace and frames are inverted in
-    # closed form by AffineMap.shear_lift; the rational rref and nullspace
-    # stay behind geom's simplex meets and LP
+    # hyperplanes come from geom.int_nullspace and embedded4 builds in
+    # the input frame, so no frame is inverted; the rational rref and
+    # nullspace stay behind geom's simplex meets and LP
     import plspan
     rational = {"rref", "nullspace", "inverse"}
     found = []

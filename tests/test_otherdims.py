@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -25,7 +26,9 @@ from plspan.geom import (
 )
 from plspan.mesh import TriMesh, boundary_matches, check_embedded
 from plspan.otherdims import (
+    _embedded_attempt,
     _flat_meet,
+    _lift,
     _place_disk,
     _plane_forms,
     cone_highdim,
@@ -40,6 +43,12 @@ from plspan.polygon import (
     gen_planar_ngon,
     gen_random,
     gen_torus_stick,
+)
+
+from oracles import (
+    embedded_attempt_framed,
+    lift_at_height,
+    polygon_edge_contact,
 )
 
 
@@ -448,28 +457,25 @@ def test_place_disk_rejects_a_centre_in_the_hull_by_the_point_lp(
     assert sizes == [1] * 40
 
 
-def _contact_oracle(mesh, poly):
-    """polygon_contact_clean with no filter: every edge against every
-    triangle through segment_simplex_meet, in the same order."""
-    verts = poly.vertices
-    n = len(verts)
-    for e in range(n):
-        a, b = verts[e], verts[(e + 1) % n]
-        for ti in range(len(mesh.triangles)):
-            pts = mesh.triangle_points(ti)
-            kind, data = segment_simplex_meet(a, b, pts)
+def _contact_oracle(mesh):
+    """polygon_contact_clean with no filter: every boundary edge against
+    every triangle through segment_simplex_meet, in the same order; a
+    contact is allowed only in the face the two share."""
+    for u, v in mesh.boundary_edges():
+        a, b = mesh.vertices[u], mesh.vertices[v]
+        for ti, tri in enumerate(mesh.triangles):
+            kind, data = segment_simplex_meet(a, b, mesh.triangle_points(ti))
             if kind == "empty":
                 continue
             if kind == "point":
                 hit = a + (b - a).scale(data)
-                if (hit == a or hit == b) and hit in pts:
+                if (hit == a and u in tri) or (hit == b and v in tri):
                     continue
-                return ("edge %d pierces triangle %d at %s"
-                        % (e, ti, tuple(hit.coords)))
-            t0, t1 = data
-            if t0 == 0 and t1 == 1 and a in pts and b in pts:
+                return ("boundary edge %d-%d pierces triangle %d at %s"
+                        % (u, v, ti, tuple(hit.coords)))
+            if u in tri and v in tri:
                 continue
-            return "edge %d overlaps triangle %d" % (e, ti)
+            return "boundary edge %d-%d overlaps triangle %d" % (u, v, ti)
     return None
 
 
@@ -504,10 +510,44 @@ def _contact_soup(rng):
     return mesh, poly
 
 
+def _disk_soup(rng):
+    """An immersed-disk-shaped mesh over a grid polygon in R^4: the
+    annulus and fan of _assemble_disk around grid points placed at
+    random, so its boundary is the polygon's own edges, or None when a
+    draw breaks that."""
+    def grid():
+        return Point([rng.randint(0, 3) for _ in range(4)])
+
+    try:
+        poly = ClosedPolygon([grid() for _ in range(rng.randint(3, 5))])
+    except ValueError:
+        return None
+    verts = poly.vertices
+    n = len(verts)
+    q = [grid() for _ in range(n)]
+    centre = grid()
+    mesh = TriMesh(4)
+    for j in range(n):
+        for tri in ((verts[j], verts[(j + 1) % n], q[(j + 1) % n]),
+                    (verts[j], q[j], q[(j + 1) % n]),
+                    (q[j], q[(j + 1) % n], centre)):
+            if affine_rank(tri) != 2:
+                return None
+            mesh.add_triangle(*tri)
+    index = {p.coords: i for i, p in enumerate(mesh.vertices)}
+    sides = {tuple(sorted(index[p.coords] for p in poly.edge(e)))
+             for e in range(n)}
+    if len(mesh.vertices) != 2 * n + 1 or set(mesh.boundary_edges()) != sides:
+        return None
+    return mesh, poly
+
+
 def test_polygon_contact_clean_matches_unfiltered_oracle(monkeypatch):
     # box-apart pairs are dropped by the sweep, and sides and affinely
     # independent pairs are cleared without segment_simplex_meet; the
-    # description string must not change
+    # description string must not change.  Where the boundary edges are
+    # the polygon's own edges, the verdict is that of the test that read
+    # the polygon's edges.
     import plspan.otherdims as od
     reached = set()
     int_rank, meet = od.int_rank, od.segment_simplex_meet
@@ -532,24 +572,26 @@ def test_polygon_contact_clean_matches_unfiltered_oracle(monkeypatch):
     monkeypatch.setattr(od, "int_rank", rank_spy)
     monkeypatch.setattr(od, "segment_simplex_meet", meet_spy)
     monkeypatch.setattr(od, "overlapping_pairs", sweep_spy)
-    cases = []
+    on_polygon = []
     for n in (3, 5):
         poly = gen_random(n, 4, seed=n)
-        cases.append((immersed_disk_4d(poly, seed=0)[0], poly))
+        on_polygon.append((immersed_disk_4d(poly, seed=0)[0], poly))
     rng = random.Random(6)
-    cases += [_contact_soup(rng) for _ in range(150)]
-    verdicts = set()
-    sides = 0
-    for mesh, poly in cases:
-        got = polygon_contact_clean(mesh, poly)
-        assert got == _contact_oracle(mesh, poly), (poly.vertices, got)
+    while len(on_polygon) < 80:
+        soup = _disk_soup(rng)
+        if soup is not None:
+            on_polygon.append(soup)
+    soups = [_contact_soup(rng)[0] for _ in range(150)]
+    verdicts, polygon_verdicts = set(), set()
+    for mesh in [m for m, _ in on_polygon] + soups:
+        got = polygon_contact_clean(mesh)
+        assert got == _contact_oracle(mesh), (mesh.vertices, got)
         verdicts.add(got is None)
-        sides += sum(a in pts and b in pts
-                     for a, b in (poly.edge(e) for e in range(len(poly)))
-                     for pts in (mesh.triangle_points(t)
-                                 for t in range(len(mesh.triangles))))
-    assert verdicts == {True, False}
-    assert sides > 0
+    for mesh, poly in on_polygon:
+        clean = polygon_contact_clean(mesh) is None
+        assert clean == (polygon_edge_contact(mesh, poly) is None)
+        polygon_verdicts.add(clean)
+    assert verdicts == polygon_verdicts == {True, False}
     assert reached == {"independent", "dependent", "exact"}
     kept, total = map(sum, zip(*swept))
     assert 0 < kept < total
@@ -610,6 +652,48 @@ def test_embedded_determinism():
     assert r1 == r2
     assert [m1.triangle_points(t) for t in range(len(m1.triangles))] == \
         [m2.triangle_points(t) for t in range(len(m2.triangles))]
+
+
+def _lifted_torus(m):
+    return ClosedPolygon([Point((v[0], v[1], v[2], v[0]))
+                          for v in gen_torus_stick(m).vertices])
+
+
+def test_embedded_attempt_matches_framed_oracle(tmp_path):
+    # built in poly's own frame, an attempt gives the mesh and report that
+    # building in the sheared frame and mapping back gave, byte for byte
+    from plspan.mesh import write_off
+    from plspan.seifert import spanning_surface_r3
+
+    def off(mesh):
+        path = tmp_path / "m.off"
+        write_off(mesh, str(path))
+        return path.read_bytes()
+
+    polys = [_lifted_torus(3)]
+    polys += [gen_random(n, 4, seed=s) for n in range(4, 7) for s in range(4)]
+    rng = random.Random(47)
+    built = 0
+    for poly in polys:
+        for attempt in range(1, 4):
+            slopes = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 32), 16)
+                      for _ in range(3)]
+            try:
+                want = embedded_attempt_framed(poly, slopes, 0, attempt)
+            except (ValueError, AssertionError) as exc:
+                with pytest.raises(type(exc), match="^%s$" % re.escape(
+                        str(exc))):
+                    _embedded_attempt(poly, slopes, 0, attempt)
+                continue
+            got = _embedded_attempt(poly, slopes, 0, attempt)
+            assert off(got[0]) == off(want[0]), (poly, slopes)
+            assert got[1] == want[1]
+            built += 1
+    assert built > 30
+    # the flat branch lifts the certified R^3 surface to its height
+    m3, _ = spanning_surface_r3(gen_torus_stick(3))
+    h = Fraction(5, 3)
+    assert off(_lift(m3, (0, 0, 0, h))) == off(lift_at_height(m3, h))
 
 
 def test_lifted_torus_surface_needs_no_lp(monkeypatch):

@@ -28,7 +28,6 @@ from plspan.polygon import (
 )
 from plspan.seifert import (
     MarkedDiagram,
-    _check_circuits_disjoint,
     _marks_valid,
     _place_marks,
     _ray_parity,
@@ -357,28 +356,57 @@ def test_marks_valid_sweeps_no_walk_pair(monkeypatch):
                 assert swept == [(0, len(nodes), [])]
 
 
-def test_circuit_disjointness_integer_contacts_match_rational_oracle():
-    rng = random.Random(1980)
-    verdicts = set()
-    for trial in range(200):
-        nodes = _grid_nodes(rng, rng.randint(6, 10))
-        ids = rng.sample(range(len(nodes)), len(nodes))
-        cut = rng.randint(3, len(ids) - 3)
-        circuits = [ids[:cut], ids[cut:]]
-        g = SimpleNamespace(marked=SimpleNamespace(nodes=nodes),
-                            circuits=circuits)
-        want = _circuits_disjoint_oracle(nodes, circuits)
-        try:
-            _check_circuits_disjoint(g)
-            got = True
-        except AssertionError:
-            got = False
-        assert got == want, trial
-        verdicts.add(want)
-    for poly in (gen_torus_stick(3), gen_random(8, 3, seed=5)):
-        g = smooth(insert_interior_vertices(project_polygon(poly)))
-        assert _circuits_disjoint_oracle(g.marked.nodes, g.circuits)
-    assert verdicts == {True, False}
+def test_smoothed_circuits_are_disjoint():
+    # smooth relies on the proper diagram and _marks_valid to keep the
+    # circuits apart; every pair of circuit edges is decided here by
+    # seg_intersect_2d, under both rules
+    corpus = [gen_torus_stick(m) for m in range(3, 7)]
+    corpus += [gen_twist_writhe(m) for m in range(1, 4)]
+    corpus += [gen_random(n, 3, seed=s) for n in range(6, 13)
+               for s in range(5)]
+    crossings = 0
+    for poly in corpus:
+        marked = insert_interior_vertices(project_polygon(poly))
+        crossings += len(marked.quads)
+        for rule in ("orientation", "white-edge"):
+            g = smooth(marked, rule)
+            assert _circuits_disjoint_oracle(marked.nodes, g.circuits), \
+                (poly, rule)
+    assert crossings > 100
+
+
+def test_place_marks_keeps_the_walk_stops():
+    # corners and passages are the walk's own stop objects, in walk
+    # order; each crossing gets four marks, one per strand end, each
+    # strictly between its passage and the neighbouring stop
+    for poly in (gen_planar_ngon(5, dim=3), gen_torus_stick(4),
+                 gen_twist_writhe(2), gen_random(9, 3, seed=3)):
+        dia = project_polygon(poly)
+        for factor in (Rat(1, 4), Rat(1, 16)):
+            nodes, quads = _place_marks(dia, factor)
+            stops = [nd for nd in nodes if nd.kind != "mark"]
+            assert len(stops) == len(dia.walk)
+            assert all(a is b for a, b in zip(stops, dia.walk))
+            assert len(nodes) == len(dia.walk) + 4 * len(dia.crossings)
+            marks = set()
+            for x, q in enumerate(quads):
+                assert set(q) == {"in_over", "out_over", "in_under",
+                                  "out_under"}
+                for side, idx in q.items():
+                    nd = nodes[idx]
+                    assert (nd.kind, nd.ref, nd.role) == ("mark", x, side)
+                    passage = nodes[idx + 1 if side[:2] == "in" else idx - 1]
+                    assert passage.kind == "cross" and passage.ref == x
+                    assert nd.edge == passage.edge
+                    assert passage.role == side.split("_")[1]
+                    assert 0 < nd.param < 1
+                    marks.add(idx)
+            assert marks == {i for i, nd in enumerate(nodes)
+                             if nd.kind == "mark"}
+            # params rise strictly along each edge, so every mark lies
+            # strictly between the stops on either side of it
+            for a, b in zip(nodes, nodes[1:]):
+                assert a.edge != b.edge or a.param < b.param
 
 
 def _ray_parity_oracle(p, segs):
