@@ -17,9 +17,8 @@ import os
 import sys
 import time
 
-from .bounds import bounds_report
+from .bounds import bounds_report, genus_lower_bound, unoriented_genus_bound
 from .diagram import project_polygon
-from .geom import AffineMap
 from .mesh import certify, read_off, write_off
 from .otherdims import cone_highdim, earclip_2d, embedded_4d, immersed_disk_4d
 from .polygon import (
@@ -34,7 +33,6 @@ from .polygon import (
 )
 from .seifert import spanning_surface_r3
 
-IDENTITY3 = AffineMap.identity(3).matrix
 # name: (applies to dimension d, build(poly, args)); auto takes the first
 # that applies.  Builders are looked up by name at call time, so a wrapper
 # set on this module sees the call.
@@ -55,6 +53,17 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("%s is not a positive integer" % text)
     return value
+
+
+def _genus(parse, rule):
+    """argparse type for a genus option, checked by its bound rule."""
+    def check(text: str):
+        try:
+            rule(parse(text))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError("%s: %s" % (text, exc))
+        return parse(text)
+    return check
 
 
 def _plain(x):
@@ -254,7 +263,7 @@ def cmd_bounds(args) -> int:
         for seed in range(args.projections):
             # every seed's shear search tries the identity first, so when
             # seed 0 keeps the vertical shadow, every seed keeps it
-            if dia is None or dia.to_sheared.matrix != IDENTITY3:
+            if dia is None or any(dia.slopes):
                 dia = project_polygon(poly, seed=seed)
             projections.append({"seed": seed, "c": len(dia.crossings),
                                 "w": dia.writhe})
@@ -295,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--rule", default="orientation",
                    choices=["orientation", "white-edge"])
     s.add_argument("--seed", type=int, default=seed)
-    s.add_argument("--knot-genus", type=int, default=None,
+    s.add_argument("--knot-genus", type=_genus(int, genus_lower_bound),
                    help="user-supplied knot genus for the bounds block")
     s.add_argument("--mesh-out", help="write the surface as an OFF file")
     s.add_argument("--report", help="report path (default stdout)")
@@ -316,8 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
                    "|writhe| is reported (dim 3); every seed tries the "
                    "identity shear first, so a generic vertical shadow "
                    "gives the same diagram for every seed")
-    b.add_argument("--knot-genus", type=int, default=None)
-    b.add_argument("--unoriented-genus", default=None,
+    b.add_argument("--knot-genus", type=_genus(int, genus_lower_bound))
+    b.add_argument("--unoriented-genus",
+                   type=_genus(str, unoriented_genus_bound),
                    help="half-integers accepted, e.g. 1/2")
     b.add_argument("--report", help="report path (default stdout)")
     b.set_defaults(func=cmd_bounds)

@@ -1,22 +1,25 @@
 """Generic projection of an embedded polygon in R^3 to the plane.
 
-The projection drops z after an invertible shear (x,y) += s*z chosen so
-that the shadow is a proper diagram: edges never overlap, all contacts
-between non-adjacent edges are transverse interior crossings, crossing
-points are pairwise distinct and avoid every projected vertex.  The
-shear keeps all coordinates rational, so every test below is exact.
+The projection sends (x, y, z) to its shadow (x + s1*z, y + s2*z), with
+slopes (s1, s2) chosen so that the shadow is a proper diagram: edges
+never overlap, all contacts between non-adjacent edges are transverse
+interior crossings, crossing points are pairwise distinct and avoid
+every projected vertex.  The slopes are rational, so every test below
+is exact.  The slopes only pick the direction of projection: heights
+stay the polygon's own, and Diagram.lift maps a shadow point and a
+height back to the polygon's frame.
 
-A Diagram carries the sheared polygon (z translated to be >= 1), the
-crossing list with over/under resolution and signs, and the walk: the
-cyclic node sequence encountered while traversing the polygon, with
-each crossing visited exactly twice.
+A Diagram carries the slopes, the shadow of every vertex, the crossing
+list with over/under resolution and signs, and the walk: the cyclic
+node sequence encountered while traversing the polygon, with each
+crossing visited exactly twice.
 """
 
 from __future__ import annotations
 
 import random
 
-from .geom import (AffineMap, ONE, Point, ZERO, box_h, homogeneous,
+from .geom import (AffineMap, Point, ZERO, box_h, homogeneous,
                    overlapping_pairs, rat, seg_intersect_2d, seg_pair_clear_h,
                    sign)
 from .polygon import ClosedPolygon
@@ -72,14 +75,17 @@ class WalkNode:
 
 
 class Diagram:
-    def __init__(self, polygon, sheared, to_sheared, from_sheared,
-                 crossings, walk):
+    def __init__(self, polygon, slopes, shadow, crossings, walk):
         self.polygon = polygon        # the polygon as given
-        self.sheared = sheared        # after shear + z normalization
-        self.to_sheared = to_sheared  # AffineMap original -> sheared
-        self.from_sheared = from_sheared  # its inverse
+        self.slopes = slopes          # (s1, s2) of the projection
+        self.shadow = shadow          # planar Point per polygon vertex
         self.crossings = crossings
         self.walk = walk              # list of WalkNode, cyclic order
+
+    def lift(self, pos, z) -> Point:
+        """The point of the polygon's frame with shadow pos and height z."""
+        s1, s2 = self.slopes
+        return Point((pos[0] - s1 * z, pos[1] - s2 * z, z))
 
     @property
     def writhe(self) -> int:
@@ -87,7 +93,7 @@ class Diagram:
 
     def __repr__(self):
         return "Diagram(n=%d, crossings=%d, writhe=%d)" % (
-            len(self.sheared.vertices), len(self.crossings), self.writhe)
+            len(self.shadow), len(self.crossings), self.writhe)
 
 
 def _projection_problems(pts: list[Point]):
@@ -170,25 +176,19 @@ def find_general_position(poly: ClosedPolygon, seed: int = 0,
 
 def project_polygon(poly: ClosedPolygon, seed: int = 0,
                     budget: int = 1000) -> Diagram:
-    """Diagram of the polygon after a generic shear.
+    """Diagram of the polygon under a generic projection.
 
-    The sheared copy is translated so its lowest vertex sits at height 1;
-    the projection plane z=0 therefore lies strictly below the polygon.
-    The shear leaves z as it is and the translation leaves the shadow as
-    it is, so the lift comes from poly's heights and the shadow and
-    crossings the shear search found are the diagram's.
+    The shadow and crossings are the ones the slope search found.  A
+    strand's height at a crossing or walk stop is poly's own height
+    there, interpolated along its edge.
     """
-    (s1, s2), pts, hits = _general_position(poly, seed, budget)
-    up = ONE - min(v[2] for v in poly.vertices)
-    sheared = ClosedPolygon([Point((p[0], p[1], v[2] + up))
-                             for p, v in zip(pts, poly.vertices)])
-    to_sheared, from_sheared = AffineMap.shear_lift([s1, s2], up)
+    slopes, pts, hits = _general_position(poly, seed, budget)
+    verts = poly.vertices
     n = len(pts)
-    verts3 = sheared.vertices
 
     def z_at(edge, t):
-        za = verts3[edge][2]
-        zb = verts3[(edge + 1) % n][2]
+        za = verts[edge][2]
+        zb = verts[(edge + 1) % n][2]
         return za + t * (zb - za)
 
     crossings = []
@@ -217,9 +217,8 @@ def project_polygon(poly: ClosedPolygon, seed: int = 0,
 
     walk = []
     for i in range(n):
-        walk.append(WalkNode("vertex", i, None, i, ZERO, pts[i],
-                             verts3[i][2]))
+        walk.append(WalkNode("vertex", i, None, i, ZERO, pts[i], verts[i][2]))
         for t, idx, role in sorted(per_edge[i], key=lambda e: e[0]):
             walk.append(WalkNode("cross", idx, role, i, t,
                                  crossings[idx].pos, z_at(i, t)))
-    return Diagram(poly, sheared, to_sheared, from_sheared, crossings, walk)
+    return Diagram(poly, slopes, pts, crossings, walk)

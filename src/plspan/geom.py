@@ -127,11 +127,6 @@ class AffineMap:
         return len(self.shift)
 
     @staticmethod
-    def identity(dim: int) -> "AffineMap":
-        return AffineMap([[ONE if i == j else ZERO for j in range(dim)]
-                          for i in range(dim)], [ZERO] * dim)
-
-    @staticmethod
     def shear_last_into(dim: int, slopes: Sequence) -> "AffineMap":
         """Add slopes[i] * x_last to each earlier coordinate.
 
@@ -145,38 +140,11 @@ class AffineMap:
             m[i][dim - 1] = rat(s)
         return AffineMap(m, [ZERO] * dim)
 
-    @staticmethod
-    def shear_lift(slopes: Sequence, up) -> tuple["AffineMap", "AffineMap"]:
-        """(frame, its inverse) for the shear by slopes followed by a lift
-        of the last coordinate by up.  The inverse is in closed form:
-        translate by -up, then shear by the negated slopes."""
-        dim = len(slopes) + 1
-        up = rat(up)
-        frame = AffineMap.translation([ZERO] * (dim - 1) + [up]).compose(
-            AffineMap.shear_last_into(dim, slopes))
-        back = AffineMap.shear_last_into(dim, [-rat(s) for s in slopes]) \
-            .compose(AffineMap.translation([ZERO] * (dim - 1) + [-up]))
-        return frame, back
-
-    @staticmethod
-    def translation(shift: Iterable) -> "AffineMap":
-        shift = tuple(shift)
-        return AffineMap(AffineMap.identity(len(shift)).matrix, shift)
-
     def apply(self, p: Point) -> Point:
         if p.dim != self.dim:
             raise ValueError("dimension mismatch")
         return Point(sum(row[j] * p.coords[j] for j in range(self.dim)) + s
                      for row, s in zip(self.matrix, self.shift))
-
-    def compose(self, inner: "AffineMap") -> "AffineMap":
-        """self after inner: x -> self(inner(x))."""
-        n = self.dim
-        m = [[sum(self.matrix[i][k] * inner.matrix[k][j] for k in range(n))
-              for j in range(n)] for i in range(n)]
-        t = [sum(self.matrix[i][k] * inner.shift[k] for k in range(n))
-             + self.shift[i] for i in range(n)]
-        return AffineMap(m, t)
 
 
 # ---------------------------------------------------------------------------

@@ -392,10 +392,10 @@ def _embedded_attempt(poly, slopes, seed, attempt, rule="orientation"):
     verts = poly.vertices
     n = len(verts)
     # P* is the shadow of the shear x_i += s_i x_4.  The spanning surface
-    # of P* goes into the hyperplane x_4 = low, below every vertex,
-    # sheared back: x -> (x - s low, low).  A shear keeps edge parameters,
-    # so the wall over a boundary piece of P* rises to poly's own points
-    # at the same parameters on the host edge.
+    # of P* goes into the hyperplane x_4 = low, below every vertex, with
+    # the shear undone: x -> (x - s low, low).  A shear keeps edge
+    # parameters, so the wall over a boundary piece of P* rises to poly's
+    # own points at the same parameters on the host edge.
     p3 = ClosedPolygon([Point(v[i] + slopes[i] * v[3] for i in range(3))
                         for v in verts])
     if validate_embedded(p3) is not None:

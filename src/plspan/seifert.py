@@ -4,11 +4,12 @@ Pipeline: project the polygon to a proper diagram, split every crossing
 open by placing four vertices around it, reconnect the strands so the
 shadow falls apart into disjoint simple circuits, rank the circuits by
 containment depth, then span: one triangulated disk per circuit pushed
-below the projection plane, two vertical wall triangles from each
-circuit edge up to the lifted polygon, and two bridge triangles per
-crossing joining the strands where they swap.  All geometry is exact;
-every structural claim the construction relies on is certified once, by
-mesh.certify, on the finished mesh.
+below the polygon, two wall triangles from each circuit edge up to the
+polygon, vertical in the shadow, and two bridge triangles per crossing
+joining the strands where they swap.  The surface is built in the
+polygon's own frame.  All geometry is exact; every structural claim the
+construction relies on is certified once, by mesh.certify, on the
+finished mesh.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .geom import (
     homogeneous,
     orient2d_h,
     overlapping_pairs,
-    rat,
     seg_pair_clear_h,
 )
 from .mesh import TriMesh, _require, certify
@@ -69,15 +69,6 @@ class MarkedDiagram:
             len(self.nodes), len(self.quads), self.factor)
 
 
-def _edge_point(sheared: ClosedPolygon, e: int, t):
-    verts = sheared.vertices
-    a, b = verts[e], verts[(e + 1) % len(verts)]
-    x = a[0] + t * (b[0] - a[0])
-    y = a[1] + t * (b[1] - a[1])
-    z = a[2] + t * (b[2] - a[2])
-    return Point((x, y)), z
-
-
 def insert_interior_vertices(diagram) -> MarkedDiagram:
     """Place four vertices around every crossing of the diagram.
 
@@ -99,13 +90,16 @@ def insert_interior_vertices(diagram) -> MarkedDiagram:
 
 def _place_marks(diagram, factor):
     walk = diagram.walk
-    sheared = diagram.sheared
     n_walk = len(walk)
     nodes: list[WalkNode] = []
     quads: list[dict] = [dict() for _ in diagram.crossings]
 
-    def mark(stop, t, side):
-        pos, z = _edge_point(sheared, stop.edge, t)
+    def mark(stop, near, t_near, side):
+        # factor of the way from stop to the stop near, at parameter t_near
+        # of stop's edge; shadow and height are affine in the parameter
+        t = stop.param + factor * (t_near - stop.param)
+        pos = Point(a + factor * (b - a) for a, b in zip(stop.pos, near.pos))
+        z = stop.z + factor * (near.z - stop.z)
         quads[stop.ref][side] = len(nodes)
         nodes.append(WalkNode("mark", stop.ref, side, stop.edge, t, pos, z))
 
@@ -114,13 +108,12 @@ def _place_marks(diagram, factor):
             nodes.append(stop)
             continue
         # the walk opens each edge with its corner at param 0, so the
-        # previous stop sits on the same edge
+        # previous stop sits on the same edge, and a next stop on
+        # another edge is the corner that ends this one
         prev, nxt = walk[w - 1], walk[(w + 1) % n_walk]
-        t_next = nxt.param if nxt.edge == stop.edge else ONE
-        mark(stop, stop.param - factor * (stop.param - prev.param),
-             "in_" + stop.role)
+        mark(stop, prev, prev.param, "in_" + stop.role)
         nodes.append(stop)
-        mark(stop, stop.param + factor * (t_next - stop.param),
+        mark(stop, nxt, nxt.param if nxt.edge == stop.edge else ONE,
              "out_" + stop.role)
     return nodes, quads
 
@@ -198,8 +191,7 @@ def quad_edge_colors(marked: MarkedDiagram, x: int) -> list[int]:
     """Checkerboard color of the face each quad side of crossing x lies
     in: 0 for white (the unbounded face's color), 1 for black.  Colors
     alternate around the quadrilateral."""
-    shadow = [(h[0], h[1], h[-1])
-              for h in map(homogeneous, marked.diagram.sheared.vertices)]
+    shadow = [homogeneous(p) for p in marked.diagram.shadow]
     segs = list(zip(shadow, shadow[1:] + shadow[:1]))
     nodes = marked.nodes
     colors = []
@@ -304,7 +296,7 @@ def assign_levels(g: SmoothedGraph) -> list[int]:
                 _require(levels[d] > 0, "levels: inner circuit ranked late")
                 deepest = max(deepest, levels[d])
         levels[c] = deepest + 1
-    n = len(g.marked.diagram.sheared.vertices)
+    n = len(g.marked.diagram.shadow)
     _require(max(levels) <= n, "levels: depth exceeds n")
     return levels
 
@@ -312,9 +304,8 @@ def assign_levels(g: SmoothedGraph) -> list[int]:
 def _add_wall(mesh, lo_a, lo_b, top_a, top_b, tag) -> None:
     """Two triangles on the quadrilateral lo_a lo_b top_b top_a, the wall
     over the base edge lo_a lo_b.  The diagonal runs from the top over
-    the lexicographically smaller base vertex to the other base vertex;
-    each top shares its leading coordinates with its base, so the tops
-    compare in the same order."""
+    the lexicographically smaller base vertex to the other base
+    vertex."""
     if lo_a.coords <= lo_b.coords:
         mesh.add_triangle(lo_a, lo_b, top_a, tag=tag)
         mesh.add_triangle(lo_b, top_b, top_a, tag=tag)
@@ -324,41 +315,42 @@ def _add_wall(mesh, lo_a, lo_b, top_a, top_b, tag) -> None:
 
 
 def build_surface(g: SmoothedGraph, levels: list[int]):
-    """Assemble the spanning mesh over the sheared frame.
+    """Assemble the spanning mesh in the polygon's own frame.
 
-    Per circuit at depth k: its disk triangulated in the plane z = -k,
-    and two wall triangles per circuit edge up to the lifted polygon
-    (_add_wall).  Per crossing: two bridge triangles joining the lifted
-    reconnection segments across the strand swap.  Returns (mesh,
-    trace) where trace records the piece counts and euler = s - c, the
-    Euler characteristic that spanning_surface_r3 requires of the
-    certified mesh.
+    Each circuit node lifts (Diagram.lift) to a top at its height on the
+    polygon and, on a circuit at depth k, to a low point at height
+    floor - k, floor lying one below the polygon.  Per circuit: its disk
+    triangulated through the low points, and two wall triangles per
+    circuit edge up to the tops (_add_wall).  Per crossing: two bridge
+    triangles joining the tops of the reconnection segments across the
+    strand swap.  Returns (mesh, trace) where trace records the piece
+    counts and euler = s - c, the Euler characteristic that
+    spanning_surface_r3 requires of the certified mesh.
     """
     marked = g.marked
+    dia = marked.diagram
     nodes = marked.nodes
     mesh = TriMesh(3)
-
-    def lifted(i: int) -> Point:
-        nd = nodes[i]
-        return Point((nd.pos[0], nd.pos[1], nd.z))
-
-    def bottom(i: int, k) -> Point:
-        nd = nodes[i]
-        return Point((nd.pos[0], nd.pos[1], -k))
+    floor = min(v[2] for v in dia.polygon.vertices) - ONE
+    # every corner and mark lies on exactly one circuit
+    top, low = {}, {}
+    for circ, k in zip(g.circuits, levels):
+        for i in circ:
+            top[i] = dia.lift(nodes[i].pos, nodes[i].z)
+            low[i] = dia.lift(nodes[i].pos, floor - k)
 
     bowls = walls = 0
     for ci, circ in enumerate(g.circuits):
-        k = rat(levels[ci])
         pts2 = [nodes[i].pos for i in circ]
         for a, b, c in earclip_2d(pts2):
-            mesh.add_triangle(bottom(circ[a], k), bottom(circ[b], k),
-                              bottom(circ[c], k), tag="bowl %d" % ci)
+            mesh.add_triangle(low[circ[a]], low[circ[b]], low[circ[c]],
+                              tag="bowl %d" % ci)
             bowls += 1
         m = len(circ)
         for e in range(m):
             a, b = circ[e], circ[(e + 1) % m]
-            _add_wall(mesh, bottom(a, k), bottom(b, k), lifted(a),
-                      lifted(b), "wall %d %d" % (ci, e))
+            _add_wall(mesh, low[a], low[b], top[a], top[b],
+                      "wall %d %d" % (ci, e))
             walls += 2
     bowties = 0
     for x, q in enumerate(marked.quads):
@@ -366,10 +358,10 @@ def build_surface(g: SmoothedGraph, levels: list[int]):
         for a, b in g.whites[x]:
             partner[a] = b
             partner[b] = a
-        x1 = lifted(q["in_over"])
-        y1 = lifted(q["out_over"])
-        x2 = lifted(partner[q["in_over"]])
-        y2 = lifted(partner[q["out_over"]])
+        x1 = top[q["in_over"]]
+        y1 = top[q["out_over"]]
+        x2 = top[partner[q["in_over"]]]
+        y2 = top[partner[q["out_over"]]]
         mesh.add_triangle(x1, x2, y1, tag="bowtie %d" % x)
         mesh.add_triangle(x2, y1, y2, tag="bowtie %d" % x)
         bowties += 2
@@ -382,7 +374,7 @@ def build_surface(g: SmoothedGraph, levels: list[int]):
     _require(bowties == 2 * c, "seifert: bowties != 2c")
     _require(t == bowls + walls + bowties,
              "seifert: t != bowls + walls + bowties")
-    n = len(marked.diagram.sheared.vertices)
+    n = len(dia.shadow)
     _require(total_len == n + 4 * c, "seifert: sum|C| != n + 4c")
     _require(t <= 3 * n + 14 * c <= 7 * n * n,
              "seifert: t = %d exceeds 3n + 14c or 7n^2" % t)
@@ -405,8 +397,8 @@ def spanning_surface_r3(poly: ClosedPolygon, seed: int = 0,
     """Build and certify a triangulated surface spanning poly.
 
     poly must live in R^3 (planar input is lifted to z = 0 first).  The
-    mesh is assembled over a sheared frame and pulled back through the
-    inverse shear, so its boundary is a subdivision of poly itself.
+    mesh is assembled in poly's own frame, so its boundary is a
+    subdivision of poly itself.
     mesh.certify derives every certificate once, on the returned mesh;
     rule 'orientation' also requires it to be orientable.  Returns (mesh,
     report), the certificate under report['cert'].  Raises
@@ -436,11 +428,7 @@ def _construct_r3(poly: ClosedPolygon, seed: int, rule: str):
     # smaller one cannot mend a failed smoothing
     g = smooth(insert_interior_vertices(dia), rule)
     levels = assign_levels(g)
-    raw, trace = build_surface(g, levels)
-    # the pullback is an affine bijection (transform raises if it merges
-    # vertices), so every certificate of the returned mesh holds for the
-    # sheared one and none is needed before it
-    mesh = raw.transform(dia.from_sheared)
+    mesh, trace = build_surface(g, levels)
     report = dict(trace)
     report.update({
         "n": len(poly.vertices),

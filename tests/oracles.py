@@ -37,6 +37,20 @@ def affine_inverse(am: AffineMap) -> AffineMap:
     return AffineMap(inv, t)
 
 
+def shear_frame(slopes, up) -> tuple[AffineMap, AffineMap]:
+    """(frame, back): the shear x_i += slopes[i] x_last followed by the
+    lift x_last += up, and its inverse in closed form, the shear by the
+    negated slopes after x_last -= up."""
+    dim = len(slopes) + 1
+    frame = [[ONE if i == j else ZERO for j in range(dim)]
+             for i in range(dim)]
+    back = [list(row) for row in frame]
+    for i, s in enumerate(slopes):
+        frame[i][-1], back[i][-1] = s, -s
+    return (AffineMap(frame, [ZERO] * (dim - 1) + [up]),
+            AffineMap(back, [s * up for s in slopes] + [-up]))
+
+
 def point_in_simplex(p, simplex) -> bool:
     """Exact closed-containment test for any nondegenerate simplex."""
     pts = list(simplex)
@@ -114,7 +128,7 @@ def embedded_attempt_framed(poly, slopes, seed, attempt,
 
     verts = poly.vertices
     n = len(verts)
-    frame, back = AffineMap.shear_lift(slopes, ONE - min(v[3] for v in verts))
+    frame, back = shear_frame(slopes, ONE - min(v[3] for v in verts))
     pv = [frame.apply(v) for v in verts]
     p3 = ClosedPolygon([Point((v[0], v[1], v[2])) for v in pv])
     if validate_embedded(p3) is not None:
@@ -159,3 +173,65 @@ def embedded_attempt_framed(poly, slopes, seed, attempt,
     report = _embedded_report(final, rep3, n, walls, seed, attempt)
     report.update(census, cert=cert)
     return final, report
+
+
+def construct_r3_framed(poly, seed, rule="orientation"):
+    """seifert._construct_r3 built in the sheared and lifted frame: the
+    polygon's lowest vertex at height 1, a circuit at depth k on the
+    plane z = -k with its walls straight up over it, and the finished
+    mesh mapped back through the frame's inverse.  Returns the
+    uncertified mesh and the report, as _construct_r3 does."""
+    from plspan.diagram import project_polygon
+    from plspan.geom import earclip_2d
+    from plspan.seifert import (_add_wall, assign_levels,
+                                insert_interior_vertices, smooth)
+
+    dia = project_polygon(poly, seed=seed)
+    g = smooth(insert_interior_vertices(dia), rule)
+    levels = assign_levels(g)
+    up = ONE - min(v[2] for v in poly.vertices)
+    nodes = g.marked.nodes
+
+    def lifted(i):
+        return Point((nodes[i].pos[0], nodes[i].pos[1], nodes[i].z + up))
+
+    def bottom(i, k):
+        return Point((nodes[i].pos[0], nodes[i].pos[1], -k))
+
+    raw = TriMesh(3)
+    for ci, circ in enumerate(g.circuits):
+        k = levels[ci]
+        for a, b, c in earclip_2d([nodes[i].pos for i in circ]):
+            raw.add_triangle(bottom(circ[a], k), bottom(circ[b], k),
+                             bottom(circ[c], k), tag="bowl %d" % ci)
+        for e, a in enumerate(circ):
+            b = circ[(e + 1) % len(circ)]
+            _add_wall(raw, bottom(a, k), bottom(b, k), lifted(a), lifted(b),
+                      "wall %d %d" % (ci, e))
+    for x, q in enumerate(g.marked.quads):
+        partner = {}
+        for a, b in g.whites[x]:
+            partner[a], partner[b] = b, a
+        x1, y1 = lifted(q["in_over"]), lifted(q["out_over"])
+        x2 = lifted(partner[q["in_over"]])
+        y2 = lifted(partner[q["out_over"]])
+        raw.add_triangle(x1, x2, y1, tag="bowtie %d" % x)
+        raw.add_triangle(x2, y1, y2, tag="bowtie %d" % x)
+    mesh = raw.transform(shear_frame(dia.slopes, up)[1])
+    s, c = len(g.circuits), len(g.marked.quads)
+    total = sum(len(circ) for circ in g.circuits)
+    return mesh, {
+        "circuits": s,
+        "circuit_sizes": [len(circ) for circ in g.circuits],
+        "levels": list(levels),
+        "crossings": c,
+        "bowls": total - 2 * s,
+        "walls": 2 * total,
+        "bowties": 2 * c,
+        "triangles": len(mesh.triangles),
+        "euler": s - c,
+        "n": len(poly.vertices),
+        "writhe": dia.writhe,
+        "rule": rule,
+        "seed": seed,
+    }

@@ -283,6 +283,31 @@ def test_bounds_rejects_nonpositive_projections(tmp_path, capsys, count):
     assert "%d is not a positive integer" % count in err
 
 
+@pytest.mark.parametrize("command,option,value,message", [
+    ("bounds", "--knot-genus", "-1", "knot genus must be a nonnegative"),
+    ("bounds", "--knot-genus", "1/2", "invalid literal for int()"),
+    ("bounds", "--unoriented-genus", "abc", "Invalid literal for Fraction"),
+    ("bounds", "--unoriented-genus", "1/3", "must be a multiple of 1/2"),
+    ("bounds", "--unoriented-genus", "-1/2", "must be nonnegative"),
+    ("span", "--knot-genus", "-1", "knot genus must be a nonnegative"),
+])
+def test_bad_genus_is_a_usage_error(tmp_path, capsys, monkeypatch, command,
+                                    option, value, message):
+    # the bound that reads the option rejects it before anything is built
+    import plspan.cli as cli
+    poly = tmp_path / "p.poly"
+    run("generate", "--family", "torus", "--m", 3, "--out", poly)
+    monkeypatch.setattr(cli, "project_polygon", None)
+    monkeypatch.setattr(cli, "spanning_surface_r3", None)
+    with pytest.raises(SystemExit) as exc:
+        run(command, poly, "%s=%s" % (option, value))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: plspan %s" % command)
+    assert "argument %s: %s: " % (option, value) in err
+    assert message in err
+
+
 def test_env_seed(tmp_path, monkeypatch):
     a = tmp_path / "a.poly"
     b = tmp_path / "b.poly"

@@ -6,7 +6,6 @@ import pytest
 
 from plspan.geom import (
     AffineMap,
-    ONE,
     Point,
     ZERO,
     point_on_segment,
@@ -26,8 +25,6 @@ from plspan.polygon import (
     gen_torus_stick,
     gen_twist_writhe,
 )
-
-from oracles import affine_inverse
 
 
 def test_trefoil_diagram():
@@ -72,9 +69,8 @@ def test_writhe_is_orientation_independent():
 
 def test_crossing_geometry_is_exact():
     d = project_polygon(gen_torus_stick(4, verify=False), seed=0)
-    sh = d.sheared
-    n = len(sh.vertices)
-    shadow = [Point([v[0], v[1]]) for v in sh.vertices]
+    shadow = d.shadow
+    n = len(shadow)
     for c in d.crossings:
         assert c.z_over > c.z_under
         assert 0 < c.over_param < 1 and 0 < c.under_param < 1
@@ -88,7 +84,7 @@ def test_crossing_geometry_is_exact():
 
 def test_walk_structure():
     d = project_polygon(gen_torus_stick(3), seed=0)
-    n = len(d.sheared.vertices)
+    n = len(d.shadow)
     # every vertex appears once, every crossing exactly twice
     verts = [w for w in d.walk if w.kind == "vertex"]
     cross = [w for w in d.walk if w.kind == "cross"]
@@ -106,13 +102,19 @@ def test_walk_structure():
         assert params == sorted(params)
 
 
-def test_sheared_polygon_sits_above_plane():
-    d = project_polygon(gen_torus_stick(3), seed=0)
-    assert min(v[2] for v in d.sheared.vertices) == 1
-    # exact inverse maps the sheared polygon back onto the original
-    inv = affine_inverse(d.to_sheared)
-    back = [inv.apply(v) for v in d.sheared.vertices]
-    assert back == d.polygon.vertices
+def test_lift_inverts_the_shear():
+    # the vertical edge forces nonzero slopes
+    for poly in (gen_torus_stick(3), _vertical_edge()):
+        d = project_polygon(poly, seed=0)
+        verts = poly.vertices
+        n = len(verts)
+        for i, v in enumerate(verts):
+            assert d.lift(d.shadow[i], v[2]) == v
+        # every walk stop lifts to poly's own point at its edge and param
+        for w in d.walk:
+            a, b = verts[w.edge], verts[(w.edge + 1) % n]
+            assert d.lift(w.pos, w.z) == a + (b - a).scale(w.param)
+    assert any(d.slopes)
 
 
 def test_general_position_fixes_vertical_edge():
@@ -275,16 +277,15 @@ def _general_position_oracle(poly, seed, budget):
 
 
 def _project_oracle(poly, seed):
-    """project_polygon through the composed map and its applies: the
-    sheared polygon, the map, the crossings and the walk."""
+    """project_polygon through the shear map and its applies: the
+    slopes, the shadow, the crossings and the walk, with poly's own
+    heights."""
     shear, hits = _general_position_oracle(poly, seed, 1000)
-    lift = min(shear.apply(v)[2] for v in poly.vertices)
-    move = AffineMap.translation([ZERO, ZERO, ONE - lift])
-    to_sheared = move.compose(shear)
-    sheared = ClosedPolygon([to_sheared.apply(v) for v in poly.vertices])
-    pts = _shadow_oracle(sheared)
+    slopes = (shear.matrix[0][2], shear.matrix[1][2])
+    pts = _shadow_oracle(ClosedPolygon([shear.apply(v)
+                                        for v in poly.vertices]))
     n = len(pts)
-    verts3 = sheared.vertices
+    verts3 = poly.vertices
 
     def z_at(edge, t):
         za = verts3[edge][2]
@@ -317,7 +318,7 @@ def _project_oracle(poly, seed):
         for t, idx, role in sorted(per_edge[i], key=lambda e: e[0]):
             walk.append(("cross", idx, role, i, t, crossings[idx][5],
                          z_at(i, t)))
-    return sheared, to_sheared, crossings, walk
+    return slopes, pts, crossings, walk
 
 
 def _touching_shadow():
@@ -340,27 +341,21 @@ def test_projection_matches_affine_apply_oracle():
             find_general_position(poly, budget=1)  # identity only
     polys = ([gen_twist_writhe(m) for m in (1, 2, 3)] + [gen_torus_stick(3)]
              + [gen_random(10, 3, seed=k) for k in range(4)] + rejected)
-    identity = AffineMap.identity(3).matrix
     kept = 0
     for p, poly in enumerate(polys):
         for seed in range(8):
-            sheared, to_sheared, crossings, walk = _project_oracle(poly,
-                                                                   seed)
+            slopes, shadow, crossings, walk = _project_oracle(poly, seed)
             d = project_polygon(poly, seed=seed)
             key = (p, seed)
-            assert d.sheared.vertices == sheared.vertices, key
-            assert d.to_sheared.matrix == to_sheared.matrix, key
-            assert d.to_sheared.shift == to_sheared.shift, key
+            assert d.slopes == slopes, key
+            assert d.shadow == shadow, key
             assert [(c.index, c.over_edge, c.under_edge, c.over_param,
                      c.under_param, c.pos, c.sign, c.z_over, c.z_under)
                     for c in d.crossings] == crossings, key
             assert [(w.kind, w.ref, w.role, w.edge, w.param, w.pos, w.z)
                     for w in d.walk] == walk, key
-            inv = affine_inverse(to_sheared)
-            assert d.from_sheared.matrix == inv.matrix, key
-            assert d.from_sheared.shift == inv.shift, key
             assert (find_general_position(poly, seed=seed).matrix
                     == _general_position_oracle(poly, seed, 1000)[0].matrix)
-            kept += d.to_sheared.matrix == identity
+            kept += not any(d.slopes)
     # every polygon but the two rejected ones keeps the vertical shadow
     assert kept == 8 * (len(polys) - len(rejected))

@@ -36,7 +36,7 @@ from plspan.geom import (
     solution_set,
 )
 
-from oracles import affine_inverse, point_in_simplex
+from oracles import affine_inverse, point_in_simplex, shear_frame
 
 
 def rnd_frac(rng, lim=8, den=4):
@@ -307,24 +307,27 @@ def test_affine_compose_and_shear():
     sh = AffineMap.shear_last_into(3, ["1/2", -2])
     p = Point([1, 1, 4])
     assert sh.apply(p) == Point([3, -7, 4])
-    comp = sh.compose(affine_inverse(sh))
-    for _ in range(5):
-        assert comp.apply(p) == p
+    inv = affine_inverse(sh)
+    assert inv.apply(sh.apply(p)) == p
+    assert sh.apply(inv.apply(p)) == p
 
 
-def test_shear_lift_is_the_lifted_shear_and_its_inverse():
-    # the closed-form inverse equals the rref-backed oracle exactly
+def test_shear_frame_is_the_lifted_shear_and_its_inverse():
+    # the oracles' closed-form inverse equals the rref-backed one exactly
     rng = random.Random(1907)
     for dim in (2, 3, 4, 5):
         for _ in range(5):
             slopes = [rnd_frac(rng, 5, 7) for _ in range(dim - 1)]
             up = rnd_frac(rng, 9, 4)
-            frame, back = AffineMap.shear_lift(slopes, up)
-            want = AffineMap.translation([0] * (dim - 1) + [up]).compose(
-                AffineMap.shear_last_into(dim, slopes))
-            inv = affine_inverse(want)
-            assert (frame.matrix, frame.shift) == (want.matrix, want.shift)
+            frame, back = shear_frame(slopes, up)
+            shear = AffineMap.shear_last_into(dim, slopes)
+            inv = affine_inverse(frame)
             assert (back.matrix, back.shift) == (inv.matrix, inv.shift)
+            for _ in range(3):
+                p = rnd_point(rng, dim, 20, 9)
+                img = shear.apply(p)
+                assert frame.apply(p) == Point(list(img)[:-1]
+                                               + [img[-1] + up])
 
 
 # ---------------------------------------------------------------------------

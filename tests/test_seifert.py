@@ -18,16 +18,18 @@ from plspan.geom import (
     rat,
     seg_intersect_2d,
 )
-from plspan.mesh import boundary_matches, check_embedded
+from plspan.mesh import boundary_matches, check_embedded, write_off
 from plspan.polygon import (
     ClosedPolygon,
     gen_planar_ngon,
     gen_random,
     gen_torus_stick,
     gen_twist_writhe,
+    validate_embedded,
 )
 from plspan.seifert import (
     MarkedDiagram,
+    _construct_r3,
     _marks_valid,
     _place_marks,
     _ray_parity,
@@ -38,6 +40,8 @@ from plspan.seifert import (
     smooth,
     spanning_surface_r3,
 )
+
+from oracles import construct_r3_framed
 
 
 def test_trefoil_marks():
@@ -128,26 +132,61 @@ def test_twist_surface():
     assert rep["boundary_cycles"] == 1
 
 
+def _moved_vertex(n, seed):
+    """gen_random(n, 3, seed) with vertex 0 moved over vertex 2, so the
+    vertical shadow is not generic and the projection shears."""
+    verts = list(gen_random(n, 3, seed=seed).vertices)
+    verts[0] = Point((verts[2][0], verts[2][1], verts[0][2]))
+    return ClosedPolygon(verts)
+
+
 def test_wall_bases_sit_on_level_planes():
-    dia = project_polygon(gen_torus_stick(3))
-    g = smooth(insert_interior_vertices(dia))
-    levels = assign_levels(g)
-    mesh, trace = build_surface(g, levels)
-    for t, tag in enumerate(mesh.provenance):
-        kind = tag.split()[0]
-        pts = mesh.triangle_points(t)
-        if kind == "bowl":
-            k = levels[int(tag.split()[1])]
-            assert all(p[2] == -rat(k) for p in pts)
-        elif kind == "wall":
-            k = levels[int(tag.split()[1])]
-            lows = [p for p in pts if p[2] == -rat(k)]
-            highs = [p for p in pts if p[2] >= 1]
-            assert len(lows) + len(highs) == 3
-            assert len(lows) in (1, 2)
-        else:
-            assert kind == "bowtie"
-            assert all(p[2] >= 1 for p in pts)
+    for poly in (gen_torus_stick(3), _moved_vertex(7, 0)):
+        dia = project_polygon(poly)
+        g = smooth(insert_interior_vertices(dia))
+        levels = assign_levels(g)
+        mesh, trace = build_surface(g, levels)
+        low = min(v[2] for v in poly.vertices)
+        for t, tag in enumerate(mesh.provenance):
+            kind = tag.split()[0]
+            pts = mesh.triangle_points(t)
+            if kind == "bowl":
+                k = levels[int(tag.split()[1])]
+                assert all(p[2] == low - 1 - k for p in pts)
+            elif kind == "wall":
+                k = levels[int(tag.split()[1])]
+                lows = [p for p in pts if p[2] == low - 1 - k]
+                highs = [p for p in pts if p[2] >= low]
+                assert len(lows) + len(highs) == 3
+                assert len(lows) in (1, 2)
+            else:
+                assert kind == "bowtie"
+                assert all(p[2] >= low for p in pts)
+    assert any(dia.slopes)
+
+
+def test_surface_matches_sheared_frame_oracle(tmp_path):
+    # built in poly's own frame, the surface and report are the ones that
+    # building in the sheared, lifted frame and mapping back gave, byte
+    # for byte, on polygons whose projection shears
+    def off(mesh):
+        path = tmp_path / "m.off"
+        write_off(mesh, str(path))
+        return path.read_bytes()
+
+    polys = [_moved_vertex(n, s) for n in range(5, 11) for s in (0, 1)]
+    built = 0
+    for poly in polys:
+        if validate_embedded(poly) is not None:
+            continue
+        assert any(project_polygon(poly).slopes)
+        for rule in ("orientation", "white-edge"):
+            want = construct_r3_framed(poly, 0, rule)
+            got = _construct_r3(poly, 0, rule)
+            assert off(got[0]) == off(want[0]), (poly, rule)
+            assert got[1] == want[1], (poly, rule)
+            built += 1
+    assert built >= 20
 
 
 def test_circuits_do_not_depend_on_the_mark_offset():
