@@ -19,6 +19,7 @@ import time
 
 from .bounds import bounds_report, genus_lower_bound, unoriented_genus_bound
 from .diagram import project_polygon
+from .geom import rat_str
 from .mesh import certify, read_off, write_off
 from .otherdims import cone_highdim, earclip_2d, embedded_4d, immersed_disk_4d
 from .polygon import (
@@ -59,10 +60,11 @@ def _genus(parse, rule):
     """argparse type for a genus option, checked by its bound rule."""
     def check(text: str):
         try:
-            rule(parse(text))
+            value = parse(text)
+            rule(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise argparse.ArgumentTypeError("%s: %s" % (text, exc))
-        return parse(text)
+        return value
     return check
 
 
@@ -74,7 +76,6 @@ def _plain(x):
         return {k: _plain(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_plain(v) for v in x]
-    from .geom import rat_str
     return rat_str(x)
 
 
@@ -278,7 +279,12 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple:
+    """The plspan parser, and the subparsers with a --seed option.
+
+    main builds this once per process.  It sets the --seed default from
+    PLSPAN_SEED on every call and finds the command function by name
+    then, so a wrapper set on this module sees the call."""
     top = argparse.ArgumentParser(
         prog="plspan",
         description="Triangulated spanning surfaces for closed polygons")
@@ -290,12 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--m", type=int, help="family parameter (torus, twist)")
     g.add_argument("--n", type=int, help="vertex count (ngon, random)")
     g.add_argument("--dim", type=int, help="ambient dimension")
-    # a string default goes through type=int too, so a PLSPAN_SEED that
-    # is not an integer is a usage error rather than a silent seed
-    seed = os.environ.get("PLSPAN_SEED", "0")
-    g.add_argument("--seed", type=int, default=seed)
+    g.add_argument("--seed", type=int)
     g.add_argument("--out", help="output polygon path (default stdout)")
-    g.set_defaults(func=cmd_generate)
 
     s = sub.add_parser("span", help="build and verify a spanning surface")
     s.add_argument("polygon", help="input polygon path")
@@ -303,12 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["auto", *STRATEGIES])
     s.add_argument("--rule", default="orientation",
                    choices=["orientation", "white-edge"])
-    s.add_argument("--seed", type=int, default=seed)
+    s.add_argument("--seed", type=int)
     s.add_argument("--knot-genus", type=_genus(int, genus_lower_bound),
                    help="user-supplied knot genus for the bounds block")
     s.add_argument("--mesh-out", help="write the surface as an OFF file")
     s.add_argument("--report", help="report path (default stdout)")
-    s.set_defaults(func=cmd_span)
 
     v = sub.add_parser("verify", help="re-run mesh checks on files")
     v.add_argument("mesh", help="OFF mesh path")
@@ -316,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--mode", default="embedded",
                    choices=["embedded", "immersed"])
     v.add_argument("--report", help="report path (default stdout)")
-    v.set_defaults(func=cmd_verify)
 
     b = sub.add_parser("bounds", help="evaluate count bounds for a polygon")
     b.add_argument("polygon", help="input polygon path")
@@ -330,10 +330,21 @@ def build_parser() -> argparse.ArgumentParser:
                    type=_genus(str, unoriented_genus_bound),
                    help="half-integers accepted, e.g. 1/2")
     b.add_argument("--report", help="report path (default stdout)")
-    b.set_defaults(func=cmd_bounds)
-    return top
+    return top, (g, s)
+
+
+_PARSER = None  # build_parser()'s result, once main has run
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    top, seeded = _PARSER
+    # a string default goes through type=int too, so a PLSPAN_SEED that
+    # is not an integer is a usage error rather than a silent seed
+    seed = os.environ.get("PLSPAN_SEED", "0")
+    for parser in seeded:
+        parser.set_defaults(seed=seed)
+    args = top.parse_args(argv)
+    return globals()["cmd_" + args.command](args)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 
-from .geom import (AffineMap, Point, ZERO, box_h, homogeneous,
+from .geom import (AffineMap, Point, Rat, ZERO, box_h, homogeneous,
                    overlapping_pairs, rat, seg_intersect_2d, seg_pair_clear_h,
                    sign)
 from .polygon import ClosedPolygon
@@ -27,10 +27,10 @@ from .polygon import ClosedPolygon
 
 class Crossing:
     __slots__ = ("index", "over_edge", "under_edge", "over_param",
-                 "under_param", "pos", "sign", "z_over", "z_under")
+                 "under_param", "pos", "sign")
 
     def __init__(self, index, over_edge, under_edge, over_param, under_param,
-                 pos, sgn, z_over, z_under):
+                 pos, sgn):
         self.index = index
         self.over_edge = over_edge
         self.under_edge = under_edge
@@ -38,8 +38,6 @@ class Crossing:
         self.under_param = under_param
         self.pos = pos          # exact 2D point
         self.sign = sgn
-        self.z_over = z_over
-        self.z_under = z_under
 
     def __repr__(self):
         return "Crossing(%d, over=e%d, under=e%d, sign=%+d)" % (
@@ -96,14 +94,47 @@ class Diagram:
             len(self.shadow), len(self.crossings), self.writhe)
 
 
+def _cross_h(p, q) -> tuple:
+    """Cross product of two homogeneous planar points: the line through
+    them, whose dot product with a third point r is det(p, q, r)."""
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2],
+            p[0] * q[1] - p[1] * q[0])
+
+
+def _dot(x, y):
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
+def _crossing_h(a, b, c, d):
+    """(t, u, point, sign) of the proper crossing of segments [a, b] and
+    [c, d], given in homogeneous form, or None when one endpoint lies on
+    the other segment's line.  The segments must meet.
+
+    With O(p, q, r) = det(p, q, r), the crossing is the homogeneous
+    point O(c,d,a) b - O(c,d,b) a, at t = O(c,d,a) w_b / (O(c,d,a) w_b -
+    O(c,d,b) w_a) along [a, b], and u likewise along [c, d].  sign is
+    that of (b - a) x (d - c), which is O(a,b,d)'s: the crossing puts c
+    and d on opposite sides of [a, b]."""
+    cd = _cross_h(c, d)
+    ab = _cross_h(a, b)
+    oa, ob, oc, od = _dot(cd, a), _dot(cd, b), _dot(ab, c), _dot(ab, d)
+    if not (oa and ob and oc and od):
+        return None
+    x, y, w = (oa * p - ob * q for p, q in zip(b, a))
+    t = Rat(oa * b[2], oa * b[2] - ob * a[2])
+    u = Rat(oc * d[2], oc * d[2] - od * c[2])
+    return t, u, Point((Rat(x, w), Rat(y, w))), sign(od)
+
+
 def _projection_problems(pts: list[Point]):
     """(first violated general-position condition, None) or, when the
-    shadow is clean, (None, crossings): the (i, j, hit) of every pair of
-    non-adjacent edges that cross, in pair order.
+    shadow is clean, (None, crossings): the (i, j, t, u, point, sign) of
+    every pair of non-adjacent edges that cross, in pair order, as
+    _crossing_h gives them.
 
     Candidate pairs come from geom.overlapping_pairs and orientation
-    signs decide them; seg_intersect_2d runs only on pairs that meet
-    beyond a shared corner."""
+    signs decide them; seg_intersect_2d runs only on the pairs that
+    meet where an endpoint lies on the other edge's line."""
     n = len(pts)
     crossings = []
     for i in range(n):
@@ -114,24 +145,28 @@ def _projection_problems(pts: list[Point]):
     for i, j in overlapping_pairs(boxes):
         if seg_pair_clear_h(hom, i, (i + 1) % n, j, (j + 1) % n):
             continue
-        # Adjacent edges meet in a convex set that holds their corner, so
-        # meeting beyond it means they overlap.
+        cut = _crossing_h(hom[i], hom[(i + 1) % n], hom[j], hom[(j + 1) % n])
+        if cut is not None:
+            crossings.append((i, j) + cut)
+            continue
+        # An endpoint on the other edge's line, and the edges meet: at
+        # that endpoint, or along a common piece of that line.  Adjacent
+        # edges land here too, and they meet beyond their corner only
+        # where they overlap.
         hit = seg_intersect_2d(pts[i], pts[(i + 1) % n], pts[j],
                                pts[(j + 1) % n])
         if hit.kind == "overlap":
             return "edges %d,%d overlap in projection" % (i, j), None
-        if hit.contact != "interior-interior":
-            return "edges %d,%d touch at an endpoint" % (i, j), None
-        crossings.append((i, j, hit))
+        return "edges %d,%d touch at an endpoint" % (i, j), None
     # No crossing hits a projected vertex v: v would lie inside crossing
     # edge i, apart from its ends, and at most one of the two edges at v
     # is adjacent to i (both only for n = 3, which has no crossings), so
     # the other touches i at an endpoint, a problem returned above.
     seen = set()
-    for _, _, hit in crossings:
-        if hit.point.coords in seen:
+    for *_, point, _ in crossings:
+        if point.coords in seen:
             return "two crossings coincide", None
-        seen.add(hit.point.coords)
+        seen.add(point.coords)
     return None, crossings
 
 
@@ -193,8 +228,7 @@ def project_polygon(poly: ClosedPolygon, seed: int = 0,
 
     crossings = []
     per_edge: dict[int, list] = {i: [] for i in range(n)}
-    for i, j, hit in hits:
-        t, u = hit.params
+    for i, j, t, u, pos, sgn in hits:
         zi, zj = z_at(i, t), z_at(j, u)
         if zi == zj:
             raise AssertionError("strands meet in space; polygon "
@@ -205,20 +239,17 @@ def project_polygon(poly: ClosedPolygon, seed: int = 0,
         else:
             over_edge, under_edge, tp, up = j, i, u, t
             z_over, z_under = zj, zi
-        odir = pts[(over_edge + 1) % n] - pts[over_edge]
-        udir = pts[(under_edge + 1) % n] - pts[under_edge]
-        # _projection_problems rejects parallel shadows that meet: sgn != 0
-        sgn = sign(odir[0] * udir[1] - odir[1] * udir[0])
+            sgn = -sgn  # the sign is edge i's direction crossed with j's
         idx = len(crossings)
-        crossings.append(Crossing(idx, over_edge, under_edge, tp, up,
-                                  hit.point, sgn, z_over, z_under))
-        per_edge[over_edge].append((tp, idx, "over"))
-        per_edge[under_edge].append((up, idx, "under"))
+        crossings.append(Crossing(idx, over_edge, under_edge, tp, up, pos,
+                                  sgn))
+        per_edge[over_edge].append((tp, idx, "over", z_over))
+        per_edge[under_edge].append((up, idx, "under", z_under))
 
     walk = []
     for i in range(n):
         walk.append(WalkNode("vertex", i, None, i, ZERO, pts[i], verts[i][2]))
-        for t, idx, role in sorted(per_edge[i], key=lambda e: e[0]):
+        for t, idx, role, z in sorted(per_edge[i], key=lambda e: e[0]):
             walk.append(WalkNode("cross", idx, role, i, t,
-                                 crossings[idx].pos, z_at(i, t)))
+                                 crossings[idx].pos, z))
     return Diagram(poly, slopes, pts, crossings, walk)

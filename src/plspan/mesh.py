@@ -25,7 +25,6 @@ from .geom import (
     int_nullspace,
     orient2d_h,
     overlapping_pairs,
-    rat,
     rat_str,
     segment_param,
     sign,
@@ -703,7 +702,7 @@ def read_off(path: str) -> TriMesh:
         toks = ln.split()
         if len(toks) != dim:
             raise ValueError("bad vertex line: %r" % ln)
-        mesh.add_vertex(Point([rat(t) for t in toks]))
+        mesh.add_vertex(Point(toks))
     if len(mesh.vertices) != nv:
         raise ValueError("pl-off repeats a vertex")
     for ln in lines[2 + nv:]:

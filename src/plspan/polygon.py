@@ -149,7 +149,7 @@ def read_polygon(path: str) -> ClosedPolygon:
         toks = ln.split()
         if len(toks) != dim:
             raise ValueError("bad vertex line: %r" % ln)
-        verts.append(Point([rat(t) for t in toks]))
+        verts.append(Point(toks))
     return ClosedPolygon(verts)
 
 

@@ -30,3 +30,27 @@ def test_every_per_layer_metric_has_a_traced_function(monkeypatch):
     names = [m for m in wanted if m["name"] != "mesh.max_coord_bits"]
     assert len(names) == len(wanted) - 1
     assert set(run.select(names, computed)) == {m["name"] for m in names}
+
+
+def test_tracer_installed_between_calls_sees_the_next(tmp_path, monkeypatch):
+    # main keeps its parser across calls and finds the command function
+    # by name, so a tracer installed after a first call counts the second
+    from plspan import cli
+    from plspan.polygon import gen_planar_ngon, write_polygon
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_tracer",
+                                                  ROOT / "bench" / "tracer.py")
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    poly = tmp_path / "p.poly"
+    write_polygon(gen_planar_ngon(5), str(poly))
+    argv = ["span", str(poly), "--report", str(tmp_path / "r.json")]
+    assert cli.main(argv) == 0
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.stats["cli.main"].calls == 1
+    assert tracer.stats["cli.cmd_span"].calls == 1

@@ -309,14 +309,22 @@ def test_bad_genus_is_a_usage_error(tmp_path, capsys, monkeypatch, command,
 
 
 def test_env_seed(tmp_path, monkeypatch):
-    a = tmp_path / "a.poly"
-    b = tmp_path / "b.poly"
-    monkeypatch.setenv("PLSPAN_SEED", "5")
-    run("generate", "--family", "random", "--n", 6, "--dim", 3, "--out", a)
-    monkeypatch.delenv("PLSPAN_SEED")
-    run("generate", "--family", "random", "--n", 6, "--dim", 3,
-        "--seed", 5, "--out", b)
-    assert a.read_bytes() == b.read_bytes()
+    # main keeps one parser per process and reads PLSPAN_SEED on each call
+    poly = tmp_path / "p.poly"
+    write_polygon(gen_planar_ngon(5), str(poly))
+    got = []
+    for env in ("5", None):
+        if env is None:
+            monkeypatch.delenv("PLSPAN_SEED")
+        else:
+            monkeypatch.setenv("PLSPAN_SEED", env)
+        out, report = tmp_path / "r.poly", tmp_path / "r.json"
+        assert run("generate", "--family", "random", "--n", 6, "--dim", 3,
+                   "--out", out) == 0
+        assert run("span", poly, "--report", report) == 0
+        got.append((out.read_text(), load(report)["seed"]))
+    assert got == [(polygon_text(gen_random(6, 3, seed=s)), s)
+                   for s in (5, 0)]
 
 
 def test_env_seed_must_be_an_integer(tmp_path, monkeypatch, capsys):
@@ -334,6 +342,60 @@ def test_env_seed_must_be_an_integer(tmp_path, monkeypatch, capsys):
     assert run("generate", "--family", "random", "--n", 6, "--dim", 3,
                "--seed", 5, "--out", out) == 0
     assert out.read_text() == polygon_text(gen_random(6, 3, seed=5))
+
+
+# main builds its parser once per process; what must stay per call is
+# checked across calls in this one
+
+def test_main_builds_the_parser_once(monkeypatch):
+    import plspan.cli as cli
+    builds = []
+    build = cli.build_parser
+
+    def spy():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    for m in (3, 4, 5):
+        assert run("generate", "--family", "torus", "--m", m) == 0
+    assert len(builds) == 1
+
+
+def test_usage_error_leaves_the_next_call_alone(tmp_path, monkeypatch):
+    poly = tmp_path / "p.poly"
+    write_polygon(gen_planar_ngon(5), str(poly))
+    reports = [tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"]
+    assert run("span", poly, "--report", reports[0]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run("span", poly, "--strategy", "bogus")
+    assert exc.value.code == 2
+    assert run("span", poly, "--report", reports[1]) == 0
+    monkeypatch.setenv("PLSPAN_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        run("span", poly)
+    assert exc.value.code == 2
+    monkeypatch.delenv("PLSPAN_SEED")
+    assert run("span", poly, "--report", reports[2]) == 0
+    assert len({stripped(r) for r in reports}) == 1
+
+
+def test_wrapper_set_after_a_call_sees_the_next(tmp_path, monkeypatch):
+    import plspan.cli as cli
+    poly = tmp_path / "p.poly"
+    write_polygon(gen_planar_ngon(5), str(poly))
+    assert run("span", poly, "--report", tmp_path / "a.json") == 0
+    seen = []
+    span = cli.cmd_span
+
+    def wrapper(args):
+        seen.append(args.polygon)
+        return span(args)
+
+    monkeypatch.setattr(cli, "cmd_span", wrapper)
+    assert run("span", poly, "--report", tmp_path / "b.json") == 0
+    assert seen == [str(poly)]
 
 
 TRIANGLE = "pl-polygon 2 3\n0 0\n1 0\n0 1\n"

@@ -67,12 +67,24 @@ def test_writhe_is_orientation_independent():
         assert len(d1.crossings) == len(d2.crossings)
 
 
+def _height(poly, edge, t):
+    """poly's height at parameter t along its edge."""
+    a, b = poly.vertices[edge], poly.vertices[(edge + 1) % len(poly.vertices)]
+    return a[2] + t * (b[2] - a[2])
+
+
+def _over_is_higher(poly, c):
+    return (_height(poly, c.over_edge, c.over_param)
+            > _height(poly, c.under_edge, c.under_param))
+
+
 def test_crossing_geometry_is_exact():
-    d = project_polygon(gen_torus_stick(4, verify=False), seed=0)
+    poly = gen_torus_stick(4, verify=False)
+    d = project_polygon(poly, seed=0)
     shadow = d.shadow
     n = len(shadow)
     for c in d.crossings:
-        assert c.z_over > c.z_under
+        assert _over_is_higher(poly, c)
         assert 0 < c.over_param < 1 and 0 < c.under_param < 1
         for edge, t in ((c.over_edge, c.over_param),
                         (c.under_edge, c.under_param)):
@@ -145,7 +157,7 @@ def test_random_polygons_project_cleanly():
         assert len(d.crossings) <= n * (n - 3) // 2
         for c in d.crossings:
             assert c.sign in (-1, 1)
-            assert c.z_over > c.z_under
+            assert _over_is_higher(poly, c)
         assert len(d.walk) == n + 2 * len(d.crossings)
 
 
@@ -154,7 +166,8 @@ def test_random_polygons_project_cleanly():
 
 def _projection_oracle(pts):
     """_projection_problems as an all-pairs loop running seg_intersect_2d
-    on every edge pair."""
+    on every edge pair, with each crossing's sign taken from the
+    rational edge directions."""
     n = len(pts)
     crossings = []
     for i in range(n):
@@ -179,41 +192,45 @@ def _projection_oracle(pts):
                 continue
             if hit.contact != "interior-interior":
                 return "edges %d,%d touch at an endpoint" % (i, j), None
-            crossings.append((i, j, hit))
+            r, s = b - a, d - c
+            crossings.append((i, j) + hit.params
+                             + (hit.point, sign(r[0] * s[1] - r[1] * s[0])))
     seen = set()
-    for _, _, hit in crossings:
-        if hit.point.coords in seen:
+    for *_, point, _ in crossings:
+        if point.coords in seen:
             return "two crossings coincide", None
-        seen.add(hit.point.coords)
+        seen.add(point.coords)
     for v in pts:
         if v.coords in seen:
             return "a crossing hits a projected vertex", None
     return None, crossings
 
 
-def _crossing_data(result):
-    problem, crossings = result
-    if crossings is None:
-        return problem, None
-    return problem, [(i, j, h.point, h.params) for i, j, h in crossings]
-
-
 def test_projection_problems_match_all_pairs_oracle(monkeypatch):
     # grid shadows make collinear overlaps, endpoint touches, adjacent
     # backtracks and coincident crossings common; the hand-picked ones
     # make sure each appears.  Same problem, or the same crossings with
-    # the same points and parameters, as the oracle; the corpus must reach
-    # pairs cleared by signs and pairs that meet.
+    # the same points, parameters and signs, as the oracle; the corpus must
+    # reach pairs cleared by signs and pairs that meet.  Kept crossings
+    # come from the integer orientations alone: seg_intersect_2d runs once
+    # per shadow, on the touch or overlap that rejects it.
     import plspan.diagram as diagram_mod
     branches = set()
     signs = diagram_mod.seg_pair_clear_h
+    intersect = diagram_mod.seg_intersect_2d
+    hits = []
 
     def spy(*args):
         clear = signs(*args)
         branches.add(clear)
         return clear
 
+    def intersect_spy(*args):
+        hits.append(intersect(*args))
+        return hits[-1]
+
     monkeypatch.setattr(diagram_mod, "seg_pair_clear_h", spy)
+    monkeypatch.setattr(diagram_mod, "seg_intersect_2d", intersect_spy)
 
     def shadow(*xy):
         return [Point(p) for p in xy]
@@ -236,10 +253,22 @@ def test_projection_problems_match_all_pairs_oracle(monkeypatch):
                  gen_random(9, 3, seed=4)):
         cases.append([Point([v[0], v[1]]) for v in poly.vertices])
     problems = set()
+    rejected = 0
     for k, pts in enumerate(cases):
-        want = _crossing_data(_projection_oracle(pts))
-        assert _crossing_data(_projection_problems(pts)) == want, (k, pts)
-        problems.add(want[0] and re.sub(r"\d+", "#", want[0]))
+        want = _projection_oracle(pts)
+        hits.clear()
+        assert _projection_problems(pts) == want, (k, pts)
+        problem = want[0] and re.sub(r"\d+", "#", want[0])
+        problems.add(problem)
+        if problem in ("edges #,# overlap in projection",
+                       "edges #,# touch at an endpoint"):
+            assert len(hits) == 1, (k, pts)
+            assert hits[0].kind == "overlap" or \
+                hits[0].contact == "endpoint-touch", (k, pts)
+            rejected += 1
+        else:
+            assert hits == [], (k, pts)
+    assert rejected > 0
     assert branches == {True, False}
     assert problems == {None, "edge # projects to a point",
                         "edges #,# overlap in projection",
@@ -294,22 +323,19 @@ def _project_oracle(poly, seed):
 
     crossings = []
     per_edge = {i: [] for i in range(n)}
-    for i, j, hit in hits:
-        t, u = hit.params
+    # the sign is taken again from the rational shadow directions
+    for i, j, t, u, point, _ in hits:
         zi, zj = z_at(i, t), z_at(j, u)
         assert zi != zj
         if zi > zj:
             over_edge, under_edge, tp, up = i, j, t, u
-            z_over, z_under = zi, zj
         else:
             over_edge, under_edge, tp, up = j, i, u, t
-            z_over, z_under = zj, zi
         odir = pts[(over_edge + 1) % n] - pts[over_edge]
         udir = pts[(under_edge + 1) % n] - pts[under_edge]
         sgn = sign(odir[0] * udir[1] - odir[1] * udir[0])
         idx = len(crossings)
-        crossings.append((idx, over_edge, under_edge, tp, up, hit.point,
-                          sgn, z_over, z_under))
+        crossings.append((idx, over_edge, under_edge, tp, up, point, sgn))
         per_edge[over_edge].append((tp, idx, "over"))
         per_edge[under_edge].append((up, idx, "under"))
     walk = []
@@ -350,7 +376,7 @@ def test_projection_matches_affine_apply_oracle():
             assert d.slopes == slopes, key
             assert d.shadow == shadow, key
             assert [(c.index, c.over_edge, c.under_edge, c.over_param,
-                     c.under_param, c.pos, c.sign, c.z_over, c.z_under)
+                     c.under_param, c.pos, c.sign)
                     for c in d.crossings] == crossings, key
             assert [(w.kind, w.ref, w.role, w.edge, w.param, w.pos, w.z)
                     for w in d.walk] == walk, key
