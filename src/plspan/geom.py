@@ -45,10 +45,13 @@ def rat(x: RatLike) -> Rat:
     """Coerce ints, Fractions, 'p/q' strings and exact decimal strings.
 
     Decimal strings are converted exactly ('0.25' -> 1/4), never through
-    a float.  Fractions go through the two-argument constructor: a
-    Fraction built from a foreign Rational can carry non-int components,
-    which the one-argument gmpy2 conversion rejects.
+    a float.  A value already of type Rat comes back unchanged.  Other
+    Fractions go through the two-argument constructor: a Fraction built
+    from a foreign Rational can carry non-int components, which the
+    one-argument gmpy2 conversion rejects.
     """
+    if type(x) is Rat:
+        return x
     if isinstance(x, str):
         x = Fraction(x)
     if isinstance(x, Fraction):

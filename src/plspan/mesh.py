@@ -2,10 +2,13 @@
 
 A TriMesh is a vertex pool plus index triples.  Vertices are pooled by
 exact coordinates, so two triangles touch in the mesh sense iff they
-share pool indices.  Validation, Euler characteristic, orientability,
-boundary extraction and the embeddedness check all live here, and
-certify runs each of them once on a finished surface; the surface
-builders only ever append triangles.
+share pool indices.  Each vertex's denominators are cleared once, when
+it is pooled: its integer form (geom.homogeneous) is the pool key and
+is kept in mesh.hom, and every certificate reads those integers.
+Validation, Euler characteristic, orientability, boundary extraction
+and the embeddedness check all live here, and certify runs each of
+them once on a finished surface; the surface builders only ever append
+triangles.
 """
 
 from __future__ import annotations
@@ -17,16 +20,15 @@ from typing import Optional
 from .geom import (
     Point,
     _coord_cmp,
-    affine_rank,
     box_h,
     flat_axes,
     homogeneous,
     int_det,
     int_nullspace,
+    int_rank,
     orient2d_h,
     overlapping_pairs,
     rat_str,
-    segment_param,
     sign,
     simplex_intersect,
 )
@@ -83,6 +85,9 @@ class TriMesh:
             raise ValueError("mesh dimension must be at least 2")
         self.dim = dim
         self.vertices: list[Point] = []
+        # integer form of each vertex, cleared once here and read by
+        # every certificate
+        self.hom: list[tuple] = []
         self.triangles: list[tuple[int, int, int]] = []
         self.provenance: list[str] = []
         self._pool: dict[tuple, int] = {}
@@ -95,11 +100,14 @@ class TriMesh:
     def add_vertex(self, p: Point) -> int:
         if p.dim != self.dim:
             raise ValueError("vertex dimension mismatch")
-        idx = self._pool.get(p.coords)
+        # the form is canonical (w minimal), so it pools like p.coords
+        h = homogeneous(p)
+        idx = self._pool.get(h)
         if idx is None:
             idx = len(self.vertices)
             self.vertices.append(p)
-            self._pool[p.coords] = idx
+            self.hom.append(h)
+            self._pool[h] = idx
         return idx
 
     def add_triangle(self, a: Point, b: Point, c: Point, tag: str = "") -> int:
@@ -154,6 +162,7 @@ class TriMesh:
         affine rank < 2 gets a problem ending in one of FLAT_PROBLEMS.
         """
         problems = []
+        hom = self.hom
         nv = len(self.vertices)
         seen = set()
         recount: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -169,7 +178,8 @@ class TriMesh:
             if key in seen:
                 problems.append("triangle %d duplicates another" % t)
             seen.add(key)
-            if affine_rank(self.triangle_points(t)) != 2:
+            # affinely independent iff the forms are linearly so
+            if int_rank([hom[i], hom[j], hom[k]]) != 3:
                 problems.append("triangle %d is degenerate" % t)
         for e, sides in recount.items():
             if len(sides) > 2:
@@ -451,24 +461,27 @@ def check_embedded(mesh: TriMesh) -> Optional[EmbeddingViolation]:
     mesh is embedded, otherwise a violation with an exact witness point.
 
     Candidate pairs come from the one sweep, geom.overlapping_pairs, over
-    exact bounding boxes listed in the stable order of least x, and are
-    visited in that order.  They are pruned by plane-separation
-    functionals, then contact classification of coplanar pairs and of
-    crossing planes in R^3.  In R^d, d >= 4, the rest are decided inside
-    the affine hull of their distinct vertices (_hull_contact_clean):
-    affinely independent vertices clear the pair, a 3-flat reduces it to
-    the R^3 test, and two triangles spanning a 4-flat meet in at most one
-    point, located by the signs of integer minors.  Only pairs still
-    standing reach the full simplex intersection, which decides them and
-    builds the witness; every test before it is an integer sign on the
-    vertices' homogeneous forms.
+    exact bounding boxes listed in the stable order of least x, the low x
+    end of each integer box, and are visited in that order.  They are
+    pruned by plane-separation functionals, then contact classification
+    of coplanar pairs, and a triangle pinned to the one shared vertex by
+    the other's plane is cleared.  In R^3 the rest are decided along the
+    line where the two planes cross.  In R^d, d >= 4, they are decided
+    inside the affine hull of their distinct vertices
+    (_hull_contact_clean): affinely independent vertices clear the pair,
+    a 3-flat reduces it to the R^3 test, and two triangles spanning a
+    4-flat meet in at most one point, located by the signs of integer
+    minors.  Only pairs still standing reach the full simplex
+    intersection, which decides them and builds the witness; every test
+    before it is an integer sign on the vertices' forms in mesh.hom.
     """
-    nt = len(mesh.triangles)
-    hom = [homogeneous(p) for p in mesh.vertices]
+    hom = mesh.hom
     data = [_tri_data(hom, tri) for tri in mesh.triangles]
-    xmin = [min(p[0] for p in mesh.triangle_points(t)) for t in range(nt)]
-    order = sorted(range(nt), key=xmin.__getitem__)
-    boxes = [box_h([hom[v] for v in mesh.triangles[t]]) for t in order]
+    boxes = [box_h([hom[v] for v in tri]) for tri in mesh.triangles]
+    lo = [box[0][0] for box in boxes]
+    order = sorted(range(len(boxes)), key=cmp_to_key(
+        lambda i, j: lo[i][0] * lo[j][1] - lo[j][0] * lo[i][1]))
+    boxes = [boxes[t] for t in order]
     dim = mesh.dim
     for pa, pb in overlapping_pairs(boxes):
         a, b = order[pa], order[pb]
@@ -494,12 +507,6 @@ def check_embedded(mesh: TriMesh) -> Optional[EmbeddingViolation]:
             # the line of that edge, and each triangle meets that
             # line exactly in the edge itself
             continue
-        elif dim == 3:
-            verdict = _crossing_planes_contact_3d(
-                [hom[v] for v in tri_a], [hom[v] for v in tri_b],
-                vals_ab[0], vals_ba[0], [hom[v] for v in shared])
-            if verdict == "clean":
-                continue
         elif len(shared) == 1 and (
                 _row_separates([[x for x, v in zip(row, tri_b)
                                  if v not in shared] for row in vals_ab])
@@ -509,6 +516,12 @@ def check_embedded(mesh: TriMesh) -> Optional[EmbeddingViolation]:
             # plane of one triangle pinning the other to the shared
             # vertex: contact is that vertex alone
             continue
+        elif dim == 3:
+            verdict = _crossing_planes_contact_3d(
+                [hom[v] for v in tri_a], [hom[v] for v in tri_b],
+                vals_ab[0], vals_ba[0], [hom[v] for v in shared])
+            if verdict == "clean":
+                continue
         elif _hull_contact_clean(hom, tri_a, tri_b, shared):
             continue
         allowed = [mesh.vertices[v] for v in shared]
@@ -522,6 +535,23 @@ def check_embedded(mesh: TriMesh) -> Optional[EmbeddingViolation]:
 # ---------------------------------------------------------------------------
 # boundary against a closed polygon
 
+def _edge_param(p, a, b):
+    """Parameter t of p = a + t (b - a) as (numerator, positive
+    denominator) when p lies strictly inside the segment [a, b], else
+    None; the three points in homogeneous form."""
+    aw = a[-1]
+    # p - a and b - a, each scaled by a positive integer
+    u = [x * aw - y * p[-1] for x, y in zip(p[:-1], a[:-1])]
+    v = [x * aw - y * b[-1] for x, y in zip(b[:-1], a[:-1])]
+    k = next((i for i, c in enumerate(v) if c), None)
+    if k is None or any(u[i] * v[k] != u[k] * v[i] for i in range(len(v))):
+        return None  # a point for an edge, or p off the edge's line
+    num, den = u[k] * b[-1], v[k] * p[-1]
+    if den < 0:
+        num, den = -num, -den
+    return (num, den) if 0 < num < den else None
+
+
 def boundary_matches(mesh: TriMesh, polygon) -> bool:
     """Does the mesh boundary trace the polygon exactly once?
 
@@ -531,43 +561,55 @@ def boundary_matches(mesh: TriMesh, polygon) -> bool:
     Those pairs form one cycle through every boundary vertex, so the
     boundary is then a single closed cycle.  Either traversal direction
     is accepted.
+
+    Decided on the integer forms in mesh.hom.  A boundary vertex that is
+    not a corner is tested only against the polygon edges whose boxes
+    contain it, found by the one sweep, and is placed on the first of
+    them, in polygon order, whose line passes through it.
     """
     edges = mesh.boundary_edges()
     if not edges:
         return False
 
-    pverts = polygon.vertices
-    n = len(pverts)
-    # classify boundary vertices: corner index, or (edge, param) strictly
-    # inside an edge
+    hom = mesh.hom
+    phom = [homogeneous(p) for p in polygon.vertices]
+    n = len(phom)
+    corner_pool = {h: i for i, h in enumerate(phom)}
     corner_of: dict[int, int] = {}
-    interior_of: dict[int, tuple[int, object]] = {}
-    corner_pool = {p.coords: i for i, p in enumerate(pverts)}
+    others = []
     for bv in {v for e in edges for v in e}:
-        p = mesh.vertices[bv]
-        ci = corner_pool.get(p.coords)
-        if ci is not None:
+        ci = corner_pool.get(hom[bv])
+        if ci is None:
+            others.append(bv)
+        else:
             corner_of[bv] = ci
-            continue
-        hit = None
-        for e in range(n):
-            t = segment_param(p, pverts[e], pverts[(e + 1) % n])
-            if t is not None and 0 < t < 1:
-                hit = (e, t)
-                break
-        if hit is None:
-            return False  # boundary vertex off the polygon
-        interior_of[bv] = hit
     if len(corner_of) != n or set(corner_of.values()) != set(range(n)):
         return False
 
+    # classify the others as (edge, param) strictly inside an edge; the
+    # boxes of distinct points never meet, so every pair is a vertex and
+    # an edge, and a vertex's edges come in polygon order
+    k = len(others)
+    boxes = [box_h([hom[bv]]) for bv in others] \
+        + [box_h([phom[e], phom[(e + 1) % n]]) for e in range(n)]
+    interior_of: dict[int, tuple[int, tuple]] = {}
+    for i, j in overlapping_pairs(boxes, split=k):
+        bv, e = others[i], j - k
+        if bv not in interior_of:
+            t = _edge_param(hom[bv], phom[e], phom[(e + 1) % n])
+            if t is not None:
+                interior_of[bv] = (e, t)
+    if len(interior_of) != k:
+        return False  # boundary vertex off the polygon
+
     # expected consecutive pairs along each polygon edge
     vert_at_corner = {ci: bv for bv, ci in corner_of.items()}
+    by_param = cmp_to_key(lambda x, y: x[0][0] * y[0][1] - y[0][0] * x[0][1])
     expected = set()
     count = 0
     for e in range(n):
         inner = sorted(((t, bv) for bv, (ei, t) in interior_of.items()
-                        if ei == e), key=lambda x: x[0])
+                        if ei == e), key=by_param)
         chain = [vert_at_corner[e]] + [bv for _, bv in inner] \
             + [vert_at_corner[(e + 1) % n]]
         for u, v in zip(chain, chain[1:]):

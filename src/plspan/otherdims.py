@@ -262,11 +262,12 @@ def polygon_contact_clean(mesh: TriMesh):
     one sweep, geom.overlapping_pairs, over the pieces' and the
     triangles' exact bounding boxes, in (piece, triangle) order;
     box-apart pairs never touch.  The rest are cleared by an integer
-    rank where it suffices; only the others are intersected exactly.
+    rank of the vertices' forms in mesh.hom where it suffices; only the
+    others are intersected exactly.
     """
     pieces = mesh.boundary_edges()
     n = len(pieces)
-    hom = [homogeneous(p) for p in mesh.vertices]
+    hom = mesh.hom
     boxes = [box_h([hom[u], hom[v]]) for u, v in pieces] \
         + [box_h([hom[v] for v in tri]) for tri in mesh.triangles]
     for e, j in overlapping_pairs(boxes, split=n):

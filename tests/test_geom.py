@@ -59,6 +59,19 @@ def test_rat_parses_fractions_and_decimals_exactly():
     assert rat_str(rat("3")) == "3"
 
 
+def test_rat_returns_a_rat_unchanged_and_normalizes_the_rest():
+    x = Rat(6, 14)
+    assert rat(x) is x
+
+    class Sub(Fraction):
+        pass
+
+    for raw in ("6/14", "0.5", 3, Sub(6, 14)):
+        got = rat(raw)
+        assert type(got) is Rat and got == Fraction(raw)
+    assert str(rat(Sub(6, 14))) == "3/7"
+
+
 def test_point_arithmetic_and_hash():
     p = Point([1, 2, 3])
     q = Point(["1/2", "0.5", 0])

@@ -73,6 +73,53 @@ def test_vertex_pooling():
     j = m.add_vertex(Point(["2/2", "0.5", 0]))
     assert i == j
     assert len(m.vertices) == 1
+    # the pool key is the integer form: every spelling of a value pools
+    k = m.add_vertex(Point(["1/2", "-3/4", 2]))
+    assert m.add_vertex(Point([Fraction(2, 4), Fraction(-6, 8), 2])) == k
+    assert m.add_vertex(Point(["0.5", "-0.75", "2.0"])) == k
+    assert m.add_vertex(Point(["1/2", "-3/4", "5/2"])) == 2
+    assert len(m.vertices) == len(m.hom) == 3
+
+
+def _hom_in_sync(mesh):
+    return len(mesh.hom) == len(mesh.vertices) and all(
+        h == homogeneous(p) for h, p in zip(mesh.hom, mesh.vertices))
+
+
+def test_hom_is_each_vertex_integer_form(tmp_path):
+    # mesh.hom, cleared once at pooling, stays the integer form of every
+    # vertex through add_vertex, transform and read_off
+    rng = random.Random(77)
+    m = TriMesh(4)
+    for _ in range(12):
+        m.add_triangle(*(Point([rnd_frac(rng, den=6) for _ in range(4)])
+                         for _ in range(3)))
+    m.add_vertex(Point(["1/3", "0.25", -2, "7/5"]))
+    assert _hom_in_sync(m)
+    sh = AffineMap.shear_last_into(4, ["1/3", "-2/7", "5/2"])
+    assert _hom_in_sync(m.transform(sh))
+    path = tmp_path / "m.off"
+    write_off(m, str(path))
+    back = read_off(str(path))
+    assert back.hom == m.hom and _hom_in_sync(back)
+
+
+def test_certify_clears_denominators_only_for_the_polygon(monkeypatch):
+    # certify reads mesh.hom: homogeneous runs on the polygon's n corners
+    # (for boundary_matches) and never on a mesh vertex
+    import plspan.mesh as mesh_mod
+    import plspan.otherdims as od
+    poly = gen_torus_stick(3)
+    mesh, _ = spanning_surface_r3(poly, seed=0)
+    for interior in ("embedded", "immersed"):
+        seen = []
+        for mod in (mesh_mod, od):
+            monkeypatch.setattr(mod, "homogeneous",
+                                lambda p: seen.append(p) or homogeneous(p))
+        cert = certify(mesh, poly, interior=interior)
+        assert cert["failure"] is None
+        assert len(seen) == len(poly.vertices)
+        assert all(p is q for p, q in zip(seen, poly.vertices))
 
 
 def test_tetrahedron_topology():
@@ -281,6 +328,23 @@ def test_check_embedded_matches_unfiltered_oracle(monkeypatch):
         return coplanar(hom, tri_a, tri_b, shared)
 
     monkeypatch.setattr(mesh_mod, "_coplanar_contact_clean", spy)
+    # the pin test runs first: a pair reaching the crossing-line test
+    # never has the non-shared vertices of a triangle strictly on one
+    # side of the other's plane
+    crossing_shared = set()
+    crossing = mesh_mod._crossing_planes_contact_3d
+
+    def crossing_spy(hs_a, hs_b, vals_ab, vals_ba, shared_hs):
+        crossing_shared.add(len(shared_hs))
+        if len(shared_hs) == 1:
+            for hs, vals in ((hs_b, vals_ab), (hs_a, vals_ba)):
+                free = [x for x, h in zip(vals, hs) if h != shared_hs[0]]
+                assert not (all(x > 0 for x in free)
+                            or all(x < 0 for x in free)), (hs_a, hs_b)
+        return crossing(hs_a, hs_b, vals_ab, vals_ba, shared_hs)
+
+    monkeypatch.setattr(mesh_mod, "_crossing_planes_contact_3d",
+                        crossing_spy)
     rng = random.Random(1234)
     soups = [_random_soup(rng) for _ in range(40)]
     rng = random.Random(2003)
@@ -299,6 +363,7 @@ def test_check_embedded_matches_unfiltered_oracle(monkeypatch):
         verdicts.add(got is None)
     assert verdicts == {True, False}
     assert shared_sizes == {0, 1, 2}
+    assert crossing_shared == {0, 1}
 
 
 def test_tri_data_functionals_give_plane_sides():
@@ -776,9 +841,78 @@ def test_census_matches_triangle_scanning_oracles():
                     for flag in (True, False)}
 
 
-def test_boundary_matches_without_its_prechecks_matches_oracle():
+def _axis_polygons():
+    """Polygons in R^2, R^3 and R^4, some of their edges axis-parallel."""
+    def poly(*rows):
+        return ClosedPolygon([Point(r) for r in rows])
+
+    return [
+        poly((0, 0), (4, 0), (4, 4), (0, 4)),
+        poly((0, 0), (4, 0), (6, 3), (2, 6), (-1, 3)),
+        gen_planar_ngon(5, dim=2, radius=4),
+        poly((0, 0, 0), (4, 0, 0), (4, 4, 0), (4, 4, 4), (0, 4, 4),
+             (0, 0, 4)),
+        poly((0, 0, 0), (6, 0, 0), (3, 5, 2), (1, 2, 6)),
+        poly((0, 0, 0, 0), (4, 0, 0, 0), (4, 4, 0, 0), (4, 4, 4, 0),
+             (4, 4, 4, 4), (0, 2, 3, 1)),
+        gen_random(6, 4, seed=3),
+    ]
+
+
+def _ring_disk(rng, poly):
+    """A fan from an off-polygon apex over poly's edges, each subdivided
+    at up to two rational points, with at most one point moved: onto its
+    edge's line outside the edge, or into its edge's box off its line
+    (kept on the line when the box is the edge), or two points swapped,
+    or a triangle dropped."""
+    n, d = len(poly.vertices), poly.dim
+    ring, inner = [], []
+    for e in range(n):
+        a, b = poly.edge(e)
+        ring.append(a)
+        for t in sorted({Fraction(rng.randint(1, 7), 8)
+                         for _ in range(rng.randint(0, 2))}):
+            inner.append((len(ring), e))
+            ring.append(a + (b - a).scale(t))
+    kind = rng.randrange(5)
+    if kind in (1, 2) and inner:
+        i, e = rng.choice(inner)
+        a, b = poly.edge(e)
+        if kind == 1:
+            t = rng.choice((Fraction(-1, 4), Fraction(-3, 2), Fraction(5, 4),
+                            Fraction(5, 2)))
+            ring[i] = a + (b - a).scale(t)
+        else:
+            axes = [k for k in range(d) if a[k] != b[k]]
+            s = [Fraction(1, 2)] * d
+            if len(axes) > 1:
+                s[rng.choice(axes)] = Fraction(rng.choice((1, 3)), 4)
+            ring[i] = Point([a[k] + s[k] * (b[k] - a[k]) for k in range(d)])
+    elif kind == 3 and len(ring) > 3:
+        i = rng.randrange(len(ring) - 1)
+        ring[i], ring[i + 1] = ring[i + 1], ring[i]
+    apex = Point([Fraction(1, 3 + k) for k in range(d)])
+    drop = rng.randrange(len(ring)) if kind == 4 else None
+    m = TriMesh(d)
+    for i in range(len(ring)):
+        if i != drop:
+            m.add_triangle(apex, ring[i], ring[(i + 1) % len(ring)])
+    return m
+
+
+def test_boundary_matches_without_its_prechecks_matches_oracle(monkeypatch):
     # the degree and component pre-checks are implied by the final edge
     # set test: the verdict is the oracle's whichever check decided it
+    import plspan.mesh as mesh_mod
+    tested = set()
+    edge_param = mesh_mod._edge_param
+
+    def spy(p, a, b):
+        t = edge_param(p, a, b)
+        tested.add("on the edge" if t else "in the box, off the line")
+        return t
+
+    monkeypatch.setattr(mesh_mod, "_edge_param", spy)
     rng = random.Random(2222)
     reached = set()
     polys = [gen_planar_ngon(n, dim=3, radius=4) for n in (3, 4, 5, 7)]
@@ -795,6 +929,20 @@ def test_boundary_matches_without_its_prechecks_matches_oracle():
             _boundary_matches_oracle(m, poly, reached), trial
     assert reached == {"no boundary", "degree", "components",
                        "off the polygon", "corners", "edge set", "match"}
+    # the integer test on the sweep's (vertex, edge) candidates against
+    # the oracle's rational segment_param over every pair: polygons in
+    # R^2, R^3 and R^4 with axis-parallel edges, boundary vertices on an
+    # edge's line outside the edge and inside an edge's box off its line
+    rng = random.Random(3333)
+    reached = set()
+    polys = _axis_polygons()
+    for trial in range(300):
+        poly = polys[trial % len(polys)]
+        m = _ring_disk(rng, poly)
+        assert boundary_matches(m, poly) == \
+            _boundary_matches_oracle(m, poly, reached), trial
+    assert {"match", "off the polygon", "edge set"} <= reached
+    assert tested == {"on the edge", "in the box, off the line"}
 
 
 # ---------------------------------------------------------------------------
