@@ -14,13 +14,14 @@ they clear denominators one point at a time and take signs of integer
 determinants (the homogeneous predicates below).
 
 There is one elimination loop, the fraction-free _bareiss.  Ranks,
-determinants and hull axes take its forward pass.  Its Gauss-Jordan pass
-has two readers: rref, its rational view on rows scaled to integers,
-which builds each rational entry only at the end, and int_nullspace,
-which reads a primitive integer kernel basis straight off it and gives
-the hyperplane functionals of mesh triangles and of the immersed disk's
-join cells.  solution_set reads the solutions of a linear system off
-rref's result.
+determinants, hull axes and the axes of a plane's functionals take its
+forward pass.  Its Gauss-Jordan pass has two readers: rref, its
+rational view on rows scaled to integers, which builds each rational
+entry only at the end, and int_nullspace, which reads a primitive
+integer kernel basis straight off it and gives the hyperplane
+functionals of mesh triangles outside R^3 (in R^3 they are the signed
+minors of the triangle's rows) and of the immersed disk's join cells.
+solution_set reads the solutions of a linear system off rref's result.
 """
 
 from __future__ import annotations

@@ -4,11 +4,16 @@ A TriMesh is a vertex pool plus index triples.  Vertices are pooled by
 exact coordinates, so two triangles touch in the mesh sense iff they
 share pool indices.  Each vertex's denominators are cleared once, when
 it is pooled: its integer form (geom.homogeneous) is the pool key and
-is kept in mesh.hom, and every certificate reads those integers.
+is kept in mesh.hom, and every certificate reads those integers.  The
+surface builders pool each point on its first use (TriMesh.pooler) and
+only ever append triangles by index.
 Validation, Euler characteristic, orientability, boundary extraction
 and the embeddedness check all live here, and certify runs each of
-them once on a finished surface; the surface builders only ever append
-triangles.
+them once on a finished surface.  The embeddedness check takes each
+triangle's plane as integer functionals on those forms, in R^3 the
+signed minors of its three rows, and decides each candidate pair from
+the signs its shared vertices leave open: one value for a shared edge,
+the two free vertices for a shared vertex, all three for none.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from typing import Optional
 
 from .geom import (
     Point,
+    _bareiss,
     _coord_cmp,
     box_h,
     flat_axes,
@@ -109,6 +115,19 @@ class TriMesh:
             self.hom.append(h)
             self._pool[h] = idx
         return idx
+
+    def pooler(self, points):
+        """A function key -> pool index of points[key] that pools each
+        point on its first call, so a builder clears its denominators
+        once however many triangles it corners."""
+        ids: dict = {}
+
+        def index(key) -> int:
+            i = ids.get(key)
+            if i is None:
+                i = ids[key] = self.add_vertex(points[key])
+            return i
+        return index
 
     def add_triangle(self, a: Point, b: Point, c: Point, tag: str = "") -> int:
         i, j, k = self.add_vertex(a), self.add_vertex(b), self.add_vertex(c)
@@ -287,35 +306,67 @@ class EmbeddingViolation:
                                                    self.point)
 
 
+def _plane_3d(p, q, r) -> tuple:
+    """Integer functional c with c . x = det[x; p; q; r], for homogeneous
+    points p, q, r of R^3: its entries are the signed 3x3 minors of the
+    rows p, q, r.  It vanishes on their plane, and it is zero exactly
+    when the three points are affinely dependent."""
+    q0, q1, q2, q3 = q
+    r0, r1, r2, r3 = r
+    m01, m02, m03 = q0 * r1 - q1 * r0, q0 * r2 - q2 * r0, q0 * r3 - q3 * r0
+    m12, m13, m23 = q1 * r2 - q2 * r1, q1 * r3 - q3 * r1, q2 * r3 - q3 * r2
+    p0, p1, p2, p3 = p
+    return (p1 * m23 - p2 * m13 + p3 * m12,
+            p2 * m03 - p0 * m23 - p3 * m02,
+            p0 * m13 - p1 * m03 + p3 * m01,
+            p1 * m02 - p0 * m12 - p2 * m01)
+
+
 def _tri_data(hom, tri):
-    # dim-2 functionals h vanishing on the triangle's plane: h . q_h = 0
-    # at its three homogeneous vertices, so sign(h . q_h) is the side of q
-    return tri, set(tri), int_nullspace([hom[v] for v in tri])
+    # d - 2 functionals h vanishing on the triangle's plane: h . q_h = 0
+    # at its three homogeneous vertices, so sign(h . q_h) is the side of
+    # q.  A degenerate triangle gets some other number of them.
+    hs = [hom[v] for v in tri]
+    if len(hs[0]) == 4:
+        h = _plane_3d(*hs)
+        return tri, set(tri), [h] if any(h) else []
+    return tri, set(tri), int_nullspace(hs)
 
 
-def _values(planes, hom, tri):
-    """Rows of integer values of each plane functional at the vertices
-    tri; their signs are the signs of the rational values."""
-    return [[sum(map(mul, h, hom[v])) for v in tri] for h in planes]
+def _values(planes, hs):
+    """Rows of integer values of each plane functional at the
+    homogeneous points hs; their signs are the signs of the rational
+    values."""
+    return [[sum(map(mul, h, q)) for q in hs] for h in planes]
 
 
 def _row_separates(rows) -> bool:
-    return any(all(v > 0 for v in row) or all(v < 0 for v in row)
-               for row in rows)
+    return any(min(row) > 0 or max(row) < 0 for row in rows)
 
 
-def _coplanar_contact_clean(hom, tri_a, tri_b, shared) -> bool:
+def _plane_axes(planes, dim) -> list[int]:
+    """The two axes onto which the plane cut out by the functionals
+    planes projects injectively: the columns that are not pivots of
+    their echelon form, which fixes the pivot coordinates from the
+    others.  The weight column is never a pivot, as every point has
+    w > 0."""
+    pivots = _bareiss(planes)[1]
+    return [i for i in range(dim) if i not in pivots]
+
+
+def _coplanar_contact_clean(hom, axes, tri_a, tri_b, shared) -> bool:
     """Exact contact classification for a coplanar triangle pair.
 
     True when the triangles meet in nothing beyond the face spanned by
     their shared vertices.  Decided from orientation signs of the
-    projected homogeneous vertices alone.  With at most one shared
+    homogeneous vertices projected onto axes, two axes on which their
+    common plane projects injectively.  With at most one shared
     vertex w, any other common point gives the intersection polygon an
     extreme point other than w; such a point is a vertex of one triangle
     lying in the other closed triangle, or a proper crossing of an edge
     of each, so those two tests are complete.
     """
-    i, j = flat_axes([hom[v] for v in tri_a])
+    i, j = axes
     ha = [(hom[v][i], hom[v][j], hom[v][-1]) for v in tri_a]
     hb = [(hom[v][i], hom[v][j], hom[v][-1]) for v in tri_b]
     if len(shared) == 2:
@@ -364,22 +415,21 @@ def _plane_meet_points(hs, vals):
     return meets
 
 
-def _crossing_planes_contact_3d(hs_a, hs_b, vals_ab, vals_ba, shared_hs):
+def _crossing_planes_contact_3d(plane_a, plane_b, hs_a, hs_b, vals_ab,
+                                vals_ba, shared_hs):
     """Contact classification for 3D triangles in distinct crossing
     planes: 'clean' when they meet in at most the shared face, else
     'dirty'.  Both triangles are known to straddle or touch the other's
-    plane, so each meets the common line in a nonempty interval."""
+    plane, so each meets the common line in a nonempty interval.  hs_a
+    and hs_b list the triangles' vertices in any order; vals_ba holds b's
+    functional at hs_a and vals_ab a's at hs_b, in the same orders."""
     meets_a = _plane_meet_points(hs_a, vals_ba)
     meets_b = _plane_meet_points(hs_b, vals_ab)
-    first = meets_a[0]
-    others = meets_a[1:] + meets_b
-    axis = next((i for i in range(3)
-                 if any(_coord_cmp(p, first, i) for p in others)), None)
-    if axis is None:
-        # both intervals degenerate to the same single point
-        return "clean" if (len(shared_hs) == 1 and not any(
-            _coord_cmp(first, shared_hs[0], i) for i in range(3))) \
-            else "dirty"
+    # the line runs along the cross product of the planes' normals, so
+    # an axis where that is nonzero orders the line's points
+    a0, a1, a2 = plane_a[:3]
+    b0, b1, b2 = plane_b[:3]
+    axis = 0 if a1 * b2 != a2 * b1 else 1 if a2 * b0 != a0 * b2 else 2
     along = cmp_to_key(lambda p, q: _coord_cmp(p, q, axis))
     lo = max(min(meets_a, key=along), min(meets_b, key=along), key=along)
     hi = min(max(meets_a, key=along), max(meets_b, key=along), key=along)
@@ -440,14 +490,14 @@ def _hull_contact_clean(hom, tri_a, tri_b, shared) -> bool:
 
     if len(axes) == 3:
         hs_a, hs_b = proj(tri_a), proj(tri_b)
-        # det[x; p; q; r] is a linear functional of x vanishing on the
-        # plane through p, q, r
-        vals_ab = [int_det([h] + hs_a) for h in hs_b]
-        vals_ba = [int_det([h] + hs_b) for h in hs_a]
+        plane_a, plane_b = _plane_3d(*hs_a), _plane_3d(*hs_b)
+        vals_ab = [sum(map(mul, plane_a, h)) for h in hs_b]
+        vals_ba = [sum(map(mul, plane_b, h)) for h in hs_a]
         if _row_separates([vals_ab, vals_ba]):
             return True
         return _crossing_planes_contact_3d(
-            hs_a, hs_b, vals_ab, vals_ba, proj(shared)) == "clean"
+            plane_a, plane_b, hs_a, hs_b, vals_ab, vals_ba,
+            proj(shared)) == "clean"
     if len(axes) == 4:
         return _transverse_contact_clean(proj(tri_a), proj(tri_b))
     return False
@@ -459,68 +509,86 @@ def check_embedded(mesh: TriMesh) -> Optional[EmbeddingViolation]:
     Triangles may meet only in the face spanned by their shared pool
     vertices: nothing, one vertex, or one edge.  Returns None when the
     mesh is embedded, otherwise a violation with an exact witness point.
+    Raises ValueError naming the first degenerate triangle.
 
-    Candidate pairs come from the one sweep, geom.overlapping_pairs, over
-    exact bounding boxes listed in the stable order of least x, the low x
-    end of each integer box, and are visited in that order.  They are
-    pruned by plane-separation functionals, then contact classification
-    of coplanar pairs, and a triangle pinned to the one shared vertex by
-    the other's plane is cleared.  In R^3 the rest are decided along the
-    line where the two planes cross.  In R^d, d >= 4, they are decided
-    inside the affine hull of their distinct vertices
+    Each triangle's plane is given by d - 2 integer functionals on the
+    vertices' forms in mesh.hom: in R^3 the signed minors of its three
+    rows (_plane_3d), else int_nullspace's basis.  Candidate pairs come
+    from the one sweep, geom.overlapping_pairs, over exact bounding
+    boxes listed in the stable order of least x, the low x end of each
+    integer box, and are visited in that order.  Each pair computes
+    only the signs that decide it, by how many vertices it shares:
+
+    - an edge: the opposite vertex of b against a's functionals.  Off
+      a's plane, the two planes meet in the edge's line, which each
+      triangle meets in the edge alone; in it, the coplanar test decides.
+    - a vertex: b's two free vertices against a's functionals, then a's
+      against b's.  Both zero make the pair coplanar; both strictly on
+      one side of a plane pin the other triangle to the shared vertex.
+    - none: all three vertices of each against the other's functionals;
+      all on one side of a plane clear the pair.
+
+    A coplanar pair is decided by orientation signs on the two axes that
+    are not pivots of a's functionals.  In R^3 the rest are decided
+    along the line where the two planes cross, ordered on an axis where
+    the cross product of their normals is nonzero.  In R^d, d >= 4, they
+    are decided inside the affine hull of their distinct vertices
     (_hull_contact_clean): affinely independent vertices clear the pair,
     a 3-flat reduces it to the R^3 test, and two triangles spanning a
     4-flat meet in at most one point, located by the signs of integer
     minors.  Only pairs still standing reach the full simplex
     intersection, which decides them and builds the witness; every test
-    before it is an integer sign on the vertices' forms in mesh.hom.
+    before it is an integer sign.
     """
     hom = mesh.hom
-    data = [_tri_data(hom, tri) for tri in mesh.triangles]
+    dim = mesh.dim
+    data = []
+    for t, tri in enumerate(mesh.triangles):
+        entry = _tri_data(hom, tri)
+        if len(entry[2]) != dim - 2:
+            raise ValueError("triangle %d is degenerate" % t)
+        data.append(entry)
     boxes = [box_h([hom[v] for v in tri]) for tri in mesh.triangles]
     lo = [box[0][0] for box in boxes]
     order = sorted(range(len(boxes)), key=cmp_to_key(
         lambda i, j: lo[i][0] * lo[j][1] - lo[j][0] * lo[i][1]))
     boxes = [boxes[t] for t in order]
-    dim = mesh.dim
     for pa, pb in overlapping_pairs(boxes):
         a, b = order[pa], order[pb]
         tri_a, vs_a, planes_a = data[a]
         tri_b, vs_b, planes_b = data[b]
         shared = vs_a & vs_b
-        if len(shared) >= 3:
+        if len(shared) == 3:
             pts_a = mesh.triangle_points(a)
             cen = Point(sum(p[i] for p in pts_a) / 3 for i in range(dim))
             return EmbeddingViolation(a, b, cen)
-        vals_ab = _values(planes_a, hom, tri_b)
-        if _row_separates(vals_ab):
-            continue
-        vals_ba = _values(planes_b, hom, tri_a)
-        if _row_separates(vals_ba):
-            continue
-        coplanar = all(v == 0 for row in vals_ab for v in row)
+        if len(shared) == 2:
+            q = hom[(vs_b - shared).pop()]
+            if any(sum(map(mul, h, q)) for h in planes_a):
+                continue  # distinct planes through the common edge
+            coplanar = True
+        else:
+            hs_b = [hom[v] for v in tri_b if v not in shared]
+            vals_ab = _values(planes_a, hs_b)
+            if _row_separates(vals_ab):
+                continue  # a's plane misses b, or pins it at the shared vertex
+            coplanar = not any(map(any, vals_ab))
+            if not coplanar:
+                hs_a = [hom[v] for v in tri_a if v not in shared]
+                vals_ba = _values(planes_b, hs_a)
+                if _row_separates(vals_ba):
+                    continue
         if coplanar:
-            if _coplanar_contact_clean(hom, tri_a, tri_b, shared):
+            if _coplanar_contact_clean(hom, _plane_axes(planes_a, dim),
+                                       tri_a, tri_b, shared):
                 continue
-        elif len(shared) == 2:
-            # distinct planes through a common edge meet exactly in
-            # the line of that edge, and each triangle meets that
-            # line exactly in the edge itself
-            continue
-        elif len(shared) == 1 and (
-                _row_separates([[x for x, v in zip(row, tri_b)
-                                 if v not in shared] for row in vals_ab])
-                or _row_separates([[x for x, v in zip(row, tri_a)
-                                    if v not in shared]
-                                   for row in vals_ba])):
-            # plane of one triangle pinning the other to the shared
-            # vertex: contact is that vertex alone
-            continue
         elif dim == 3:
-            verdict = _crossing_planes_contact_3d(
-                [hom[v] for v in tri_a], [hom[v] for v in tri_b],
-                vals_ab[0], vals_ba[0], [hom[v] for v in shared])
-            if verdict == "clean":
+            # the free vertices, then the shared one at value zero
+            hs_s = [hom[v] for v in shared]
+            zeros = [0] * len(hs_s)
+            if _crossing_planes_contact_3d(
+                    planes_a[0], planes_b[0], hs_a + hs_s, hs_b + hs_s,
+                    vals_ab[0] + zeros, vals_ba[0] + zeros, hs_s) == "clean":
                 continue
         elif _hull_contact_clean(hom, tri_a, tri_b, shared):
             continue

@@ -47,8 +47,9 @@ def earclip_2d(poly: ClosedPolygon):
         raise ValueError("polygon is not embedded: %r" % bad)
     pts = poly.vertices
     mesh = TriMesh(2)
+    at = mesh.pooler(pts)
     for a, b, c in _earclip_indices(pts):
-        mesh.add_triangle(pts[a], pts[b], pts[c], tag="ear")
+        mesh.add_triangle_indices(at(a), at(b), at(c), "ear")
     n = len(pts)
     _require(len(mesh.triangles) == n - 2, "earclip: t != n - 2")
     _require(len(mesh.vertices) == n, "earclip: added a vertex")
@@ -83,9 +84,10 @@ def cone_highdim(poly: ClosedPolygon, seed: int = 0, budget: int = 200):
                   for i in range(d)]
         apex = Point(coords)
         mesh = TriMesh(d)
+        at = mesh.pooler(verts + [apex])
         for i in range(n):
-            mesh.add_triangle(verts[i], verts[(i + 1) % n], apex,
-                              tag="cone %d" % i)
+            mesh.add_triangle_indices(at(i), at((i + 1) % n), at(n),
+                                      "cone %d" % i)
         cert = certify(mesh, poly)
         if cert["failure"] is not None:
             continue
@@ -301,12 +303,15 @@ def _assemble_disk(poly, q4, center):
     verts = poly.vertices
     n = len(verts)
     mesh = TriMesh(4)
+    # the polygon's vertices, then the inner n-gon's, then the center
+    at = mesh.pooler(verts + q4 + [center])
     for j in range(n):
-        mesh.add_triangle(verts[j], verts[(j + 1) % n], q4[(j + 1) % n],
-                          tag="annulus %d" % j)
-        mesh.add_triangle(verts[j], q4[j], q4[(j + 1) % n],
-                          tag="annulus %d" % j)
-        mesh.add_triangle(q4[j], q4[(j + 1) % n], center, tag="fan %d" % j)
+        k = (j + 1) % n
+        mesh.add_triangle_indices(at(j), at(k), at(n + k), "annulus %d" % j)
+        mesh.add_triangle_indices(at(j), at(n + j), at(n + k),
+                                  "annulus %d" % j)
+        mesh.add_triangle_indices(at(n + j), at(n + k), at(2 * n),
+                                  "fan %d" % j)
     cert = certify(mesh, poly, interior="immersed")
     if cert["failure"] is not None:
         return None
@@ -406,6 +411,9 @@ def _embedded_attempt(poly, slopes, seed, attempt, rule="orientation"):
     mesh = _lift(m3, [-s * low for s in slopes] + [low])
     p3v = p3.vertices
     base_edges = m3.boundary_edges()
+    # the wall top over each base vertex, pooled on its first wall
+    tops = {}
+    top = mesh.pooler(tops)
     for ia, ib in base_edges:
         wa, wb = m3.vertices[ia], m3.vertices[ib]
         hosts = []
@@ -418,9 +426,10 @@ def _embedded_attempt(poly, slopes, seed, attempt, rule="orientation"):
                  "embedded4: boundary edge not on exactly one polygon edge")
         host, ta, tb = hosts[0]
         ea, eb = verts[host], verts[(host + 1) % n]
-        _add_wall(mesh, mesh.vertices[ia], mesh.vertices[ib],
-                  ea + (eb - ea).scale(ta), ea + (eb - ea).scale(tb),
-                  "wall4 %d" % host)
+        for v, t in ((ia, ta), (ib, tb)):
+            if v not in tops:
+                tops[v] = ea + (eb - ea).scale(t)
+        _add_wall(mesh, ia, ib, lambda v: v, top, "wall4 %d" % host)
     cert = certify(mesh, poly)
     _require(cert["failure"] is None, cert["failure"])
     census = cert["census"]

@@ -301,17 +301,18 @@ def assign_levels(g: SmoothedGraph) -> list[int]:
     return levels
 
 
-def _add_wall(mesh, lo_a, lo_b, top_a, top_b, tag) -> None:
-    """Two triangles on the quadrilateral lo_a lo_b top_b top_a, the wall
-    over the base edge lo_a lo_b.  The diagonal runs from the top over
-    the lexicographically smaller base vertex to the other base
-    vertex."""
-    if lo_a.coords <= lo_b.coords:
-        mesh.add_triangle(lo_a, lo_b, top_a, tag=tag)
-        mesh.add_triangle(lo_b, top_b, top_a, tag=tag)
+def _add_wall(mesh, a, b, low, top, tag) -> None:
+    """Two triangles on the quadrilateral low(a) low(b) top(b) top(a),
+    the wall over the base edge low(a) low(b); low and top give pool
+    indices (TriMesh.pooler).  The diagonal runs from the top over the
+    lexicographically smaller base vertex to the other base vertex."""
+    la, lb = low(a), low(b)
+    if mesh.vertices[la].coords <= mesh.vertices[lb].coords:
+        mesh.add_triangle_indices(la, lb, top(a), tag)
+        mesh.add_triangle_indices(lb, top(b), top(a), tag)
     else:
-        mesh.add_triangle(lo_a, lo_b, top_b, tag=tag)
-        mesh.add_triangle(lo_a, top_b, top_a, tag=tag)
+        mesh.add_triangle_indices(la, lb, top(b), tag)
+        mesh.add_triangle_indices(la, top(b), top(a), tag)
 
 
 def build_surface(g: SmoothedGraph, levels: list[int]):
@@ -333,23 +334,23 @@ def build_surface(g: SmoothedGraph, levels: list[int]):
     mesh = TriMesh(3)
     floor = min(v[2] for v in dia.polygon.vertices) - ONE
     # every corner and mark lies on exactly one circuit
-    top, low = {}, {}
+    tops, lows = {}, {}
     for circ, k in zip(g.circuits, levels):
         for i in circ:
-            top[i] = dia.lift(nodes[i].pos, nodes[i].z)
-            low[i] = dia.lift(nodes[i].pos, floor - k)
+            tops[i] = dia.lift(nodes[i].pos, nodes[i].z)
+            lows[i] = dia.lift(nodes[i].pos, floor - k)
+    top, low = mesh.pooler(tops), mesh.pooler(lows)
 
     bowls = walls = 0
     for ci, circ in enumerate(g.circuits):
         pts2 = [nodes[i].pos for i in circ]
         for a, b, c in earclip_2d(pts2):
-            mesh.add_triangle(low[circ[a]], low[circ[b]], low[circ[c]],
-                              tag="bowl %d" % ci)
+            mesh.add_triangle_indices(low(circ[a]), low(circ[b]),
+                                      low(circ[c]), "bowl %d" % ci)
             bowls += 1
         m = len(circ)
         for e in range(m):
-            a, b = circ[e], circ[(e + 1) % m]
-            _add_wall(mesh, low[a], low[b], top[a], top[b],
+            _add_wall(mesh, circ[e], circ[(e + 1) % m], low, top,
                       "wall %d %d" % (ci, e))
             walls += 2
     bowties = 0
@@ -358,12 +359,10 @@ def build_surface(g: SmoothedGraph, levels: list[int]):
         for a, b in g.whites[x]:
             partner[a] = b
             partner[b] = a
-        x1 = top[q["in_over"]]
-        y1 = top[q["out_over"]]
-        x2 = top[partner[q["in_over"]]]
-        y2 = top[partner[q["out_over"]]]
-        mesh.add_triangle(x1, x2, y1, tag="bowtie %d" % x)
-        mesh.add_triangle(x2, y1, y2, tag="bowtie %d" % x)
+        x1, x2 = top(q["in_over"]), top(partner[q["in_over"]])
+        y1, y2 = top(q["out_over"]), top(partner[q["out_over"]])
+        mesh.add_triangle_indices(x1, x2, y1, "bowtie %d" % x)
+        mesh.add_triangle_indices(x2, y1, y2, "bowtie %d" % x)
         bowties += 2
     s = len(g.circuits)
     c = len(marked.quads)

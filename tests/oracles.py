@@ -206,7 +206,8 @@ def construct_r3_framed(poly, seed, rule="orientation"):
                              bottom(circ[c], k), tag="bowl %d" % ci)
         for e, a in enumerate(circ):
             b = circ[(e + 1) % len(circ)]
-            _add_wall(raw, bottom(a, k), bottom(b, k), lifted(a), lifted(b),
+            _add_wall(raw, a, b, lambda i: raw.add_vertex(bottom(i, k)),
+                      lambda i: raw.add_vertex(lifted(i)),
                       "wall %d %d" % (ci, e))
     for x, q in enumerate(g.marked.quads):
         partner = {}

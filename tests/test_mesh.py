@@ -14,7 +14,10 @@ from plspan.geom import (
     Point,
     affine_rank,
     homogeneous,
+    int_det,
+    int_nullspace,
     int_rank,
+    orient3d,
     rref,
     segment_param,
     sign,
@@ -314,43 +317,171 @@ def _planar_soup(rng, dim):
     return m
 
 
-def test_check_embedded_matches_unfiltered_oracle(monkeypatch):
-    # check_embedded must give the oracle's verdict and, with the oracle
-    # visiting pairs in the sweep order, its first pair and witness.  The
-    # planar soups must reach coplanar pairs sharing nothing, a vertex
-    # and an edge.
-    import plspan.mesh as mesh_mod
-    shared_sizes = set()
-    coplanar = mesh_mod._coplanar_contact_clean
+def _cycled_axes(m):
+    """A copy of m with coordinates (x, y, z, ...) -> (y, z, x, ...),
+    vertex and triangle order kept."""
+    out = TriMesh(m.dim)
+    for p in m.vertices:
+        out.add_vertex(Point([p[1], p[2], p[0]] + list(p.coords[3:])))
+    for tri in m.triangles:
+        out.add_triangle_indices(*tri)
+    return out
 
-    def spy(hom, tri_a, tri_b, shared):
-        shared_sizes.add(len(shared))
-        return coplanar(hom, tri_a, tri_b, shared)
 
-    monkeypatch.setattr(mesh_mod, "_coplanar_contact_clean", spy)
-    # the pin test runs first: a pair reaching the crossing-line test
-    # never has the non-shared vertices of a triangle strictly on one
-    # side of the other's plane
-    crossing_shared = set()
-    crossing = mesh_mod._crossing_planes_contact_3d
-
-    def crossing_spy(hs_a, hs_b, vals_ab, vals_ba, shared_hs):
-        crossing_shared.add(len(shared_hs))
-        if len(shared_hs) == 1:
-            for hs, vals in ((hs_b, vals_ab), (hs_a, vals_ba)):
-                free = [x for x, h in zip(vals, hs) if h != shared_hs[0]]
-                assert not (all(x > 0 for x in free)
-                            or all(x < 0 for x in free)), (hs_a, hs_b)
-        return crossing(hs_a, hs_b, vals_ab, vals_ba, shared_hs)
-
-    monkeypatch.setattr(mesh_mod, "_crossing_planes_contact_3d",
-                        crossing_spy)
+@functools.lru_cache(maxsize=None)
+def _oracle_soups():
+    """Random and planar soups for the embeddedness tests, and the first
+    thirty planar soups with cycled axes: the planar soups' planes
+    z = t x + y + c with t = 0 then contain the last axis."""
     rng = random.Random(1234)
     soups = [_random_soup(rng) for _ in range(40)]
     rng = random.Random(2003)
-    soups += [_planar_soup(rng, rng.choice((3, 3, 4))) for _ in range(60)]
+    planar = [_planar_soup(rng, rng.choice((3, 3, 4))) for _ in range(60)]
+    return soups + planar + [_cycled_axes(m) for m in planar[:30]]
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_soup_verdicts():
+    return [check_embedded(m) is None for m in _oracle_soups()]
+
+
+def _spy_pair_tests(monkeypatch, mesh_mod, names):
+    """Wrap the named pair tests of mesh_mod.  Returns (calls, watch):
+    calls lists [name, pair, shared count, result] per call, where pair is the
+    frozenset of the two triangles' indices in the mesh last passed to
+    watch(mesh), read off whatever form the test takes its triangles
+    in: vertex indices, homogeneous forms in any order, or Points."""
+    calls = []
+    tri_of, vertex_of = {}, {}
+
+    def watch(m):
+        calls.clear()
+        tri_of.clear()
+        tri_of.update({frozenset(tri): t for t, tri in enumerate(m.triangles)})
+        vertex_of.clear()
+        for v, (p, h) in enumerate(zip(m.vertices, m.hom)):
+            vertex_of[p.coords] = vertex_of[h] = v
+
+    def tri(xs):
+        return tri_of[frozenset(
+            x if isinstance(x, int) else vertex_of[getattr(x, "coords", x)]
+            for x in xs)]
+
+    def pair_of(name, args):
+        if name == "_coplanar_contact_clean":
+            _, _, tri_a, tri_b, shared = args
+        elif name == "_crossing_planes_contact_3d":
+            tri_a, tri_b, shared = args[2], args[3], args[6]
+            if tri_a[0] not in vertex_of:
+                # forms projected into a 3-flat by the hull test, which
+                # was called last, on the same pair
+                return calls[-1][1], len(shared)
+        elif name == "_hull_contact_clean":
+            _, tri_a, tri_b, shared = args
+        else:  # simplex_intersect
+            tri_a, tri_b, shared = args
+        return frozenset((tri(tri_a), tri(tri_b))), len(shared)
+
+    def spy(name, fn):
+        def wrapped(*args):
+            call = [name, *pair_of(name, args), None]
+            calls.append(call)
+            call[-1] = fn(*args)
+            return call[-1]
+        monkeypatch.setattr(mesh_mod, name, wrapped)
+
+    for name in names:
+        spy(name, getattr(mesh_mod, name))
+    return calls, watch
+
+
+def _pinned_3d(m, a, b):
+    """Oracle for the pin test in R^3, on a pair sharing one vertex: the
+    two other vertices of one triangle strictly on one side of the
+    other's plane."""
+    for s, t in ((a, b), (b, a)):
+        plane = m.triangle_points(s)
+        sides = {orient3d(*plane, m.vertices[v]) for v in m.triangles[t]
+                 if v not in m.triangles[s]}
+        if sides in ({1}, {-1}):
+            return True
+    return False
+
+
+def _record_pair_tests(m, got, calls, reached):
+    """Add to reached the (test, shared count) of each call _spy_pair_tests
+    saw on m, and check that no pair sharing an edge reaches the
+    crossing-line or hull test, and that the LP runs only on pairs that
+    meet outside their shared face, in R^3 or after the coplanar test.
+    When m is embedded (got is None), every candidate pair was visited:
+    pairs sharing an edge off each other's plane, and in R^3 pairs
+    sharing a vertex with a triangle pinned to it by the other's plane
+    (rational orient3d), must reach no test at all, and add
+    ('edge, off the plane', 2) and ('pinned vertex', 1)."""
+    tested = {}
+    for name, pair, k, result in calls:
+        tested.setdefault(pair, set()).add(name)
+        reached.add((name, k))
+        # R^3 tests and the coplanar test decide each pair they see, so
+        # only a pair meeting outside its shared face goes on to the LP
+        if name == "simplex_intersect" and (
+                m.dim == 3 or "_coplanar_contact_clean" in tested[pair]):
+            assert result is not None, (pair, tested[pair])
+    for a in range(len(m.triangles)):
+        for b in range(a + 1, len(m.triangles)):
+            names = tested.get(frozenset((a, b)), set())
+            shared = set(m.triangles[a]) & set(m.triangles[b])
+            if len(shared) == 2:
+                assert not names & {"_crossing_planes_contact_3d",
+                                    "_hull_contact_clean"}, (a, b, names)
+            if got is not None or len(shared) not in (1, 2):
+                continue
+            coplanar = affine_rank(
+                [m.vertices[v] for v in m.triangles[a]]
+                + [m.vertices[v] for v in m.triangles[b]
+                   if v not in shared]) == 2
+            if len(shared) == 2 and not coplanar:
+                assert not names, (a, b, names)
+                reached.add(("edge, off the plane", 2))
+            elif len(shared) == 1 and m.dim == 3 and not coplanar \
+                    and _pinned_3d(m, a, b):
+                assert not names, (a, b, names)
+                reached.add(("pinned vertex", 1))
+
+
+def test_check_embedded_matches_unfiltered_oracle(monkeypatch):
+    # check_embedded must give the oracle's verdict and, with the oracle
+    # visiting pairs in the sweep order, its first pair and witness, and
+    # reach every branch (_record_pair_tests): pairs sharing an edge off
+    # each other's plane and pinned pairs decided with no later test,
+    # the coplanar test on pairs sharing nothing, a vertex and an edge,
+    # the crossing-line test on pairs sharing nothing and a vertex, and
+    # the full simplex intersection.
+    import plspan.mesh as mesh_mod
+    later = ("_coplanar_contact_clean", "_crossing_planes_contact_3d",
+             "_hull_contact_clean", "simplex_intersect")
+    calls, watch = _spy_pair_tests(monkeypatch, mesh_mod, later)
+    # the pin test runs first: a pair reaching the crossing-line test
+    # never has the free vertices of a triangle strictly on one side of
+    # the other's plane
+    crossing = mesh_mod._crossing_planes_contact_3d
+
+    def crossing_spy(plane_a, plane_b, hs_a, hs_b, vals_ab, vals_ba,
+                     shared_hs):
+        for hs, vals in ((hs_b, vals_ab), (hs_a, vals_ba)):
+            free = [x for x, h in zip(vals, hs) if h not in shared_hs]
+            assert len(free) == 3 - len(shared_hs)
+            assert not (all(x > 0 for x in free)
+                        or all(x < 0 for x in free)), (hs_a, hs_b)
+        return crossing(plane_a, plane_b, hs_a, hs_b, vals_ab, vals_ba,
+                        shared_hs)
+
+    monkeypatch.setattr(mesh_mod, "_crossing_planes_contact_3d",
+                        crossing_spy)
     verdicts = set()
-    for trial, m in enumerate(soups):
+    reached = set()
+    for trial, m in enumerate(_oracle_soups()):
+        watch(m)
         got = check_embedded(m)
         # check_embedded's sweep order: triangles sorted stably by least x
         sweep = sorted(range(len(m.triangles)), key=lambda t: min(
@@ -361,9 +492,15 @@ def test_check_embedded_matches_unfiltered_oracle(monkeypatch):
         else:
             assert (got.tri_a, got.tri_b, got.point) == want, (trial, got)
         verdicts.add(got is None)
+        _record_pair_tests(m, got, calls, reached)
     assert verdicts == {True, False}
-    assert shared_sizes == {0, 1, 2}
-    assert crossing_shared == {0, 1}
+    assert reached >= {("edge, off the plane", 2), ("pinned vertex", 1),
+                       ("_coplanar_contact_clean", 0),
+                       ("_coplanar_contact_clean", 1),
+                       ("_coplanar_contact_clean", 2),
+                       ("_crossing_planes_contact_3d", 0),
+                       ("_crossing_planes_contact_3d", 1)}, reached
+    assert any(name == "simplex_intersect" for name, _ in reached)
 
 
 def test_tri_data_functionals_give_plane_sides():
@@ -388,6 +525,84 @@ def test_tri_data_functionals_give_plane_sides():
             value = sum(a * x for a, x in zip(h, q.coords)) + h[-1]
             assert sign(sum(a * x for a, x in zip(h, homogeneous(q)))) \
                 == sign(value)
+
+
+def _small_rats():
+    return st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def _plane_triples(draw):
+    """Three points of R^3; half the time the third lies on the line
+    through the first two, or repeats one of them."""
+    p, q = (Point(draw(st.lists(_small_rats(), min_size=3, max_size=3)))
+            for _ in range(2))
+    if draw(st.booleans()):
+        r = Point(draw(st.lists(_small_rats(), min_size=3, max_size=3)))
+    else:
+        t = draw(_small_rats())
+        r = Point([a + t * (b - a) for a, b in zip(p, q)])
+    return p, q, r
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_plane_triples(), st.lists(_small_rats(), min_size=3, max_size=3))
+def test_plane_3d_is_a_multiple_of_the_nullspace_functional(pts, x):
+    # the signed minors give det[x; p; q; r], a nonzero multiple of
+    # int_nullspace's one functional for a triangle, and zero exactly on
+    # affinely dependent triples
+    from plspan.mesh import _plane_3d
+    hs = [homogeneous(p) for p in pts]
+    plane = _plane_3d(*hs)
+    hx = homogeneous(Point(x))
+    assert sum(a * b for a, b in zip(plane, hx)) == int_det([hx] + hs)
+    flat = affine_rank(list(pts)) < 2
+    assert (not any(plane)) == flat
+    if not flat:
+        (h,) = int_nullspace(hs)
+        assert int_rank([plane, h]) == 1
+
+
+def test_check_embedded_names_the_first_degenerate_triangle():
+    # a segment-like triangle beside another: apart from it, where no
+    # pair test would see it, or straddling it, where the simplex
+    # intersection would; in R^3 and R^4, in either order
+    flat = [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
+    for other in ([(5, 5, 5), (6, 5, 5), (5, 6, 5)],
+                  [(1, 0, -1), (1, 1, 1), (1, -1, 1)]):
+        for dim in (3, 4):
+            for first in (0, 1):
+                m = TriMesh(dim)
+                tris = [flat, other] if first == 0 else [other, flat]
+                for tri in tris:
+                    m.add_triangle(*(Point(list(p) + [0] * (dim - 3))
+                                     for p in tri))
+                with pytest.raises(ValueError,
+                                   match="^triangle %d is degenerate$"
+                                   % first):
+                    check_embedded(m)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32))
+def test_embedded_verdicts_invariant_under_relabelling(seed):
+    # the sweep visits pairs in another order and each pair test sees
+    # its triangles' vertices in another order, but the verdict stays:
+    # triangles permuted, each triangle's vertices rotated, and the
+    # coordinate axes permuted
+    soups = _oracle_soups()
+    verdicts = _oracle_soup_verdicts()
+    assert set(verdicts) == {True, False}
+    rng = random.Random(seed)
+    for m, want in zip(soups, verdicts):
+        axes = rng.sample(range(m.dim), m.dim)
+        image = TriMesh(m.dim)
+        for t in rng.sample(range(len(m.triangles)), len(m.triangles)):
+            k = rng.randrange(3)
+            tri = m.triangles[t][k:] + m.triangles[t][:k]
+            image.add_triangle(*(Point([m.vertices[v][i] for i in axes])
+                                 for v in tri))
+        assert (check_embedded(image) is None) == want
 
 
 def test_check_embedded_finds_piercing():
@@ -1033,28 +1248,32 @@ def _flat_soup(rng, dim, k, tilted):
 def test_check_embedded_r4_r5_matches_oracle(monkeypatch):
     # Soups (dim, flat dim, tilted) in R^4 and R^5 spanning the whole
     # space, a hyperplane x_d = const, a tilted hyperplane, a 3-flat or
-    # a 2-flat.  The pair
-    # and witness must be the oracle's in sweep order, and every
-    # decision must be reached: affinely independent vertices, a common
-    # 2-flat, a 3-flat, two triangles spanning a 4-flat, and the LP.
+    # a 2-flat.  The pair and witness must be the oracle's in sweep
+    # order, and every decision must be reached: a shared edge off the
+    # other's plane, the coplanar test sharing nothing, a vertex and an
+    # edge, and in the hull test affinely independent vertices, a
+    # 3-flat (the crossing-line test, sharing nothing and a vertex) and
+    # two triangles spanning a 4-flat; then the LP.  No pair sharing an
+    # edge reaches the hull test (_record_pair_tests).
     import plspan.mesh as mesh_mod
+    calls, watch = _spy_pair_tests(monkeypatch, mesh_mod, (
+        "_coplanar_contact_clean", "_hull_contact_clean",
+        "_crossing_planes_contact_3d", "simplex_intersect"))
     reached = set()
+    transverse = mesh_mod._transverse_contact_clean
 
-    def spy(name, fn):
-        def wrapped(*args):
-            reached.add(name)
-            return fn(*args)
-        monkeypatch.setattr(mesh_mod, name, wrapped)
+    def transverse_spy(hs_a, hs_b):
+        reached.add(("_transverse_contact_clean", 0))
+        return transverse(hs_a, hs_b)
 
-    for name in ("_coplanar_contact_clean", "_crossing_planes_contact_3d",
-                 "_transverse_contact_clean", "simplex_intersect"):
-        spy(name, getattr(mesh_mod, name))
+    monkeypatch.setattr(mesh_mod, "_transverse_contact_clean",
+                        transverse_spy)
     flat_axes = mesh_mod.flat_axes
 
     def axes_spy(hs):
         axes = flat_axes(hs)
         if len(hs) > 3 and len(axes) == len(hs) - 1:
-            reached.add("independent")
+            reached.add(("independent", 6 - len(hs)))
         return axes
 
     monkeypatch.setattr(mesh_mod, "flat_axes", axes_spy)
@@ -1064,6 +1283,7 @@ def test_check_embedded_r4_r5_matches_oracle(monkeypatch):
     verdicts = set()
     for trial in range(24):
         m = _flat_soup(rng, *configs[trial % len(configs)])
+        watch(m)
         got = check_embedded(m)
         sweep = sorted(range(len(m.triangles)), key=lambda t: min(
             p[0] for p in m.triangle_points(t)))
@@ -1073,10 +1293,17 @@ def test_check_embedded_r4_r5_matches_oracle(monkeypatch):
         else:
             assert (got.tri_a, got.tri_b, got.point) == want, (trial, got)
         verdicts.add(got is None)
+        _record_pair_tests(m, got, calls, reached)
     assert verdicts == {True, False}
-    assert reached == {"independent", "_coplanar_contact_clean",
-                       "_crossing_planes_contact_3d",
-                       "_transverse_contact_clean", "simplex_intersect"}
+    assert reached >= {("edge, off the plane", 2),
+                       ("_coplanar_contact_clean", 0),
+                       ("_coplanar_contact_clean", 1),
+                       ("_coplanar_contact_clean", 2),
+                       ("independent", 0), ("independent", 1),
+                       ("_crossing_planes_contact_3d", 0),
+                       ("_crossing_planes_contact_3d", 1),
+                       ("_transverse_contact_clean", 0)}, reached
+    assert any(name == "simplex_intersect" for name, _ in reached)
 
 
 def test_certify_verdicts_witnesses_and_first_failure():

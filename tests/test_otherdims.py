@@ -654,6 +654,39 @@ def test_embedded_determinism():
         [m2.triangle_points(t) for t in range(len(m2.triangles))]
 
 
+def test_builders_clear_each_vertex_once(monkeypatch):
+    # every builder pools each point on its first use and adds triangles
+    # by index: building a mesh clears each vertex's denominators once.
+    # embedded_4d clears its base surface's vertices twice, building it
+    # in R^3 and lifting it, and its wall tops, the boundary, once.
+    import plspan.mesh as mesh_mod
+    import plspan.otherdims as od
+    cleared = []
+    homogeneous = mesh_mod.homogeneous
+    monkeypatch.setattr(mesh_mod, "homogeneous",
+                        lambda p: cleared.append(p) or homogeneous(p))
+    built = []
+    certify = od.certify
+
+    def certify_spy(mesh, poly, **kwargs):
+        built.append((len(cleared), mesh))
+        cert = certify(mesh, poly, **kwargs)
+        cleared.clear()
+        return cert
+
+    monkeypatch.setattr(od, "certify", certify_spy)
+    earclip_2d(lshape())
+    cone_highdim(gen_random(7, 5, seed=2))
+    immersed_disk_4d(gen_random(6, 4, seed=1))
+    assert built and all(calls == len(mesh.vertices)
+                         for calls, mesh in built)
+    built.clear()
+    embedded_4d(gen_random(5, 4, seed=7))
+    (calls, mesh), = built
+    tops = len(mesh.boundary_edges())
+    assert tops > 0 and calls == 2 * len(mesh.vertices) - tops
+
+
 def _lifted_torus(m):
     return ClosedPolygon([Point((v[0], v[1], v[2], v[0]))
                           for v in gen_torus_stick(m).vertices])

@@ -257,6 +257,27 @@ def test_determinism():
         == [b_mesh.triangle_points(t) for t in range(len(b_mesh.triangles))]
 
 
+def test_build_clears_each_vertex_once(monkeypatch):
+    # the builder pools each node's point on its first use and adds
+    # triangles by index, so denominators are cleared once per vertex
+    import plspan.mesh as mesh_mod
+    import plspan.seifert as seifert_mod
+    cleared = []
+    homogeneous = mesh_mod.homogeneous
+    monkeypatch.setattr(mesh_mod, "homogeneous",
+                        lambda p: cleared.append(p) or homogeneous(p))
+    built = []
+    certify = seifert_mod.certify
+
+    def certify_spy(mesh, poly):
+        built.append((len(cleared), len(mesh.vertices)))
+        return certify(mesh, poly)
+
+    monkeypatch.setattr(seifert_mod, "certify", certify_spy)
+    mesh, _ = spanning_surface_r3(gen_torus_stick(5))
+    assert built == [(len(mesh.vertices), len(mesh.vertices))]
+
+
 def test_provenance_counts():
     mesh, rep = spanning_surface_r3(gen_torus_stick(3))
     kinds = [tag.split()[0] for tag in mesh.provenance]
