@@ -62,7 +62,7 @@ def _genus(parse, rule):
         try:
             value = parse(text)
             rule(value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise argparse.ArgumentTypeError("%s: %s" % (text, exc))
         return value
     return check
@@ -119,7 +119,7 @@ def cmd_generate(args) -> int:
                 raise SystemExit("--n and --dim required for the random "
                                  "family")
             poly = gen_random(args.n, args.dim, seed=args.seed)
-    except ValueError as exc:
+    except (ValueError, AssertionError) as exc:
         raise SystemExit("--family %s: %s" % (fam, exc)) from None
     echo = "n=%d dim=%d" % (len(poly.vertices), poly.dim)
     if args.out:
@@ -132,14 +132,14 @@ def cmd_generate(args) -> int:
 
 
 def _embedding_error(poly) -> dict | None:
-    """The error entries of a report on a polygon in R^d, d >= 3, that
-    is not embedded, with the exact witness; None for an embedded one.
+    """The error entries of a report on a polygon that is not embedded,
+    with the exact witness; None for an embedded one.
 
-    Planar input is left to earclip_2d, which validates it itself.
-    Elsewhere a polygon that is not embedded would only surface after a
-    retry budget ran out, or as a crash.
+    The one embeddedness check of span and bounds, in every dimension.
+    Without it a polygon that is not embedded would only surface after
+    a retry budget ran out, as a crash, or, for bounds, not at all.
     """
-    bad = validate_embedded(poly) if poly.dim >= 3 else None
+    bad = validate_embedded(poly)
     if bad is None:
         return None
     return {"error": "polygon is not embedded: %r" % bad,

@@ -20,8 +20,7 @@ from __future__ import annotations
 import random
 
 from .geom import (AffineMap, Point, Rat, ZERO, box_h, homogeneous,
-                   overlapping_pairs, rat, seg_intersect_2d, seg_pair_clear_h,
-                   sign)
+                   overlapping_pairs, rat, seg_intersect_2d, sign)
 from .polygon import ClosedPolygon
 
 
@@ -107,8 +106,8 @@ def _dot(x, y):
 
 def _crossing_h(a, b, c, d):
     """(t, u, point, sign) of the proper crossing of segments [a, b] and
-    [c, d], given in homogeneous form, or None when one endpoint lies on
-    the other segment's line.  The segments must meet.
+    [c, d], given in homogeneous form: no endpoint lies on the other
+    segment's line.
 
     With O(p, q, r) = det(p, q, r), the crossing is the homogeneous
     point O(c,d,a) b - O(c,d,b) a, at t = O(c,d,a) w_b / (O(c,d,a) w_b -
@@ -118,8 +117,6 @@ def _crossing_h(a, b, c, d):
     cd = _cross_h(c, d)
     ab = _cross_h(a, b)
     oa, ob, oc, od = _dot(cd, a), _dot(cd, b), _dot(ab, c), _dot(ab, d)
-    if not (oa and ob and oc and od):
-        return None
     x, y, w = (oa * p - ob * q for p, q in zip(b, a))
     t = Rat(oa * b[2], oa * b[2] - ob * a[2])
     u = Rat(oc * d[2], oc * d[2] - od * c[2])
@@ -132,9 +129,10 @@ def _projection_problems(pts: list[Point]):
     every pair of non-adjacent edges that cross, in pair order, as
     _crossing_h gives them.
 
-    Candidate pairs come from geom.overlapping_pairs and orientation
-    signs decide them; seg_intersect_2d runs only on the pairs that
-    meet where an endpoint lies on the other edge's line."""
+    Candidate pairs come from geom.overlapping_pairs, and one
+    seg_intersect_2d call on the integer forms decides each of them:
+    adjacent edges may touch only at their corner, other edges may only
+    cross."""
     n = len(pts)
     crossings = []
     for i in range(n):
@@ -143,21 +141,17 @@ def _projection_problems(pts: list[Point]):
     hom = [homogeneous(p) for p in pts]
     boxes = [box_h((hom[i], hom[(i + 1) % n])) for i in range(n)]
     for i, j in overlapping_pairs(boxes):
-        if seg_pair_clear_h(hom, i, (i + 1) % n, j, (j + 1) % n):
+        a, b, c, d = i, (i + 1) % n, j, (j + 1) % n
+        kind = seg_intersect_2d(hom, a, b, c, d)
+        if kind is None or (kind == "touch" and {a, b} & {c, d}):
             continue
-        cut = _crossing_h(hom[i], hom[(i + 1) % n], hom[j], hom[(j + 1) % n])
-        if cut is not None:
-            crossings.append((i, j) + cut)
-            continue
-        # An endpoint on the other edge's line, and the edges meet: at
-        # that endpoint, or along a common piece of that line.  Adjacent
-        # edges land here too, and they meet beyond their corner only
-        # where they overlap.
-        hit = seg_intersect_2d(pts[i], pts[(i + 1) % n], pts[j],
-                               pts[(j + 1) % n])
-        if hit.kind == "overlap":
+        if kind == "cross":
+            crossings.append((i, j) + _crossing_h(hom[a], hom[b], hom[c],
+                                                  hom[d]))
+        elif kind == "overlap":
             return "edges %d,%d overlap in projection" % (i, j), None
-        return "edges %d,%d touch at an endpoint" % (i, j), None
+        else:
+            return "edges %d,%d touch at an endpoint" % (i, j), None
     # No crossing hits a projected vertex v: v would lie inside crossing
     # edge i, apart from its ends, and at most one of the two edges at v
     # is adjacent to i (both only for n = 3, which has no crossings), so

@@ -13,6 +13,12 @@ acceptance suite's time budget.  The hot predicates lean on neither:
 they clear denominators one point at a time and take signs of integer
 determinants (the homogeneous predicates below).
 
+Planar segment pairs have one test, seg_intersect_2d on homogeneous
+integer forms: disjoint, a proper crossing, a single touching point,
+or a collinear overlap.  seg_pair_clear_h is its yes/no view for
+contacts permitted at a shared endpoint, and the shadow check, ear
+clipping, crossing marks and planar embeddedness all go through it.
+
 There is one elimination loop, the fraction-free _bareiss.  Ranks,
 determinants, hull axes and the axes of a plane's functionals take its
 forward pass.  Its Gauss-Jordan pass has two readers: rref, its
@@ -54,7 +60,10 @@ def rat(x: RatLike) -> Rat:
     if type(x) is Rat:
         return x
     if isinstance(x, str):
-        x = Fraction(x)
+        try:
+            x = Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % x) from None
     if isinstance(x, Fraction):
         return Rat(x.numerator, x.denominator)
     return Rat(x)
@@ -419,139 +428,61 @@ def _coord_cmp(p, q, axis) -> int:
     return sign(p[axis] * q[-1] - q[axis] * p[-1])
 
 
-def seg_pair_clear_h(hom, a: int, b: int, c: int, d: int,
-                     allow_shared: bool = True) -> bool:
-    """Sign-only meet test of closed planar segments [a, b] and [c, d].
+def _interval_gap(pts_a, pts_b, axis):
+    """(gap, lo) for two sets of homogeneous points on one line, ordered
+    along an axis injective on it: lo is the greater of the sets' least
+    points and gap the sign of lo minus the lesser of their greatest
+    points, so the sets' spans share a piece of positive length (-1),
+    the single point lo (0) or nothing (+1)."""
+    along = cmp_to_key(lambda p, q: _coord_cmp(p, q, axis))
+    lo = max(min(pts_a, key=along), min(pts_b, key=along), key=along)
+    hi = min(max(pts_a, key=along), max(pts_b, key=along), key=along)
+    return _coord_cmp(lo, hi, axis), lo
 
-    a..d index hom, a list of homogeneous points; indices, not
-    coordinates, say which endpoint the segments share.  True when the
-    segments are disjoint, or when allow_shared is set and they meet
-    only at an endpoint they share; segments of length zero included.
+
+def seg_intersect_2d(hom, a: int, b: int, c: int, d: int) -> Optional[str]:
+    """How the closed planar segments [a, b] and [c, d] meet.
+
+    a..d index hom, a list of homogeneous points.  None when the
+    segments are disjoint, 'cross' when each strictly separates the
+    other's endpoints, 'touch' when they meet in a single point
+    otherwise, and 'overlap' when they share a piece of positive
+    length; segments of length zero included.  Decided by integer
+    orientation signs and, on a common line, coordinate comparisons.
     """
-    o1 = orient2d_h(hom[a], hom[b], hom[c])
-    o2 = orient2d_h(hom[a], hom[b], hom[d])
+    ha, hb, hc, hd = hom[a], hom[b], hom[c], hom[d]
+    o1 = orient2d_h(ha, hb, hc)
+    o2 = orient2d_h(ha, hb, hd)
     if o1 * o2 > 0:
-        return True
-    o3 = orient2d_h(hom[c], hom[d], hom[a])
-    o4 = orient2d_h(hom[c], hom[d], hom[b])
+        return None
+    o3 = orient2d_h(hc, hd, ha)
+    o4 = orient2d_h(hc, hd, hb)
     if o3 * o4 > 0:
-        return True
-    # the segments meet, and a shared endpoint lies in the meet: the
-    # contact is permitted exactly when the meet is that single point
-    touch = allow_shared and bool({a, b} & {c, d})
+        return None
+    if o1 and o2 and o3 and o4:
+        return "cross"
     if o1 or o2 or o3 or o4:
-        return touch  # distinct lines, so a single point
+        return "touch"  # distinct lines, so a single point
     # all four on one line: it projects injectively onto any axis on
     # which the points are not all equal
-    pts = (hom[a], hom[b], hom[c], hom[d])
     axis = next((i for i in range(2)
-                 if any(_coord_cmp(p, pts[0], i) for p in pts[1:])), None)
+                 if any(_coord_cmp(p, ha, i) for p in (hb, hc, hd))), None)
     if axis is None:
-        return touch  # all four points coincide
-    along = cmp_to_key(lambda p, q: _coord_cmp(p, q, axis))
-    lo = max(min(pts[:2], key=along), min(pts[2:], key=along), key=along)
-    hi = min(max(pts[:2], key=along), max(pts[2:], key=along), key=along)
-    gap = _coord_cmp(lo, hi, axis)
-    return gap > 0 or (gap == 0 and touch)
+        return "touch"  # all four points coincide
+    gap = _interval_gap((ha, hb), (hc, hd), axis)[0]
+    return None if gap > 0 else "touch" if gap == 0 else "overlap"
 
 
-class SegIntersection:
-    """Classification of the meet of two closed segments in the plane.
-
-    kind is 'empty', 'point' or 'overlap'.  For 'point', point is the
-    exact location and contact tells whether it is interior to both
-    segments ('interior-interior') or touches an endpoint of at least
-    one ('endpoint-touch').  For 'overlap' the segments share a
-    positive-length collinear piece.
-    """
-
-    __slots__ = ("kind", "point", "contact", "params")
-
-    def __init__(self, kind, point=None, contact=None, params=None):
-        self.kind = kind
-        self.point = point
-        self.contact = contact
-        self.params = params  # (s, t) along each segment for 'point'
-
-    def __repr__(self):
-        if self.kind == "point":
-            return "SegIntersection(point, %r, %s)" % (self.point, self.contact)
-        return "SegIntersection(%s)" % self.kind
-
-
-def seg_intersect_2d(a: Point, b: Point, c: Point, d: Point) -> SegIntersection:
-    """Exact intersection classification of closed segments [a,b], [c,d]."""
-    if a.dim != 2 or b.dim != 2 or c.dim != 2 or d.dim != 2:
-        raise ValueError("seg_intersect_2d expects planar points")
-    r = b - a
-    s = d - c
-    denom = r[0] * s[1] - r[1] * s[0]
-    acx, acy = c[0] - a[0], c[1] - a[1]
-    if denom != 0:
-        t = (acx * s[1] - acy * s[0]) / denom
-        u = (acx * r[1] - acy * r[0]) / denom
-        if 0 <= t <= 1 and 0 <= u <= 1:
-            p = Point((a[0] + t * r[0], a[1] + t * r[1]))
-            interior = 0 < t < 1 and 0 < u < 1
-            return SegIntersection(
-                "point", p,
-                "interior-interior" if interior else "endpoint-touch",
-                (t, u))
-        return SegIntersection("empty")
-    # denom == 0: parallel directions, or a degenerate segment
-    r_zero = r[0] == 0 and r[1] == 0
-    s_zero = s[0] == 0 and s[1] == 0
-    if r_zero and s_zero:
-        if a == c:
-            return SegIntersection("point", a, "endpoint-touch", (ZERO, ZERO))
-        return SegIntersection("empty")
-    if r_zero:
-        if point_on_segment(a, c, d):
-            return SegIntersection("point", a, "endpoint-touch")
-        return SegIntersection("empty")
-    if s_zero:
-        if point_on_segment(c, a, b):
-            return SegIntersection("point", c, "endpoint-touch")
-        return SegIntersection("empty")
-    if acx * r[1] - acy * r[0] != 0:
-        return SegIntersection("empty")  # parallel, different lines
-    # collinear: interval overlap along a coordinate where r is nonzero
-    axis = 0 if r[0] != 0 else 1
-    a0, b0, c0, d0 = a[axis], b[axis], c[axis], d[axis]
-    lo1, hi1 = (a0, b0) if a0 <= b0 else (b0, a0)
-    lo2, hi2 = (c0, d0) if c0 <= d0 else (d0, c0)
-    lo, hi = max(lo1, lo2), min(hi1, hi2)
-    if lo > hi:
-        return SegIntersection("empty")
-    if lo == hi:
-        pt = a if a[axis] == lo else b
-        if pt[axis] != lo:  # degenerate [a,b]: take from [c,d]
-            pt = c if c[axis] == lo else d
-        return SegIntersection("point", pt, "endpoint-touch")
-    return SegIntersection("overlap")
-
-
-def point_on_segment(p: Point, a: Point, b: Point) -> bool:
-    """Exact test: does p lie on the closed segment [a, b] (any dim)?"""
-    return segment_param(p, a, b) is not None
-
-
-def segment_param(p: Point, a: Point, b: Point):
-    """Parameter t with p = a + t(b-a), or None if p is off the segment."""
-    d = b - a
-    w = p - a
-    t = None
-    for i in range(p.dim):
-        if d[i] != 0:
-            t = w[i] / d[i]
-            break
-    if t is None:
-        return ZERO if p == a else None
-    if t < 0 or t > 1:
-        return None
-    if all(w[i] == t * d[i] for i in range(p.dim)):
-        return t
-    return None
+def seg_pair_clear_h(hom, a: int, b: int, c: int, d: int,
+                     allow_shared: bool = True) -> bool:
+    """seg_intersect_2d's verdict as a permission: True when the
+    segments are disjoint, or when allow_shared is set and they meet
+    only at an endpoint they share.  Indices, not coordinates, say
+    which endpoint the segments share; a single contact point of two
+    segments with a common endpoint is that endpoint."""
+    kind = seg_intersect_2d(hom, a, b, c, d)
+    return kind is None or (kind == "touch" and allow_shared
+                            and bool({a, b} & {c, d}))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .geom import (
     Point,
     _bareiss,
     _coord_cmp,
+    _interval_gap,
     box_h,
     flat_axes,
     homogeneous,
@@ -430,10 +431,7 @@ def _crossing_planes_contact_3d(plane_a, plane_b, hs_a, hs_b, vals_ab,
     a0, a1, a2 = plane_a[:3]
     b0, b1, b2 = plane_b[:3]
     axis = 0 if a1 * b2 != a2 * b1 else 1 if a2 * b0 != a0 * b2 else 2
-    along = cmp_to_key(lambda p, q: _coord_cmp(p, q, axis))
-    lo = max(min(meets_a, key=along), min(meets_b, key=along), key=along)
-    hi = min(max(meets_a, key=along), max(meets_b, key=along), key=along)
-    gap = _coord_cmp(lo, hi, axis)
+    gap, lo = _interval_gap(meets_a, meets_b, axis)
     if gap > 0:
         return "clean"
     if gap == 0 and len(shared_hs) == 1 \
@@ -620,6 +618,41 @@ def _edge_param(p, a, b):
     return (num, den) if 0 < num < den else None
 
 
+def _boundary_places(hom, verts, phom) -> dict:
+    """Where the vertices verts (indices into hom) lie on the closed
+    polygon with homogeneous corners phom: vertex -> (edge, t), t its
+    parameter along the edge as (numerator, positive denominator), corner
+    i at (i, (0, 1)).  Vertices off the polygon are left out.
+
+    A vertex that is not a corner is tested only against the polygon
+    edges whose boxes contain it, found by the one sweep, and is placed
+    on the first of them, in polygon order, whose line passes through it
+    strictly inside the edge.
+    """
+    n = len(phom)
+    corner_pool = {h: i for i, h in enumerate(phom)}
+    places: dict[int, tuple[int, tuple]] = {}
+    others = []
+    for v in verts:
+        ci = corner_pool.get(hom[v])
+        if ci is None:
+            others.append(v)
+        else:
+            places[v] = (ci, (0, 1))
+    # the boxes of distinct points never meet, so every pair is a vertex
+    # and an edge, and a vertex's edges come in polygon order
+    k = len(others)
+    boxes = [box_h([hom[v]]) for v in others] \
+        + [box_h([phom[e], phom[(e + 1) % n]]) for e in range(n)]
+    for i, j in overlapping_pairs(boxes, split=k):
+        v, e = others[i], j - k
+        if v not in places:
+            t = _edge_param(hom[v], phom[e], phom[(e + 1) % n])
+            if t is not None:
+                places[v] = (e, t)
+    return places
+
+
 def boundary_matches(mesh: TriMesh, polygon) -> bool:
     """Does the mesh boundary trace the polygon exactly once?
 
@@ -630,55 +663,30 @@ def boundary_matches(mesh: TriMesh, polygon) -> bool:
     boundary is then a single closed cycle.  Either traversal direction
     is accepted.
 
-    Decided on the integer forms in mesh.hom.  A boundary vertex that is
-    not a corner is tested only against the polygon edges whose boxes
-    contain it, found by the one sweep, and is placed on the first of
-    them, in polygon order, whose line passes through it.
+    Decided on the integer forms in mesh.hom, each boundary vertex
+    placed on the polygon by _boundary_places.
     """
     edges = mesh.boundary_edges()
     if not edges:
         return False
-
-    hom = mesh.hom
     phom = [homogeneous(p) for p in polygon.vertices]
     n = len(phom)
-    corner_pool = {h: i for i, h in enumerate(phom)}
-    corner_of: dict[int, int] = {}
-    others = []
-    for bv in {v for e in edges for v in e}:
-        ci = corner_pool.get(hom[bv])
-        if ci is None:
-            others.append(bv)
-        else:
-            corner_of[bv] = ci
-    if len(corner_of) != n or set(corner_of.values()) != set(range(n)):
+    verts = {v for e in edges for v in e}
+    places = _boundary_places(mesh.hom, verts, phom)
+    if len(places) != len(verts):
+        return False  # boundary vertex off the polygon
+    vert_at_corner = {e: v for v, (e, t) in places.items() if not t[0]}
+    if len(vert_at_corner) != n:
         return False
 
-    # classify the others as (edge, param) strictly inside an edge; the
-    # boxes of distinct points never meet, so every pair is a vertex and
-    # an edge, and a vertex's edges come in polygon order
-    k = len(others)
-    boxes = [box_h([hom[bv]]) for bv in others] \
-        + [box_h([phom[e], phom[(e + 1) % n]]) for e in range(n)]
-    interior_of: dict[int, tuple[int, tuple]] = {}
-    for i, j in overlapping_pairs(boxes, split=k):
-        bv, e = others[i], j - k
-        if bv not in interior_of:
-            t = _edge_param(hom[bv], phom[e], phom[(e + 1) % n])
-            if t is not None:
-                interior_of[bv] = (e, t)
-    if len(interior_of) != k:
-        return False  # boundary vertex off the polygon
-
     # expected consecutive pairs along each polygon edge
-    vert_at_corner = {ci: bv for bv, ci in corner_of.items()}
     by_param = cmp_to_key(lambda x, y: x[0][0] * y[0][1] - y[0][0] * x[0][1])
     expected = set()
     count = 0
     for e in range(n):
-        inner = sorted(((t, bv) for bv, (ei, t) in interior_of.items()
-                        if ei == e), key=by_param)
-        chain = [vert_at_corner[e]] + [bv for _, bv in inner] \
+        inner = sorted(((t, v) for v, (ei, t) in places.items()
+                        if ei == e and t[0]), key=by_param)
+        chain = [vert_at_corner[e]] + [v for _, v in inner] \
             + [vert_at_corner[(e + 1) % n]]
         for u, v in zip(chain, chain[1:]):
             if u == v:

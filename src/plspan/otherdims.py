@@ -27,10 +27,9 @@ from .geom import (
     int_nullspace,
     int_rank,
     overlapping_pairs,
-    segment_param,
     segment_simplex_meet,
 )
-from .mesh import TriMesh, _require, certify
+from .mesh import TriMesh, _boundary_places, _require, certify
 from .polygon import ClosedPolygon, _circle_points, validate_embedded
 
 
@@ -39,12 +38,10 @@ from .polygon import ClosedPolygon, _circle_points, validate_embedded
 
 def earclip_2d(poly: ClosedPolygon):
     """Triangulate a planar polygon: exactly n - 2 triangles, no new
-    vertices."""
+    vertices.  A polygon that is not embedded is refused by the ear
+    rule, or else by the certificate of the disk its ears make."""
     if poly.dim != 2:
         raise ValueError("earclip_2d expects a planar polygon")
-    bad = validate_embedded(poly)
-    if bad is not None:
-        raise ValueError("polygon is not embedded: %r" % bad)
     pts = poly.vertices
     mesh = TriMesh(2)
     at = mesh.pooler(pts)
@@ -409,26 +406,33 @@ def _embedded_attempt(poly, slopes, seed, attempt, rule="orientation"):
     m3, rep3 = _construct_r3(p3, seed, rule)
     low = min(v[3] for v in verts) - ONE
     mesh = _lift(m3, [-s * low for s in slopes] + [low])
-    p3v = p3.vertices
     base_edges = m3.boundary_edges()
+    # each base boundary vertex's (edge, t) on P*, placed on integer
+    # forms as boundary_matches places it: a corner lies on its two
+    # edges, any other vertex on one, and a wall's host edge is the one
+    # polygon edge common to both of its ends
+    places = _boundary_places(m3.hom, {v for e in base_edges for v in e},
+                              [homogeneous(p) for p in p3.vertices])
+
+    def on_edges(v):
+        if v not in places:
+            return set()
+        e, t = places[v]
+        return {e} if t[0] else {(e - 1) % n, e}
+
     # the wall top over each base vertex, pooled on its first wall
     tops = {}
     top = mesh.pooler(tops)
     for ia, ib in base_edges:
-        wa, wb = m3.vertices[ia], m3.vertices[ib]
-        hosts = []
-        for i in range(n):
-            ta = segment_param(wa, p3v[i], p3v[(i + 1) % n])
-            tb = segment_param(wb, p3v[i], p3v[(i + 1) % n])
-            if ta is not None and tb is not None:
-                hosts.append((i, ta, tb))
+        hosts = on_edges(ia) & on_edges(ib)
         _require(len(hosts) == 1,
                  "embedded4: boundary edge not on exactly one polygon edge")
-        host, ta, tb = hosts[0]
-        ea, eb = verts[host], verts[(host + 1) % n]
-        for v, t in ((ia, ta), (ib, tb)):
+        host, = hosts
+        for v in (ia, ib):
             if v not in tops:
-                tops[v] = ea + (eb - ea).scale(t)
+                e, t = places[v]
+                ea, eb = verts[e], verts[(e + 1) % n]
+                tops[v] = ea + (eb - ea).scale(Rat(*t))
         _add_wall(mesh, ia, ib, lambda v: v, top, "wall4 %d" % host)
     cert = certify(mesh, poly)
     _require(cert["failure"] is None, cert["failure"])

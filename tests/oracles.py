@@ -14,7 +14,6 @@ from plspan.geom import (
     int_rank,
     overlapping_pairs,
     rref,
-    segment_param,
     segment_simplex_meet,
     solution_set,
 )
@@ -106,6 +105,106 @@ def polygon_edge_contact(mesh, poly):
         if t0 == 0 and t1 == 1 and a in pts and b in pts:
             continue
         return "edge %d overlaps triangle %d" % (e, ti)
+    return None
+
+
+class SegIntersection:
+    """Classification of the meet of two closed segments in the plane.
+
+    kind is 'empty', 'point' or 'overlap'.  For 'point', point is the
+    exact location and contact tells whether it is interior to both
+    segments ('interior-interior') or touches an endpoint of at least
+    one ('endpoint-touch').  For 'overlap' the segments share a
+    positive-length collinear piece.
+    """
+
+    __slots__ = ("kind", "point", "contact", "params")
+
+    def __init__(self, kind, point=None, contact=None, params=None):
+        self.kind = kind
+        self.point = point
+        self.contact = contact
+        self.params = params  # (s, t) along each segment for 'point'
+
+    def __repr__(self):
+        if self.kind == "point":
+            return "SegIntersection(point, %r, %s)" % (self.point, self.contact)
+        return "SegIntersection(%s)" % self.kind
+
+
+def seg_intersect_2d(a: Point, b: Point, c: Point, d: Point) -> SegIntersection:
+    """Exact intersection classification of closed segments [a,b], [c,d],
+    on the rationals."""
+    if a.dim != 2 or b.dim != 2 or c.dim != 2 or d.dim != 2:
+        raise ValueError("seg_intersect_2d expects planar points")
+    r = b - a
+    s = d - c
+    denom = r[0] * s[1] - r[1] * s[0]
+    acx, acy = c[0] - a[0], c[1] - a[1]
+    if denom != 0:
+        t = (acx * s[1] - acy * s[0]) / denom
+        u = (acx * r[1] - acy * r[0]) / denom
+        if 0 <= t <= 1 and 0 <= u <= 1:
+            p = Point((a[0] + t * r[0], a[1] + t * r[1]))
+            interior = 0 < t < 1 and 0 < u < 1
+            return SegIntersection(
+                "point", p,
+                "interior-interior" if interior else "endpoint-touch",
+                (t, u))
+        return SegIntersection("empty")
+    # denom == 0: parallel directions, or a degenerate segment
+    r_zero = r[0] == 0 and r[1] == 0
+    s_zero = s[0] == 0 and s[1] == 0
+    if r_zero and s_zero:
+        if a == c:
+            return SegIntersection("point", a, "endpoint-touch", (ZERO, ZERO))
+        return SegIntersection("empty")
+    if r_zero:
+        if point_on_segment(a, c, d):
+            return SegIntersection("point", a, "endpoint-touch")
+        return SegIntersection("empty")
+    if s_zero:
+        if point_on_segment(c, a, b):
+            return SegIntersection("point", c, "endpoint-touch")
+        return SegIntersection("empty")
+    if acx * r[1] - acy * r[0] != 0:
+        return SegIntersection("empty")  # parallel, different lines
+    # collinear: interval overlap along a coordinate where r is nonzero
+    axis = 0 if r[0] != 0 else 1
+    a0, b0, c0, d0 = a[axis], b[axis], c[axis], d[axis]
+    lo1, hi1 = (a0, b0) if a0 <= b0 else (b0, a0)
+    lo2, hi2 = (c0, d0) if c0 <= d0 else (d0, c0)
+    lo, hi = max(lo1, lo2), min(hi1, hi2)
+    if lo > hi:
+        return SegIntersection("empty")
+    if lo == hi:
+        pt = a if a[axis] == lo else b
+        if pt[axis] != lo:  # degenerate [a,b]: take from [c,d]
+            pt = c if c[axis] == lo else d
+        return SegIntersection("point", pt, "endpoint-touch")
+    return SegIntersection("overlap")
+
+
+def point_on_segment(p: Point, a: Point, b: Point) -> bool:
+    """Exact test: does p lie on the closed segment [a, b] (any dim)?"""
+    return segment_param(p, a, b) is not None
+
+
+def segment_param(p: Point, a: Point, b: Point):
+    """Parameter t with p = a + t(b-a), or None if p is off the segment."""
+    d = b - a
+    w = p - a
+    t = None
+    for i in range(p.dim):
+        if d[i] != 0:
+            t = w[i] / d[i]
+            break
+    if t is None:
+        return ZERO if p == a else None
+    if t < 0 or t > 1:
+        return None
+    if all(w[i] == t * d[i] for i in range(p.dim)):
+        return t
     return None
 
 

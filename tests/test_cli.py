@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import plspan
+import plspan.cli
 import plspan.mesh
 import plspan.otherdims
 from plspan.cli import main
@@ -76,8 +77,9 @@ def test_span_trefoil(tmp_path):
     assert mesh.exists()
 
 
-@pytest.mark.parametrize("dim,strategy", [(3, "auto"), (4, "auto"),
-                                          (4, "embedded4"), (5, "auto")])
+@pytest.mark.parametrize("dim,strategy", [(2, "auto"), (3, "auto"),
+                                          (4, "auto"), (4, "embedded4"),
+                                          (5, "auto")])
 def test_span_rejects_bowtie_up_front(tmp_path, dim, strategy):
     # a bowtie is refused before any builder runs, with the exact
     # crossing point, instead of exhausting a retry budget
@@ -289,6 +291,7 @@ def test_bounds_rejects_nonpositive_projections(tmp_path, capsys, count):
     ("bounds", "--unoriented-genus", "abc", "Invalid literal for Fraction"),
     ("bounds", "--unoriented-genus", "1/3", "must be a multiple of 1/2"),
     ("bounds", "--unoriented-genus", "-1/2", "must be nonnegative"),
+    ("bounds", "--unoriented-genus", "1/0", "zero denominator in '1/0'"),
     ("span", "--knot-genus", "-1", "knot genus must be a nonnegative"),
 ])
 def test_bad_genus_is_a_usage_error(tmp_path, capsys, monkeypatch, command,
@@ -416,6 +419,13 @@ BAD_INPUTS = {
     "mesh face": ("verify", TRIANGLE_OFF.replace("0 1 2", "0 1 7"),
                   "triangle references missing vertex"),
     "missing mesh": ("verify", None, "No such file or directory"),
+    "polygon zero denominator": ("span", TRIANGLE.replace("1 0", "1/0 0"),
+                                 "zero denominator in '1/0'"),
+    "bounds zero denominator": ("bounds", TRIANGLE.replace("0 1", "0 -2/0"),
+                                "zero denominator in '-2/0'"),
+    "mesh zero denominator": ("verify",
+                              TRIANGLE_OFF.replace("\n1 0", "\n1/0 0"),
+                              "zero denominator in '1/0'"),
 }
 
 
@@ -478,6 +488,19 @@ def test_generate_out_of_range_exits_with_one_line(args, reason):
     assert "Traceback" not in out.stderr
 
 
+def test_generate_layout_failure_exits_with_one_line(monkeypatch):
+    # a generator that finds no layout raises AssertionError; generate
+    # reports it as it reports an out-of-range parameter
+    def no_layout(m):
+        raise AssertionError("no working stick layout for m=%d" % m)
+
+    monkeypatch.setattr(plspan.cli, "gen_torus_stick", no_layout)
+    with pytest.raises(SystemExit) as exit_:
+        run("generate", "--family", "torus", "--m", 13)
+    assert exit_.value.code == \
+        "--family torus: no working stick layout for m=13"
+
+
 # one input per strategy, each built at its first attempt
 STRATEGY_INPUTS = {
     "earclip": (lambda: gen_planar_ngon(6), "embedded"),
@@ -529,6 +552,27 @@ def test_span_derives_each_certificate_once(tmp_path, monkeypatch,
                      "euler_characteristic": 1, "boundary_matches": 1,
                      interior: 1}
     assert load(report)["timings"].keys() == {"construct"}
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGY_INPUTS))
+def test_span_checks_the_polygon_once(tmp_path, monkeypatch, strategy):
+    # the up-front check is the only embeddedness test of the input
+    # polygon; embedded4 also checks its projection, another polygon
+    make, _ = STRATEGY_INPUTS[strategy]
+    poly, report = tmp_path / "p.poly", tmp_path / "r.json"
+    write_polygon(make(), str(poly))
+    checked = []
+    validate = plspan.polygon.validate_embedded
+
+    def spy(p):
+        checked.append(p.vertices)
+        return validate(p)
+
+    for mod in (plspan.cli, plspan.otherdims):
+        monkeypatch.setattr(mod, "validate_embedded", spy)
+    assert run("span", poly, "--strategy", strategy,
+               "--report", report) == 0
+    assert checked.count(read_polygon(str(poly)).vertices) == 1
 
 
 @pytest.mark.parametrize("strategy", sorted(STRATEGY_INPUTS))
@@ -609,11 +653,15 @@ def test_bounds_projects_once_when_the_vertical_shadow_is_kept(
     ([(0, 0, 0), (2, 2, 0), (2, 0, 0), (0, 2, 0)], (0, 2, (1, 1, 0))),
     ([(0, 0, 0), (4, 0, 0), (4, 3, 0), (2, 0, 0), (2, -3, 1)],
      (0, 2, (2, 0, 0))),
+    ([(0, 0), (4, 4), (4, 0), (0, 4)], (0, 2, (2, 2))),
+    ([(0, 0, 1, 1), (4, 4, 1, 1), (4, 0, 1, 1), (0, 4, 1, 1)],
+     (0, 2, (2, 2, 1, 1))),
 ])
 def test_bounds_rejects_non_embedded_up_front(tmp_path, pts, witness):
     # strands that meet in space have no over/under, and a vertex on
     # another edge defeats every shear: both are rejected with the
-    # witness, as span does, instead of a traceback or a spent budget
+    # witness, as span does, instead of a traceback or a spent budget;
+    # so is a bowtie in the plane or in R^4, which has no diagram
     poly, report = tmp_path / "bad.poly", tmp_path / "bad.json"
     write_polygon(ClosedPolygon([Point(p) for p in pts]), str(poly))
     assert run("bounds", poly, "--report", report) == 1

@@ -8,9 +8,10 @@ from plspan.geom import (
     AffineMap,
     Point,
     ZERO,
-    point_on_segment,
+    box_h,
+    homogeneous,
+    overlapping_pairs,
     rat,
-    seg_intersect_2d,
     sign,
 )
 from plspan.diagram import (
@@ -25,6 +26,8 @@ from plspan.polygon import (
     gen_torus_stick,
     gen_twist_writhe,
 )
+
+from oracles import point_on_segment, seg_intersect_2d
 
 
 def test_trefoil_diagram():
@@ -210,26 +213,18 @@ def test_projection_problems_match_all_pairs_oracle(monkeypatch):
     # grid shadows make collinear overlaps, endpoint touches, adjacent
     # backtracks and coincident crossings common; the hand-picked ones
     # make sure each appears.  Same problem, or the same crossings with
-    # the same points, parameters and signs, as the oracle; the corpus must
-    # reach pairs cleared by signs and pairs that meet.  Kept crossings
-    # come from the integer orientations alone: seg_intersect_2d runs once
-    # per shadow, on the touch or overlap that rejects it.
+    # the same points, parameters and signs, as the oracle.  One integer
+    # seg_intersect_2d call decides each candidate pair of the sweep; the
+    # corpus must reach every kind, and the last call of a rejected
+    # shadow names its problem.
     import plspan.diagram as diagram_mod
-    branches = set()
-    signs = diagram_mod.seg_pair_clear_h
     intersect = diagram_mod.seg_intersect_2d
     hits = []
-
-    def spy(*args):
-        clear = signs(*args)
-        branches.add(clear)
-        return clear
 
     def intersect_spy(*args):
         hits.append(intersect(*args))
         return hits[-1]
 
-    monkeypatch.setattr(diagram_mod, "seg_pair_clear_h", spy)
     monkeypatch.setattr(diagram_mod, "seg_intersect_2d", intersect_spy)
 
     def shadow(*xy):
@@ -253,23 +248,28 @@ def test_projection_problems_match_all_pairs_oracle(monkeypatch):
                  gen_random(9, 3, seed=4)):
         cases.append([Point([v[0], v[1]]) for v in poly.vertices])
     problems = set()
-    rejected = 0
+    kinds = set()
     for k, pts in enumerate(cases):
         want = _projection_oracle(pts)
         hits.clear()
         assert _projection_problems(pts) == want, (k, pts)
         problem = want[0] and re.sub(r"\d+", "#", want[0])
         problems.add(problem)
-        if problem in ("edges #,# overlap in projection",
-                       "edges #,# touch at an endpoint"):
-            assert len(hits) == 1, (k, pts)
-            assert hits[0].kind == "overlap" or \
-                hits[0].contact == "endpoint-touch", (k, pts)
-            rejected += 1
-        else:
-            assert hits == [], (k, pts)
-    assert rejected > 0
-    assert branches == {True, False}
+        kinds.update(hits)
+        if problem == "edges #,# overlap in projection":
+            assert hits[-1] == "overlap", (k, pts)
+        elif problem == "edges #,# touch at an endpoint":
+            assert hits[-1] == "touch", (k, pts)
+        elif problem != "edge # projects to a point":
+            hom = [homogeneous(p) for p in pts]
+            n = len(pts)
+            pairs = overlapping_pairs([box_h((hom[i], hom[(i + 1) % n]))
+                                       for i in range(n)])
+            assert len(hits) == len(pairs), (k, pts)
+            assert "overlap" not in hits, (k, pts)
+            if problem is None:
+                assert hits.count("cross") == len(want[1]), (k, pts)
+    assert kinds == {None, "cross", "touch", "overlap"}
     assert problems == {None, "edge # projects to a point",
                         "edges #,# overlap in projection",
                         "edges #,# touch at an endpoint",

@@ -24,19 +24,24 @@ from plspan.geom import (
     orient2d_h,
     orient3d,
     overlapping_pairs,
-    point_on_segment,
     rat,
     rat_str,
     rref,
-    seg_intersect_2d,
+    seg_intersect_2d as seg_kind,
     seg_pair_clear_h,
-    segment_param,
     segment_simplex_meet,
     simplex_intersect,
     solution_set,
 )
 
-from oracles import affine_inverse, point_in_simplex, shear_frame
+from oracles import (
+    affine_inverse,
+    point_in_simplex,
+    point_on_segment,
+    seg_intersect_2d,
+    segment_param,
+    shear_frame,
+)
 
 
 def rnd_frac(rng, lim=8, den=4):
@@ -817,17 +822,22 @@ def _seg_contact_oracle(a, b, c, d, allowed):
                                    and hit.point in allowed)
 
 
-def test_seg_pair_clear_h_never_contradicts_seg_intersect():
-    # grid points make collinear, touching, coincident and zero-length
-    # segments common; indices say which endpoint two segments share
+def _grid_segment_pairs():
+    """1500 (points, hom, a, b, c, d): grid points make collinear,
+    touching, coincident and zero-length segments common; indices say
+    which endpoint two segments share."""
     rng = random.Random(78)
-    reached = set()
     for _ in range(1500):
         pts = [Point([rng.randint(0, 3), rng.randint(0, 3)])
                for _ in range(4)]
         a, b = rng.sample(range(4), 2)
         c, d = rng.sample(range(4), 2)
-        hom = [homogeneous(p) for p in pts]
+        yield pts, [homogeneous(p) for p in pts], a, b, c, d
+
+
+def test_seg_pair_clear_h_never_contradicts_seg_intersect():
+    reached = set()
+    for pts, hom, a, b, c, d in _grid_segment_pairs():
         shared = {a, b} & {c, d}
         got = seg_pair_clear_h(hom, a, b, c, d)
         assert got is not None
@@ -848,6 +858,48 @@ def test_seg_pair_clear_h_never_contradicts_seg_intersect():
     assert reached == {(z, k, v) for z in (False, True) for k in (0, 1, 2)
                        for v in (False, True)} - {
         (True, 1, False), (True, 2, False), (False, 2, True)}
+
+
+def _rational_kind(a, b, c, d):
+    """The integer classifier's kind, read off the rational oracle."""
+    hit = seg_intersect_2d(a, b, c, d)
+    if hit.kind == "point":
+        return "cross" if hit.contact == "interior-interior" else "touch"
+    return None if hit.kind == "empty" else hit.kind
+
+
+def test_seg_intersect_2d_kind_matches_rational_oracle():
+    # the grid corpus above, zero-length and shared-index segments
+    # included, reaches every kind
+    kinds = set()
+    for pts, hom, a, b, c, d in _grid_segment_pairs():
+        want = _rational_kind(pts[a], pts[b], pts[c], pts[d])
+        assert seg_kind(hom, a, b, c, d) == want, (pts, a, b, c, d)
+        kinds.add(want)
+    assert kinds == {None, "cross", "touch", "overlap"}
+
+
+def _grid_coord():
+    return st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_grid_coord(), _grid_coord()), min_size=4,
+                max_size=4),
+       st.lists(st.integers(0, 3), min_size=4, max_size=4))
+def test_seg_intersect_2d_kind_is_invariant(coords, idx):
+    # the kind does not depend on which segment comes first, on either
+    # segment's direction, or on the frame: axes swapped, one negated
+    hom = [homogeneous(Point(xy)) for xy in coords]
+    a, b, c, d = idx
+    kind = seg_kind(hom, a, b, c, d)
+    assert kind == _rational_kind(*(Point(coords[i]) for i in idx))
+    for order in ((c, d, a, b), (b, a, c, d), (a, b, d, c), (d, c, b, a)):
+        assert seg_kind(hom, *order) == kind, order
+    swapped = [(y, x, w) for x, y, w in hom]
+    flipped = [(-x, y, w) for x, y, w in hom]
+    assert seg_kind(swapped, a, b, c, d) == kind
+    assert seg_kind(flipped, a, b, c, d) == kind
 
 
 def _earclip_oracle(points):

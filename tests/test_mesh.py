@@ -19,7 +19,6 @@ from plspan.geom import (
     int_rank,
     orient3d,
     rref,
-    segment_param,
     sign,
     simplex_intersect,
 )
@@ -43,7 +42,7 @@ from plspan.mesh import (
     write_off,
 )
 
-from oracles import affine_inverse, point_in_simplex
+from oracles import affine_inverse, point_in_simplex, segment_param
 
 
 def tetrahedron():

@@ -14,9 +14,7 @@ from plspan.geom import (
     Point,
     Rat,
     homogeneous,
-    point_on_segment,
     rat,
-    seg_intersect_2d,
 )
 from plspan.mesh import boundary_matches, check_embedded, write_off
 from plspan.polygon import (
@@ -41,7 +39,11 @@ from plspan.seifert import (
     spanning_surface_r3,
 )
 
-from oracles import construct_r3_framed
+from oracles import (
+    construct_r3_framed,
+    point_on_segment,
+    seg_intersect_2d,
+)
 
 
 def test_trefoil_marks():
