@@ -79,11 +79,15 @@ def _plain(x):
     return rat_str(x)
 
 
+def _write_text(text: str, path: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def _write_report(report: dict, path: str | None) -> None:
     text = json.dumps(_plain(report), indent=2, sort_keys=True) + "\n"
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        _write(_write_text, text, path)
     else:
         sys.stdout.write(text)
 
@@ -97,6 +101,15 @@ def _read(reader, path):
         raise SystemExit("%s: %s" % (path, exc.strerror or exc)) from None
     except ValueError as exc:
         raise SystemExit("%s: %s" % (path, exc)) from None
+
+
+def _write(writer, data, path) -> None:
+    """writer(data, path); a path that cannot be written ends the
+    command as _read ends it on a missing file."""
+    try:
+        writer(data, path)
+    except OSError as exc:
+        raise SystemExit("%s: %s" % (path, exc.strerror or exc)) from None
 
 
 def cmd_generate(args) -> int:
@@ -123,7 +136,7 @@ def cmd_generate(args) -> int:
         raise SystemExit("--family %s: %s" % (fam, exc)) from None
     echo = "n=%d dim=%d" % (len(poly.vertices), poly.dim)
     if args.out:
-        write_polygon(poly, args.out)
+        _write(write_polygon, poly, args.out)
         print(echo)
     else:
         sys.stdout.write(polygon_text(poly))
@@ -214,7 +227,7 @@ def cmd_span(args) -> int:
     if witness is not None:
         report["orientation_witness"] = witness
     if args.mesh_out:
-        write_off(mesh, args.mesh_out)
+        _write(write_off, mesh, args.mesh_out)
     _write_report(report, args.report)
     return 0 if all(certs.values()) else 1
 

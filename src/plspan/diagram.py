@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 
-from .geom import (AffineMap, Point, Rat, ZERO, box_h, homogeneous,
+from .geom import (Point, Rat, ZERO, box_h, homogeneous,
                    overlapping_pairs, rat, seg_intersect_2d, sign)
 from .polygon import ClosedPolygon
 
@@ -164,11 +164,17 @@ def _projection_problems(pts: list[Point]):
     return None, crossings
 
 
-def _general_position(poly: ClosedPolygon, seed: int, budget: int):
-    """The search behind find_general_position: the accepted slopes
-    (s1, s2), the shadow (x + s1*z, y + s2*z) of poly's vertices under
-    them, and the crossings of that shadow, as _projection_problems lists
-    them."""
+def find_general_position(poly: ClosedPolygon, seed: int = 0,
+                          budget: int = 1000):
+    """The slopes (s1, s2) making the shadow (x + s1*z, y + s2*z) of
+    poly's vertices a proper diagram, that shadow, and its crossings, as
+    _projection_problems lists them.
+
+    The identity is tried first; afterwards slopes are drawn uniformly
+    from the grid {k/1024 : |k| <= 1024}.  Raises if the budget runs out,
+    which for an embedded polygon means the budget was simply too small:
+    bad slope pairs lie on finitely many curves.
+    """
     if poly.dim != 3:
         raise ValueError("projection needs a polygon in R^3")
     rng = random.Random(seed)
@@ -190,28 +196,15 @@ def _general_position(poly: ClosedPolygon, seed: int, budget: int):
     raise AssertionError("no generic projection found within budget")
 
 
-def find_general_position(poly: ClosedPolygon, seed: int = 0,
-                          budget: int = 1000) -> AffineMap:
-    """Shear (x,y) += s*z making the vertical shadow a proper diagram.
-
-    The identity is tried first; afterwards slopes are drawn uniformly
-    from the grid {k/1024 : |k| <= 1024}.  Raises if the budget runs out,
-    which for an embedded polygon means the budget was simply too small:
-    bad slope pairs lie on finitely many curves.
-    """
-    return AffineMap.shear_last_into(3, _general_position(poly, seed,
-                                                          budget)[0])
-
-
 def project_polygon(poly: ClosedPolygon, seed: int = 0,
                     budget: int = 1000) -> Diagram:
     """Diagram of the polygon under a generic projection.
 
-    The shadow and crossings are the ones the slope search found.  A
+    The slopes, shadow and crossings are find_general_position's.  A
     strand's height at a crossing or walk stop is poly's own height
     there, interpolated along its edge.
     """
-    slopes, pts, hits = _general_position(poly, seed, budget)
+    slopes, pts, hits = find_general_position(poly, seed, budget)
     verts = poly.vertices
     n = len(pts)
 

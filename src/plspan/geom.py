@@ -20,13 +20,14 @@ contacts permitted at a shared endpoint, and the shadow check, ear
 clipping, crossing marks and planar embeddedness all go through it.
 
 There is one elimination loop, the fraction-free _bareiss.  Ranks,
-determinants, hull axes and the axes of a plane's functionals take its
-forward pass.  Its Gauss-Jordan pass has two readers: rref, its
-rational view on rows scaled to integers, which builds each rational
-entry only at the end, and int_nullspace, which reads a primitive
-integer kernel basis straight off it and gives the hyperplane
-functionals of mesh triangles outside R^3 (in R^3 they are the signed
-minors of the triangle's rows) and of the immersed disk's join cells.
+hull axes and the axes of a plane's functionals take its forward pass.
+Its Gauss-Jordan pass has two readers: rref, its rational view on rows
+scaled to integers, which builds each rational entry only at the end,
+and int_nullspace, which reads a primitive integer kernel basis
+straight off it.  That basis gives the hyperplane functionals of mesh
+triangles outside R^3 (in R^3 they are the signed minors of the
+triangle's rows) and of the immersed disk's join cells, and the one
+affine relation whose signs decide a triangle pair in R^d, d >= 4.
 solution_set reads the solutions of a linear system off rref's result.
 """
 
@@ -138,20 +139,6 @@ class AffineMap:
     @property
     def dim(self) -> int:
         return len(self.shift)
-
-    @staticmethod
-    def shear_last_into(dim: int, slopes: Sequence) -> "AffineMap":
-        """Add slopes[i] * x_last to each earlier coordinate.
-
-        Unit determinant, so always invertible; this is how projection
-        directions are made generic without leaving the rationals.
-        """
-        if len(slopes) != dim - 1:
-            raise ValueError("need dim-1 slopes")
-        m = [[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)]
-        for i, s in enumerate(slopes):
-            m[i][dim - 1] = rat(s)
-        return AffineMap(m, [ZERO] * dim)
 
     def apply(self, p: Point) -> Point:
         if p.dim != self.dim:
@@ -308,14 +295,6 @@ def _bareiss(rows, reduce=False) -> tuple[list, list[int], int, int]:
 def int_rank(rows) -> int:
     """Rank of an integer matrix, by fraction-free elimination."""
     return len(_bareiss(rows)[1])
-
-
-def int_det(rows) -> int:
-    """Determinant of a square integer matrix."""
-    _, pivots, last, swaps = _bareiss(rows)
-    if len(pivots) < len(rows):
-        return 0
-    return -last if swaps % 2 else last
 
 
 def int_nullspace(rows) -> list[tuple]:
@@ -565,8 +544,6 @@ def simplex_intersect(simplex_a: Sequence[Point], simplex_b: Sequence[Point],
     na, nb = len(pts_a), len(pts_b)
     obj = [ZERO if pts_a[i] in allowed else ONE for i in range(na)]
     obj += [ZERO] * nb
-    if not allowed:
-        obj = [ONE] * na + [ZERO] * nb  # any common point is a violation
 
     def value(x):
         return sum(o * v for o, v in zip(obj, x))

@@ -13,7 +13,11 @@ them once on a finished surface.  The embeddedness check takes each
 triangle's plane as integer functionals on those forms, in R^3 the
 signed minors of its three rows, and decides each candidate pair from
 the signs its shared vertices leave open: one value for a shared edge,
-the two free vertices for a shared vertex, all three for none.
+the two free vertices for a shared vertex, all three for none.  In
+R^d, d >= 4, a pair those signs leave open is decided inside the affine
+hull of its distinct vertices: by their independence, by the signs of
+the one affine relation among them, or, for six vertices in a 3-flat,
+by the R^3 crossing-line test.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .geom import (
     box_h,
     flat_axes,
     homogeneous,
-    int_det,
     int_nullspace,
     int_rank,
     orient2d_h,
@@ -129,10 +132,6 @@ class TriMesh:
                 i = ids[key] = self.add_vertex(points[key])
             return i
         return index
-
-    def add_triangle(self, a: Point, b: Point, c: Point, tag: str = "") -> int:
-        i, j, k = self.add_vertex(a), self.add_vertex(b), self.add_vertex(c)
-        return self.add_triangle_indices(i, j, k, tag)
 
     def add_triangle_indices(self, i: int, j: int, k: int, tag: str = "") -> int:
         n = len(self.vertices)
@@ -440,30 +439,23 @@ def _crossing_planes_contact_3d(plane_a, plane_b, hs_a, hs_b, vals_ab,
     return "dirty"
 
 
-def _transverse_contact_clean(hs_a, hs_b) -> bool:
-    """Disjointness of two triangles without a shared vertex whose six
-    vertices span a 4-flat, given in homogeneous form on four axes
-    injective on it.
+def _relation_clean(on_a, on_b) -> bool:
+    """Radon's rule for a triangle pair whose distinct vertices carry a
+    single affine relation (Radon, Math. Ann. 1921), given its
+    coefficients at a's free vertices (on_a) and at b's (on_b); a
+    shared vertex's coefficient is free.
 
-    The six rows then carry a single linear relation, whose coefficients
-    are their signed 5x5 minors; as the rows are the points (x, 1)
-    scaled by w > 0, it is an affine relation among the points with
-    coefficients of the same signs.  A common point sum lam_i a_i =
-    sum mu_j b_j is such a relation, so one exists iff the coefficients
-    on a are all of one sign and those on b all of the other (zeros
-    allowed).
+    True when the triangles meet in at most their shared vertex.  A
+    common point other than it, written in barycentric weights of each,
+    is such a relation, with a's free coefficients of one sign and b's
+    of the other; conversely such signs put a point of a's free face
+    into b, or of b's into a.  So the pair meets there iff a's nonzero
+    free coefficients share one sign and b's all have the opposite
+    (zeros allowed).  Neither side is all zero: a relation among one
+    triangle's vertices would make it degenerate.
     """
-    rows = hs_a + hs_b
-
-    def weight(i):
-        s = sign(int_det(rows[:i] + rows[i + 1:]))
-        return -s if i % 2 else s
-
-    on_a = {weight(i) for i in range(3)} - {0}
-    if len(on_a) != 1:
-        return len(on_a) == 2
-    side = on_a.pop()
-    return any(weight(i) == side for i in range(3, 6))
+    signs_a = {sign(x) for x in on_a} - {0}
+    return len(signs_a) != 1 or {-sign(x) for x in on_b} - {0} != signs_a
 
 
 def _hull_contact_clean(hom, tri_a, tri_b, shared) -> bool:
@@ -474,11 +466,16 @@ def _hull_contact_clean(hom, tri_a, tri_b, shared) -> bool:
     True when the triangles meet in at most their shared vertex.  When
     the distinct vertices are affinely independent, both triangles are
     faces of one simplex, which meet exactly in the face of their common
-    vertices.  Otherwise the hull is a 3-flat or, for six vertices, a
-    4-flat; the pair is projected onto axes injective on it and decided
-    there.  False leaves the pair open.
+    vertices.  When they carry a single affine relation (six vertices
+    spanning a 4-flat, or five spanning a 3-flat), its signs decide
+    (_relation_clean): it is the one int_nullspace vector of their forms
+    projected onto axes injective on the hull, taken as columns.  Six
+    vertices in a 3-flat are decided by the R^3 crossing-line test on
+    those axes.  False leaves the pair open.
     """
-    pts = list(tri_a) + [v for v in tri_b if v not in shared]
+    free_a = [v for v in tri_a if v not in shared]
+    free_b = [v for v in tri_b if v not in shared]
+    pts = free_a + free_b + list(shared)
     axes = flat_axes([hom[v] for v in pts])
     if len(axes) == len(pts) - 1:
         return True
@@ -486,6 +483,10 @@ def _hull_contact_clean(hom, tri_a, tri_b, shared) -> bool:
     def proj(tri):
         return [tuple(hom[v][i] for i in axes) + (hom[v][-1],) for v in tri]
 
+    if len(axes) == len(pts) - 2:
+        (rel,) = int_nullspace(list(zip(*proj(pts))))
+        k = len(free_a)
+        return _relation_clean(rel[:k], rel[k:k + len(free_b)])
     if len(axes) == 3:
         hs_a, hs_b = proj(tri_a), proj(tri_b)
         plane_a, plane_b = _plane_3d(*hs_a), _plane_3d(*hs_b)
@@ -494,10 +495,7 @@ def _hull_contact_clean(hom, tri_a, tri_b, shared) -> bool:
         if _row_separates([vals_ab, vals_ba]):
             return True
         return _crossing_planes_contact_3d(
-            plane_a, plane_b, hs_a, hs_b, vals_ab, vals_ba,
-            proj(shared)) == "clean"
-    if len(axes) == 4:
-        return _transverse_contact_clean(proj(tri_a), proj(tri_b))
+            plane_a, plane_b, hs_a, hs_b, vals_ab, vals_ba, []) == "clean"
     return False
 
 
@@ -531,12 +529,13 @@ def check_embedded(mesh: TriMesh) -> Optional[EmbeddingViolation]:
     along the line where the two planes cross, ordered on an axis where
     the cross product of their normals is nonzero.  In R^d, d >= 4, they
     are decided inside the affine hull of their distinct vertices
-    (_hull_contact_clean): affinely independent vertices clear the pair,
-    a 3-flat reduces it to the R^3 test, and two triangles spanning a
-    4-flat meet in at most one point, located by the signs of integer
-    minors.  Only pairs still standing reach the full simplex
-    intersection, which decides them and builds the witness; every test
-    before it is an integer sign.
+    (_hull_contact_clean): affinely independent vertices clear the pair;
+    a single affine relation among them (six vertices spanning a 4-flat,
+    or five spanning a 3-flat) decides it by the signs of its integer
+    coefficients, Radon's rule; and six vertices in a 3-flat reduce it
+    to the R^3 crossing-line test.  Only pairs still standing reach the
+    full simplex intersection, which decides them and builds the
+    witness; every test before it is an integer sign.
     """
     hom = mesh.hom
     dim = mesh.dim

@@ -338,28 +338,15 @@ def embedded_4d(poly: ClosedPolygon, seed: int = 0, budget: int = 30,
     After a seeded shear, dropping the last coordinate lands the polygon
     on an embedded copy P* in a hyperplane; the R^3 construction spans
     P* there, and a vertical wall of two triangles per boundary edge
-    joins the spanning surface back up to the polygon.  Only the walled
-    R^4 mesh is certified (mesh.certify: manifold, boundary equal to the
-    polygon, embedded, census), once per attempt; rule 'orientation'
-    also requires it to be orientable.  A polygon already parallel to
-    the hyperplane skips the wall: spanning_surface_r3 certifies the
-    R^3 surface, and x -> (x, h), an affine embedding of R^3 taking its
-    polygon to poly, carries that certificate over unchanged.
+    joins the spanning surface back up to the polygon.  A polygon that
+    already lies in a hyperplane x_4 = h is its own P*: its spanning
+    surface is placed at that height and needs no wall.  Only the R^4
+    mesh is certified (mesh.certify: manifold, boundary equal to the
+    polygon, embedded, census), once per attempt, flat or walled alike;
+    rule 'orientation' also requires it to be orientable.
     """
     if poly.dim != 4:
         raise ValueError("embedded construction needs dimension 4")
-    from .seifert import spanning_surface_r3
-
-    verts = poly.vertices
-    n = len(verts)
-    heights = [v[3] for v in verts]
-    if len(set(heights)) == 1:
-        p3 = ClosedPolygon([Point((v[0], v[1], v[2])) for v in verts])
-        m3, rep3 = spanning_surface_r3(p3, seed=seed, rule=rule)
-        mesh = _lift(m3, (ZERO, ZERO, ZERO, heights[0]))
-        report = _embedded_report(mesh, rep3, n, 0, seed, 0)
-        report.update(rep3["cert"]["census"], cert=rep3["cert"])
-        return mesh, report
     rng = random.Random(seed)
     last: Exception | None = None
     for attempt in range(budget):
@@ -395,18 +382,22 @@ def _embedded_attempt(poly, slopes, seed, attempt, rule="orientation"):
     verts = poly.vertices
     n = len(verts)
     # P* is the shadow of the shear x_i += s_i x_4.  The spanning surface
-    # of P* goes into the hyperplane x_4 = low, below every vertex, with
-    # the shear undone: x -> (x - s low, low).  A shear keeps edge
-    # parameters, so the wall over a boundary piece of P* rises to poly's
-    # own points at the same parameters on the host edge.
+    # of P* goes into the hyperplane x_4 = low with the shear undone:
+    # x -> (x - s low, low).  A shear keeps edge parameters, so with low
+    # below every vertex the wall over a boundary piece of P* rises to
+    # poly's own points at the same parameters on the host edge.  A poly
+    # in one hyperplane is spanned there, at its own height, with no wall.
     p3 = ClosedPolygon([Point(v[i] + slopes[i] * v[3] for i in range(3))
                         for v in verts])
     if validate_embedded(p3) is not None:
         raise ValueError("projection not embedded")
     m3, rep3 = _construct_r3(p3, seed, rule)
-    low = min(v[3] for v in verts) - ONE
+    low = min(v[3] for v in verts)
+    flat = all(v[3] == low for v in verts)
+    if not flat:
+        low -= ONE
     mesh = _lift(m3, [-s * low for s in slopes] + [low])
-    base_edges = m3.boundary_edges()
+    base_edges = [] if flat else m3.boundary_edges()
     # each base boundary vertex's (edge, t) on P*, placed on integer
     # forms as boundary_matches places it: a corner lies on its two
     # edges, any other vertex on one, and a wall's host edge is the one

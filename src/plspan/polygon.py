@@ -205,7 +205,7 @@ def gen_planar_ngon(n: int, dim: int = 2, radius=1) -> ClosedPolygon:
 # ---------------------------------------------------------------------------
 # knotted examples
 
-def gen_torus_stick(m: int, verify: bool = True) -> ClosedPolygon:
+def gen_torus_stick(m: int) -> ClosedPolygon:
     """Stick realization of the (m, m-1) torus knot with 2m edges.
 
     2m vertices zig-zag between an outer circle at height +1 and an
@@ -244,8 +244,6 @@ def gen_torus_stick(m: int, verify: bool = True) -> ClosedPolygon:
         if validate_embedded(poly) is not None or poly.zero_turns():
             last_error = "self-intersecting layout"
             continue
-        if not verify:
-            return poly
         from .diagram import project_polygon
         try:
             dia = project_polygon(poly, seed=0)
@@ -261,7 +259,7 @@ def gen_torus_stick(m: int, verify: bool = True) -> ClosedPolygon:
                          % (m, last_error))
 
 
-def gen_twist_writhe(m: int, verify: bool = True) -> ClosedPolygon:
+def gen_twist_writhe(m: int) -> ClosedPolygon:
     """Grid weave with m+1 straight over-strands crossing m under-strands.
 
     All m*(m+1) crossings have the same sign, so the projection's writhe
@@ -303,15 +301,14 @@ def gen_twist_writhe(m: int, verify: bool = True) -> ClosedPolygon:
     bad = validate_embedded(poly)
     if bad is not None:
         raise AssertionError("twist layout self-intersects: %r" % bad)
-    if verify:
-        from .diagram import project_polygon
-        dia = project_polygon(poly, seed=0)
-        want = m * (m + 1)
-        if len(dia.crossings) != want:
-            raise AssertionError("twist layout crossing count %d, wanted %d"
-                                 % (len(dia.crossings), want))
-        if any(c.sign != 1 for c in dia.crossings):
-            raise AssertionError("twist layout produced a negative crossing")
+    from .diagram import project_polygon
+    dia = project_polygon(poly, seed=0)
+    want = m * (m + 1)
+    if len(dia.crossings) != want:
+        raise AssertionError("twist layout crossing count %d, wanted %d"
+                             % (len(dia.crossings), want))
+    if any(c.sign != 1 for c in dia.crossings):
+        raise AssertionError("twist layout produced a negative crossing")
     return poly
 
 

@@ -9,6 +9,7 @@ from plspan.geom import (
     ZERO,
     AffineMap,
     Point,
+    _bareiss,
     box_h,
     homogeneous,
     int_rank,
@@ -20,6 +21,32 @@ from plspan.geom import (
 from plspan.mesh import TriMesh, _require, certify
 from plspan.otherdims import _embedded_report
 from plspan.polygon import ClosedPolygon, validate_embedded
+
+
+def add_triangle(mesh, a, b, c, tag=""):
+    """Add the triangle with corners a, b, c to the mesh, pooling each
+    point first; returns the triangle's index."""
+    return mesh.add_triangle_indices(mesh.add_vertex(a), mesh.add_vertex(b),
+                                     mesh.add_vertex(c), tag)
+
+
+def int_det(rows) -> int:
+    """Determinant of a square integer matrix: the last pivot of
+    geom._bareiss's forward pass, signed by its row swaps."""
+    _, pivots, last, swaps = _bareiss(rows)
+    if len(pivots) < len(rows):
+        return 0
+    return -last if swaps % 2 else last
+
+
+def shear_last_into(dim, slopes) -> AffineMap:
+    """The shear adding slopes[i] * x_last to each earlier coordinate."""
+    if len(slopes) != dim - 1:
+        raise ValueError("need dim-1 slopes")
+    m = [[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)]
+    for i, s in enumerate(slopes):
+        m[i][dim - 1] = s
+    return AffineMap(m, [ZERO] * dim)
 
 
 def affine_inverse(am: AffineMap) -> AffineMap:
@@ -213,9 +240,25 @@ def lift_at_height(m3, h) -> TriMesh:
     by triangle."""
     mesh = TriMesh(4)
     for t, tag in enumerate(m3.provenance):
-        mesh.add_triangle(*(Point((p[0], p[1], p[2], h))
-                            for p in m3.triangle_points(t)), tag=tag)
+        add_triangle(mesh, *(Point((p[0], p[1], p[2], h))
+                             for p in m3.triangle_points(t)), tag=tag)
     return mesh
+
+
+def embedded_flat_oracle(poly, seed=0, rule="orientation"):
+    """embedded_4d on a polygon in one hyperplane x_4 = h, built apart:
+    spanning_surface_r3 spans and certifies the polygon of its first
+    three coordinates in R^3, and that surface is placed at height h,
+    with the R^3 certificate and no wall."""
+    from plspan.seifert import spanning_surface_r3
+
+    h = poly.vertices[0][3]
+    p3 = ClosedPolygon([Point(v.coords[:3]) for v in poly.vertices])
+    m3, rep3 = spanning_surface_r3(p3, seed=seed, rule=rule)
+    mesh = lift_at_height(m3, h)
+    report = _embedded_report(mesh, rep3, len(poly.vertices), 0, seed, 0)
+    report.update(rep3["cert"]["census"], cert=rep3["cert"])
+    return mesh, report
 
 
 def embedded_attempt_framed(poly, slopes, seed, attempt,
@@ -255,11 +298,11 @@ def embedded_attempt_framed(poly, slopes, seed, attempt,
         wb4 = Point((wb[0], wb[1], wb[2], ZERO))
         tag = "wall4 %d" % host
         if ua.coords <= ub.coords:
-            mesh.add_triangle(wa4, wb4, ua, tag=tag)
-            mesh.add_triangle(wb4, ub, ua, tag=tag)
+            add_triangle(mesh, wa4, wb4, ua, tag=tag)
+            add_triangle(mesh, wb4, ub, ua, tag=tag)
         else:
-            mesh.add_triangle(wa4, wb4, ub, tag=tag)
-            mesh.add_triangle(wa4, ub, ua, tag=tag)
+            add_triangle(mesh, wa4, wb4, ub, tag=tag)
+            add_triangle(mesh, wa4, ub, ua, tag=tag)
         walls += 2
     final = mesh.transform(back)
     cert = certify(final, poly)
@@ -301,8 +344,8 @@ def construct_r3_framed(poly, seed, rule="orientation"):
     for ci, circ in enumerate(g.circuits):
         k = levels[ci]
         for a, b, c in earclip_2d([nodes[i].pos for i in circ]):
-            raw.add_triangle(bottom(circ[a], k), bottom(circ[b], k),
-                             bottom(circ[c], k), tag="bowl %d" % ci)
+            add_triangle(raw, bottom(circ[a], k), bottom(circ[b], k),
+                         bottom(circ[c], k), tag="bowl %d" % ci)
         for e, a in enumerate(circ):
             b = circ[(e + 1) % len(circ)]
             _add_wall(raw, a, b, lambda i: raw.add_vertex(bottom(i, k)),
@@ -315,8 +358,8 @@ def construct_r3_framed(poly, seed, rule="orientation"):
         x1, y1 = lifted(q["in_over"]), lifted(q["out_over"])
         x2 = lifted(partner[q["in_over"]])
         y2 = lifted(partner[q["out_over"]])
-        raw.add_triangle(x1, x2, y1, tag="bowtie %d" % x)
-        raw.add_triangle(x2, y1, y2, tag="bowtie %d" % x)
+        add_triangle(raw, x1, x2, y1, tag="bowtie %d" % x)
+        add_triangle(raw, x2, y1, y2, tag="bowtie %d" % x)
     mesh = raw.transform(shear_frame(dia.slopes, up)[1])
     s, c = len(g.circuits), len(g.marked.quads)
     total = sum(len(circ) for circ in g.circuits)

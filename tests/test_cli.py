@@ -449,6 +449,22 @@ def test_bad_input_file_exits_with_one_line(tmp_path, case):
     assert out.stdout == ""
 
 
+@pytest.mark.parametrize("flag", ["--mesh-out", "--report", "--out"])
+def test_unwritable_output_exits_with_one_line(tmp_path, flag):
+    # an output path in a missing directory ends the command as a
+    # missing input does: one line naming it, exit status 1, no traceback
+    target = tmp_path / "missing" / "out"
+    if flag == "--out":
+        out = _plspan("generate", "--family", "ngon", "--n", 5, flag, target)
+    else:
+        poly = tmp_path / "p.poly"
+        poly.write_text(TRIANGLE)
+        out = _plspan("span", poly, flag, target)
+    assert out.returncode == 1
+    assert out.stderr == "%s: No such file or directory\n" % target
+    assert out.stdout == ""
+
+
 # triangle 0 is flat (three collinear vertices), triangle 1 is not
 FLAT_OFF = ("pl-off 3\n5 2 0\n0 0 0\n2 0 0\n4 0 0\n1 -1 -1\n1 1 1\n"
             "3 0 1 2\n3 0 3 4\n")

@@ -16,7 +16,6 @@ from plspan.geom import (
     earclip_2d,
     flat_axes,
     homogeneous,
-    int_det,
     int_nullspace,
     int_rank,
     nullspace,
@@ -36,11 +35,13 @@ from plspan.geom import (
 
 from oracles import (
     affine_inverse,
+    int_det,
     point_in_simplex,
     point_on_segment,
     seg_intersect_2d,
     segment_param,
     shear_frame,
+    shear_last_into,
 )
 
 
@@ -322,7 +323,7 @@ def test_affine_inverse_is_identity_on_random_points():
 
 
 def test_affine_compose_and_shear():
-    sh = AffineMap.shear_last_into(3, ["1/2", -2])
+    sh = shear_last_into(3, ["1/2", -2])
     p = Point([1, 1, 4])
     assert sh.apply(p) == Point([3, -7, 4])
     inv = affine_inverse(sh)
@@ -338,7 +339,7 @@ def test_shear_frame_is_the_lifted_shear_and_its_inverse():
             slopes = [rnd_frac(rng, 5, 7) for _ in range(dim - 1)]
             up = rnd_frac(rng, 9, 4)
             frame, back = shear_frame(slopes, up)
-            shear = AffineMap.shear_last_into(dim, slopes)
+            shear = shear_last_into(dim, slopes)
             inv = affine_inverse(frame)
             assert (back.matrix, back.shift) == (inv.matrix, inv.shift)
             for _ in range(3):

@@ -14,7 +14,6 @@ from plspan.geom import (
     Point,
     affine_rank,
     homogeneous,
-    int_det,
     int_nullspace,
     int_rank,
     orient3d,
@@ -42,17 +41,24 @@ from plspan.mesh import (
     write_off,
 )
 
-from oracles import affine_inverse, point_in_simplex, segment_param
+from oracles import (
+    add_triangle,
+    affine_inverse,
+    int_det,
+    point_in_simplex,
+    segment_param,
+    shear_last_into,
+)
 
 
 def tetrahedron():
     m = TriMesh(3)
     a, b, c, d = (Point([0, 0, 0]), Point([4, 0, 0]),
                   Point([0, 4, 0]), Point([0, 0, 4]))
-    m.add_triangle(a, b, c)
-    m.add_triangle(a, b, d)
-    m.add_triangle(a, c, d)
-    m.add_triangle(b, c, d)
+    add_triangle(m, a, b, c)
+    add_triangle(m, a, b, d)
+    add_triangle(m, a, c, d)
+    add_triangle(m, b, c, d)
     return m
 
 
@@ -62,10 +68,10 @@ def fan_over_polygon(pts, apex=None):
     if apex is None:
         apex = pts[0]
         for i in range(1, len(pts) - 1):
-            m.add_triangle(apex, pts[i], pts[i + 1])
+            add_triangle(m, apex, pts[i], pts[i + 1])
     else:
         for i in range(len(pts)):
-            m.add_triangle(apex, pts[i], pts[(i + 1) % len(pts)])
+            add_triangle(m, apex, pts[i], pts[(i + 1) % len(pts)])
     return m
 
 
@@ -94,11 +100,11 @@ def test_hom_is_each_vertex_integer_form(tmp_path):
     rng = random.Random(77)
     m = TriMesh(4)
     for _ in range(12):
-        m.add_triangle(*(Point([rnd_frac(rng, den=6) for _ in range(4)])
-                         for _ in range(3)))
+        add_triangle(m, *(Point([rnd_frac(rng, den=6) for _ in range(4)])
+                          for _ in range(3)))
     m.add_vertex(Point(["1/3", "0.25", -2, "7/5"]))
     assert _hom_in_sync(m)
-    sh = AffineMap.shear_last_into(4, ["1/3", "-2/7", "5/2"])
+    sh = shear_last_into(4, ["1/3", "-2/7", "5/2"])
     assert _hom_in_sync(m.transform(sh))
     path = tmp_path / "m.off"
     write_off(m, str(path))
@@ -152,13 +158,13 @@ def test_face_edge_identity_three_t_is_2e_minus_m():
 def test_validate_catches_bad_meshes():
     m = TriMesh(3)
     a, b, c = Point([0, 0, 0]), Point([1, 0, 0]), Point([0, 1, 0])
-    m.add_triangle(a, b, c)
-    m.add_triangle(a, b, c)  # duplicate
+    add_triangle(m, a, b, c)
+    add_triangle(m, a, b, c)  # duplicate
     probs = m.validate_manifold()
     assert any("duplicates" in p for p in probs)
 
     m2 = TriMesh(3)
-    m2.add_triangle(a, b, Point([2, 0, 0]))  # collinear
+    add_triangle(m2, a, b, Point([2, 0, 0]))  # collinear
     assert any("degenerate" in p for p in m2.validate_manifold())
 
     m3 = TriMesh(3)
@@ -170,7 +176,7 @@ def test_validate_catches_bad_meshes():
     # an edge in three triangles
     m4 = TriMesh(3)
     for apexpt in (Point([0, 1, 0]), Point([0, 0, 1]), Point([0, -1, 0])):
-        m4.add_triangle(a, Point([1, 0, 0]), apexpt)
+        add_triangle(m4, a, Point([1, 0, 0]), apexpt)
     assert any("3 triangles" in p for p in m4.validate_manifold())
 
     # the edge incidence every census reads is recounted from the
@@ -270,7 +276,7 @@ def _random_soup(rng):
                          in m.triangle_points(t)) == key
                for t in range(len(m.triangles))):
             continue
-        m.add_triangle(*pts)
+        add_triangle(m, *pts)
         tris += 1
     return m
 
@@ -296,13 +302,13 @@ def _planar_soup(rng, dim):
         halves = ((a, b, c), (a, c, d)) if rng.random() < 0.5 \
             else ((a, b, d), (b, c, d))
         for tri in halves[:rng.randint(1, 2)]:
-            m.add_triangle(*tri)
+            add_triangle(m, *tri)
     if rng.random() < 0.2:
         # a triangle's point reflection through its centroid crosses it
         # as a hexagram: proper edge crossings, no vertex inside
         pts = m.triangle_points(rng.randrange(len(m.triangles)))
-        m.add_triangle(*(Point([2 * sum(q[i] for q in pts) / 3 - p[i]
-                                for i in range(dim)]) for p in pts))
+        add_triangle(m, *(Point([2 * sum(q[i] for q in pts) / 3 - p[i]
+                                 for i in range(dim)]) for p in pts))
     for _ in range(rng.choice((0, 0, 1, 2))):
         off, lifted = rng.choice((0, 1, -1)), rng.randint(1, 2)
         pts = [lift(Fraction(rng.randint(0, 6), 2),
@@ -312,7 +318,7 @@ def _planar_soup(rng, dim):
         if affine_rank(pts) == 2 and all(
                 frozenset(q.coords for q in m.triangle_points(t)) != key
                 for t in range(len(m.triangles))):
-            m.add_triangle(*pts)
+            add_triangle(m, *pts)
     return m
 
 
@@ -574,8 +580,8 @@ def test_check_embedded_names_the_first_degenerate_triangle():
                 m = TriMesh(dim)
                 tris = [flat, other] if first == 0 else [other, flat]
                 for tri in tris:
-                    m.add_triangle(*(Point(list(p) + [0] * (dim - 3))
-                                     for p in tri))
+                    add_triangle(m, *(Point(list(p) + [0] * (dim - 3))
+                                      for p in tri))
                 with pytest.raises(ValueError,
                                    match="^triangle %d is degenerate$"
                                    % first):
@@ -599,15 +605,15 @@ def test_embedded_verdicts_invariant_under_relabelling(seed):
         for t in rng.sample(range(len(m.triangles)), len(m.triangles)):
             k = rng.randrange(3)
             tri = m.triangles[t][k:] + m.triangles[t][:k]
-            image.add_triangle(*(Point([m.vertices[v][i] for i in axes])
-                                 for v in tri))
+            add_triangle(image, *(Point([m.vertices[v][i] for i in axes])
+                                  for v in tri))
         assert (check_embedded(image) is None) == want
 
 
 def test_check_embedded_finds_piercing():
     m = TriMesh(3)
-    m.add_triangle(Point([0, 0, 0]), Point([8, 0, 0]), Point([0, 8, 0]))
-    m.add_triangle(Point([1, 1, -1]), Point([1, 1, 1]), Point([5, 5, 1]))
+    add_triangle(m, Point([0, 0, 0]), Point([8, 0, 0]), Point([0, 8, 0]))
+    add_triangle(m, Point([1, 1, -1]), Point([1, 1, 1]), Point([5, 5, 1]))
     v = check_embedded(m)
     assert v is not None
     assert point_in_simplex(v.point, m.triangle_points(v.tri_a))
@@ -616,20 +622,20 @@ def test_check_embedded_finds_piercing():
 
 def test_check_embedded_in_r4():
     m = TriMesh(4)
-    m.add_triangle(Point([0, 0, 0, 0]), Point([4, 0, 0, 0]),
-                   Point([0, 4, 0, 0]))
+    add_triangle(m, Point([0, 0, 0, 0]), Point([4, 0, 0, 0]),
+                 Point([0, 4, 0, 0]))
     # meets the first triangle's plane only beyond its extent
-    m.add_triangle(Point([9, 9, 0, 0]), Point([10, 9, 1, 0]),
-                   Point([9, 10, 0, 1]))
+    add_triangle(m, Point([9, 9, 0, 0]), Point([10, 9, 1, 0]),
+                 Point([9, 10, 0, 1]))
     assert check_embedded(m) is None
-    m.add_triangle(Point([1, 1, -1, 0]), Point([1, 1, 1, 0]),
-                   Point([2, 2, 1, 0]))
+    add_triangle(m, Point([1, 1, -1, 0]), Point([1, 1, 1, 0]),
+                 Point([2, 2, 1, 0]))
     assert check_embedded(m) is not None
 
 
 def test_transform_preserves_structure():
     m = tetrahedron()
-    sh = AffineMap.shear_last_into(3, ["1/3", "-2/7"])
+    sh = shear_last_into(3, ["1/3", "-2/7"])
     m2 = m.transform(sh)
     assert len(m2.vertices) == len(m.vertices)
     assert m2.triangles == m.triangles
@@ -656,7 +662,7 @@ def _moved_vertex_copy(mesh, rng):
                           for i in range(mesh.dim)])
         out = TriMesh(mesh.dim)
         for tri, tag in zip(mesh.triangles, mesh.provenance):
-            out.add_triangle(*(verts[i] for i in tri), tag=tag)
+            add_triangle(out, *(verts[i] for i in tri), tag=tag)
         if len(out.vertices) == len(verts) and not any(
                 affine_rank(out.triangle_points(k)) != 2
                 for k in range(len(out.triangles))):
@@ -744,17 +750,17 @@ def test_boundary_matches_subdivided_edge():
     mid = Point([2, 0, 0])
     apex = Point([2, 2, 5])
     m = TriMesh(3)
-    m.add_triangle(apex, poly.vertices[0], mid)
-    m.add_triangle(apex, mid, poly.vertices[1])
-    m.add_triangle(apex, poly.vertices[1], poly.vertices[2])
-    m.add_triangle(apex, poly.vertices[2], poly.vertices[3])
-    m.add_triangle(apex, poly.vertices[3], poly.vertices[0])
+    add_triangle(m, apex, poly.vertices[0], mid)
+    add_triangle(m, apex, mid, poly.vertices[1])
+    add_triangle(m, apex, poly.vertices[1], poly.vertices[2])
+    add_triangle(m, apex, poly.vertices[2], poly.vertices[3])
+    add_triangle(m, apex, poly.vertices[3], poly.vertices[0])
     assert boundary_matches(m, poly)
     # reversed orientation of every triangle still matches
     m2 = TriMesh(3)
     for t in range(len(m.triangles)):
         a, b, c = m.triangle_points(t)
-        m2.add_triangle(a, c, b)
+        add_triangle(m2, a, c, b)
     assert boundary_matches(m2, poly)
 
 
@@ -775,7 +781,7 @@ def test_boundary_matches_rejects_wrong_boundary():
     # two components: the fan plus a distant floater ring
     m3 = fan_over_polygon(poly.vertices)
     far = [Point([20, 20, 0]), Point([24, 20, 0]), Point([22, 23, 1])]
-    m3.add_triangle(*far)
+    add_triangle(m3, *far)
     assert not boundary_matches(m3, poly)
 
 
@@ -998,21 +1004,21 @@ def _disk_over(rng, poly):
     apex = Point([0, 0, 5])
     m = TriMesh(3)
     for i in range(len(ring)):
-        m.add_triangle(apex, ring[i], ring[(i + 1) % len(ring)])
+        add_triangle(m, apex, ring[i], ring[(i + 1) % len(ring)])
     if kind == 3:
         m = TriMesh(3)
         drop = rng.randrange(len(ring))
         for i in range(len(ring)):
             if i != drop:
-                m.add_triangle(apex, ring[i], ring[(i + 1) % len(ring)])
+                add_triangle(m, apex, ring[i], ring[(i + 1) % len(ring)])
     elif kind == 4:
-        m.add_triangle(*m.triangle_points(rng.randrange(len(ring))))
+        add_triangle(m, *m.triangle_points(rng.randrange(len(ring))))
     elif kind == 5:
-        m.add_triangle(ring[rng.randrange(len(ring))], Point([30, 0, 0]),
-                       Point([30, 1, 0]))
+        add_triangle(m, ring[rng.randrange(len(ring))], Point([30, 0, 0]),
+                     Point([30, 1, 0]))
     elif kind == 6:
-        m.add_triangle(Point([30, 0, 0]), Point([31, 0, 0]),
-                       Point([30, 1, 0]))
+        add_triangle(m, Point([30, 0, 0]), Point([31, 0, 0]),
+                     Point([30, 1, 0]))
     elif kind == 7:
         _moebius(m, [Point([40 + rng.randint(0, 9), rng.randint(0, 9), k])
                      for k in range(5)])
@@ -1020,7 +1026,7 @@ def _disk_over(rng, poly):
         flipped = TriMesh(3)
         for t in range(len(m.triangles)):
             a, b, c = m.triangle_points(t)
-            flipped.add_triangle(a, c, b)
+            add_triangle(flipped, a, c, b)
         m = flipped
     return m
 
@@ -1110,7 +1116,7 @@ def _ring_disk(rng, poly):
     m = TriMesh(d)
     for i in range(len(ring)):
         if i != drop:
-            m.add_triangle(apex, ring[i], ring[(i + 1) % len(ring)])
+            add_triangle(m, apex, ring[i], ring[(i + 1) % len(ring)])
     return m
 
 
@@ -1164,12 +1170,12 @@ def test_boundary_matches_without_its_prechecks_matches_oracle(monkeypatch):
 
 def test_off_round_trip_is_exact(tmp_path):
     m = TriMesh(4)
-    m.add_triangle(Point(["1/3", "-7/11", 0, 2]),
-                   Point([5, "1/2", "22/7", 0]),
-                   Point([0, 0, 1, "355/113"]), tag="lid")
-    m.add_triangle(Point(["1/3", "-7/11", 0, 2]),
-                   Point([5, "1/2", "22/7", 0]),
-                   Point([9, 9, 9, 9]), tag="side wall")
+    add_triangle(m, Point(["1/3", "-7/11", 0, 2]),
+                 Point([5, "1/2", "22/7", 0]),
+                 Point([0, 0, 1, "355/113"]), tag="lid")
+    add_triangle(m, Point(["1/3", "-7/11", 0, 2]),
+                 Point([5, "1/2", "22/7", 0]),
+                 Point([9, 9, 9, 9]), tag="side wall")
     p = tmp_path / "m.off"
     write_off(m, str(p))
     m2 = read_off(str(p))
@@ -1206,8 +1212,8 @@ def test_obj_export_and_refusal(tmp_path):
     assert text.count("\nf ") + text.startswith("f ") == 4
     assert "v 0 0 0" in text or "v 0 0 0\n" in text
     m4 = TriMesh(4)
-    m4.add_triangle(Point([0, 0, 0, 0]), Point([1, 0, 0, 0]),
-                    Point([0, 1, 0, 0]))
+    add_triangle(m4, Point([0, 0, 0, 0]), Point([1, 0, 0, 0]),
+                 Point([0, 1, 0, 0]))
     with pytest.raises(ValueError):
         export_obj(m4, str(tmp_path / "m4.obj"))
     with pytest.raises(ValueError):
@@ -1238,7 +1244,7 @@ def _flat_soup(rng, dim, k, tilted):
         key = frozenset(p.coords for p in pts)
         if key not in seen and affine_rank(pts) == 2:
             seen.add(key)
-            m.add_triangle(*pts)
+            add_triangle(m, *pts)
         if len(m.triangles) == 5:
             break
     return m
@@ -1250,23 +1256,24 @@ def test_check_embedded_r4_r5_matches_oracle(monkeypatch):
     # a 2-flat.  The pair and witness must be the oracle's in sweep
     # order, and every decision must be reached: a shared edge off the
     # other's plane, the coplanar test sharing nothing, a vertex and an
-    # edge, and in the hull test affinely independent vertices, a
-    # 3-flat (the crossing-line test, sharing nothing and a vertex) and
-    # two triangles spanning a 4-flat; then the LP.  No pair sharing an
-    # edge reaches the hull test (_record_pair_tests).
+    # edge, and in the hull test affinely independent vertices, the
+    # signs of a single affine relation (six vertices spanning a 4-flat,
+    # five spanning a 3-flat) and six vertices in a 3-flat (the
+    # crossing-line test); then the LP.  No pair sharing an edge reaches
+    # the hull test (_record_pair_tests).
     import plspan.mesh as mesh_mod
     calls, watch = _spy_pair_tests(monkeypatch, mesh_mod, (
         "_coplanar_contact_clean", "_hull_contact_clean",
         "_crossing_planes_contact_3d", "simplex_intersect"))
     reached = set()
-    transverse = mesh_mod._transverse_contact_clean
+    relation = mesh_mod._relation_clean
 
-    def transverse_spy(hs_a, hs_b):
-        reached.add(("_transverse_contact_clean", 0))
-        return transverse(hs_a, hs_b)
+    def relation_spy(on_a, on_b):
+        assert len(on_a) == len(on_b)
+        reached.add(("_relation_clean", 3 - len(on_a)))
+        return relation(on_a, on_b)
 
-    monkeypatch.setattr(mesh_mod, "_transverse_contact_clean",
-                        transverse_spy)
+    monkeypatch.setattr(mesh_mod, "_relation_clean", relation_spy)
     flat_axes = mesh_mod.flat_axes
 
     def axes_spy(hs):
@@ -1300,9 +1307,100 @@ def test_check_embedded_r4_r5_matches_oracle(monkeypatch):
                        ("_coplanar_contact_clean", 2),
                        ("independent", 0), ("independent", 1),
                        ("_crossing_planes_contact_3d", 0),
-                       ("_crossing_planes_contact_3d", 1),
-                       ("_transverse_contact_clean", 0)}, reached
+                       ("_relation_clean", 0),
+                       ("_relation_clean", 1)}, reached
     assert any(name == "simplex_intersect" for name, _ in reached)
+
+
+def _planted_pair(rng, dim, shared, kind):
+    """(points, tri_a, tri_b, shared index set, meets) for a triangle
+    pair of R^dim whose distinct vertices carry exactly one affine
+    relation: six spanning a 4-flat, or five (one shared) spanning a
+    3-flat.  Planted in R^k, k = 4 - shared, then mapped into R^dim by an
+    injective integer affine map.  kind 'edge' or 'face' puts a free
+    vertex of b on an edge of a or inside it, 'cross' makes the two
+    centroids one point, and 'apart' separates the free vertices of a
+    from b's by a hyperplane through the shared vertex, if any; only
+    'apart' leaves the triangles meeting in at most that vertex."""
+    k = 4 - shared
+
+    def pt(off=0):
+        return [rnd_frac(rng, 4, 3) + (off if i == 0 else 0)
+                for i in range(k)]
+
+    while True:
+        s = [pt()] if shared else []
+        x0 = s[0][0] if shared else 0
+        if kind == "apart":
+            a = [pt(x0 + 8) for _ in range(3 - shared)]
+            b = [pt(x0 - 8) for _ in range(3 - shared)]
+        elif kind == "cross":
+            c = pt()
+            a, b = ([pt() for _ in range(2 - shared)] for _ in range(2))
+            for tri in (a, b):
+                tri.append([3 * ci - sum(q[i] for q in s + tri)
+                            for i, ci in enumerate(c)])
+        else:
+            a = [pt() for _ in range(3 - shared)]
+            corners = s + a
+            if kind == "edge":
+                i, j = rng.sample(range(3), 2)
+                t = Fraction(rng.randint(1, 3), 4)
+                on = [x + t * (y - x) for x, y in zip(corners[i],
+                                                      corners[j])]
+            else:
+                w = [Fraction(rng.randint(1, 4)) for _ in range(3)]
+                on = [sum(wi * q[c] for wi, q in zip(w, corners)) / sum(w)
+                      for c in range(k)]
+            b = [on] + [pt() for _ in range(2 - shared)]
+        basis = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(k)]
+        if int_rank(basis) < k:
+            continue
+        origin = [rnd_frac(rng) for _ in range(dim)]
+        pts = [Point([o + sum(x * row[c] for x, row in zip(q, basis))
+                      for c, o in enumerate(origin)]) for q in s + a + b]
+        tri_a = list(range(3))
+        tri_b = list(range(shared)) + list(range(3, len(pts)))
+        rng.shuffle(tri_a)
+        rng.shuffle(tri_b)
+        if len(set(pts)) == len(pts) \
+                and affine_rank([pts[v] for v in tri_a]) == 2 \
+                and affine_rank([pts[v] for v in tri_b]) == 2 \
+                and affine_rank(pts) == len(pts) - 2:
+            return (pts, tuple(tri_a), tuple(tri_b), set(range(shared)),
+                    kind != "apart")
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32))
+def test_relation_rule_matches_simplex_intersect(seed):
+    # Radon's rule gives the LP's verdict on planted pairs of R^4 and
+    # R^5 whose distinct vertices carry one affine relation, sharing no
+    # vertex or one: meeting on an edge, inside a face or at a common
+    # centroid, or apart but for the shared vertex.  Both verdicts come
+    # up with each count of shared vertices.  The hull test reads the
+    # relation off forms projected into the hull, the direct call off
+    # the whole forms.
+    from plspan.mesh import _hull_contact_clean, _relation_clean
+    rng = random.Random(seed)
+    for dim in (4, 5):
+        for shared in (0, 1):
+            for kind in ("edge", "face", "cross", "apart"):
+                pts, tri_a, tri_b, common, meets = _planted_pair(
+                    rng, dim, shared, kind)
+                witness = simplex_intersect(
+                    [pts[v] for v in tri_a], [pts[v] for v in tri_b],
+                    [pts[v] for v in common])
+                assert (witness is not None) == meets, (kind, pts)
+                hom = [homogeneous(p) for p in pts]
+                assert _hull_contact_clean(hom, tri_a, tri_b, common) \
+                    != meets, (kind, pts)
+                free_a = [v for v in tri_a if v not in common]
+                free_b = [v for v in tri_b if v not in common]
+                cols = [hom[v] for v in free_a + free_b + sorted(common)]
+                (rel,) = int_nullspace(list(zip(*cols)))
+                on_a, on_b = rel[:len(free_a)], rel[len(free_a):][:len(free_b)]
+                assert _relation_clean(on_a, on_b) != meets, (kind, pts)
 
 
 def test_certify_verdicts_witnesses_and_first_failure():
@@ -1329,7 +1427,7 @@ def test_certify_verdicts_witnesses_and_first_failure():
     # a repeated triangle breaks the manifold and the embedding; every
     # verdict is still derived, and the first failure names the manifold
     dup = fan_over_polygon(square)
-    dup.add_triangle(*dup.triangle_points(0))
+    add_triangle(dup, *dup.triangle_points(0))
     cert = certify(dup, poly)
     assert cert["verdicts"] == {"manifold": False, "boundary_match": False,
                                 "embedded": False}

@@ -24,7 +24,7 @@ from plspan.geom import (
     sign,
     solution_set,
 )
-from plspan.mesh import TriMesh, boundary_matches, check_embedded
+from plspan.mesh import TriMesh, boundary_matches, check_embedded, write_off
 from plspan.otherdims import (
     _embedded_attempt,
     _flat_meet,
@@ -46,7 +46,9 @@ from plspan.polygon import (
 )
 
 from oracles import (
+    add_triangle,
     embedded_attempt_framed,
+    embedded_flat_oracle,
     lift_at_height,
     polygon_edge_contact,
 )
@@ -506,7 +508,7 @@ def _contact_soup(rng):
         else:
             pts = rng.sample(pool, 3)
         if affine_rank(pts) == 2:
-            mesh.add_triangle(*pts)
+            add_triangle(mesh, *pts)
     return mesh, poly
 
 
@@ -533,7 +535,7 @@ def _disk_soup(rng):
                     (q[j], q[(j + 1) % n], centre)):
             if affine_rank(tri) != 2:
                 return None
-            mesh.add_triangle(*tri)
+            add_triangle(mesh, *tri)
     index = {p.coords: i for i, p in enumerate(mesh.vertices)}
     sides = {tuple(sorted(index[p.coords] for p in poly.edge(e)))
              for e in range(n)}
@@ -692,16 +694,19 @@ def _lifted_torus(m):
                           for v in gen_torus_stick(m).vertices])
 
 
+def _off_bytes(mesh, tmp_path):
+    path = tmp_path / "m.off"
+    write_off(mesh, str(path))
+    return path.read_bytes()
+
+
 def test_embedded_attempt_matches_framed_oracle(tmp_path):
     # built in poly's own frame, an attempt gives the mesh and report that
     # building in the sheared frame and mapping back gave, byte for byte
-    from plspan.mesh import write_off
     from plspan.seifert import spanning_surface_r3
 
     def off(mesh):
-        path = tmp_path / "m.off"
-        write_off(mesh, str(path))
-        return path.read_bytes()
+        return _off_bytes(mesh, tmp_path)
 
     polys = [_lifted_torus(3)]
     polys += [gen_random(n, 4, seed=s) for n in range(4, 7) for s in range(4)]
@@ -723,10 +728,30 @@ def test_embedded_attempt_matches_framed_oracle(tmp_path):
             assert got[1] == want[1]
             built += 1
     assert built > 30
-    # the flat branch lifts the certified R^3 surface to its height
+    # _lift at a height places an R^3 surface as lift_at_height does
     m3, _ = spanning_surface_r3(gen_torus_stick(3))
     h = Fraction(5, 3)
     assert off(_lift(m3, (0, 0, 0, h))) == off(lift_at_height(m3, h))
+
+
+def test_flat_embedded4_matches_the_lifted_r3_surface(tmp_path):
+    # a polygon in one hyperplane x_4 = h takes the ordinary attempt,
+    # certified once in R^4, and gets the mesh and report of the R^3
+    # surface spanned and certified apart and placed at height h
+    bases = [(gen_torus_stick(3), "orientation"),
+             (gen_torus_stick(3), "white-edge"),
+             (gen_random(6, 3, seed=4), "orientation"),
+             (gen_planar_ngon(3, dim=3), "orientation")]
+    for base, rule in bases:
+        for h in (0, Fraction(5, 3), Fraction(-7, 2)):
+            poly = ClosedPolygon([Point(list(v) + [h])
+                                  for v in base.vertices])
+            want = embedded_flat_oracle(poly, rule=rule)
+            got = embedded_4d(poly, rule=rule)
+            assert got[1]["wall_triangles"] == 0 and got[1]["attempt"] == 0
+            assert _off_bytes(got[0], tmp_path) \
+                == _off_bytes(want[0], tmp_path), (base, rule, h)
+            assert got[1] == want[1], (base, rule, h)
 
 
 def test_lifted_torus_surface_needs_no_lp(monkeypatch):
@@ -760,8 +785,8 @@ from plspan.otherdims import _embedded_report
 assert False, "asserts run"
 mesh = TriMesh(4)
 for k in range(22):
-    mesh.add_triangle(Point((k, 0, 0, 0)), Point((k, 1, 0, 0)),
-                      Point((k, 0, 1, 0)))
+    mesh.add_triangle_indices(*(mesh.add_vertex(Point(p)) for p in (
+        (k, 0, 0, 0), (k, 1, 0, 0), (k, 0, 1, 0))))
 try:
     _embedded_report(mesh, {}, 1, 0, 0, 0)
 except CertificateError as exc:
