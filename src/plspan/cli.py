@@ -32,7 +32,7 @@ from .polygon import (
     validate_embedded,
     write_polygon,
 )
-from .seifert import spanning_surface_r3
+from .seifert import SMOOTHING_RULES, spanning_surface_r3
 
 # name: (applies to dimension d, build(poly, args)); auto takes the first
 # that applies.  Builders are looked up by name at call time, so a wrapper
@@ -317,7 +317,7 @@ def build_parser() -> tuple:
     s.add_argument("--strategy", default="auto",
                    choices=["auto", *STRATEGIES])
     s.add_argument("--rule", default="orientation",
-                   choices=["orientation", "white-edge"])
+                   choices=SMOOTHING_RULES)
     s.add_argument("--seed", type=int)
     s.add_argument("--knot-genus", type=_genus(int, genus_lower_bound),
                    help="user-supplied knot genus for the bounds block")

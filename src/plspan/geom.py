@@ -27,7 +27,8 @@ and int_nullspace, which reads a primitive integer kernel basis
 straight off it.  That basis gives the hyperplane functionals of mesh
 triangles outside R^3 (in R^3 they are the signed minors of the
 triangle's rows) and of the immersed disk's join cells, and the one
-affine relation whose signs decide a triangle pair in R^d, d >= 4.
+affine relation whose signs decide a segment or triangle pair in
+mesh._hull_contact_clean.
 solution_set reads the solutions of a linear system off rref's result.
 """
 
@@ -321,16 +322,6 @@ def int_nullspace(rows) -> list[tuple]:
         g = gcd(*v) if last > 0 else -gcd(*v)
         basis.append(tuple(x // g for x in v))
     return basis
-
-
-def flat_axes(hs) -> list[int]:
-    """Coordinate axes onto which the affine hull of the points with
-    homogeneous forms hs projects injectively: one per dimension of the
-    hull, the lexicographically first such set.  Projecting onto them
-    keeps every affine relation among the points."""
-    pivots = _bareiss([(h[-1],) + tuple(h[:-1]) for h in hs])[1]
-    # w > 0 makes the weight column the first pivot
-    return [c - 1 for c in pivots[1:]]
 
 
 def orient2d_h(a, b, c) -> int:

@@ -13,11 +13,11 @@ them once on a finished surface.  The embeddedness check takes each
 triangle's plane as integer functionals on those forms, in R^3 the
 signed minors of its three rows, and decides each candidate pair from
 the signs its shared vertices leave open: one value for a shared edge,
-the two free vertices for a shared vertex, all three for none.  In
-R^d, d >= 4, a pair those signs leave open is decided inside the affine
-hull of its distinct vertices: by their independence, by the signs of
-the one affine relation among them, or, for six vertices in a 3-flat,
-by the R^3 crossing-line test.
+the two free vertices for a shared vertex, all three for none.  A pair
+off a common plane whose vertices carry one affine relation is decided
+by its signs (_relation_clean): in R^3 at a shared vertex, read off the
+plane values; else in the vertices' affine hull (_hull_contact_clean),
+the test that polygon edge pairs and the immersed certificate share.
 """
 
 from __future__ import annotations
@@ -29,10 +29,8 @@ from typing import Optional
 from .geom import (
     Point,
     _bareiss,
-    _coord_cmp,
     _interval_gap,
     box_h,
-    flat_axes,
     homogeneous,
     int_nullspace,
     int_rank,
@@ -416,12 +414,12 @@ def _plane_meet_points(hs, vals):
 
 
 def _crossing_planes_contact_3d(plane_a, plane_b, hs_a, hs_b, vals_ab,
-                                vals_ba, shared_hs):
-    """Contact classification for 3D triangles in distinct crossing
-    planes: 'clean' when they meet in at most the shared face, else
-    'dirty'.  Both triangles are known to straddle or touch the other's
-    plane, so each meets the common line in a nonempty interval.  hs_a
-    and hs_b list the triangles' vertices in any order; vals_ba holds b's
+                                vals_ba) -> bool:
+    """True when two triangles of R^3 in distinct crossing planes, with
+    no vertex in common, are disjoint.  Both are known to straddle or
+    touch the other's plane, so each meets the common line in a
+    nonempty interval, and they are disjoint iff the intervals are.
+    hs_a and hs_b list the triangles' vertices; vals_ba holds b's
     functional at hs_a and vals_ab a's at hs_b, in the same orders."""
     meets_a = _plane_meet_points(hs_a, vals_ba)
     meets_b = _plane_meet_points(hs_b, vals_ab)
@@ -430,72 +428,65 @@ def _crossing_planes_contact_3d(plane_a, plane_b, hs_a, hs_b, vals_ab,
     a0, a1, a2 = plane_a[:3]
     b0, b1, b2 = plane_b[:3]
     axis = 0 if a1 * b2 != a2 * b1 else 1 if a2 * b0 != a0 * b2 else 2
-    gap, lo = _interval_gap(meets_a, meets_b, axis)
-    if gap > 0:
-        return "clean"
-    if gap == 0 and len(shared_hs) == 1 \
-            and _coord_cmp(lo, shared_hs[0], axis) == 0:
-        return "clean"
-    return "dirty"
+    return _interval_gap(meets_a, meets_b, axis)[0] > 0
 
 
 def _relation_clean(on_a, on_b) -> bool:
-    """Radon's rule for a triangle pair whose distinct vertices carry a
-    single affine relation (Radon, Math. Ann. 1921), given its
-    coefficients at a's free vertices (on_a) and at b's (on_b); a
-    shared vertex's coefficient is free.
+    """Radon's rule for two simplices (segments or triangles) whose
+    distinct vertices carry a single affine relation (Radon, Math. Ann.
+    1921), given its coefficients at a's free vertices (on_a) and at b's
+    (on_b); a shared vertex's coefficient is free.
 
-    True when the triangles meet in at most their shared vertex.  A
+    True when the simplices meet in at most their shared vertex.  A
     common point other than it, written in barycentric weights of each,
     is such a relation, with a's free coefficients of one sign and b's
     of the other; conversely such signs put a point of a's free face
     into b, or of b's into a.  So the pair meets there iff a's nonzero
     free coefficients share one sign and b's all have the opposite
     (zeros allowed).  Neither side is all zero: a relation among one
-    triangle's vertices would make it degenerate.
+    simplex's vertices would make it degenerate.
     """
     signs_a = {sign(x) for x in on_a} - {0}
     return len(signs_a) != 1 or {-sign(x) for x in on_b} - {0} != signs_a
 
 
-def _hull_contact_clean(hom, tri_a, tri_b, shared) -> bool:
-    """Contact classification of a non-coplanar triangle pair in R^d,
-    d >= 4, without a shared edge, inside the affine hull of its
-    distinct vertices.
+def _hull_contact_clean(hom, a, b, shared) -> bool:
+    """Contact classification of two simplices a and b of R^d, segments
+    or triangles as vertex indices into hom, with at most the one vertex
+    in shared in common, inside the affine hull of their distinct ones.
 
-    True when the triangles meet in at most their shared vertex.  When
-    the distinct vertices are affinely independent, both triangles are
-    faces of one simplex, which meet exactly in the face of their common
-    vertices.  When they carry a single affine relation (six vertices
-    spanning a 4-flat, or five spanning a 3-flat), its signs decide
-    (_relation_clean): it is the one int_nullspace vector of their forms
-    projected onto axes injective on the hull, taken as columns.  Six
-    vertices in a 3-flat are decided by the R^3 crossing-line test on
-    those axes.  False leaves the pair open.
+    True when they meet in at most their shared vertex.  One forward
+    elimination of their forms decides the rest.  Affinely independent
+    vertices make both faces of one simplex, meeting in the face of
+    their common vertices.  A single affine relation decides by its
+    signs (_relation_clean): the one int_nullspace vector of the forms
+    on the pivot columns, which keep every relation, taken as columns.
+    Two triangles with six vertices in a 3-flat go to the R^3
+    crossing-line test on three pivot axes and the weight.  False
+    leaves the pair open.
     """
-    free_a = [v for v in tri_a if v not in shared]
-    free_b = [v for v in tri_b if v not in shared]
-    pts = free_a + free_b + list(shared)
-    axes = flat_axes([hom[v] for v in pts])
-    if len(axes) == len(pts) - 1:
+    rows = [hom[v] for v in a] + [hom[v] for v in b if v not in shared]
+    ech, pivots = _bareiss(rows)[:2]
+    if len(pivots) == len(rows):
         return True
-
-    def proj(tri):
-        return [tuple(hom[v][i] for i in axes) + (hom[v][-1],) for v in tri]
-
-    if len(axes) == len(pts) - 2:
-        (rel,) = int_nullspace(list(zip(*proj(pts))))
-        k = len(free_a)
-        return _relation_clean(rel[:k], rel[k:k + len(free_b)])
-    if len(axes) == 3:
-        hs_a, hs_b = proj(tri_a), proj(tri_b)
+    if len(pivots) == len(rows) - 1:
+        (rel,) = int_nullspace([[h[c] for h in rows] for c in pivots])
+        return _relation_clean(
+            [x for v, x in zip(a, rel) if v not in shared], rel[len(a):])
+    if len(rows) == 6 and len(pivots) == 4:
+        # the weight column is a combination of the pivot columns, and
+        # the last echelon row where it is nonzero marks a pivot it can
+        # replace: the other three are axes injective on the 3-flat
+        k = max(i for i in range(4) if ech[i][-1])
+        axes = pivots[:k] + pivots[k + 1:]
+        hs = [tuple(h[i] for i in axes) + (h[-1],) for h in rows]
+        hs_a, hs_b = hs[:3], hs[3:]
         plane_a, plane_b = _plane_3d(*hs_a), _plane_3d(*hs_b)
         vals_ab = [sum(map(mul, plane_a, h)) for h in hs_b]
         vals_ba = [sum(map(mul, plane_b, h)) for h in hs_a]
-        if _row_separates([vals_ab, vals_ba]):
-            return True
-        return _crossing_planes_contact_3d(
-            plane_a, plane_b, hs_a, hs_b, vals_ab, vals_ba, []) == "clean"
+        return _row_separates([vals_ab, vals_ba]) \
+            or _crossing_planes_contact_3d(plane_a, plane_b, hs_a, hs_b,
+                                           vals_ab, vals_ba)
     return False
 
 
@@ -525,17 +516,18 @@ def check_embedded(mesh: TriMesh) -> Optional[EmbeddingViolation]:
       all on one side of a plane clear the pair.
 
     A coplanar pair is decided by orientation signs on the two axes that
-    are not pivots of a's functionals.  In R^3 the rest are decided
-    along the line where the two planes cross, ordered on an axis where
-    the cross product of their normals is nonzero.  In R^d, d >= 4, they
-    are decided inside the affine hull of their distinct vertices
-    (_hull_contact_clean): affinely independent vertices clear the pair;
-    a single affine relation among them (six vertices spanning a 4-flat,
-    or five spanning a 3-flat) decides it by the signs of its integer
-    coefficients, Radon's rule; and six vertices in a 3-flat reduce it
-    to the R^3 crossing-line test.  Only pairs still standing reach the
-    full simplex intersection, which decides them and builds the
-    witness; every test before it is an integer sign.
+    are not pivots of a's functionals.  In R^3 the five vertices of a
+    pair sharing a vertex carry one affine relation, whose coefficients
+    are the plane values by Cramer's rule, and its signs decide the
+    pair, Radon's rule (_relation_clean); a pair sharing nothing is
+    decided along the line where the two planes cross, ordered on an
+    axis where the cross product of their normals is nonzero.  In R^d,
+    d >= 4, the rest are decided inside the affine hull of their
+    distinct vertices (_hull_contact_clean): by their independence, by
+    the signs of their one affine relation, or, for six vertices in a
+    3-flat, by the R^3 crossing-line test.  Only pairs still standing
+    reach the full simplex intersection, which decides them and builds
+    the witness; every test before it is an integer sign.
     """
     hom = mesh.hom
     dim = mesh.dim
@@ -579,13 +571,18 @@ def check_embedded(mesh: TriMesh) -> Optional[EmbeddingViolation]:
             if _coplanar_contact_clean(hom, _plane_axes(planes_a, dim),
                                        tri_a, tri_b, shared):
                 continue
+        elif dim == 3 and shared:
+            # the five vertices' one affine relation, by Cramer's rule:
+            # a's plane values at b's free vertices give b's coefficients,
+            # b's at a's give a's, and the two shared positions the sign
+            (s,) = shared
+            (vb,), (va,) = vals_ab, vals_ba
+            flip = -1 if (tri_a.index(s) + tri_b.index(s)) % 2 else 1
+            if _relation_clean((va[1], -va[0]), (flip * vb[1], -flip * vb[0])):
+                continue
         elif dim == 3:
-            # the free vertices, then the shared one at value zero
-            hs_s = [hom[v] for v in shared]
-            zeros = [0] * len(hs_s)
-            if _crossing_planes_contact_3d(
-                    planes_a[0], planes_b[0], hs_a + hs_s, hs_b + hs_s,
-                    vals_ab[0] + zeros, vals_ba[0] + zeros, hs_s) == "clean":
+            if _crossing_planes_contact_3d(planes_a[0], planes_b[0], hs_a,
+                                           hs_b, vals_ab[0], vals_ba[0]):
                 continue
         elif _hull_contact_clean(hom, tri_a, tri_b, shared):
             continue
@@ -812,6 +809,9 @@ def read_off(path: str) -> TriMesh:
     if len(lines) < 2 or len(lines[1].split()) != 3:
         raise ValueError("pl-off count line must be 'vertices faces 0'")
     nv, nf, _ = (int(x) for x in lines[1].split())
+    if nv < 0 or nf < 0:
+        raise ValueError("pl-off count line %r has a negative count"
+                         % lines[1])
     if len(lines) != 2 + nv + nf:
         raise ValueError("truncated pl-off file")
     mesh = TriMesh(dim)

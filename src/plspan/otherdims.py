@@ -25,12 +25,13 @@ from .geom import (
     earclip_2d as _earclip_indices,
     homogeneous,
     int_nullspace,
-    int_rank,
     overlapping_pairs,
     segment_simplex_meet,
 )
-from .mesh import TriMesh, _boundary_places, _require, certify
+from .mesh import (TriMesh, _boundary_places, _hull_contact_clean, _require,
+                   certify)
 from .polygon import ClosedPolygon, _circle_points, validate_embedded
+from .seifert import SMOOTHING_RULES, _add_wall, _construct_r3
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +261,10 @@ def polygon_contact_clean(mesh: TriMesh):
     description string.  Candidate (piece, triangle) pairs come from the
     one sweep, geom.overlapping_pairs, over the pieces' and the
     triangles' exact bounding boxes, in (piece, triangle) order;
-    box-apart pairs never touch.  The rest are cleared by an integer
-    rank of the vertices' forms in mesh.hom where it suffices; only the
-    others are intersected exactly.
+    box-apart pairs never touch.  The simplex pair test on the forms in
+    mesh.hom (mesh._hull_contact_clean) decides every pair with a shared
+    end, as its four vertices carry at most one affine relation; only
+    the pairs it does not clear are intersected exactly.
     """
     pieces = mesh.boundary_edges()
     n = len(pieces)
@@ -277,10 +279,7 @@ def polygon_contact_clean(mesh: TriMesh):
         u, v = pieces[e]
         if u in tri and v in tri:
             continue  # the piece is a side of the triangle
-        # affinely independent ends and corners make the piece and the
-        # triangle faces of one simplex, meeting at most in a shared corner
-        rows = [hom[u], hom[v]] + [hom[w] for w in tri if w != u and w != v]
-        if int_rank(rows) == len(rows):
+        if _hull_contact_clean(hom, (u, v), tri, {u, v}.intersection(tri)):
             continue
         a, b = mesh.vertices[u], mesh.vertices[v]
         kind, data = segment_simplex_meet(a, b, mesh.triangle_points(ti))
@@ -288,8 +287,6 @@ def polygon_contact_clean(mesh: TriMesh):
             continue
         if kind == "point":
             hit = a + (b - a).scale(data)
-            if (hit == a and u in tri) or (hit == b and v in tri):
-                continue
             return ("boundary edge %d-%d pierces triangle %d at %s"
                     % (u, v, ti, tuple(hit.coords)))
         return "boundary edge %d-%d overlaps triangle %d" % (u, v, ti)
@@ -347,6 +344,8 @@ def embedded_4d(poly: ClosedPolygon, seed: int = 0, budget: int = 30,
     """
     if poly.dim != 4:
         raise ValueError("embedded construction needs dimension 4")
+    if rule not in SMOOTHING_RULES:
+        raise ValueError("unknown smoothing rule %r" % rule)
     rng = random.Random(seed)
     last: Exception | None = None
     for attempt in range(budget):
@@ -377,8 +376,6 @@ def _lift(m3, shift) -> TriMesh:
 
 
 def _embedded_attempt(poly, slopes, seed, attempt, rule="orientation"):
-    from .seifert import _add_wall, _construct_r3
-
     verts = poly.vertices
     n = len(verts)
     # P* is the shadow of the shear x_i += s_i x_4.  The spanning surface

@@ -21,14 +21,13 @@ from .geom import (
     affine_rank,
     box_h,
     homogeneous,
-    int_rank,
     overlapping_pairs,
     rat,
     rat_str,
     seg_pair_clear_h,
     simplex_intersect,
 )
-from .mesh import _require
+from .mesh import _hull_contact_clean, _require
 
 
 class ClosedPolygon:
@@ -90,28 +89,25 @@ def validate_embedded(poly: ClosedPolygon) -> Optional[PolygonViolation]:
 
     Candidate pairs come from the one sweep, geom.overlapping_pairs, over
     the edges' exact bounding boxes, and are visited in index order.
-    Planar pairs are cleared by orientation signs, pairs in R^d, d >= 3,
-    by affinely independent endpoints; simplex_intersect decides the
-    rest and builds the witness.
+    Two edges share the vertex their index sets share.  Planar pairs are
+    cleared by orientation signs, pairs in R^d, d >= 3, by the simplex
+    pair test (mesh._hull_contact_clean), which decides adjacent pairs
+    and pairs in a plane; simplex_intersect decides the rest and builds
+    the witness.
     """
     n = len(poly.vertices)
     hom = [homogeneous(v) for v in poly.vertices]
     boxes = [box_h((hom[i], hom[(i + 1) % n])) for i in range(n)]
     for i, j in overlapping_pairs(boxes):
+        ea, eb = (i, (i + 1) % n), (j, (j + 1) % n)
+        shared = set(ea).intersection(eb)
         if poly.dim == 2:
-            if seg_pair_clear_h(hom, i, (i + 1) % n, j, (j + 1) % n):
+            if seg_pair_clear_h(hom, *ea, *eb):
                 continue
-        else:
-            ends = {i, (i + 1) % n, j, (j + 1) % n}
-            if int_rank([hom[v] for v in ends]) == len(ends):
-                continue
-        ai, bi = poly.edge(i)
-        shared = []
-        if j == i + 1:
-            shared = [bi]
-        elif i == 0 and j == n - 1:
-            shared = [ai]
-        w = simplex_intersect([ai, bi], poly.edge(j), shared)
+        elif _hull_contact_clean(hom, ea, eb, shared):
+            continue
+        w = simplex_intersect(poly.edge(i), poly.edge(j),
+                              [poly.vertices[v] for v in shared])
         if w is not None:
             return PolygonViolation(i, j, w)
     return None

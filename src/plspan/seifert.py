@@ -207,6 +207,9 @@ def quad_edge_colors(marked: MarkedDiagram, x: int) -> list[int]:
     return colors
 
 
+SMOOTHING_RULES = ("orientation", "white-edge")
+
+
 def smooth(marked: MarkedDiagram, rule: str = "orientation") -> SmoothedGraph:
     """Delete the passages and reconnect the four marks at each crossing.
 
@@ -227,7 +230,7 @@ def smooth(marked: MarkedDiagram, rule: str = "orientation") -> SmoothedGraph:
     _marks_valid cleared every quad side against every walk segment and
     every other quad side.
     """
-    if rule not in ("orientation", "white-edge"):
+    if rule not in SMOOTHING_RULES:
         raise ValueError("unknown smoothing rule %r" % rule)
     nodes = marked.nodes
     n_nodes = len(nodes)

@@ -30,6 +30,16 @@ def add_triangle(mesh, a, b, c, tag=""):
                                      mesh.add_vertex(c), tag)
 
 
+def flat_axes(hs) -> list[int]:
+    """Coordinate axes onto which the affine hull of the points with
+    homogeneous forms hs projects injectively: one per dimension of the
+    hull, the lexicographically first such set.  Projecting onto them
+    keeps every affine relation among the points."""
+    pivots = _bareiss([(h[-1],) + tuple(h[:-1]) for h in hs])[1]
+    # w > 0 makes the weight column the first pivot
+    return [c - 1 for c in pivots[1:]]
+
+
 def int_det(rows) -> int:
     """Determinant of a square integer matrix: the last pivot of
     geom._bareiss's forward pass, signed by its row swaps."""

@@ -426,6 +426,12 @@ BAD_INPUTS = {
     "mesh zero denominator": ("verify",
                               TRIANGLE_OFF.replace("\n1 0", "\n1/0 0"),
                               "zero denominator in '1/0'"),
+    "mesh negative vertex count": (
+        "verify", TRIANGLE_OFF.replace("3 1 0", "-1 3 0"),
+        "pl-off count line '-1 3 0' has a negative count"),
+    "mesh negative face count": (
+        "verify", TRIANGLE_OFF.replace("3 1 0", "3 -1 0"),
+        "pl-off count line '3 -1 0' has a negative count"),
 }
 
 

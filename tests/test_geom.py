@@ -14,7 +14,6 @@ from plspan.geom import (
     box_h,
     boxes_apart_h,
     earclip_2d,
-    flat_axes,
     homogeneous,
     int_nullspace,
     int_rank,
@@ -35,6 +34,7 @@ from plspan.geom import (
 
 from oracles import (
     affine_inverse,
+    flat_axes,
     int_det,
     point_in_simplex,
     point_on_segment,

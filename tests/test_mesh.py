@@ -376,11 +376,11 @@ def _spy_pair_tests(monkeypatch, mesh_mod, names):
         if name == "_coplanar_contact_clean":
             _, _, tri_a, tri_b, shared = args
         elif name == "_crossing_planes_contact_3d":
-            tri_a, tri_b, shared = args[2], args[3], args[6]
+            tri_a, tri_b, shared = args[2], args[3], ()
             if tri_a[0] not in vertex_of:
                 # forms projected into a 3-flat by the hull test, which
                 # was called last, on the same pair
-                return calls[-1][1], len(shared)
+                return calls[-1][1], 0
         elif name == "_hull_contact_clean":
             _, tri_a, tri_b, shared = args
         else:  # simplex_intersect
@@ -460,31 +460,39 @@ def test_check_embedded_matches_unfiltered_oracle(monkeypatch):
     # reach every branch (_record_pair_tests): pairs sharing an edge off
     # each other's plane and pinned pairs decided with no later test,
     # the coplanar test on pairs sharing nothing, a vertex and an edge,
-    # the crossing-line test on pairs sharing nothing and a vertex, and
-    # the full simplex intersection.
+    # the crossing-line test on pairs sharing nothing, the signs of the
+    # one affine relation on pairs sharing a vertex, and the full
+    # simplex intersection.
     import plspan.mesh as mesh_mod
     later = ("_coplanar_contact_clean", "_crossing_planes_contact_3d",
              "_hull_contact_clean", "simplex_intersect")
     calls, watch = _spy_pair_tests(monkeypatch, mesh_mod, later)
     # the pin test runs first: a pair reaching the crossing-line test
     # never has the free vertices of a triangle strictly on one side of
-    # the other's plane
+    # the other's plane, and a pair reaching the relation never has
+    # a triangle's two free coefficients of strictly opposite signs
     crossing = mesh_mod._crossing_planes_contact_3d
 
-    def crossing_spy(plane_a, plane_b, hs_a, hs_b, vals_ab, vals_ba,
-                     shared_hs):
-        for hs, vals in ((hs_b, vals_ab), (hs_a, vals_ba)):
-            free = [x for x, h in zip(vals, hs) if h not in shared_hs]
-            assert len(free) == 3 - len(shared_hs)
-            assert not (all(x > 0 for x in free)
-                        or all(x < 0 for x in free)), (hs_a, hs_b)
-        return crossing(plane_a, plane_b, hs_a, hs_b, vals_ab, vals_ba,
-                        shared_hs)
+    def crossing_spy(plane_a, plane_b, hs_a, hs_b, vals_ab, vals_ba):
+        for vals in (vals_ab, vals_ba):
+            assert len(vals) == 3
+            assert not (all(x > 0 for x in vals)
+                        or all(x < 0 for x in vals)), (hs_a, hs_b)
+        return crossing(plane_a, plane_b, hs_a, hs_b, vals_ab, vals_ba)
+
+    relation = mesh_mod._relation_clean
+    reached = set()
+
+    def relation_spy(on_a, on_b):
+        for on in (on_a, on_b):
+            assert len(on) == 2 and on[0] * on[1] >= 0, (on_a, on_b)
+        reached.add(("_relation_clean", 1))
+        return relation(on_a, on_b)
 
     monkeypatch.setattr(mesh_mod, "_crossing_planes_contact_3d",
                         crossing_spy)
+    monkeypatch.setattr(mesh_mod, "_relation_clean", relation_spy)
     verdicts = set()
-    reached = set()
     for trial, m in enumerate(_oracle_soups()):
         watch(m)
         got = check_embedded(m)
@@ -504,7 +512,8 @@ def test_check_embedded_matches_unfiltered_oracle(monkeypatch):
                        ("_coplanar_contact_clean", 1),
                        ("_coplanar_contact_clean", 2),
                        ("_crossing_planes_contact_3d", 0),
-                       ("_crossing_planes_contact_3d", 1)}, reached
+                       ("_relation_clean", 1)}, reached
+    assert ("_crossing_planes_contact_3d", 1) not in reached
     assert any(name == "simplex_intersect" for name, _ in reached)
 
 
@@ -1274,15 +1283,6 @@ def test_check_embedded_r4_r5_matches_oracle(monkeypatch):
         return relation(on_a, on_b)
 
     monkeypatch.setattr(mesh_mod, "_relation_clean", relation_spy)
-    flat_axes = mesh_mod.flat_axes
-
-    def axes_spy(hs):
-        axes = flat_axes(hs)
-        if len(hs) > 3 and len(axes) == len(hs) - 1:
-            reached.add(("independent", 6 - len(hs)))
-        return axes
-
-    monkeypatch.setattr(mesh_mod, "flat_axes", axes_spy)
     configs = [(4, 4, True), (4, 3, False), (4, 3, True), (4, 2, True),
                (5, 5, True), (5, 4, False), (5, 4, True), (5, 3, True)]
     rng = random.Random(404)
@@ -1299,6 +1299,13 @@ def test_check_embedded_r4_r5_matches_oracle(monkeypatch):
         else:
             assert (got.tri_a, got.tri_b, got.point) == want, (trial, got)
         verdicts.add(got is None)
+        # the hull test clears every pair of affinely independent vertices
+        for name, pair, k, result in calls:
+            pts = {m.vertices[v] for t in pair for v in m.triangles[t]}
+            if name == "_hull_contact_clean" \
+                    and affine_rank(list(pts)) == len(pts) - 1:
+                assert result, pair
+                reached.add(("independent", k))
         _record_pair_tests(m, got, calls, reached)
     assert verdicts == {True, False}
     assert reached >= {("edge, off the plane", 2),
@@ -1401,6 +1408,132 @@ def test_relation_rule_matches_simplex_intersect(seed):
                 (rel,) = int_nullspace(list(zip(*cols)))
                 on_a, on_b = rel[:len(free_a)], rel[len(free_a):][:len(free_b)]
                 assert _relation_clean(on_a, on_b) != meets, (kind, pts)
+
+
+def _planted_simplices(rng, dim, sizes, shared, k, axes=None):
+    """(points, a, b, shared index set) for two simplices of R^dim with
+    sizes[0] and sizes[1] vertices, sharing `shared` of them (0 or 1),
+    all drawn from a small grid of R^k and mapped into R^dim by an
+    injective integer affine map, so their distinct vertices lie in a
+    k-flat; each simplex nondegenerate, no two points equal.  With axes
+    given (k of them), the flat is parallel to those coordinate axes,
+    every other coordinate a nonzero constant."""
+    n = sizes[0] + sizes[1] - shared
+    while True:
+        flat = [[Fraction(rng.randint(-4, 4), rng.randint(1, 2))
+                 for _ in range(k)] for _ in range(n)]
+        basis = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(k)]
+        if axes is not None:
+            basis = [[int(c == j) for c in range(dim)] for j in axes]
+        if int_rank(basis) < k:
+            continue
+        origin = [rnd_frac(rng) or 1 for _ in range(dim)]
+        pts = [Point([o + sum(x * row[c] for x, row in zip(q, basis))
+                      for c, o in enumerate(origin)]) for q in flat]
+        a = list(range(sizes[0]))
+        b = list(range(sizes[0] - shared, n))
+        rng.shuffle(a)
+        rng.shuffle(b)
+        if len(set(pts)) == n and all(affine_rank([pts[v] for v in s])
+                                      == len(s) - 1 for s in (a, b)):
+            return pts, tuple(a), tuple(b), set(a) & set(b)
+
+
+def _r3_vertex_pair(rng, plant):
+    """Shared vertex, a's two free vertices and b's of a triangle pair of
+    R^3 that the plane signs leave open: not coplanar, and neither
+    triangle's free vertices strictly on one side of the other's plane.
+    With plant set, a free vertex of b lies inside a's face."""
+    while True:
+        s, a1, a2, b1, b2 = (Point([rnd_frac(rng) for _ in range(3)])
+                             for _ in range(5))
+        if plant:
+            w = [Fraction(rng.randint(1, 3)) for _ in range(3)]
+            b1 = Point([sum(wi * q[c] for wi, q in zip(w, (s, a1, a2)))
+                        / sum(w) for c in range(3)])
+        sides_b = {orient3d(s, a1, a2, q) for q in (b1, b2)}
+        sides_a = {orient3d(s, b1, b2, q) for q in (a1, a2)}
+        pinned = ({1}, {-1})
+        if len({s, a1, a2, b1, b2}) == 5 and sides_b != {0} \
+                and sides_a not in pinned and sides_b not in pinned \
+                and affine_rank([s, a1, a2]) == affine_rank([s, b1, b2]) == 2:
+            return s, a1, a2, b1, b2
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32))
+def test_simplex_pair_rule_matches_simplex_intersect(seed):
+    # One rule for every simplex pair: segment/segment and
+    # segment/triangle pairs of R^3..R^5 sharing no vertex or one, with
+    # their distinct vertices in a 1-, 2- or 3-flat.  Independent
+    # vertices and a single affine relation decide with the LP's
+    # verdict; more relations leave the pair open, but for two
+    # triangles in a 3-flat.  Both kinds reach a clean relation, a
+    # meeting one and an open pair.
+    import plspan.mesh as mesh_mod
+    rng = random.Random(seed)
+    reached = set()
+    cases = [(dim, sizes, shared, k) for dim in (3, 4, 5)
+             for sizes, flats in (((2, 2), (1, 2, 3)), ((2, 3), (2, 3)))
+             for shared in (0, 1) for k in flats]
+    for dim, sizes, shared, k in cases * 3:
+        pts, a, b, common = _planted_simplices(rng, dim, sizes, shared, k)
+        hom = [homogeneous(p) for p in pts]
+        clean = mesh_mod._hull_contact_clean(hom, a, b, common)
+        lp = simplex_intersect([pts[v] for v in a], [pts[v] for v in b],
+                               [pts[v] for v in common])
+        relations = len(pts) - 1 - affine_rank(pts)
+        if relations <= 1:
+            assert clean == (lp is None), (a, b, pts)
+            case = (relations, clean)
+        else:
+            assert not clean, (a, b, pts)
+            case = "open"
+        reached.add((sizes, case))
+    for sizes in ((2, 2), (2, 3)):
+        assert {(sizes, (1, True)), (sizes, (1, False)), (sizes, "open")} \
+            <= reached, reached
+    # two triangles with six vertices in a 3-flat go to the crossing-line
+    # test on three pivot axes and the weight, and it decides them; in a
+    # flat with constant coordinates outside axes, the weight column is
+    # a multiple of the first of them, whichever pivot that is
+    for dim in (4, 5):
+        for skip in [None, *range(dim)]:
+            axes = None if skip is None else sorted(rng.sample(
+                [j for j in range(dim) if j != skip], 3))
+            pts, a, b, _ = _planted_simplices(rng, dim, (3, 3), 0, 3, axes)
+            clean = mesh_mod._hull_contact_clean(
+                [homogeneous(p) for p in pts], a, b, set())
+            lp = simplex_intersect([pts[v] for v in a], [pts[v] for v in b],
+                                   [])
+            assert clean == (lp is None), (a, b, pts)
+    # R^3 triangles sharing a vertex, in all nine pairs of its positions
+    # in the two triangles: the relation read off the plane values must
+    # give check_embedded the LP's verdict whatever the positions
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        relation = mesh_mod._relation_clean
+        mp.setattr(mesh_mod, "_relation_clean",
+                   lambda on_a, on_b: calls.append(1) or relation(on_a, on_b))
+        for meets in (True, False) * 3:
+            while True:
+                s, a1, a2, b1, b2 = _r3_vertex_pair(rng, plant=meets)
+                if (simplex_intersect([s, a1, a2], [s, b1, b2], [s])
+                        is not None) == meets:
+                    break
+            for pos_a in range(3):
+                for pos_b in range(3):
+                    tri_a = [a1, a2]
+                    tri_a.insert(pos_a, s)
+                    tri_b = [b1, b2]
+                    tri_b.insert(pos_b, s)
+                    m = TriMesh(3)
+                    add_triangle(m, *tri_a)
+                    add_triangle(m, *tri_b)
+                    calls.clear()
+                    got = check_embedded(m)
+                    assert calls == [1], (pos_a, pos_b)
+                    assert (got is not None) == meets, (pos_a, pos_b)
 
 
 def test_certify_verdicts_witnesses_and_first_failure():

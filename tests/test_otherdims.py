@@ -545,14 +545,16 @@ def _disk_soup(rng):
 
 
 def test_polygon_contact_clean_matches_unfiltered_oracle(monkeypatch):
-    # box-apart pairs are dropped by the sweep, and sides and affinely
-    # independent pairs are cleared without segment_simplex_meet; the
-    # description string must not change.  Where the boundary edges are
-    # the polygon's own edges, the verdict is that of the test that read
-    # the polygon's edges.
+    # box-apart pairs are dropped by the sweep, and sides, affinely
+    # independent pairs and pairs whose one affine relation clears them
+    # go without segment_simplex_meet; the description string must not
+    # change.  Every pair with a shared end is decided by the pair test,
+    # so one that reaches segment_simplex_meet overlaps the triangle.
+    # Where the boundary edges are the polygon's own edges, the verdict
+    # is that of the test that read the polygon's edges.
     import plspan.otherdims as od
     reached = set()
-    int_rank, meet = od.int_rank, od.segment_simplex_meet
+    hull, meet = od._hull_contact_clean, od.segment_simplex_meet
     sweep = od.overlapping_pairs
     swept = []  # (edge/triangle pairs kept, all edge/triangle pairs)
 
@@ -562,16 +564,29 @@ def test_polygon_contact_clean_matches_unfiltered_oracle(monkeypatch):
                       split * (len(boxes) - split)))
         return pairs
 
-    def rank_spy(rows):
-        rank = int_rank(rows)
-        reached.add("independent" if rank == len(rows) else "dependent")
-        return rank
+    def hull_spy(hom, piece, tri, shared):
+        clean = hull(hom, piece, tri, shared)
+        pts = [Point([Fraction(x, h[-1]) for x in h[:-1]])
+               for h in {hom[v] for v in piece + tri}]
+        relations = len(pts) - 1 - affine_rank(pts)
+        if relations == 0:
+            assert clean
+            reached.add("independent")
+        elif relations == 1:
+            reached.add(("relation", clean, len(shared)))
+        else:
+            assert not clean and not shared
+            reached.add("open")
+        return clean
 
     def meet_spy(a, b, pts):
+        kind, data = meet(a, b, pts)
         reached.add("exact")
-        return meet(a, b, pts)
+        if a in pts or b in pts:
+            assert kind == "segment", (a, b, pts)
+        return kind, data
 
-    monkeypatch.setattr(od, "int_rank", rank_spy)
+    monkeypatch.setattr(od, "_hull_contact_clean", hull_spy)
     monkeypatch.setattr(od, "segment_simplex_meet", meet_spy)
     monkeypatch.setattr(od, "overlapping_pairs", sweep_spy)
     on_polygon = []
@@ -594,7 +609,10 @@ def test_polygon_contact_clean_matches_unfiltered_oracle(monkeypatch):
         assert clean == (polygon_edge_contact(mesh, poly) is None)
         polygon_verdicts.add(clean)
     assert verdicts == polygon_verdicts == {True, False}
-    assert reached == {"independent", "dependent", "exact"}
+    assert reached >= {"independent", "open", "exact",
+                       ("relation", True, 0), ("relation", False, 0),
+                       ("relation", True, 1), ("relation", False, 1)}, \
+        reached
     kept, total = map(sum, zip(*swept))
     assert 0 < kept < total
 
@@ -802,3 +820,15 @@ except CertificateError as exc:
 def test_embedded_rejects_wrong_dimension():
     with pytest.raises(ValueError):
         embedded_4d(gen_random(5, 3, seed=0))
+
+
+def test_embedded_rejects_unknown_rule(monkeypatch):
+    # an unknown smoothing rule is refused before any attempt runs, as
+    # smooth refuses it, instead of failing all of the retry budget
+    import plspan.otherdims as od
+    attempts = []
+    monkeypatch.setattr(od, "_embedded_attempt",
+                        lambda *args: attempts.append(args))
+    with pytest.raises(ValueError, match="unknown smoothing rule 'bogus'"):
+        embedded_4d(gen_random(4, 4, seed=0), rule="bogus")
+    assert attempts == []

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from plspan.geom import Point, rat, simplex_intersect
+from plspan.geom import Point, affine_rank, rat, simplex_intersect
 from plspan.polygon import (
     ClosedPolygon,
     gen_planar_ngon,
@@ -82,16 +82,62 @@ def _grid_polygon(rng, dim):
         return None
 
 
-def test_validate_embedded_matches_unfiltered_oracle():
-    # orientation signs (planar) and affine ranks (R^3, R^4) clear pairs
-    # before simplex_intersect: same first pair and witness as the oracle
+def _pair_class(poly, ea, eb):
+    """'straight' or 'fold-back' for adjacent collinear edges (the far
+    ends on opposite sides of the shared vertex, or on one side),
+    'coplanar' for non-adjacent edges whose ends span a plane, else
+    None."""
+    pts = poly.vertices
+    shared = set(ea) & set(eb)
+    if shared:
+        (s,) = shared
+        (u,), (v,) = set(ea) - shared, set(eb) - shared
+        if affine_rank([pts[u], pts[s], pts[v]]) != 1:
+            return None
+        dot = sum((x - y) * (z - y)
+                  for x, y, z in zip(pts[u], pts[s], pts[v]))
+        return "straight" if dot < 0 else "fold-back"
+    ends = [pts[v] for v in ea + eb]
+    return "coplanar" if affine_rank(ends) == 2 else None
+
+
+def test_validate_embedded_matches_unfiltered_oracle(monkeypatch):
+    # orientation signs (planar) and the simplex pair test (R^3, R^4)
+    # clear pairs before simplex_intersect: same first pair and witness
+    # as the oracle.  In R^3 and R^4 the pair test decides collinear
+    # adjacent edges, straight on or folding back, and non-adjacent
+    # edges in a common plane, with the LP's verdict, so simplex_intersect
+    # only builds their witness.
+    import plspan.polygon as pm
+    hull = pm._hull_contact_clean
+    reached = set()
+    current = []
+
+    def hull_spy(hom, ea, eb, shared):
+        clean = hull(hom, ea, eb, shared)
+        poly = current[0]
+        kind = _pair_class(poly, ea, eb)
+        if kind is not None:
+            pts = poly.vertices
+            lp = simplex_intersect([pts[v] for v in ea], [pts[v] for v in eb],
+                                   [pts[v] for v in shared])
+            assert clean == (lp is None), (kind, ea, eb, pts)
+            reached.add((poly.dim, kind, clean))
+        return clean
+
+    monkeypatch.setattr(pm, "_hull_contact_clean", hull_spy)
     rng = random.Random(89)
     for dim in (2, 3, 4):
         verdicts = set()
-        for _ in range(40):
-            poly = _grid_polygon(rng, dim)
+        # a run straight on through vertex 1, drawn rarely on the grid
+        straight = ClosedPolygon([Point([2 * x, x, 0, 1][:dim])
+                                  for x in (0, 1, 2)]
+                                 + [Point([1, 3, 2, 0][:dim])])
+        for poly in [straight] + [_grid_polygon(rng, dim)
+                                  for _ in range(40)]:
             if poly is None:
                 continue
+            current[:] = [poly]
             got = validate_embedded(poly)
             want = _validate_oracle(poly)
             if want is None:
@@ -101,6 +147,10 @@ def test_validate_embedded_matches_unfiltered_oracle():
                     (dim, poly.vertices, got)
             verdicts.add(got is None)
         assert verdicts == {True, False}, dim
+    for dim in (3, 4):
+        assert {(dim, "straight", True), (dim, "fold-back", False),
+                (dim, "coplanar", True), (dim, "coplanar", False)} \
+            <= reached, (dim, reached)
 
 
 def test_zero_turns():
