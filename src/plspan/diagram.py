@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 
-from .geom import (Point, Rat, ZERO, box_h, homogeneous,
+from .geom import (Point, Rat, ZERO, homogeneous, key_boxes,
                    overlapping_pairs, rat, seg_intersect_2d, sign)
 from .polygon import ClosedPolygon
 
@@ -139,8 +139,8 @@ def _projection_problems(pts: list[Point]):
         if pts[i] == pts[(i + 1) % n]:
             return "edge %d projects to a point" % i, None
     hom = [homogeneous(p) for p in pts]
-    boxes = [box_h((hom[i], hom[(i + 1) % n])) for i in range(n)]
-    for i, j in overlapping_pairs(boxes):
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    for i, j in overlapping_pairs(key_boxes(hom, edges)):
         a, b, c, d = i, (i + 1) % n, j, (j + 1) % n
         kind = seg_intersect_2d(hom, a, b, c, d)
         if kind is None or (kind == "touch" and {a, b} & {c, d}):

@@ -13,6 +13,11 @@ acceptance suite's time budget.  The hot predicates lean on neither:
 they clear denominators one point at a time and take signs of integer
 determinants (the homogeneous predicates below).
 
+Every pairwise test takes its candidate pairs from one sweep,
+overlapping_pairs, along the axis whose intervals overlap least, over
+bounding boxes on integer keys (key_boxes) that compare exactly as
+the coordinates do.
+
 Planar segment pairs have one test, seg_intersect_2d on homogeneous
 integer forms: disjoint, a proper crossing, a single touching point,
 or a collinear overlap.  seg_pair_clear_h is its yes/no view for
@@ -35,8 +40,10 @@ solution_set reads the solutions of a linear system off rref's result.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
+from bisect import bisect_right
+from itertools import repeat
 from math import gcd, lcm
+from operator import itemgetter, le, neg
 from typing import Iterable, Optional, Sequence, Union
 
 try:
@@ -331,66 +338,82 @@ def orient2d_h(a, b, c) -> int:
                 + a[2] * (b[0] * c[1] - b[1] * c[0]))
 
 
-def box_h(hs) -> list[tuple]:
-    """Exact bounding box of points in homogeneous form: per axis a pair
-    (lo, hi) of fractions, each kept as (numerator, positive
-    denominator)."""
-    box = []
-    for i in range(len(hs[0]) - 1):
-        lo = hi = (hs[0][i], hs[0][-1])
-        for h in hs[1:]:
-            c = (h[i], h[-1])
-            if c[0] * lo[1] < lo[0] * c[1]:
-                lo = c
-            elif c[0] * hi[1] > hi[0] * c[1]:
-                hi = c
-        box.append((lo, hi))
-    return box
+def coord_keys(hs, axis) -> list[int]:
+    """Integer keys floor(x 2^s) of the points' coordinates x on axis,
+    2^s above every squared denominator w: distinct coordinates differ
+    by 1 / (w w') > 2^-s or more, so keys compare as coordinates do."""
+    shift = 2 * max(map(itemgetter(-1), hs)).bit_length()
+    return [(h[axis] << shift) // h[-1] for h in hs]
 
 
-def boxes_apart_h(box_a, box_b) -> bool:
-    """Do two box_h boxes miss each other along some axis?"""
-    for (la, ha), (lb, hb) in zip(box_a, box_b):
-        if ha[0] * lb[1] < lb[0] * ha[1] or hb[0] * la[1] < la[0] * hb[1]:
-            return True
-    return False
+def key_boxes(hom, groups) -> list[tuple[tuple, tuple]]:
+    """Exact bounding boxes of groups of points, on the integer
+    coord_keys of the homogeneous points hom.
+
+    groups are index tuples into hom, all of one size of at least two (a
+    single point is (i, i)).  A box is (lo, hi): lo holds the group's
+    least key per axis, then the negated greatest ones, and hi the
+    reverse, so boxes a and b meet iff lo_a <= hi_b entrywise.
+    """
+    if not groups:
+        return []
+    corners = list(zip(*groups, strict=True))
+    least, most = [], []
+    for i in range(len(hom[0]) - 1):
+        keys = coord_keys(hom, i)
+        ends = [list(map(keys.__getitem__, c)) for c in corners]
+        least.append(list(map(min, *ends)))
+        most.append(list(map(max, *ends)))
+    return list(zip(zip(*least, *(map(neg, m) for m in most)),
+                    zip(*most, *(map(neg, m) for m in least))))
+
+
+SWEEP_MIN_BOXES = 17
+
+
+def sweep_axis(boxes) -> int:
+    """The first axis along which a sweep of key_boxes meets the fewest
+    candidates, each box meeting those whose low end lies in its span."""
+    low, high = zip(*boxes)
+    return min(range(len(low[0]) // 2), key=lambda a: sum(map(
+        bisect_right, repeat(sorted(map(itemgetter(a), low))),
+        map(itemgetter(a), high))))
 
 
 def overlapping_pairs(boxes, split=None) -> list[tuple[int, int]]:
-    """Every (i, j), i < j, whose box_h boxes meet, in lexicographic order.
+    """Every (i, j), i < j, whose key_boxes boxes meet, in lexicographic
+    order.
 
     With split given, boxes[:split] and boxes[split:] are two lists, and
     only pairs with i < split are reported: pairs inside the first list
     and pairs across the two, none inside the second.
 
-    A sorted sweep along the first axis (Bentley & Ottmann 1979): each
-    box, taken by increasing low end, is paired with the later ones whose
-    low end does not pass its high end, a box of the second list with
-    the later ones of the first only; boxes_apart_h decides the rest.
+    A sorted sweep (Bentley & Ottmann 1979) along sweep_axis, the axis
+    with the fewest overlapping intervals (Zomorodian & Edelsbrunner,
+    IJCGA 2002): each box, taken by increasing low end, is paired with
+    the later ones whose low end does not pass its high end, and the
+    boxes' ends on every axis decide each of those candidates.  Below
+    SWEEP_MIN_BOXES boxes every pair is a candidate, as below the cutoff
+    of Zomorodian & Edelsbrunner's hybrid: choosing the axis costs more
+    there than it saves.
     """
+    n = len(boxes)
     if split is None:
-        split = len(boxes)
-    lo = [box[0][0] for box in boxes]
-    order = sorted(range(len(boxes)), key=cmp_to_key(
-        lambda i, j: lo[i][0] * lo[j][1] - lo[j][0] * lo[i][1]))
-    firsts = [i for i in order if i < split]
-    rest = [box[1:] for box in boxes]
-    pairs = []
-    done = 0  # boxes of the first list taken so far
-    for pos, i in enumerate(order):
-        if i < split:
-            done += 1
-            later = order[pos + 1:]
-        else:
-            later = firsts[done:]
-        hi_num, hi_den = boxes[i][0][1]
-        for j in later:
-            if lo[j][0] * hi_den > hi_num * lo[j][1]:
-                break  # sorted low ends: no later box reaches back
-            if not boxes_apart_h(rest[i], rest[j]):
-                pairs.append((i, j) if i < j else (j, i))
-    pairs.sort()
-    return pairs
+        split = n
+    if n < 2 or not split:
+        return []
+    low, high = zip(*boxes)
+    if n < SWEEP_MIN_BOXES:
+        return [(i, j) for i in range(split) for top in [high[i]]
+                for j in range(i + 1, n) if all(map(le, low[j], top))]
+    axis = sweep_axis(boxes)
+    lo = list(map(itemgetter(axis), low))
+    order = sorted(range(n), key=lo.__getitem__)
+    lows = sorted(lo)
+    return sorted([(i, j) if i < j else (j, i)
+                   for pos, i in enumerate(order) for top in [high[i]]
+                   for j in order[pos + 1:bisect_right(lows, top[axis], pos)]
+                   if (i < split or j < split) and all(map(le, low[j], top))])
 
 
 def _coord_cmp(p, q, axis) -> int:
@@ -398,16 +421,13 @@ def _coord_cmp(p, q, axis) -> int:
     return sign(p[axis] * q[-1] - q[axis] * p[-1])
 
 
-def _interval_gap(pts_a, pts_b, axis):
-    """(gap, lo) for two sets of homogeneous points on one line, ordered
-    along an axis injective on it: lo is the greater of the sets' least
-    points and gap the sign of lo minus the lesser of their greatest
-    points, so the sets' spans share a piece of positive length (-1),
-    the single point lo (0) or nothing (+1)."""
-    along = cmp_to_key(lambda p, q: _coord_cmp(p, q, axis))
-    lo = max(min(pts_a, key=along), min(pts_b, key=along), key=along)
-    hi = min(max(pts_a, key=along), max(pts_b, key=along), key=along)
-    return _coord_cmp(lo, hi, axis), lo
+def _interval_gap(pts_a, pts_b, axis) -> int:
+    """For two sets of homogeneous points on one line, ordered along an
+    axis injective on it: whether their spans share a piece of positive
+    length (-1), a single point (0) or nothing (+1)."""
+    keys = coord_keys(list(pts_a) + list(pts_b), axis)
+    a, b = keys[:len(pts_a)], keys[len(pts_a):]
+    return sign(max(min(a), min(b)) - min(max(a), max(b)))
 
 
 def seg_intersect_2d(hom, a: int, b: int, c: int, d: int) -> Optional[str]:
@@ -439,7 +459,7 @@ def seg_intersect_2d(hom, a: int, b: int, c: int, d: int) -> Optional[str]:
                  if any(_coord_cmp(p, ha, i) for p in (hb, hc, hd))), None)
     if axis is None:
         return "touch"  # all four points coincide
-    gap = _interval_gap((ha, hb), (hc, hd), axis)[0]
+    gap = _interval_gap((ha, hb), (hc, hd), axis)
     return None if gap > 0 else "touch" if gap == 0 else "overlap"
 
 

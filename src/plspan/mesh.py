@@ -11,13 +11,15 @@ Validation, Euler characteristic, orientability, boundary extraction
 and the embeddedness check all live here, and certify runs each of
 them once on a finished surface.  The embeddedness check takes each
 triangle's plane as integer functionals on those forms, in R^3 the
-signed minors of its three rows, and decides each candidate pair from
-the signs its shared vertices leave open: one value for a shared edge,
-the two free vertices for a shared vertex, all three for none.  A pair
-off a common plane whose vertices carry one affine relation is decided
-by its signs (_relation_clean): in R^3 at a shared vertex, read off the
-plane values; else in the vertices' affine hull (_hull_contact_clean),
-the test that polygon edge pairs and the immersed certificate share.
+signed minors of its three rows (which validate_manifold reads for
+degeneracy), and decides each candidate pair of the sweep from the
+signs its shared vertices leave open, in R^3 as four-term integer sums:
+one value for a shared edge, the two free vertices for a shared vertex,
+all three for none.  A pair off a common plane whose vertices carry one
+affine relation is decided by its signs (_relation_clean): in R^3 at a
+shared vertex, read off the plane values; else in the vertices' affine
+hull (_hull_contact_clean), which polygon edge pairs and the immersed
+certificate share.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from .geom import (
     Point,
     _bareiss,
     _interval_gap,
-    box_h,
     homogeneous,
     int_nullspace,
     int_rank,
+    key_boxes,
     orient2d_h,
     overlapping_pairs,
     rat_str,
@@ -176,7 +178,9 @@ class TriMesh:
         nondegenerate, no repeated vertex inside a triangle, no duplicate
         triangles, every edge in one or two triangles, and the
         incremental edge incidence matches a recount.  A triangle of
-        affine rank < 2 gets a problem ending in one of FLAT_PROBLEMS.
+        affine rank < 2 gets a problem ending in one of FLAT_PROBLEMS:
+        all 3x3 minors of its forms vanish, in R^3 the entries of
+        _plane_3d.
         """
         problems = []
         hom = self.hom
@@ -195,8 +199,9 @@ class TriMesh:
             if key in seen:
                 problems.append("triangle %d duplicates another" % t)
             seen.add(key)
-            # affinely independent iff the forms are linearly so
-            if int_rank([hom[i], hom[j], hom[k]]) != 3:
+            forms = [hom[i], hom[j], hom[k]]
+            if not (any(_plane_3d(*forms)) if self.dim == 3
+                    else int_rank(forms) == 3):
                 problems.append("triangle %d is degenerate" % t)
         for e, sides in recount.items():
             if len(sides) > 2:
@@ -320,22 +325,14 @@ def _plane_3d(p, q, r) -> tuple:
             p1 * m02 - p0 * m12 - p2 * m01)
 
 
-def _tri_data(hom, tri):
-    # d - 2 functionals h vanishing on the triangle's plane: h . q_h = 0
-    # at its three homogeneous vertices, so sign(h . q_h) is the side of
-    # q.  A degenerate triangle gets some other number of them.
+def _tri_planes(hom, tri) -> list[tuple]:
+    """d - 2 integer functionals h vanishing on the triangle's plane, in
+    R^3 _plane_3d; a degenerate triangle gets some other number."""
     hs = [hom[v] for v in tri]
     if len(hs[0]) == 4:
         h = _plane_3d(*hs)
-        return tri, set(tri), [h] if any(h) else []
-    return tri, set(tri), int_nullspace(hs)
-
-
-def _values(planes, hs):
-    """Rows of integer values of each plane functional at the
-    homogeneous points hs; their signs are the signs of the rational
-    values."""
-    return [[sum(map(mul, h, q)) for q in hs] for h in planes]
+        return [h] if any(h) else []
+    return int_nullspace(hs)
 
 
 def _row_separates(rows) -> bool:
@@ -428,7 +425,7 @@ def _crossing_planes_contact_3d(plane_a, plane_b, hs_a, hs_b, vals_ab,
     a0, a1, a2 = plane_a[:3]
     b0, b1, b2 = plane_b[:3]
     axis = 0 if a1 * b2 != a2 * b1 else 1 if a2 * b0 != a0 * b2 else 2
-    return _interval_gap(meets_a, meets_b, axis)[0] > 0
+    return _interval_gap(meets_a, meets_b, axis) > 0
 
 
 def _relation_clean(on_a, on_b) -> bool:
@@ -501,10 +498,10 @@ def check_embedded(mesh: TriMesh) -> Optional[EmbeddingViolation]:
     Each triangle's plane is given by d - 2 integer functionals on the
     vertices' forms in mesh.hom: in R^3 the signed minors of its three
     rows (_plane_3d), else int_nullspace's basis.  Candidate pairs come
-    from the one sweep, geom.overlapping_pairs, over exact bounding
-    boxes listed in the stable order of least x, the low x end of each
-    integer box, and are visited in that order.  Each pair computes
-    only the signs that decide it, by how many vertices it shares:
+    from the one sweep, geom.overlapping_pairs, over integer key boxes
+    (geom.key_boxes) listed in the stable order of least x key, and are
+    visited in that order.  Each pair computes only the signs that decide it, by how
+    many vertices it shares; in R^3 each is a four-term integer sum:
 
     - an edge: the opposite vertex of b against a's functionals.  Off
       a's plane, the two planes meet in the edge's line, which each
@@ -516,73 +513,83 @@ def check_embedded(mesh: TriMesh) -> Optional[EmbeddingViolation]:
       all on one side of a plane clear the pair.
 
     A coplanar pair is decided by orientation signs on the two axes that
-    are not pivots of a's functionals.  In R^3 the five vertices of a
-    pair sharing a vertex carry one affine relation, whose coefficients
-    are the plane values by Cramer's rule, and its signs decide the
-    pair, Radon's rule (_relation_clean); a pair sharing nothing is
-    decided along the line where the two planes cross, ordered on an
-    axis where the cross product of their normals is nonzero.  In R^d,
-    d >= 4, the rest are decided inside the affine hull of their
-    distinct vertices (_hull_contact_clean): by their independence, by
-    the signs of their one affine relation, or, for six vertices in a
-    3-flat, by the R^3 crossing-line test.  Only pairs still standing
-    reach the full simplex intersection, which decides them and builds
-    the witness; every test before it is an integer sign.
+    are not pivots of a's functionals, found once per triangle.  In R^3
+    the five vertices of a pair sharing a vertex carry one affine
+    relation, whose coefficients are the plane values by Cramer's rule,
+    and its signs decide the pair (_relation_clean); a pair sharing
+    nothing is decided along the line where the two planes cross,
+    ordered on an axis where the cross product of their normals is
+    nonzero.  In R^d, d >= 4, the rest are decided inside the affine
+    hull of their distinct vertices (_hull_contact_clean): by their
+    independence, by the signs of their one affine relation, or, for
+    six vertices in a 3-flat, by the R^3 crossing-line test.  Only pairs
+    still standing reach the full simplex intersection, which decides
+    them and builds the witness; every test before it is an integer sign.
     """
     hom = mesh.hom
     dim = mesh.dim
-    data = []
-    for t, tri in enumerate(mesh.triangles):
-        entry = _tri_data(hom, tri)
-        if len(entry[2]) != dim - 2:
-            raise ValueError("triangle %d is degenerate" % t)
-        data.append(entry)
-    boxes = [box_h([hom[v] for v in tri]) for tri in mesh.triangles]
-    lo = [box[0][0] for box in boxes]
-    order = sorted(range(len(boxes)), key=cmp_to_key(
-        lambda i, j: lo[i][0] * lo[j][1] - lo[j][0] * lo[i][1]))
-    boxes = [boxes[t] for t in order]
-    for pa, pb in overlapping_pairs(boxes):
+    three = dim == 3
+    tris = mesh.triangles
+    data = [_tri_planes(hom, tri) for tri in tris]
+    flat = next((t for t, h in enumerate(data) if len(h) != dim - 2), None)
+    if flat is not None:
+        raise ValueError("triangle %d is degenerate" % flat)
+    boxes = key_boxes(hom, tris)
+    order = sorted(range(len(tris)), key=lambda t: boxes[t][0][0])
+    axes_of: dict[int, list[int]] = {}
+    for pa, pb in overlapping_pairs([boxes[t] for t in order]):
         a, b = order[pa], order[pb]
-        tri_a, vs_a, planes_a = data[a]
-        tri_b, vs_b, planes_b = data[b]
-        shared = vs_a & vs_b
-        if len(shared) == 3:
+        tri_a, tri_b, planes_a, planes_b = tris[a], tris[b], data[a], data[b]
+        hs_b = [hom[v] for v in tri_b if v not in tri_a]
+        if not hs_b:
             pts_a = mesh.triangle_points(a)
             cen = Point(sum(p[i] for p in pts_a) / 3 for i in range(dim))
             return EmbeddingViolation(a, b, cen)
-        if len(shared) == 2:
-            q = hom[(vs_b - shared).pop()]
-            if any(sum(map(mul, h, q)) for h in planes_a):
-                continue  # distinct planes through the common edge
-            coplanar = True
+        # a's plane misses b, or pins it at the shared vertex; off it, a
+        # shared edge leaves the planes meeting in the edge's line
+        if three:
+            c0, c1, c2, c3 = planes_a[0]
+            vals_ab = [c0 * q[0] + c1 * q[1] + c2 * q[2] + c3 * q[3]
+                       for q in hs_b]
+            if min(vals_ab) > 0 or max(vals_ab) < 0:
+                continue
+            coplanar = not any(vals_ab)
         else:
-            hs_b = [hom[v] for v in tri_b if v not in shared]
-            vals_ab = _values(planes_a, hs_b)
+            vals_ab = [[sum(map(mul, h, q)) for q in hs_b] for h in planes_a]
             if _row_separates(vals_ab):
-                continue  # a's plane misses b, or pins it at the shared vertex
+                continue
             coplanar = not any(map(any, vals_ab))
-            if not coplanar:
-                hs_a = [hom[v] for v in tri_a if v not in shared]
-                vals_ba = _values(planes_b, hs_a)
+        if not coplanar:
+            hs_a = [hom[v] for v in tri_a if v not in tri_b]
+            if three:
+                c0, c1, c2, c3 = planes_b[0]
+                vals_ba = [c0 * q[0] + c1 * q[1] + c2 * q[2] + c3 * q[3]
+                           for q in hs_a]
+                if min(vals_ba) > 0 or max(vals_ba) < 0:
+                    continue
+            else:
+                vals_ba = [[sum(map(mul, h, q)) for q in hs_a]
+                           for h in planes_b]
                 if _row_separates(vals_ba):
                     continue
+        shared = [v for v in tri_a if v in tri_b]
         if coplanar:
-            if _coplanar_contact_clean(hom, _plane_axes(planes_a, dim),
-                                       tri_a, tri_b, shared):
+            axes = axes_of.get(a) or axes_of.setdefault(
+                a, _plane_axes(planes_a, dim))
+            if _coplanar_contact_clean(hom, axes, tri_a, tri_b, shared):
                 continue
-        elif dim == 3 and shared:
+        elif three and shared:
             # the five vertices' one affine relation, by Cramer's rule:
             # a's plane values at b's free vertices give b's coefficients,
             # b's at a's give a's, and the two shared positions the sign
             (s,) = shared
-            (vb,), (va,) = vals_ab, vals_ba
             flip = -1 if (tri_a.index(s) + tri_b.index(s)) % 2 else 1
-            if _relation_clean((va[1], -va[0]), (flip * vb[1], -flip * vb[0])):
+            if _relation_clean((vals_ba[1], -vals_ba[0]),
+                               (flip * vals_ab[1], -flip * vals_ab[0])):
                 continue
-        elif dim == 3:
+        elif three:
             if _crossing_planes_contact_3d(planes_a[0], planes_b[0], hs_a,
-                                           hs_b, vals_ab[0], vals_ba[0]):
+                                           hs_b, vals_ab, vals_ba):
                 continue
         elif _hull_contact_clean(hom, tri_a, tri_b, shared):
             continue
@@ -635,11 +642,14 @@ def _boundary_places(hom, verts, phom) -> dict:
             others.append(v)
         else:
             places[v] = (ci, (0, 1))
+    if not others:
+        return places
     # the boxes of distinct points never meet, so every pair is a vertex
     # and an edge, and a vertex's edges come in polygon order
     k = len(others)
-    boxes = [box_h([hom[v]]) for v in others] \
-        + [box_h([phom[e], phom[(e + 1) % n]]) for e in range(n)]
+    boxes = key_boxes([hom[v] for v in others] + phom,
+                       [(i, i) for i in range(k)]
+                       + [(k + e, k + (e + 1) % n) for e in range(n)])
     for i, j in overlapping_pairs(boxes, split=k):
         v, e = others[i], j - k
         if v not in places:
@@ -806,9 +816,9 @@ def read_off(path: str) -> TriMesh:
     if len(head) != 2 or head[0] != "pl-off":
         raise ValueError("not a pl-off file")
     dim = int(head[1])
-    if len(lines) < 2 or len(lines[1].split()) != 3:
+    if len(lines) < 2 or lines[1].split()[2:] != ["0"]:
         raise ValueError("pl-off count line must be 'vertices faces 0'")
-    nv, nf, _ = (int(x) for x in lines[1].split())
+    nv, nf = (int(x) for x in lines[1].split()[:2])
     if nv < 0 or nf < 0:
         raise ValueError("pl-off count line %r has a negative count"
                          % lines[1])

@@ -20,11 +20,11 @@ from .geom import (
     Rat,
     ZERO,
     affine_rank,
-    box_h,
     convex_meet,
     earclip_2d as _earclip_indices,
     homogeneous,
     int_nullspace,
+    key_boxes,
     overlapping_pairs,
     segment_simplex_meet,
 )
@@ -269,8 +269,7 @@ def polygon_contact_clean(mesh: TriMesh):
     pieces = mesh.boundary_edges()
     n = len(pieces)
     hom = mesh.hom
-    boxes = [box_h([hom[u], hom[v]]) for u, v in pieces] \
-        + [box_h([hom[v] for v in tri]) for tri in mesh.triangles]
+    boxes = key_boxes(hom, [(u, v, v) for u, v in pieces] + mesh.triangles)
     for e, j in overlapping_pairs(boxes, split=n):
         if j < n:
             continue  # two pieces

@@ -19,8 +19,8 @@ from .geom import (
     Point,
     ZERO,
     affine_rank,
-    box_h,
     homogeneous,
+    key_boxes,
     overlapping_pairs,
     rat,
     rat_str,
@@ -97,9 +97,9 @@ def validate_embedded(poly: ClosedPolygon) -> Optional[PolygonViolation]:
     """
     n = len(poly.vertices)
     hom = [homogeneous(v) for v in poly.vertices]
-    boxes = [box_h((hom[i], hom[(i + 1) % n])) for i in range(n)]
-    for i, j in overlapping_pairs(boxes):
-        ea, eb = (i, (i + 1) % n), (j, (j + 1) % n)
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    for i, j in overlapping_pairs(key_boxes(hom, edges)):
+        ea, eb = edges[i], edges[j]
         shared = set(ea).intersection(eb)
         if poly.dim == 2:
             if seg_pair_clear_h(hom, *ea, *eb):

@@ -20,9 +20,9 @@ from .geom import (
     Point,
     Rat,
     ZERO,
-    box_h,
     earclip_2d,
     homogeneous,
+    key_boxes,
     orient2d_h,
     overlapping_pairs,
     seg_pair_clear_h,
@@ -130,7 +130,7 @@ def _marks_valid(nodes, quads) -> bool:
     n_nodes = len(nodes)
     walk = [(None, i, (i + 1) % n_nodes) for i in range(n_nodes)]
     segs = sides + walk
-    boxes = [box_h((hom[a], hom[b])) for _, a, b in segs]
+    boxes = key_boxes(hom, [(a, b) for _, a, b in segs])
     for i, j in overlapping_pairs(boxes, split=len(sides)):
         xi, a, b = segs[i]
         xj, c, d = segs[j]

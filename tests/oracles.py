@@ -10,9 +10,9 @@ from plspan.geom import (
     AffineMap,
     Point,
     _bareiss,
-    box_h,
     homogeneous,
     int_rank,
+    key_boxes,
     overlapping_pairs,
     rref,
     segment_simplex_meet,
@@ -103,6 +103,40 @@ def point_in_simplex(p, simplex) -> bool:
     return all(v >= 0 for v in lam)
 
 
+def box_h(hs) -> list[tuple]:
+    """Exact bounding box of points in homogeneous form: per axis a pair
+    (lo, hi) of fractions, each kept as (numerator, positive
+    denominator)."""
+    box = []
+    for i in range(len(hs[0]) - 1):
+        lo = hi = (hs[0][i], hs[0][-1])
+        for h in hs[1:]:
+            c = (h[i], h[-1])
+            if c[0] * lo[1] < lo[0] * c[1]:
+                lo = c
+            elif c[0] * hi[1] > hi[0] * c[1]:
+                hi = c
+        box.append((lo, hi))
+    return box
+
+
+def boxes_apart_h(box_a, box_b) -> bool:
+    """Do two box_h boxes miss each other along some axis?"""
+    for (la, ha), (lb, hb) in zip(box_a, box_b):
+        if ha[0] * lb[1] < lb[0] * ha[1] or hb[0] * la[1] < la[0] * hb[1]:
+            return True
+    return False
+
+
+def brute_pairs(boxes, split=None):
+    """Every (i, j), i < j, i < split, whose box_h boxes meet, by testing
+    all pairs: what geom.overlapping_pairs finds by its sweep."""
+    split = len(boxes) if split is None else split
+    return [(i, j) for i in range(min(split, len(boxes)))
+            for j in range(i + 1, len(boxes))
+            if not boxes_apart_h(boxes[i], boxes[j])]
+
+
 def polygon_edge_contact(mesh, poly):
     """The immersed contact test that read poly's own edges as the
     polygon: a polygon edge may meet a triangle only as one of its sides
@@ -114,8 +148,12 @@ def polygon_edge_contact(mesh, poly):
     corners = [index.get(p.coords) for p in poly.vertices]
     hom = [homogeneous(p) for p in mesh.vertices]
     ends = [[homogeneous(p) for p in poly.edge(e)] for e in range(n)]
-    boxes = [box_h(hs) for hs in ends] \
-        + [box_h([hom[v] for v in tri]) for tri in mesh.triangles]
+    # the polygon's corners after the mesh's vertices, each edge padded
+    # to three indices as a triangle
+    nv = len(hom)
+    ends_at = [(nv + e, nv + (e + 1) % n) for e in range(n)]
+    boxes = key_boxes(hom + [homogeneous(p) for p in poly.vertices],
+                       [(a, b, b) for a, b in ends_at] + mesh.triangles)
     for e, j in overlapping_pairs(boxes, split=n):
         if j < n:
             continue

@@ -414,6 +414,9 @@ BAD_INPUTS = {
     "missing polygon": ("bounds", None, "No such file or directory"),
     "mesh count line": ("verify", TRIANGLE_OFF.replace("3 1 0", "3 1"),
                         "pl-off count line must be 'vertices faces 0'"),
+    "mesh count line third field": (
+        "verify", TRIANGLE_OFF.replace("3 1 0", "3 1 7"),
+        "pl-off count line must be 'vertices faces 0'"),
     "mesh coordinate": ("verify", TRIANGLE_OFF.replace("\n1 0", "\nx 0"),
                         "Invalid literal for Fraction: 'x'"),
     "mesh face": ("verify", TRIANGLE_OFF.replace("0 1 2", "0 1 7"),

@@ -7,8 +7,8 @@ import pytest
 from plspan.geom import (
     Point,
     ZERO,
-    box_h,
     homogeneous,
+    key_boxes,
     overlapping_pairs,
     rat,
     sign,
@@ -261,8 +261,8 @@ def test_projection_problems_match_all_pairs_oracle(monkeypatch):
         elif problem != "edge # projects to a point":
             hom = [homogeneous(p) for p in pts]
             n = len(pts)
-            pairs = overlapping_pairs([box_h((hom[i], hom[(i + 1) % n]))
-                                       for i in range(n)])
+            pairs = overlapping_pairs(key_boxes(
+                hom, [(i, (i + 1) % n) for i in range(n)]))
             assert len(hits) == len(pairs), (k, pts)
             assert "overlap" not in hits, (k, pts)
             if problem is None:

@@ -11,12 +11,11 @@ from plspan.geom import (
     Point,
     Rat,
     affine_rank,
-    box_h,
-    boxes_apart_h,
     earclip_2d,
     homogeneous,
     int_nullspace,
     int_rank,
+    key_boxes,
     nullspace,
     orient2d,
     orient2d_h,
@@ -30,10 +29,13 @@ from plspan.geom import (
     segment_simplex_meet,
     simplex_intersect,
     solution_set,
+    sweep_axis,
 )
 
 from oracles import (
     affine_inverse,
+    box_h,
+    brute_pairs,
     flat_axes,
     int_det,
     point_in_simplex,
@@ -1004,22 +1006,43 @@ def test_earclip_integer_ear_test_matches_rational_oracle(monkeypatch):
 # candidate pairs: the one sweep against all pairs
 
 def _box(*points):
-    return box_h([homogeneous(Point(p)) for p in points])
+    return [Point(p) for p in points]
 
 
-def _brute_pairs(boxes):
-    return [(i, j) for i in range(len(boxes))
-            for j in range(i + 1, len(boxes))
-            if not boxes_apart_h(boxes[i], boxes[j])]
+def _sweep_both(groups, split=None):
+    """(overlapping_pairs on the groups' key boxes, brute_pairs on their
+    exact rational boxes); each group a list of Points.  The sweep runs
+    however few the boxes, and must find the pairs that testing every
+    pair of key boxes finds."""
+    import plspan.geom as geom_mod
+    points = [p for g in groups for p in g]
+    hom = [homogeneous(p) for p in points]
+    index, at = [], 0
+    size = max([2] + [len(g) for g in groups])
+    for g in groups:
+        # groups padded to one size by repeating their first point
+        index.append([at] * (size - len(g)) + list(range(at, at + len(g))))
+        at += len(g)
+    boxes = key_boxes(hom, index)
+    assert all(lo <= hi for box in boxes for lo, hi in zip(*box))
+    got = overlapping_pairs(boxes, split=split)
+    least = geom_mod.SWEEP_MIN_BOXES
+    geom_mod.SWEEP_MIN_BOXES = 2
+    try:
+        assert overlapping_pairs(boxes, split=split) == got
+    finally:
+        geom_mod.SWEEP_MIN_BOXES = least
+    return got, brute_pairs([box_h([homogeneous(p) for p in g])
+                             for g in groups], split)
 
 
 @st.composite
 def _box_lists(draw):
     # corners on a small grid with mixed denominators, so that zero-width
     # boxes, shared faces and equal low ends (also as unequal numerator,
-    # denominator pairs such as 1/1 and 2/2) are common
+    # denominator pairs such as 1/1 and 2/2, or 2/3 and 4/6) are common
     dim = draw(st.integers(1, 5))
-    coord = st.builds(Fraction, st.integers(0, 6), st.sampled_from((1, 2)))
+    coord = st.builds(Fraction, st.integers(-2, 6), st.sampled_from((1, 2, 3)))
     corner = st.lists(coord, min_size=dim, max_size=dim)
     return [_box(*pts) for pts in draw(st.lists(
         st.lists(corner, min_size=1, max_size=3), max_size=9))]
@@ -1037,7 +1060,8 @@ def _box_lists(draw):
 @example([_box((0,), (1,)), _box((1,), (2,)), _box((Fraction(3, 2),)),
           _box((3,))])
 def test_overlapping_pairs_matches_all_pairs(boxes):
-    assert overlapping_pairs(boxes) == _brute_pairs(boxes)
+    got, want = _sweep_both(boxes)
+    assert got == want
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -1049,5 +1073,38 @@ def test_overlapping_pairs_split_matches_cross_pairs(boxes, split):
     # two lists: the pairs inside the first and across, none inside the
     # second, still in lexicographic order
     split = min(split, len(boxes))
-    want = [(i, j) for i, j in _brute_pairs(boxes) if i < split]
-    assert overlapping_pairs(boxes, split=split) == want
+    got, want = _sweep_both(boxes, split)
+    assert got == want
+
+
+def test_overlapping_pairs_sweeps_each_axis():
+    # boxes long along some axes and short along the others: the sweep
+    # takes the axis with the fewest overlapping intervals, every axis
+    # gets taken, and the pairs are those of all-pairs testing, with and
+    # without split, whichever axis is swept
+    rng = random.Random(31)
+    for dim in (2, 3, 4):
+        taken = set()
+        for trial in range(60):
+            short = rng.randrange(dim)
+            groups = []
+            for _ in range(rng.randint(2, 30)):
+                base = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+                        for _ in range(dim)]
+                span = [Fraction(rng.randint(0, 2), rng.choice((1, 2)))
+                        if k == short else Fraction(rng.randint(4, 12))
+                        for k in range(dim)]
+                far = [b + w for b, w in zip(base, span)]
+                groups.append(_box(base, far) if rng.random() < 0.9
+                              else _box(base))
+            hom = [homogeneous(p) for g in groups for p in g]
+            at, index = 0, []
+            for g in groups:
+                index.append([at, at + len(g) - 1])
+                at += len(g)
+            taken.add(sweep_axis(key_boxes(hom, index)))
+            split = rng.randint(0, len(groups))
+            for cut in (None, split):
+                got, want = _sweep_both(groups, cut)
+                assert got == want, (dim, trial, cut)
+        assert taken == set(range(dim)), (dim, taken)

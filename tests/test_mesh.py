@@ -521,7 +521,7 @@ def test_tri_data_functionals_give_plane_sides():
     # d - 2 independent integer functionals per triangle of R^d, zero at
     # its vertices, with the sign of the rational affine functional
     # h . x + h_0 at any point
-    from plspan.mesh import _tri_data
+    from plspan.mesh import _tri_planes
     rng = random.Random(22)
     for _ in range(300):
         d = rng.randint(2, 5)
@@ -529,8 +529,7 @@ def test_tri_data_functionals_give_plane_sides():
         if affine_rank(pts) != 2:
             continue
         hom = [homogeneous(p) for p in pts]
-        tri, vs, planes = _tri_data(hom, (0, 1, 2))
-        assert tri == (0, 1, 2) and vs == {0, 1, 2}
+        planes = _tri_planes(hom, (0, 1, 2))
         assert len(planes) == d - 2
         assert planes == [] or int_rank(planes) == d - 2
         q = Point([rnd_frac(rng) for _ in range(d)])
@@ -595,6 +594,42 @@ def test_check_embedded_names_the_first_degenerate_triangle():
                                    match="^triangle %d is degenerate$"
                                    % first):
                     check_embedded(m)
+
+
+def test_validate_manifold_degeneracy_matches_rank_oracle():
+    # "is degenerate" exactly for the triangles whose three vertex forms
+    # have rank < 3, on collinear, near-collinear and general triangles
+    # of R^2..R^5; in R^3 the verdict is read off the plane's minors.
+    # check_embedded raises naming the first triangle of rank < 3.
+    rng = random.Random(23)
+    kinds = set()
+    for trial in range(240):
+        dim = 2 + trial % 4
+        m = TriMesh(dim)
+        for _ in range(rng.randint(1, 4)):
+            p, q = ([rnd_frac(rng) for _ in range(dim)] for _ in range(2))
+            t = rnd_frac(rng)
+            r = [a + t * (b - a) for a, b in zip(p, q)]
+            kind = rng.choice(("collinear", "near", "general"))
+            if kind == "near":
+                k = rng.randrange(dim)
+                r[k] += Fraction(rng.choice((-1, 1)), 10 ** rng.randint(3, 9))
+            elif kind == "general":
+                r = [rnd_frac(rng) for _ in range(dim)]
+            add_triangle(m, Point(p), Point(q), Point(r))
+        flat = [t for t, tri in enumerate(m.triangles)
+                if int_rank([m.hom[v] for v in tri]) < 3]
+        want = {t for t in flat if len(set(m.triangles[t])) == 3}
+        got = {int(msg.split()[1]) for msg in m.validate_manifold()
+               if msg.endswith("is degenerate")}
+        assert got == want, (trial, m.vertices, m.triangles)
+        kinds.update(("flat" if t in want else "clean", dim)
+                     for t in range(len(m.triangles)))
+        if flat:
+            with pytest.raises(ValueError,
+                               match="^triangle %d is degenerate$" % flat[0]):
+                check_embedded(m)
+    assert kinds == {(v, d) for v in ("flat", "clean") for d in (2, 3, 4, 5)}
 
 
 @settings(max_examples=6, deadline=None, derandomize=True)
