@@ -20,7 +20,6 @@ from .geom import (
     Rat,
     ZERO,
     affine_rank,
-    convex_meet,
     earclip_2d as _earclip_indices,
     homogeneous,
     int_nullspace,
@@ -146,11 +145,11 @@ def immersed_disk_4d(poly: ClosedPolygon, seed: int = 0, budget: int = 60):
 
     A generic 2-flat F avoids containing any join flat of the edge
     lines, so it meets each in at most a line.  A convex n-gon Q is
-    placed in F around a point clear of those traces and outside the
-    polygon's hull, then joined to P by an annulus of 2n triangles plus
-    an n-triangle fan over Q.  The surface may cross itself; what is
-    verified is that it is a disk, that its boundary is exactly P, and
-    that nothing but that boundary touches P.
+    placed in F around a point clear of those traces, then joined to P
+    by an annulus of 2n triangles plus an n-triangle fan over Q.  The
+    surface may cross itself; what is verified is that it is a disk,
+    that its boundary is exactly P, and that nothing but that boundary
+    touches P.
     """
     if poly.dim != 4:
         raise ValueError("immersed disk construction needs dimension 4")
@@ -166,37 +165,42 @@ def immersed_disk_4d(poly: ClosedPolygon, seed: int = 0, budget: int = 60):
                             hom[j], hom[(j + 1) % n]])
              for i in range(n) for j in range(i, n)]
     rng = random.Random(seed)
+    # every attempt returns or is skipped, so the reason left in last is
+    # why the final attempt was skipped
     last = "no attempt ran"
     for attempt in range(budget):
         origin = Point([Rat(rng.randint(-64, 64), 8) for _ in range(4)])
         dir1 = Point([Rat(rng.randint(-8, 8)) for _ in range(4)])
         dir2 = Point([Rat(rng.randint(-8, 8)) for _ in range(4)])
         if affine_rank([origin, origin + dir1, origin + dir2]) != 2:
+            last = "the plane is not 2-dimensional"
             continue
         forms = _plane_forms(origin, dir1, dir2)
         traces = [_flat_meet(forms, cell) for cell in cells]
         if any(kind == "all" for kind, _ in traces):
+            last = "the plane lies in a join flat"
             continue
         placement = _place_disk(poly, origin, dir1, dir2, traces, rng)
         if placement is None:
+            last = "no centre off the traces"
             continue
         result = _assemble_disk(poly, *placement)
         if result is None:
-            last = "assembly verification failed (attempt %d)" % attempt
+            last = "the certificate refused the disk"
             continue
         mesh, report = result
         report.update({"seed": seed, "attempt": attempt})
         return mesh, report
-    raise AssertionError("no valid flat placement in %d attempts (seed %d): %s"
+    raise AssertionError("no valid flat placement in %d attempts (seed %d): "
+                         "last skipped as %s"
                          % (budget, seed, last))
 
 
 def _place_disk(poly, origin, dir1, dir2, traces, rng):
     """(Q's 4D vertices, fan apex) for a small convex n-gon Q in the
-    flat, clear of the traces and of the polygon's hull; None when 40
-    centers fail."""
-    verts = poly.vertices
-    n = len(verts)
+    flat, clear of the traces; None when all 40 centres drawn lie on a
+    trace."""
+    n = len(poly.vertices)
     angles = [2 * math.pi * k / n for k in range(n)]
 
     def to4(a, b):
@@ -205,48 +209,40 @@ def _place_disk(poly, origin, dir1, dir2, traces, rng):
     for _ in range(40):
         za = Rat(rng.randint(-64, 64), 8)
         zb = Rat(rng.randint(-64, 64), 8)
-        clear2 = None
-        ok = True
+        d2s = []
         for kind, data in traces:
-            if kind == "empty":
-                continue
             if kind == "point":
                 dx, dy = za - data[0], zb - data[1]
-                d2 = dx * dx + dy * dy
-            else:
+                d2s.append(dx * dx + dy * dy)
+            elif kind == "line":
                 (px, py), (dx, dy) = data
                 cr = dx * (zb - py) - dy * (za - px)
-                d2 = cr * cr / (dx * dx + dy * dy)
-            if d2 == 0:
-                ok = False
-                break
-            if clear2 is None or d2 < clear2:
-                clear2 = d2
-        if not ok:
-            continue
-        # conv(Q) holds the centre, so Q's LP below would reject a centre
-        # inside conv(P) too, but only after finding a meeting point over
-        # 2n columns, four times; this one has n + 1
-        center4 = to4(za, zb)
-        if convex_meet([center4], verts) is not None:
-            continue
-        if clear2 is None:
-            clear2 = ONE
-        radius = ONE
-        while 4 * radius * radius > clear2:
-            radius = radius / 2
+                d2s.append(cr * cr / (dx * dx + dy * dy))
+        clear2 = min(d2s, default=ONE)
+        if clear2 == 0:
+            continue  # the centre lies on a trace
         # _circle_points gives n distinct points exactly on the circle of
         # radius r about (za, zb), in angular order (rounding tan(theta/2)
         # to the 2^-14 grid keeps them apart until n is in the tens of
         # thousands).  So Q is strictly convex, and conv(Q) stays at least
-        # r from every trace, as 4 r^2 <= clear2 and halving keeps that.
-        for _ in range(4):
-            ring = _circle_points(angles, radius)
-            q4 = [to4(q[0] + za, q[1] + zb) for q in ring]
-            if convex_meet(q4, verts) is not None:
-                radius = radius / 2
-                continue
-            return q4, center4
+        # r from every trace, as 4 r^2 <= clear2.  That clearance is all
+        # the immersed certificate needs, wherever the centre lies
+        # relative to conv(P): each contact it forbids puts a point of
+        # conv(Q) on a trace.  With e_k the edges of P, a point x of e_k
+        # in an annulus triangle [v_j, v_j+1, q], off e_j, puts q in
+        # aff(x, v_j, v_j+1), inside the join flat of e_j and e_k.  A
+        # point x of e_k in [v_j, q_j, q_j+1], other than v_j, puts a
+        # point of the side [q_j, q_j+1] on the line v_j x, inside the
+        # join flat of e_k and an edge at v_j, or inside e_k's own line
+        # (cell (k, k)) when k is j - 1 or j.  A point of conv(Q) on
+        # e_k, in a fan triangle or at a vertex, lies in cell (k, k).
+        # Only a degenerate [v_j, q_j, q_j+1], with v_j on the line of a
+        # side of Q, is left for the certificate to refuse.
+        radius = ONE
+        while 4 * radius * radius > clear2:
+            radius = radius / 2
+        ring = _circle_points(angles, radius)
+        return ([to4(q[0] + za, q[1] + zb) for q in ring], to4(za, zb))
     return None
 
 

@@ -224,7 +224,9 @@ def gen_torus_stick(m: int) -> ClosedPolygon:
                         (Fraction(-1, 12), 1 << 15),
                         (Fraction(1, 12), 1 << 15),
                         (Fraction(-1, 8), 1 << 15),
-                        (Fraction(1, 8), 1 << 15)):
+                        (Fraction(1, 8), 1 << 15),
+                        (Fraction(-1, 2 * m), 1 << 14),
+                        (Fraction(1, 2 * m), 1 << 14)):
         verts = []
         for j in range(m):
             a = 2 * delta * j

@@ -48,6 +48,20 @@ def test_generate_torus_file(tmp_path, capsys):
     assert poly.dim == 3
 
 
+@pytest.mark.parametrize("m", [13, 16, 20])
+def test_generate_torus_past_m_12(tmp_path, m):
+    # the quadratic regime: 2m edges, writhe m(m - 2), surplus crossings
+    # in cancelling pairs
+    from plspan.diagram import project_polygon
+    out = tmp_path / "p.poly"
+    assert run("generate", "--family", "torus", "--m", m, "--out", out) == 0
+    poly = read_polygon(str(out))
+    assert len(poly.vertices) == 2 * m
+    dia = project_polygon(poly, seed=0)
+    assert dia.writhe == m * (m - 2)
+    assert (len(dia.crossings) - dia.writhe) % 2 == 0
+
+
 def test_generate_stdout(capsys):
     assert run("generate", "--family", "ngon", "--n", 5) == 0
     cap = capsys.readouterr()

@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -26,6 +27,7 @@ from plspan.geom import (
 )
 from plspan.mesh import TriMesh, boundary_matches, check_embedded, write_off
 from plspan.otherdims import (
+    _assemble_disk,
     _embedded_attempt,
     _flat_meet,
     _lift,
@@ -310,11 +312,44 @@ def _hull_clear_oracle(hull2, traces) -> bool:
     return True
 
 
+def _join_cells(poly):
+    """Integer functionals of the join flat of edges i <= j, keyed by
+    (i, j), as immersed_disk_4d solves them."""
+    hom = [homogeneous(v) for v in poly.vertices]
+    n = len(hom)
+    return {(i, j): int_nullspace([hom[i], hom[(i + 1) % n],
+                                   hom[j], hom[(j + 1) % n]])
+            for i in range(n) for j in range(i, n)}
+
+
+def _plane_traces(cells, origin, dir1, dir2):
+    """The cells' traces in the plane, or None for a plane that
+    immersed_disk_4d skips."""
+    if affine_rank([origin, origin + dir1, origin + dir2]) != 2:
+        return None
+    forms = _plane_forms(origin, dir1, dir2)
+    traces = [_flat_meet(forms, cell) for cell in cells]
+    return None if any(kind == "all" for kind, _ in traces) else traces
+
+
+def _scaled(poly, k):
+    """(centroid, poly scaled by k about it)."""
+    verts = poly.vertices
+    mid = Point([sum(v[c] for v in verts) / len(verts) for c in range(4)])
+    return mid, ClosedPolygon([mid + (v - mid).scale(k) for v in verts])
+
+
+def _first_centre(seed):
+    """The first centre _place_disk draws from random.Random(seed)."""
+    rng = random.Random(seed)
+    return (Fraction(rng.randint(-64, 64), 8),
+            Fraction(rng.randint(-64, 64), 8))
+
+
 def _place_disk_oracle(poly, origin, dir1, dir2, traces, rng, reached):
     """_place_disk as it was while it re-checked Q against the traces
     after the clearance radius; reached collects the branches taken."""
-    verts = poly.vertices
-    n = len(verts)
+    n = len(poly.vertices)
 
     def to4(a, b):
         return origin + dir1.scale(a) + dir2.scale(b)
@@ -343,9 +378,6 @@ def _place_disk_oracle(poly, origin, dir1, dir2, traces, rng, reached):
             reached.add("centre on a trace")
             continue
         center4 = to4(za, zb)
-        if convex_meet([center4], verts) is not None:
-            reached.add("centre in hull")
-            continue
         if clear2 is None:
             reached.add("only empty traces")
             clear2 = Fraction(1)
@@ -361,12 +393,7 @@ def _place_disk_oracle(poly, origin, dir1, dir2, traces, rng, reached):
                 reached.add("hull not clear")
                 radius = radius / 2
                 continue
-            q4 = [to4(q[0], q[1]) for q in hull2]
-            if convex_meet(q4, verts) is not None:
-                reached.add("Q meets hull")
-                radius = radius / 2
-                continue
-            return q4, center4
+            return [to4(q[0], q[1]) for q in hull2], center4
     return None
 
 
@@ -380,15 +407,9 @@ def _placement_inputs(rng):
     cases = []
     for n in range(3, 7):
         poly = gen_random(n, 4, seed=n)
-        verts = poly.vertices
-        hom = [homogeneous(v) for v in verts]
-        cells = [int_nullspace([hom[i], hom[(i + 1) % n],
-                                hom[j], hom[(j + 1) % n]])
-                 for i in range(n) for j in range(i, n)]
-        mid = Point([sum(v[c] for v in verts) / n for c in range(4)])
-        big = ClosedPolygon([mid + (v - mid).scale(8) for v in verts])
-        # the scaled 6-gon is left out: its LPs take a second a plane
-        for scaled, planes in ((False, 4), (True, 2 if n < 6 else 0)):
+        mid, big = _scaled(poly, 8)
+        for scaled, planes in ((False, 4), (True, 2)):
+            cells = _join_cells(big if scaled else poly).values()
             for _ in range(planes):
                 if scaled:
                     origin = mid
@@ -399,15 +420,10 @@ def _placement_inputs(rng):
                                     for _ in range(4)])
                     dirs = [Point([rng.randint(-8, 8) for _ in range(4)])
                             for _ in range(2)]
-                if affine_rank([origin, origin + dirs[0],
-                                origin + dirs[1]]) != 2:
-                    continue
-                traces = [_flat_meet(_plane_forms(origin, *dirs), cell)
-                          for cell in cells]
-                if any(kind == "all" for kind, _ in traces):
-                    continue
-                cases.append((big if scaled else poly, origin, *dirs,
-                              traces))
+                traces = _plane_traces(cells, origin, *dirs)
+                if traces is not None:
+                    cases.append((big if scaled else poly, origin, *dirs,
+                                  traces))
     e1, e2 = Point((1, 0, 0, 0)), Point((0, 1, 0, 0))
     for n in (3, 5):
         flat = ClosedPolygon([Point((x * 6, y * 6, 0, 0))
@@ -431,32 +447,121 @@ def test_place_disk_matches_trace_checking_oracle():
         assert got == want
         assert got_rng.getstate() == want_rng.getstate()
     assert "hull not clear" not in reached
-    assert {"centre in hull", "radius halved", "only empty traces",
-            "Q meets hull"} <= reached
+    assert {"radius halved", "only empty traces"} <= reached
 
 
-def test_place_disk_rejects_a_centre_in_the_hull_by_the_point_lp(
-        monkeypatch):
-    # Q's LP would reject such a centre as well, since conv(Q) holds it,
-    # but only by finding a meeting point over 2n columns, once per
-    # radius; the one-point LP rejects it over n + 1
+def test_place_disk_takes_its_first_centre_inside_the_hull(monkeypatch):
+    # a pentagon of radius 60 in the plane itself covers the centre grid,
+    # so the first centre lies inside its hull; the clearance radius
+    # alone keeps the disk off the polygon, and no hull LP runs
+    import plspan.geom as geom
     import plspan.otherdims as od
-    sizes = []
-    meet = od.convex_meet
+    calls = []
+    meet = geom.convex_meet
 
     def spy(pts_a, pts_b):
-        sizes.append(len(pts_a))
+        calls.append(len(pts_a))
         return meet(pts_a, pts_b)
 
-    monkeypatch.setattr(od, "convex_meet", spy)
-    # a pentagon of radius 60 in the plane itself covers the centre grid
+    monkeypatch.setattr(geom, "convex_meet", spy)
     flat = ClosedPolygon([Point((x * 60, y * 60, 0, 0))
                           for x, y in gen_planar_ngon(5).vertices])
     placed = _place_disk(flat, Point((0, 0, 0, 0)), Point((1, 0, 0, 0)),
                          Point((0, 1, 0, 0)), [("empty", None)],
                          random.Random(0))
-    assert placed is None
-    assert sizes == [1] * 40
+    za, zb = _first_centre(0)
+    assert placed[1] == Point((za, zb, 0, 0))
+    assert _assemble_disk(flat, *placed) is not None
+    assert calls == [] and not hasattr(od, "convex_meet")
+    assert meet([placed[1]], flat.vertices) is not None
+
+
+def test_place_disk_clears_an_edge_planted_near_its_first_centre():
+    # each plane meets one edge of the polygon a quarter from the first
+    # centre, so the disk certifies only because the radius shrinks to
+    # keep conv(Q) off that edge's trace
+    rng = random.Random(2002)
+    for s in range(30):
+        poly = gen_random(4 + s % 5, 4, seed=s)
+        verts = poly.vertices
+        n = len(verts)
+        cells = _join_cells(poly)
+        za, zb = _first_centre(s)
+        k = rng.randrange(n)
+        hit = verts[k] + (verts[(k + 1) % n] - verts[k]).scale(
+            Fraction(rng.randint(1, 7), 8))
+        traces = None
+        while traces is None:
+            dir1, dir2 = [Point([rng.randint(-8, 8) for _ in range(4)])
+                          for _ in range(2)]
+            origin = hit - dir1.scale(za + Fraction(1, 4)) - dir2.scale(zb)
+            traces = _plane_traces(cells.values(), origin, dir1, dir2)
+        assert _flat_meet(_plane_forms(origin, dir1, dir2),
+                          cells[k, k]) == \
+            ("point", (za + Fraction(1, 4), zb))
+        placed = _place_disk(poly, origin, dir1, dir2, traces,
+                             random.Random(s))
+        assert placed[1] == origin + dir1.scale(za) + dir2.scale(zb)
+        assert _assemble_disk(poly, *placed) is not None, s
+
+
+def test_place_disk_certifies_centres_inside_and_outside_the_hull():
+    # planes through the centroid of polygons scaled x16..x64: the
+    # clearance proof holds wherever the centre lies, and the hull LP,
+    # kept here only as an oracle, shows both sides are reached
+    rng = random.Random(2020)
+    inside = set()
+    for case in range(60):
+        mid, big = _scaled(gen_random(5 + case % 4, 4, seed=case),
+                           16 << case % 3)
+        dir1, dir2 = [Point([rng.randint(-8, 8) for _ in range(4)])
+                      for _ in range(2)]
+        traces = _plane_traces(_join_cells(big).values(), mid, dir1, dir2)
+        if traces is None:
+            continue
+        placed = _place_disk(big, mid, dir1, dir2, traces, rng)
+        assert _assemble_disk(big, *placed) is not None, case
+        inside.add(convex_meet([placed[1]], big.vertices) is not None)
+    assert inside == {True, False}
+
+
+def _octagon_400():
+    """An R^4 octagon with vertices near +-400 e_i, large against the
+    builder's centre grid."""
+    axes = [(0, 1), (2, 1), (1, 1), (3, 1),
+            (0, -1), (2, -1), (1, -1), (3, -1)]
+    return ClosedPolygon([
+        Point([400 * s * (c == i) + (7 * k % 5) * (c + 1)
+               for c in range(4)])
+        for k, (i, s) in enumerate(axes)])
+
+
+def _scaled_12gon():
+    return _scaled(gen_random(12, 4, seed=0), 4)[1]
+
+
+@pytest.mark.parametrize("make", [_octagon_400, _scaled_12gon])
+def test_immersed_spans_large_polygons_quickly(make):
+    # polygons large against the centre grid span as fast as small ones
+    poly = make()
+    start = time.perf_counter()
+    mesh, rep = immersed_disk_4d(poly, seed=0)
+    assert time.perf_counter() - start < 1
+    assert rep["triangles"] == len(mesh.triangles) == 3 * len(poly.vertices)
+
+
+@pytest.mark.parametrize("patch, reason", [
+    ("_place_disk", "no centre off the traces"),
+    ("_assemble_disk", "the certificate refused the disk"),
+])
+def test_immersed_failure_names_why_the_last_attempt_was_skipped(
+        monkeypatch, patch, reason):
+    import plspan.otherdims as od
+    monkeypatch.setattr(od, patch, lambda *args: None)
+    with pytest.raises(AssertionError) as exc:
+        immersed_disk_4d(gen_random(5, 4, seed=0), budget=3)
+    assert str(exc.value) == ("no valid flat placement in 3 attempts "
+                              "(seed 0): last skipped as " + reason)
 
 
 def _contact_oracle(mesh):
