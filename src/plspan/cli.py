@@ -214,7 +214,7 @@ def cmd_span(args) -> int:
         "chi": census["chi"],
         "genus": census["genus"],
         "orientable": census["orientable"],
-        "embedded": certs[kind],
+        "embedded": certs.get("embedded"),
         "certificate": kind,
         "boundary_match": certs["boundary_match"],
         "certificates": certs,

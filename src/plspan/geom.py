@@ -61,10 +61,11 @@ def rat(x: RatLike) -> Rat:
     """Coerce ints, Fractions, 'p/q' strings and exact decimal strings.
 
     Decimal strings are converted exactly ('0.25' -> 1/4), never through
-    a float.  A value already of type Rat comes back unchanged.  Other
-    Fractions go through the two-argument constructor: a Fraction built
-    from a foreign Rational can carry non-int components, which the
-    one-argument gmpy2 conversion rejects.
+    a float.  A value already of type Rat comes back unchanged, and so
+    does the one parsed from a string.  Other Fractions go through the
+    two-argument constructor: a Fraction built from a foreign Rational
+    can carry non-int components, which the one-argument gmpy2
+    conversion rejects.
     """
     if type(x) is Rat:
         return x
@@ -73,6 +74,8 @@ def rat(x: RatLike) -> Rat:
             x = Fraction(x)
         except ZeroDivisionError:
             raise ValueError("zero denominator in %r" % x) from None
+        if Rat is Fraction:
+            return x
     if isinstance(x, Fraction):
         return Rat(x.numerator, x.denominator)
     return Rat(x)

@@ -15,11 +15,13 @@ signed minors of its three rows (which validate_manifold reads for
 degeneracy), and decides each candidate pair of the sweep from the
 signs its shared vertices leave open, in R^3 as four-term integer sums:
 one value for a shared edge, the two free vertices for a shared vertex,
-all three for none.  A pair off a common plane whose vertices carry one
-affine relation is decided by its signs (_relation_clean): in R^3 at a
-shared vertex, read off the plane values; else in the vertices' affine
-hull (_hull_contact_clean), which polygon edge pairs and the immersed
-certificate share.
+all three for none; a coplanar R^3 pair sharing an edge then by the
+signs of the two planes' minors.  A pair off a common plane whose
+vertices carry one affine relation is decided by its signs
+(_relation_clean): in R^3 at a shared vertex, read off the plane
+values; else in the vertices' affine hull (_hull_contact_clean), which
+polygon edge pairs and the immersed certificate share, and where in R^3
+one determinant clears up to four independent vertices.
 """
 
 from __future__ import annotations
@@ -392,6 +394,23 @@ def _coplanar_contact_clean(hom, axes, tri_a, tri_b, shared) -> bool:
                    for ea in range(3) for eb in range(3))
 
 
+def _shared_edge_clean(tri_a, tri_b, plane_a, plane_b) -> bool:
+    """Contact classification for two coplanar triangles of R^3 sharing
+    an edge uv, from their _plane_3d vectors: True when their free
+    vertices x and z lie strictly on opposite sides of uv, which makes
+    the edge their whole meet.  In the plane, _plane_3d(u, v, z) is a
+    positive multiple of _plane_3d(u, v, x) iff z lies on x's side
+    (every form has w > 0), and swapping two rows negates it.  So with
+    b running the edge against a's direction, the pair is clean iff the
+    two vectors share their sign; with b running it along a's, iff
+    their signs differ."""
+    oa = next(k for k in range(3) if tri_a[k] not in tri_b)
+    ob = next(k for k in range(3) if tri_b[k] not in tri_a)
+    k = next(i for i, c in enumerate(plane_a) if c)
+    return ((plane_a[k] > 0) == (plane_b[k] > 0)) \
+        == (tri_a[oa - 2] == tri_b[ob - 1])
+
+
 def _plane_meet_points(hs, vals):
     """Homogeneous points where a triangle meets a plane, given the plane
     functional's integer values at its vertices (not all of one strict
@@ -452,7 +471,10 @@ def _hull_contact_clean(hom, a, b, shared) -> bool:
     or triangles as vertex indices into hom, with at most the one vertex
     in shared in common, inside the affine hull of their distinct ones.
 
-    True when they meet in at most their shared vertex.  One forward
+    True when they meet in at most their shared vertex.  In R^3 at most
+    four rows are independent iff one determinant is nonzero, the
+    _plane_3d minors of three or their value at the fourth, which
+    clears such a pair with no elimination.  Else one forward
     elimination of their forms decides the rest.  Affinely independent
     vertices make both faces of one simplex, meeting in the face of
     their common vertices.  A single affine relation decides by its
@@ -463,6 +485,10 @@ def _hull_contact_clean(hom, a, b, shared) -> bool:
     leaves the pair open.
     """
     rows = [hom[v] for v in a] + [hom[v] for v in b if v not in shared]
+    if len(rows[0]) == 4 and len(rows) in (3, 4):
+        h = _plane_3d(*rows[:3])
+        if any(h) if len(rows) == 3 else sum(map(mul, h, rows[3])):
+            return True
     ech, pivots = _bareiss(rows)[:2]
     if len(pivots) == len(rows):
         return True
@@ -500,8 +526,9 @@ def check_embedded(mesh: TriMesh) -> Optional[EmbeddingViolation]:
     rows (_plane_3d), else int_nullspace's basis.  Candidate pairs come
     from the one sweep, geom.overlapping_pairs, over integer key boxes
     (geom.key_boxes) listed in the stable order of least x key, and are
-    visited in that order.  Each pair computes only the signs that decide it, by how
-    many vertices it shares; in R^3 each is a four-term integer sum:
+    visited in that order.  Each pair computes only the signs that
+    decide it, by how many vertices it shares; in R^3 each is a
+    four-term integer sum:
 
     - an edge: the opposite vertex of b against a's functionals.  Off
       a's plane, the two planes meet in the edge's line, which each
@@ -512,19 +539,21 @@ def check_embedded(mesh: TriMesh) -> Optional[EmbeddingViolation]:
     - none: all three vertices of each against the other's functionals;
       all on one side of a plane clear the pair.
 
-    A coplanar pair is decided by orientation signs on the two axes that
-    are not pivots of a's functionals, found once per triangle.  In R^3
-    the five vertices of a pair sharing a vertex carry one affine
-    relation, whose coefficients are the plane values by Cramer's rule,
-    and its signs decide the pair (_relation_clean); a pair sharing
-    nothing is decided along the line where the two planes cross,
-    ordered on an axis where the cross product of their normals is
-    nonzero.  In R^d, d >= 4, the rest are decided inside the affine
-    hull of their distinct vertices (_hull_contact_clean): by their
-    independence, by the signs of their one affine relation, or, for
-    six vertices in a 3-flat, by the R^3 crossing-line test.  Only pairs
-    still standing reach the full simplex intersection, which decides
-    them and builds the witness; every test before it is an integer sign.
+    A coplanar R^3 pair sharing an edge is decided by the signs of the
+    two _plane_3d vectors (_shared_edge_clean); any other coplanar pair
+    by orientation signs on the two axes that are not pivots of a's
+    functionals, found once per triangle.  In R^3 the five vertices of
+    a pair sharing a vertex carry one affine relation, whose
+    coefficients are the plane values by Cramer's rule, and its signs
+    decide the pair (_relation_clean); a pair sharing nothing is decided
+    along the line where the two planes cross, ordered on an axis where
+    the cross product of their normals is nonzero.  In R^d, d >= 4, the
+    rest are decided inside the affine hull of their distinct vertices
+    (_hull_contact_clean): by their independence, by the signs of their
+    one affine relation, or, for six vertices in a 3-flat, by the R^3
+    crossing-line test.  Only pairs still standing reach the full
+    simplex intersection, which decides them and builds the witness;
+    every test before it is an integer sign.
     """
     hom = mesh.hom
     dim = mesh.dim
@@ -573,7 +602,10 @@ def check_embedded(mesh: TriMesh) -> Optional[EmbeddingViolation]:
                 if _row_separates(vals_ba):
                     continue
         shared = [v for v in tri_a if v in tri_b]
-        if coplanar:
+        if coplanar and three and len(shared) == 2:
+            if _shared_edge_clean(tri_a, tri_b, planes_a[0], planes_b[0]):
+                continue
+        elif coplanar:
             axes = axes_of.get(a) or axes_of.setdefault(
                 a, _plane_axes(planes_a, dim))
             if _coplanar_contact_clean(hom, axes, tri_a, tri_b, shared):

@@ -92,8 +92,8 @@ def validate_embedded(poly: ClosedPolygon) -> Optional[PolygonViolation]:
     Two edges share the vertex their index sets share.  Planar pairs are
     cleared by orientation signs, pairs in R^d, d >= 3, by the simplex
     pair test (mesh._hull_contact_clean), which decides adjacent pairs
-    and pairs in a plane; simplex_intersect decides the rest and builds
-    the witness.
+    and pairs in a plane, in R^3 a skew pair by one determinant;
+    simplex_intersect decides the rest and builds the witness.
     """
     n = len(poly.vertices)
     hom = [homogeneous(v) for v in poly.vertices]

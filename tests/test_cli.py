@@ -615,6 +615,27 @@ def test_span_checks_the_polygon_once(tmp_path, monkeypatch, strategy):
 
 
 @pytest.mark.parametrize("strategy", sorted(STRATEGY_INPUTS))
+def test_span_reports_embedded_only_for_the_embedded_certificate(
+        tmp_path, strategy):
+    # an immersed disk may cross itself, so its report leaves "embedded"
+    # null and carries its verdict under its own certificate's name
+    make, mode = STRATEGY_INPUTS[strategy]
+    poly, report = tmp_path / "p.poly", tmp_path / "r.json"
+    write_polygon(make(), str(poly))
+    assert run("span", poly, "--strategy", strategy,
+               "--report", report) == 0
+    rep = load(report)
+    if mode == "immersed":
+        assert rep["certificate"] == "complementary-immersed"
+        assert rep["embedded"] is None
+        assert "embedded" not in rep["certificates"]
+        assert rep["certificates"]["complementary-immersed"] is True
+    else:
+        assert rep["certificate"] == "embedded"
+        assert rep["embedded"] is True
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGY_INPUTS))
 def test_verify_agrees_with_span(tmp_path, strategy):
     make, mode = STRATEGY_INPUTS[strategy]
     poly, mesh = tmp_path / "p.poly", tmp_path / "m.off"

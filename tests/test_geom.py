@@ -65,6 +65,8 @@ def test_rat_parses_fractions_and_decimals_exactly():
     assert rat(5) == Rat(5)
     assert rat_str(rat("4/8")) == "1/2"
     assert rat_str(rat("3")) == "3"
+    with pytest.raises(ValueError, match="zero denominator"):
+        rat("1/0")
 
 
 def test_rat_returns_a_rat_unchanged_and_normalizes_the_rest():

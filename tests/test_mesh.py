@@ -6,7 +6,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from plspan.geom import (
@@ -383,6 +383,9 @@ def _spy_pair_tests(monkeypatch, mesh_mod, names):
                 return calls[-1][1], 0
         elif name == "_hull_contact_clean":
             _, tri_a, tri_b, shared = args
+        elif name == "_shared_edge_clean":
+            tri_a, tri_b = args[:2]
+            shared = set(tri_a) & set(tri_b)
         else:  # simplex_intersect
             tri_a, tri_b, shared = args
         return frozenset((tri(tri_a), tri(tri_b))), len(shared)
@@ -460,12 +463,14 @@ def test_check_embedded_matches_unfiltered_oracle(monkeypatch):
     # reach every branch (_record_pair_tests): pairs sharing an edge off
     # each other's plane and pinned pairs decided with no later test,
     # the coplanar test on pairs sharing nothing, a vertex and an edge,
+    # the sign rule on coplanar R^3 pairs sharing an edge,
     # the crossing-line test on pairs sharing nothing, the signs of the
     # one affine relation on pairs sharing a vertex, and the full
     # simplex intersection.
     import plspan.mesh as mesh_mod
-    later = ("_coplanar_contact_clean", "_crossing_planes_contact_3d",
-             "_hull_contact_clean", "simplex_intersect")
+    later = ("_coplanar_contact_clean", "_shared_edge_clean",
+             "_crossing_planes_contact_3d", "_hull_contact_clean",
+             "simplex_intersect")
     calls, watch = _spy_pair_tests(monkeypatch, mesh_mod, later)
     # the pin test runs first: a pair reaching the crossing-line test
     # never has the free vertices of a triangle strictly on one side of
@@ -505,12 +510,17 @@ def test_check_embedded_matches_unfiltered_oracle(monkeypatch):
         else:
             assert (got.tri_a, got.tri_b, got.point) == want, (trial, got)
         verdicts.add(got is None)
+        # in R^3 the sign rule decides every coplanar pair sharing an edge
+        assert m.dim != 3 or not any(
+            name == "_coplanar_contact_clean" and k == 2
+            for name, _, k, _ in calls), trial
         _record_pair_tests(m, got, calls, reached)
     assert verdicts == {True, False}
     assert reached >= {("edge, off the plane", 2), ("pinned vertex", 1),
                        ("_coplanar_contact_clean", 0),
                        ("_coplanar_contact_clean", 1),
                        ("_coplanar_contact_clean", 2),
+                       ("_shared_edge_clean", 2),
                        ("_crossing_planes_contact_3d", 0),
                        ("_relation_clean", 1)}, reached
     assert ("_crossing_planes_contact_3d", 1) not in reached
@@ -574,6 +584,38 @@ def test_plane_3d_is_a_multiple_of_the_nullspace_functional(pts, x):
     if not flat:
         (h,) = int_nullspace(hs)
         assert int_rank([plane, h]) == 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_plane_triples(), _small_rats(), _small_rats().filter(bool),
+       st.permutations(range(3)), st.integers(0, 2))
+def test_shared_edge_sign_rule_matches_coplanar_test(pts, s, t, order_a,
+                                                     turn_b):
+    # coplanar triangles a = uvx and b = uvz of R^3 sharing the edge uv,
+    # z = u + s (v - u) + t (x - u) on x's side of uv or (with -t) on the
+    # other, b running uv in either direction, a's vertices in any order
+    # and b's in any rotation: the sign rule on the two _plane_3d vectors
+    # gives the orientation test's verdict, clean iff z is across uv
+    from plspan.mesh import (_coplanar_contact_clean, _plane_3d,
+                             _plane_axes, _shared_edge_clean)
+    assume(affine_rank(list(pts)) == 2)
+    u, v, x = pts
+    tri_a = tuple(order_a)
+    verdicts = set()
+    for side in (t, -t):
+        z = Point([p + s * (q - p) + side * (r - p) for p, q, r in zip(u, v, x)])
+        hom = [homogeneous(p) for p in (u, v, x, z)]
+        plane_a = _plane_3d(*(hom[i] for i in tri_a))
+        for edge in ((0, 1), (1, 0)):
+            tri_b = (*edge, 3)
+            tri_b = tri_b[turn_b:] + tri_b[:turn_b]
+            plane_b = _plane_3d(*(hom[i] for i in tri_b))
+            got = _shared_edge_clean(tri_a, tri_b, plane_a, plane_b)
+            assert got == _coplanar_contact_clean(
+                hom, _plane_axes([plane_a], 3), tri_a, tri_b, [0, 1])
+            assert got == (side < 0)
+            verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_check_embedded_names_the_first_degenerate_triangle():
@@ -1472,6 +1514,76 @@ def _planted_simplices(rng, dim, sizes, shared, k, axes=None):
         if len(set(pts)) == n and all(affine_rank([pts[v] for v in s])
                                       == len(s) - 1 for s in (a, b)):
             return pts, tuple(a), tuple(b), set(a) & set(b)
+
+
+def _r3_segment_pair(rng, kind):
+    """(points, a, b, shared index set) for a segment pair of R^3:
+    'crossing' at an interior point of both, 'touching' with an end of b
+    inside a, 'apart' in a's plane with b on a ray leaving a, 'backtrack'
+    with b = qr running back over a = pq from their shared end; else
+    _planted_simplices' pair with its distinct vertices in a kind-flat,
+    sharing none or one."""
+    if kind in (1, 2, 3):
+        return _planted_simplices(rng, 3, (2, 2), rng.randint(0, 1), kind)
+    while True:
+        p, q, d = (Point([rnd_frac(rng) for _ in range(3)]) for _ in range(3))
+        t = Fraction(rng.randint(1, 3), 4)
+        m = Point([a + t * (b - a) for a, b in zip(p, q)])
+        if kind == "crossing":
+            pts = [p, q, Point([a - b for a, b in zip(m, d)]),
+                   Point([a + b for a, b in zip(m, d)])]
+        elif kind == "touching":
+            pts = [p, q, m, Point([a + b for a, b in zip(m, d)])]
+        elif kind == "apart":
+            pts = [p, q, Point([a + b for a, b in zip(m, d)]),
+                   Point([a + 2 * b for a, b in zip(m, d)])]
+        else:  # backtrack
+            pts = [p, q, m]
+        if len(set(pts)) == len(pts) and (
+                kind == "backtrack" or affine_rank(pts) == 2):
+            b = (1, 2) if kind == "backtrack" else (2, 3)
+            return pts, (0, 1), b, {0, 1} & set(b)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32))
+def test_r3_segment_pairs_decided_by_one_determinant(seed):
+    # segment pairs of R^3 with independent, coplanar or collinear
+    # vertices, crossing, touching, apart in a plane or running back
+    # over each other: at most four rows clear the pair by one
+    # determinant when they are independent, and only then; a dependent
+    # pair goes on to the elimination.  Either way the verdict is the
+    # elimination's on the same pair lifted into R^4, and a cleared pair
+    # misses the LP.
+    import plspan.mesh as mesh_mod
+    rng = random.Random(seed)
+    eliminations = []
+    bareiss = mesh_mod._bareiss
+    reached = set()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mesh_mod, "_bareiss",
+                   lambda rows: eliminations.append(1) or bareiss(rows))
+        for kind in (1, 2, 3, "crossing", "touching", "apart",
+                     "backtrack") * 3:
+            pts, a, b, common = _r3_segment_pair(rng, kind)
+            eliminations.clear()
+            clean = mesh_mod._hull_contact_clean(
+                [homogeneous(p) for p in pts], a, b, common)
+            early = not eliminations
+            lifted = mesh_mod._hull_contact_clean(
+                [homogeneous(Point([*p, 0])) for p in pts], a, b, common)
+            assert eliminations and clean == lifted, (kind, pts)
+            independent = affine_rank(pts) == len(pts) - 1
+            assert early == independent, (kind, pts)
+            lp = simplex_intersect([pts[v] for v in a], [pts[v] for v in b],
+                                   [pts[v] for v in common])
+            assert not clean or lp is None, (kind, pts)
+            if kind in ("crossing", "touching", "backtrack"):
+                assert not clean and lp is not None, (kind, pts)
+            elif kind == "apart":
+                assert clean and not early, pts
+            reached.add((early, clean))
+    assert reached >= {(True, True), (False, True), (False, False)}, reached
 
 
 def _r3_vertex_pair(rng, plant):
