@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 
 from .geom import (Point, Rat, ZERO, homogeneous, key_boxes,
-                   overlapping_pairs, rat, seg_intersect_2d, sign)
+                   overlapping_pairs, seg_intersect_2d, sign)
 from .polygon import ClosedPolygon
 
 
@@ -184,8 +184,8 @@ def find_general_position(poly: ClosedPolygon, seed: int = 0,
         if k == 0:
             s1 = s2 = ZERO
         else:
-            s1 = rat(str(rng.randint(-den, den)) + "/" + str(den))
-            s2 = rat(str(rng.randint(-den, den)) + "/" + str(den))
+            s1 = Rat(rng.randint(-den, den), den)
+            s2 = Rat(rng.randint(-den, den), den)
         if (s1, s2) in tried:
             continue
         tried.add((s1, s2))

@@ -651,29 +651,27 @@ def segment_simplex_meet(a: Point, b: Point, simplex: Sequence[Point]):
     return ("segment", (t_lo, t_hi))
 
 
-def earclip_2d(points: Sequence[Point]) -> list[tuple[int, int, int]]:
+def earclip_2d(hom) -> list[tuple[int, int, int]]:
     """Triangulate a simple planar polygon without new vertices.
 
-    Returns len(points)-2 index triples.  The ear test is exact and
-    deliberately strict: a corner is clipped only when it turns the
-    polygon's way, no other active vertex lies in the closed candidate
-    triangle, and the cut diagonal crosses no active edge.  The last
-    condition matters: an edge can dip through the candidate triangle
-    without putting either of its endpoints inside it.
+    hom holds the corners' integer forms (x w, y w, w).  Returns
+    len(hom)-2 index triples.  The ear test is exact and deliberately
+    strict: a corner is clipped only when it turns the polygon's way, no
+    other active vertex lies in the closed candidate triangle, and the
+    cut diagonal crosses no active edge.  The last condition matters: an
+    edge can dip through the candidate triangle without putting either
+    of its endpoints inside it.
     """
-    n = len(points)
+    n = len(hom)
     if n < 3:
         raise ValueError("need at least 3 points")
-    if any(p.dim != 2 for p in points):
+    if any(len(h) != 3 for h in hom):
         raise ValueError("earclip works on planar points")
-    area2 = ZERO
-    for i in range(n):
-        a, b = points[i], points[(i + 1) % n]
-        area2 += a[0] * b[1] - b[0] * a[1]
-    turn = sign(area2)
+    # the signed area, twice over: each term is x_a y_b - x_b y_a
+    turn = sign(sum(Fraction(a[0] * b[1] - b[0] * a[1], a[2] * b[2])
+                    for a, b in zip(hom, hom[1:] + hom[:1])))
     if turn == 0:
         raise ValueError("polygon has zero area")
-    hom = [homogeneous(p) for p in points]
     ring = list(range(n))
     tris: list[tuple[int, int, int]] = []
     scan_from = 0

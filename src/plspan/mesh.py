@@ -8,7 +8,8 @@ is kept in mesh.hom, and every certificate reads those integers.  The
 surface builders pool each point on its first use (TriMesh.pooler) and
 only ever append triangles by index.
 Validation, Euler characteristic, orientability, boundary extraction
-and the embeddedness check all live here, and certify runs each of
+and the embeddedness check all live here, the first four reading one
+edge incidence kept as triangles are added, and certify runs each of
 them once on a finished surface.  The embeddedness check takes each
 triangle's plane as integer functionals on those forms, in R^3 the
 signed minors of its three rows (which validate_manifold reads for
@@ -61,8 +62,7 @@ def _require(holds: bool, what: str) -> None:
 
 
 # endings of validate_manifold's problems for a triangle of affine rank < 2
-FLAT_PROBLEMS = ("references a missing vertex", "repeats a vertex",
-                 "is degenerate")
+FLAT_PROBLEMS = ("repeats a vertex", "is degenerate")
 
 
 def _add_sides(sides, t, tri) -> None:
@@ -103,8 +103,8 @@ class TriMesh:
         self.triangles: list[tuple[int, int, int]] = []
         self.provenance: list[str] = []
         self._pool: dict[tuple, int] = {}
-        # the edge incidence every census reads, kept up to date as
-        # triangles are added; validate_manifold recounts it from scratch
+        # the edge incidence every census and validate_manifold read,
+        # kept up to date as triangles are added
         self._sides: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
     # -- construction -----------------------------------------------------
@@ -176,24 +176,18 @@ class TriMesh:
     def validate_manifold(self) -> list[str]:
         """Structural checks; returns a list of problems (empty = good).
 
-        Conditions: all indices valid, every triangle affinely
-        nondegenerate, no repeated vertex inside a triangle, no duplicate
-        triangles, every edge in one or two triangles, and the
-        incremental edge incidence matches a recount.  A triangle of
-        affine rank < 2 gets a problem ending in one of FLAT_PROBLEMS:
-        all 3x3 minors of its forms vanish, in R^3 the entries of
-        _plane_3d.
+        Conditions: every triangle affinely nondegenerate, no repeated
+        vertex inside a triangle, no duplicate triangles, and every edge
+        in one or two triangles, read off the edge incidence.  Indices
+        are valid already: add_triangle_indices refuses any other.  A
+        triangle of affine rank < 2 gets a problem ending in one of
+        FLAT_PROBLEMS: all 3x3 minors of its forms vanish, in R^3 the
+        entries of _plane_3d.
         """
         problems = []
         hom = self.hom
-        nv = len(self.vertices)
         seen = set()
-        recount: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for t, (i, j, k) in enumerate(self.triangles):
-            _add_sides(recount, t, (i, j, k))
-            if not all(0 <= x < nv for x in (i, j, k)):
-                problems.append("triangle %d references a missing vertex" % t)
-                continue
             if len({i, j, k}) < 3:
                 problems.append("triangle %d repeats a vertex" % t)
                 continue
@@ -205,12 +199,10 @@ class TriMesh:
             if not (any(_plane_3d(*forms)) if self.dim == 3
                     else int_rank(forms) == 3):
                 problems.append("triangle %d is degenerate" % t)
-        for e, sides in recount.items():
+        for e, sides in self._sides.items():
             if len(sides) > 2:
                 problems.append("edge %s lies in %d triangles"
                                 % (e, len(sides)))
-        if recount != self._sides:
-            problems.append("incremental edge census out of sync")
         return problems
 
     # -- topology ---------------------------------------------------------
@@ -701,16 +693,15 @@ def boundary_matches(mesh: TriMesh, polygon) -> bool:
     boundary is then a single closed cycle.  Either traversal direction
     is accepted.
 
-    Decided on the integer forms in mesh.hom, each boundary vertex
-    placed on the polygon by _boundary_places.
+    Decided on the integer forms in mesh.hom and polygon.hom, each
+    boundary vertex placed on the polygon by _boundary_places.
     """
     edges = mesh.boundary_edges()
     if not edges:
         return False
-    phom = [homogeneous(p) for p in polygon.vertices]
-    n = len(phom)
+    n = len(polygon.hom)
     verts = {v for e in edges for v in e}
-    places = _boundary_places(mesh.hom, verts, phom)
+    places = _boundary_places(mesh.hom, verts, polygon.hom)
     if len(places) != len(verts):
         return False  # boundary vertex off the polygon
     vert_at_corner = {e: v for v, (e, t) in places.items() if not t[0]}

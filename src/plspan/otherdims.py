@@ -19,10 +19,10 @@ from .geom import (
     Point,
     Rat,
     ZERO,
-    affine_rank,
     earclip_2d as _earclip_indices,
     homogeneous,
     int_nullspace,
+    int_rank,
     key_boxes,
     overlapping_pairs,
     segment_simplex_meet,
@@ -45,7 +45,7 @@ def earclip_2d(poly: ClosedPolygon):
     pts = poly.vertices
     mesh = TriMesh(2)
     at = mesh.pooler(pts)
-    for a, b, c in _earclip_indices(pts):
+    for a, b, c in _earclip_indices(poly.hom):
         mesh.add_triangle_indices(at(a), at(b), at(c), "ear")
     n = len(pts)
     _require(len(mesh.triangles) == n - 2, "earclip: t != n - 2")
@@ -105,6 +105,7 @@ def _plane_forms(origin, dir1, dir2):
 
     For any functional h on homogeneous points, h . o + a h . u + b h . v
     is h's value at the plane point (a, b) times one positive factor.
+    u and v are dir1 and dir2 times positive integers.
     """
     ho, h1, h2 = homogeneous(origin), homogeneous(dir1), homogeneous(dir2)
     w, s1, s2 = ho[-1], h1[-1], h2[-1]
@@ -160,7 +161,7 @@ def immersed_disk_4d(poly: ClosedPolygon, seed: int = 0, budget: int = 60):
     # one of these flats, so a region avoiding every cell sees the
     # polygon in general position.  Each cell is kept as the integer
     # functionals of its flat, solved once for every attempt.
-    hom = [homogeneous(v) for v in verts]
+    hom = poly.hom
     cells = [int_nullspace([hom[i], hom[(i + 1) % n],
                             hom[j], hom[(j + 1) % n]])
              for i in range(n) for j in range(i, n)]
@@ -172,10 +173,10 @@ def immersed_disk_4d(poly: ClosedPolygon, seed: int = 0, budget: int = 60):
         origin = Point([Rat(rng.randint(-64, 64), 8) for _ in range(4)])
         dir1 = Point([Rat(rng.randint(-8, 8)) for _ in range(4)])
         dir2 = Point([Rat(rng.randint(-8, 8)) for _ in range(4)])
-        if affine_rank([origin, origin + dir1, origin + dir2]) != 2:
+        forms = _plane_forms(origin, dir1, dir2)
+        if int_rank(forms[1:]) != 2:
             last = "the plane is not 2-dimensional"
             continue
-        forms = _plane_forms(origin, dir1, dir2)
         traces = [_flat_meet(forms, cell) for cell in cells]
         if any(kind == "all" for kind, _ in traces):
             last = "the plane lies in a join flat"
@@ -395,7 +396,7 @@ def _embedded_attempt(poly, slopes, seed, attempt, rule="orientation"):
     # edges, any other vertex on one, and a wall's host edge is the one
     # polygon edge common to both of its ends
     places = _boundary_places(m3.hom, {v for e in base_edges for v in e},
-                              [homogeneous(p) for p in p3.vertices])
+                              p3.hom)
 
     def on_edges(v):
         if v not in places:

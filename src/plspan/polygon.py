@@ -1,10 +1,11 @@
 """Closed polygons in R^d and the built-in example generators.
 
 A closed polygon is a cyclic list of rational points; edge i joins
-vertex i to vertex i+1 (mod n).  Embeddedness means any two edges meet
-only in a shared endpoint.  The generators return polygons that are
-re-verified exactly before being handed out, so downstream code may
-assume embedded input.
+vertex i to vertex i+1 (mod n).  The constructor clears each corner's
+denominators once, into ClosedPolygon.hom, and every reader takes those
+integer forms.  Embeddedness means any two edges meet only in a shared
+endpoint.  The generators return polygons that are re-verified exactly
+before being handed out, so downstream code may assume embedded input.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from .geom import (
     ONE,
     Point,
     ZERO,
-    affine_rank,
     homogeneous,
+    int_rank,
     key_boxes,
     overlapping_pairs,
     rat,
@@ -40,10 +41,13 @@ class ClosedPolygon:
             raise ValueError("mixed vertex dimensions")
         if dim < 2:
             raise ValueError("polygon dimension must be at least 2")
-        for i, v in enumerate(verts):
-            if v == verts[(i + 1) % len(verts)]:
+        # the forms are canonical (w minimal), so they compare as points
+        hom = [homogeneous(v) for v in verts]
+        for i, h in enumerate(hom):
+            if h == hom[(i + 1) % len(hom)]:
                 raise ValueError("repeated consecutive vertex %d" % i)
         self.vertices = verts
+        self.hom = hom
         self.dim = dim
 
     def __len__(self) -> int:
@@ -54,16 +58,12 @@ class ClosedPolygon:
         return self.vertices[i % n], self.vertices[(i + 1) % n]
 
     def zero_turns(self) -> list[int]:
-        """Vertices where the two incident edges are parallel."""
-        n = len(self.vertices)
-        out = []
-        for i in range(n):
-            prev = self.vertices[(i - 1) % n]
-            cur = self.vertices[i]
-            nxt = self.vertices[(i + 1) % n]
-            if affine_rank([prev, cur, nxt]) < 2:
-                out.append(i)
-        return out
+        """Vertices where the two incident edges are parallel: the forms
+        of the vertex and its two neighbours have rank < 3."""
+        hom = self.hom
+        n = len(hom)
+        return [i for i in range(n)
+                if int_rank([hom[i - 1], hom[i], hom[(i + 1) % n]]) < 3]
 
     def __repr__(self):
         return "ClosedPolygon(n=%d, dim=%d)" % (len(self.vertices), self.dim)
@@ -87,16 +87,17 @@ class PolygonViolation:
 def validate_embedded(poly: ClosedPolygon) -> Optional[PolygonViolation]:
     """Exact pairwise edge check; None when the polygon is embedded.
 
-    Candidate pairs come from the one sweep, geom.overlapping_pairs, over
-    the edges' exact bounding boxes, and are visited in index order.
+    Decided on the corners' forms in poly.hom.  Candidate pairs come
+    from the one sweep, geom.overlapping_pairs, over the edges' exact
+    bounding boxes, and are visited in index order.
     Two edges share the vertex their index sets share.  Planar pairs are
     cleared by orientation signs, pairs in R^d, d >= 3, by the simplex
     pair test (mesh._hull_contact_clean), which decides adjacent pairs
     and pairs in a plane, in R^3 a skew pair by one determinant;
     simplex_intersect decides the rest and builds the witness.
     """
-    n = len(poly.vertices)
-    hom = [homogeneous(v) for v in poly.vertices]
+    hom = poly.hom
+    n = len(hom)
     edges = [(i, (i + 1) % n) for i in range(n)]
     for i, j in overlapping_pairs(key_boxes(hom, edges)):
         ea, eb = edges[i], edges[j]

@@ -7,7 +7,9 @@ containment depth, then span: one triangulated disk per circuit pushed
 below the polygon, two wall triangles from each circuit edge up to the
 polygon, vertical in the shadow, and two bridge triangles per crossing
 joining the strands where they swap.  The surface is built in the
-polygon's own frame.  All geometry is exact; every structural claim the
+polygon's own frame.  All geometry is exact: the marked diagram clears
+each node's denominators once, and the mark check, colours, levels and
+disks read those integer forms.  Every structural claim the
 construction relies on is certified once, by mesh.certify, on the
 finished mesh.
 """
@@ -42,18 +44,21 @@ class MarkedDiagram:
     (kind 'vertex') and passages (kind 'cross'), with a WalkNode of kind
     'mark' just before and just after each passage, its role naming the
     strand end ('in_over', ...); quads maps each crossing to its four
-    mark node indices by side.  factor is the offset fraction that
-    validated: each mark sits at factor times the parameter distance
-    from its crossing to the nearest other stop on the same edge.
+    mark node indices by side.  factor is the offset fraction of the
+    placement: each mark sits at factor times the parameter distance
+    from its crossing to the nearest other stop on the same edge.  hom
+    holds each node's planar integer form, cleared once here; every
+    reader takes those.
     """
 
-    __slots__ = ("diagram", "nodes", "quads", "factor")
+    __slots__ = ("diagram", "nodes", "quads", "factor", "hom")
 
     def __init__(self, diagram, nodes, quads, factor):
         self.diagram = diagram
         self.nodes = nodes
         self.quads = quads
         self.factor = factor
+        self.hom = [homogeneous(nd.pos) for nd in nodes]
 
     def quad_edges(self, x: int) -> list[tuple[int, int]]:
         """The four mixed-strand vertex pairs around crossing x, in
@@ -80,9 +85,10 @@ def insert_interior_vertices(diagram) -> MarkedDiagram:
     """
     factor = Rat(1, 4)
     for _ in range(SHRINK_BUDGET):
-        nodes, quads = _place_marks(diagram, factor)
-        if _marks_valid(nodes, quads):
-            return MarkedDiagram(diagram, nodes, quads, factor)
+        marked = MarkedDiagram(diagram, *_place_marks(diagram, factor),
+                               factor)
+        if _marks_valid(marked):
+            return marked
         factor = factor / 2
     raise AssertionError(
         "could not isolate crossings within %d shrink steps" % SHRINK_BUDGET)
@@ -118,16 +124,16 @@ def _place_marks(diagram, factor):
     return nodes, quads
 
 
-def _marks_valid(nodes, quads) -> bool:
-    hom = [homogeneous(nd.pos) for nd in nodes]
+def _marks_valid(marked: MarkedDiagram) -> bool:
+    hom = marked.hom
     sides = []
-    for x, q in enumerate(quads):
+    for x, q in enumerate(marked.quads):
         ring = (q["in_over"], q["in_under"], q["out_over"], q["out_under"],
                 q["in_over"])
-        if len({nodes[idx].pos.coords for idx in ring}) != 4:
+        if len({hom[idx] for idx in ring}) != 4:
             return False
         sides += [(x, a, b) for a, b in zip(ring, ring[1:])]
-    n_nodes = len(nodes)
+    n_nodes = len(hom)
     walk = [(None, i, (i + 1) % n_nodes) for i in range(n_nodes)]
     segs = sides + walk
     boxes = key_boxes(hom, [(a, b) for _, a, b in segs])
@@ -190,13 +196,14 @@ def _ray_parity(p, segs) -> int:
 def quad_edge_colors(marked: MarkedDiagram, x: int) -> list[int]:
     """Checkerboard color of the face each quad side of crossing x lies
     in: 0 for white (the unbounded face's color), 1 for black.  Colors
-    alternate around the quadrilateral."""
-    shadow = [homogeneous(p) for p in marked.diagram.shadow]
+    alternate around the quadrilateral.  The shadow is read as the
+    forms of the corner nodes, in walk order."""
+    hom = marked.hom
+    shadow = [h for nd, h in zip(marked.nodes, hom) if nd.kind == "vertex"]
     segs = list(zip(shadow, shadow[1:] + shadow[:1]))
-    nodes = marked.nodes
     colors = []
     for a, b in marked.quad_edges(x):
-        ha, hb = homogeneous(nodes[a].pos), homogeneous(nodes[b].pos)
+        ha, hb = hom[a], hom[b]
         # the side's midpoint, over the weight 2 w_a w_b
         mid = tuple(ca * hb[2] + cb * ha[2] for ca, cb in zip(ha, hb))
         colors.append(_ray_parity(mid, segs))
@@ -276,11 +283,11 @@ def smooth(marked: MarkedDiagram, rule: str = "orientation") -> SmoothedGraph:
 def assign_levels(g: SmoothedGraph) -> list[int]:
     """Containment depth per circuit: 1 for circuits enclosing no other
     circuit, else one more than the deepest circuit inside."""
-    nodes = g.marked.nodes
+    hom = g.marked.hom
     s = len(g.circuits)
     polys = []
     for circ in g.circuits:
-        hs = [homogeneous(nodes[i].pos) for i in circ]
+        hs = [hom[i] for i in circ]
         polys.append(list(zip(hs, hs[1:] + hs[:1])))
     reps = [poly[0][0] for poly in polys]
     inside = [[False] * s for _ in range(s)]
@@ -346,8 +353,7 @@ def build_surface(g: SmoothedGraph, levels: list[int]):
 
     bowls = walls = 0
     for ci, circ in enumerate(g.circuits):
-        pts2 = [nodes[i].pos for i in circ]
-        for a, b, c in earclip_2d(pts2):
+        for a, b, c in earclip_2d([marked.hom[i] for i in circ]):
             mesh.add_triangle_indices(low(circ[a]), low(circ[b]),
                                       low(circ[c]), "bowl %d" % ci)
             bowls += 1

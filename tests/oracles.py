@@ -391,7 +391,8 @@ def construct_r3_framed(poly, seed, rule="orientation"):
     raw = TriMesh(3)
     for ci, circ in enumerate(g.circuits):
         k = levels[ci]
-        for a, b, c in earclip_2d([nodes[i].pos for i in circ]):
+        for a, b, c in earclip_2d([homogeneous(nodes[i].pos)
+                                   for i in circ]):
             add_triangle(raw, bottom(circ[a], k), bottom(circ[b], k),
                          bottom(circ[c], k), tag="bowl %d" % ci)
         for e, a in enumerate(circ):

@@ -974,6 +974,20 @@ def _outcome(fn, pts):
         return str(exc)
 
 
+def test_earclip_refuses_bad_input_by_message():
+    square = [homogeneous(Point(xy)) for xy in
+              ((0, 0), ("1/2", 0), ("1/2", "1/3"), (0, "1/3"))]
+    assert earclip_2d(square) == [(3, 0, 1), (1, 2, 3)]
+    for hom, message in (
+            (square[:2], "need at least 3 points"),
+            ([homogeneous(Point([x, 0, 1])) for x in range(3)],
+             "earclip works on planar points"),
+            ([homogeneous(Point([x, 2 * x])) for x in range(4)],
+             "polygon has zero area")):
+        with pytest.raises(ValueError, match=message):
+            earclip_2d(hom)
+
+
 def test_earclip_integer_ear_test_matches_rational_oracle(monkeypatch):
     # grid polygons ordered by angle around a point, so most are simple
     # and many have collinear runs, repeated directions and vertices
@@ -998,7 +1012,8 @@ def test_earclip_integer_ear_test_matches_rational_oracle(monkeypatch):
         if any(pts[i] == pts[(i + 1) % n] for i in range(n)):
             continue
         want = _outcome(_earclip_oracle, pts)
-        assert _outcome(earclip_2d, pts) == want, (trial, pts)
+        hom = [homogeneous(p) for p in pts]
+        assert _outcome(earclip_2d, hom) == want, (trial, pts)
         outcomes.add(type(want))
     assert outcomes == {list, str}
     assert collinear

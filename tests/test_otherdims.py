@@ -172,6 +172,29 @@ def test_immersed_triangle():
     assert boundary_matches(mesh, tri)
 
 
+def test_immersed_skips_a_plane_that_is_not_2_dimensional(monkeypatch):
+    # a zero or a parallel second direction spans no plane: the attempt
+    # is skipped before any trace is solved
+    import plspan.otherdims as od
+    tri = ClosedPolygon([Point((0, 0, 0, 0)), Point((4, 0, 0, 0)),
+                         Point((0, 4, 0, 0))])
+    for dir2 in ([0, 0, 0, 0], [-2, 4, 0, -6]):
+        draws = iter([8, -16, 3, 0] + [1, -2, 0, 3] + dir2)
+
+        class Scripted:
+            def __init__(self, seed):
+                pass
+
+            def randint(self, lo, hi):
+                return next(draws)
+
+        monkeypatch.setattr(od, "random", SimpleNamespace(Random=Scripted))
+        with pytest.raises(AssertionError,
+                           match="last skipped as the plane is not "
+                                 "2-dimensional"):
+            immersed_disk_4d(tri, budget=1)
+
+
 def test_immersed_tags_and_counts():
     p = gen_random(6, 4, seed=1)
     mesh, rep = immersed_disk_4d(p, seed=0)

@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from plspan.geom import Point, affine_rank, rat, simplex_intersect
+from plspan.geom import (Point, affine_rank, homogeneous, rat,
+                         simplex_intersect)
 from plspan.polygon import (
     ClosedPolygon,
     gen_planar_ngon,
@@ -25,6 +27,17 @@ def test_constructor_rejects_bad_input():
     with pytest.raises(ValueError):
         # closing vertex equals the first
         ClosedPolygon([Point([0, 0]), Point([2, 0]), Point([0, 0])])
+    with pytest.raises(ValueError):
+        # one point spelled two ways
+        ClosedPolygon([Point(["1/2", 0]), Point(["0.5", "0/3"]),
+                       Point([2, 1])])
+
+
+def test_polygon_keeps_each_corner_integer_form():
+    for poly in (gen_torus_stick(3), gen_random(7, 4, seed=2),
+                 ClosedPolygon([Point(["1/3", "-5/2"]), Point(["0.25", 2]),
+                                Point([3, "7/6"])])):
+        assert poly.hom == [homogeneous(v) for v in poly.vertices]
 
 
 def test_validate_embedded_accepts_square():
@@ -158,6 +171,32 @@ def test_zero_turns():
                        Point([2, 3])])
     assert p.zero_turns() == [1]
     assert gen_planar_ngon(6).zero_turns() == []
+
+
+def test_zero_turns_matches_affine_rank_oracle():
+    # zero_turns ranks the three forms at each vertex; the oracle takes
+    # the affine rank of the three points.  Random rational polygons in
+    # R^2..R^5, with vertices planted on the line through their two
+    # neighbours (between them, beyond either end, or a backtrack onto
+    # the previous vertex), so both verdicts occur in every dimension
+    rng = random.Random(103)
+    reached = set()
+    for trial in range(400):
+        dim = 2 + trial % 4
+        n = rng.randint(3, 8)
+        verts = [Point([Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                        for _ in range(dim)]) for _ in range(n)]
+        for i in rng.sample(range(n), rng.randint(0, n // 2)):
+            a, b = verts[i - 1], verts[(i + 1) % n]
+            verts[i] = a + (b - a).scale(Fraction(rng.randint(-6, 10), 4))
+        if any(verts[i] == verts[i - 1] for i in range(n)):
+            continue
+        want = [i for i in range(n)
+                if affine_rank([verts[i - 1], verts[i],
+                                verts[(i + 1) % n]]) < 2]
+        assert ClosedPolygon(verts).zero_turns() == want, (trial, verts)
+        reached |= {(dim, i in want) for i in range(n)}
+    assert reached == {(d, z) for d in range(2, 6) for z in (True, False)}
 
 
 def test_planar_ngon_on_exact_circle():

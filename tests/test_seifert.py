@@ -191,6 +191,19 @@ def test_surface_matches_sheared_frame_oracle(tmp_path):
     assert built >= 20
 
 
+def test_marked_diagram_keeps_each_node_integer_form():
+    # MarkedDiagram clears its nodes once; the corner nodes' forms, in
+    # walk order, are the shadow's, which quad_edge_colors reads
+    for poly in (gen_torus_stick(3), gen_twist_writhe(2),
+                 gen_random(8, 3, seed=5)):
+        dia = project_polygon(poly)
+        marked = insert_interior_vertices(dia)
+        assert marked.hom == [homogeneous(nd.pos) for nd in marked.nodes]
+        assert [h for nd, h in zip(marked.nodes, marked.hom)
+                if nd.kind == "vertex"] == [homogeneous(p)
+                                            for p in dia.shadow]
+
+
 def test_circuits_do_not_depend_on_the_mark_offset():
     # each reconnection joins the marks of one crossing by strand end or
     # face colour, not by position, so a smaller mark offset cannot mend
@@ -204,9 +217,9 @@ def test_circuits_do_not_depend_on_the_mark_offset():
         crossings += len(dia.crossings)
         placed = []
         for factor in (Rat(1, 4), Rat(1, 8), Rat(1, 32), Rat(1, 64)):
-            nodes, quads = _place_marks(dia, factor)
-            if _marks_valid(nodes, quads):
-                placed.append(MarkedDiagram(dia, nodes, quads, factor))
+            marked = MarkedDiagram(dia, *_place_marks(dia, factor), factor)
+            if _marks_valid(marked):
+                placed.append(marked)
         assert len(placed) >= 2
         compared += len(placed) == 4
         for rule in ("orientation", "white-edge"):
@@ -383,7 +396,8 @@ def test_marks_valid_integer_contacts_match_rational_oracle(monkeypatch):
     verdicts = set()
     for k, (nodes, quads) in enumerate(cases):
         want = _marks_valid_oracle(nodes, quads)
-        assert _marks_valid(nodes, quads) == want, k
+        marked = MarkedDiagram(None, nodes, quads, None)
+        assert _marks_valid(marked) == want, k
         verdicts.add(want)
     assert verdicts == {True, False}
     assert collinear
@@ -409,8 +423,8 @@ def test_marks_valid_sweeps_no_walk_pair(monkeypatch):
         for factor in (Rat(1, 4), Rat(15, 16)):
             nodes, quads = _place_marks(dia, factor)
             swept.clear()
-            assert _marks_valid(nodes, quads) == _marks_valid_oracle(nodes,
-                                                                     quads)
+            marked = MarkedDiagram(dia, nodes, quads, factor)
+            assert _marks_valid(marked) == _marks_valid_oracle(nodes, quads)
             for split, count, pairs in swept:
                 assert split == 4 * len(quads) and count == split + len(nodes)
                 assert all(i < split for i, _ in pairs)
