@@ -17,7 +17,7 @@ from .bounds import (
     writhe_lower_bound,
 )
 from .diagram import Diagram, project_polygon
-from .geom import AffineMap, Point, Rat, rat
+from .geom import Point, Rat, rat
 from .mesh import (
     TriMesh,
     boundary_matches,
@@ -45,7 +45,6 @@ from .polygon import (
 from .seifert import spanning_surface_r3
 
 __all__ = [
-    "AffineMap",
     "ClosedPolygon",
     "Diagram",
     "Point",

@@ -1,13 +1,13 @@
 """Generic projection of an embedded polygon in R^3 to the plane.
 
 The projection sends (x, y, z) to its shadow (x + s1*z, y + s2*z), with
-slopes (s1, s2) chosen so that the shadow is a proper diagram: edges
-never overlap, all contacts between non-adjacent edges are transverse
-interior crossings, crossing points are pairwise distinct and avoid
-every projected vertex.  The slopes are rational, so every test below
-is exact.  The slopes only pick the direction of projection: heights
-stay the polygon's own, and Diagram.lift maps a shadow point and a
-height back to the polygon's frame.
+rational slopes (s1, s2) chosen so that the shadow is a proper diagram:
+edges never overlap, all contacts between non-adjacent edges are
+transverse interior crossings, crossing points are pairwise distinct
+and avoid every projected vertex.  Heights stay the polygon's own.
+Shadow and crossing points are canonical integer forms (x w, y w, w)
+(geom.homogeneous), sheared and cut straight from the polygon's forms;
+edge parameters and heights are rationals.
 
 A Diagram carries the slopes, the shadow of every vertex, the crossing
 list with over/under resolution and signs, and the walk: the cyclic
@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import random
 
-from .geom import (Point, Rat, ZERO, homogeneous, key_boxes,
-                   overlapping_pairs, seg_intersect_2d, sign)
+from .geom import (Rat, ZERO, _primitive, key_boxes, overlapping_pairs,
+                   seg_intersect_2d, sign)
 from .polygon import ClosedPolygon
 
 
@@ -35,12 +35,8 @@ class Crossing:
         self.under_edge = under_edge
         self.over_param = over_param
         self.under_param = under_param
-        self.pos = pos          # exact 2D point
+        self.pos = pos          # planar integer form
         self.sign = sgn
-
-    def __repr__(self):
-        return "Crossing(%d, over=e%d, under=e%d, sign=%+d)" % (
-            self.index, self.over_edge, self.under_edge, self.sign)
 
 
 class WalkNode:
@@ -50,8 +46,8 @@ class WalkNode:
     passage of this strand through a crossing, with role 'over' or
     'under'.  seifert adds kind 'mark', one of the four vertices placed
     around a crossing, with role naming the strand end ('in_over', ...).
-    pos is the exact planar position, z the exact height of the strand
-    there, param the position along the current edge.
+    pos is the planar position as an integer form, z the exact height
+    of the strand there, param the position along the current edge.
     """
 
     __slots__ = ("kind", "ref", "role", "edge", "param", "pos", "z")
@@ -65,32 +61,18 @@ class WalkNode:
         self.pos = pos
         self.z = z
 
-    def __repr__(self):
-        if self.kind == "vertex":
-            return "WalkNode(v%d)" % self.ref
-        return "WalkNode(x%d %s on e%d)" % (self.ref, self.role, self.edge)
-
 
 class Diagram:
     def __init__(self, polygon, slopes, shadow, crossings, walk):
         self.polygon = polygon        # the polygon as given
         self.slopes = slopes          # (s1, s2) of the projection
-        self.shadow = shadow          # planar Point per polygon vertex
+        self.shadow = shadow          # planar form per polygon vertex
         self.crossings = crossings
         self.walk = walk              # list of WalkNode, cyclic order
-
-    def lift(self, pos, z) -> Point:
-        """The point of the polygon's frame with shadow pos and height z."""
-        s1, s2 = self.slopes
-        return Point((pos[0] - s1 * z, pos[1] - s2 * z, z))
 
     @property
     def writhe(self) -> int:
         return sum(c.sign for c in self.crossings)
-
-    def __repr__(self):
-        return "Diagram(n=%d, crossings=%d, writhe=%d)" % (
-            len(self.shadow), len(self.crossings), self.writhe)
 
 
 def _cross_h(p, q) -> tuple:
@@ -107,7 +89,7 @@ def _dot(x, y):
 def _crossing_h(a, b, c, d):
     """(t, u, point, sign) of the proper crossing of segments [a, b] and
     [c, d], given in homogeneous form: no endpoint lies on the other
-    segment's line.
+    segment's line.  point is the crossing's canonical form.
 
     With O(p, q, r) = det(p, q, r), the crossing is the homogeneous
     point O(c,d,a) b - O(c,d,b) a, at t = O(c,d,a) w_b / (O(c,d,a) w_b -
@@ -120,25 +102,24 @@ def _crossing_h(a, b, c, d):
     x, y, w = (oa * p - ob * q for p, q in zip(b, a))
     t = Rat(oa * b[2], oa * b[2] - ob * a[2])
     u = Rat(oc * d[2], oc * d[2] - od * c[2])
-    return t, u, Point((Rat(x, w), Rat(y, w))), sign(od)
+    return t, u, _primitive((x, y, w)), sign(od)
 
 
-def _projection_problems(pts: list[Point]):
+def _projection_problems(hom: list[tuple]):
     """(first violated general-position condition, None) or, when the
-    shadow is clean, (None, crossings): the (i, j, t, u, point, sign) of
-    every pair of non-adjacent edges that cross, in pair order, as
-    _crossing_h gives them.
+    shadow with canonical forms hom is clean, (None, crossings): the
+    (i, j, t, u, point, sign) of every pair of non-adjacent edges that
+    cross, in pair order, as _crossing_h gives them.
 
     Candidate pairs come from geom.overlapping_pairs, and one
     seg_intersect_2d call on the integer forms decides each of them:
     adjacent edges may touch only at their corner, other edges may only
     cross."""
-    n = len(pts)
+    n = len(hom)
     crossings = []
     for i in range(n):
-        if pts[i] == pts[(i + 1) % n]:
+        if hom[i] == hom[(i + 1) % n]:
             return "edge %d projects to a point" % i, None
-    hom = [homogeneous(p) for p in pts]
     edges = [(i, (i + 1) % n) for i in range(n)]
     for i, j in overlapping_pairs(key_boxes(hom, edges)):
         a, b, c, d = i, (i + 1) % n, j, (j + 1) % n
@@ -158,18 +139,20 @@ def _projection_problems(pts: list[Point]):
     # the other touches i at an endpoint, a problem returned above.
     seen = set()
     for *_, point, _ in crossings:
-        if point.coords in seen:
+        if point in seen:
             return "two crossings coincide", None
-        seen.add(point.coords)
+        seen.add(point)
     return None, crossings
 
 
 def find_general_position(poly: ClosedPolygon, seed: int = 0,
                           budget: int = 1000):
     """The slopes (s1, s2) making the shadow (x + s1*z, y + s2*z) of
-    poly's vertices a proper diagram, that shadow, and its crossings, as
-    _projection_problems lists them.
+    poly's vertices a proper diagram, that shadow's forms, and its
+    crossings, as _projection_problems lists them.
 
+    With s_k = a_k / b_k, the shadow of the form (X, Y, Z, W) is
+    (X b1 b2 + a1 Z b2, Y b1 b2 + a2 Z b1, W b1 b2), made canonical.
     The identity is tried first; afterwards slopes are drawn uniformly
     from the grid {k/1024 : |k| <= 1024}.  Raises if the budget runs out,
     which for an embedded polygon means the budget was simply too small:
@@ -189,10 +172,14 @@ def find_general_position(poly: ClosedPolygon, seed: int = 0,
         if (s1, s2) in tried:
             continue
         tried.add((s1, s2))
-        pts = [Point((x + s1 * z, y + s2 * z)) for x, y, z in poly.vertices]
-        problem, crossings = _projection_problems(pts)
+        a1, b1, a2, b2 = (s1.numerator, s1.denominator, s2.numerator,
+                          s2.denominator)
+        bb = b1 * b2
+        shadow = [_primitive((x * bb + a1 * z * b2, y * bb + a2 * z * b1,
+                              w * bb)) for x, y, z, w in poly.hom]
+        problem, crossings = _projection_problems(shadow)
         if problem is None:
-            return (s1, s2), pts, crossings
+            return (s1, s2), shadow, crossings
     raise AssertionError("no generic projection found within budget")
 
 
@@ -204,9 +191,9 @@ def project_polygon(poly: ClosedPolygon, seed: int = 0,
     strand's height at a crossing or walk stop is poly's own height
     there, interpolated along its edge.
     """
-    slopes, pts, hits = find_general_position(poly, seed, budget)
+    slopes, shadow, hits = find_general_position(poly, seed, budget)
     verts = poly.vertices
-    n = len(pts)
+    n = len(shadow)
 
     def z_at(edge, t):
         za = verts[edge][2]
@@ -235,8 +222,9 @@ def project_polygon(poly: ClosedPolygon, seed: int = 0,
 
     walk = []
     for i in range(n):
-        walk.append(WalkNode("vertex", i, None, i, ZERO, pts[i], verts[i][2]))
+        walk.append(WalkNode("vertex", i, None, i, ZERO, shadow[i],
+                             verts[i][2]))
         for t, idx, role, z in sorted(per_edge[i], key=lambda e: e[0]):
             walk.append(WalkNode("cross", idx, role, i, t,
                                  crossings[idx].pos, z))
-    return Diagram(poly, slopes, pts, crossings, walk)
+    return Diagram(poly, slopes, shadow, crossings, walk)

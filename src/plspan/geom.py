@@ -7,34 +7,21 @@ coordinates are rationals with arbitrary-precision integer numerator and
 denominator, and all predicates are exact.
 
 The scalar type is gmpy2.mpq when available, else fractions.Fraction.
-Both backends are supported: they are normalized, hashable and
-interoperate with Python ints, and the Fraction fallback alone meets the
-acceptance suite's time budget.  The hot predicates lean on neither:
-they clear denominators one point at a time and take signs of integer
-determinants (the homogeneous predicates below).
+The hot predicates lean on neither: they take signs of integer
+determinants on canonical integer forms (x_1 w, ..., x_d w, w), w > 0
+minimal (homogeneous).  _primitive makes any integer form of a point
+canonical, so forms are made from forms (_between) and from text
+(_ratio, which reads plain 'p' and 'p/q' with int()) with no rational
+built on the way.
 
 Every pairwise test takes its candidate pairs from one sweep,
-overlapping_pairs, along the axis whose intervals overlap least, over
-bounding boxes on integer keys (key_boxes) that compare exactly as
-the coordinates do.
-
-Planar segment pairs have one test, seg_intersect_2d on homogeneous
-integer forms: disjoint, a proper crossing, a single touching point,
-or a collinear overlap.  seg_pair_clear_h is its yes/no view for
-contacts permitted at a shared endpoint, and the shadow check, ear
-clipping, crossing marks and planar embeddedness all go through it.
-
-There is one elimination loop, the fraction-free _bareiss.  Ranks,
-hull axes and the axes of a plane's functionals take its forward pass.
-Its Gauss-Jordan pass has two readers: rref, its rational view on rows
-scaled to integers, which builds each rational entry only at the end,
-and int_nullspace, which reads a primitive integer kernel basis
-straight off it.  That basis gives the hyperplane functionals of mesh
-triangles outside R^3 (in R^3 they are the signed minors of the
-triangle's rows) and of the immersed disk's join cells, and the one
-affine relation whose signs decide a segment or triangle pair in
-mesh._hull_contact_clean.
-solution_set reads the solutions of a linear system off rref's result.
+overlapping_pairs, over bounding boxes on exact integer keys
+(key_boxes).  Planar segment pairs have one test, seg_intersect_2d on
+forms, and seg_pair_clear_h is its yes/no view.  There is one
+elimination loop, the fraction-free _bareiss: ranks and axes take its
+forward pass, rref (its rational view) and int_nullspace (a primitive
+integer kernel basis) its Gauss-Jordan pass.  solution_set reads the
+solutions of a linear system off rref's result.
 """
 
 from __future__ import annotations
@@ -61,8 +48,8 @@ def rat(x: RatLike) -> Rat:
     """Coerce ints, Fractions, 'p/q' strings and exact decimal strings.
 
     Decimal strings are converted exactly ('0.25' -> 1/4), never through
-    a float.  A value already of type Rat comes back unchanged, and so
-    does the one parsed from a string.  Other Fractions go through the
+    a float.  A value already of type Rat comes back unchanged; a string
+    is read by _ratio.  Other Fractions go through the
     two-argument constructor: a Fraction built from a foreign Rational
     can carry non-int components, which the one-argument gmpy2
     conversion rejects.
@@ -70,15 +57,25 @@ def rat(x: RatLike) -> Rat:
     if type(x) is Rat:
         return x
     if isinstance(x, str):
-        try:
-            x = Fraction(x)
-        except ZeroDivisionError:
-            raise ValueError("zero denominator in %r" % x) from None
-        if Rat is Fraction:
-            return x
+        return Rat(*_ratio(x))
     if isinstance(x, Fraction):
         return Rat(x.numerator, x.denominator)
     return Rat(x)
+
+
+def _ratio(text: str) -> tuple[int, int]:
+    """(numerator, positive denominator) of the rational text names, not
+    necessarily in lowest terms.  Plain ASCII -?[0-9]+(/[0-9]+)? is read
+    with int(); any other text goes through Fraction(str)."""
+    num, slash, den = text.partition("/")
+    if text.isascii() and (num[1:] if num[:1] == "-" else num).isdigit() \
+            and (not slash or den.isdigit() and den.strip("0")):
+        return int(num), int(den or 1)
+    try:
+        q = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
+    return q.numerator, q.denominator
 
 
 def rat_str(x) -> str:
@@ -133,29 +130,6 @@ class Point:
 
     def __repr__(self) -> str:
         return "Point(%s)" % (", ".join(rat_str(c) for c in self.coords))
-
-
-class AffineMap:
-    """x -> M x + t with an exactly invertible rational matrix M."""
-
-    __slots__ = ("matrix", "shift")
-
-    def __init__(self, matrix: Sequence[Sequence], shift: Iterable):
-        self.matrix = tuple(tuple(rat(e) for e in row) for row in matrix)
-        self.shift = tuple(rat(e) for e in shift)
-        n = len(self.matrix)
-        if any(len(row) != n for row in self.matrix) or len(self.shift) != n:
-            raise ValueError("affine map must be square with matching shift")
-
-    @property
-    def dim(self) -> int:
-        return len(self.shift)
-
-    def apply(self, p: Point) -> Point:
-        if p.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return Point(sum(row[j] * p.coords[j] for j in range(self.dim)) + s
-                     for row, s in zip(self.matrix, self.shift))
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +223,33 @@ def orient3d(a: Point, b: Point, c: Point, d: Point) -> int:
 
 def homogeneous(p: Point) -> tuple:
     """Integer form (x_1 w, ..., x_d w, w) of p with w > 0 minimal."""
-    w = 1
-    for c in p.coords:
-        w = lcm(w, c.denominator)
-    return tuple(c.numerator * (w // c.denominator) for c in p.coords) + (w,)
+    return _form([(c.numerator, c.denominator) for c in p.coords])
+
+
+def _primitive(h) -> tuple:
+    """homogeneous() of the point with integer form h, any nonzero
+    weight: h over the gcd of its entries, signed so that w > 0, as
+    every integer form of a point is a multiple of the canonical one."""
+    g = gcd(*h)
+    if h[-1] < 0:
+        g = -g
+    return tuple(h) if g == 1 else tuple(c // g for c in h)
+
+
+def _between(a, b, p: int, q: int) -> tuple:
+    """The canonical form of a + (p/q)(b - a), for forms a and b and
+    q > 0: ((q - p) a_i w_b + p b_i w_a) over q w_a w_b."""
+    wa, wb = a[-1], b[-1]
+    r, s = (q - p) * wb, p * wa
+    return _primitive([r * x + s * y for x, y in zip(a[:-1], b[:-1])]
+                      + [q * wa * wb])
+
+
+def _form(ratios) -> tuple:
+    """The canonical form of the point with coordinates n / d, for the
+    pairs (n, d), d > 0, listed in ratios."""
+    w = lcm(*(d for _, d in ratios))
+    return _primitive([n * (w // d) for n, d in ratios] + [w])
 
 
 def _bareiss(rows, reduce=False) -> tuple[list, list[int], int, int]:

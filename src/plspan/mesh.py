@@ -1,47 +1,42 @@
 """Triangle meshes with exact coordinates.
 
 A TriMesh is a vertex pool plus index triples.  Vertices are pooled by
-exact coordinates, so two triangles touch in the mesh sense iff they
-share pool indices.  Each vertex's denominators are cleared once, when
-it is pooled: its integer form (geom.homogeneous) is the pool key and
-is kept in mesh.hom, and every certificate reads those integers.  The
-surface builders pool each point on its first use (TriMesh.pooler) and
-only ever append triangles by index.
+their canonical integer forms (geom.homogeneous), kept in mesh.hom and
+read by every certificate, so two triangles touch in the mesh sense iff
+they share pool indices.  The builders pool each form on its first use
+(TriMesh.pooler) and append triangles by index; mesh.vertices is a view
+that makes a vertex's Point from its form on first read.  read_off
+parses each vertex line straight to its form, and write_off prints each
+coordinate from it.
 Validation, Euler characteristic, orientability, boundary extraction
 and the embeddedness check all live here, the first four reading one
 edge incidence kept as triangles are added, and certify runs each of
-them once on a finished surface.  The embeddedness check takes each
-triangle's plane as integer functionals on those forms, in R^3 the
-signed minors of its three rows (which validate_manifold reads for
-degeneracy), and decides each candidate pair of the sweep from the
-signs its shared vertices leave open, in R^3 as four-term integer sums:
-one value for a shared edge, the two free vertices for a shared vertex,
-all three for none; a coplanar R^3 pair sharing an edge then by the
-signs of the two planes' minors.  A pair off a common plane whose
-vertices carry one affine relation is decided by its signs
-(_relation_clean): in R^3 at a shared vertex, read off the plane
-values; else in the vertices' affine hull (_hull_contact_clean), which
-polygon edge pairs and the immersed certificate share, and where in R^3
-one determinant clears up to four independent vertices.
+them once on a finished surface.  check_embedded decides each candidate
+pair of the sweep from its triangles' integer plane functionals;
+_hull_contact_clean, the simplex pair test in the vertices' affine
+hull, is shared with the polygon check and the immersed certificate.
 """
 
 from __future__ import annotations
 
 from functools import cmp_to_key
+from math import gcd
 from operator import mul
 from typing import Optional
 
 from .geom import (
     Point,
+    Rat,
     _bareiss,
+    _form,
     _interval_gap,
+    _ratio,
     homogeneous,
     int_nullspace,
     int_rank,
     key_boxes,
     orient2d_h,
     overlapping_pairs,
-    rat_str,
     sign,
     simplex_intersect,
 )
@@ -96,10 +91,10 @@ class TriMesh:
         if dim < 2:
             raise ValueError("mesh dimension must be at least 2")
         self.dim = dim
-        self.vertices: list[Point] = []
-        # integer form of each vertex, cleared once here and read by
-        # every certificate
+        # the canonical integer form of each vertex, the pool key, read
+        # by every certificate; the Points are a view made on demand
         self.hom: list[tuple] = []
+        self._points: list[Point] = []
         self.triangles: list[tuple[int, int, int]] = []
         self.provenance: list[str] = []
         self._pool: dict[tuple, int] = {}
@@ -109,34 +104,42 @@ class TriMesh:
 
     # -- construction -----------------------------------------------------
 
+    @property
+    def vertices(self) -> list[Point]:
+        """The pooled points, in pool order; a vertex pooled by its form
+        gets its Point on the first read after it was pooled."""
+        pts = self._points
+        if len(pts) < len(self.hom):
+            pts += [Point([Rat(c, h[-1]) for c in h[:-1]])
+                    for h in self.hom[len(pts):]]
+        return pts
+
     def add_vertex(self, p: Point) -> int:
         if p.dim != self.dim:
             raise ValueError("vertex dimension mismatch")
         # the form is canonical (w minimal), so it pools like p.coords
-        h = homogeneous(p)
+        return self._add_form(homogeneous(p), p)
+
+    def _add_form(self, h: tuple, p: Optional[Point] = None) -> int:
+        """Pool index of the point with canonical form h, pooling it if
+        new; its Point is p, or made from h when vertices is read."""
         idx = self._pool.get(h)
         if idx is None:
-            idx = len(self.vertices)
-            self.vertices.append(p)
+            idx = len(self.hom)
+            if p is not None:
+                self.vertices.append(p)
             self.hom.append(h)
             self._pool[h] = idx
         return idx
 
-    def pooler(self, points):
-        """A function key -> pool index of points[key] that pools each
-        point on its first call, so a builder clears its denominators
-        once however many triangles it corners."""
-        ids: dict = {}
-
-        def index(key) -> int:
-            i = ids.get(key)
-            if i is None:
-                i = ids[key] = self.add_vertex(points[key])
-            return i
-        return index
+    def pooler(self, forms):
+        """A function key -> pool index of the point with canonical form
+        forms[key], pooling it on its first call: a builder makes each
+        form once however many triangles it corners."""
+        return lambda key: self._add_form(forms[key])
 
     def add_triangle_indices(self, i: int, j: int, k: int, tag: str = "") -> int:
-        n = len(self.vertices)
+        n = len(self.hom)
         if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
             raise ValueError("triangle references missing vertex")
         t = len(self.triangles)
@@ -815,11 +818,13 @@ def certify(mesh: TriMesh, polygon=None, interior: str = "embedded") -> dict:
 # serialization
 
 def write_off(mesh: TriMesh, path: str) -> None:
-    """Exact mesh format: rational coordinates, provenance in comments."""
+    """Exact mesh format: rational coordinates, each printed from its
+    form as str(Fraction) prints it, and provenance in comments."""
     lines = ["pl-off %d" % mesh.dim,
-             "%d %d 0" % (len(mesh.vertices), len(mesh.triangles))]
-    for p in mesh.vertices:
-        lines.append(" ".join(rat_str(c) for c in p.coords))
+             "%d %d 0" % (len(mesh.hom), len(mesh.triangles))]
+    for h in mesh.hom:
+        w = h[-1]
+        lines.append(" ".join(_ratio_text(c, w) for c in h[:-1]))
     for (i, j, k), tag in zip(mesh.triangles, mesh.provenance):
         face = "3 %d %d %d" % (i, j, k)
         if tag:
@@ -827,6 +832,11 @@ def write_off(mesh: TriMesh, path: str) -> None:
         lines.append(face)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _ratio_text(c: int, w: int) -> str:
+    g = gcd(c, w)
+    return "%d" % (c // g) if g == w else "%d/%d" % (c // g, w // g)
 
 
 def read_off(path: str) -> TriMesh:
@@ -852,8 +862,8 @@ def read_off(path: str) -> TriMesh:
         toks = ln.split()
         if len(toks) != dim:
             raise ValueError("bad vertex line: %r" % ln)
-        mesh.add_vertex(Point(toks))
-    if len(mesh.vertices) != nv:
+        mesh._add_form(_form([_ratio(tok) for tok in toks]))
+    if len(mesh.hom) != nv:
         raise ValueError("pl-off repeats a vertex")
     for ln in lines[2 + nv:]:
         body, _, tag = ln.partition("#")

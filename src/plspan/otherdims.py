@@ -19,6 +19,7 @@ from .geom import (
     Point,
     Rat,
     ZERO,
+    _between,
     earclip_2d as _earclip_indices,
     homogeneous,
     int_nullspace,
@@ -42,14 +43,13 @@ def earclip_2d(poly: ClosedPolygon):
     rule, or else by the certificate of the disk its ears make."""
     if poly.dim != 2:
         raise ValueError("earclip_2d expects a planar polygon")
-    pts = poly.vertices
     mesh = TriMesh(2)
-    at = mesh.pooler(pts)
+    at = mesh.pooler(poly.hom)
     for a, b, c in _earclip_indices(poly.hom):
         mesh.add_triangle_indices(at(a), at(b), at(c), "ear")
-    n = len(pts)
+    n = len(poly.hom)
     _require(len(mesh.triangles) == n - 2, "earclip: t != n - 2")
-    _require(len(mesh.vertices) == n, "earclip: added a vertex")
+    _require(len(mesh.hom) == n, "earclip: added a vertex")
     cert = certify(mesh, poly)
     _require(cert["failure"] is None, cert["failure"])
     report = {"n": n, "dim": 2, "triangles": n - 2, "euler": 1,
@@ -81,7 +81,7 @@ def cone_highdim(poly: ClosedPolygon, seed: int = 0, budget: int = 200):
                   for i in range(d)]
         apex = Point(coords)
         mesh = TriMesh(d)
-        at = mesh.pooler(verts + [apex])
+        at = mesh.pooler(poly.hom + [homogeneous(apex)])
         for i in range(n):
             mesh.add_triangle_indices(at(i), at((i + 1) % n), at(n),
                                       "cone %d" % i)
@@ -290,11 +290,10 @@ def polygon_contact_clean(mesh: TriMesh):
 
 
 def _assemble_disk(poly, q4, center):
-    verts = poly.vertices
-    n = len(verts)
+    n = len(poly.vertices)
     mesh = TriMesh(4)
     # the polygon's vertices, then the inner n-gon's, then the center
-    at = mesh.pooler(verts + q4 + [center])
+    at = mesh.pooler(poly.hom + [homogeneous(p) for p in q4 + [center]])
     for j in range(n):
         k = (j + 1) % n
         mesh.add_triangle_indices(at(j), at(k), at(n + k), "annulus %d" % j)
@@ -307,7 +306,7 @@ def _assemble_disk(poly, q4, center):
         return None
     census = cert["census"]
     _require(len(mesh.triangles) == 3 * n, "immersed4: t != 3n")
-    _require(len(mesh.vertices) == 2 * n + 1,
+    _require(len(mesh.hom) == 2 * n + 1,
              "immersed4: vertex count != 2n + 1")
     _require(len(mesh.edge_census()) == 5 * n,
              "immersed4: edge count != 5n")
@@ -415,8 +414,7 @@ def _embedded_attempt(poly, slopes, seed, attempt, rule="orientation"):
         for v in (ia, ib):
             if v not in tops:
                 e, t = places[v]
-                ea, eb = verts[e], verts[(e + 1) % n]
-                tops[v] = ea + (eb - ea).scale(Rat(*t))
+                tops[v] = _between(poly.hom[e], poly.hom[(e + 1) % n], *t)
         _add_wall(mesh, ia, ib, lambda v: v, top, "wall4 %d" % host)
     cert = certify(mesh, poly)
     _require(cert["failure"] is None, cert["failure"])

@@ -6,12 +6,12 @@ shadow falls apart into disjoint simple circuits, rank the circuits by
 containment depth, then span: one triangulated disk per circuit pushed
 below the polygon, two wall triangles from each circuit edge up to the
 polygon, vertical in the shadow, and two bridge triangles per crossing
-joining the strands where they swap.  The surface is built in the
-polygon's own frame.  All geometry is exact: the marked diagram clears
-each node's denominators once, and the mark check, colours, levels and
-disks read those integer forms.  Every structural claim the
-construction relies on is certified once, by mesh.certify, on the
-finished mesh.
+joining the strands where they swap, in the polygon's own frame.  All
+geometry runs on canonical integer forms: each mark's form is made from
+its neighbours' forms, and each surface vertex is lifted from its
+node's form and height straight to the R^3 form the mesh pools.  Every
+structural claim the construction relies on is certified once, by
+mesh.certify, on the finished mesh.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from .geom import (
     Point,
     Rat,
     ZERO,
+    _between,
+    _primitive,
     earclip_2d,
-    homogeneous,
     key_boxes,
     orient2d_h,
     overlapping_pairs,
@@ -47,8 +48,8 @@ class MarkedDiagram:
     mark node indices by side.  factor is the offset fraction of the
     placement: each mark sits at factor times the parameter distance
     from its crossing to the nearest other stop on the same edge.  hom
-    holds each node's planar integer form, cleared once here; every
-    reader takes those.
+    holds each node's planar integer form, its pos; every reader takes
+    those.
     """
 
     __slots__ = ("diagram", "nodes", "quads", "factor", "hom")
@@ -58,7 +59,7 @@ class MarkedDiagram:
         self.nodes = nodes
         self.quads = quads
         self.factor = factor
-        self.hom = [homogeneous(nd.pos) for nd in nodes]
+        self.hom = [nd.pos for nd in nodes]
 
     def quad_edges(self, x: int) -> list[tuple[int, int]]:
         """The four mixed-strand vertex pairs around crossing x, in
@@ -68,10 +69,6 @@ class MarkedDiagram:
                 (q["in_under"], q["out_over"]),
                 (q["out_over"], q["out_under"]),
                 (q["out_under"], q["in_over"])]
-
-    def __repr__(self):
-        return "MarkedDiagram(nodes=%d, crossings=%d, factor=%s)" % (
-            len(self.nodes), len(self.quads), self.factor)
 
 
 def insert_interior_vertices(diagram) -> MarkedDiagram:
@@ -99,12 +96,13 @@ def _place_marks(diagram, factor):
     n_walk = len(walk)
     nodes: list[WalkNode] = []
     quads: list[dict] = [dict() for _ in diagram.crossings]
+    p, q = factor.numerator, factor.denominator
 
     def mark(stop, near, t_near, side):
         # factor of the way from stop to the stop near, at parameter t_near
         # of stop's edge; shadow and height are affine in the parameter
         t = stop.param + factor * (t_near - stop.param)
-        pos = Point(a + factor * (b - a) for a, b in zip(stop.pos, near.pos))
+        pos = _between(stop.pos, near.pos, p, q)
         z = stop.z + factor * (near.z - stop.z)
         quads[stop.ref][side] = len(nodes)
         nodes.append(WalkNode("mark", stop.ref, side, stop.edge, t, pos, z))
@@ -165,10 +163,6 @@ class SmoothedGraph:
         self.circuits = circuits
         self.whites = whites
 
-    def __repr__(self):
-        return "SmoothedGraph(rule=%s, circuits=%s)" % (
-            self.rule, [len(c) for c in self.circuits])
-
 
 def _ray_parity(p, segs) -> int:
     """Parity of the crossings of a ray from p with closed polygons.
@@ -203,10 +197,7 @@ def quad_edge_colors(marked: MarkedDiagram, x: int) -> list[int]:
     segs = list(zip(shadow, shadow[1:] + shadow[:1]))
     colors = []
     for a, b in marked.quad_edges(x):
-        ha, hb = hom[a], hom[b]
-        # the side's midpoint, over the weight 2 w_a w_b
-        mid = tuple(ca * hb[2] + cb * ha[2] for ca, cb in zip(ha, hb))
-        colors.append(_ray_parity(mid, segs))
+        colors.append(_ray_parity(_between(hom[a], hom[b], 1, 2), segs))
     if colors[0] != colors[2] or colors[1] != colors[3] \
             or colors[0] == colors[1]:
         raise AssertionError("face colors fail to alternate at crossing %d"
@@ -315,9 +306,11 @@ def _add_wall(mesh, a, b, low, top, tag) -> None:
     """Two triangles on the quadrilateral low(a) low(b) top(b) top(a),
     the wall over the base edge low(a) low(b); low and top give pool
     indices (TriMesh.pooler).  The diagonal runs from the top over the
-    lexicographically smaller base vertex to the other base vertex."""
+    lexicographically smaller base vertex (forms cross-multiplied by the
+    weights) to the other base vertex."""
     la, lb = low(a), low(b)
-    if mesh.vertices[la].coords <= mesh.vertices[lb].coords:
+    ha, hb = mesh.hom[la], mesh.hom[lb]
+    if [c * hb[-1] for c in ha[:-1]] <= [c * ha[-1] for c in hb[:-1]]:
         mesh.add_triangle_indices(la, lb, top(a), tag)
         mesh.add_triangle_indices(lb, top(b), top(a), tag)
     else:
@@ -325,10 +318,22 @@ def _add_wall(mesh, a, b, low, top, tag) -> None:
         mesh.add_triangle_indices(la, top(b), top(a), tag)
 
 
+def _lift(h, zn: int, zd: int, slopes) -> tuple:
+    """The form of the point with shadow form h = (X, Y, W) and height
+    zn / zd, zd > 0, the shear by slopes a_k / b_k undone: (X zd b1 b2 -
+    a1 zn W b2, Y zd b1 b2 - a2 zn W b1, zn W b1 b2, W zd b1 b2)/g."""
+    a1, b1, a2, b2 = (slopes[0].numerator, slopes[0].denominator,
+                      slopes[1].numerator, slopes[1].denominator)
+    x, y, w = h
+    wz, d = w * zn, zd * b1 * b2
+    return _primitive((x * d - a1 * wz * b2, y * d - a2 * wz * b1,
+                       wz * b1 * b2, w * d))
+
+
 def build_surface(g: SmoothedGraph, levels: list[int]):
     """Assemble the spanning mesh in the polygon's own frame.
 
-    Each circuit node lifts (Diagram.lift) to a top at its height on the
+    Each circuit node lifts (_lift) to a top at its height on the
     polygon and, on a circuit at depth k, to a low point at height
     floor - k, floor lying one below the polygon.  Per circuit: its disk
     triangulated through the low points, and two wall triangles per
@@ -343,12 +348,15 @@ def build_surface(g: SmoothedGraph, levels: list[int]):
     nodes = marked.nodes
     mesh = TriMesh(3)
     floor = min(v[2] for v in dia.polygon.vertices) - ONE
+    fn, fd = floor.numerator, floor.denominator
     # every corner and mark lies on exactly one circuit
     tops, lows = {}, {}
     for circ, k in zip(g.circuits, levels):
         for i in circ:
-            tops[i] = dia.lift(nodes[i].pos, nodes[i].z)
-            lows[i] = dia.lift(nodes[i].pos, floor - k)
+            z = nodes[i].z
+            tops[i] = _lift(marked.hom[i], z.numerator, z.denominator,
+                            dia.slopes)
+            lows[i] = _lift(marked.hom[i], fn - k * fd, fd, dia.slopes)
     top, low = mesh.pooler(tops), mesh.pooler(lows)
 
     bowls = walls = 0

@@ -4,16 +4,18 @@ plspan decides these questions another way, or no longer needs them;
 the tests keep them to check the package's answers against.
 """
 
+from fractions import Fraction
+
 from plspan.geom import (
     ONE,
     ZERO,
-    AffineMap,
     Point,
     _bareiss,
     homogeneous,
     int_rank,
     key_boxes,
     overlapping_pairs,
+    rat,
     rref,
     segment_simplex_meet,
     solution_set,
@@ -21,6 +23,49 @@ from plspan.geom import (
 from plspan.mesh import TriMesh, _require, certify
 from plspan.otherdims import _embedded_report
 from plspan.polygon import ClosedPolygon, validate_embedded
+
+
+class AffineMap:
+    """x -> M x + t with an exactly invertible rational matrix M."""
+
+    __slots__ = ("matrix", "shift")
+
+    def __init__(self, matrix, shift):
+        self.matrix = tuple(tuple(rat(e) for e in row) for row in matrix)
+        self.shift = tuple(rat(e) for e in shift)
+        n = len(self.matrix)
+        if any(len(row) != n for row in self.matrix) or len(self.shift) != n:
+            raise ValueError("affine map must be square with matching shift")
+
+    @property
+    def dim(self) -> int:
+        return len(self.shift)
+
+    def apply(self, p: Point) -> Point:
+        if p.dim != self.dim:
+            raise ValueError("dimension mismatch")
+        return Point(sum(row[j] * p.coords[j] for j in range(self.dim)) + s
+                     for row, s in zip(self.matrix, self.shift))
+
+
+def point_of(h) -> Point:
+    """The Point with integer form h = (x_1 w, ..., x_d w, w)."""
+    return Point([Fraction(c, h[-1]) for c in h[:-1]])
+
+
+def shadow_point(v, slopes) -> Point:
+    """The shadow (x + s1 z, y + s2 z) of a point of R^3."""
+    return Point((v[0] + slopes[0] * v[2], v[1] + slopes[1] * v[2]))
+
+
+def mark_point(stop, near, factor) -> Point:
+    """The point factor of the way from stop to near."""
+    return stop + (near - stop).scale(factor)
+
+
+def lift_point(slopes, pos, z) -> Point:
+    """The point with shadow pos and height z: the shear undone."""
+    return Point((pos[0] - slopes[0] * z, pos[1] - slopes[1] * z, z))
 
 
 def add_triangle(mesh, a, b, c, tag=""):
@@ -381,18 +426,18 @@ def construct_r3_framed(poly, seed, rule="orientation"):
     levels = assign_levels(g)
     up = ONE - min(v[2] for v in poly.vertices)
     nodes = g.marked.nodes
+    pos = [point_of(nd.pos) for nd in nodes]
 
     def lifted(i):
-        return Point((nodes[i].pos[0], nodes[i].pos[1], nodes[i].z + up))
+        return Point((pos[i][0], pos[i][1], nodes[i].z + up))
 
     def bottom(i, k):
-        return Point((nodes[i].pos[0], nodes[i].pos[1], -k))
+        return Point((pos[i][0], pos[i][1], -k))
 
     raw = TriMesh(3)
     for ci, circ in enumerate(g.circuits):
         k = levels[ci]
-        for a, b, c in earclip_2d([homogeneous(nodes[i].pos)
-                                   for i in circ]):
+        for a, b, c in earclip_2d([homogeneous(pos[i]) for i in circ]):
             add_triangle(raw, bottom(circ[a], k), bottom(circ[b], k),
                          bottom(circ[c], k), tag="bowl %d" % ci)
         for e, a in enumerate(circ):

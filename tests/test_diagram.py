@@ -26,7 +26,27 @@ from plspan.polygon import (
     gen_twist_writhe,
 )
 
-from oracles import point_on_segment, seg_intersect_2d, shear_last_into
+from plspan.seifert import _lift
+
+from oracles import (
+    lift_point,
+    point_of,
+    point_on_segment,
+    seg_intersect_2d,
+    shadow_point,
+    shear_last_into,
+)
+
+
+def _problems(pts):
+    """_projection_problems on the forms of the planar points pts, with
+    each crossing point, a canonical form, read back as a Point."""
+    problem, crossings = _projection_problems([homogeneous(p) for p in pts])
+    if crossings is None:
+        return problem, None
+    points = [point_of(c[4]) for c in crossings]
+    assert [c[4] for c in crossings] == [homogeneous(p) for p in points]
+    return problem, [(*c[:4], p, c[5]) for c, p in zip(crossings, points)]
 
 
 def test_trefoil_diagram():
@@ -83,7 +103,7 @@ def _over_is_higher(poly, c):
 def test_crossing_geometry_is_exact():
     poly = gen_torus_stick(4)
     d = project_polygon(poly, seed=0)
-    shadow = d.shadow
+    shadow = [point_of(h) for h in d.shadow]
     n = len(shadow)
     for c in d.crossings:
         assert _over_is_higher(poly, c)
@@ -92,8 +112,8 @@ def test_crossing_geometry_is_exact():
                         (c.under_edge, c.under_param)):
             a, b = shadow[edge], shadow[(edge + 1) % n]
             got = Point([a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])])
-            assert got == c.pos
-            assert point_on_segment(c.pos, a, b)
+            assert got == point_of(c.pos)
+            assert point_on_segment(got, a, b)
 
 
 def test_walk_structure():
@@ -117,18 +137,55 @@ def test_walk_structure():
 
 
 def test_lift_inverts_the_shear():
-    # the vertical edge forces nonzero slopes
+    # the vertical edge forces nonzero slopes; the rational lift and
+    # seifert._lift on the forms agree
+    def lifts(d, h, z):
+        want = lift_point(d.slopes, point_of(h), z)
+        assert _lift(h, z.numerator, z.denominator, d.slopes) \
+            == homogeneous(want)
+        return want
+
     for poly in (gen_torus_stick(3), _vertical_edge()):
         d = project_polygon(poly, seed=0)
         verts = poly.vertices
         n = len(verts)
         for i, v in enumerate(verts):
-            assert d.lift(d.shadow[i], v[2]) == v
+            assert lifts(d, d.shadow[i], v[2]) == v
         # every walk stop lifts to poly's own point at its edge and param
         for w in d.walk:
             a, b = verts[w.edge], verts[(w.edge + 1) % n]
-            assert d.lift(w.pos, w.z) == a + (b - a).scale(w.param)
+            assert lifts(d, w.pos, w.z) == a + (b - a).scale(w.param)
     assert any(d.slopes)
+
+
+def test_shadow_and_crossing_forms_match_rational_shear():
+    # on random rational polygons, under the identity and under random
+    # slopes (a vertex over another forces the shear), each shadow form
+    # is homogeneous() of the rational shadow point, and each crossing
+    # form that of the shadow point at its parameter along edge i
+    from plspan.polygon import validate_embedded
+    rng = random.Random(24)
+    sheared = kept = crossed = 0
+    for k in range(60):
+        verts = [Point([Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+                        for _ in range(3)]) for _ in range(rng.randint(4, 9))]
+        if k % 2:
+            verts[0] = Point((verts[2][0], verts[2][1], verts[2][2] + 1))
+        poly = ClosedPolygon(verts)
+        if validate_embedded(poly) is not None:
+            continue
+        for seed in range(3):
+            slopes, shadow, hits = find_general_position(poly, seed=seed)
+            pts = [shadow_point(v, slopes) for v in verts]
+            assert shadow == [homogeneous(p) for p in pts]
+            n = len(pts)
+            for i, _, t, _, pos, _ in hits:
+                a, b = pts[i], pts[(i + 1) % n]
+                assert pos == homogeneous(a + (b - a).scale(t))
+            crossed += len(hits)
+            sheared += any(slopes)
+            kept += not any(slopes)
+    assert sheared > 40 and kept > 40 and crossed > 100
 
 
 def test_general_position_fixes_vertical_edge():
@@ -250,7 +307,7 @@ def test_projection_problems_match_all_pairs_oracle(monkeypatch):
     for k, pts in enumerate(cases):
         want = _projection_oracle(pts)
         hits.clear()
-        assert _projection_problems(pts) == want, (k, pts)
+        assert _problems(pts) == want, (k, pts)
         problem = want[0] and re.sub(r"\d+", "#", want[0])
         problems.add(problem)
         kinds.update(hits)
@@ -297,7 +354,7 @@ def _general_position_oracle(poly, seed, budget):
         tried.add((s1, s2))
         shear = shear_last_into(3, [s1, s2])
         image = ClosedPolygon([shear.apply(v) for v in poly.vertices])
-        problem, crossings = _projection_problems(_shadow_oracle(image))
+        problem, crossings = _problems(_shadow_oracle(image))
         if problem is None:
             return shear, crossings
     raise AssertionError("no generic projection found within budget")
@@ -371,13 +428,17 @@ def test_projection_matches_affine_apply_oracle():
             slopes, shadow, crossings, walk = _project_oracle(poly, seed)
             d = project_polygon(poly, seed=seed)
             key = (p, seed)
+            # the forms are those of the oracle's rational points
             assert d.slopes == slopes, key
-            assert d.shadow == shadow, key
+            assert d.shadow == [homogeneous(p) for p in shadow], key
+            assert d.shadow == [homogeneous(shadow_point(v, slopes))
+                                for v in poly.vertices], key
             assert [(c.index, c.over_edge, c.under_edge, c.over_param,
-                     c.under_param, c.pos, c.sign)
-                    for c in d.crossings] == crossings, key
+                     c.under_param, c.pos, c.sign) for c in d.crossings] \
+                == [(*c[:5], homogeneous(c[5]), c[6]) for c in crossings], key
             assert [(w.kind, w.ref, w.role, w.edge, w.param, w.pos, w.z)
-                    for w in d.walk] == walk, key
+                    for w in d.walk] \
+                == [(*w[:5], homogeneous(w[5]), w[6]) for w in walk], key
             assert find_general_position(poly, seed=seed)[0] == slopes, key
             kept += not any(d.slopes)
     # every polygon but the two rejected ones keeps the vertical shadow

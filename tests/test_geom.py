@@ -7,9 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plspan.geom import (
-    AffineMap,
     Point,
     Rat,
+    _between,
+    _form,
+    _primitive,
+    _ratio,
     affine_rank,
     earclip_2d,
     homogeneous,
@@ -33,6 +36,7 @@ from plspan.geom import (
 )
 
 from oracles import (
+    AffineMap,
     affine_inverse,
     box_h,
     brute_pairs,
@@ -57,6 +61,77 @@ def rnd_point(rng, dim, lim=8, den=4):
 
 # ---------------------------------------------------------------------------
 # scalar plumbing
+
+# digits, signs, slashes, decimal points, exponents, underscores and a
+# few non-ASCII digits: Arabic-Indic and fullwidth one, superscript two
+_NUMBER_TEXT = st.text(alphabet="0123456789-+/.e_\u0661\uff11\u00b2",
+                       max_size=7)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_NUMBER_TEXT)
+@example("2/4")
+@example("-0")
+@example("-0/3")
+@example("007/010")
+@example("1/0")
+@example("0/0")
+@example("-1/-2")
+@example("+3")
+@example("1_0")
+@example("1e3")
+@example("0.25")
+@example("\u0661/\uff12")
+@example("\u00b2")
+@example("")
+def test_rat_parses_text_as_fraction_does(text):
+    # the plain -?[0-9]+(/[0-9]+)? fast path and the Fraction(str)
+    # fallback accept the same strings as Fraction(str), with its
+    # value; a zero denominator is a ValueError, not ZeroDivisionError
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(ValueError):
+            rat(text)
+        with pytest.raises(ValueError):
+            _ratio(text)
+        return
+    got = rat(text)
+    assert type(got) is Rat and got == want
+    n, d = _ratio(text)
+    assert d > 0 and Fraction(n, d) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-10**6, 10**6),
+                          st.integers(1, 10**4)), min_size=1, max_size=5),
+       st.integers(-50, 50).filter(bool))
+def test_primitive_and_form_are_homogeneous(pairs, k):
+    # any integer form, scaled by any nonzero k, made canonical is
+    # homogeneous() of its point; so is the form of the coordinates'
+    # text, however it is spelled ('2/4', '-0/3', ...)
+    p = Point([Fraction(n, d) for n, d in pairs])
+    h = homogeneous(p)
+    w = math.prod(d for _, d in pairs)
+    raw = [n * (w // d) for n, d in pairs] + [w]
+    assert _primitive([k * c for c in raw]) == h
+    assert _form([(n * abs(k), d * abs(k)) for n, d in pairs]) == h
+    assert _form([_ratio("%d/%d" % (n * abs(k), d * abs(k)))
+                  for n, d in pairs]) == h
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-60, 60), st.integers(1, 12)),
+                min_size=4, max_size=4),
+       st.integers(-8, 8), st.integers(1, 8))
+def test_between_is_the_rational_interpolation(pairs, p, q):
+    # _between(a, b, p, q) is homogeneous() of a + (p/q)(b - a)
+    a = Point([Fraction(n, d) for n, d in pairs[:2]])
+    b = Point([Fraction(n, d) for n, d in pairs[2:]])
+    want = a + (b - a).scale(Fraction(p, q))
+    assert _between(homogeneous(a), homogeneous(b), p, q) \
+        == homogeneous(want)
+
 
 def test_rat_parses_fractions_and_decimals_exactly():
     assert rat("3/7") == Rat(3, 7)

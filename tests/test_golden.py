@@ -11,4 +11,4 @@ def test_outputs_match_the_pinned_manifest():
     got = digests()
     assert sorted(got) == sorted(want)
     moved = sorted(name for name in want if got[name] != want[name])
-    assert moved == []
+    assert not moved, "digests moved: " + " ".join(moved)

@@ -9,13 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from plspan.geom import (
-    AffineMap,
     Point,
     affine_rank,
     homogeneous,
     int_nullspace,
     int_rank,
     orient3d,
+    rat_str,
     rref,
     sign,
     simplex_intersect,
@@ -41,6 +41,7 @@ from plspan.mesh import (
 )
 
 from oracles import (
+    AffineMap,
     add_triangle,
     affine_inverse,
     int_det,
@@ -121,7 +122,8 @@ def test_certify_clears_no_denominators(monkeypatch):
     for name in ("geom", "mesh", "otherdims", "polygon", "seifert",
                  "diagram"):
         monkeypatch.setattr(getattr(plspan, name), "homogeneous",
-                            lambda p: seen.append(p) or homogeneous(p))
+                            lambda p: seen.append(p) or homogeneous(p),
+                            raising=False)
     for interior in ("embedded", "immersed"):
         cert = certify(mesh, poly, interior=interior)
         assert cert["failure"] is None
@@ -1267,6 +1269,68 @@ def test_off_round_trip_is_exact(tmp_path):
     assert p.read_text() == p2.read_text()
 
 
+def _spellings(c: Fraction) -> list[str]:
+    """Ways a pl-off file may spell the coordinate c."""
+    n, d = c.numerator, c.denominator
+    out = [str(c), "%d/%d" % (2 * n, 2 * d), "%d/%d" % (3 * n, 3 * d)]
+    if d == 1:
+        out.append("%d/1" % n)
+    if c == 0:
+        out += ["-0", "-0/5", "0/4", "000"]
+    return out
+
+
+def test_read_off_makes_each_form_from_its_tokens(tmp_path):
+    # read_off parses a vertex line straight to its form, which is
+    # homogeneous(Point(tokens)) however the coordinates are spelled;
+    # the Points are made from the forms when vertices is read
+    rng = random.Random(2024)
+    path = tmp_path / "m.off"
+    for _ in range(60):
+        dim = rng.randint(2, 5)
+        pts = {tuple(rnd_frac(rng, 6, 6) for _ in range(dim))
+               for _ in range(rng.randint(3, 10))}
+        rows = [[rng.choice(_spellings(c)) for c in p] for p in pts]
+        path.write_text("pl-off %d\n%d 1 0\n%s\n3 0 1 2\n" % (
+            dim, len(rows), "\n".join(" ".join(r) for r in rows)))
+        mesh = read_off(str(path))
+        assert mesh.hom == [homogeneous(Point(r)) for r in rows]
+        assert mesh.vertices == [Point(r) for r in rows]
+
+
+def test_write_off_prints_each_coordinate_as_rat_str(tmp_path):
+    # the text printed from each form is rat_str of the rational
+    # coordinate: 'p/q' in lowest terms, or 'p'
+    rng = random.Random(11)
+    path = tmp_path / "m.off"
+    for dim in (2, 3, 4):
+        m = TriMesh(dim)
+        for _ in range(20):
+            add_triangle(m, *(Point([rnd_frac(rng, 9, 7) for _ in range(dim)])
+                              for _ in range(3)))
+        write_off(m, str(path))
+        lines = path.read_text().split("\n")
+        assert lines[1] == "%d %d 0" % (len(m.vertices), len(m.triangles))
+        assert lines[2:2 + len(m.vertices)] == [
+            " ".join(rat_str(c) for c in p.coords) for p in m.vertices]
+
+
+def test_vertices_are_a_view_made_from_the_forms():
+    # a point pooled by its form gets its Point on the first read of
+    # vertices; a Point pooled later keeps its index and object
+    m = TriMesh(2)
+    assert m._add_form((1, 2, 4)) == 0
+    assert m._points == []
+    p = Point([3, "1/3"])
+    assert m.add_vertex(p) == 1
+    assert m._add_form((5, 0, 1)) == 2
+    assert m.add_vertex(Point(["1/4", "1/2"])) == 0
+    assert m.hom == [(1, 2, 4), (9, 1, 3), (5, 0, 1)]
+    assert len(m._points) == 2
+    assert m.vertices == [Point(["1/4", "1/2"]), p, Point([5, 0])]
+    assert m.vertices[1] is p
+
+
 def test_off_rejects_garbage(tmp_path):
     p = tmp_path / "bad.off"
     p.write_text("OFF\n3 1 0\n")
@@ -1756,10 +1820,12 @@ def test_src_has_no_assert_statements():
 
 def test_points_are_cleared_only_by_the_objects_that_hold_them():
     # each point's integer form is made once, by what holds the point:
-    # the mesh when it pools a vertex, a polygon and a marked diagram in
-    # their constructors.  Besides those, only the shadow check (once
-    # per shear try), affine_rank (simplex_intersect's input check) and
-    # the immersed disk's plane call geom.homogeneous
+    # the mesh when it pools a Point, a polygon in its constructor.  The
+    # diagram, the marks and the R^3 surface make their forms from
+    # forms, and read_off from the file's text.  Besides those, only
+    # affine_rank (simplex_intersect's input check), the immersed disk's
+    # plane, and the new points of the cone and the immersed disk call
+    # geom.homogeneous
     import plspan
     found = []
 
@@ -1778,10 +1844,10 @@ def test_points_are_cleared_only_by_the_objects_that_hold_them():
         visit(ast.parse(path.read_text(), filename=path.name), path.stem)
     assert set(found) == {"mesh.TriMesh.add_vertex",
                           "polygon.ClosedPolygon.__init__",
-                          "seifert.MarkedDiagram.__init__",
-                          "diagram._projection_problems",
                           "geom.affine_rank",
-                          "otherdims._plane_forms"}
+                          "otherdims._plane_forms",
+                          "otherdims.cone_highdim",
+                          "otherdims._assemble_disk"}
 
 
 def test_mesh_and_otherdims_leave_rational_elimination_to_geom():

@@ -804,20 +804,24 @@ def test_embedded_determinism():
 
 def test_builders_clear_each_vertex_once(monkeypatch):
     # every builder pools each point on its first use and adds triangles
-    # by index: building a mesh clears each vertex's denominators once.
-    # embedded_4d clears its base surface's vertices twice, building it
-    # in R^3 and lifting it, and its wall tops, the boundary, once.
+    # by index, and clears only the points it makes: the polygon's
+    # corners come as its forms, so earclip clears nothing, the cone its
+    # apex and the immersed disk the inner n-gon and its centre.
+    # embedded_4d builds its base surface on forms and clears its
+    # vertices once, lifting them; its wall tops, the boundary, are
+    # made as forms.
     import plspan.mesh as mesh_mod
     import plspan.otherdims as od
     cleared = []
     homogeneous = mesh_mod.homogeneous
-    monkeypatch.setattr(mesh_mod, "homogeneous",
-                        lambda p: cleared.append(p) or homogeneous(p))
+    for mod in (mesh_mod, od):
+        monkeypatch.setattr(mod, "homogeneous",
+                            lambda p: cleared.append(p) or homogeneous(p))
     built = []
     certify = od.certify
 
     def certify_spy(mesh, poly, **kwargs):
-        built.append((len(cleared), mesh))
+        built.append(([homogeneous(p) for p in cleared], mesh, poly))
         cert = certify(mesh, poly, **kwargs)
         cleared.clear()
         return cert
@@ -826,13 +830,16 @@ def test_builders_clear_each_vertex_once(monkeypatch):
     earclip_2d(lshape())
     cone_highdim(gen_random(7, 5, seed=2))
     immersed_disk_4d(gen_random(6, 4, seed=1))
-    assert built and all(calls == len(mesh.vertices)
-                         for calls, mesh in built)
+    for forms, mesh, poly in built:
+        # the immersed disk also clears its plane's origin and directions
+        made = sorted(f for f in forms if f in mesh.hom)
+        assert made == sorted(set(mesh.hom) - set(poly.hom))
+    assert len(built) == 3
     built.clear()
     embedded_4d(gen_random(5, 4, seed=7))
-    (calls, mesh), = built
+    (forms, mesh, _), = built
     tops = len(mesh.boundary_edges())
-    assert tops > 0 and calls == 2 * len(mesh.vertices) - tops
+    assert tops > 0 and len(forms) == len(mesh.hom) - tops
 
 
 def _lifted_torus(m):

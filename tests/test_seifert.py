@@ -13,10 +13,11 @@ from plspan.geom import (
     ONE,
     Point,
     Rat,
+    ZERO,
     homogeneous,
     rat,
 )
-from plspan.mesh import boundary_matches, check_embedded, write_off
+from plspan.mesh import TriMesh, boundary_matches, check_embedded, write_off
 from plspan.polygon import (
     ClosedPolygon,
     gen_planar_ngon,
@@ -27,7 +28,9 @@ from plspan.polygon import (
 )
 from plspan.seifert import (
     MarkedDiagram,
+    _add_wall,
     _construct_r3,
+    _lift,
     _marks_valid,
     _place_marks,
     _ray_parity,
@@ -41,6 +44,9 @@ from plspan.seifert import (
 
 from oracles import (
     construct_r3_framed,
+    lift_point,
+    mark_point,
+    point_of,
     point_on_segment,
     seg_intersect_2d,
 )
@@ -192,16 +198,95 @@ def test_surface_matches_sheared_frame_oracle(tmp_path):
 
 
 def test_marked_diagram_keeps_each_node_integer_form():
-    # MarkedDiagram clears its nodes once; the corner nodes' forms, in
-    # walk order, are the shadow's, which quad_edge_colors reads
+    # MarkedDiagram keeps its nodes' forms, which are canonical; the
+    # corner nodes' forms, in walk order, are the shadow's, which
+    # quad_edge_colors reads
     for poly in (gen_torus_stick(3), gen_twist_writhe(2),
                  gen_random(8, 3, seed=5)):
         dia = project_polygon(poly)
         marked = insert_interior_vertices(dia)
-        assert marked.hom == [homogeneous(nd.pos) for nd in marked.nodes]
+        assert marked.hom == [nd.pos for nd in marked.nodes]
+        assert marked.hom == [homogeneous(point_of(h)) for h in marked.hom]
         assert [h for nd, h in zip(marked.nodes, marked.hom)
-                if nd.kind == "vertex"] == [homogeneous(p)
-                                            for p in dia.shadow]
+                if nd.kind == "vertex"] == dia.shadow
+
+
+def test_mark_forms_match_rational_marks():
+    # each mark's form is homogeneous() of the rational point factor of
+    # the way from its passage to the neighbouring walk stop, under the
+    # identity and under a shear, at several offsets
+    sheared = 0
+    for poly in (gen_torus_stick(3), gen_twist_writhe(2),
+                 gen_random(9, 3, seed=3), _moved_vertex(7, 0),
+                 _moved_vertex(8, 1)):
+        dia = project_polygon(poly)
+        sheared += any(dia.slopes)
+        walk = dia.walk
+        for factor in (Rat(1, 4), Rat(1, 16), Rat(3, 4)):
+            nodes, _ = _place_marks(dia, factor)
+            for i, nd in enumerate(nodes):
+                if nd.kind != "mark":
+                    continue
+                before = nd.role.startswith("in")
+                passage = nodes[i + 1] if before else nodes[i - 1]
+                w = next(k for k, st in enumerate(walk) if st is passage)
+                near = walk[w - 1] if before else walk[(w + 1) % len(walk)]
+                want = mark_point(point_of(passage.pos), point_of(near.pos),
+                                  factor)
+                assert nd.pos == homogeneous(want)
+    assert sheared == 2
+
+
+def test_lift_forms_match_rational_lift():
+    # seifert._lift is homogeneous() of the rational lift, the shear
+    # undone, for random shadow points, heights and slopes
+    rng = random.Random(31)
+
+    def frac(lim, den):
+        return Rat(rng.randint(-lim, lim), rng.randint(1, den))
+
+    for k in range(400):
+        slopes = (ZERO, ZERO) if k % 4 == 0 else (frac(1024, 1024),
+                                                  frac(1024, 1024))
+        pos = Point([frac(50, 30), frac(50, 30)])
+        z = frac(40, 12)
+        assert _lift(homogeneous(pos), z.numerator, z.denominator, slopes) \
+            == homogeneous(lift_point(slopes, pos, z))
+
+
+def test_add_wall_orders_base_vertices_as_fraction_tuples():
+    # the cross-multiplied comparison of the base vertices' forms is the
+    # lexicographic order of their Fraction coordinates, ties included
+    rng = random.Random(5)
+    for dim in (3, 4):
+        for _ in range(300):
+            pts = [Point([Rat(rng.randint(-2, 2), rng.randint(1, 3))
+                          for _ in range(dim)]) for _ in range(4)]
+            mesh = TriMesh(dim)
+            ids = [mesh.add_vertex(p) for p in pts]
+            _add_wall(mesh, 0, 1, ids.__getitem__,
+                      lambda v: ids[2 + v], "wall")
+            top = ids[2] if pts[0].coords <= pts[1].coords else ids[3]
+            assert mesh.triangles[0] == (ids[0], ids[1], top)
+
+
+def test_r3_span_and_write_make_no_point(tmp_path, monkeypatch):
+    # from the polygon to the mesh file, spanning_surface_r3 and
+    # write_off run on integer forms: no Point is made on the success
+    # path, until the mesh's vertices are read
+    import plspan.geom as geom_mod
+    polys = (gen_torus_stick(3), gen_twist_writhe(2))
+    made = []
+    init = geom_mod.Point.__init__
+    monkeypatch.setattr(geom_mod.Point, "__init__",
+                        lambda self, coords: made.append(1)
+                        or init(self, coords))
+    for k, poly in enumerate(polys):
+        mesh, rep = spanning_surface_r3(poly)
+        write_off(mesh, str(tmp_path / ("%d.off" % k)))
+        assert rep["embedded"] and rep["orientable"]
+    assert made == []
+    assert len(mesh.vertices) == len(made) == len(mesh.hom)
 
 
 def test_circuits_do_not_depend_on_the_mark_offset():
@@ -273,24 +358,30 @@ def test_determinism():
 
 
 def test_build_clears_each_vertex_once(monkeypatch):
-    # the builder pools each node's point on its first use and adds
-    # triangles by index, so denominators are cleared once per vertex
+    # the builder lifts each node's form straight to its R^3 form once
+    # and pools that form for every triangle corner it makes: no vertex
+    # is cleared, and each vertex's form is made once
     import plspan.mesh as mesh_mod
     import plspan.seifert as seifert_mod
-    cleared = []
+    cleared, pooled = [], []
     homogeneous = mesh_mod.homogeneous
     monkeypatch.setattr(mesh_mod, "homogeneous",
                         lambda p: cleared.append(p) or homogeneous(p))
+    add_form = mesh_mod.TriMesh._add_form
+    monkeypatch.setattr(mesh_mod.TriMesh, "_add_form",
+                        lambda self, h, p=None: pooled.append(h)
+                        or add_form(self, h, p))
     built = []
     certify = seifert_mod.certify
 
     def certify_spy(mesh, poly):
-        built.append((len(cleared), len(mesh.vertices)))
+        built.append((len(cleared), len({id(h) for h in pooled}),
+                      len(mesh.hom)))
         return certify(mesh, poly)
 
     monkeypatch.setattr(seifert_mod, "certify", certify_spy)
     mesh, _ = spanning_surface_r3(gen_torus_stick(5))
-    assert built == [(len(mesh.vertices), len(mesh.vertices))]
+    assert built == [(0, len(mesh.hom), len(mesh.hom))]
 
 
 def test_provenance_counts():
@@ -328,14 +419,14 @@ def _marks_valid_oracle(nodes, quads):
     """_marks_valid with every contact decided by seg_intersect_2d."""
     n_nodes = len(nodes)
     segs = [(i, (i + 1) % n_nodes) for i in range(n_nodes)]
+    pos = [point_of(nd.pos) for nd in nodes]
     qedges = []
     for x, q in enumerate(quads):
         ring = (q["in_over"], q["in_under"], q["out_over"], q["out_under"],
                 q["in_over"])
-        if len({nodes[idx].pos.coords for idx in ring}) != 4:
+        if len({pos[idx].coords for idx in ring}) != 4:
             return False
         qedges += [(x, a, b) for a, b in zip(ring, ring[1:])]
-    pos = [nd.pos for nd in nodes]
     for x, a, b in qedges:
         for u, v in segs:
             allowed = [pos[k] for k in (a, b) if k in (u, v)]
@@ -352,7 +443,7 @@ def _marks_valid_oracle(nodes, quads):
 
 
 def _circuits_disjoint_oracle(nodes, circuits):
-    pos = [nd.pos for nd in nodes]
+    pos = [point_of(nd.pos) for nd in nodes]
     edges = [(c[e], c[(e + 1) % len(c)]) for c in circuits
              for e in range(len(c))]
     for i, (a, b) in enumerate(edges):
@@ -365,8 +456,9 @@ def _circuits_disjoint_oracle(nodes, circuits):
 
 
 def _grid_nodes(rng, count):
-    return [SimpleNamespace(pos=Point([rng.randint(0, 4),
-                                       Rat(rng.randint(0, 8), 2)]))
+    return [SimpleNamespace(pos=homogeneous(Point([rng.randint(0, 4),
+                                                   Rat(rng.randint(0, 8),
+                                                       2)])))
             for _ in range(count)]
 
 
