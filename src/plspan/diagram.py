@@ -6,8 +6,10 @@ edges never overlap, all contacts between non-adjacent edges are
 transverse interior crossings, crossing points are pairwise distinct
 and avoid every projected vertex.  Heights stay the polygon's own.
 Shadow and crossing points are canonical integer forms (x w, y w, w)
-(geom.homogeneous), sheared and cut straight from the polygon's forms;
-edge parameters and heights are rationals.
+(geom.homogeneous), sheared (geom._shear) and cut straight from the
+polygon's forms, and each walk stop carries its point on the polygon
+as a canonical R^3 form.  Only a crossing's parameters along its two
+edges are rationals; they order each edge's stops.
 
 A Diagram carries the slopes, the shadow of every vertex, the crossing
 list with over/under resolution and signs, and the walk: the cyclic
@@ -19,22 +21,18 @@ from __future__ import annotations
 
 import random
 
-from .geom import (Rat, ZERO, _primitive, key_boxes, overlapping_pairs,
-                   seg_intersect_2d, sign)
+from .geom import (Rat, ZERO, _between, _primitive, _shear, key_boxes,
+                   overlapping_pairs, seg_intersect_2d, sign)
 from .polygon import ClosedPolygon
 
 
 class Crossing:
-    __slots__ = ("index", "over_edge", "under_edge", "over_param",
-                 "under_param", "pos", "sign")
+    __slots__ = ("index", "over_edge", "under_edge", "pos", "sign")
 
-    def __init__(self, index, over_edge, under_edge, over_param, under_param,
-                 pos, sgn):
+    def __init__(self, index, over_edge, under_edge, pos, sgn):
         self.index = index
         self.over_edge = over_edge
         self.under_edge = under_edge
-        self.over_param = over_param
-        self.under_param = under_param
         self.pos = pos          # planar integer form
         self.sign = sgn
 
@@ -46,20 +44,19 @@ class WalkNode:
     passage of this strand through a crossing, with role 'over' or
     'under'.  seifert adds kind 'mark', one of the four vertices placed
     around a crossing, with role naming the strand end ('in_over', ...).
-    pos is the planar position as an integer form, z the exact height
-    of the strand there, param the position along the current edge.
+    point is the stop's point on the polygon, on its edge, as a
+    canonical R^3 form, and pos its shadow, _shear(point, slopes).
     """
 
-    __slots__ = ("kind", "ref", "role", "edge", "param", "pos", "z")
+    __slots__ = ("kind", "ref", "role", "edge", "pos", "point")
 
-    def __init__(self, kind, ref, role, edge, param, pos, z):
+    def __init__(self, kind, ref, role, edge, pos, point):
         self.kind = kind
         self.ref = ref
         self.role = role
         self.edge = edge
-        self.param = param
         self.pos = pos
-        self.z = z
+        self.point = point
 
 
 class Diagram:
@@ -151,12 +148,11 @@ def find_general_position(poly: ClosedPolygon, seed: int = 0,
     poly's vertices a proper diagram, that shadow's forms, and its
     crossings, as _projection_problems lists them.
 
-    With s_k = a_k / b_k, the shadow of the form (X, Y, Z, W) is
-    (X b1 b2 + a1 Z b2, Y b1 b2 + a2 Z b1, W b1 b2), made canonical.
-    The identity is tried first; afterwards slopes are drawn uniformly
-    from the grid {k/1024 : |k| <= 1024}.  Raises if the budget runs out,
-    which for an embedded polygon means the budget was simply too small:
-    bad slope pairs lie on finitely many curves.
+    The shadow of each vertex is geom._shear of its form.  The identity
+    is tried first; afterwards slopes are drawn uniformly from the grid
+    {k/1024 : |k| <= 1024}.  Raises if the budget runs out, which for an
+    embedded polygon means the budget was simply too small: bad slope
+    pairs lie on finitely many curves.
     """
     if poly.dim != 3:
         raise ValueError("projection needs a polygon in R^3")
@@ -172,11 +168,7 @@ def find_general_position(poly: ClosedPolygon, seed: int = 0,
         if (s1, s2) in tried:
             continue
         tried.add((s1, s2))
-        a1, b1, a2, b2 = (s1.numerator, s1.denominator, s2.numerator,
-                          s2.denominator)
-        bb = b1 * b2
-        shadow = [_primitive((x * bb + a1 * z * b2, y * bb + a2 * z * b1,
-                              w * bb)) for x, y, z, w in poly.hom]
+        shadow = [_shear(h, (s1, s2)) for h in poly.hom]
         problem, crossings = _projection_problems(shadow)
         if problem is None:
             return (s1, s2), shadow, crossings
@@ -188,43 +180,41 @@ def project_polygon(poly: ClosedPolygon, seed: int = 0,
     """Diagram of the polygon under a generic projection.
 
     The slopes, shadow and crossings are find_general_position's.  A
-    strand's height at a crossing or walk stop is poly's own height
-    there, interpolated along its edge.
+    corner stop's point is poly's own form; a strand's point at a
+    crossing is cut from its edge's corner forms at the crossing's
+    parameter, and the over strand is the one whose point is higher.
     """
     slopes, shadow, hits = find_general_position(poly, seed, budget)
-    verts = poly.vertices
+    hom = poly.hom
     n = len(shadow)
 
-    def z_at(edge, t):
-        za = verts[edge][2]
-        zb = verts[(edge + 1) % n][2]
-        return za + t * (zb - za)
+    def point_at(edge, t):
+        return _between(hom[edge], hom[(edge + 1) % n], t.numerator,
+                        t.denominator)
 
     crossings = []
     per_edge: dict[int, list] = {i: [] for i in range(n)}
     for i, j, t, u, pos, sgn in hits:
-        zi, zj = z_at(i, t), z_at(j, u)
-        if zi == zj:
+        pi, pj = point_at(i, t), point_at(j, u)
+        # the heights z_i - z_j, times the positive weights
+        rise = pi[2] * pj[3] - pj[2] * pi[3]
+        if rise == 0:
             raise AssertionError("strands meet in space; polygon "
                                  "was not embedded")
-        if zi > zj:
-            over_edge, under_edge, tp, up = i, j, t, u
-            z_over, z_under = zi, zj
+        if rise > 0:
+            over_edge, under_edge, tp, up, p_over, p_under = i, j, t, u, pi, pj
         else:
-            over_edge, under_edge, tp, up = j, i, u, t
-            z_over, z_under = zj, zi
+            over_edge, under_edge, tp, up, p_over, p_under = j, i, u, t, pj, pi
             sgn = -sgn  # the sign is edge i's direction crossed with j's
         idx = len(crossings)
-        crossings.append(Crossing(idx, over_edge, under_edge, tp, up, pos,
-                                  sgn))
-        per_edge[over_edge].append((tp, idx, "over", z_over))
-        per_edge[under_edge].append((up, idx, "under", z_under))
+        crossings.append(Crossing(idx, over_edge, under_edge, pos, sgn))
+        per_edge[over_edge].append((tp, idx, "over", p_over))
+        per_edge[under_edge].append((up, idx, "under", p_under))
 
     walk = []
     for i in range(n):
-        walk.append(WalkNode("vertex", i, None, i, ZERO, shadow[i],
-                             verts[i][2]))
-        for t, idx, role, z in sorted(per_edge[i], key=lambda e: e[0]):
-            walk.append(WalkNode("cross", idx, role, i, t,
-                                 crossings[idx].pos, z))
+        walk.append(WalkNode("vertex", i, None, i, shadow[i], hom[i]))
+        for _, idx, role, point in sorted(per_edge[i], key=lambda e: e[0]):
+            walk.append(WalkNode("cross", idx, role, i, crossings[idx].pos,
+                                 point))
     return Diagram(poly, slopes, shadow, crossings, walk)

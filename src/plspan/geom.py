@@ -10,9 +10,9 @@ The scalar type is gmpy2.mpq when available, else fractions.Fraction.
 The hot predicates lean on neither: they take signs of integer
 determinants on canonical integer forms (x_1 w, ..., x_d w, w), w > 0
 minimal (homogeneous).  _primitive makes any integer form of a point
-canonical, so forms are made from forms (_between) and from text
-(_ratio, which reads plain 'p' and 'p/q' with int()) with no rational
-built on the way.
+canonical, so forms are made from forms (_between, and the shear
+_shear with its inverse _lift) and from text (_ratio, which reads plain
+'p' and 'p/q' with int()) with no rational built on the way.
 
 Every pairwise test takes its candidate pairs from one sweep,
 overlapping_pairs, over bounding boxes on exact integer keys
@@ -250,6 +250,28 @@ def _form(ratios) -> tuple:
     pairs (n, d), d > 0, listed in ratios."""
     w = lcm(*(d for _, d in ratios))
     return _primitive([n * (w // d) for n, d in ratios] + [w])
+
+
+def _shear(h, slopes) -> tuple:
+    """The canonical form of (x_1 + s_1 z, ..., x_k + s_k z), the shadow
+    of the point with form h = (X_1, ..., X_k, Z, W) under the shear by
+    the k rational slopes: with L the lcm of their denominators b_i,
+    (X_i L + a_i (L / b_i) Z, W L)."""
+    big = lcm(*(s.denominator for s in slopes))
+    z = h[-2]
+    return _primitive([x * big + s.numerator * (big // s.denominator) * z
+                       for x, s in zip(h, slopes)] + [h[-1] * big])
+
+
+def _lift(h, zn: int, zd: int, slopes) -> tuple:
+    """The canonical form of the point with shadow form h = (X_1, ...,
+    X_k, W) and last coordinate zn / zd, zd > 0: _shear undone, (x_i -
+    s_i z, z), over the weight W zd L, L as in _shear."""
+    big = lcm(*(s.denominator for s in slopes))
+    w = h[-1]
+    d, wz = zd * big, w * zn
+    return _primitive([x * d - s.numerator * (big // s.denominator) * wz
+                       for x, s in zip(h, slopes)] + [wz * big, w * d])
 
 
 def _bareiss(rows, reduce=False) -> tuple[list, list[int], int, int]:

@@ -5,7 +5,10 @@ or more dimensions a generic cone apex spans with n triangles.  In four
 dimensions two routes exist: a 3n-triangle disk whose interior misses
 the polygon (it may cross itself, so it is only immersed), and an
 embedded surface built by dropping the polygon into a hyperplane,
-spanning there, and walling the two copies together.
+spanning there, and walling the two copies together.  The drop is the
+shear geom._shear on the polygon's forms, and the surface spanned there
+is placed back on its forms by the inverse shear, geom._lift, the same
+pair the R^3 projection and its low points use.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from .geom import (
     Rat,
     ZERO,
     _between,
+    _lift,
+    _shear,
     earclip_2d as _earclip_indices,
     homogeneous,
     int_nullspace,
@@ -358,18 +363,6 @@ def embedded_4d(poly: ClosedPolygon, seed: int = 0, budget: int = 30,
                          % (budget, seed, last))
 
 
-def _lift(m3, shift) -> TriMesh:
-    """The R^3 mesh m3 placed in R^4 by x -> (x, 0) + shift; vertex
-    indices and tags carry over."""
-    mesh = TriMesh(4)
-    for p in m3.vertices:
-        mesh.add_vertex(Point((p[0] + shift[0], p[1] + shift[1],
-                               p[2] + shift[2], shift[3])))
-    for (i, j, k), tag in zip(m3.triangles, m3.provenance):
-        mesh.add_triangle_indices(i, j, k, tag)
-    return mesh
-
-
 def _embedded_attempt(poly, slopes, seed, attempt, rule="orientation"):
     verts = poly.vertices
     n = len(verts)
@@ -379,8 +372,9 @@ def _embedded_attempt(poly, slopes, seed, attempt, rule="orientation"):
     # below every vertex the wall over a boundary piece of P* rises to
     # poly's own points at the same parameters on the host edge.  A poly
     # in one hyperplane is spanned there, at its own height, with no wall.
-    p3 = ClosedPolygon([Point(v[i] + slopes[i] * v[3] for i in range(3))
-                        for v in verts])
+    star = [_shear(h, slopes) for h in poly.hom]
+    p3 = ClosedPolygon([Point([Rat(c, h[-1]) for c in h[:-1]])
+                        for h in star])
     if validate_embedded(p3) is not None:
         raise ValueError("projection not embedded")
     m3, rep3 = _construct_r3(p3, seed, rule)
@@ -388,7 +382,16 @@ def _embedded_attempt(poly, slopes, seed, attempt, rule="orientation"):
     flat = all(v[3] == low for v in verts)
     if not flat:
         low -= ONE
-    mesh = _lift(m3, [-s * low for s in slopes] + [low])
+    mesh = TriMesh(4)
+    # the lift is one-to-one, and its forms are pooled in m3's order
+    # before any triangle, so each base vertex keeps its m3 index, which
+    # the triangles and the walls below take as its pool index
+    base = mesh.pooler([_lift(h, low.numerator, low.denominator, slopes)
+                        for h in m3.hom])
+    for v in range(len(m3.hom)):
+        base(v)
+    for (i, j, k), tag in zip(m3.triangles, m3.provenance):
+        mesh.add_triangle_indices(i, j, k, tag)
     base_edges = [] if flat else m3.boundary_edges()
     # each base boundary vertex's (edge, t) on P*, placed on integer
     # forms as boundary_matches places it: a corner lies on its two

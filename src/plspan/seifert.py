@@ -7,11 +7,12 @@ containment depth, then span: one triangulated disk per circuit pushed
 below the polygon, two wall triangles from each circuit edge up to the
 polygon, vertical in the shadow, and two bridge triangles per crossing
 joining the strands where they swap, in the polygon's own frame.  All
-geometry runs on canonical integer forms: each mark's form is made from
-its neighbours' forms, and each surface vertex is lifted from its
-node's form and height straight to the R^3 form the mesh pools.  Every
-structural claim the construction relies on is certified once, by
-mesh.certify, on the finished mesh.
+geometry runs on canonical integer forms: each walk stop carries its
+point on the polygon as an R^3 form beside its shadow's, each mark's
+forms are cut from its neighbours' forms, the tops of the walls are
+those points, and the low points are shadows lifted by geom._lift, the
+projection's shear undone.  Every structural claim the construction
+relies on is certified once, by mesh.certify, on the finished mesh.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .geom import (
     Rat,
     ZERO,
     _between,
-    _primitive,
+    _lift,
     earclip_2d,
     key_boxes,
     orient2d_h,
@@ -98,27 +99,24 @@ def _place_marks(diagram, factor):
     quads: list[dict] = [dict() for _ in diagram.crossings]
     p, q = factor.numerator, factor.denominator
 
-    def mark(stop, near, t_near, side):
-        # factor of the way from stop to the stop near, at parameter t_near
-        # of stop's edge; shadow and height are affine in the parameter
-        t = stop.param + factor * (t_near - stop.param)
-        pos = _between(stop.pos, near.pos, p, q)
-        z = stop.z + factor * (near.z - stop.z)
+    def mark(stop, near, side):
+        # factor of the way from stop to the stop near, in the shadow
+        # and on the polygon alike, as the shear is linear
         quads[stop.ref][side] = len(nodes)
-        nodes.append(WalkNode("mark", stop.ref, side, stop.edge, t, pos, z))
+        nodes.append(WalkNode("mark", stop.ref, side, stop.edge,
+                              _between(stop.pos, near.pos, p, q),
+                              _between(stop.point, near.point, p, q)))
 
     for w, stop in enumerate(walk):
         if stop.kind == "vertex":
             nodes.append(stop)
             continue
-        # the walk opens each edge with its corner at param 0, so the
-        # previous stop sits on the same edge, and a next stop on
-        # another edge is the corner that ends this one
-        prev, nxt = walk[w - 1], walk[(w + 1) % n_walk]
-        mark(stop, prev, prev.param, "in_" + stop.role)
+        # the walk opens each edge with its corner, so both neighbours of
+        # a passage lie on its edge: a stop on the same edge, or the
+        # corner at either end of it
+        mark(stop, walk[w - 1], "in_" + stop.role)
         nodes.append(stop)
-        mark(stop, nxt, nxt.param if nxt.edge == stop.edge else ONE,
-             "out_" + stop.role)
+        mark(stop, walk[(w + 1) % n_walk], "out_" + stop.role)
     return nodes, quads
 
 
@@ -318,23 +316,11 @@ def _add_wall(mesh, a, b, low, top, tag) -> None:
         mesh.add_triangle_indices(la, top(b), top(a), tag)
 
 
-def _lift(h, zn: int, zd: int, slopes) -> tuple:
-    """The form of the point with shadow form h = (X, Y, W) and height
-    zn / zd, zd > 0, the shear by slopes a_k / b_k undone: (X zd b1 b2 -
-    a1 zn W b2, Y zd b1 b2 - a2 zn W b1, zn W b1 b2, W zd b1 b2)/g."""
-    a1, b1, a2, b2 = (slopes[0].numerator, slopes[0].denominator,
-                      slopes[1].numerator, slopes[1].denominator)
-    x, y, w = h
-    wz, d = w * zn, zd * b1 * b2
-    return _primitive((x * d - a1 * wz * b2, y * d - a2 * wz * b1,
-                       wz * b1 * b2, w * d))
-
-
 def build_surface(g: SmoothedGraph, levels: list[int]):
     """Assemble the spanning mesh in the polygon's own frame.
 
-    Each circuit node lifts (_lift) to a top at its height on the
-    polygon and, on a circuit at depth k, to a low point at height
+    Each circuit node's top is its point on the polygon; on a circuit
+    at depth k its low point is its shadow lifted (geom._lift) to height
     floor - k, floor lying one below the polygon.  Per circuit: its disk
     triangulated through the low points, and two wall triangles per
     circuit edge up to the tops (_add_wall).  Per crossing: two bridge
@@ -345,19 +331,16 @@ def build_surface(g: SmoothedGraph, levels: list[int]):
     """
     marked = g.marked
     dia = marked.diagram
-    nodes = marked.nodes
     mesh = TriMesh(3)
     floor = min(v[2] for v in dia.polygon.vertices) - ONE
     fn, fd = floor.numerator, floor.denominator
     # every corner and mark lies on exactly one circuit
-    tops, lows = {}, {}
+    lows = {}
     for circ, k in zip(g.circuits, levels):
         for i in circ:
-            z = nodes[i].z
-            tops[i] = _lift(marked.hom[i], z.numerator, z.denominator,
-                            dia.slopes)
             lows[i] = _lift(marked.hom[i], fn - k * fd, fd, dia.slopes)
-    top, low = mesh.pooler(tops), mesh.pooler(lows)
+    top = mesh.pooler([nd.point for nd in marked.nodes])
+    low = mesh.pooler(lows)
 
     bowls = walls = 0
     for ci, circ in enumerate(g.circuits):

@@ -429,7 +429,9 @@ def construct_r3_framed(poly, seed, rule="orientation"):
     pos = [point_of(nd.pos) for nd in nodes]
 
     def lifted(i):
-        return Point((pos[i][0], pos[i][1], nodes[i].z + up))
+        point = nodes[i].point
+        return Point((pos[i][0], pos[i][1],
+                      Fraction(point[2], point[3]) + up))
 
     def bottom(i, k):
         return Point((pos[i][0], pos[i][1], -k))

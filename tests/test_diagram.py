@@ -7,6 +7,7 @@ import pytest
 from plspan.geom import (
     Point,
     ZERO,
+    _lift,
     homogeneous,
     key_boxes,
     overlapping_pairs,
@@ -18,6 +19,7 @@ from plspan.diagram import (
     find_general_position,
     project_polygon,
 )
+from plspan.mesh import _edge_param
 from plspan.polygon import (
     ClosedPolygon,
     gen_planar_ngon,
@@ -25,8 +27,6 @@ from plspan.polygon import (
     gen_torus_stick,
     gen_twist_writhe,
 )
-
-from plspan.seifert import _lift
 
 from oracles import (
     lift_point,
@@ -89,15 +89,23 @@ def test_writhe_is_orientation_independent():
         assert len(d1.crossings) == len(d2.crossings)
 
 
-def _height(poly, edge, t):
-    """poly's height at parameter t along its edge."""
-    a, b = poly.vertices[edge], poly.vertices[(edge + 1) % len(poly.vertices)]
-    return a[2] + t * (b[2] - a[2])
+def _strand_params(d, c):
+    """role -> (edge, t, point) of crossing c's two passages in d's walk,
+    t the parameter of the passage's point strictly inside its edge of
+    the polygon (None when it is not)."""
+    hom = d.polygon.hom
+    n = len(hom)
+    out = {}
+    for w in d.walk:
+        if w.kind == "cross" and w.ref == c.index:
+            t = _edge_param(w.point, hom[w.edge], hom[(w.edge + 1) % n])
+            out[w.role] = (w.edge, t and Fraction(*t), point_of(w.point))
+    return out
 
 
-def _over_is_higher(poly, c):
-    return (_height(poly, c.over_edge, c.over_param)
-            > _height(poly, c.under_edge, c.under_param))
+def _over_is_higher(d, c):
+    strands = _strand_params(d, c)
+    return strands["over"][2][2] > strands["under"][2][2]
 
 
 def test_crossing_geometry_is_exact():
@@ -106,10 +114,14 @@ def test_crossing_geometry_is_exact():
     shadow = [point_of(h) for h in d.shadow]
     n = len(shadow)
     for c in d.crossings:
-        assert _over_is_higher(poly, c)
-        assert 0 < c.over_param < 1 and 0 < c.under_param < 1
-        for edge, t in ((c.over_edge, c.over_param),
-                        (c.under_edge, c.under_param)):
+        assert _over_is_higher(d, c)
+        strands = _strand_params(d, c)
+        assert [strands[r][0] for r in ("over", "under")] \
+            == [c.over_edge, c.under_edge]
+        # each passage's point lies strictly inside its edge, at the
+        # parameter where that edge's shadow passes the crossing
+        for edge, t, _ in strands.values():
+            assert t is not None and 0 < t < 1
             a, b = shadow[edge], shadow[(edge + 1) % n]
             got = Point([a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])])
             assert got == point_of(c.pos)
@@ -117,7 +129,8 @@ def test_crossing_geometry_is_exact():
 
 
 def test_walk_structure():
-    d = project_polygon(gen_torus_stick(3), seed=0)
+    poly = gen_torus_stick(3)
+    d = project_polygon(poly, seed=0)
     n = len(d.shadow)
     # every vertex appears once, every crossing exactly twice
     verts = [w for w in d.walk if w.kind == "vertex"]
@@ -130,19 +143,25 @@ def test_walk_structure():
     assert set(byref) == {c.index for c in d.crossings}
     assert all(sorted(roles) == ["over", "under"]
                for roles in byref.values())
-    # params increase along each edge
+    # each edge opens with its corner, and the points of its passages
+    # rise strictly along it
     for i in range(n):
-        params = [w.param for w in d.walk if w.edge == i]
-        assert params == sorted(params)
+        a, b = poly.hom[i], poly.hom[(i + 1) % n]
+        corner, *stops = [w for w in d.walk if w.edge == i]
+        assert corner.kind == "vertex" and corner.point == a
+        params = [_edge_param(w.point, a, b) for w in stops]
+        assert None not in params
+        params = [Fraction(*t) for t in params]
+        assert params == sorted(set(params))
 
 
 def test_lift_inverts_the_shear():
     # the vertical edge forces nonzero slopes; the rational lift and
-    # seifert._lift on the forms agree
-    def lifts(d, h, z):
-        want = lift_point(d.slopes, point_of(h), z)
-        assert _lift(h, z.numerator, z.denominator, d.slopes) \
-            == homogeneous(want)
+    # geom._lift on the forms agree
+    def lifts(d, h, point):
+        zn, zd = point[2], point[3]
+        want = lift_point(d.slopes, point_of(h), Fraction(zn, zd))
+        assert _lift(h, zn, zd, d.slopes) == homogeneous(want)
         return want
 
     for poly in (gen_torus_stick(3), _vertical_edge()):
@@ -150,11 +169,13 @@ def test_lift_inverts_the_shear():
         verts = poly.vertices
         n = len(verts)
         for i, v in enumerate(verts):
-            assert lifts(d, d.shadow[i], v[2]) == v
-        # every walk stop lifts to poly's own point at its edge and param
+            assert lifts(d, d.shadow[i], poly.hom[i]) == v
+        # every walk stop's point lies on its own edge, and its shadow
+        # lifts back to it at its height
         for w in d.walk:
-            a, b = verts[w.edge], verts[(w.edge + 1) % n]
-            assert lifts(d, w.pos, w.z) == a + (b - a).scale(w.param)
+            a, b = poly.hom[w.edge], poly.hom[(w.edge + 1) % n]
+            assert w.point == a or _edge_param(w.point, a, b) is not None
+            assert lifts(d, w.pos, w.point) == point_of(w.point)
     assert any(d.slopes)
 
 
@@ -215,7 +236,9 @@ def test_random_polygons_project_cleanly():
         assert len(d.crossings) <= n * (n - 3) // 2
         for c in d.crossings:
             assert c.sign in (-1, 1)
-            assert _over_is_higher(poly, c)
+            assert all(t is not None
+                       for _, t, _ in _strand_params(d, c).values())
+            assert _over_is_higher(d, c)
         assert len(d.walk) == n + 2 * len(d.crossings)
 
 
@@ -362,8 +385,8 @@ def _general_position_oracle(poly, seed, budget):
 
 def _project_oracle(poly, seed):
     """project_polygon through the shear map and its applies: the
-    slopes, the shadow, the crossings and the walk, with poly's own
-    heights."""
+    slopes, the shadow, the crossings and the walk, each stop with its
+    point on poly, at its rational parameter along its edge."""
     shear, hits = _general_position_oracle(poly, seed, 1000)
     slopes = (shear.matrix[0][2], shear.matrix[1][2])
     pts = _shadow_oracle(ClosedPolygon([shear.apply(v)
@@ -371,16 +394,15 @@ def _project_oracle(poly, seed):
     n = len(pts)
     verts3 = poly.vertices
 
-    def z_at(edge, t):
-        za = verts3[edge][2]
-        zb = verts3[(edge + 1) % n][2]
-        return za + t * (zb - za)
+    def point_at(edge, t):
+        a, b = verts3[edge], verts3[(edge + 1) % n]
+        return a + (b - a).scale(t)
 
     crossings = []
     per_edge = {i: [] for i in range(n)}
     # the sign is taken again from the rational shadow directions
     for i, j, t, u, point, _ in hits:
-        zi, zj = z_at(i, t), z_at(j, u)
+        zi, zj = point_at(i, t)[2], point_at(j, u)[2]
         assert zi != zj
         if zi > zj:
             over_edge, under_edge, tp, up = i, j, t, u
@@ -390,15 +412,15 @@ def _project_oracle(poly, seed):
         udir = pts[(under_edge + 1) % n] - pts[under_edge]
         sgn = sign(odir[0] * udir[1] - odir[1] * udir[0])
         idx = len(crossings)
-        crossings.append((idx, over_edge, under_edge, tp, up, point, sgn))
+        crossings.append((idx, over_edge, under_edge, point, sgn))
         per_edge[over_edge].append((tp, idx, "over"))
         per_edge[under_edge].append((up, idx, "under"))
     walk = []
     for i in range(n):
-        walk.append(("vertex", i, None, i, ZERO, pts[i], verts3[i][2]))
+        walk.append(("vertex", i, None, i, pts[i], verts3[i]))
         for t, idx, role in sorted(per_edge[i], key=lambda e: e[0]):
-            walk.append(("cross", idx, role, i, t, crossings[idx][5],
-                         z_at(i, t)))
+            walk.append(("cross", idx, role, i, crossings[idx][3],
+                         point_at(i, t)))
     return slopes, pts, crossings, walk
 
 
@@ -433,12 +455,13 @@ def test_projection_matches_affine_apply_oracle():
             assert d.shadow == [homogeneous(p) for p in shadow], key
             assert d.shadow == [homogeneous(shadow_point(v, slopes))
                                 for v in poly.vertices], key
-            assert [(c.index, c.over_edge, c.under_edge, c.over_param,
-                     c.under_param, c.pos, c.sign) for c in d.crossings] \
-                == [(*c[:5], homogeneous(c[5]), c[6]) for c in crossings], key
-            assert [(w.kind, w.ref, w.role, w.edge, w.param, w.pos, w.z)
+            assert [(c.index, c.over_edge, c.under_edge, c.pos, c.sign)
+                    for c in d.crossings] \
+                == [(*c[:3], homogeneous(c[3]), c[4]) for c in crossings], key
+            assert [(w.kind, w.ref, w.role, w.edge, w.pos, w.point)
                     for w in d.walk] \
-                == [(*w[:5], homogeneous(w[5]), w[6]) for w in walk], key
+                == [(*w[:4], homogeneous(w[4]), homogeneous(w[5]))
+                    for w in walk], key
             assert find_general_position(poly, seed=seed)[0] == slopes, key
             kept += not any(d.slopes)
     # every polygon but the two rejected ones keeps the vertical shadow

@@ -30,7 +30,6 @@ from plspan.otherdims import (
     _assemble_disk,
     _embedded_attempt,
     _flat_meet,
-    _lift,
     _place_disk,
     _plane_forms,
     cone_highdim,
@@ -51,7 +50,6 @@ from oracles import (
     add_triangle,
     embedded_attempt_framed,
     embedded_flat_oracle,
-    lift_at_height,
     polygon_edge_contact,
 )
 
@@ -807,9 +805,9 @@ def test_builders_clear_each_vertex_once(monkeypatch):
     # by index, and clears only the points it makes: the polygon's
     # corners come as its forms, so earclip clears nothing, the cone its
     # apex and the immersed disk the inner n-gon and its centre.
-    # embedded_4d builds its base surface on forms and clears its
-    # vertices once, lifting them; its wall tops, the boundary, are
-    # made as forms.
+    # embedded_4d clears no vertex of its mesh: its base surface is built
+    # and lifted on forms, and its wall tops, the boundary, are made as
+    # forms.
     import plspan.mesh as mesh_mod
     import plspan.otherdims as od
     cleared = []
@@ -838,8 +836,7 @@ def test_builders_clear_each_vertex_once(monkeypatch):
     built.clear()
     embedded_4d(gen_random(5, 4, seed=7))
     (forms, mesh, _), = built
-    tops = len(mesh.boundary_edges())
-    assert tops > 0 and len(forms) == len(mesh.hom) - tops
+    assert mesh.boundary_edges() and forms == []
 
 
 def _lifted_torus(m):
@@ -856,8 +853,6 @@ def _off_bytes(mesh, tmp_path):
 def test_embedded_attempt_matches_framed_oracle(tmp_path):
     # built in poly's own frame, an attempt gives the mesh and report that
     # building in the sheared frame and mapping back gave, byte for byte
-    from plspan.seifert import spanning_surface_r3
-
     def off(mesh):
         return _off_bytes(mesh, tmp_path)
 
@@ -881,10 +876,6 @@ def test_embedded_attempt_matches_framed_oracle(tmp_path):
             assert got[1] == want[1]
             built += 1
     assert built > 30
-    # _lift at a height places an R^3 surface as lift_at_height does
-    m3, _ = spanning_surface_r3(gen_torus_stick(3))
-    h = Fraction(5, 3)
-    assert off(_lift(m3, (0, 0, 0, h))) == off(lift_at_height(m3, h))
 
 
 def test_flat_embedded4_matches_the_lifted_r3_surface(tmp_path):

@@ -14,10 +14,13 @@ from plspan.geom import (
     Point,
     Rat,
     ZERO,
+    _lift,
+    _shear,
     homogeneous,
     rat,
 )
-from plspan.mesh import TriMesh, boundary_matches, check_embedded, write_off
+from plspan.mesh import (TriMesh, _edge_param, boundary_matches,
+                         check_embedded, write_off)
 from plspan.polygon import (
     ClosedPolygon,
     gen_planar_ngon,
@@ -30,7 +33,6 @@ from plspan.seifert import (
     MarkedDiagram,
     _add_wall,
     _construct_r3,
-    _lift,
     _marks_valid,
     _place_marks,
     _ray_parity,
@@ -43,17 +45,33 @@ from plspan.seifert import (
 )
 
 from oracles import (
+    affine_inverse,
     construct_r3_framed,
     lift_point,
     mark_point,
     point_of,
     point_on_segment,
     seg_intersect_2d,
+    shear_last_into,
 )
 
 
+def _edge_params(poly, nodes):
+    """Each node's parameter along its edge of poly, from its point: 0
+    at the corner opening the edge, a rational strictly inside it, or
+    None for a point elsewhere."""
+    hom = poly.hom
+    out = []
+    for nd in nodes:
+        a, b = hom[nd.edge], hom[(nd.edge + 1) % len(hom)]
+        t = _edge_param(nd.point, a, b)
+        out.append(0 if nd.point == a else t and Rat(*t))
+    return out
+
+
 def test_trefoil_marks():
-    dia = project_polygon(gen_torus_stick(3))
+    poly = gen_torus_stick(3)
+    dia = project_polygon(poly)
     mk = insert_interior_vertices(dia)
     # 6 corners + 2 passages and 4 marks per crossing
     assert len(mk.nodes) == 6 + 6 * 3
@@ -66,7 +84,8 @@ def test_trefoil_marks():
         for idx in q.values():
             nd = mk.nodes[idx]
             assert nd.kind == "mark"
-            assert 0 < nd.param < 1
+            t, = _edge_params(poly, [nd])
+            assert t is not None and 0 < t < 1
 
 
 def test_trefoil_circuits():
@@ -238,8 +257,12 @@ def test_mark_forms_match_rational_marks():
 
 
 def test_lift_forms_match_rational_lift():
-    # seifert._lift is homogeneous() of the rational lift, the shear
-    # undone, for random shadow points, heights and slopes
+    # geom._lift is homogeneous() of the rational lift, the shear undone,
+    # for random shadow points, heights and slopes; in R^4 (k = 3 slopes)
+    # geom._shear is the shear map with its last coordinate dropped and
+    # _lift its inverse map, and _shear undoes _lift.  A slope may be
+    # given in lowest terms or not: _shear and _lift read only its
+    # numerator and denominator.
     rng = random.Random(31)
 
     def frac(lim, den):
@@ -252,6 +275,29 @@ def test_lift_forms_match_rational_lift():
         z = frac(40, 12)
         assert _lift(homogeneous(pos), z.numerator, z.denominator, slopes) \
             == homogeneous(lift_point(slopes, pos, z))
+    for k in range(300):
+        slopes = [rng.choice((ZERO, frac(32, 16), frac(1024, 1024)))
+                  for _ in range(3)]
+        shear = shear_last_into(4, slopes)
+        back = affine_inverse(shear)
+        if k % 2:
+            # the same slopes not in lowest terms, as (numerator,
+            # denominator) pairs with a common factor
+            m = rng.randint(2, 9)
+            slopes = [SimpleNamespace(numerator=s.numerator * m,
+                                      denominator=s.denominator * m)
+                      for s in slopes]
+        p4 = Point([frac(50, 30) for _ in range(4)])
+        h = homogeneous(p4)
+        sheared = shear.apply(p4)
+        assert _shear(h, slopes) == homogeneous(Point(sheared.coords[:3]))
+        z = frac(40, 12)
+        pos = Point([frac(50, 30) for _ in range(3)])
+        g = homogeneous(pos)
+        lifted = _lift(g, z.numerator, z.denominator, slopes)
+        assert lifted == homogeneous(back.apply(Point(list(pos) + [z])))
+        assert _shear(lifted, slopes) == g
+        assert _lift(_shear(h, slopes), h[3], h[4], slopes) == h
 
 
 def test_add_wall_orders_base_vertices_as_fraction_tuples():
@@ -546,10 +592,15 @@ def test_smoothed_circuits_are_disjoint():
 def test_place_marks_keeps_the_walk_stops():
     # corners and passages are the walk's own stop objects, in walk
     # order; each crossing gets four marks, one per strand end, each
-    # strictly between its passage and the neighbouring stop
+    # strictly between its passage and the neighbouring stop.  Every
+    # node's shadow is its point on the polygon sheared, under the
+    # identity and under a forced shear.
+    sheared = 0
     for poly in (gen_planar_ngon(5, dim=3), gen_torus_stick(4),
-                 gen_twist_writhe(2), gen_random(9, 3, seed=3)):
+                 gen_twist_writhe(2), gen_random(9, 3, seed=3),
+                 _moved_vertex(7, 0)):
         dia = project_polygon(poly)
+        sheared += any(dia.slopes)
         for factor in (Rat(1, 4), Rat(1, 16)):
             nodes, quads = _place_marks(dia, factor)
             stops = [nd for nd in nodes if nd.kind != "mark"]
@@ -567,14 +618,19 @@ def test_place_marks_keeps_the_walk_stops():
                     assert passage.kind == "cross" and passage.ref == x
                     assert nd.edge == passage.edge
                     assert passage.role == side.split("_")[1]
-                    assert 0 < nd.param < 1
                     marks.add(idx)
             assert marks == {i for i, nd in enumerate(nodes)
                              if nd.kind == "mark"}
+            assert all(_shear(nd.point, dia.slopes) == nd.pos
+                       for nd in nodes)
             # params rise strictly along each edge, so every mark lies
-            # strictly between the stops on either side of it
-            for a, b in zip(nodes, nodes[1:]):
-                assert a.edge != b.edge or a.param < b.param
+            # strictly inside its edge, between the stops on either side
+            params = _edge_params(poly, nodes)
+            assert None not in params
+            for (a, ta), (b, tb) in zip(zip(nodes, params),
+                                        zip(nodes[1:], params[1:])):
+                assert a.edge != b.edge or ta < tb
+    assert sheared == 1
 
 
 def _ray_parity_oracle(p, segs):
