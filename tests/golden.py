@@ -1,8 +1,9 @@
 """The pinned output manifest: sha256 digests of what the CLI writes.
 
 Each case runs one `plspan` command in a scratch directory, on relative
-file names, and records the digest of the mesh file it writes (span)
-and of its JSON report with the run-dependent `timings` key removed.
+file names, and records the digest of the polygon file it starts from,
+of the mesh file it writes (span) and of its JSON report with the
+run-dependent `timings` key removed.
 tests/test_golden.py compares every case against tests/golden.json and
 names the cases whose digests moved, so a change that is meant to keep
 outputs byte-identical shows it, and one that is not lists what moved.
@@ -59,14 +60,14 @@ def _sha(data: bytes) -> str:
 
 
 def run_case(poly, commands) -> dict:
-    """{file: digest} of the files the commands write; reports lose
-    their timings first."""
+    """{file: digest} of the polygon file and of the files the commands
+    write; reports lose their timings first."""
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
             write_polygon(poly, "p.poly")
-            out = {}
+            out = {"p.poly": _sha(Path("p.poly").read_bytes())}
             for tag, argv in commands:
                 main(argv)
                 with open(tag + ".json") as fh:
