@@ -134,7 +134,7 @@ def cmd_generate(args) -> int:
             poly = gen_random(args.n, args.dim, seed=args.seed)
     except (ValueError, AssertionError) as exc:
         raise SystemExit("--family %s: %s" % (fam, exc)) from None
-    echo = "n=%d dim=%d" % (len(poly.vertices), poly.dim)
+    echo = "n=%d dim=%d" % (len(poly), poly.dim)
     if args.out:
         _write(write_polygon, poly, args.out)
         print(echo)
@@ -161,7 +161,7 @@ def _embedding_error(poly) -> dict | None:
 
 def cmd_span(args) -> int:
     poly = _read(read_polygon, args.polygon)
-    n, dim = len(poly.vertices), poly.dim
+    n, dim = len(poly), poly.dim
     strategy = args.strategy
     if strategy == "auto":
         strategy = next(name for name, (applies, _) in STRATEGIES.items()
@@ -261,7 +261,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bounds(args) -> int:
     poly = _read(read_polygon, args.polygon)
-    n, dim = len(poly.vertices), poly.dim
+    n, dim = len(poly), poly.dim
     report: dict = {"input": args.polygon, "n": n, "dim": dim}
     error = _embedding_error(poly)
     if error is not None:

@@ -6,10 +6,10 @@ tests computed here.  No floating point enters any decision path: all
 coordinates are rationals with arbitrary-precision integer numerator and
 denominator, and all predicates are exact.
 
-The scalar type is gmpy2.mpq when available, else fractions.Fraction.
-The hot predicates lean on neither: they take signs of integer
-determinants on canonical integer forms (x_1 w, ..., x_d w, w), w > 0
-minimal (homogeneous).  _primitive makes any integer form of a point
+There is one scalar type, Rat, which is fractions.Fraction.  The hot
+predicates do not lean on it: they take signs of integer determinants
+on canonical integer forms (x_1 w, ..., x_d w, w), w > 0 minimal
+(homogeneous).  _primitive makes any integer form of a point
 canonical, so forms are made from forms (_between, and the shear
 _shear with its inverse _lift) and from text (_ratio, which reads plain
 'p' and 'p/q' with int()) with no rational built on the way.
@@ -33,10 +33,7 @@ from math import gcd, lcm
 from operator import itemgetter, le, neg
 from typing import Iterable, Optional, Sequence, Union
 
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # gmpy2 is optional (the "fast" extra)
-    Rat = Fraction
+Rat = Fraction
 
 RatLike = Union[int, str, Fraction]
 
@@ -49,17 +46,12 @@ def rat(x: RatLike) -> Rat:
 
     Decimal strings are converted exactly ('0.25' -> 1/4), never through
     a float.  A value already of type Rat comes back unchanged; a string
-    is read by _ratio.  Other Fractions go through the
-    two-argument constructor: a Fraction built from a foreign Rational
-    can carry non-int components, which the one-argument gmpy2
-    conversion rejects.
+    is read by _ratio.
     """
     if type(x) is Rat:
         return x
     if isinstance(x, str):
         return Rat(*_ratio(x))
-    if isinstance(x, Fraction):
-        return Rat(x.numerator, x.denominator)
     return Rat(x)
 
 
@@ -224,6 +216,11 @@ def orient3d(a: Point, b: Point, c: Point, d: Point) -> int:
 def homogeneous(p: Point) -> tuple:
     """Integer form (x_1 w, ..., x_d w, w) of p with w > 0 minimal."""
     return _form([(c.numerator, c.denominator) for c in p.coords])
+
+
+def _point(h) -> Point:
+    """The Point with integer form h, homogeneous() undone."""
+    return Point([Rat(c, h[-1]) for c in h[:-1]])
 
 
 def _primitive(h) -> tuple:

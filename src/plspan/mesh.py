@@ -26,10 +26,10 @@ from typing import Optional
 
 from .geom import (
     Point,
-    Rat,
     _bareiss,
     _form,
     _interval_gap,
+    _point,
     _ratio,
     homogeneous,
     int_nullspace,
@@ -106,28 +106,25 @@ class TriMesh:
 
     @property
     def vertices(self) -> list[Point]:
-        """The pooled points, in pool order; a vertex pooled by its form
-        gets its Point on the first read after it was pooled."""
+        """The pooled points, in pool order; each vertex gets its Point,
+        made from its form, on the first read after it was pooled."""
         pts = self._points
         if len(pts) < len(self.hom):
-            pts += [Point([Rat(c, h[-1]) for c in h[:-1]])
-                    for h in self.hom[len(pts):]]
+            pts += [_point(h) for h in self.hom[len(pts):]]
         return pts
 
     def add_vertex(self, p: Point) -> int:
         if p.dim != self.dim:
             raise ValueError("vertex dimension mismatch")
         # the form is canonical (w minimal), so it pools like p.coords
-        return self._add_form(homogeneous(p), p)
+        return self._add_form(homogeneous(p))
 
-    def _add_form(self, h: tuple, p: Optional[Point] = None) -> int:
+    def _add_form(self, h: tuple) -> int:
         """Pool index of the point with canonical form h, pooling it if
-        new; its Point is p, or made from h when vertices is read."""
+        new; its Point is made from h when vertices is read."""
         idx = self._pool.get(h)
         if idx is None:
             idx = len(self.hom)
-            if p is not None:
-                self.vertices.append(p)
             self.hom.append(h)
             self._pool[h] = idx
         return idx

@@ -19,14 +19,14 @@ from operator import mul
 
 from .geom import (
     ONE,
-    Point,
     Rat,
     ZERO,
     _between,
+    _form,
     _lift,
+    _primitive,
     _shear,
     earclip_2d as _earclip_indices,
-    homogeneous,
     int_nullspace,
     int_rank,
     key_boxes,
@@ -73,20 +73,19 @@ def cone_highdim(poly: ClosedPolygon, seed: int = 0, budget: int = 200):
     """
     if poly.dim < 5:
         raise ValueError("cone construction needs dimension >= 5")
-    verts = poly.vertices
-    n = len(verts)
+    n = len(poly)
     d = poly.dim
-    lo = [min(v[i] for v in verts) for i in range(d)]
-    hi = [max(v[i] for v in verts) for i in range(d)]
-    span = [max(hi[i] - lo[i], ONE) for i in range(d)]
+    cols = [[Rat(h[i], h[-1]) for h in poly.hom] for i in range(d)]
+    lo = [min(col) for col in cols]
+    span = [max(max(col) - low, ONE) for col, low in zip(cols, lo)]
     rng = random.Random(seed)
     for attempt in range(budget):
-        coords = [lo[i] - span[i]
-                  + Rat(rng.randint(0, 12 * int(span[i] * 4)), 4)
-                  for i in range(d)]
-        apex = Point(coords)
+        apex = tuple(lo[i] - span[i]
+                     + Rat(rng.randint(0, 12 * int(span[i] * 4)), 4)
+                     for i in range(d))
         mesh = TriMesh(d)
-        at = mesh.pooler(poly.hom + [homogeneous(apex)])
+        at = mesh.pooler(poly.hom + [_form([c.as_integer_ratio()
+                                            for c in apex])])
         for i in range(n):
             mesh.add_triangle_indices(at(i), at((i + 1) % n), at(n),
                                       "cone %d" % i)
@@ -96,7 +95,7 @@ def cone_highdim(poly: ClosedPolygon, seed: int = 0, budget: int = 200):
         _require(len(mesh.triangles) == n, "cone: t != n")
         report = {"n": n, "dim": d, "triangles": n, "euler": 1,
                   "embedded": True, "strategy": "cone", "seed": seed,
-                  "attempt": attempt, "apex": apex.coords, "cert": cert}
+                  "attempt": attempt, "apex": apex, "cert": cert}
         return mesh, report
     raise AssertionError("no clean cone apex in %d attempts (seed %d)"
                          % (budget, seed))
@@ -105,14 +104,15 @@ def cone_highdim(poly: ClosedPolygon, seed: int = 0, budget: int = 200):
 # ---------------------------------------------------------------------------
 # d = 4, immersed
 
-def _plane_forms(origin, dir1, dir2):
-    """Integer forms (o, u, v) of the plane origin + a dir1 + b dir2.
+def _plane_forms(ho, h1, h2):
+    """Integer forms (o, u, v) of the plane origin + a dir1 + b dir2,
+    given the forms ho, h1 and h2 of origin, dir1 and dir2.
 
     For any functional h on homogeneous points, h . o + a h . u + b h . v
-    is h's value at the plane point (a, b) times one positive factor.
-    u and v are dir1 and dir2 times positive integers.
+    is h's value at the plane point (a, b) times one positive factor,
+    o's weight: o + a u + b v is a form of that point.  u and v are
+    dir1 and dir2 times positive integers.
     """
-    ho, h1, h2 = homogeneous(origin), homogeneous(dir1), homogeneous(dir2)
     w, s1, s2 = ho[-1], h1[-1], h2[-1]
     return ([c * s1 * s2 for c in ho],
             [c * w * s2 for c in h1[:-1]] + [0],
@@ -159,8 +159,7 @@ def immersed_disk_4d(poly: ClosedPolygon, seed: int = 0, budget: int = 60):
     """
     if poly.dim != 4:
         raise ValueError("immersed disk construction needs dimension 4")
-    verts = poly.vertices
-    n = len(verts)
+    n = len(poly)
     # Join cells: [v_i, v_i+1, v_j, v_j+1] spans the flat of the extended
     # lines of edges i <= j.  Any line meeting two edge lines lies inside
     # one of these flats, so a region avoiding every cell sees the
@@ -175,9 +174,9 @@ def immersed_disk_4d(poly: ClosedPolygon, seed: int = 0, budget: int = 60):
     # why the final attempt was skipped
     last = "no attempt ran"
     for attempt in range(budget):
-        origin = Point([Rat(rng.randint(-64, 64), 8) for _ in range(4)])
-        dir1 = Point([Rat(rng.randint(-8, 8)) for _ in range(4)])
-        dir2 = Point([Rat(rng.randint(-8, 8)) for _ in range(4)])
+        origin = _primitive([rng.randint(-64, 64) for _ in range(4)] + [8])
+        dir1, dir2 = [tuple(rng.randint(-8, 8) for _ in range(4)) + (1,)
+                      for _ in range(2)]
         forms = _plane_forms(origin, dir1, dir2)
         if int_rank(forms[1:]) != 2:
             last = "the plane is not 2-dimensional"
@@ -186,7 +185,7 @@ def immersed_disk_4d(poly: ClosedPolygon, seed: int = 0, budget: int = 60):
         if any(kind == "all" for kind, _ in traces):
             last = "the plane lies in a join flat"
             continue
-        placement = _place_disk(poly, origin, dir1, dir2, traces, rng)
+        placement = _place_disk(poly, forms, traces, rng)
         if placement is None:
             last = "no centre off the traces"
             continue
@@ -202,15 +201,18 @@ def immersed_disk_4d(poly: ClosedPolygon, seed: int = 0, budget: int = 60):
                          % (budget, seed, last))
 
 
-def _place_disk(poly, origin, dir1, dir2, traces, rng):
-    """(Q's 4D vertices, fan apex) for a small convex n-gon Q in the
-    flat, clear of the traces; None when all 40 centres drawn lie on a
-    trace."""
-    n = len(poly.vertices)
+def _place_disk(poly, forms, traces, rng):
+    """(the forms of Q's vertices, the form of the fan apex) for a small
+    convex n-gon Q in the plane with _plane_forms forms, clear of the
+    traces; None when all 40 centres drawn lie on a trace."""
+    n = len(poly)
     angles = [2 * math.pi * k / n for k in range(n)]
 
-    def to4(a, b):
-        return origin + dir1.scale(a) + dir2.scale(b)
+    def plane_point(a, b):
+        # o + a u + b v, times the denominators of the rationals a and b
+        (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+        return _primitive([ad * bd * x + an * bd * y + bn * ad * z
+                           for x, y, z in zip(*forms)])
 
     for _ in range(40):
         za = Rat(rng.randint(-64, 64), 8)
@@ -248,7 +250,8 @@ def _place_disk(poly, origin, dir1, dir2, traces, rng):
         while 4 * radius * radius > clear2:
             radius = radius / 2
         ring = _circle_points(angles, radius)
-        return ([to4(q[0] + za, q[1] + zb) for q in ring], to4(za, zb))
+        return ([plane_point(q[0] + za, q[1] + zb) for q in ring],
+                plane_point(za, zb))
     return None
 
 
@@ -295,10 +298,10 @@ def polygon_contact_clean(mesh: TriMesh):
 
 
 def _assemble_disk(poly, q4, center):
-    n = len(poly.vertices)
+    n = len(poly)
     mesh = TriMesh(4)
     # the polygon's vertices, then the inner n-gon's, then the center
-    at = mesh.pooler(poly.hom + [homogeneous(p) for p in q4 + [center]])
+    at = mesh.pooler(poly.hom + q4 + [center])
     for j in range(n):
         k = (j + 1) % n
         mesh.add_triangle_indices(at(j), at(k), at(n + k), "annulus %d" % j)
@@ -364,8 +367,7 @@ def embedded_4d(poly: ClosedPolygon, seed: int = 0, budget: int = 30,
 
 
 def _embedded_attempt(poly, slopes, seed, attempt, rule="orientation"):
-    verts = poly.vertices
-    n = len(verts)
+    n = len(poly)
     # P* is the shadow of the shear x_i += s_i x_4.  The spanning surface
     # of P* goes into the hyperplane x_4 = low with the shear undone:
     # x -> (x - s low, low).  A shear keeps edge parameters, so with low
@@ -373,13 +375,12 @@ def _embedded_attempt(poly, slopes, seed, attempt, rule="orientation"):
     # poly's own points at the same parameters on the host edge.  A poly
     # in one hyperplane is spanned there, at its own height, with no wall.
     star = [_shear(h, slopes) for h in poly.hom]
-    p3 = ClosedPolygon([Point([Rat(c, h[-1]) for c in h[:-1]])
-                        for h in star])
+    p3 = ClosedPolygon(star)
     if validate_embedded(p3) is not None:
         raise ValueError("projection not embedded")
     m3, rep3 = _construct_r3(p3, seed, rule)
-    low = min(v[3] for v in verts)
-    flat = all(v[3] == low for v in verts)
+    low = min(Rat(h[3], h[4]) for h in poly.hom)
+    flat = len({Rat(h[3], h[4]) for h in poly.hom}) == 1
     if not flat:
         low -= ONE
     mesh = TriMesh(4)

@@ -1,11 +1,12 @@
 """Closed polygons in R^d and the built-in example generators.
 
-A closed polygon is a cyclic list of rational points; edge i joins
-vertex i to vertex i+1 (mod n).  The constructor clears each corner's
-denominators once, into ClosedPolygon.hom, and every reader takes those
-integer forms.  Embeddedness means any two edges meet only in a shared
-endpoint.  The generators return polygons that are re-verified exactly
-before being handed out, so downstream code may assume embedded input.
+A closed polygon is a cyclic list of points; edge i joins vertex i to
+vertex i+1 (mod n).  It is its corners' canonical integer forms,
+ClosedPolygon.hom, from the file (read_polygon, polygon_text) to every
+reader; vertices makes Points from them when read.  Embeddedness means
+any two edges meet only in a shared endpoint.  The generators return
+polygons that are re-verified exactly before being handed out, so
+downstream code may assume embedded input.
 """
 
 from __future__ import annotations
@@ -19,43 +20,51 @@ from .geom import (
     ONE,
     Point,
     ZERO,
+    _form,
+    _point,
+    _primitive,
+    _ratio,
     homogeneous,
     int_rank,
     key_boxes,
     overlapping_pairs,
     rat,
-    rat_str,
     seg_pair_clear_h,
     simplex_intersect,
 )
-from .mesh import _hull_contact_clean, _require
+from .mesh import _hull_contact_clean, _ratio_text, _require
 
 
 class ClosedPolygon:
-    def __init__(self, vertices: Sequence[Point]):
-        verts = list(vertices)
-        if len(verts) < 3:
+    def __init__(self, corners: Sequence):
+        # integer forms (x_1 w, ..., x_d w, w), any w != 0, or Points,
+        # made canonical (w minimal), so that they compare as points
+        hom = [homogeneous(c) if isinstance(c, Point) else _primitive(c)
+               for c in corners]
+        if len(hom) < 3:
             raise ValueError("a closed polygon needs at least 3 vertices")
-        dim = verts[0].dim
-        if any(v.dim != dim for v in verts):
+        dim = len(hom[0]) - 1
+        if any(len(h) != dim + 1 for h in hom):
             raise ValueError("mixed vertex dimensions")
         if dim < 2:
             raise ValueError("polygon dimension must be at least 2")
-        # the forms are canonical (w minimal), so they compare as points
-        hom = [homogeneous(v) for v in verts]
         for i, h in enumerate(hom):
             if h == hom[(i + 1) % len(hom)]:
                 raise ValueError("repeated consecutive vertex %d" % i)
-        self.vertices = verts
         self.hom = hom
         self.dim = dim
 
+    @property
+    def vertices(self) -> list[Point]:
+        """The corners as Points, made from the forms on each read."""
+        return [_point(h) for h in self.hom]
+
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.hom)
 
     def edge(self, i: int) -> tuple[Point, Point]:
-        n = len(self.vertices)
-        return self.vertices[i % n], self.vertices[(i + 1) % n]
+        n = len(self.hom)
+        return _point(self.hom[i % n]), _point(self.hom[(i + 1) % n])
 
     def zero_turns(self) -> list[int]:
         """Vertices where the two incident edges are parallel: the forms
@@ -66,7 +75,7 @@ class ClosedPolygon:
                 if int_rank([hom[i - 1], hom[i], hom[(i + 1) % n]]) < 3]
 
     def __repr__(self):
-        return "ClosedPolygon(n=%d, dim=%d)" % (len(self.vertices), self.dim)
+        return "ClosedPolygon(n=%d, dim=%d)" % (len(self.hom), self.dim)
 
 
 class PolygonViolation:
@@ -108,7 +117,7 @@ def validate_embedded(poly: ClosedPolygon) -> Optional[PolygonViolation]:
         elif _hull_contact_clean(hom, ea, eb, shared):
             continue
         w = simplex_intersect(poly.edge(i), poly.edge(j),
-                              [poly.vertices[v] for v in shared])
+                              [_point(hom[v]) for v in shared])
         if w is not None:
             return PolygonViolation(i, j, w)
     return None
@@ -118,9 +127,9 @@ def validate_embedded(poly: ClosedPolygon) -> Optional[PolygonViolation]:
 # file format
 
 def polygon_text(poly: ClosedPolygon) -> str:
-    lines = ["pl-polygon %d %d" % (poly.dim, len(poly.vertices))]
-    for v in poly.vertices:
-        lines.append(" ".join(rat_str(c) for c in v.coords))
+    lines = ["pl-polygon %d %d" % (poly.dim, len(poly))]
+    for h in poly.hom:
+        lines.append(" ".join(_ratio_text(c, h[-1]) for c in h[:-1]))
     return "\n".join(lines) + "\n"
 
 
@@ -141,13 +150,13 @@ def read_polygon(path: str) -> ClosedPolygon:
     dim, n = int(head[1]), int(head[2])
     if len(lines) != 1 + n:
         raise ValueError("vertex count does not match header")
-    verts = []
+    forms = []
     for ln in lines[1:]:
         toks = ln.split()
         if len(toks) != dim:
             raise ValueError("bad vertex line: %r" % ln)
-        verts.append(Point(toks))
-    return ClosedPolygon(verts)
+        forms.append(_form([_ratio(tok) for tok in toks]))
+    return ClosedPolygon(forms)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +177,7 @@ def _circle_points(angles_rad, radius, denom=1 << 14):
         if abs(theta - math.pi) < 1e-12:
             pts.append((-radius, ZERO))
             continue
-        t = rat(Fraction(round(math.tan(theta / 2) * denom), denom))
+        t = Fraction(round(math.tan(theta / 2) * denom), denom)
         one_pt2 = 1 + t * t
         pts.append((radius * (1 - t * t) / one_pt2,
                     radius * 2 * t / one_pt2))
@@ -325,12 +334,10 @@ def gen_random(n: int, dim: int, seed: int = 0) -> ClosedPolygon:
         if dim == 2:
             poly = _random_star(n, rng)
         else:
-            verts = []
-            for _ in range(n):
-                verts.append(Point([Fraction(rng.randint(-4 * n, 4 * n), 4)
-                                    for _ in range(dim)]))
+            forms = [[rng.randint(-4 * n, 4 * n) for _ in range(dim)] + [4]
+                     for _ in range(n)]
             try:
-                poly = ClosedPolygon(verts)
+                poly = ClosedPolygon(forms)
             except ValueError:
                 continue
         if poly is not None and validate_embedded(poly) is None \
@@ -346,13 +353,13 @@ def _random_star(n: int, rng: random.Random) -> Optional[ClosedPolygon]:
     for a, b in zip(angles, angles[1:]):
         if b - a < 1e-3:
             return None
-    verts = []
+    forms = []
     for theta in angles:
-        r = Fraction(rng.randint(8, 32), 8)
-        x = rat(Fraction(round(math.cos(theta) * 4096), 4096)) * r
-        y = rat(Fraction(round(math.sin(theta) * 4096), 4096)) * r
-        verts.append(Point([x, y]))
+        # (cos, sin) on the 1/4096 grid times the radius r/8
+        r = rng.randint(8, 32)
+        forms.append((round(math.cos(theta) * 4096) * r,
+                      round(math.sin(theta) * 4096) * r, 4096 * 8))
     try:
-        return ClosedPolygon(verts)
+        return ClosedPolygon(forms)
     except ValueError:
         return None

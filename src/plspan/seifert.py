@@ -20,9 +20,7 @@ from __future__ import annotations
 from .diagram import WalkNode
 from .geom import (
     ONE,
-    Point,
     Rat,
-    ZERO,
     _between,
     _lift,
     earclip_2d,
@@ -332,7 +330,7 @@ def build_surface(g: SmoothedGraph, levels: list[int]):
     marked = g.marked
     dia = marked.diagram
     mesh = TriMesh(3)
-    floor = min(v[2] for v in dia.polygon.vertices) - ONE
+    floor = min(Rat(h[2], h[3]) for h in dia.polygon.hom) - ONE
     fn, fd = floor.numerator, floor.denominator
     # every corner and mark lies on exactly one circuit
     lows = {}
@@ -404,8 +402,7 @@ def spanning_surface_r3(poly: ClosedPolygon, seed: int = 0,
     CertificateError when a certificate fails.
     """
     if poly.dim == 2:
-        poly = ClosedPolygon([Point((v[0], v[1], ZERO))
-                              for v in poly.vertices])
+        poly = ClosedPolygon([(x, y, 0, w) for x, y, w in poly.hom])
     mesh, report = _construct_r3(poly, seed, rule)
     cert = certify(mesh, poly)
     _require(cert["failure"] is None, cert["failure"])
@@ -430,7 +427,7 @@ def _construct_r3(poly: ClosedPolygon, seed: int, rule: str):
     mesh, trace = build_surface(g, levels)
     report = dict(trace)
     report.update({
-        "n": len(poly.vertices),
+        "n": len(poly),
         "writhe": dia.writhe,
         "rule": rule,
         "seed": seed,

@@ -16,6 +16,7 @@ from plspan.geom import (
     key_boxes,
     overlapping_pairs,
     rat,
+    rat_str,
     rref,
     segment_simplex_meet,
     solution_set,
@@ -51,6 +52,15 @@ class AffineMap:
 def point_of(h) -> Point:
     """The Point with integer form h = (x_1 w, ..., x_d w, w)."""
     return Point([Fraction(c, h[-1]) for c in h[:-1]])
+
+
+def polygon_text(poly) -> str:
+    """The pl-polygon text of poly as it was printed from Points: the
+    header, then rat_str of each rational coordinate of each vertex."""
+    lines = ["pl-polygon %d %d" % (poly.dim, len(poly.vertices))]
+    for v in poly.vertices:
+        lines.append(" ".join(rat_str(c) for c in v.coords))
+    return "\n".join(lines) + "\n"
 
 
 def shadow_point(v, slopes) -> Point:

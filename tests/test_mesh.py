@@ -1316,8 +1316,8 @@ def test_write_off_prints_each_coordinate_as_rat_str(tmp_path):
 
 
 def test_vertices_are_a_view_made_from_the_forms():
-    # a point pooled by its form gets its Point on the first read of
-    # vertices; a Point pooled later keeps its index and object
+    # every vertex, pooled by its form or by a Point, gets its Point on
+    # the first read of vertices; a Point pooled again keeps its index
     m = TriMesh(2)
     assert m._add_form((1, 2, 4)) == 0
     assert m._points == []
@@ -1326,9 +1326,9 @@ def test_vertices_are_a_view_made_from_the_forms():
     assert m._add_form((5, 0, 1)) == 2
     assert m.add_vertex(Point(["1/4", "1/2"])) == 0
     assert m.hom == [(1, 2, 4), (9, 1, 3), (5, 0, 1)]
-    assert len(m._points) == 2
+    assert m._points == []
     assert m.vertices == [Point(["1/4", "1/2"]), p, Point([5, 0])]
-    assert m.vertices[1] is p
+    assert len(m._points) == 3
 
 
 def test_off_rejects_garbage(tmp_path):
@@ -1820,12 +1820,12 @@ def test_src_has_no_assert_statements():
 
 def test_points_are_cleared_only_by_the_objects_that_hold_them():
     # each point's integer form is made once, by what holds the point:
-    # the mesh when it pools a Point, a polygon in its constructor.  The
-    # diagram, the marks and the R^3 surface make their forms from
-    # forms, and read_off from the file's text.  Besides those, only
-    # affine_rank (simplex_intersect's input check), the immersed disk's
-    # plane, and the new points of the cone and the immersed disk call
-    # geom.homogeneous
+    # the mesh when it pools a Point, a polygon in its constructor when
+    # it is given Points.  The diagram, the marks, the R^3 surface and
+    # the new points of the cone and the immersed disk make their forms
+    # from forms, read_off and read_polygon from the file's text.
+    # Besides those, only affine_rank (simplex_intersect's input check)
+    # calls geom.homogeneous
     import plspan
     found = []
 
@@ -1844,10 +1844,7 @@ def test_points_are_cleared_only_by_the_objects_that_hold_them():
         visit(ast.parse(path.read_text(), filename=path.name), path.stem)
     assert set(found) == {"mesh.TriMesh.add_vertex",
                           "polygon.ClosedPolygon.__init__",
-                          "geom.affine_rank",
-                          "otherdims._plane_forms",
-                          "otherdims.cone_highdim",
-                          "otherdims._assemble_disk"}
+                          "geom.affine_rank"}
 
 
 def test_mesh_and_otherdims_leave_rational_elimination_to_geom():

@@ -50,6 +50,7 @@ from oracles import (
     add_triangle,
     embedded_attempt_framed,
     embedded_flat_oracle,
+    point_of,
     polygon_edge_contact,
 )
 
@@ -284,7 +285,7 @@ def test_flat_meet_matches_rational_oracle():
                                     origin + dir2]) != 2:
                         continue
                     want = _flat_meet_oracle(origin, dir1, dir2, cell_pts)
-                    got = _flat_meet(_plane_forms(origin, dir1, dir2), cell)
+                    got = _flat_meet(_plane(origin, dir1, dir2), cell)
                     assert got[0] == want[0], (cell_pts, origin, dir1, dir2)
                     kinds.add(got[0])
                     if got[0] == "point":
@@ -343,12 +344,19 @@ def _join_cells(poly):
             for i in range(n) for j in range(i, n)}
 
 
+def _plane(origin, dir1, dir2):
+    """_plane_forms of the plane through the Point origin along the
+    Points dir1 and dir2."""
+    return _plane_forms(homogeneous(origin), homogeneous(dir1),
+                        homogeneous(dir2))
+
+
 def _plane_traces(cells, origin, dir1, dir2):
     """The cells' traces in the plane, or None for a plane that
     immersed_disk_4d skips."""
     if affine_rank([origin, origin + dir1, origin + dir2]) != 2:
         return None
-    forms = _plane_forms(origin, dir1, dir2)
+    forms = _plane(origin, dir1, dir2)
     traces = [_flat_meet(forms, cell) for cell in cells]
     return None if any(kind == "all" for kind, _ in traces) else traces
 
@@ -464,7 +472,9 @@ def test_place_disk_matches_trace_checking_oracle():
         want_rng, got_rng = random.Random(seed), random.Random(seed)
         want = _place_disk_oracle(poly, origin, dir1, dir2, traces,
                                   want_rng, reached)
-        got = _place_disk(poly, origin, dir1, dir2, traces, got_rng)
+        got = _place_disk(poly, _plane(origin, dir1, dir2), traces, got_rng)
+        if want is not None:
+            want = ([homogeneous(q) for q in want[0]], homogeneous(want[1]))
         assert got == want
         assert got_rng.getstate() == want_rng.getstate()
     assert "hull not clear" not in reached
@@ -487,14 +497,15 @@ def test_place_disk_takes_its_first_centre_inside_the_hull(monkeypatch):
     monkeypatch.setattr(geom, "convex_meet", spy)
     flat = ClosedPolygon([Point((x * 60, y * 60, 0, 0))
                           for x, y in gen_planar_ngon(5).vertices])
-    placed = _place_disk(flat, Point((0, 0, 0, 0)), Point((1, 0, 0, 0)),
-                         Point((0, 1, 0, 0)), [("empty", None)],
-                         random.Random(0))
+    placed = _place_disk(flat, _plane(Point((0, 0, 0, 0)),
+                                      Point((1, 0, 0, 0)),
+                                      Point((0, 1, 0, 0))),
+                         [("empty", None)], random.Random(0))
     za, zb = _first_centre(0)
-    assert placed[1] == Point((za, zb, 0, 0))
+    assert placed[1] == homogeneous(Point((za, zb, 0, 0)))
     assert _assemble_disk(flat, *placed) is not None
     assert calls == [] and not hasattr(od, "convex_meet")
-    assert meet([placed[1]], flat.vertices) is not None
+    assert meet([point_of(placed[1])], flat.vertices) is not None
 
 
 def test_place_disk_clears_an_edge_planted_near_its_first_centre():
@@ -517,12 +528,12 @@ def test_place_disk_clears_an_edge_planted_near_its_first_centre():
                           for _ in range(2)]
             origin = hit - dir1.scale(za + Fraction(1, 4)) - dir2.scale(zb)
             traces = _plane_traces(cells.values(), origin, dir1, dir2)
-        assert _flat_meet(_plane_forms(origin, dir1, dir2),
-                          cells[k, k]) == \
+        assert _flat_meet(_plane(origin, dir1, dir2), cells[k, k]) == \
             ("point", (za + Fraction(1, 4), zb))
-        placed = _place_disk(poly, origin, dir1, dir2, traces,
+        placed = _place_disk(poly, _plane(origin, dir1, dir2), traces,
                              random.Random(s))
-        assert placed[1] == origin + dir1.scale(za) + dir2.scale(zb)
+        assert placed[1] == homogeneous(origin + dir1.scale(za)
+                                        + dir2.scale(zb))
         assert _assemble_disk(poly, *placed) is not None, s
 
 
@@ -540,9 +551,10 @@ def test_place_disk_certifies_centres_inside_and_outside_the_hull():
         traces = _plane_traces(_join_cells(big).values(), mid, dir1, dir2)
         if traces is None:
             continue
-        placed = _place_disk(big, mid, dir1, dir2, traces, rng)
+        placed = _place_disk(big, _plane(mid, dir1, dir2), traces, rng)
         assert _assemble_disk(big, *placed) is not None, case
-        inside.add(convex_meet([placed[1]], big.vertices) is not None)
+        inside.add(convex_meet([point_of(placed[1])], big.vertices)
+                   is not None)
     assert inside == {True, False}
 
 
@@ -802,41 +814,41 @@ def test_embedded_determinism():
 
 def test_builders_clear_each_vertex_once(monkeypatch):
     # every builder pools each point on its first use and adds triangles
-    # by index, and clears only the points it makes: the polygon's
-    # corners come as its forms, so earclip clears nothing, the cone its
-    # apex and the immersed disk the inner n-gon and its centre.
-    # embedded_4d clears no vertex of its mesh: its base surface is built
-    # and lifted on forms, and its wall tops, the boundary, are made as
-    # forms.
+    # by index, and clears no point: the polygon's corners come as its
+    # forms, the cone's apex and the immersed disk's plane, inner n-gon
+    # and centre are drawn as forms, and embedded_4d builds and lifts its
+    # base surface on forms and makes its wall tops, the boundary, as
+    # forms.  So geom.homogeneous runs for none of them before the
+    # mesh is certified.
+    import plspan.geom as geom_mod
     import plspan.mesh as mesh_mod
     import plspan.otherdims as od
+    import plspan.polygon as polygon_mod
+    builds = [(earclip_2d, lshape()),
+              (cone_highdim, gen_random(7, 5, seed=2)),
+              (immersed_disk_4d, gen_random(6, 4, seed=1)),
+              (embedded_4d, gen_random(5, 4, seed=7))]
     cleared = []
-    homogeneous = mesh_mod.homogeneous
-    for mod in (mesh_mod, od):
+    homogeneous = geom_mod.homogeneous
+    for mod in (geom_mod, mesh_mod, polygon_mod):
         monkeypatch.setattr(mod, "homogeneous",
                             lambda p: cleared.append(p) or homogeneous(p))
     built = []
     certify = od.certify
 
     def certify_spy(mesh, poly, **kwargs):
-        built.append(([homogeneous(p) for p in cleared], mesh, poly))
+        built.append((len(cleared), mesh))
         cert = certify(mesh, poly, **kwargs)
         cleared.clear()
         return cert
 
     monkeypatch.setattr(od, "certify", certify_spy)
-    earclip_2d(lshape())
-    cone_highdim(gen_random(7, 5, seed=2))
-    immersed_disk_4d(gen_random(6, 4, seed=1))
-    for forms, mesh, poly in built:
-        # the immersed disk also clears its plane's origin and directions
-        made = sorted(f for f in forms if f in mesh.hom)
-        assert made == sorted(set(mesh.hom) - set(poly.hom))
-    assert len(built) == 3
-    built.clear()
-    embedded_4d(gen_random(5, 4, seed=7))
-    (forms, mesh, _), = built
-    assert mesh.boundary_edges() and forms == []
+    for build, poly in builds:
+        mesh, _ = build(poly)
+        assert built[-1] == (0, mesh)
+        assert len(mesh.hom) > len(poly) or build is earclip_2d
+    assert {made for made, _ in built} == {0}
+    assert not hasattr(od, "homogeneous")
 
 
 def _lifted_torus(m):

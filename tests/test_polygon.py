@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from plspan.geom import (Point, affine_rank, homogeneous, rat,
                          simplex_intersect)
@@ -11,10 +14,13 @@ from plspan.polygon import (
     gen_random,
     gen_torus_stick,
     gen_twist_writhe,
+    polygon_text,
     read_polygon,
     validate_embedded,
     write_polygon,
 )
+
+import oracles
 
 
 def test_constructor_rejects_bad_input():
@@ -291,6 +297,67 @@ def test_polygon_file_round_trip(tmp_path):
     again = read_polygon(str(path2))
     assert [v.coords for v in again.vertices] \
         == [v.coords for v in poly.vertices]
+
+
+_COORD = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+
+@st.composite
+def _corner_lists(draw, min_size=0, min_dim=0):
+    """Coordinate lists of min_size..6 corners with mixed signs and
+    denominators, in one dimension min_dim..4, or in mixed ones one time
+    in eight; a drawn corner may be repeated as the next."""
+    dim = draw(st.integers(min_dim, 4))
+    corners = []
+    for _ in range(draw(st.integers(min_size, 6))):
+        if corners and draw(st.integers(0, 5)) == 0:
+            corners.append(corners[-1])
+            continue
+        d = dim + (draw(st.integers(0, 7)) == 0)
+        corners.append(draw(st.lists(_COORD, min_size=d, max_size=d)))
+    return corners
+
+
+def _built(corners):
+    """(hom, vertices, dim) of ClosedPolygon(corners), or the message it
+    refuses them with."""
+    try:
+        poly = ClosedPolygon(corners)
+    except ValueError as exc:
+        return str(exc)
+    return poly.hom, poly.vertices, poly.dim
+
+
+@settings(max_examples=400, deadline=None)
+@given(_corner_lists(), st.integers(-6, 6).filter(bool))
+@example([[1, 2], [3, 4]], 1)  # fewer than 3 corners
+@example([[1, 2], [3, 4, 5], [0, 1]], 2)  # mixed dimensions
+@example([[1], [2], [3]], -1)  # dimension < 2
+@example([[1, 2], [Fraction(3, 2), 4], [Fraction(3, 2), 4]], 3)  # repeated
+@example([[Fraction(-1, 2), 2], [Fraction(5, 6), 0], [0, Fraction(7, 4)]], -4)
+def test_polygon_from_points_and_from_forms_agree(coords, k):
+    # any integer form of each corner, w = k times a common denominator
+    # of the corner, any sign, builds the polygon its Points build, with
+    # the same forms and vertices, or is refused with the same message
+    forms = []
+    for c in coords:
+        w = k * lcm(*(Fraction(x).denominator for x in c))
+        forms.append(tuple(int(x * w) for x in c) + (w,))
+    assert _built(forms) == _built([Point(c) for c in coords])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_corner_lists(min_size=3, min_dim=2))
+def test_polygon_file_keeps_the_forms(tmp_path_factory, coords):
+    # polygon_text prints what rat_str printed of the rational
+    # coordinates, and reading it back gives the same forms
+    points = [Point(c) for c in coords]
+    assume(isinstance(_built(points), tuple))
+    poly = ClosedPolygon(points)
+    assert polygon_text(poly) == oracles.polygon_text(poly)
+    path = str(tmp_path_factory.mktemp("poly") / "p.poly")
+    write_polygon(poly, path)
+    assert read_polygon(path).hom == poly.hom
 
 
 def test_polygon_file_rejects_garbage(tmp_path):

@@ -27,7 +27,9 @@ from plspan.polygon import (
     gen_random,
     gen_torus_stick,
     gen_twist_writhe,
+    read_polygon,
     validate_embedded,
+    write_polygon,
 )
 from plspan.seifert import (
     MarkedDiagram,
@@ -317,17 +319,21 @@ def test_add_wall_orders_base_vertices_as_fraction_tuples():
 
 
 def test_r3_span_and_write_make_no_point(tmp_path, monkeypatch):
-    # from the polygon to the mesh file, spanning_surface_r3 and
-    # write_off run on integer forms: no Point is made on the success
-    # path, until the mesh's vertices are read
+    # from the polygon file to the mesh file, read_polygon, write_polygon,
+    # spanning_surface_r3 and write_off run on integer forms: no Point is
+    # made on the success path, until the mesh's vertices are read
     import plspan.geom as geom_mod
-    polys = (gen_torus_stick(3), gen_twist_writhe(2))
+    paths = [str(tmp_path / ("%d.poly" % k)) for k in range(2)]
+    for path, poly in zip(paths, (gen_torus_stick(3), gen_twist_writhe(2))):
+        write_polygon(poly, path)
     made = []
     init = geom_mod.Point.__init__
     monkeypatch.setattr(geom_mod.Point, "__init__",
                         lambda self, coords: made.append(1)
                         or init(self, coords))
-    for k, poly in enumerate(polys):
+    for k, path in enumerate(paths):
+        poly = read_polygon(path)
+        write_polygon(poly, path + ".again")
         mesh, rep = spanning_surface_r3(poly)
         write_off(mesh, str(tmp_path / ("%d.off" % k)))
         assert rep["embedded"] and rep["orientable"]
@@ -415,8 +421,8 @@ def test_build_clears_each_vertex_once(monkeypatch):
                         lambda p: cleared.append(p) or homogeneous(p))
     add_form = mesh_mod.TriMesh._add_form
     monkeypatch.setattr(mesh_mod.TriMesh, "_add_form",
-                        lambda self, h, p=None: pooled.append(h)
-                        or add_form(self, h, p))
+                        lambda self, h: pooled.append(h)
+                        or add_form(self, h))
     built = []
     certify = seifert_mod.certify
 
