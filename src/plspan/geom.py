@@ -21,7 +21,10 @@ forms, and seg_pair_clear_h is its yes/no view.  There is one
 elimination loop, the fraction-free _bareiss: ranks and axes take its
 forward pass, rref (its rational view) and int_nullspace (a primitive
 integer kernel basis) its Gauss-Jordan pass.  solution_set reads the
-solutions of a linear system off rref's result.
+solutions of a linear system off rref's result.  Whether up to five
+rows are independent is asked of one maximal minor first (independent,
+by _lead_minor's straight-line expansion): a nonzero one answers, and
+only a zero one reaches the elimination.
 """
 
 from __future__ import annotations
@@ -322,6 +325,66 @@ def _bareiss(rows, reduce=False) -> tuple[list, list[int], int, int]:
 def int_rank(rows) -> int:
     """Rank of an integer matrix, by fraction-free elimination."""
     return len(_bareiss(rows)[1])
+
+
+def _lead_minor(rows) -> int:
+    """The maximal minor of k <= 5 integer rows of length k or more on
+    their first k - 1 columns and their last, as one straight-line
+    Laplace expansion; 0, which proves nothing, for other rows.  On
+    forms the last is the weight column, never zero, and the first are
+    the coordinates that a polygon lifted into a higher space keeps,
+    while its last coordinates are 0."""
+    k = len(rows)
+    if k > min(5, len(rows[0])):
+        return 0
+    if k == 1:
+        return rows[0][-1]
+    c = [(*r[:k - 1], r[-1]) for r in rows]
+    if k == 2:
+        (a0, a1), (b0, b1) = c
+        return a0 * b1 - a1 * b0
+    if k == 3:
+        (a0, a1, a2), (d0, d1, d2), (e0, e1, e2) = c
+        return (a0 * (d1 * e2 - d2 * e1) - a1 * (d0 * e2 - d2 * e0)
+                + a2 * (d0 * e1 - d1 * e0))
+    # the 2x2 minors m_ij of the last two rows, on columns i < j
+    (d0, d1, d2, d3), (e0, e1, e2, e3) = c[-2][:4], c[-1][:4]
+    m01, m02, m03 = d0 * e1 - d1 * e0, d0 * e2 - d2 * e0, d0 * e3 - d3 * e0
+    m12, m13, m23 = d1 * e2 - d2 * e1, d1 * e3 - d3 * e1, d2 * e3 - d3 * e2
+    if k == 4:
+        (a0, a1, a2, a3), (b0, b1, b2, b3) = c[:2]
+        return ((a0 * b1 - a1 * b0) * m23 - (a0 * b2 - a2 * b0) * m13
+                + (a0 * b3 - a3 * b0) * m12 + (a1 * b2 - a2 * b1) * m03
+                - (a1 * b3 - a3 * b1) * m02 + (a2 * b3 - a3 * b2) * m01)
+    d4, e4 = c[-2][4], c[-1][4]
+    m04, m14 = d0 * e4 - d4 * e0, d1 * e4 - d4 * e1
+    m24, m34 = d2 * e4 - d4 * e2, d3 * e4 - d4 * e3
+    # the 3x3 minors t_ijl of the last three rows, then the first two
+    # rows' 2x2 minors against them
+    (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), (c0, c1, c2, c3, c4) = c[:3]
+    t012 = c0 * m12 - c1 * m02 + c2 * m01
+    t013 = c0 * m13 - c1 * m03 + c3 * m01
+    t014 = c0 * m14 - c1 * m04 + c4 * m01
+    t023 = c0 * m23 - c2 * m03 + c3 * m02
+    t024 = c0 * m24 - c2 * m04 + c4 * m02
+    t034 = c0 * m34 - c3 * m04 + c4 * m03
+    t123 = c1 * m23 - c2 * m13 + c3 * m12
+    t124 = c1 * m24 - c2 * m14 + c4 * m12
+    t134 = c1 * m34 - c3 * m14 + c4 * m13
+    t234 = c2 * m34 - c3 * m24 + c4 * m23
+    return ((a0 * b1 - a1 * b0) * t234 - (a0 * b2 - a2 * b0) * t134
+            + (a0 * b3 - a3 * b0) * t124 - (a0 * b4 - a4 * b0) * t123
+            + (a1 * b2 - a2 * b1) * t034 - (a1 * b3 - a3 * b1) * t024
+            + (a1 * b4 - a4 * b1) * t023 + (a2 * b3 - a3 * b2) * t014
+            - (a2 * b4 - a4 * b2) * t013 + (a3 * b4 - a4 * b3) * t012)
+
+
+def independent(rows) -> bool:
+    """Whether k integer rows are linearly independent.  For k <= 5
+    rows of length k or more one maximal minor asks first (_lead_minor):
+    a nonzero minor proves independence, and only a zero one falls back
+    to _bareiss's rank, so the answer is the elimination's."""
+    return bool(_lead_minor(rows)) or len(_bareiss(rows)[1]) == len(rows)
 
 
 def int_nullspace(rows) -> list[tuple]:

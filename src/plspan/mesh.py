@@ -29,11 +29,12 @@ from .geom import (
     _bareiss,
     _form,
     _interval_gap,
+    _lead_minor,
     _point,
     _ratio,
     homogeneous,
+    independent,
     int_nullspace,
-    int_rank,
     key_boxes,
     orient2d_h,
     overlapping_pairs,
@@ -182,7 +183,8 @@ class TriMesh:
         are valid already: add_triangle_indices refuses any other.  A
         triangle of affine rank < 2 gets a problem ending in one of
         FLAT_PROBLEMS: all 3x3 minors of its forms vanish, in R^3 the
-        entries of _plane_3d.
+        entries of _plane_3d.  Elsewhere geom.independent asks one of
+        them before any elimination.
         """
         problems = []
         hom = self.hom
@@ -197,7 +199,7 @@ class TriMesh:
             seen.add(key)
             forms = [hom[i], hom[j], hom[k]]
             if not (any(_plane_3d(*forms)) if self.dim == 3
-                    else int_rank(forms) == 3):
+                    else independent(forms)):
                 problems.append("triangle %d is degenerate" % t)
         for e, sides in self._sides.items():
             if len(sides) > 2:
@@ -321,11 +323,14 @@ def _plane_3d(p, q, r) -> tuple:
 
 def _tri_planes(hom, tri) -> list[tuple]:
     """d - 2 integer functionals h vanishing on the triangle's plane, in
-    R^3 _plane_3d; a degenerate triangle gets some other number."""
+    R^3 _plane_3d, in R^2 none when geom.independent says so; a
+    degenerate triangle gets some other number."""
     hs = [hom[v] for v in tri]
     if len(hs[0]) == 4:
         h = _plane_3d(*hs)
         return [h] if any(h) else []
+    if len(hs[0]) == 3 and independent(hs):
+        return []
     return int_nullspace(hs)
 
 
@@ -466,12 +471,14 @@ def _hull_contact_clean(hom, a, b, shared) -> bool:
     True when they meet in at most their shared vertex.  In R^3 at most
     four rows are independent iff one determinant is nonzero, the
     _plane_3d minors of three or their value at the fourth, which
-    clears such a pair with no elimination.  Else one forward
-    elimination of their forms decides the rest.  Affinely independent
-    vertices make both faces of one simplex, meeting in the face of
-    their common vertices.  A single affine relation decides by its
-    signs (_relation_clean): the one int_nullspace vector of the forms
-    on the pivot columns, which keep every relation, taken as columns.
+    clears such a pair with no elimination.  In R^d, d >= 4, one
+    nonzero maximal minor of up to five rows (geom._lead_minor) does
+    the same.  Else one forward elimination of their forms decides the
+    rest.  Affinely independent vertices make both faces of one
+    simplex, meeting in the face of their common vertices.  A single
+    affine relation decides by its signs (_relation_clean): the one
+    int_nullspace vector of the forms on the pivot columns, which keep
+    every relation, taken as columns.
     Two triangles with six vertices in a 3-flat go to the R^3
     crossing-line test on three pivot axes and the weight.  False
     leaves the pair open.
@@ -481,6 +488,8 @@ def _hull_contact_clean(hom, a, b, shared) -> bool:
         h = _plane_3d(*rows[:3])
         if any(h) if len(rows) == 3 else sum(map(mul, h, rows[3])):
             return True
+    elif _lead_minor(rows):
+        return True
     ech, pivots = _bareiss(rows)[:2]
     if len(pivots) == len(rows):
         return True
@@ -515,12 +524,12 @@ def check_embedded(mesh: TriMesh) -> Optional[EmbeddingViolation]:
 
     Each triangle's plane is given by d - 2 integer functionals on the
     vertices' forms in mesh.hom: in R^3 the signed minors of its three
-    rows (_plane_3d), else int_nullspace's basis.  Candidate pairs come
-    from the one sweep, geom.overlapping_pairs, over integer key boxes
-    (geom.key_boxes) listed in the stable order of least x key, and are
-    visited in that order.  Each pair computes only the signs that
-    decide it, by how many vertices it shares; in R^3 each is a
-    four-term integer sum:
+    rows (_plane_3d), in R^2 none, after one determinant, else
+    int_nullspace's basis.  Candidate pairs come from the one sweep,
+    geom.overlapping_pairs, over integer key boxes (geom.key_boxes)
+    listed in the stable order of least x key, and are visited in that
+    order.  Each pair computes only the signs that decide it, by how
+    many vertices it shares; in R^3 each is a four-term integer sum:
 
     - an edge: the opposite vertex of b against a's functionals.  Off
       a's plane, the two planes meet in the edge's line, which each

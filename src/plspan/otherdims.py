@@ -27,8 +27,8 @@ from .geom import (
     _primitive,
     _shear,
     earclip_2d as _earclip_indices,
+    independent,
     int_nullspace,
-    int_rank,
     key_boxes,
     overlapping_pairs,
     segment_simplex_meet,
@@ -164,10 +164,12 @@ def immersed_disk_4d(poly: ClosedPolygon, seed: int = 0, budget: int = 60):
     # lines of edges i <= j.  Any line meeting two edge lines lies inside
     # one of these flats, so a region avoiding every cell sees the
     # polygon in general position.  Each cell is kept as the integer
-    # functionals of its flat, solved once for every attempt.
+    # functionals of its flat, solved once for every attempt from its
+    # distinct corners: cells (i, i) and those of adjacent edges repeat
+    # one, which leaves the row space, and so the basis, as it is.
     hom = poly.hom
-    cells = [int_nullspace([hom[i], hom[(i + 1) % n],
-                            hom[j], hom[(j + 1) % n]])
+    cells = [int_nullspace(list(dict.fromkeys([hom[i], hom[(i + 1) % n],
+                                               hom[j], hom[(j + 1) % n]])))
              for i in range(n) for j in range(i, n)]
     rng = random.Random(seed)
     # every attempt returns or is skipped, so the reason left in last is
@@ -178,7 +180,9 @@ def immersed_disk_4d(poly: ClosedPolygon, seed: int = 0, budget: int = 60):
         dir1, dir2 = [tuple(rng.randint(-8, 8) for _ in range(4)) + (1,)
                       for _ in range(2)]
         forms = _plane_forms(origin, dir1, dir2)
-        if int_rank(forms[1:]) != 2:
+        # the origin's weight is not 0 and the directions' are, so the
+        # three forms are independent iff the directions are
+        if not independent(forms):
             last = "the plane is not 2-dimensional"
             continue
         traces = [_flat_meet(forms, cell) for cell in cells]
@@ -204,7 +208,14 @@ def immersed_disk_4d(poly: ClosedPolygon, seed: int = 0, budget: int = 60):
 def _place_disk(poly, forms, traces, rng):
     """(the forms of Q's vertices, the form of the fan apex) for a small
     convex n-gon Q in the plane with _plane_forms forms, clear of the
-    traces; None when all 40 centres drawn lie on a trace."""
+    traces; None when all 40 centres drawn lie on a trace.
+
+    Each centre (a / 8, b / 8) takes its squared clearance on integers:
+    with (X / T, Y / T) a trace's point, p = a T - 8 X and q = b T - 8 Y,
+    it is (p^2 + q^2) / (64 T^2) from a point and, for a line along
+    (dx, dy), (dx q - dy p)^2 / (64 T^2 (dx^2 + dy^2)), and the least
+    is found by cross-multiplication.
+    """
     n = len(poly)
     angles = [2 * math.pi * k / n for k in range(n)]
 
@@ -214,26 +225,39 @@ def _place_disk(poly, forms, traces, rng):
         return _primitive([ad * bd * x + an * bd * y + bn * ad * z
                            for x, y, z in zip(*forms)])
 
+    # each trace read once: (8 X, 8 Y, T, the line's direction or None,
+    # the denominator of its squared distances)
+    marks = []
+    for kind, data in traces:
+        if kind == "point":
+            (x, y), line = data, None
+        elif kind == "line":
+            (x, y), line = data
+        else:
+            continue
+        t = x.denominator * y.denominator
+        den = 64 * t * t
+        if line is not None:
+            den *= line[0] * line[0] + line[1] * line[1]
+        marks.append((8 * x.numerator * y.denominator,
+                      8 * y.numerator * x.denominator, t, line, den))
     for _ in range(40):
-        za = Rat(rng.randint(-64, 64), 8)
-        zb = Rat(rng.randint(-64, 64), 8)
-        d2s = []
-        for kind, data in traces:
-            if kind == "point":
-                dx, dy = za - data[0], zb - data[1]
-                d2s.append(dx * dx + dy * dy)
-            elif kind == "line":
-                (px, py), (dx, dy) = data
-                cr = dx * (zb - py) - dy * (za - px)
-                d2s.append(cr * cr / (dx * dx + dy * dy))
-        clear2 = min(d2s, default=ONE)
-        if clear2 == 0:
+        a, b = rng.randint(-64, 64), rng.randint(-64, 64)
+        clear = None
+        for x8, y8, t, line, den in marks:
+            p, q = a * t - x8, b * t - y8
+            num = p * p + q * q if line is None \
+                else (line[0] * q - line[1] * p) ** 2
+            if clear is None or num * clear[1] < clear[0] * den:
+                clear = num, den
+        num, den = clear or (1, 1)
+        if num == 0:
             continue  # the centre lies on a trace
         # _circle_points gives n distinct points exactly on the circle of
         # radius r about (za, zb), in angular order (rounding tan(theta/2)
         # to the 2^-14 grid keeps them apart until n is in the tens of
         # thousands).  So Q is strictly convex, and conv(Q) stays at least
-        # r from every trace, as 4 r^2 <= clear2.  That clearance is all
+        # r from every trace, as 4 r^2 <= num / den.  That clearance is all
         # the immersed certificate needs, wherever the centre lies
         # relative to conv(P): each contact it forbids puts a point of
         # conv(Q) on a trace.  With e_k the edges of P, a point x of e_k
@@ -246,10 +270,12 @@ def _place_disk(poly, forms, traces, rng):
         # e_k, in a fan triangle or at a vertex, lies in cell (k, k).
         # Only a degenerate [v_j, q_j, q_j+1], with v_j on the line of a
         # side of Q, is left for the certificate to refuse.
-        radius = ONE
-        while 4 * radius * radius > clear2:
-            radius = radius / 2
-        ring = _circle_points(angles, radius)
+        # r = 2^-halvings, the largest such power of 2 not above 1
+        halvings = 0
+        while 4 * den > num << 2 * halvings:
+            halvings += 1
+        ring = _circle_points(angles, Rat(1, 1 << halvings))
+        za, zb = Rat(a, 8), Rat(b, 8)
         return ([plane_point(q[0] + za, q[1] + zb) for q in ring],
                 plane_point(za, zb))
     return None

@@ -25,7 +25,7 @@ from .geom import (
     _primitive,
     _ratio,
     homogeneous,
-    int_rank,
+    independent,
     key_boxes,
     overlapping_pairs,
     rat,
@@ -39,8 +39,12 @@ class ClosedPolygon:
     def __init__(self, corners: Sequence):
         # integer forms (x_1 w, ..., x_d w, w), any w != 0, or Points,
         # made canonical (w minimal), so that they compare as points
-        hom = [homogeneous(c) if isinstance(c, Point) else _primitive(c)
-               for c in corners]
+        hom = []
+        for i, c in enumerate(corners):
+            if not isinstance(c, Point) and not c[-1]:
+                raise ValueError("corner %d has weight 0: no point" % i)
+            hom.append(homogeneous(c) if isinstance(c, Point)
+                       else _primitive(c))
         if len(hom) < 3:
             raise ValueError("a closed polygon needs at least 3 vertices")
         dim = len(hom[0]) - 1
@@ -68,11 +72,11 @@ class ClosedPolygon:
 
     def zero_turns(self) -> list[int]:
         """Vertices where the two incident edges are parallel: the forms
-        of the vertex and its two neighbours have rank < 3."""
+        of the vertex and its two neighbours are not independent."""
         hom = self.hom
         n = len(hom)
-        return [i for i in range(n)
-                if int_rank([hom[i - 1], hom[i], hom[(i + 1) % n]]) < 3]
+        return [i for i in range(n) if not independent(
+            [hom[i - 1], hom[i], hom[(i + 1) % n]])]
 
     def __repr__(self):
         return "ClosedPolygon(n=%d, dim=%d)" % (len(self.hom), self.dim)

@@ -4,6 +4,7 @@ plspan decides these questions another way, or no longer needs them;
 the tests keep them to check the package's answers against.
 """
 
+import math
 from fractions import Fraction
 
 from plspan.geom import (
@@ -11,6 +12,7 @@ from plspan.geom import (
     ZERO,
     Point,
     _bareiss,
+    _primitive,
     homogeneous,
     int_rank,
     key_boxes,
@@ -23,7 +25,7 @@ from plspan.geom import (
 )
 from plspan.mesh import TriMesh, _require, certify
 from plspan.otherdims import _embedded_report
-from plspan.polygon import ClosedPolygon, validate_embedded
+from plspan.polygon import ClosedPolygon, _circle_points, validate_embedded
 
 
 class AffineMap:
@@ -484,3 +486,43 @@ def construct_r3_framed(poly, seed, rule="orientation"):
         "rule": rule,
         "seed": seed,
     }
+
+
+def place_disk_rational(poly, forms, traces, rng, reached):
+    """otherdims._place_disk as it was while each centre's clearance was
+    rational: every squared distance a Fraction, their least by min, and
+    the radius halved as a Fraction until 4 r^2 <= clear2.  reached
+    collects the kinds of traces met and the branches taken."""
+    n = len(poly)
+    angles = [2 * math.pi * k / n for k in range(n)]
+
+    def plane_point(a, b):
+        (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+        return _primitive([ad * bd * x + an * bd * y + bn * ad * z
+                           for x, y, z in zip(*forms)])
+
+    for _ in range(40):
+        za = Fraction(rng.randint(-64, 64), 8)
+        zb = Fraction(rng.randint(-64, 64), 8)
+        d2s = []
+        for kind, data in traces:
+            reached.add(kind)
+            if kind == "point":
+                dx, dy = za - data[0], zb - data[1]
+                d2s.append(dx * dx + dy * dy)
+            elif kind == "line":
+                (px, py), (dx, dy) = data
+                cr = dx * (zb - py) - dy * (za - px)
+                d2s.append(cr * cr / (dx * dx + dy * dy))
+        clear2 = min(d2s, default=ONE)
+        if clear2 == 0:
+            reached.add("centre on a trace")
+            continue
+        radius = ONE
+        while 4 * radius * radius > clear2:
+            reached.add("radius halved")
+            radius = radius / 2
+        ring = _circle_points(angles, radius)
+        return ([plane_point(q[0] + za, q[1] + zb) for q in ring],
+                plane_point(za, zb))
+    return None

@@ -11,11 +11,13 @@ from plspan.geom import (
     Rat,
     _between,
     _form,
+    _lead_minor,
     _primitive,
     _ratio,
     affine_rank,
     earclip_2d,
     homogeneous,
+    independent,
     int_nullspace,
     int_rank,
     key_boxes,
@@ -352,6 +354,73 @@ def test_int_rank_and_det_match_rational_elimination():
         assert int_rank(rows) == len(_rref_oracle(rows)[1]), rows
         sq = _low_rank_matrix(rng, nrows, nrows)
         assert int_det(sq) == det(sq), sq
+
+
+_BIG = st.integers(-2 ** 60, 2 ** 60)
+
+
+def _planted_rows(data, plant):
+    """k integer rows of length n, k <= 5 and k <= n <= 7, planted:
+    'lead' independent by a triangular block on the lead minor's
+    columns (the first k - 1 and the last), 'hidden' independent by one
+    on the first k columns while the last is a combination of the first
+    k - 1, so the lead minor vanishes, 'dependent' with the last row a
+    combination of the others, 'repeated' with one row twice, and
+    'free' with no plan."""
+    low = 2 if plant in ("dependent", "repeated") else 1
+    k = data.draw(st.integers(low, 5))
+    n = data.draw(st.integers(k + (plant == "hidden"), 7))
+    rows = [data.draw(st.lists(_BIG, min_size=n, max_size=n))
+            for _ in range(k)]
+    nonzero = _BIG.filter(bool)
+    if plant in ("lead", "hidden"):
+        cols = list(range(k - 1)) + [n - 1 if plant == "lead" else k - 1]
+        for i, row in enumerate(rows):
+            row[cols[i]] = data.draw(nonzero)
+            for c in cols[i + 1:]:
+                row[c] = 0
+        if plant == "hidden":
+            co = data.draw(st.lists(st.integers(-3, 3), min_size=k - 1,
+                                    max_size=k - 1))
+            for row in rows:
+                row[-1] = sum(x * y for x, y in zip(co, row))
+    elif plant == "dependent":
+        co = data.draw(st.lists(st.integers(-3, 3), min_size=k - 1,
+                                max_size=k - 1))
+        rows[-1] = [sum(x * r[c] for x, r in zip(co, rows))
+                    for c in range(n)]
+    elif plant == "repeated":
+        i, j = sorted(data.draw(st.lists(st.integers(0, k - 1), min_size=2,
+                                         max_size=2, unique=True)))
+        rows[j] = list(rows[i])
+    return rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_independent_asks_one_minor_before_any_elimination(data):
+    # the lead minor is the determinant of its k columns, a nonzero one
+    # answers with no elimination, and a zero one falls back to _bareiss,
+    # whose rank is the answer: each plant reaches its branch
+    import plspan.geom as geom
+    eliminations = []
+    bareiss = geom._bareiss
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geom, "_bareiss",
+                   lambda rows: eliminations.append(1) or bareiss(rows))
+        for plant in ("lead", "hidden", "dependent", "repeated", "free"):
+            rows = _planted_rows(data, plant)
+            k = len(rows)
+            minor = _lead_minor(rows)
+            assert minor == int_det([r[:k - 1] + r[-1:] for r in rows])
+            eliminations.clear()
+            got = independent(rows)
+            assert bool(eliminations) == (minor == 0), (plant, rows)
+            assert got == (int_rank(rows) == k), (plant, rows)
+            branch = {"lead": (True, True), "hidden": (False, True),
+                      "dependent": (False, False),
+                      "repeated": (False, False)}.get(plant)
+            assert branch in (None, (minor != 0, got)), (plant, rows)
 
 
 def test_affine_rank_and_flat_axes_on_flats():

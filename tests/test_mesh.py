@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from plspan.geom import (
     Point,
+    _lead_minor,
     affine_rank,
     homogeneous,
     int_nullspace,
@@ -519,6 +520,34 @@ def test_check_embedded_matches_unfiltered_oracle(monkeypatch):
                        ("_relation_clean", 1)}, reached
     assert ("_crossing_planes_contact_3d", 1) not in reached
     assert any(name == "simplex_intersect" for name, _ in reached)
+
+
+def test_planar_triangles_need_no_elimination():
+    # a triangle of R^2 has no plane functional: one nonzero determinant
+    # of its three forms says so, and only a collinear one, whose kernel
+    # vector marks it degenerate, runs an elimination
+    import plspan.geom as geom
+    from plspan.mesh import _tri_planes
+    rng = random.Random(55)
+    eliminations = []
+    bareiss = geom._bareiss
+    reached = set()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geom, "_bareiss", lambda rows, reduce=False:
+                   eliminations.append(1) or bareiss(rows, reduce))
+        for _ in range(200):
+            a, b = (Point([rnd_frac(rng) for _ in range(2)]) for _ in "ab")
+            c = Point([rnd_frac(rng) for _ in range(2)]) if rng.randint(0, 1) \
+                else a + (b - a).scale(Fraction(rng.randint(-4, 8), 4))
+            if len({a, b, c}) < 3:
+                continue
+            flat = affine_rank([a, b, c]) < 2
+            eliminations.clear()
+            planes = _tri_planes([homogeneous(p) for p in (a, b, c)],
+                                 (0, 1, 2))
+            assert (planes != []) == flat == bool(eliminations), (a, b, c)
+            reached.add(flat)
+    assert reached == {True, False}
 
 
 def test_tri_data_functionals_give_plane_sides():
@@ -1608,9 +1637,12 @@ def test_r3_segment_pairs_decided_by_one_determinant(seed):
     # vertices, crossing, touching, apart in a plane or running back
     # over each other: at most four rows clear the pair by one
     # determinant when they are independent, and only then; a dependent
-    # pair goes on to the elimination.  Either way the verdict is the
-    # elimination's on the same pair lifted into R^4, and a cleared pair
-    # misses the LP.
+    # pair goes on to the elimination.  The same pair lifted into R^4
+    # gets the same verdict, and runs no elimination exactly when its
+    # lead minor, on x, y, (z) and the weight, is nonzero: then it is
+    # independent and cleared.  Four independent rows always have one;
+    # three may not, when they lie in a plane parallel to the z axis.
+    # A cleared pair misses the LP.
     import plspan.mesh as mesh_mod
     rng = random.Random(seed)
     eliminations = []
@@ -1626,11 +1658,19 @@ def test_r3_segment_pairs_decided_by_one_determinant(seed):
             clean = mesh_mod._hull_contact_clean(
                 [homogeneous(p) for p in pts], a, b, common)
             early = not eliminations
-            lifted = mesh_mod._hull_contact_clean(
-                [homogeneous(Point([*p, 0])) for p in pts], a, b, common)
-            assert eliminations and clean == lifted, (kind, pts)
+            eliminations.clear()
+            hom4 = [homogeneous(Point([*p, 0])) for p in pts]
+            lifted = mesh_mod._hull_contact_clean(hom4, a, b, common)
+            lifted_early = not eliminations
+            assert clean == lifted, (kind, pts)
             independent = affine_rank(pts) == len(pts) - 1
             assert early == independent, (kind, pts)
+            minor = _lead_minor([hom4[v] for v in a]
+                                + [hom4[v] for v in b if v not in common])
+            assert lifted_early == (minor != 0), (kind, pts)
+            assert not lifted_early or independent and lifted, (kind, pts)
+            if independent:
+                reached.add(("lifted", lifted_early))
             lp = simplex_intersect([pts[v] for v in a], [pts[v] for v in b],
                                    [pts[v] for v in common])
             assert not clean or lp is None, (kind, pts)
@@ -1639,7 +1679,8 @@ def test_r3_segment_pairs_decided_by_one_determinant(seed):
             elif kind == "apart":
                 assert clean and not early, pts
             reached.add((early, clean))
-    assert reached >= {(True, True), (False, True), (False, False)}, reached
+    assert reached >= {(True, True), (False, True), (False, False),
+                       ("lifted", True)}, reached
 
 
 def _r3_vertex_pair(rng, plant):

@@ -50,6 +50,7 @@ from oracles import (
     add_triangle,
     embedded_attempt_framed,
     embedded_flat_oracle,
+    place_disk_rational,
     point_of,
     polygon_edge_contact,
 )
@@ -508,11 +509,10 @@ def test_place_disk_takes_its_first_centre_inside_the_hull(monkeypatch):
     assert meet([point_of(placed[1])], flat.vertices) is not None
 
 
-def test_place_disk_clears_an_edge_planted_near_its_first_centre():
-    # each plane meets one edge of the polygon a quarter from the first
-    # centre, so the disk certifies only because the radius shrinks to
-    # keep conv(Q) off that edge's trace
-    rng = random.Random(2002)
+def _edge_planted_planes(rng, offset):
+    """(s, poly, cells, k, origin, dir1, dir2, traces) for s < 30: a
+    plane meeting edge k of gen_random's polygon at offset along the
+    first axis from the first centre of random.Random(s)."""
     for s in range(30):
         poly = gen_random(4 + s % 5, 4, seed=s)
         verts = poly.vertices
@@ -526,8 +526,19 @@ def test_place_disk_clears_an_edge_planted_near_its_first_centre():
         while traces is None:
             dir1, dir2 = [Point([rng.randint(-8, 8) for _ in range(4)])
                           for _ in range(2)]
-            origin = hit - dir1.scale(za + Fraction(1, 4)) - dir2.scale(zb)
+            origin = hit - dir1.scale(za + offset) - dir2.scale(zb)
             traces = _plane_traces(cells.values(), origin, dir1, dir2)
+        yield s, poly, cells, k, origin, dir1, dir2, traces
+
+
+def test_place_disk_clears_an_edge_planted_near_its_first_centre():
+    # each plane meets one edge of the polygon a quarter from the first
+    # centre, so the disk certifies only because the radius shrinks to
+    # keep conv(Q) off that edge's trace
+    rng = random.Random(2002)
+    for s, poly, cells, k, origin, dir1, dir2, traces in \
+            _edge_planted_planes(rng, Fraction(1, 4)):
+        za, zb = _first_centre(s)
         assert _flat_meet(_plane(origin, dir1, dir2), cells[k, k]) == \
             ("point", (za + Fraction(1, 4), zb))
         placed = _place_disk(poly, _plane(origin, dir1, dir2), traces,
@@ -535,6 +546,28 @@ def test_place_disk_clears_an_edge_planted_near_its_first_centre():
         assert placed[1] == homogeneous(origin + dir1.scale(za)
                                         + dir2.scale(zb))
         assert _assemble_disk(poly, *placed) is not None, s
+
+
+def test_place_disk_matches_rational_clearance_oracle():
+    # the clearances on integers pick the centre, radius and ring of the
+    # rational rule, with the same draws: on random planes, on planes
+    # through scaled and in-plane polygons, and on planes meeting an
+    # edge a quarter from the first centre or at it
+    rng = random.Random(2027)
+    cases = [(poly, _plane(origin, dir1, dir2), traces, rng.randrange(99))
+             for poly, origin, dir1, dir2, traces in _placement_inputs(rng)]
+    for offset in (Fraction(1, 4), 0):
+        cases += [(poly, _plane(origin, dir1, dir2), traces, s)
+                  for s, poly, _, _, origin, dir1, dir2, traces
+                  in _edge_planted_planes(rng, offset)]
+    reached = set()
+    for poly, forms, traces, seed in cases:
+        want_rng, got_rng = random.Random(seed), random.Random(seed)
+        want = place_disk_rational(poly, forms, traces, want_rng, reached)
+        assert _place_disk(poly, forms, traces, got_rng) == want
+        assert got_rng.getstate() == want_rng.getstate()
+    assert reached == {"empty", "point", "line", "centre on a trace",
+                       "radius halved"}
 
 
 def test_place_disk_certifies_centres_inside_and_outside_the_hull():

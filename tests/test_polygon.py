@@ -172,6 +172,15 @@ def test_validate_embedded_matches_unfiltered_oracle(monkeypatch):
             <= reached, (dim, reached)
 
 
+def test_a_corner_of_weight_zero_is_refused():
+    # a form with weight 0 names no point, an all-zero one included: the
+    # constructor names the corner instead of dividing by zero later
+    for corners, i in (([(1, 0, 0), (0, 1, 1), (1, 1, 1)], 0),
+                       ([(0, 1, 1), (1, 1, 1), (0, 0, 0)], 2)):
+        with pytest.raises(ValueError, match="corner %d has weight 0" % i):
+            ClosedPolygon(corners)
+
+
 def test_zero_turns():
     p = ClosedPolygon([Point([0, 0]), Point([2, 0]), Point([4, 0]),
                        Point([2, 3])])
