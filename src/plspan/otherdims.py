@@ -33,9 +33,9 @@ from .geom import (
     overlapping_pairs,
     segment_simplex_meet,
 )
-from .mesh import (TriMesh, _boundary_places, _hull_contact_clean, _require,
-                   certify)
-from .polygon import ClosedPolygon, _circle_points, validate_embedded
+from .mesh import (TriMesh, _boundary_places, _hull_contact_clean,
+                   _hyperplane_4d, _require, certify)
+from .polygon import ClosedPolygon, validate_embedded
 from .seifert import SMOOTHING_RULES, _add_wall, _construct_r3
 
 
@@ -119,31 +119,60 @@ def _plane_forms(ho, h1, h2):
             [c * w * s1 for c in h2[:-1]] + [0])
 
 
-def _flat_meet(forms, cell):
-    """Trace of a join cell's affine flat inside a plane.
+def _join_cells(hom):
+    """The integer functionals of each maximal join flat of the polygon
+    with forms hom, those that vanish together exactly on the flat.
 
-    forms are the plane's _plane_forms; cell holds the flat's integer
-    functionals, int_nullspace of its homogeneous points, so they vanish
-    together exactly on the flat.  Each gives one equation in the plane
-    coordinates (a, b), at most 3 rows in 2 unknowns.  Returns ('empty',
-    None), ('point', (a, b)), ('line', ((a, b), (da, db))) or ('all',
-    None) in the plane's own coordinates, 'all' when the plane lies in
-    the flat.
+    A maximal flat is spanned by two edges that share no corner, and
+    its functional is the one _hyperplane_4d of their four corners; only
+    corners in a 2-flat, whose minors all vanish, are solved by
+    int_nullspace.  A triangle has no such pair, and its one cell is its
+    own plane.
+    """
+    n = len(hom)
+    if n == 3:
+        return [int_nullspace(hom)]
+    cells = []
+    for i in range(n):
+        # edges i and j share no corner: j - i is neither 0 nor +-1 mod n
+        for j in range(i + 2, n - 1 if i == 0 else n):
+            corners = hom[i], hom[i + 1], hom[j], hom[(j + 1) % n]
+            h = _hyperplane_4d(*corners)
+            cells.append([h] if any(h) else int_nullspace(corners))
+    return cells
+
+
+def _flat_meet(forms, cell):
+    """Trace of a join cell's affine flat inside a plane, on integers.
+
+    forms are the plane's _plane_forms; cell holds integer functionals
+    that vanish together exactly on the flat.  Each functional h gives
+    the row (h . u, h . v, h . o), the equation r0 a + r1 b + r2 = 0 in
+    the plane coordinates (a, b): at most 3 rows in 2 unknowns.  Returns
+    ('all', None) when every row is 0, so the plane lies in the flat;
+    ('line', (r0, r1, r2)) when the rows are multiples of one with
+    (r0, r1) != 0; ('point', (X, Y, T)), the point (X / T, Y / T), when
+    the rows have rank 2, (X, Y, T) being the cross product of two
+    independent ones and T != 0; and ('empty', None) otherwise.
     """
     o, u, v = forms
-    rows = [[sum(map(mul, h, u)), sum(map(mul, h, v)), sum(map(mul, h, o))]
-            for h in cell]
-    # (a, b, t) in the kernel with t != 0 is the plane point (a/t, b/t);
-    # only the vector of a free t column has t != 0, and it comes last
-    basis = int_nullspace(rows)
-    if not basis or basis[-1][2] == 0:
-        return ("empty", None)
-    *dirs, (a, b, t) = basis
-    if not dirs:
-        return ("point", (Rat(a, t), Rat(b, t)))
-    if len(dirs) == 2:
+    rows = [row for row in ((sum(map(mul, h, u)), sum(map(mul, h, v)),
+                             sum(map(mul, h, o))) for h in cell)
+            if any(row)]
+    if not rows:
         return ("all", None)
-    return ("line", ((Rat(a, t), Rat(b, t)), dirs[0][:2]))
+    (r0, r1, r2), *rest = rows
+    for s0, s1, s2 in rest:
+        x, y, t = r1 * s2 - r2 * s1, r2 * s0 - r0 * s2, r0 * s1 - r1 * s0
+        if x or y or t:
+            # rank 2 or more: the rows' one common zero (x, y, t), on
+            # the plane if t != 0, unless a third row is independent
+            if t == 0 or any(p * x + q * y + w * t for p, q, w in rest):
+                return ("empty", None)
+            return ("point", (x, y, t))
+    if r0 == r1 == 0:
+        return ("empty", None)
+    return ("line", (r0, r1, r2))
 
 
 def immersed_disk_4d(poly: ClosedPolygon, seed: int = 0, budget: int = 60):
@@ -155,22 +184,17 @@ def immersed_disk_4d(poly: ClosedPolygon, seed: int = 0, budget: int = 60):
     by an annulus of 2n triangles plus an n-triangle fan over Q.  The
     surface may cross itself; what is verified is that it is a disk,
     that its boundary is exactly P, and that nothing but that boundary
-    touches P.
+    touches P.  Only the maximal join flats are traced (_join_cells):
+    every other one lies inside one of them, so its trace does too.
     """
     if poly.dim != 4:
         raise ValueError("immersed disk construction needs dimension 4")
-    n = len(poly)
     # Join cells: [v_i, v_i+1, v_j, v_j+1] spans the flat of the extended
-    # lines of edges i <= j.  Any line meeting two edge lines lies inside
+    # lines of edges i and j.  Any line meeting two edge lines lies inside
     # one of these flats, so a region avoiding every cell sees the
-    # polygon in general position.  Each cell is kept as the integer
-    # functionals of its flat, solved once for every attempt from its
-    # distinct corners: cells (i, i) and those of adjacent edges repeat
-    # one, which leaves the row space, and so the basis, as it is.
-    hom = poly.hom
-    cells = [int_nullspace(list(dict.fromkeys([hom[i], hom[(i + 1) % n],
-                                               hom[j], hom[(j + 1) % n]])))
-             for i in range(n) for j in range(i, n)]
+    # polygon in general position.  Each maximal cell is kept as the
+    # integer functionals of its flat, found once for every attempt.
+    cells = _join_cells(poly.hom)
     rng = random.Random(seed)
     # every attempt returns or is skipped, so the reason left in last is
     # why the final attempt was skipped
@@ -208,76 +232,84 @@ def immersed_disk_4d(poly: ClosedPolygon, seed: int = 0, budget: int = 60):
 def _place_disk(poly, forms, traces, rng):
     """(the forms of Q's vertices, the form of the fan apex) for a small
     convex n-gon Q in the plane with _plane_forms forms, clear of the
-    traces; None when all 40 centres drawn lie on a trace.
+    _flat_meet traces; None when all 40 centres drawn lie on a trace.
 
     Each centre (a / 8, b / 8) takes its squared clearance on integers:
-    with (X / T, Y / T) a trace's point, p = a T - 8 X and q = b T - 8 Y,
-    it is (p^2 + q^2) / (64 T^2) from a point and, for a line along
-    (dx, dy), (dx q - dy p)^2 / (64 T^2 (dx^2 + dy^2)), and the least
-    is found by cross-multiplication.
+    (r0 a + r1 b + 8 r2)^2 / (64 (r0^2 + r1^2)) from a line, ((a T -
+    8 X)^2 + (b T - 8 Y)^2) / (64 T^2) from a point, and the least is
+    found by cross-multiplication.  Q's vertices and the centre are made
+    as integer combinations of the plane's forms.
     """
     n = len(poly)
-    angles = [2 * math.pi * k / n for k in range(n)]
-
-    def plane_point(a, b):
-        # o + a u + b v, times the denominators of the rationals a and b
-        (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
-        return _primitive([ad * bd * x + an * bd * y + bn * ad * z
-                           for x, y, z in zip(*forms)])
-
-    # each trace read once: (8 X, 8 Y, T, the line's direction or None,
-    # the denominator of its squared distances)
+    # each trace read once: (line?, its integers, the denominator of its
+    # squared distances)
     marks = []
     for kind, data in traces:
-        if kind == "point":
-            (x, y), line = data, None
-        elif kind == "line":
-            (x, y), line = data
-        else:
-            continue
-        t = x.denominator * y.denominator
-        den = 64 * t * t
-        if line is not None:
-            den *= line[0] * line[0] + line[1] * line[1]
-        marks.append((8 * x.numerator * y.denominator,
-                      8 * y.numerator * x.denominator, t, line, den))
+        if kind == "line":
+            marks.append((True, data, 64 * (data[0] ** 2 + data[1] ** 2)))
+        elif kind == "point":
+            marks.append((False, data, 64 * data[2] ** 2))
     for _ in range(40):
         a, b = rng.randint(-64, 64), rng.randint(-64, 64)
         clear = None
-        for x8, y8, t, line, den in marks:
-            p, q = a * t - x8, b * t - y8
-            num = p * p + q * q if line is None \
-                else (line[0] * q - line[1] * p) ** 2
+        for line, (x, y, t), den in marks:
+            if line:
+                num = (x * a + y * b + 8 * t) ** 2
+            else:
+                p, q = a * t - 8 * x, b * t - 8 * y
+                num = p * p + q * q
             if clear is None or num * clear[1] < clear[0] * den:
                 clear = num, den
         num, den = clear or (1, 1)
         if num == 0:
             continue  # the centre lies on a trace
-        # _circle_points gives n distinct points exactly on the circle of
-        # radius r about (za, zb), in angular order (rounding tan(theta/2)
-        # to the 2^-14 grid keeps them apart until n is in the tens of
-        # thousands).  So Q is strictly convex, and conv(Q) stays at least
-        # r from every trace, as 4 r^2 <= num / den.  That clearance is all
-        # the immersed certificate needs, wherever the centre lies
-        # relative to conv(P): each contact it forbids puts a point of
-        # conv(Q) on a trace.  With e_k the edges of P, a point x of e_k
-        # in an annulus triangle [v_j, v_j+1, q], off e_j, puts q in
-        # aff(x, v_j, v_j+1), inside the join flat of e_j and e_k.  A
-        # point x of e_k in [v_j, q_j, q_j+1], other than v_j, puts a
-        # point of the side [q_j, q_j+1] on the line v_j x, inside the
-        # join flat of e_k and an edge at v_j, or inside e_k's own line
-        # (cell (k, k)) when k is j - 1 or j.  A point of conv(Q) on
+        # Q's vertices are n distinct points exactly on the circle of
+        # radius r about the centre, in angular order (rounding
+        # tan(theta/2) to the 2^-14 grid keeps them apart until n is in
+        # the tens of thousands).  So Q is strictly convex, and conv(Q)
+        # stays at least r from every trace, as 4 r^2 <= num / den.  That
+        # clearance is all the immersed certificate needs, wherever the
+        # centre lies relative to conv(P): each contact it forbids puts a
+        # point of conv(Q) on a join flat.  With e_k the edges of P, a
+        # point x of e_k in an annulus triangle [v_j, v_j+1, q], off e_j,
+        # puts q in aff(x, v_j, v_j+1), inside the join flat of e_j and
+        # e_k.  A point x of e_k in [v_j, q_j, q_j+1], other than v_j,
+        # puts a point of the side [q_j, q_j+1] on the line v_j x, inside
+        # the join flat of e_k and an edge at v_j, or inside e_k's own
+        # line (cell (k, k)) when k is j - 1 or j.  A point of conv(Q) on
         # e_k, in a fan triangle or at a vertex, lies in cell (k, k).
-        # Only a degenerate [v_j, q_j, q_j+1], with v_j on the line of a
-        # side of Q, is left for the certificate to refuse.
+        # Each of these flats lies inside a maximal one: cells (k, k) and
+        # (k, k + 1) inside cell (k, k + 2), whose edges share no corner
+        # once n >= 4, and every cell of a triangle inside its plane.  A
+        # flat's trace then lies inside the maximal flat's trace, and the
+        # distance to a subset is never smaller, so the least clearance
+        # over the maximal cells is the least over all cells.  Only a
+        # degenerate [v_j, q_j, q_j+1], with v_j on the line of a side of
+        # Q, is left for the certificate to refuse.
         # r = 2^-halvings, the largest such power of 2 not above 1
         halvings = 0
         while 4 * den > num << 2 * halvings:
             halvings += 1
-        ring = _circle_points(angles, Rat(1, 1 << halvings))
-        za, zb = Rat(a, 8), Rat(b, 8)
-        return ([plane_point(q[0] + za, q[1] + zb) for q in ring],
-                plane_point(za, zb))
+        # the vertex at angle theta: the centre plus r (1 - s^2, 2 s) /
+        # (1 + s^2), s = t / D the half-angle tangent on the 2^-14 grid,
+        # over the weight 8 2^halvings (D^2 + t^2), D = 2^14; (-r, 0) at
+        # theta = pi
+        grid, up = 1 << 14, 1 << halvings
+        combos = []
+        for k in range(n):
+            theta = 2 * math.pi * k / n % (2 * math.pi)
+            if abs(theta - math.pi) < 1e-12:
+                combos.append((8 * up, a * up - 8, b * up))
+                continue
+            t = round(math.tan(theta / 2) * grid)
+            w = up * (grid * grid + t * t)
+            combos.append((8 * w, a * w + 8 * (grid * grid - t * t),
+                           b * w + 16 * grid * t))
+        combos.append((8, a, b))
+        *ring, center = [_primitive([w * p + x * q + y * r
+                                     for p, q, r in zip(*forms)])
+                         for w, x, y in combos]
+        return ring, center
     return None
 
 

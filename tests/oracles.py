@@ -6,6 +6,7 @@ the tests keep them to check the package's answers against.
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from plspan.geom import (
     ONE,
@@ -14,6 +15,7 @@ from plspan.geom import (
     _bareiss,
     _primitive,
     homogeneous,
+    int_nullspace,
     int_rank,
     key_boxes,
     overlapping_pairs,
@@ -488,11 +490,45 @@ def construct_r3_framed(poly, seed, rule="orientation"):
     }
 
 
+def join_cells_rational(hom) -> dict:
+    """The integer functionals of every join cell (i, j), i <= j, of the
+    polygon with forms hom, keyed by (i, j): int_nullspace of the cell's
+    distinct corners.  otherdims.immersed_disk_4d traced all of these
+    before it kept only the maximal ones."""
+    n = len(hom)
+    return {(i, j): int_nullspace(list(dict.fromkeys(
+        [hom[i], hom[(i + 1) % n], hom[j], hom[(j + 1) % n]])))
+        for i in range(n) for j in range(i, n)}
+
+
+def flat_meet_rational(forms, cell):
+    """otherdims._flat_meet as it was while it solved its rows by
+    int_nullspace and returned rationals: ('empty', None), ('point',
+    (a, b)), ('line', ((a, b), (da, db))) or ('all', None), in the plane
+    coordinates (a, b) of the plane with _plane_forms forms."""
+    o, u, v = forms
+    rows = [[sum(map(mul, h, u)), sum(map(mul, h, v)), sum(map(mul, h, o))]
+            for h in cell]
+    # (a, b, t) in the kernel with t != 0 is the plane point (a/t, b/t);
+    # only the vector of a free t column has t != 0, and it comes last
+    basis = int_nullspace(rows)
+    if not basis or basis[-1][2] == 0:
+        return ("empty", None)
+    *dirs, (a, b, t) = basis
+    if not dirs:
+        return ("point", (Fraction(a, t), Fraction(b, t)))
+    if len(dirs) == 2:
+        return ("all", None)
+    return ("line", ((Fraction(a, t), Fraction(b, t)), dirs[0][:2]))
+
+
 def place_disk_rational(poly, forms, traces, rng, reached):
     """otherdims._place_disk as it was while each centre's clearance was
-    rational: every squared distance a Fraction, their least by min, and
-    the radius halved as a Fraction until 4 r^2 <= clear2.  reached
-    collects the kinds of traces met and the branches taken."""
+    rational, on the flat_meet_rational traces of every join cell: every
+    squared distance a Fraction, their least by min, the radius halved
+    as a Fraction until 4 r^2 <= clear2, and the ring made by
+    polygon._circle_points.  reached collects the kinds of traces met
+    and the branches taken."""
     n = len(poly)
     angles = [2 * math.pi * k / n for k in range(n)]
 

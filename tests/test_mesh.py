@@ -609,6 +609,42 @@ def test_plane_3d_is_a_multiple_of_the_nullspace_functional(pts, x):
         assert int_rank([plane, h]) == 1
 
 
+_BIG = st.integers(-2 ** 60, 2 ** 60)
+
+
+@st.composite
+def _hyperplane_quads(draw):
+    """Four integer forms of Z^5 with entries of either sign up to 2^60;
+    half the time one of them is a small integer combination of the
+    other three, which may be dependent themselves."""
+    rows = [draw(st.lists(_BIG, min_size=5, max_size=5)) for _ in range(3)]
+    if draw(st.booleans()):
+        rows.append(draw(st.lists(_BIG, min_size=5, max_size=5)))
+    else:
+        if draw(st.booleans()):
+            rows[2] = [2 * a - b for a, b in zip(rows[0], rows[1])]
+        cs = draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+        rows.append([sum(c * r[k] for c, r in zip(cs, rows))
+                     for k in range(5)])
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_hyperplane_quads(), st.lists(_BIG, min_size=5, max_size=5))
+def test_hyperplane_4d_is_a_multiple_of_the_nullspace_functional(rows, x):
+    # the signed 4x4 minors give det[p; q; r; s; x], zero exactly when
+    # the rows are dependent, and else a nonzero multiple of their one
+    # int_nullspace functional
+    from plspan.mesh import _hyperplane_4d
+    h = _hyperplane_4d(*rows)
+    assert sum(a * b for a, b in zip(h, x)) == int_det(rows + [x])
+    flat = int_rank(rows) < 4
+    assert (not any(h)) == flat
+    if not flat:
+        (k,) = int_nullspace(rows)
+        assert int_rank([h, k]) == 1
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_plane_triples(), _small_rats(), _small_rats().filter(bool),
        st.permutations(range(3)), st.integers(0, 2))

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -30,6 +31,7 @@ from plspan.otherdims import (
     _assemble_disk,
     _embedded_attempt,
     _flat_meet,
+    _join_cells,
     _place_disk,
     _plane_forms,
     cone_highdim,
@@ -50,6 +52,8 @@ from oracles import (
     add_triangle,
     embedded_attempt_framed,
     embedded_flat_oracle,
+    flat_meet_rational,
+    join_cells_rational,
     place_disk_rational,
     point_of,
     polygon_edge_contact,
@@ -268,10 +272,36 @@ def _random_planes(rng, cell_pts):
             through(base + inside(), inside(), inside())]
 
 
+def _line_row(r0, r1, r2):
+    """The line r0 a + r1 b + r2 = 0 as its row scaled to lead with 1."""
+    lead = Fraction(r0 or r1)
+    return r0 / lead, r1 / lead, r2 / lead
+
+
+def _mark_set(kind, data):
+    """A _flat_meet trace as a set: a point by its rational
+    coordinates, a line by _line_row."""
+    if kind == "point":
+        x, y, t = data
+        return kind, (Fraction(x, t), Fraction(y, t))
+    if kind == "line":
+        return kind, _line_row(*data)
+    return kind, data
+
+
+def _rational_set(kind, data):
+    """A rational trace, a point or a line by a point and a direction,
+    as the set _mark_set gives."""
+    if kind == "line":
+        (px, py), (dx, dy) = data
+        return kind, _line_row(dy, -dx, dx * py - dy * px)
+    return kind, data
+
+
 def test_flat_meet_matches_rational_oracle():
     # every join cell of random R^4 polygons, the edge lines (i = j)
-    # included, against random and planted planes: the same kind, the
-    # same point, and the same line as a point set
+    # included, against random and planted planes: the integer marks
+    # give the same set, a point, a line or none, as the rational solve
     rng = random.Random(1968)
     kinds = set()
     for n in range(3, 8):
@@ -287,16 +317,9 @@ def test_flat_meet_matches_rational_oracle():
                         continue
                     want = _flat_meet_oracle(origin, dir1, dir2, cell_pts)
                     got = _flat_meet(_plane(origin, dir1, dir2), cell)
-                    assert got[0] == want[0], (cell_pts, origin, dir1, dir2)
+                    assert _mark_set(*got) == _rational_set(*want), \
+                        (cell_pts, origin, dir1, dir2)
                     kinds.add(got[0])
-                    if got[0] == "point":
-                        assert got == want
-                    elif got[0] == "line":
-                        (px, py), (dx, dy) = want[1]
-                        (qx, qy), (ex, ey) = got[1]
-                        assert (ex, ey) != (0, 0)
-                        assert ex * (py - qy) == ey * (px - qx)
-                        assert dx * ey == dy * ex
     assert kinds == {"empty", "point", "line", "all"}
 
 
@@ -335,16 +358,6 @@ def _hull_clear_oracle(hull2, traces) -> bool:
     return True
 
 
-def _join_cells(poly):
-    """Integer functionals of the join flat of edges i <= j, keyed by
-    (i, j), as immersed_disk_4d solves them."""
-    hom = [homogeneous(v) for v in poly.vertices]
-    n = len(hom)
-    return {(i, j): int_nullspace([hom[i], hom[(i + 1) % n],
-                                   hom[j], hom[(j + 1) % n]])
-            for i in range(n) for j in range(i, n)}
-
-
 def _plane(origin, dir1, dir2):
     """_plane_forms of the plane through the Point origin along the
     Points dir1 and dir2."""
@@ -352,14 +365,30 @@ def _plane(origin, dir1, dir2):
                         homogeneous(dir2))
 
 
-def _plane_traces(cells, origin, dir1, dir2):
-    """The cells' traces in the plane, or None for a plane that
-    immersed_disk_4d skips."""
+def _plane_marks(poly, origin, dir1, dir2):
+    """The _flat_meet traces of the polygon's maximal join cells in the
+    plane, or None for a plane that immersed_disk_4d skips."""
     if affine_rank([origin, origin + dir1, origin + dir2]) != 2:
         return None
     forms = _plane(origin, dir1, dir2)
-    traces = [_flat_meet(forms, cell) for cell in cells]
-    return None if any(kind == "all" for kind, _ in traces) else traces
+    marks = [_flat_meet(forms, cell) for cell in _join_cells(poly.hom)]
+    return None if any(kind == "all" for kind, _ in marks) else marks
+
+
+def _plane_traces(poly, origin, dir1, dir2):
+    """(the rational traces of every join cell, the marks of the maximal
+    ones) in the plane, or None for a plane that immersed_disk_4d skips;
+    the two sets of cells skip the same planes."""
+    if affine_rank([origin, origin + dir1, origin + dir2]) != 2:
+        return None
+    forms = _plane(origin, dir1, dir2)
+    traces = [flat_meet_rational(forms, cell)
+              for cell in join_cells_rational(poly.hom).values()]
+    marks = [_flat_meet(forms, cell) for cell in _join_cells(poly.hom)]
+    skip = any(kind == "all" for kind, _ in traces)
+    assert skip == any(kind == "all" for kind, _ in marks), \
+        (poly.hom, origin, dir1, dir2)
+    return None if skip else (traces, marks)
 
 
 def _scaled(poly, k):
@@ -428,8 +457,8 @@ def _place_disk_oracle(poly, origin, dir1, dir2, traces, rng, reached):
 
 
 def _placement_inputs(rng):
-    """(poly, origin, dir1, dir2, traces): random R^4 polygons in random
-    planes with their join-cell traces, the same polygons scaled up
+    """(poly, origin, dir1, dir2, traces, marks): random R^4 polygons in
+    random planes with their _plane_traces, the same polygons scaled up
     around a plane through their centroid so that centres fall inside
     their hull, and planar polygons lying in the plane itself, scaled to
     cover part of the centre grid, four times each with only empty
@@ -439,7 +468,6 @@ def _placement_inputs(rng):
         poly = gen_random(n, 4, seed=n)
         mid, big = _scaled(poly, 8)
         for scaled, planes in ((False, 4), (True, 2)):
-            cells = _join_cells(big if scaled else poly).values()
             for _ in range(planes):
                 if scaled:
                     origin = mid
@@ -450,16 +478,16 @@ def _placement_inputs(rng):
                                     for _ in range(4)])
                     dirs = [Point([rng.randint(-8, 8) for _ in range(4)])
                             for _ in range(2)]
-                traces = _plane_traces(cells, origin, *dirs)
-                if traces is not None:
+                found = _plane_traces(big if scaled else poly, origin, *dirs)
+                if found is not None:
                     cases.append((big if scaled else poly, origin, *dirs,
-                                  traces))
+                                  *found))
     e1, e2 = Point((1, 0, 0, 0)), Point((0, 1, 0, 0))
     for n in (3, 5):
         flat = ClosedPolygon([Point((x * 6, y * 6, 0, 0))
                               for x, y in gen_planar_ngon(n).vertices])
         cases += [(flat, Point((0, 0, 0, 0)), e1, e2,
-                   [("empty", None)] * 3)] * 4
+                   [("empty", None)] * 3, [("empty", None)] * 3)] * 4
     return cases
 
 
@@ -468,12 +496,12 @@ def test_place_disk_matches_trace_checking_oracle():
     # trace check changes neither the placement nor the random draws
     rng = random.Random(1994)
     reached = set()
-    for poly, origin, dir1, dir2, traces in _placement_inputs(rng):
+    for poly, origin, dir1, dir2, traces, marks in _placement_inputs(rng):
         seed = rng.randrange(1 << 30)
         want_rng, got_rng = random.Random(seed), random.Random(seed)
         want = _place_disk_oracle(poly, origin, dir1, dir2, traces,
                                   want_rng, reached)
-        got = _place_disk(poly, _plane(origin, dir1, dir2), traces, got_rng)
+        got = _place_disk(poly, _plane(origin, dir1, dir2), marks, got_rng)
         if want is not None:
             want = ([homogeneous(q) for q in want[0]], homogeneous(want[1]))
         assert got == want
@@ -510,25 +538,24 @@ def test_place_disk_takes_its_first_centre_inside_the_hull(monkeypatch):
 
 
 def _edge_planted_planes(rng, offset):
-    """(s, poly, cells, k, origin, dir1, dir2, traces) for s < 30: a
+    """(s, poly, k, origin, dir1, dir2, traces, marks) for s < 30: a
     plane meeting edge k of gen_random's polygon at offset along the
     first axis from the first centre of random.Random(s)."""
     for s in range(30):
         poly = gen_random(4 + s % 5, 4, seed=s)
         verts = poly.vertices
         n = len(verts)
-        cells = _join_cells(poly)
         za, zb = _first_centre(s)
         k = rng.randrange(n)
         hit = verts[k] + (verts[(k + 1) % n] - verts[k]).scale(
             Fraction(rng.randint(1, 7), 8))
-        traces = None
-        while traces is None:
+        found = None
+        while found is None:
             dir1, dir2 = [Point([rng.randint(-8, 8) for _ in range(4)])
                           for _ in range(2)]
             origin = hit - dir1.scale(za + offset) - dir2.scale(zb)
-            traces = _plane_traces(cells.values(), origin, dir1, dir2)
-        yield s, poly, cells, k, origin, dir1, dir2, traces
+            found = _plane_traces(poly, origin, dir1, dir2)
+        yield (s, poly, k, origin, dir1, dir2, *found)
 
 
 def test_place_disk_clears_an_edge_planted_near_its_first_centre():
@@ -536,44 +563,131 @@ def test_place_disk_clears_an_edge_planted_near_its_first_centre():
     # centre, so the disk certifies only because the radius shrinks to
     # keep conv(Q) off that edge's trace
     rng = random.Random(2002)
-    for s, poly, cells, k, origin, dir1, dir2, traces in \
+    for s, poly, k, origin, dir1, dir2, _, marks in \
             _edge_planted_planes(rng, Fraction(1, 4)):
         za, zb = _first_centre(s)
-        assert _flat_meet(_plane(origin, dir1, dir2), cells[k, k]) == \
+        edge = join_cells_rational(poly.hom)[k, k]
+        assert _mark_set(*_flat_meet(_plane(origin, dir1, dir2), edge)) == \
             ("point", (za + Fraction(1, 4), zb))
-        placed = _place_disk(poly, _plane(origin, dir1, dir2), traces,
+        placed = _place_disk(poly, _plane(origin, dir1, dir2), marks,
                              random.Random(s))
         assert placed[1] == homogeneous(origin + dir1.scale(za)
                                         + dir2.scale(zb))
         assert _assemble_disk(poly, *placed) is not None, s
 
 
-def test_place_disk_matches_rational_clearance_oracle():
-    # the clearances on integers pick the centre, radius and ring of the
-    # rational rule, with the same draws: on random planes, on planes
-    # through scaled and in-plane polygons, and on planes meeting an
-    # edge a quarter from the first centre or at it
-    rng = random.Random(2027)
-    cases = [(poly, _plane(origin, dir1, dir2), traces, rng.randrange(99))
-             for poly, origin, dir1, dir2, traces in _placement_inputs(rng)]
+def _lifted_planar(n, scale):
+    """gen_planar_ngon(n) scaled by scale, in the 2-flat x_3 = x_4 = 0
+    of R^4."""
+    return ClosedPolygon([Point((x * scale, y * scale, 0, 0))
+                          for x, y in gen_planar_ngon(n).vertices])
+
+
+def _clearance_cases(rng):
+    """(poly, origin, dir1, dir2, seed) for the clearance oracle: the
+    placement inputs; planes meeting an edge a quarter from the first
+    centre or at it; planes through the centroid of polygons scaled
+    x8..x64; and polygons in a hyperplane (a torus stick lifted by
+    x_4 = x_1) and in a 2-flat (lifted planar n-gons), each in random
+    planes and in planes with one or both directions along the
+    polygon's flat, through a point of it, so that a plane inside it is
+    skipped, or off it."""
+    cases = [case[:4] + (rng.randrange(99),)
+             for case in _placement_inputs(rng)]
     for offset in (Fraction(1, 4), 0):
-        cases += [(poly, _plane(origin, dir1, dir2), traces, s)
-                  for s, poly, _, _, origin, dir1, dir2, traces
+        cases += [(poly, origin, dir1, dir2, s)
+                  for s, poly, _, origin, dir1, dir2, _, _
                   in _edge_planted_planes(rng, offset)]
-    reached = set()
-    for poly, forms, traces, seed in cases:
+    for case in range(8):
+        mid, big = _scaled(gen_random(4 + case % 5, 4, seed=case),
+                           8 << case % 4)
+        cases.append((big, mid, *[Point([rng.randint(-8, 8)
+                                         for _ in range(4)])
+                                  for _ in range(2)], case))
+    torus = ClosedPolygon([Point((v[0], v[1], v[2], v[0]))
+                           for v in gen_torus_stick(3).vertices])
+    flats = [(torus, lambda: [rng.randint(-3, 3) for _ in range(3)],
+              lambda c: Point(c + [c[0]]))]
+    flats += [(_lifted_planar(n, 6), lambda: [rng.randint(-3, 3)
+                                              for _ in range(2)],
+               lambda c: Point(c + [0, 0])) for n in (3, 4, 6)]
+    for poly, draw, place in flats:
+        verts = poly.vertices
+        for inside, off in product((0, 1, 2), (0, 1, 0)):
+            origin = verts[0] + (verts[1] - verts[0]).scale(
+                Fraction(rng.randint(0, 8), 8))
+            origin += Point([off * rng.randint(1, 8) for _ in range(4)])
+            dirs = [place(draw()) if i < inside
+                    else Point([rng.randint(-8, 8) for _ in range(4)])
+                    for i in range(2)]
+            cases.append((poly, origin, *dirs, rng.randrange(99)))
+    return cases
+
+
+def test_place_disk_matches_rational_clearance_oracle(monkeypatch):
+    # the integer marks of the maximal join cells pick the centre, radius
+    # and ring of the rational rule on the traces of every join cell,
+    # with the same draws, and skip the same planes
+    import plspan.otherdims as od
+    rng = random.Random(2027)
+    branches = set()
+    minors, nullspace = od._hyperplane_4d, od.int_nullspace
+
+    def minor_spy(*corners):
+        h = minors(*corners)
+        branches.add("minor" if any(h) else "zero minor")
+        return h
+
+    def nullspace_spy(rows):
+        branches.add("elimination of %d corners" % len(rows))
+        return nullspace(rows)
+
+    monkeypatch.setattr(od, "_hyperplane_4d", minor_spy)
+    monkeypatch.setattr(od, "int_nullspace", nullspace_spy)
+    reached, kinds = set(), set()
+    for poly, origin, dir1, dir2, seed in _clearance_cases(rng):
+        found = _plane_traces(poly, origin, dir1, dir2)
+        if found is None:
+            reached.add("plane skipped")
+            continue
+        traces, marks = found
+        kinds.update(kind for kind, _ in marks)
+        forms = _plane(origin, dir1, dir2)
         want_rng, got_rng = random.Random(seed), random.Random(seed)
         want = place_disk_rational(poly, forms, traces, want_rng, reached)
-        assert _place_disk(poly, forms, traces, got_rng) == want
+        assert _place_disk(poly, forms, marks, got_rng) == want
         assert got_rng.getstate() == want_rng.getstate()
     assert reached == {"empty", "point", "line", "centre on a trace",
-                       "radius halved"}
+                       "radius halved", "plane skipped"}
+    assert kinds == {"empty", "point", "line"}
+    assert branches == {"minor", "zero minor", "elimination of 3 corners",
+                        "elimination of 4 corners"}
+
+
+def test_immersed_disk_solves_generic_join_cells_by_minors(monkeypatch):
+    # criterion 06's polygons have no four corners of two disjoint edges
+    # in one 2-flat, so every maximal join cell is its one nonzero 4x4
+    # minor functional and none is eliminated; a planar pentagon lifted
+    # into R^4 has all its corners in one 2-flat, so each of its
+    # n (n - 3) / 2 = 5 cells is eliminated
+    import plspan.otherdims as od
+    calls = []
+    nullspace = od.int_nullspace
+    monkeypatch.setattr(od, "int_nullspace",
+                        lambda rows: calls.append(len(rows))
+                        or nullspace(rows))
+    for i in range(20):
+        immersed_disk_4d(gen_random(4 + i % 9, 4, seed=i), seed=i)
+    assert calls == []
+    mesh, rep = immersed_disk_4d(_lifted_planar(5, 6), seed=0)
+    assert rep["triangles"] == len(mesh.triangles) == 15
+    assert calls == [4] * 5
 
 
 def test_place_disk_certifies_centres_inside_and_outside_the_hull():
     # planes through the centroid of polygons scaled x16..x64: the
     # clearance proof holds wherever the centre lies, and the hull LP,
-    # kept here only as an oracle, shows both sides are reached
+    # kept here only as an oracle, runs until it has seen both sides
     rng = random.Random(2020)
     inside = set()
     for case in range(60):
@@ -581,13 +695,14 @@ def test_place_disk_certifies_centres_inside_and_outside_the_hull():
                            16 << case % 3)
         dir1, dir2 = [Point([rng.randint(-8, 8) for _ in range(4)])
                       for _ in range(2)]
-        traces = _plane_traces(_join_cells(big).values(), mid, dir1, dir2)
-        if traces is None:
+        marks = _plane_marks(big, mid, dir1, dir2)
+        if marks is None:
             continue
-        placed = _place_disk(big, _plane(mid, dir1, dir2), traces, rng)
+        placed = _place_disk(big, _plane(mid, dir1, dir2), marks, rng)
         assert _assemble_disk(big, *placed) is not None, case
-        inside.add(convex_meet([point_of(placed[1])], big.vertices)
-                   is not None)
+        if inside != {True, False}:
+            inside.add(convex_meet([point_of(placed[1])], big.vertices)
+                       is not None)
     assert inside == {True, False}
 
 
