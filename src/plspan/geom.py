@@ -17,7 +17,9 @@ _shear with its inverse _lift) and from text (_ratio, which reads plain
 Every pairwise test takes its candidate pairs from one sweep,
 overlapping_pairs, over bounding boxes on exact integer keys
 (key_boxes).  Planar segment pairs have one test, seg_intersect_2d on
-forms, and seg_pair_clear_h is its yes/no view.  There is one
+forms, and seg_pair_clear_h is its yes/no view; triangle pairs of R^3
+in crossing planes have one too, _tri_pair_meets_3d, two orientation
+determinants on the signed minors of _plane_3d.  There is one
 elimination loop, the fraction-free _bareiss: ranks and axes take its
 forward pass, rref (its rational view) and int_nullspace (a primitive
 integer kernel basis) its Gauss-Jordan pass.  solution_set reads the
@@ -33,7 +35,7 @@ from fractions import Fraction
 from bisect import bisect_right
 from itertools import repeat
 from math import gcd, lcm
-from operator import itemgetter, le, neg
+from operator import itemgetter, le, mul, neg
 from typing import Iterable, Optional, Sequence, Union
 
 Rat = Fraction
@@ -339,29 +341,38 @@ def _lead_minor(rows) -> int:
         return 0
     if k == 1:
         return rows[0][-1]
-    c = [(*r[:k - 1], r[-1]) for r in rows]
+    # the rows are read in place: column j < k - 1 of the minor is their
+    # entry j, and column k - 1 their last
+    d, e = rows[-2], rows[-1]
     if k == 2:
-        (a0, a1), (b0, b1) = c
-        return a0 * b1 - a1 * b0
+        return d[0] * e[-1] - d[-1] * e[0]
+    a = rows[0]
+    d0, d1, e0, e1 = d[0], d[1], e[0], e[1]
     if k == 3:
-        (a0, a1, a2), (d0, d1, d2), (e0, e1, e2) = c
+        a0, a1, a2, d2, e2 = a[0], a[1], a[-1], d[-1], e[-1]
         return (a0 * (d1 * e2 - d2 * e1) - a1 * (d0 * e2 - d2 * e0)
                 + a2 * (d0 * e1 - d1 * e0))
     # the 2x2 minors m_ij of the last two rows, on columns i < j
-    (d0, d1, d2, d3), (e0, e1, e2, e3) = c[-2][:4], c[-1][:4]
+    d2, e2 = d[2], e[2]
+    d3, e3 = (d[-1], e[-1]) if k == 4 else (d[3], e[3])
     m01, m02, m03 = d0 * e1 - d1 * e0, d0 * e2 - d2 * e0, d0 * e3 - d3 * e0
     m12, m13, m23 = d1 * e2 - d2 * e1, d1 * e3 - d3 * e1, d2 * e3 - d3 * e2
+    b = rows[1]
     if k == 4:
-        (a0, a1, a2, a3), (b0, b1, b2, b3) = c[:2]
+        a0, a1, a2, a3 = a[0], a[1], a[2], a[-1]
+        b0, b1, b2, b3 = b[0], b[1], b[2], b[-1]
         return ((a0 * b1 - a1 * b0) * m23 - (a0 * b2 - a2 * b0) * m13
                 + (a0 * b3 - a3 * b0) * m12 + (a1 * b2 - a2 * b1) * m03
                 - (a1 * b3 - a3 * b1) * m02 + (a2 * b3 - a3 * b2) * m01)
-    d4, e4 = c[-2][4], c[-1][4]
+    d4, e4 = d[-1], e[-1]
     m04, m14 = d0 * e4 - d4 * e0, d1 * e4 - d4 * e1
     m24, m34 = d2 * e4 - d4 * e2, d3 * e4 - d4 * e3
     # the 3x3 minors t_ijl of the last three rows, then the first two
     # rows' 2x2 minors against them
-    (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), (c0, c1, c2, c3, c4) = c[:3]
+    c = rows[2]
+    a0, a1, a2, a3, a4 = a[0], a[1], a[2], a[3], a[-1]
+    b0, b1, b2, b3, b4 = b[0], b[1], b[2], b[3], b[-1]
+    c0, c1, c2, c3, c4 = c[0], c[1], c[2], c[3], c[-1]
     t012 = c0 * m12 - c1 * m02 + c2 * m01
     t013 = c0 * m13 - c1 * m03 + c3 * m01
     t014 = c0 * m14 - c1 * m04 + c4 * m01
@@ -418,6 +429,72 @@ def orient2d_h(a, b, c) -> int:
     return sign(a[0] * (b[1] * c[2] - b[2] * c[1])
                 - a[1] * (b[0] * c[2] - b[2] * c[0])
                 + a[2] * (b[0] * c[1] - b[1] * c[0]))
+
+
+def _plane_3d(p, q, r) -> tuple:
+    """Integer functional c with c . x = det[x; p; q; r], for homogeneous
+    points p, q, r of R^3: its entries are the signed 3x3 minors of the
+    rows p, q, r.  It vanishes on their plane, and it is zero exactly
+    when the three points are affinely dependent."""
+    q0, q1, q2, q3 = q
+    r0, r1, r2, r3 = r
+    m01, m02, m03 = q0 * r1 - q1 * r0, q0 * r2 - q2 * r0, q0 * r3 - q3 * r0
+    m12, m13, m23 = q1 * r2 - q2 * r1, q1 * r3 - q3 * r1, q2 * r3 - q3 * r2
+    p0, p1, p2, p3 = p
+    return (p1 * m23 - p2 * m13 + p3 * m12,
+            p2 * m03 - p0 * m23 - p3 * m02,
+            p0 * m13 - p1 * m03 + p3 * m01,
+            p1 * m02 - p0 * m12 - p2 * m01)
+
+
+def _lone_vertex(vals) -> tuple[int, bool]:
+    """(i, up) for a triangle whose vertices take the values vals under a
+    plane's functional, not all of one strict sign and not all zero:
+    vertex i lies alone on one closed side of the plane, the positive
+    one when up, and the other two on the other closed side, off the
+    plane when vertex i is on it."""
+    for i in range(3):
+        v, u, w = vals[i], vals[i - 2], vals[i - 1]
+        if v or u and w:
+            if v >= 0 >= u and w <= 0:
+                return i, True
+            if v <= 0 <= u and w >= 0:
+                return i, False
+
+
+def _tri_pair_meets_3d(hs_a, hs_b, vals_ba, vals_ab) -> bool:
+    """Whether two triangles of R^3 in distinct, crossing planes meet,
+    by two orientation signs and no constructed point (Guigue and
+    Devillers, "Fast and Robust Triangle-Triangle Overlap Test Using
+    Orientation Predicates", J. Graphics Tools 8(1), 2003).
+
+    hs_a and hs_b hold the vertices' forms; vals_ba holds b's plane
+    functional (_plane_3d) at hs_a and vals_ab a's at hs_b, neither all
+    of one strict sign nor all zero.  Write det[a; b; c; d] =
+    _plane_3d(b, c, d) . a for the determinant of four forms.  Each
+    triangle is turned so that its first vertex is alone on its side of
+    the other's plane (_lone_vertex): p1 q1 r1 and p2 q2 r2.  Swapping
+    q2 and r2 reverses b's plane, so that p1 lies on its positive side,
+    and swapping q1 and r1 puts p2 on the positive side of a's.  Each
+    triangle meets the line where the planes cross in one segment, from
+    k1 on p1q1 to l1 on p1r1 and from k2 on p2q2 to l2 on p2r2, and with
+    these orientations the line runs from k1 to l1 and from l2 to k2 in
+    the same direction, so the segments meet iff k1 <= k2 and l2 <= l1.
+    The plane through p1, q1 and p2 meets the line only in k1 and holds
+    p2, so det[p1; q1; p2; q2], the side of q2 and so of k2, orders k2
+    against k1; det[p1; r1; r2; p2] orders l2 against l1 the same way.
+    The triangles meet iff neither determinant is negative.
+    """
+    i, up_a = _lone_vertex(vals_ba)
+    j, up_b = _lone_vertex(vals_ab)
+    p1, q1, r1 = hs_a[i], hs_a[i - 2], hs_a[i - 1]
+    p2, q2, r2 = hs_b[j], hs_b[j - 2], hs_b[j - 1]
+    if not up_b:
+        q1, r1 = r1, q1
+    if not up_a:
+        q2, r2 = r2, q2
+    return sum(map(mul, _plane_3d(q1, p2, q2), p1)) >= 0 \
+        and sum(map(mul, _plane_3d(r1, r2, p2), p1)) >= 0
 
 
 def coord_keys(hs, axis) -> list[int]:

@@ -28,10 +28,11 @@ from .geom import (
     Point,
     _bareiss,
     _form,
-    _interval_gap,
     _lead_minor,
+    _plane_3d,
     _point,
     _ratio,
+    _tri_pair_meets_3d,
     homogeneous,
     independent,
     int_nullspace,
@@ -305,22 +306,6 @@ class EmbeddingViolation:
                                                    self.point)
 
 
-def _plane_3d(p, q, r) -> tuple:
-    """Integer functional c with c . x = det[x; p; q; r], for homogeneous
-    points p, q, r of R^3: its entries are the signed 3x3 minors of the
-    rows p, q, r.  It vanishes on their plane, and it is zero exactly
-    when the three points are affinely dependent."""
-    q0, q1, q2, q3 = q
-    r0, r1, r2, r3 = r
-    m01, m02, m03 = q0 * r1 - q1 * r0, q0 * r2 - q2 * r0, q0 * r3 - q3 * r0
-    m12, m13, m23 = q1 * r2 - q2 * r1, q1 * r3 - q3 * r1, q2 * r3 - q3 * r2
-    p0, p1, p2, p3 = p
-    return (p1 * m23 - p2 * m13 + p3 * m12,
-            p2 * m03 - p0 * m23 - p3 * m02,
-            p0 * m13 - p1 * m03 + p3 * m01,
-            p1 * m02 - p0 * m12 - p2 * m01)
-
-
 def _hyperplane_4d(p, q, r, s) -> tuple:
     """Integer functional c with c . x = det[p; q; r; s; x], for
     homogeneous points p, q, r, s of R^4: its entries are the signed 4x4
@@ -386,11 +371,20 @@ def _coplanar_contact_clean(hom, axes, tri_a, tri_b, shared) -> bool:
     True when the triangles meet in nothing beyond the face spanned by
     their shared vertices.  Decided from orientation signs of the
     homogeneous vertices projected onto axes, two axes on which their
-    common plane projects injectively.  With at most one shared
-    vertex w, any other common point gives the intersection polygon an
-    extreme point other than w; such a point is a vertex of one triangle
-    lying in the other closed triangle, or a proper crossing of an edge
-    of each, so those two tests are complete.
+    common plane projects injectively.  A pair sharing an edge is clean
+    iff its free vertices lie strictly on opposite sides of the edge.
+
+    With at most one shared vertex w the signs come edge by edge, the
+    edges of a and then those of b, each against the other triangle's
+    vertices.  The first edge that has every vertex of the other
+    triangle, but for its own ends, strictly outside its line clears the
+    pair: its own triangle lies on the closed inner side, so the two
+    meet at most in an end of the edge on that line, which is w.
+    Without such an edge, any other common point gives the intersection
+    polygon an extreme point other than w; such a point is a vertex of
+    one triangle lying in the other closed triangle, or a proper
+    crossing of an edge of each, so those two tests, on the signs
+    already taken, are complete.
     """
     i, j = axes
     ha = [(hom[v][i], hom[v][j], hom[v][-1]) for v in tri_a]
@@ -404,12 +398,18 @@ def _coplanar_contact_clean(hom, axes, tri_a, tri_b, shared) -> bool:
         return orient2d_h(ha[u], ha[v], ha[oa]) \
             * orient2d_h(ha[u], ha[v], hb[ob]) < 0
     # side_a[e][k]: vertex k of b against edge e of a; side_b likewise
-    side_a = [[orient2d_h(ha[e], ha[(e + 1) % 3], q) for q in hb]
-              for e in range(3)]
-    side_b = [[orient2d_h(hb[e], hb[(e + 1) % 3], p) for p in ha]
-              for e in range(3)]
-    turn_a = orient2d_h(*ha)
-    turn_b = orient2d_h(*hb)
+    side_a, side_b, turns = [], [], []
+    for tri, hs, side, other, hs_other in ((tri_a, ha, side_a, tri_b, hb),
+                                           (tri_b, hb, side_b, tri_a, ha)):
+        turn = orient2d_h(*hs)
+        turns.append(turn)
+        for e in range(3):
+            row = [orient2d_h(hs[e], hs[e - 2], q) for q in hs_other]
+            ends = (tri[e], tri[e - 2])
+            if all(x * turn < 0 or v in ends for x, v in zip(row, other)):
+                return True
+            side.append(row)
+    turn_a, turn_b = turns
     for k in range(3):
         if tri_b[k] not in shared \
                 and all(side_a[e][k] * turn_a >= 0 for e in range(3)):
@@ -432,48 +432,13 @@ def _shared_edge_clean(tri_a, tri_b, plane_a, plane_b) -> bool:
     (every form has w > 0), and swapping two rows negates it.  So with
     b running the edge against a's direction, the pair is clean iff the
     two vectors share their sign; with b running it along a's, iff
-    their signs differ."""
-    oa = next(k for k in range(3) if tri_a[k] not in tri_b)
-    ob = next(k for k in range(3) if tri_b[k] not in tri_a)
-    k = next(i for i, c in enumerate(plane_a) if c)
-    return ((plane_a[k] > 0) == (plane_b[k] > 0)) \
-        == (tri_a[oa - 2] == tri_b[ob - 1])
-
-
-def _plane_meet_points(hs, vals):
-    """Homogeneous points where a triangle meets a plane, given the plane
-    functional's integer values at its vertices (not all of one strict
-    sign)."""
-    meets = [hs[i] for i in range(3) if vals[i] == 0]
-    for i in range(3):
-        j = (i + 1) % 3
-        vi, vj = vals[i], vals[j]
-        if (vi > 0 and vj < 0) or (vi < 0 and vj > 0):
-            # the functional is vi / w_i at vertex i; its zero on the
-            # edge is (vi x_j - vj x_i) / (vi w_j - vj w_i)
-            pt = [vi * qc - vj * pc for pc, qc in zip(hs[i], hs[j])]
-            if pt[-1] < 0:
-                pt = [-c for c in pt]
-            meets.append(pt)
-    return meets
-
-
-def _crossing_planes_contact_3d(plane_a, plane_b, hs_a, hs_b, vals_ab,
-                                vals_ba) -> bool:
-    """True when two triangles of R^3 in distinct crossing planes, with
-    no vertex in common, are disjoint.  Both are known to straddle or
-    touch the other's plane, so each meets the common line in a
-    nonempty interval, and they are disjoint iff the intervals are.
-    hs_a and hs_b list the triangles' vertices; vals_ba holds b's
-    functional at hs_a and vals_ab a's at hs_b, in the same orders."""
-    meets_a = _plane_meet_points(hs_a, vals_ba)
-    meets_b = _plane_meet_points(hs_b, vals_ab)
-    # the line runs along the cross product of the planes' normals, so
-    # an axis where that is nonzero orders the line's points
-    a0, a1, a2 = plane_a[:3]
-    b0, b1, b2 = plane_b[:3]
-    axis = 0 if a1 * b2 != a2 * b1 else 1 if a2 * b0 != a0 * b2 else 2
-    return _interval_gap(meets_a, meets_b, axis) > 0
+    their signs differ: the vectors are multiples of each other, so
+    their first nonzero entries sit at one place."""
+    oa = 0 if tri_a[0] not in tri_b else 1 if tri_a[1] not in tri_b else 2
+    ob = 0 if tri_b[0] not in tri_a else 1 if tri_b[1] not in tri_a else 2
+    first_a = plane_a[0] or plane_a[1] or plane_a[2] or plane_a[3]
+    first_b = plane_b[0] or plane_b[1] or plane_b[2] or plane_b[3]
+    return ((first_a > 0) == (first_b > 0)) == (tri_a[oa - 2] == tri_b[ob - 1])
 
 
 def _relation_clean(on_a, on_b) -> bool:
@@ -511,9 +476,12 @@ def _hull_contact_clean(hom, a, b, shared) -> bool:
     affine relation decides by its signs (_relation_clean): the one
     int_nullspace vector of the forms on the pivot columns, which keep
     every relation, taken as columns.
-    Two triangles with six vertices in a 3-flat go to the R^3
-    crossing-line test on three pivot axes and the weight.  False
-    leaves the pair open.
+    Two triangles with six vertices in a 3-flat, projected onto three
+    pivot axes and the weight, are decided as check_embedded decides an
+    R^3 pair sharing nothing: apart when one lies strictly on one side
+    of the other's plane, else by geom._tri_pair_meets_3d's two
+    orientation determinants (Guigue and Devillers 2003).  False leaves
+    the pair open.
     """
     rows = [hom[v] for v in a] + [hom[v] for v in b if v not in shared]
     if len(rows[0]) == 4 and len(rows) in (3, 4):
@@ -541,8 +509,7 @@ def _hull_contact_clean(hom, a, b, shared) -> bool:
         vals_ab = [sum(map(mul, plane_a, h)) for h in hs_b]
         vals_ba = [sum(map(mul, plane_b, h)) for h in hs_a]
         return _row_separates([vals_ab, vals_ba]) \
-            or _crossing_planes_contact_3d(plane_a, plane_b, hs_a, hs_b,
-                                           vals_ab, vals_ba)
+            or not _tri_pair_meets_3d(hs_a, hs_b, vals_ba, vals_ab)
     return False
 
 
@@ -575,16 +542,22 @@ def check_embedded(mesh: TriMesh) -> Optional[EmbeddingViolation]:
     A coplanar R^3 pair sharing an edge is decided by the signs of the
     two _plane_3d vectors (_shared_edge_clean); any other coplanar pair
     by orientation signs on the two axes that are not pivots of a's
-    functionals, found once per triangle.  In R^3 the five vertices of
-    a pair sharing a vertex carry one affine relation, whose
-    coefficients are the plane values by Cramer's rule, and its signs
-    decide the pair (_relation_clean); a pair sharing nothing is decided
-    along the line where the two planes cross, ordered on an axis where
-    the cross product of their normals is nonzero.  In R^d, d >= 4, the
-    rest are decided inside the affine hull of their distinct vertices
-    (_hull_contact_clean): by their independence, by the signs of their
-    one affine relation, or, for six vertices in a 3-flat, by the R^3
-    crossing-line test.  Only pairs still standing reach the full
+    functionals, found once per triangle: an edge line with the other
+    triangle strictly outside clears it, and only without one do the
+    vertex-in-triangle and crossing tests run (_coplanar_contact_clean).
+    In R^3 the five vertices of a pair sharing a vertex carry one
+    affine relation, whose coefficients are the plane values by
+    Cramer's rule, and its signs decide the pair (_relation_clean).  A
+    pair sharing nothing, in crossing planes, is decided by two
+    orientation determinants (geom._tri_pair_meets_3d, after Guigue and
+    Devillers, J. Graphics Tools 8(1), 2003): with each triangle turned
+    so that one vertex lies alone on its side of the other's plane, one
+    determinant orders the first ends of the two triangles' segments on
+    the crossing line and the other their second ends.  In R^d, d >= 4,
+    the rest are decided inside the affine hull of their distinct
+    vertices (_hull_contact_clean): by their independence, by the signs
+    of their one affine relation, or, for six vertices in a 3-flat, by
+    the same two determinants.  Only pairs still standing reach the full
     simplex intersection, which decides them and builds the witness;
     every test before it is an integer sign.
     """
@@ -596,51 +569,58 @@ def check_embedded(mesh: TriMesh) -> Optional[EmbeddingViolation]:
     flat = next((t for t, h in enumerate(data) if len(h) != dim - 2), None)
     if flat is not None:
         raise ValueError("triangle %d is degenerate" % flat)
+    # each triangle's vertex set and forms, and in R^3 its one
+    # functional, made once for every pair it is in
+    corners = [frozenset(tri) for tri in tris]
+    forms = [[hom[v] for v in tri] for tri in tris]
+    plane = [h for h, in data] if three else None
     boxes = key_boxes(hom, tris)
     order = sorted(range(len(tris)), key=lambda t: boxes[t][0][0])
     axes_of: dict[int, list[int]] = {}
     for pa, pb in overlapping_pairs([boxes[t] for t in order]):
         a, b = order[pa], order[pb]
-        tri_a, tri_b, planes_a, planes_b = tris[a], tris[b], data[a], data[b]
-        hs_b = [hom[v] for v in tri_b if v not in tri_a]
-        if not hs_b:
+        tri_a, tri_b = tris[a], tris[b]
+        shared = corners[a].intersection(tri_b)
+        if len(shared) == 3:
             pts_a = mesh.triangle_points(a)
             cen = Point(sum(p[i] for p in pts_a) / 3 for i in range(dim))
             return EmbeddingViolation(a, b, cen)
+        hs_b = [hom[v] for v in tri_b if v not in shared] if shared \
+            else forms[b]
         # a's plane misses b, or pins it at the shared vertex; off it, a
         # shared edge leaves the planes meeting in the edge's line
         if three:
-            c0, c1, c2, c3 = planes_a[0]
-            vals_ab = [c0 * q[0] + c1 * q[1] + c2 * q[2] + c3 * q[3]
-                       for q in hs_b]
+            c0, c1, c2, c3 = plane[a]
+            vals_ab = [c0 * x + c1 * y + c2 * z + c3 * w
+                       for x, y, z, w in hs_b]
             if min(vals_ab) > 0 or max(vals_ab) < 0:
                 continue
             coplanar = not any(vals_ab)
         else:
-            vals_ab = [[sum(map(mul, h, q)) for q in hs_b] for h in planes_a]
+            vals_ab = [[sum(map(mul, h, q)) for q in hs_b] for h in data[a]]
             if _row_separates(vals_ab):
                 continue
             coplanar = not any(map(any, vals_ab))
         if not coplanar:
-            hs_a = [hom[v] for v in tri_a if v not in tri_b]
+            hs_a = [hom[v] for v in tri_a if v not in shared] if shared \
+                else forms[a]
             if three:
-                c0, c1, c2, c3 = planes_b[0]
-                vals_ba = [c0 * q[0] + c1 * q[1] + c2 * q[2] + c3 * q[3]
-                           for q in hs_a]
+                c0, c1, c2, c3 = plane[b]
+                vals_ba = [c0 * x + c1 * y + c2 * z + c3 * w
+                           for x, y, z, w in hs_a]
                 if min(vals_ba) > 0 or max(vals_ba) < 0:
                     continue
             else:
                 vals_ba = [[sum(map(mul, h, q)) for q in hs_a]
-                           for h in planes_b]
+                           for h in data[b]]
                 if _row_separates(vals_ba):
                     continue
-        shared = [v for v in tri_a if v in tri_b]
         if coplanar and three and len(shared) == 2:
-            if _shared_edge_clean(tri_a, tri_b, planes_a[0], planes_b[0]):
+            if _shared_edge_clean(tri_a, tri_b, plane[a], plane[b]):
                 continue
         elif coplanar:
             axes = axes_of.get(a) or axes_of.setdefault(
-                a, _plane_axes(planes_a, dim))
+                a, _plane_axes(data[a], dim))
             if _coplanar_contact_clean(hom, axes, tri_a, tri_b, shared):
                 continue
         elif three and shared:
@@ -653,8 +633,7 @@ def check_embedded(mesh: TriMesh) -> Optional[EmbeddingViolation]:
                                (flip * vals_ab[1], -flip * vals_ab[0])):
                 continue
         elif three:
-            if _crossing_planes_contact_3d(planes_a[0], planes_b[0], hs_a,
-                                           hs_b, vals_ab, vals_ba):
+            if not _tri_pair_meets_3d(hs_a, hs_b, vals_ba, vals_ab):
                 continue
         elif _hull_contact_clean(hom, tri_a, tri_b, shared):
             continue

@@ -13,11 +13,13 @@ from plspan.geom import (
     ZERO,
     Point,
     _bareiss,
+    _interval_gap,
     _primitive,
     homogeneous,
     int_nullspace,
     int_rank,
     key_boxes,
+    orient2d_h,
     overlapping_pairs,
     rat,
     rat_str,
@@ -562,3 +564,70 @@ def place_disk_rational(poly, forms, traces, rng, reached):
         return ([plane_point(q[0] + za, q[1] + zb) for q in ring],
                 plane_point(za, zb))
     return None
+
+
+def plane_meet_points(hs, vals):
+    """Homogeneous points where a triangle meets a plane, given the plane
+    functional's integer values at its vertices (not all of one strict
+    sign)."""
+    meets = [hs[i] for i in range(3) if vals[i] == 0]
+    for i in range(3):
+        j = (i + 1) % 3
+        vi, vj = vals[i], vals[j]
+        if (vi > 0 and vj < 0) or (vi < 0 and vj > 0):
+            # the functional is vi / w_i at vertex i; its zero on the
+            # edge is (vi x_j - vj x_i) / (vi w_j - vj w_i)
+            pt = [vi * qc - vj * pc for pc, qc in zip(hs[i], hs[j])]
+            if pt[-1] < 0:
+                pt = [-c for c in pt]
+            meets.append(pt)
+    return meets
+
+
+def crossing_planes_contact_3d(plane_a, plane_b, hs_a, hs_b, vals_ab,
+                               vals_ba) -> bool:
+    """True when two triangles of R^3 in distinct crossing planes are
+    disjoint, by the points where each meets the other's plane: each
+    triangle meets the common line in a nonempty interval, and they are
+    disjoint iff the intervals are.  hs_a and hs_b list the triangles'
+    vertices; vals_ba holds b's functional at hs_a and vals_ab a's at
+    hs_b, in the same orders."""
+    meets_a = plane_meet_points(hs_a, vals_ba)
+    meets_b = plane_meet_points(hs_b, vals_ab)
+    # the line runs along the cross product of the planes' normals, so
+    # an axis where that is nonzero orders the line's points
+    a0, a1, a2 = plane_a[:3]
+    b0, b1, b2 = plane_b[:3]
+    axis = 0 if a1 * b2 != a2 * b1 else 1 if a2 * b0 != a0 * b2 else 2
+    return _interval_gap(meets_a, meets_b, axis) > 0
+
+
+def coplanar_contact_full(hom, axes, tri_a, tri_b, shared) -> bool:
+    """mesh._coplanar_contact_clean with no early exit: all twenty
+    orientation signs, then a vertex of one triangle in the other closed
+    triangle or a proper crossing of an edge of each."""
+    i, j = axes
+    ha = [(hom[v][i], hom[v][j], hom[v][-1]) for v in tri_a]
+    hb = [(hom[v][i], hom[v][j], hom[v][-1]) for v in tri_b]
+    if len(shared) == 2:
+        u, v = (k for k in range(3) if tri_a[k] in shared)
+        oa = 3 - u - v
+        ob = next(k for k in range(3) if tri_b[k] not in shared)
+        return orient2d_h(ha[u], ha[v], ha[oa]) \
+            * orient2d_h(ha[u], ha[v], hb[ob]) < 0
+    side_a = [[orient2d_h(ha[e], ha[(e + 1) % 3], q) for q in hb]
+              for e in range(3)]
+    side_b = [[orient2d_h(hb[e], hb[(e + 1) % 3], p) for p in ha]
+              for e in range(3)]
+    turn_a = orient2d_h(*ha)
+    turn_b = orient2d_h(*hb)
+    for k in range(3):
+        if tri_b[k] not in shared \
+                and all(side_a[e][k] * turn_a >= 0 for e in range(3)):
+            return False
+        if tri_a[k] not in shared \
+                and all(side_b[e][k] * turn_b >= 0 for e in range(3)):
+            return False
+    return not any(side_a[ea][eb] * side_a[ea][(eb + 1) % 3] < 0
+                   and side_b[eb][ea] * side_b[eb][(ea + 1) % 3] < 0
+                   for ea in range(3) for eb in range(3))

@@ -1,5 +1,6 @@
 import ast
 import functools
+import operator
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +16,7 @@ from plspan.geom import (
     homogeneous,
     int_nullspace,
     int_rank,
+    orient2d,
     orient3d,
     rat_str,
     rref,
@@ -370,8 +372,8 @@ def _spy_pair_tests(monkeypatch, mesh_mod, names):
     def pair_of(name, args):
         if name == "_coplanar_contact_clean":
             _, _, tri_a, tri_b, shared = args
-        elif name == "_crossing_planes_contact_3d":
-            tri_a, tri_b, shared = args[2], args[3], ()
+        elif name == "_tri_pair_meets_3d":
+            tri_a, tri_b, shared = args[0], args[1], ()
             if tri_a[0] not in vertex_of:
                 # forms projected into a 3-flat by the hull test, which
                 # was called last, on the same pair
@@ -414,7 +416,7 @@ def _pinned_3d(m, a, b):
 def _record_pair_tests(m, got, calls, reached):
     """Add to reached the (test, shared count) of each call _spy_pair_tests
     saw on m, and check that no pair sharing an edge reaches the
-    crossing-line or hull test, and that the LP runs only on pairs that
+    crossing-plane or hull test, and that the LP runs only on pairs that
     meet outside their shared face, in R^3 or after the coplanar test.
     When m is embedded (got is None), every candidate pair was visited:
     pairs sharing an edge off each other's plane, and in R^3 pairs
@@ -435,7 +437,7 @@ def _record_pair_tests(m, got, calls, reached):
             names = tested.get(frozenset((a, b)), set())
             shared = set(m.triangles[a]) & set(m.triangles[b])
             if len(shared) == 2:
-                assert not names & {"_crossing_planes_contact_3d",
+                assert not names & {"_tri_pair_meets_3d",
                                     "_hull_contact_clean"}, (a, b, names)
             if got is not None or len(shared) not in (1, 2):
                 continue
@@ -459,26 +461,27 @@ def test_check_embedded_matches_unfiltered_oracle(monkeypatch):
     # each other's plane and pinned pairs decided with no later test,
     # the coplanar test on pairs sharing nothing, a vertex and an edge,
     # the sign rule on coplanar R^3 pairs sharing an edge,
-    # the crossing-line test on pairs sharing nothing, the signs of the
-    # one affine relation on pairs sharing a vertex, and the full
+    # the crossing-plane kernel on pairs sharing nothing, the signs of
+    # the one affine relation on pairs sharing a vertex, and the full
     # simplex intersection.
     import plspan.mesh as mesh_mod
     later = ("_coplanar_contact_clean", "_shared_edge_clean",
-             "_crossing_planes_contact_3d", "_hull_contact_clean",
+             "_tri_pair_meets_3d", "_hull_contact_clean",
              "simplex_intersect")
     calls, watch = _spy_pair_tests(monkeypatch, mesh_mod, later)
-    # the pin test runs first: a pair reaching the crossing-line test
+    # the pin test runs first: a pair reaching the crossing-plane kernel
     # never has the free vertices of a triangle strictly on one side of
-    # the other's plane, and a pair reaching the relation never has
-    # a triangle's two free coefficients of strictly opposite signs
-    crossing = mesh_mod._crossing_planes_contact_3d
+    # the other's plane, nor all of them on it, and a pair reaching the
+    # relation never has a triangle's two free coefficients of strictly
+    # opposite signs
+    crossing = mesh_mod._tri_pair_meets_3d
 
-    def crossing_spy(plane_a, plane_b, hs_a, hs_b, vals_ab, vals_ba):
+    def crossing_spy(hs_a, hs_b, vals_ba, vals_ab):
         for vals in (vals_ab, vals_ba):
-            assert len(vals) == 3
+            assert len(vals) == 3 and any(vals)
             assert not (all(x > 0 for x in vals)
                         or all(x < 0 for x in vals)), (hs_a, hs_b)
-        return crossing(plane_a, plane_b, hs_a, hs_b, vals_ab, vals_ba)
+        return crossing(hs_a, hs_b, vals_ba, vals_ab)
 
     relation = mesh_mod._relation_clean
     reached = set()
@@ -489,8 +492,7 @@ def test_check_embedded_matches_unfiltered_oracle(monkeypatch):
         reached.add(("_relation_clean", 1))
         return relation(on_a, on_b)
 
-    monkeypatch.setattr(mesh_mod, "_crossing_planes_contact_3d",
-                        crossing_spy)
+    monkeypatch.setattr(mesh_mod, "_tri_pair_meets_3d", crossing_spy)
     monkeypatch.setattr(mesh_mod, "_relation_clean", relation_spy)
     verdicts = set()
     for trial, m in enumerate(_oracle_soups()):
@@ -516,9 +518,9 @@ def test_check_embedded_matches_unfiltered_oracle(monkeypatch):
                        ("_coplanar_contact_clean", 1),
                        ("_coplanar_contact_clean", 2),
                        ("_shared_edge_clean", 2),
-                       ("_crossing_planes_contact_3d", 0),
+                       ("_tri_pair_meets_3d", 0),
                        ("_relation_clean", 1)}, reached
-    assert ("_crossing_planes_contact_3d", 1) not in reached
+    assert ("_tri_pair_meets_3d", 1) not in reached
     assert any(name == "simplex_intersect" for name, _ in reached)
 
 
@@ -675,6 +677,230 @@ def test_shared_edge_sign_rule_matches_coplanar_test(pts, s, t, order_a,
             assert got == (side < 0)
             verdicts.add(got)
     assert verdicts == {True, False}
+
+
+def _grid_form(rng):
+    """The form of a point with coordinates in -3..3 over a weight 1..3."""
+    return tuple(rng.randint(-3, 3) for _ in range(3)) + (rng.randint(1, 3),)
+
+
+def _in_plane(rng, tri):
+    """The form of a point on the plane of the forms tri: an integer
+    combination of them of positive weight, an affine one of the points."""
+    while True:
+        ks = [rng.randint(-2, 3) for _ in range(3)]
+        h = tuple(sum(k * q[c] for k, q in zip(ks, tri)) for c in range(4))
+        if h[-1] > 0:
+            return h
+
+
+def _crossing_pair(rng, kind):
+    """Forms a and b of two triangles of R^3 on the small grid, by kind:
+    'random'; 'vertex' or 'edge' with one or two vertices of a on b's
+    plane; 'end' with a's edge a0a1 halved by a point X of b's edge b0b1,
+    which ends both segments on the crossing line; 'inside' with a small
+    triangle about a point inside b."""
+    b = [_grid_form(rng) for _ in range(3)]
+    a = [_grid_form(rng) for _ in range(3)]
+    if kind in ("vertex", "edge"):
+        for i in rng.sample(range(3), 1 if kind == "vertex" else 2):
+            a[i] = _in_plane(rng, b)
+    elif kind == "end":
+        x = [p + q for p, q in zip(b[0], b[1])]
+        y = a[0]
+        a[1] = tuple(2 * x[c] * y[3] - y[c] * x[3] for c in range(3)) \
+            + (x[3] * y[3],)
+    elif kind == "inside":
+        c = [p + q + r for p, q, r in zip(*b)]
+        a = [tuple(16 * c[i] + rng.randint(-3, 3) for i in range(3))
+             + (16 * c[3],) for _ in range(3)]
+    rng.shuffle(a)
+    rng.shuffle(b)
+    return a, b
+
+
+def _segment_relation(hs_a, hs_b, vals_ba, vals_ab, plane_a, plane_b):
+    """How the segments where each triangle meets the other's plane lie
+    on the crossing line, by the constructed points of the oracle:
+    'apart', 'touch' in one point, 'end' sharing an end, one 'inside'
+    the other, or 'overlap'."""
+    from plspan.geom import coord_keys
+    from oracles import plane_meet_points
+    meets_a = plane_meet_points(hs_a, vals_ba)
+    meets_b = plane_meet_points(hs_b, vals_ab)
+    a0, a1, a2 = plane_a[:3]
+    b0, b1, b2 = plane_b[:3]
+    axis = 0 if a1 * b2 != a2 * b1 else 1 if a2 * b0 != a0 * b2 else 2
+    keys = coord_keys(meets_a + meets_b, axis)
+    ka, kb = keys[:len(meets_a)], keys[len(meets_a):]
+    (la, ha), (lb, hb) = (min(ka), max(ka)), (min(kb), max(kb))
+    if la > hb or lb > ha:
+        return "apart"
+    if la == hb or lb == ha:
+        return "touch"
+    if la == lb or ha == hb:
+        return "end"
+    if la < lb <= hb < ha or lb < la <= ha < hb:
+        return "inside"
+    return "overlap"
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32))
+def test_tri_pair_kernel_matches_crossing_line_oracle(seed):
+    # the orientation-sign kernel gives the crossing-line oracle's
+    # verdict on triangle pairs in crossing planes, from the small grid
+    # and planted: a vertex or an edge of one on the other's plane,
+    # segments ending at one point of the crossing line, one segment
+    # inside the other.  Both argument orders agree, and so does the
+    # hull test on the pair mapped into a 3-flat of R^4.  Every turn of
+    # each triangle and both sides of the plane are reached, with the
+    # lone vertex off the plane and on it, and every relation of the
+    # two segments.
+    import plspan.geom as geom
+    from plspan.mesh import _hull_contact_clean
+    from oracles import crossing_planes_contact_3d
+    rng = random.Random(seed)
+    lone = geom._lone_vertex
+    reached = set()
+
+    def lone_spy(vals):
+        i, up = lone(vals)
+        reached.add((i, up, vals[i] == 0))
+        return i, up
+
+    kinds = ("random", "vertex", "edge", "end", "inside")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geom, "_lone_vertex", lone_spy)
+        for trial in range(600):
+            hs_a, hs_b = _crossing_pair(rng, kinds[trial % len(kinds)])
+            plane_a, plane_b = geom._plane_3d(*hs_a), geom._plane_3d(*hs_b)
+            if not any(plane_a) or not any(plane_b):
+                continue
+            vals_ab = [sum(map(operator.mul, plane_a, q)) for q in hs_b]
+            vals_ba = [sum(map(operator.mul, plane_b, q)) for q in hs_a]
+            if not any(vals_ab) or any(min(v) > 0 or max(v) < 0
+                                       for v in (vals_ab, vals_ba)):
+                continue
+            clean = crossing_planes_contact_3d(plane_a, plane_b, hs_a, hs_b,
+                                               vals_ab, vals_ba)
+            meets = geom._tri_pair_meets_3d(hs_a, hs_b, vals_ba, vals_ab)
+            assert meets == (not clean), (hs_a, hs_b)
+            assert geom._tri_pair_meets_3d(hs_b, hs_a, vals_ab, vals_ba) \
+                == meets, (hs_a, hs_b)
+            reached.add(_segment_relation(hs_a, hs_b, vals_ba, vals_ab,
+                                          plane_a, plane_b))
+            reached.add(("zeros", sum(v == 0 for v in vals_ab)))
+            while True:
+                lin = [[rng.randint(-2, 2) for _ in range(3)]
+                       for _ in range(4)]
+                if int_rank(lin) == 3:
+                    break
+            shift = [rng.randint(-3, 3) for _ in range(4)]
+            hom4 = [tuple(sum(r * x for r, x in zip(row, h[:3])) + t * h[3]
+                          for row, t in zip(lin, shift)) + (h[3],)
+                    for h in hs_a + hs_b]
+            assert _hull_contact_clean(hom4, (0, 1, 2), (3, 4, 5), set()) \
+                == clean, (hs_a, hs_b)
+    assert {(i, up, on) for i in range(3) for up in (True, False)
+            for on in (True, False)} <= reached, reached
+    assert {"apart", "touch", "end", "inside", "overlap", ("zeros", 0),
+            ("zeros", 1), ("zeros", 2)} <= reached, reached
+
+
+def _coplanar_pair(rng):
+    """2-D Points of a triangle pair on a small grid, b's own vertices
+    moved by a random offset, as a list and two index triples sharing
+    none, one or two indices, each triangle nondegenerate; now and then
+    a bowtie, b the point reflection of a through their shared vertex,
+    which meets a there alone but leaves every edge line with a vertex
+    on it."""
+    while True:
+        off = [rng.randint(-4, 4) for _ in range(2)]
+        pts = [Point([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                      + (k > 2) * off[i] for i in range(2)])
+               for k in range(6)]
+        shared = rng.choice((0, 0, 1, 1, 2, "bowtie"))
+        a = [0, 1, 2]
+        if shared == "bowtie":
+            pts[3:5] = [pts[0].scale(2) - p for p in pts[1:3]]
+            b = [0, 3, 4]
+        else:
+            b = rng.sample(a, shared) + [3, 4, 5][:3 - shared]
+        rng.shuffle(a)
+        rng.shuffle(b)
+        if all(orient2d(*(pts[v] for v in t)) for t in (a, b)):
+            return pts, tuple(a), tuple(b)
+
+
+def _first_separating_edge(pts, tri_a, tri_b):
+    """The first edge, of a's then b's, whose line has every vertex of
+    the other triangle but the edge's own ends strictly on the side away
+    from its own triangle, as (0 or 1, edge); None when none does."""
+    for side, (tri, other) in enumerate(((tri_a, tri_b), (tri_b, tri_a))):
+        for e in range(3):
+            u, v, w = tri[e], tri[(e + 1) % 3], tri[(e + 2) % 3]
+            turn = orient2d(pts[u], pts[v], pts[w])
+            if all(orient2d(pts[u], pts[v], pts[x]) * turn < 0
+                   for x in other if x not in (u, v)):
+                return side, e
+    return None
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32))
+def test_coplanar_edge_exit_matches_full_test(seed):
+    # coplanar triangle pairs of R^3 from a small grid of a plane mapped
+    # in by an integer affine map, sharing no vertex, one or an edge:
+    # the test with its separating-edge exits gives the full test's
+    # verdict, and takes the signs only up to the first separating
+    # edge, of a's and then b's, or all twenty when none separates.
+    # Each of the six exits and the fallback, with both verdicts, are
+    # reached: pairs are drawn until they are, at least 300.
+    import plspan.mesh as mesh_mod
+    from oracles import coplanar_contact_full
+    rng = random.Random(seed)
+    signs = []
+    orient = mesh_mod.orient2d_h
+    reached = set()
+    exits = {(side, e) for side in (0, 1) for e in range(3)} \
+        | {("fallback", True), ("fallback", False)}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mesh_mod, "orient2d_h",
+                   lambda *q: signs.append(1) or orient(*q))
+        for trial in range(4000):
+            if trial >= 300 and exits <= reached:
+                break
+            pts, tri_a, tri_b = _coplanar_pair(rng)
+            while True:
+                lin = [[rng.randint(-2, 2) for _ in range(2)]
+                       for _ in range(3)]
+                if int_rank(lin) == 2:
+                    break
+            shift = [Fraction(rng.randint(-3, 3), 2) for _ in range(3)]
+            hom = [homogeneous(Point([r[0] * p[0] + r[1] * p[1] + t
+                                      for r, t in zip(lin, shift)]))
+                   for p in pts]
+            shared = set(tri_a) & set(tri_b)
+            axes = mesh_mod._plane_axes(
+                [mesh_mod._plane_3d(*(hom[v] for v in tri_a))], 3)
+            signs.clear()
+            got = mesh_mod._coplanar_contact_clean(hom, axes, tri_a, tri_b,
+                                                   shared)
+            assert got == coplanar_contact_full(hom, axes, tri_a, tri_b,
+                                                shared), (pts, tri_a, tri_b)
+            if len(shared) == 2:
+                continue
+            edge = _first_separating_edge(pts, tri_a, tri_b)
+            if edge is None:
+                assert len(signs) == 20, (pts, tri_a, tri_b)
+                reached.add(("fallback", got))
+            else:
+                side, e = edge
+                assert got and len(signs) == 3 * e + 4 + 10 * side, \
+                    (pts, tri_a, tri_b, edge)
+                reached.add(edge)
+    assert exits <= reached, reached
 
 
 def test_check_embedded_names_the_first_degenerate_triangle():
@@ -1466,12 +1692,12 @@ def test_check_embedded_r4_r5_matches_oracle(monkeypatch):
     # edge, and in the hull test affinely independent vertices, the
     # signs of a single affine relation (six vertices spanning a 4-flat,
     # five spanning a 3-flat) and six vertices in a 3-flat (the
-    # crossing-line test); then the LP.  No pair sharing an edge reaches
+    # crossing-plane kernel); then the LP.  No pair sharing an edge reaches
     # the hull test (_record_pair_tests).
     import plspan.mesh as mesh_mod
     calls, watch = _spy_pair_tests(monkeypatch, mesh_mod, (
         "_coplanar_contact_clean", "_hull_contact_clean",
-        "_crossing_planes_contact_3d", "simplex_intersect"))
+        "_tri_pair_meets_3d", "simplex_intersect"))
     reached = set()
     relation = mesh_mod._relation_clean
 
@@ -1511,7 +1737,7 @@ def test_check_embedded_r4_r5_matches_oracle(monkeypatch):
                        ("_coplanar_contact_clean", 1),
                        ("_coplanar_contact_clean", 2),
                        ("independent", 0), ("independent", 1),
-                       ("_crossing_planes_contact_3d", 0),
+                       ("_tri_pair_meets_3d", 0),
                        ("_relation_clean", 0),
                        ("_relation_clean", 1)}, reached
     assert any(name == "simplex_intersect" for name, _ in reached)
@@ -1773,8 +1999,8 @@ def test_simplex_pair_rule_matches_simplex_intersect(seed):
     for sizes in ((2, 2), (2, 3)):
         assert {(sizes, (1, True)), (sizes, (1, False)), (sizes, "open")} \
             <= reached, reached
-    # two triangles with six vertices in a 3-flat go to the crossing-line
-    # test on three pivot axes and the weight, and it decides them; in a
+    # two triangles with six vertices in a 3-flat go to the crossing-plane
+    # kernel on three pivot axes and the weight, and it decides them; in a
     # flat with constant coordinates outside axes, the weight column is
     # a multiple of the first of them, whichever pivot that is
     for dim in (4, 5):
