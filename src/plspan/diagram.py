@@ -175,16 +175,16 @@ def find_general_position(poly: ClosedPolygon, seed: int = 0,
     raise AssertionError("no generic projection found within budget")
 
 
-def project_polygon(poly: ClosedPolygon, seed: int = 0,
-                    budget: int = 1000) -> Diagram:
+def project_polygon(poly: ClosedPolygon, seed: int = 0) -> Diagram:
     """Diagram of the polygon under a generic projection.
 
-    The slopes, shadow and crossings are find_general_position's.  A
-    corner stop's point is poly's own form; a strand's point at a
-    crossing is cut from its edge's corner forms at the crossing's
-    parameter, and the over strand is the one whose point is higher.
+    The slopes, shadow and crossings are find_general_position's, on
+    its default budget of 1000 slope pairs.  A corner stop's point is
+    poly's own form; a strand's point at a crossing is cut from its
+    edge's corner forms at the crossing's parameter, and the over strand
+    is the one whose point is higher.
     """
-    slopes, shadow, hits = find_general_position(poly, seed, budget)
+    slopes, shadow, hits = find_general_position(poly, seed)
     hom = poly.hom
     n = len(shadow)
 

@@ -17,16 +17,19 @@ _shear with its inverse _lift) and from text (_ratio, which reads plain
 Every pairwise test takes its candidate pairs from one sweep,
 overlapping_pairs, over bounding boxes on exact integer keys
 (key_boxes).  Planar segment pairs have one test, seg_intersect_2d on
-forms, and seg_pair_clear_h is its yes/no view; triangle pairs of R^3
-in crossing planes have one too, _tri_pair_meets_3d, two orientation
-determinants on the signed minors of _plane_3d.  There is one
-elimination loop, the fraction-free _bareiss: ranks and axes take its
-forward pass, rref (its rational view) and int_nullspace (a primitive
-integer kernel basis) its Gauss-Jordan pass.  solution_set reads the
-solutions of a linear system off rref's result.  Whether up to five
-rows are independent is asked of one maximal minor first (independent,
-by _lead_minor's straight-line expansion): a nonzero one answers, and
-only a zero one reaches the elimination.
+forms, and seg_pair_clear_h is its yes/no view; triangle pairs of R^3 in
+crossing planes have one too, _tri_pair_meets_3d, two orientation
+determinants on the signed minors of _plane_3d.  The ear test of
+earclip_2d takes orientation signs alone: on a simple ring an ear whose
+closed triangle holds no other vertex has a clear diagonal, so no
+segment pair is tested.  There is one elimination loop, the
+fraction-free _bareiss: ranks and axes take its forward pass, rref (its
+rational view) and int_nullspace (a primitive integer kernel basis) its
+Gauss-Jordan pass.  solution_set reads the solutions of a linear system
+off rref's result.  Whether up to five rows are independent is asked of
+one maximal minor first (independent, by _lead_minor's straight-line
+expansion): a nonzero one answers, and only a zero one reaches the
+elimination.
 """
 
 from __future__ import annotations
@@ -811,12 +814,18 @@ def earclip_2d(hom) -> list[tuple[int, int, int]]:
     """Triangulate a simple planar polygon without new vertices.
 
     hom holds the corners' integer forms (x w, y w, w).  Returns
-    len(hom)-2 index triples.  The ear test is exact and deliberately
-    strict: a corner is clipped only when it turns the polygon's way, no
-    other active vertex lies in the closed candidate triangle, and the
-    cut diagonal crosses no active edge.  The last condition matters: an
-    edge can dip through the candidate triangle without putting either
-    of its endpoints inside it.
+    len(hom)-2 index triples.  There is one exact ear test: a corner b,
+    between a and c on the ring, is clipped when it turns the ring's way
+    and no other active vertex lies in the closed triangle abc.  On a
+    simple ring that implies the diagonal ac meets no ring edge but at
+    its ends.  Let an edge e meet ac at a point other than a shared end,
+    with neither end of e in the closed triangle.  If e lies on the line
+    ac, it holds a or c in its interior; if not, it crosses to b's side
+    of ac and leaves the closed triangle through ab or bc, so it crosses
+    one of them or holds a, b or c in its interior.  Either makes the
+    ring non-simple.  So clipping keeps the ring simple, and a non-simple
+    ring is refused here ("no ear found", "final triangle degenerate")
+    or by the certificate of the disk its ears make.
     """
     n = len(hom)
     if n < 3:
@@ -833,7 +842,6 @@ def earclip_2d(hom) -> list[tuple[int, int, int]]:
     scan_from = 0
     while len(ring) > 3:
         m = len(ring)
-        clipped = False
         for off in range(m):
             i = (scan_from + off) % m
             ia, ib, ic = ring[(i - 1) % m], ring[i], ring[(i + 1) % m]
@@ -843,14 +851,11 @@ def earclip_2d(hom) -> list[tuple[int, int, int]]:
             if any(_in_closed_tri(hom[j], ha, hb, hc, turn)
                    for j in ring if j not in (ia, ib, ic)):
                 continue
-            if not _diagonal_clear(hom, ring, ia, ic):
-                continue
             tris.append((ia, ib, ic))
             ring.pop(i)
             scan_from = (i - 1) % len(ring)
-            clipped = True
             break
-        if not clipped:
+        else:
             raise ValueError("no ear found; polygon is not simple")
     a, b, c = ring
     if orient2d_h(hom[a], hom[b], hom[c]) != turn:
@@ -863,10 +868,3 @@ def _in_closed_tri(p, a, b, c, turn) -> bool:
     return (orient2d_h(a, b, p) * turn >= 0
             and orient2d_h(b, c, p) * turn >= 0
             and orient2d_h(c, a, p) * turn >= 0)
-
-
-def _diagonal_clear(hom, ring, ia, ic) -> bool:
-    # the cut (ia, ic) may touch ring edges only at shared endpoints
-    m = len(ring)
-    return all(seg_pair_clear_h(hom, ia, ic, ring[k], ring[(k + 1) % m])
-               for k in range(m))

@@ -17,7 +17,7 @@ relies on is certified once, by mesh.certify, on the finished mesh.
 
 from __future__ import annotations
 
-from .diagram import WalkNode
+from .diagram import WalkNode, project_polygon
 from .geom import (
     ONE,
     Rat,
@@ -417,8 +417,6 @@ def spanning_surface_r3(poly: ClosedPolygon, seed: int = 0,
 def _construct_r3(poly: ClosedPolygon, seed: int, rule: str):
     """The construction half of spanning_surface_r3: the uncertified mesh
     in poly's frame, and the report of its piece counts."""
-    from .diagram import project_polygon
-
     dia = project_polygon(poly, seed=seed)
     # the circuits do not depend on the mark offset, so smoothing at a
     # smaller one cannot mend a failed smoothing

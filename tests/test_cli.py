@@ -12,7 +12,7 @@ import plspan.mesh
 import plspan.otherdims
 from plspan.cli import main
 from plspan.geom import Point
-from plspan.mesh import TriMesh
+from plspan.mesh import CertificateError, TriMesh
 from plspan.polygon import (
     ClosedPolygon,
     gen_planar_ngon,
@@ -110,6 +110,23 @@ def test_span_rejects_bowtie_up_front(tmp_path, dim, strategy):
         "2, %r)" % Point([2, 2] + pad)
     assert rep["certificates"] == {}
     assert rep["timings"]["construct"] < 1
+
+
+def test_non_simple_ring_with_ears_is_refused(tmp_path):
+    # edges 0 and 3 of this hexagon cross, yet every corner the ear rule
+    # clips has an empty closed triangle: the ears make n - 2 triangles,
+    # the certificate of their disk refuses them, and span refuses the
+    # polygon before any ear
+    hexagon = ClosedPolygon([Point(p) for p in (
+        (6, "5/2"), (1, 4), (5, "9/2"), (3, "7/2"), (2, "3/2"), (2, 5))])
+    assert len(plspan.geom.earclip_2d(hexagon.hom)) == 4
+    with pytest.raises(CertificateError, match="self-intersection"):
+        plspan.otherdims.earclip_2d(hexagon)
+    poly, report = tmp_path / "hex.poly", tmp_path / "hex.json"
+    write_polygon(hexagon, str(poly))
+    assert run("span", poly, "--strategy", "earclip",
+               "--report", report) == 1
+    assert load(report)["error_kind"] == "polygon-not-embedded"
 
 
 def test_span_auto_dispatch(tmp_path):

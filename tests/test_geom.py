@@ -36,6 +36,9 @@ from plspan.geom import (
     solution_set,
     sweep_axis,
 )
+from plspan.mesh import CertificateError
+from plspan.otherdims import earclip_2d as earclip_disk
+from plspan.polygon import ClosedPolygon, validate_embedded
 
 from oracles import (
     AffineMap,
@@ -1051,9 +1054,12 @@ def test_seg_intersect_2d_kind_is_invariant(coords, idx):
     assert seg_kind(flipped, a, b, c, d) == kind
 
 
-def _earclip_oracle(points):
-    """earclip_2d with every ear test made on the rationals: orient2d
-    signs and seg_intersect_2d contacts."""
+def _earclip_oracle(points, collinear=None):
+    """earclip_2d's ear rule with the diagonal test a simple ring
+    implies made explicit: every ear test made on the rationals, orient2d
+    signs, and each cut diagonal tested against every ring edge by
+    seg_intersect_2d.  Each ring edge on the diagonal's line that the
+    diagonal meets is appended to collinear."""
     n = len(points)
     area2 = sum(points[i][0] * points[(i + 1) % n][1]
                 - points[(i + 1) % n][0] * points[i][1] for i in range(n))
@@ -1073,6 +1079,10 @@ def _earclip_oracle(points):
                                    points[v])
             if hit.kind == "empty":
                 continue
+            if collinear is not None and orient2d(
+                    points[ia], points[ic], points[u]) == 0 == orient2d(
+                    points[ia], points[ic], points[v]):
+                collinear.append((ia, ic, u, v))
             if hit.kind == "overlap":
                 return False
             if u in (ia, ic) or v in (ia, ic):
@@ -1111,13 +1121,6 @@ def _earclip_oracle(points):
     return tris
 
 
-def _outcome(fn, pts):
-    try:
-        return fn(pts)
-    except ValueError as exc:
-        return str(exc)
-
-
 def test_earclip_refuses_bad_input_by_message():
     square = [homogeneous(Point(xy)) for xy in
               ((0, 0), ("1/2", 0), ("1/2", "1/3"), (0, "1/3"))]
@@ -1132,18 +1135,17 @@ def test_earclip_refuses_bad_input_by_message():
             earclip_2d(hom)
 
 
-def test_earclip_integer_ear_test_matches_rational_oracle(monkeypatch):
+def test_earclip_integer_ear_test_matches_rational_oracle():
     # grid polygons ordered by angle around a point, so most are simple
     # and many have collinear runs, repeated directions and vertices
-    # touching edges; a shuffled order gives non-simple ones too.  The
-    # corpus must reach diagonals collinear with an edge.
-    import plspan.geom as geom_mod
-    collinear = []
-    cmp = geom_mod._coord_cmp
-    monkeypatch.setattr(geom_mod, "_coord_cmp",
-                        lambda *args: collinear.append(1) or cmp(*args))
+    # touching edges; a shuffled order gives non-simple ones too.  On a
+    # simple ring the ears are the oracle's, whose diagonal test the
+    # corpus must see meet edges on the diagonal's line.  A non-simple
+    # ring is refused by the ear rule or, when its ears still make n - 2
+    # triangles, by the certificate of their disk.
     rng = random.Random(2002)
-    outcomes = set()
+    collinear = []
+    seen = set()
     for trial in range(250):
         n = rng.randint(4, 10)
         cx, cy = rng.randint(0, 6), rng.randint(0, 6)
@@ -1155,11 +1157,21 @@ def test_earclip_integer_ear_test_matches_rational_oracle(monkeypatch):
             rng.shuffle(pts)
         if any(pts[i] == pts[(i + 1) % n] for i in range(n)):
             continue
-        want = _outcome(_earclip_oracle, pts)
-        hom = [homogeneous(p) for p in pts]
-        assert _outcome(earclip_2d, hom) == want, (trial, pts)
-        outcomes.add(type(want))
-    assert outcomes == {list, str}
+        poly = ClosedPolygon(pts)
+        if validate_embedded(poly) is None:
+            want = _earclip_oracle(pts, collinear)
+            assert earclip_2d(poly.hom) == want, (trial, pts)
+            seen.add("simple")
+            continue
+        try:
+            earclip_2d(poly.hom)
+        except ValueError:
+            seen.add("refused by the ear rule")
+            continue
+        with pytest.raises(CertificateError):
+            earclip_disk(poly)
+        seen.add("refused by the certificate")
+    assert len(seen) == 3, seen
     assert collinear
 
 
