@@ -1,12 +1,22 @@
-"""The pinned output manifest: sha256 digests of what the CLI writes.
+"""The pinned output manifest: what the CLI writes, in two parts.
 
 Each case runs one `plspan` command in a scratch directory, on relative
-file names, and records the digest of the polygon file it starts from,
-of the mesh file it writes (span) and of its JSON report with the
-run-dependent `timings` key removed.
-tests/test_golden.py compares every case against tests/golden.json and
-names the cases whose digests moved, so a change that is meant to keep
-outputs byte-identical shows it, and one that is not lists what moved.
+file names.  The manifest keeps, per case:
+
+- digests: the sha256 of the polygon file it starts from, of the mesh
+  file it writes (span) and of its JSON report with the run-dependent
+  `timings` key removed;
+- invariants: per report, the facts read from it that a mesh change
+  must say it moves (INVARIANTS): n, t, c, the circuit count s,
+  writhe, chi, genus, orientability, the certificate verdicts and the
+  error kind.
+
+tests/test_golden.py compares the two parts apart: it names the cases
+whose invariants moved, and apart from them those whose bytes alone
+moved.  So a change that is meant to keep outputs byte-identical shows
+it, one that changes meshes but not what they are (a flipped diagonal)
+shows up under bytes only, and one that changes what they are (a lost
+triangle) under invariants.
 
 Rewrite the manifest, after a deliberate output change, with
 
@@ -20,10 +30,14 @@ import tempfile
 from pathlib import Path
 
 from plspan.cli import main
-from plspan.polygon import (gen_random, gen_torus_stick, gen_twist_writhe,
-                            write_polygon)
+from plspan.polygon import (gen_planar_ngon, gen_random, gen_torus_stick,
+                            gen_twist_writhe, write_polygon)
 
 MANIFEST = Path(__file__).with_name("golden.json")
+
+# the report keys of the invariant part; each report keeps those it has
+INVARIANTS = ("n", "t", "c", "circuits", "writhe", "chi", "genus",
+              "orientable", "certificates", "error_kind")
 
 
 def _families():
@@ -45,6 +59,12 @@ def cases():
     bounds = ("bounds", ["bounds", "p.poly", "--report", "bounds.json"])
     out += [(name, poly, [span, verify, bounds])
             for name, poly in _families()]
+    # the exact circle: ear-clipped planar n-gons, and flat ones of R^3
+    # on a circle of radius 4 through the R^3 span
+    out += [("planar_n%d" % n, gen_planar_ngon(n), [span])
+            for n in range(3, 13)]
+    out += [("planar3_r4_n%d" % n, gen_planar_ngon(n, dim=3, radius=4),
+             [span]) for n in (3, 5, 7)]
     for strategy, dim in (("immersed4", 4), ("cone", 5)):
         out += [("%s_n%d_s%d" % (strategy, n, s), gen_random(n, dim, seed=s),
                  [(span[0], span[1] + ["--strategy", strategy])])
@@ -59,35 +79,49 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_case(poly, commands) -> dict:
-    """{file: digest} of the polygon file and of the files the commands
-    write; reports lose their timings first."""
+def run_case(poly, commands) -> tuple[dict, dict]:
+    """({file: digest}, {tag: invariants}) of the polygon file and of the
+    files the commands write; reports lose their timings first."""
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
             write_polygon(poly, "p.poly")
-            out = {"p.poly": _sha(Path("p.poly").read_bytes())}
+            digests = {"p.poly": _sha(Path("p.poly").read_bytes())}
+            invariants = {}
             for tag, argv in commands:
-                main(argv)
+                try:
+                    main(argv)
+                except SystemExit as exc:
+                    # a command refused outright (verify of a mesh that a
+                    # failed span never wrote) writes no report
+                    invariants[tag] = {"exit": str(exc.code)}
+                    continue
                 with open(tag + ".json") as fh:
                     report = json.load(fh)
                 report.pop("timings", None)
-                out[tag + ".json"] = _sha(json.dumps(
+                digests[tag + ".json"] = _sha(json.dumps(
                     report, sort_keys=True).encode())
+                invariants[tag] = {key: report[key] for key in INVARIANTS
+                                   if key in report}
                 if tag == "span" and os.path.exists("m.off"):
-                    out["m.off"] = _sha(Path("m.off").read_bytes())
+                    digests["m.off"] = _sha(Path("m.off").read_bytes())
         finally:
             os.chdir(here)
+    return digests, invariants
+
+
+def manifest() -> dict:
+    """{"digests": {case: ...}, "invariants": {case: ...}} of every
+    case."""
+    out = {"digests": {}, "invariants": {}}
+    for name, poly, commands in cases():
+        out["digests"][name], out["invariants"][name] = run_case(
+            poly, commands)
     return out
 
 
-def digests() -> dict:
-    return {name: run_case(poly, commands)
-            for name, poly, commands in cases()}
-
-
 if __name__ == "__main__":
-    MANIFEST.write_text(json.dumps(digests(), indent=1, sort_keys=True)
+    MANIFEST.write_text(json.dumps(manifest(), indent=1, sort_keys=True)
                         + "\n")
     print("wrote %s" % MANIFEST)
