@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import random
 
-from .geom import (Rat, ZERO, _between, _primitive, _shear, key_boxes,
-                   overlapping_pairs, seg_intersect_2d, sign)
+from .geom import (Rat, ZERO, _between, _line_2d, _primitive, _shear,
+                   key_boxes, overlapping_pairs, seg_intersect_2d, sign)
 from .polygon import ClosedPolygon
 
 
@@ -72,17 +72,6 @@ class Diagram:
         return sum(c.sign for c in self.crossings)
 
 
-def _cross_h(p, q) -> tuple:
-    """Cross product of two homogeneous planar points: the line through
-    them, whose dot product with a third point r is det(p, q, r)."""
-    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2],
-            p[0] * q[1] - p[1] * q[0])
-
-
-def _dot(x, y):
-    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
-
-
 def _crossing_h(a, b, c, d):
     """(t, u, point, sign) of the proper crossing of segments [a, b] and
     [c, d], given in homogeneous form: no endpoint lies on the other
@@ -93,9 +82,12 @@ def _crossing_h(a, b, c, d):
     O(c,d,b) w_a) along [a, b], and u likewise along [c, d].  sign is
     that of (b - a) x (d - c), which is O(a,b,d)'s: the crossing puts c
     and d on opposite sides of [a, b]."""
-    cd = _cross_h(c, d)
-    ab = _cross_h(a, b)
-    oa, ob, oc, od = _dot(cd, a), _dot(cd, b), _dot(ab, c), _dot(ab, d)
+    l0, l1, l2 = _line_2d(c, d)
+    m0, m1, m2 = _line_2d(a, b)
+    oa = l0 * a[0] + l1 * a[1] + l2 * a[2]
+    ob = l0 * b[0] + l1 * b[1] + l2 * b[2]
+    oc = m0 * c[0] + m1 * c[1] + m2 * c[2]
+    od = m0 * d[0] + m1 * d[1] + m2 * d[2]
     x, y, w = (oa * p - ob * q for p, q in zip(b, a))
     t = Rat(oa * b[2], oa * b[2] - ob * a[2])
     u = Rat(oc * d[2], oc * d[2] - od * c[2])

@@ -26,10 +26,13 @@ segment pair is tested.  There is one elimination loop, the
 fraction-free _bareiss: ranks and axes take its forward pass, rref (its
 rational view) and int_nullspace (a primitive integer kernel basis) its
 Gauss-Jordan pass.  solution_set reads the solutions of a linear system
-off rref's result.  Whether up to five rows are independent is asked of
-one maximal minor first (independent, by _lead_minor's straight-line
-expansion): a nonzero one answers, and only a zero one reaches the
-elimination.
+off rref's result.  Every straight-line determinant comes from one
+cofactor family: _line_2d, _plane_3d and _hyperplane_4d give the
+functional c of k - 1 rows with c . x = det[x; rows], for k = 3, 4, 5.
+Whether up to five rows are independent is asked of one maximal minor
+first (independent, by _lead_minor, the first row dotted with the
+cofactors of the others): a nonzero one answers, and only a zero one
+reaches the elimination.
 """
 
 from __future__ import annotations
@@ -334,63 +337,33 @@ def int_rank(rows) -> int:
 
 def _lead_minor(rows) -> int:
     """The maximal minor of k <= 5 integer rows of length k or more on
-    their first k - 1 columns and their last, as one straight-line
-    Laplace expansion; 0, which proves nothing, for other rows.  On
-    forms the last is the weight column, never zero, and the first are
-    the coordinates that a polygon lifted into a higher space keeps,
-    while its last coordinates are 0."""
+    their first k - 1 columns and their last: the first row dotted with
+    the cofactors of the others (_line_2d, _plane_3d, _hyperplane_4d);
+    0, which proves nothing, for other rows.  On forms the last is the
+    weight column, never zero, and the first are the coordinates that a
+    polygon lifted into a higher space keeps, while its last
+    coordinates are 0."""
     k = len(rows)
     if k > min(5, len(rows[0])):
         return 0
     if k == 1:
         return rows[0][-1]
-    # the rows are read in place: column j < k - 1 of the minor is their
-    # entry j, and column k - 1 their last
-    d, e = rows[-2], rows[-1]
-    if k == 2:
-        return d[0] * e[-1] - d[-1] * e[0]
+    # column j < k - 1 of the minor is the rows' entry j, and column
+    # k - 1 their last; the rows are read in place, but for k = 4 the
+    # cofactor rows are taken as 4-tuples for _plane_3d's unpacking
     a = rows[0]
-    d0, d1, e0, e1 = d[0], d[1], e[0], e[1]
+    if k == 2:
+        b = rows[1]
+        return a[0] * b[-1] - a[-1] * b[0]
     if k == 3:
-        a0, a1, a2, d2, e2 = a[0], a[1], a[-1], d[-1], e[-1]
-        return (a0 * (d1 * e2 - d2 * e1) - a1 * (d0 * e2 - d2 * e0)
-                + a2 * (d0 * e1 - d1 * e0))
-    # the 2x2 minors m_ij of the last two rows, on columns i < j
-    d2, e2 = d[2], e[2]
-    d3, e3 = (d[-1], e[-1]) if k == 4 else (d[3], e[3])
-    m01, m02, m03 = d0 * e1 - d1 * e0, d0 * e2 - d2 * e0, d0 * e3 - d3 * e0
-    m12, m13, m23 = d1 * e2 - d2 * e1, d1 * e3 - d3 * e1, d2 * e3 - d3 * e2
-    b = rows[1]
+        c0, c1, c2 = _line_2d(rows[1], rows[2])
+        return a[0] * c0 + a[1] * c1 + a[-1] * c2
     if k == 4:
-        a0, a1, a2, a3 = a[0], a[1], a[2], a[-1]
-        b0, b1, b2, b3 = b[0], b[1], b[2], b[-1]
-        return ((a0 * b1 - a1 * b0) * m23 - (a0 * b2 - a2 * b0) * m13
-                + (a0 * b3 - a3 * b0) * m12 + (a1 * b2 - a2 * b1) * m03
-                - (a1 * b3 - a3 * b1) * m02 + (a2 * b3 - a3 * b2) * m01)
-    d4, e4 = d[-1], e[-1]
-    m04, m14 = d0 * e4 - d4 * e0, d1 * e4 - d4 * e1
-    m24, m34 = d2 * e4 - d4 * e2, d3 * e4 - d4 * e3
-    # the 3x3 minors t_ijl of the last three rows, then the first two
-    # rows' 2x2 minors against them
-    c = rows[2]
-    a0, a1, a2, a3, a4 = a[0], a[1], a[2], a[3], a[-1]
-    b0, b1, b2, b3, b4 = b[0], b[1], b[2], b[3], b[-1]
-    c0, c1, c2, c3, c4 = c[0], c[1], c[2], c[3], c[-1]
-    t012 = c0 * m12 - c1 * m02 + c2 * m01
-    t013 = c0 * m13 - c1 * m03 + c3 * m01
-    t014 = c0 * m14 - c1 * m04 + c4 * m01
-    t023 = c0 * m23 - c2 * m03 + c3 * m02
-    t024 = c0 * m24 - c2 * m04 + c4 * m02
-    t034 = c0 * m34 - c3 * m04 + c4 * m03
-    t123 = c1 * m23 - c2 * m13 + c3 * m12
-    t124 = c1 * m24 - c2 * m14 + c4 * m12
-    t134 = c1 * m34 - c3 * m14 + c4 * m13
-    t234 = c2 * m34 - c3 * m24 + c4 * m23
-    return ((a0 * b1 - a1 * b0) * t234 - (a0 * b2 - a2 * b0) * t134
-            + (a0 * b3 - a3 * b0) * t124 - (a0 * b4 - a4 * b0) * t123
-            + (a1 * b2 - a2 * b1) * t034 - (a1 * b3 - a3 * b1) * t024
-            + (a1 * b4 - a4 * b1) * t023 + (a2 * b3 - a3 * b2) * t014
-            - (a2 * b4 - a4 * b2) * t013 + (a3 * b4 - a4 * b3) * t012)
+        c0, c1, c2, c3 = _plane_3d(*[(r[0], r[1], r[2], r[-1])
+                                     for r in rows[1:]])
+        return a[0] * c0 + a[1] * c1 + a[2] * c2 + a[-1] * c3
+    c0, c1, c2, c3, c4 = _hyperplane_4d(*rows[1:])
+    return a[0] * c0 + a[1] * c1 + a[2] * c2 + a[3] * c3 + a[-1] * c4
 
 
 def independent(rows) -> bool:
@@ -427,6 +400,15 @@ def int_nullspace(rows) -> list[tuple]:
     return basis
 
 
+def _line_2d(p, q) -> tuple:
+    """Integer functional c with c . x = det[x; p; q], for homogeneous
+    points p, q of the plane: its entries are the signed 2x2 minors of
+    the rows p, q, read on their entries 0, 1 and last.  It vanishes on
+    their line, and it is zero exactly when p and q are one point."""
+    p0, p1, p2, q0, q1, q2 = p[0], p[1], p[-1], q[0], q[1], q[-1]
+    return (p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0)
+
+
 def orient2d_h(a, b, c) -> int:
     """orient2d of planar points in homogeneous form (x w, y w, w)."""
     return sign(a[0] * (b[1] * c[2] - b[2] * c[1])
@@ -448,6 +430,39 @@ def _plane_3d(p, q, r) -> tuple:
             p2 * m03 - p0 * m23 - p3 * m02,
             p0 * m13 - p1 * m03 + p3 * m01,
             p1 * m02 - p0 * m12 - p2 * m01)
+
+
+def _hyperplane_4d(p, q, r, s) -> tuple:
+    """Integer functional c with c . x = det[x; p; q; r; s], for
+    homogeneous points p, q, r, s of R^4: its entries are the signed 4x4
+    minors of the rows p, q, r, s, read on their entries 0 to 3 and
+    last.  It vanishes on their affine hull, and it is zero exactly when
+    the four points are affinely dependent."""
+    # the 2x2 minors m_ij of r and s on columns i < j, then the 3x3
+    # minors t_ijl of q, r and s
+    r0, r1, r2, r3, r4 = r[0], r[1], r[2], r[3], r[-1]
+    s0, s1, s2, s3, s4 = s[0], s[1], s[2], s[3], s[-1]
+    m01, m02, m03 = r0 * s1 - r1 * s0, r0 * s2 - r2 * s0, r0 * s3 - r3 * s0
+    m04, m12, m13 = r0 * s4 - r4 * s0, r1 * s2 - r2 * s1, r1 * s3 - r3 * s1
+    m14, m23, m24 = r1 * s4 - r4 * s1, r2 * s3 - r3 * s2, r2 * s4 - r4 * s2
+    m34 = r3 * s4 - r4 * s3
+    q0, q1, q2, q3, q4 = q[0], q[1], q[2], q[3], q[-1]
+    t012 = q0 * m12 - q1 * m02 + q2 * m01
+    t013 = q0 * m13 - q1 * m03 + q3 * m01
+    t014 = q0 * m14 - q1 * m04 + q4 * m01
+    t023 = q0 * m23 - q2 * m03 + q3 * m02
+    t024 = q0 * m24 - q2 * m04 + q4 * m02
+    t034 = q0 * m34 - q3 * m04 + q4 * m03
+    t123 = q1 * m23 - q2 * m13 + q3 * m12
+    t124 = q1 * m24 - q2 * m14 + q4 * m12
+    t134 = q1 * m34 - q3 * m14 + q4 * m13
+    t234 = q2 * m34 - q3 * m24 + q4 * m23
+    p0, p1, p2, p3, p4 = p[0], p[1], p[2], p[3], p[-1]
+    return (p1 * t234 - p2 * t134 + p3 * t124 - p4 * t123,
+            p2 * t034 - p0 * t234 - p3 * t024 + p4 * t023,
+            p0 * t134 - p1 * t034 + p3 * t014 - p4 * t013,
+            p1 * t024 - p0 * t124 - p2 * t014 + p4 * t012,
+            p0 * t123 - p1 * t023 + p2 * t013 - p3 * t012)
 
 
 def _lone_vertex(vals) -> tuple[int, bool]:

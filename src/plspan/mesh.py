@@ -306,38 +306,6 @@ class EmbeddingViolation:
                                                    self.point)
 
 
-def _hyperplane_4d(p, q, r, s) -> tuple:
-    """Integer functional c with c . x = det[p; q; r; s; x], for
-    homogeneous points p, q, r, s of R^4: its entries are the signed 4x4
-    minors of the rows p, q, r, s.  It vanishes on their affine hull,
-    and it is zero exactly when the four points are affinely dependent."""
-    # the 2x2 minors m_ij of r and s on columns i < j, then the 3x3
-    # minors t_ijl of q, r and s
-    r0, r1, r2, r3, r4 = r
-    s0, s1, s2, s3, s4 = s
-    m01, m02, m03 = r0 * s1 - r1 * s0, r0 * s2 - r2 * s0, r0 * s3 - r3 * s0
-    m04, m12, m13 = r0 * s4 - r4 * s0, r1 * s2 - r2 * s1, r1 * s3 - r3 * s1
-    m14, m23, m24 = r1 * s4 - r4 * s1, r2 * s3 - r3 * s2, r2 * s4 - r4 * s2
-    m34 = r3 * s4 - r4 * s3
-    q0, q1, q2, q3, q4 = q
-    t012 = q0 * m12 - q1 * m02 + q2 * m01
-    t013 = q0 * m13 - q1 * m03 + q3 * m01
-    t014 = q0 * m14 - q1 * m04 + q4 * m01
-    t023 = q0 * m23 - q2 * m03 + q3 * m02
-    t024 = q0 * m24 - q2 * m04 + q4 * m02
-    t034 = q0 * m34 - q3 * m04 + q4 * m03
-    t123 = q1 * m23 - q2 * m13 + q3 * m12
-    t124 = q1 * m24 - q2 * m14 + q4 * m12
-    t134 = q1 * m34 - q3 * m14 + q4 * m13
-    t234 = q2 * m34 - q3 * m24 + q4 * m23
-    p0, p1, p2, p3, p4 = p
-    return (p1 * t234 - p2 * t134 + p3 * t124 - p4 * t123,
-            p2 * t034 - p0 * t234 - p3 * t024 + p4 * t023,
-            p0 * t134 - p1 * t034 + p3 * t014 - p4 * t013,
-            p1 * t024 - p0 * t124 - p2 * t014 + p4 * t012,
-            p0 * t123 - p1 * t023 + p2 * t013 - p3 * t012)
-
-
 def _tri_planes(hom, tri) -> list[tuple]:
     """d - 2 integer functionals h vanishing on the triangle's plane, in
     R^3 _plane_3d, in R^2 none when geom.independent says so; a
@@ -467,10 +435,11 @@ def _hull_contact_clean(hom, a, b, shared) -> bool:
 
     True when they meet in at most their shared vertex.  In R^3 at most
     four rows are independent iff one determinant is nonzero, the
-    _plane_3d minors of three or their value at the fourth, which
+    _plane_3d cofactors of three or their value at the fourth, which
     clears such a pair with no elimination.  In R^d, d >= 4, one
-    nonzero maximal minor of up to five rows (geom._lead_minor) does
-    the same.  Else one forward elimination of their forms decides the
+    nonzero maximal minor of up to five rows does the same
+    (geom._lead_minor, the first row dotted with the geom cofactors
+    _line_2d, _plane_3d or _hyperplane_4d of the others).  Else one forward elimination of their forms decides the
     rest.  Affinely independent vertices make both faces of one
     simplex, meeting in the face of their common vertices.  A single
     affine relation decides by its signs (_relation_clean): the one

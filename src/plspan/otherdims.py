@@ -23,7 +23,9 @@ from .geom import (
     ZERO,
     _between,
     _form,
+    _hyperplane_4d,
     _lift,
+    _line_2d,
     _primitive,
     _shear,
     earclip_2d as _earclip_indices,
@@ -33,9 +35,9 @@ from .geom import (
     overlapping_pairs,
     segment_simplex_meet,
 )
-from .mesh import (TriMesh, _boundary_places, _hull_contact_clean,
-                   _hyperplane_4d, _require, certify)
-from .polygon import ClosedPolygon, validate_embedded
+from .mesh import (TriMesh, _boundary_places, _hull_contact_clean, _require,
+                   certify)
+from .polygon import ClosedPolygon, _circle_forms, validate_embedded
 from .seifert import SMOOTHING_RULES, _add_wall, _construct_r3
 
 
@@ -152,8 +154,8 @@ def _flat_meet(forms, cell):
     ('all', None) when every row is 0, so the plane lies in the flat;
     ('line', (r0, r1, r2)) when the rows are multiples of one with
     (r0, r1) != 0; ('point', (X, Y, T)), the point (X / T, Y / T), when
-    the rows have rank 2, (X, Y, T) being the cross product of two
-    independent ones and T != 0; and ('empty', None) otherwise.
+    the rows have rank 2, (X, Y, T) being _line_2d of two independent
+    ones and T != 0; and ('empty', None) otherwise.
     """
     o, u, v = forms
     rows = [row for row in ((sum(map(mul, h, u)), sum(map(mul, h, v)),
@@ -161,18 +163,18 @@ def _flat_meet(forms, cell):
             if any(row)]
     if not rows:
         return ("all", None)
-    (r0, r1, r2), *rest = rows
-    for s0, s1, s2 in rest:
-        x, y, t = r1 * s2 - r2 * s1, r2 * s0 - r0 * s2, r0 * s1 - r1 * s0
+    first, *rest = rows
+    for row in rest:
+        x, y, t = _line_2d(first, row)
         if x or y or t:
             # rank 2 or more: the rows' one common zero (x, y, t), on
             # the plane if t != 0, unless a third row is independent
             if t == 0 or any(p * x + q * y + w * t for p, q, w in rest):
                 return ("empty", None)
             return ("point", (x, y, t))
-    if r0 == r1 == 0:
+    if first[0] == first[1] == 0:
         return ("empty", None)
-    return ("line", (r0, r1, r2))
+    return ("line", first)
 
 
 def immersed_disk_4d(poly: ClosedPolygon, seed: int = 0, budget: int = 60):
@@ -290,21 +292,12 @@ def _place_disk(poly, forms, traces, rng):
         halvings = 0
         while 4 * den > num << 2 * halvings:
             halvings += 1
-        # the vertex at angle theta: the centre plus r (1 - s^2, 2 s) /
-        # (1 + s^2), s = t / D the half-angle tangent on the 2^-14 grid,
-        # over the weight 8 2^halvings (D^2 + t^2), D = 2^14; (-r, 0) at
-        # theta = pi
-        grid, up = 1 << 14, 1 << halvings
-        combos = []
-        for k in range(n):
-            theta = 2 * math.pi * k / n % (2 * math.pi)
-            if abs(theta - math.pi) < 1e-12:
-                combos.append((8 * up, a * up - 8, b * up))
-                continue
-            t = round(math.tan(theta / 2) * grid)
-            w = up * (grid * grid + t * t)
-            combos.append((8 * w, a * w + 8 * (grid * grid - t * t),
-                           b * w + 16 * grid * t))
+        # the vertex at unit-circle form (x, y, w) is the centre (a, b) /
+        # 8 plus r (x, y) / w, over the weight 8 2^halvings w
+        up = 1 << halvings
+        combos = [(8 * up * w, a * up * w + 8 * x, b * up * w + 8 * y)
+                  for x, y, w in _circle_forms(
+                      [2 * math.pi * k / n for k in range(n)], 1 << 14)]
         combos.append((8, a, b))
         *ring, center = [_primitive([w * p + x * q + y * r
                                      for p, q, r in zip(*forms)])

@@ -17,9 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .geom import (
-    ONE,
     Point,
-    ZERO,
     _form,
     _point,
     _primitive,
@@ -166,26 +164,21 @@ def read_polygon(path: str) -> ClosedPolygon:
 # ---------------------------------------------------------------------------
 # exact points on a circle
 
-def _circle_points(angles_rad, radius, denom=1 << 14):
-    """Rational points exactly on the circle of the given rational radius.
-
-    Each requested angle (radians, float guidance only) is snapped to a
-    nearby rational tangent-half-angle t, giving the exact point
-    (r(1-t^2)/(1+t^2), 2rt/(1+t^2)).  Angles equal to pi get the exact
-    point (-r, 0).
-    """
-    radius = rat(radius)
-    pts = []
-    for theta in angles_rad:
+def _circle_forms(angles, denom):
+    """Integer forms (x, y, w) of points exactly on the unit circle, one
+    per angle (radians, float guidance only): the half-angle tangent is
+    snapped to k / D, D = denom, giving (D^2 - k^2, 2 D k, D^2 + k^2).
+    Angles equal to pi get (-1, 0, 1)."""
+    forms = []
+    for theta in angles:
         theta = theta % (2 * math.pi)
         if abs(theta - math.pi) < 1e-12:
-            pts.append((-radius, ZERO))
+            forms.append((-1, 0, 1))
             continue
-        t = Fraction(round(math.tan(theta / 2) * denom), denom)
-        one_pt2 = 1 + t * t
-        pts.append((radius * (1 - t * t) / one_pt2,
-                    radius * 2 * t / one_pt2))
-    return pts
+        k = round(math.tan(theta / 2) * denom)
+        forms.append((denom * denom - k * k, 2 * denom * k,
+                      denom * denom + k * k))
+    return forms
 
 
 def gen_planar_ngon(n: int, dim: int = 2, radius=1) -> ClosedPolygon:
@@ -197,14 +190,14 @@ def gen_planar_ngon(n: int, dim: int = 2, radius=1) -> ClosedPolygon:
         raise ValueError("need n >= 3")
     if dim not in (2, 3):
         raise ValueError("planar generator supports dim 2 or 3")
-    angles = [2 * math.pi * k / n for k in range(n)]
-    pts = _circle_points(angles, radius)
-    if len({p for p in pts}) != n:
+    r = rat(radius)
+    p, q = r.numerator, r.denominator
+    forms = [_primitive((p * x, p * y) + (0,) * (dim - 2) + (q * w,))
+             for x, y, w in _circle_forms(
+                 [2 * math.pi * k / n for k in range(n)], 1 << 14)]
+    if len(set(forms)) != n:
         raise ValueError("angle snapping collided; raise the denominator")
-    verts = []
-    for x, y in pts:
-        verts.append(Point([x, y] if dim == 2 else [x, y, ZERO]))
-    poly = ClosedPolygon(verts)
+    poly = ClosedPolygon(forms)
     if validate_embedded(poly) is not None:
         raise AssertionError("convex circle polygon failed embedding check")
     if poly.zero_turns():
@@ -241,13 +234,14 @@ def gen_torus_stick(m: int) -> ClosedPolygon:
                         (Fraction(1, 8), 1 << 15),
                         (Fraction(-1, 2 * m), 1 << 14),
                         (Fraction(1, 2 * m), 1 << 14)):
+        # tops on the circle of radius 2 at height 1, bottoms on the
+        # unit circle at height -1
+        tops = _circle_forms([2 * delta * j for j in range(m)], denom)
+        bottoms = _circle_forms([2 * delta * j + delta * (1 + bias)
+                                 for j in range(m)], denom)
         verts = []
-        for j in range(m):
-            a = 2 * delta * j
-            xt, yt = _circle_points([a], 2, denom)[0]
-            xb, yb = _circle_points([a + delta * (1 + bias)], 1, denom)[0]
-            verts.append(Point([xt, yt, ONE]))
-            verts.append(Point([xb, yb, -ONE]))
+        for (xt, yt, wt), (xb, yb, wb) in zip(tops, bottoms):
+            verts += [(2 * xt, 2 * yt, wt, wt), (xb, yb, -wb, wb)]
         try:
             poly = ClosedPolygon(verts)
         except ValueError:

@@ -151,11 +151,10 @@ class SmoothedGraph:
     whites maps each crossing to the two vertex pairs joined there.
     """
 
-    __slots__ = ("marked", "rule", "circuits", "whites")
+    __slots__ = ("marked", "circuits", "whites")
 
-    def __init__(self, marked, rule, circuits, whites):
+    def __init__(self, marked, circuits, whites):
         self.marked = marked
-        self.rule = rule
         self.circuits = circuits
         self.whites = whites
 
@@ -264,7 +263,7 @@ def smooth(marked: MarkedDiagram, rule: str = "orientation") -> SmoothedGraph:
             prev, cur = cur, (b if a == prev else a)
         _require(len(circ) >= 3, "circuit of length %d" % len(circ))
         circuits.append(circ)
-    return SmoothedGraph(marked, rule, circuits, whites)
+    return SmoothedGraph(marked, circuits, whites)
 
 
 def assign_levels(g: SmoothedGraph) -> list[int]:

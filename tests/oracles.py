@@ -29,7 +29,7 @@ from plspan.geom import (
 )
 from plspan.mesh import TriMesh, _require, certify
 from plspan.otherdims import _embedded_report
-from plspan.polygon import ClosedPolygon, _circle_points, validate_embedded
+from plspan.polygon import ClosedPolygon, validate_embedded
 
 
 class AffineMap:
@@ -53,6 +53,29 @@ class AffineMap:
             raise ValueError("dimension mismatch")
         return Point(sum(row[j] * p.coords[j] for j in range(self.dim)) + s
                      for row, s in zip(self.matrix, self.shift))
+
+
+def _circle_points(angles_rad, radius, denom=1 << 14):
+    """Rational points exactly on the circle of the given rational radius,
+    the reference for polygon._circle_forms.
+
+    Each requested angle (radians, float guidance only) is snapped to a
+    nearby rational tangent-half-angle t, giving the exact point
+    (r(1-t^2)/(1+t^2), 2rt/(1+t^2)).  Angles equal to pi get the exact
+    point (-r, 0).
+    """
+    radius = rat(radius)
+    pts = []
+    for theta in angles_rad:
+        theta = theta % (2 * math.pi)
+        if abs(theta - math.pi) < 1e-12:
+            pts.append((-radius, ZERO))
+            continue
+        t = Fraction(round(math.tan(theta / 2) * denom), denom)
+        one_pt2 = 1 + t * t
+        pts.append((radius * (1 - t * t) / one_pt2,
+                    radius * 2 * t / one_pt2))
+    return pts
 
 
 def point_of(h) -> Point:
@@ -529,7 +552,7 @@ def place_disk_rational(poly, forms, traces, rng, reached):
     rational, on the flat_meet_rational traces of every join cell: every
     squared distance a Fraction, their least by min, the radius halved
     as a Fraction until 4 r^2 <= clear2, and the ring made by
-    polygon._circle_points.  reached collects the kinds of traces met
+    _circle_points.  reached collects the kinds of traces met
     and the branches taken."""
     n = len(poly)
     angles = [2 * math.pi * k / n for k in range(n)]

@@ -593,13 +593,32 @@ def _plane_triples(draw):
     return p, q, r
 
 
+_BIG = st.integers(-2 ** 60, 2 ** 60)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(3, 5).flatmap(lambda w: st.lists(
+    st.lists(_BIG, min_size=w, max_size=w), min_size=2, max_size=2)),
+    st.lists(_BIG, min_size=3, max_size=3), st.booleans())
+def test_line_2d_is_the_determinant_with_a_third_row(rows, x, repeat):
+    # the signed 2x2 minors of p and q, read on their entries 0, 1 and
+    # last, give det[x; p; q], and vanish when p and q are one row
+    from plspan.geom import _line_2d
+    p, q = rows if not repeat else (rows[0], list(rows[0]))
+    line = _line_2d(p, q)
+    assert sum(a * b for a, b in zip(line, x)) == \
+        int_det([x, p[:2] + p[-1:], q[:2] + q[-1:]])
+    if repeat:
+        assert not any(line)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_plane_triples(), st.lists(_small_rats(), min_size=3, max_size=3))
 def test_plane_3d_is_a_multiple_of_the_nullspace_functional(pts, x):
     # the signed minors give det[x; p; q; r], a nonzero multiple of
     # int_nullspace's one functional for a triangle, and zero exactly on
     # affinely dependent triples
-    from plspan.mesh import _plane_3d
+    from plspan.geom import _plane_3d
     hs = [homogeneous(p) for p in pts]
     plane = _plane_3d(*hs)
     hx = homogeneous(Point(x))
@@ -611,35 +630,36 @@ def test_plane_3d_is_a_multiple_of_the_nullspace_functional(pts, x):
         assert int_rank([plane, h]) == 1
 
 
-_BIG = st.integers(-2 ** 60, 2 ** 60)
-
-
 @st.composite
 def _hyperplane_quads(draw):
-    """Four integer forms of Z^5 with entries of either sign up to 2^60;
-    half the time one of them is a small integer combination of the
-    other three, which may be dependent themselves."""
-    rows = [draw(st.lists(_BIG, min_size=5, max_size=5)) for _ in range(3)]
+    """Four integer rows of length 5 to 7 with entries of either sign up
+    to 2^60; half the time one of them is a small integer combination of
+    the other three, which may be dependent themselves."""
+    width = draw(st.integers(5, 7))
+    rows = [draw(st.lists(_BIG, min_size=width, max_size=width))
+            for _ in range(3)]
     if draw(st.booleans()):
-        rows.append(draw(st.lists(_BIG, min_size=5, max_size=5)))
+        rows.append(draw(st.lists(_BIG, min_size=width, max_size=width)))
     else:
         if draw(st.booleans()):
             rows[2] = [2 * a - b for a, b in zip(rows[0], rows[1])]
         cs = draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3))
         rows.append([sum(c * r[k] for c, r in zip(cs, rows))
-                     for k in range(5)])
+                     for k in range(width)])
     return draw(st.permutations(rows))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_hyperplane_quads(), st.lists(_BIG, min_size=5, max_size=5))
 def test_hyperplane_4d_is_a_multiple_of_the_nullspace_functional(rows, x):
-    # the signed 4x4 minors give det[p; q; r; s; x], zero exactly when
-    # the rows are dependent, and else a nonzero multiple of their one
-    # int_nullspace functional
-    from plspan.mesh import _hyperplane_4d
+    # the signed 4x4 minors of the rows, read on their entries 0 to 3 and
+    # last, give det[x; p; q; r; s], zero exactly when those columns are
+    # dependent, and else a nonzero multiple of their one int_nullspace
+    # functional
+    from plspan.geom import _hyperplane_4d
     h = _hyperplane_4d(*rows)
-    assert sum(a * b for a, b in zip(h, x)) == int_det(rows + [x])
+    rows = [r[:4] + r[-1:] for r in rows]
+    assert sum(a * b for a, b in zip(h, x)) == int_det([x] + rows)
     flat = int_rank(rows) < 4
     assert (not any(h)) == flat
     if not flat:

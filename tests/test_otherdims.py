@@ -42,13 +42,13 @@ from plspan.otherdims import (
 )
 from plspan.polygon import (
     ClosedPolygon,
-    _circle_points,
     gen_planar_ngon,
     gen_random,
     gen_torus_stick,
 )
 
 from oracles import (
+    _circle_points,
     add_triangle,
     embedded_attempt_framed,
     embedded_flat_oracle,

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from math import lcm
@@ -10,6 +11,7 @@ from plspan.geom import (Point, affine_rank, homogeneous, rat,
                          simplex_intersect)
 from plspan.polygon import (
     ClosedPolygon,
+    _circle_forms,
     gen_planar_ngon,
     gen_random,
     gen_torus_stick,
@@ -222,6 +224,19 @@ def test_planar_ngon_on_exact_circle():
         for v in poly.vertices:
             assert v[0] * v[0] + v[1] * v[1] == r2
         assert validate_embedded(poly) is None
+
+
+def test_circle_forms_match_rational_circle_points():
+    # the integer unit-circle forms are the Fraction points of the
+    # reference, pi's (-1, 0) included, at both denominators in use
+    for denom in (1 << 14, 1 << 15):
+        for n in range(3, 65):
+            angles = [2 * math.pi * k / n for k in range(n)]
+            got = [(Fraction(x, w), Fraction(y, w))
+                   for x, y, w in _circle_forms(angles, denom)]
+            assert got == oracles._circle_points(angles, 1, denom), (n, denom)
+            if n % 2 == 0:
+                assert got[n // 2] == (-1, 0)
 
 
 def test_planar_ngon_convex():
