@@ -439,12 +439,13 @@ def _hull_contact_clean(hom, a, b, shared) -> bool:
     clears such a pair with no elimination.  In R^d, d >= 4, one
     nonzero maximal minor of up to five rows does the same
     (geom._lead_minor, the first row dotted with the geom cofactors
-    _line_2d, _plane_3d or _hyperplane_4d of the others).  Else one forward elimination of their forms decides the
-    rest.  Affinely independent vertices make both faces of one
-    simplex, meeting in the face of their common vertices.  A single
-    affine relation decides by its signs (_relation_clean): the one
-    int_nullspace vector of the forms on the pivot columns, which keep
-    every relation, taken as columns.
+    _line_2d, _plane_3d or _hyperplane_4d of the others).  Else one
+    forward elimination of their forms decides the rest.  Affinely
+    independent vertices make both faces of one simplex, meeting in the
+    face of their common vertices.  A single affine relation decides by
+    its signs (_relation_clean): the one int_nullspace vector of the
+    forms on the pivot columns, which keep every relation, taken as
+    columns.
     Two triangles with six vertices in a 3-flat, projected onto three
     pivot axes and the weight, are decided as check_embedded decides an
     R^3 pair sharing nothing: apart when one lies strictly on one side
