@@ -23,7 +23,6 @@ import random
 
 from .geom import (Rat, ZERO, _between, _line_2d, _primitive, _shear,
                    key_boxes, overlapping_pairs, seg_intersect_2d, sign)
-from .polygon import ClosedPolygon
 
 
 class Crossing:
@@ -150,16 +149,12 @@ def find_general_position(poly: ClosedPolygon, seed: int = 0,
         raise ValueError("projection needs a polygon in R^3")
     rng = random.Random(seed)
     den = 1024
-    tried = set()
     for k in range(budget):
         if k == 0:
             s1 = s2 = ZERO
         else:
             s1 = Rat(rng.randint(-den, den), den)
             s2 = Rat(rng.randint(-den, den), den)
-        if (s1, s2) in tried:
-            continue
-        tried.add((s1, s2))
         shadow = [_shear(h, (s1, s2)) for h in poly.hom]
         problem, crossings = _projection_problems(shadow)
         if problem is None:

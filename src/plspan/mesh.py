@@ -339,36 +339,38 @@ def _coplanar_contact_clean(hom, axes, tri_a, tri_b, shared) -> bool:
     True when the triangles meet in nothing beyond the face spanned by
     their shared vertices.  Decided from orientation signs of the
     homogeneous vertices projected onto axes, two axes on which their
-    common plane projects injectively.  A pair sharing an edge is clean
-    iff its free vertices lie strictly on opposite sides of the edge.
+    common plane projects injectively.
 
-    With at most one shared vertex w the signs come edge by edge, the
-    edges of a and then those of b, each against the other triangle's
-    vertices.  The first edge that has every vertex of the other
-    triangle, but for its own ends, strictly outside its line clears the
-    pair: its own triangle lies on the closed inner side, so the two
-    meet at most in an end of the edge on that line, which is w.
-    Without such an edge, any other common point gives the intersection
-    polygon an extreme point other than w; such a point is a vertex of
-    one triangle lying in the other closed triangle, or a proper
-    crossing of an edge of each, so those two tests, on the signs
-    already taken, are complete.
+    The signs come edge by edge, a's edges and then b's, each against
+    the other triangle's vertices.  The first edge whose line has every
+    vertex of the other triangle, but for the edge's own ends, strictly
+    outside clears the pair: they meet at most in those ends, which are
+    shared.  Without such an edge, the pair
+
+    - sharing nothing meets: were a and b disjoint, max n.a < min n.b
+      for n the outer normal of an edge of a - b (Minkowski) with the
+      origin outside; that edge is an edge of a facing n, or of b facing
+      -n, plus a point, and its line separates.
+    - sharing an edge is not clean: clean, its free vertices lie
+      strictly on opposite sides of the edge, whose line separates.
+    - sharing one vertex w is clean iff b's free vertices lie weakly
+      outside a's two edge lines through w, in the angle opposite a's,
+      which meets a's in w alone, a's being below pi.  Conversely, a
+      clean pair's angles at w meet in w alone: arcs alpha and beta of
+      directions with gaps g and h.  a's edge line at the end of alpha
+      facing g has b strictly outside iff g + beta < pi; the other
+      three need h + beta, g + alpha or h + alpha below pi.  First and
+      last sum to 2 pi, as do the middle two, so all four fail only at
+      pi each: then b's angle is a's turned by pi (a bowtie), and b's
+      free vertices lie on a's lines.
     """
     i, j = axes
     ha = [(hom[v][i], hom[v][j], hom[v][-1]) for v in tri_a]
     hb = [(hom[v][i], hom[v][j], hom[v][-1]) for v in tri_b]
-    if len(shared) == 2:
-        # triangles on strictly opposite sides of the shared edge meet
-        # exactly in that edge
-        u, v = (k for k in range(3) if tri_a[k] in shared)
-        oa = 3 - u - v
-        ob = next(k for k in range(3) if tri_b[k] not in shared)
-        return orient2d_h(ha[u], ha[v], ha[oa]) \
-            * orient2d_h(ha[u], ha[v], hb[ob]) < 0
-    # side_a[e][k]: vertex k of b against edge e of a; side_b likewise
-    side_a, side_b, turns = [], [], []
+    # side_a[e][k]: vertex k of b against edge e of a
+    side_a, turns = [], []
     for tri, hs, side, other, hs_other in ((tri_a, ha, side_a, tri_b, hb),
-                                           (tri_b, hb, side_b, tri_a, ha)):
+                                           (tri_b, hb, [], tri_a, ha)):
         turn = orient2d_h(*hs)
         turns.append(turn)
         for e in range(3):
@@ -377,18 +379,11 @@ def _coplanar_contact_clean(hom, axes, tri_a, tri_b, shared) -> bool:
             if all(x * turn < 0 or v in ends for x, v in zip(row, other)):
                 return True
             side.append(row)
-    turn_a, turn_b = turns
-    for k in range(3):
-        if tri_b[k] not in shared \
-                and all(side_a[e][k] * turn_a >= 0 for e in range(3)):
-            return False
-        if tri_a[k] not in shared \
-                and all(side_b[e][k] * turn_b >= 0 for e in range(3)):
-            return False
-    # edges ending at the shared vertex get a zero sign and never count
-    return not any(side_a[ea][eb] * side_a[ea][(eb + 1) % 3] < 0
-                   and side_b[eb][ea] * side_b[eb][(ea + 1) % 3] < 0
-                   for ea in range(3) for eb in range(3))
+    if len(shared) != 1:
+        return False
+    # a's edges k and k - 1 run from and into the shared vertex k
+    k = tri_a.index(*shared)
+    return all(x * turns[0] <= 0 for x in side_a[k] + side_a[k - 1])
 
 
 def _shared_edge_clean(tri_a, tri_b, plane_a, plane_b) -> bool:
@@ -513,8 +508,9 @@ def check_embedded(mesh: TriMesh) -> Optional[EmbeddingViolation]:
     two _plane_3d vectors (_shared_edge_clean); any other coplanar pair
     by orientation signs on the two axes that are not pivots of a's
     functionals, found once per triangle: an edge line with the other
-    triangle strictly outside clears it, and only without one do the
-    vertex-in-triangle and crossing tests run (_coplanar_contact_clean).
+    triangle strictly outside clears it; without one it is clean only
+    if it shares one vertex and b lies in the closed angle opposite a's
+    there (_coplanar_contact_clean).
     In R^3 the five vertices of a pair sharing a vertex carry one
     affine relation, whose coefficients are the plane values by
     Cramer's rule, and its signs decide the pair (_relation_clean).  A

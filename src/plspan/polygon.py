@@ -16,6 +16,7 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .diagram import project_polygon
 from .geom import (
     Point,
     _form,
@@ -184,13 +185,16 @@ def _circle_forms(angles, denom):
 def gen_planar_ngon(n: int, dim: int = 2, radius=1) -> ClosedPolygon:
     """Strictly convex n-gon with vertices exactly on a rational circle.
 
-    dim 2 gives planar points; dim 3 embeds them at height zero.
+    dim 2 gives planar points; dim 3 embeds them at height zero.  A
+    negative radius gives the same polygon turned by pi.
     """
     if n < 3:
         raise ValueError("need n >= 3")
     if dim not in (2, 3):
         raise ValueError("planar generator supports dim 2 or 3")
     r = rat(radius)
+    if not r:
+        raise ValueError("radius must be nonzero")
     p, q = r.numerator, r.denominator
     forms = [_primitive((p * x, p * y) + (0,) * (dim - 2) + (q * w,))
              for x, y, w in _circle_forms(
@@ -250,7 +254,6 @@ def gen_torus_stick(m: int) -> ClosedPolygon:
         if validate_embedded(poly) is not None or poly.zero_turns():
             last_error = "self-intersecting layout"
             continue
-        from .diagram import project_polygon
         try:
             dia = project_polygon(poly, seed=0)
         except AssertionError as exc:
@@ -307,7 +310,6 @@ def gen_twist_writhe(m: int) -> ClosedPolygon:
     bad = validate_embedded(poly)
     if bad is not None:
         raise AssertionError("twist layout self-intersects: %r" % bad)
-    from .diagram import project_polygon
     dia = project_polygon(poly, seed=0)
     want = m * (m + 1)
     if len(dia.crossings) != want:

@@ -184,20 +184,18 @@ def _ray_parity(p, segs) -> int:
 
 def quad_edge_colors(marked: MarkedDiagram, x: int) -> list[int]:
     """Checkerboard color of the face each quad side of crossing x lies
-    in: 0 for white (the unbounded face's color), 1 for black.  Colors
-    alternate around the quadrilateral.  The shadow is read as the
-    forms of the corner nodes, in walk order."""
+    in: 0 for white (the unbounded face's color), 1 for black.  The
+    first side's is the ray parity of its midpoint against the shadow
+    (the corner nodes' forms in walk order); the rest alternate, since
+    _marks_valid keeps the walk off the quad sides but at their ends, so
+    in the quad the shadow is the two strands through x, its diagonals,
+    and a path from one side's midpoint to the next crosses it once."""
     hom = marked.hom
     shadow = [h for nd, h in zip(marked.nodes, hom) if nd.kind == "vertex"]
-    segs = list(zip(shadow, shadow[1:] + shadow[:1]))
-    colors = []
-    for a, b in marked.quad_edges(x):
-        colors.append(_ray_parity(_between(hom[a], hom[b], 1, 2), segs))
-    if colors[0] != colors[2] or colors[1] != colors[3] \
-            or colors[0] == colors[1]:
-        raise AssertionError("face colors fail to alternate at crossing %d"
-                             % x)
-    return colors
+    a, b = marked.quad_edges(x)[0]
+    c = _ray_parity(_between(hom[a], hom[b], 1, 2),
+                    list(zip(shadow, shadow[1:] + shadow[:1])))
+    return [c, 1 - c, c, 1 - c]
 
 
 SMOOTHING_RULES = ("orientation", "white-edge")

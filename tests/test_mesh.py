@@ -832,9 +832,10 @@ def _coplanar_pair(rng):
     """2-D Points of a triangle pair on a small grid, b's own vertices
     moved by a random offset, as a list and two index triples sharing
     none, one or two indices, each triangle nondegenerate; now and then
-    a bowtie, b the point reflection of a through their shared vertex,
-    which meets a there alone but leaves every edge line with a vertex
-    on it."""
+    a bowtie, b's free vertices on a's edge lines through their shared
+    vertex, mostly across it (b a point reflection of a, or scaled), so
+    that every edge line has a vertex on it, now and then one on a's
+    side instead, where b overlaps an edge of a."""
     while True:
         off = [rng.randint(-4, 4) for _ in range(2)]
         pts = [Point([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
@@ -843,7 +844,9 @@ def _coplanar_pair(rng):
         shared = rng.choice((0, 0, 1, 1, 2, "bowtie"))
         a = [0, 1, 2]
         if shared == "bowtie":
-            pts[3:5] = [pts[0].scale(2) - p for p in pts[1:3]]
+            pts[3:5] = [pts[0] + (pts[0] - p).scale(
+                Fraction(rng.choice((2, 2, 1, 3, 4, -1)), 2))
+                for p in pts[1:3]]
             b = [0, 3, 4]
         else:
             b = rng.sample(a, shared) + [3, 4, 5][:3 - shared]
@@ -872,11 +875,16 @@ def _first_separating_edge(pts, tri_a, tri_b):
 def test_coplanar_edge_exit_matches_full_test(seed):
     # coplanar triangle pairs of R^3 from a small grid of a plane mapped
     # in by an integer affine map, sharing no vertex, one or an edge:
-    # the test with its separating-edge exits gives the full test's
-    # verdict, and takes the signs only up to the first separating
-    # edge, of a's and then b's, or all twenty when none separates.
-    # Each of the six exits and the fallback, with both verdicts, are
-    # reached: pairs are drawn until they are, at least 300.
+    # the test gives the full test's verdict, and takes the signs only
+    # up to the first separating edge, of a's and then b's, or all
+    # twenty when none separates.  A pair no edge separates meets
+    # outside what it shares (simplex_intersect has a witness when it
+    # shares nothing), unless it shares one vertex w and b's free
+    # vertices lie weakly outside a's two edge lines through w, checked
+    # by rational orient2d.  Each of the six exits, and a pair no edge
+    # separates sharing nothing, an edge, and a vertex with either
+    # verdict, also with b's free vertices on a's lines through w (a
+    # bowtie), are reached: pairs are drawn until they are, at least 300.
     import plspan.mesh as mesh_mod
     from oracles import coplanar_contact_full
     rng = random.Random(seed)
@@ -884,7 +892,8 @@ def test_coplanar_edge_exit_matches_full_test(seed):
     orient = mesh_mod.orient2d_h
     reached = set()
     exits = {(side, e) for side in (0, 1) for e in range(3)} \
-        | {("fallback", True), ("fallback", False)}
+        | {(0, False), (1, True), (1, False), (2, False),
+           ("bowtie", True), ("bowtie", False)}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mesh_mod, "orient2d_h",
                    lambda *q: signs.append(1) or orient(*q))
@@ -898,9 +907,9 @@ def test_coplanar_edge_exit_matches_full_test(seed):
                 if int_rank(lin) == 2:
                     break
             shift = [Fraction(rng.randint(-3, 3), 2) for _ in range(3)]
-            hom = [homogeneous(Point([r[0] * p[0] + r[1] * p[1] + t
-                                      for r, t in zip(lin, shift)]))
-                   for p in pts]
+            lifted = [Point([r[0] * p[0] + r[1] * p[1] + t
+                             for r, t in zip(lin, shift)]) for p in pts]
+            hom = [homogeneous(p) for p in lifted]
             shared = set(tri_a) & set(tri_b)
             axes = mesh_mod._plane_axes(
                 [mesh_mod._plane_3d(*(hom[v] for v in tri_a))], 3)
@@ -909,17 +918,33 @@ def test_coplanar_edge_exit_matches_full_test(seed):
                                                    shared)
             assert got == coplanar_contact_full(hom, axes, tri_a, tri_b,
                                                 shared), (pts, tri_a, tri_b)
-            if len(shared) == 2:
-                continue
             edge = _first_separating_edge(pts, tri_a, tri_b)
-            if edge is None:
-                assert len(signs) == 20, (pts, tri_a, tri_b)
-                reached.add(("fallback", got))
-            else:
+            if edge is not None:
                 side, e = edge
                 assert got and len(signs) == 3 * e + 4 + 10 * side, \
                     (pts, tri_a, tri_b, edge)
                 reached.add(edge)
+                continue
+            assert len(signs) == 20, (pts, tri_a, tri_b)
+            if len(shared) == 1:
+                (w,) = shared
+                p, q = (v for v in tri_a if v != w)
+                opposite = all(
+                    orient2d(pts[w], pts[u], pts[x])
+                    * orient2d(pts[w], pts[u], pts[o]) <= 0
+                    for u, o in ((p, q), (q, p)) for x in tri_b if x != w)
+                assert got == opposite, (pts, tri_a, tri_b)
+                if all(orient2d(pts[w], pts[p], pts[x])
+                       * orient2d(pts[w], pts[q], pts[x]) == 0
+                       for x in tri_b):
+                    reached.add(("bowtie", got))
+            else:
+                assert not got, (pts, tri_a, tri_b)
+            if not shared:
+                assert simplex_intersect([lifted[v] for v in tri_a],
+                                         [lifted[v] for v in tri_b]) \
+                    is not None, (pts, tri_a, tri_b)
+            reached.add((len(shared), got))
     assert exits <= reached, reached
 
 

@@ -226,6 +226,20 @@ def test_planar_ngon_on_exact_circle():
         assert validate_embedded(poly) is None
 
 
+def test_planar_ngon_refuses_a_zero_radius_and_turns_a_negative_one():
+    # a zero radius is refused by name, before any snapping, in either
+    # spelling and dimension; a negative one is the polygon turned by pi
+    for radius in (0, "0", "0/3"):
+        for dim in (2, 3):
+            with pytest.raises(ValueError, match="radius must be nonzero"):
+                gen_planar_ngon(5, dim=dim, radius=radius)
+    for n in (3, 4, 7):
+        for dim in (2, 3):
+            pos = gen_planar_ngon(n, dim=dim, radius="3/2")
+            neg = gen_planar_ngon(n, dim=dim, radius="-3/2")
+            assert neg.vertices == [p.scale(-1) for p in pos.vertices]
+
+
 def test_circle_forms_match_rational_circle_points():
     # the integer unit-circle forms are the Fraction points of the
     # reference, pi's (-1, 0) included, at both denominators in use

@@ -111,12 +111,26 @@ def test_trefoil_surface():
 
 
 def test_quad_colors_alternate():
-    dia = project_polygon(gen_torus_stick(3))
-    mk = insert_interior_vertices(dia)
-    for x in range(3):
-        colors = quad_edge_colors(mk, x)
-        assert sorted(colors) == [0, 0, 1, 1]
-        assert colors[0] == colors[2] and colors[1] == colors[3]
+    # quad_edge_colors reads the first side's colour and alternates it;
+    # each side's colour, read on its own by the retrying rational ray
+    # count from its midpoint, is the one given
+    corpus = [gen_torus_stick(m) for m in (3, 4, 5)]
+    corpus += [gen_twist_writhe(m) for m in (1, 2)]
+    corpus += [gen_random(9, 3, seed=s) for s in range(4)]
+    seen = 0
+    for poly in corpus:
+        mk = insert_interior_vertices(project_polygon(poly))
+        shadow = [point_of(h) for nd, h in zip(mk.nodes, mk.hom)
+                  if nd.kind == "vertex"]
+        segs = list(zip(shadow, shadow[1:] + shadow[:1]))
+        for x in range(len(mk.quads)):
+            colors = quad_edge_colors(mk, x)
+            assert colors == [_ray_parity_oracle(
+                (point_of(mk.hom[a]) + point_of(mk.hom[b])).scale(Rat(1, 2)),
+                segs) for a, b in mk.quad_edges(x)], (poly, x)
+            assert colors[0] == colors[2] != colors[1] == colors[3]
+            seen += 1
+    assert seen > 40
 
 
 def test_white_edge_rule_matches_orientation_on_trefoil():
